@@ -15,10 +15,11 @@ structure-of-arrays *query plane*:
   nodes).
 
 Queries then run *level-synchronously*: the Eq. 2 bound of the entire
-frontier against the query is one broadcast NumPy reduction per level
-(``max(max(Q - U, L - Q), axis=1)``) instead of one Python call per
-node, and :meth:`FrozenTSIndex.search_batch` extends the same idea to a
-``(query, node)`` pair frontier so many queries share one traversal.
+frontier against the query (``Q - U <= ε`` and ``L - Q <= ε`` at every
+timestamp) is a few early-abandoning NumPy reductions per level instead
+of one Python call per node, and :meth:`FrozenTSIndex.search_batch`
+extends the same idea to a ``(query, node)`` pair frontier so many
+queries share one traversal.
 
 Results are **exactly** those of the pointer tree — same positions,
 same distances, the same deterministic ``(distance, position)`` k-NN
@@ -72,7 +73,7 @@ from ..query.varlength import (
 from .batch import BatchResult
 from .normalization import Normalization
 from .stats import BuildStats, QueryStats, SearchResult
-from .verification import verify
+from .verification import check_mode, verify
 from .windows import WindowSource
 
 if TYPE_CHECKING:  # runtime import would be circular; tsindex imports us
@@ -88,12 +89,16 @@ _BOUND_CHUNK = 1 << 20
 #: over contiguous envelope spans (less copying, same results).
 _PAIR_KERNEL_LIMIT = 4096
 
-#: Columns per early-abandoning block in the pruning kernels. Pruned
-#: nodes usually reveal themselves within the first block, so the bound
-#: arithmetic for the (vast) pruned majority touches ``_PRUNE_BLOCK``
-#: timestamps instead of all ``l`` — the node-level analogue of the
-#: blocked verification strategy, with identical prune decisions
-#: (partial maxima only ever grow).
+#: Element budget of :meth:`_prune_keep`'s first block, so its width
+#: follows the frontier size: a 9 000-node level is first bounded at 4
+#: timestamps (pruned nodes, usually almost all, cost those 4 instead of
+#: ``l``), while a few hundred nodes or fewer take all ``l`` timestamps
+#: in one block — for so few, an extra NumPy dispatch costs more than
+#: the elements it could save.
+_PRUNE_BUDGET = 1 << 15
+
+#: Timestamps per early-abandoning block of the batched pair kernel
+#: (:meth:`_pair_keep`).
 _PRUNE_BLOCK = 32
 
 #: Names of the flat arrays a frozen index is made of (the serializer
@@ -311,14 +316,13 @@ class FrozenTSIndex:
         self._leaf_offsets = _read_only(leaf_offsets)
         self._positions = _read_only(positions)
         # The envelopes are stored timestamp-major: the pruning kernels
-        # consume columns (timestamps) a block at a time, and on a
-        # row-major layout a column block of every node touches the
-        # same cache lines as the full matrix, so blocked early
-        # abandoning would save ALU work but no memory traffic. The
-        # contiguous ``(l, n)`` matrices make each block a contiguous
-        # slab; the row-major ``(n, l)`` form (serialization, thaw,
-        # per-node reads) is exposed as their transposed views — one
-        # resident copy of the envelopes, not two.
+        # consume a few timestamps of every node at a time, and on a
+        # row-major layout those touch the same cache lines as the full
+        # matrix, so early abandoning would save ALU work but no memory
+        # traffic. In the contiguous ``(l, n)`` matrices each timestamp
+        # is one contiguous row; the row-major ``(n, l)`` form
+        # (serialization, thaw, per-node reads) is exposed as their
+        # transposed views — one resident copy of the envelopes, not two.
         if uppers_t is None:
             uppers_t = np.ascontiguousarray(uppers.T)
             lowers_t = np.ascontiguousarray(lowers.T)
@@ -603,46 +607,60 @@ class FrozenTSIndex:
         upper_t: np.ndarray,
         lower_t: np.ndarray,
         threshold: float,
+        columns: np.ndarray | None = None,
     ) -> np.ndarray:
         """Boolean keep mask (exact Eq. 2 bound ``<= threshold``) over
-        the columns of timestamp-major envelope matrices, via blocked
-        early abandoning.
+        ``columns`` (default: every column) of timestamp-major ``(l, k)``
+        envelope matrices, via blocked early abandoning.
 
-        ``upper_t`` / ``lower_t`` are ``(l, k)`` — one *row* per
-        timestamp. Timestamps are consumed :data:`_PRUNE_BLOCK` rows at
-        a time (contiguous memory) and nodes whose running maximum
-        already exceeds ``threshold`` are compacted away between
-        blocks, so pruned nodes — typically almost all of them — cost
-        one block of traffic instead of all ``l`` timestamps. The
-        surviving set is exactly the full computation's (partial maxima
-        only ever grow).
+        A node is kept when ``q - U <= threshold`` and ``L - q <=
+        threshold`` at every timestamp — reduced as booleans, which
+        decides exactly what the float ``max(q - U, L - q) <= threshold``
+        decides without its temporaries. Blocks are strided row slices,
+        coarse to fine (rows ``0::s``, ``s/2::s``, ``s/4::s/2``, ...
+        ``1::2``: bit-reversal order), so the first blocks sample the
+        whole window — neighbouring timestamps say nearly the same
+        thing. ``s`` is the power of two that fits the first block into
+        :data:`_PRUNE_BUDGET` elements (1, a single evaluation, for a
+        small frontier). Pruned nodes are dropped between blocks, and as
+        soon as all ``l`` rows of the survivors fit the budget they are
+        finished in one block. Every block is a view, so only the
+        survivors' columns of the current rows are ever gathered.
         """
-        total = upper_t.shape[1]
-        keep = np.zeros(total, dtype=bool)
-        if total == 0:
-            return keep
-        length = upper_t.shape[0]
-        alive = np.arange(total)
-        remaining_upper, remaining_lower = upper_t, lower_t
-        consumed = 0
-        while consumed < length and alive.size:
-            width = min(_PRUNE_BLOCK, length - consumed)
-            query_block = query[consumed:consumed + width, None]
-            diffs = np.maximum(
-                query_block - remaining_upper[:width],
-                remaining_lower[:width] - query_block,
-            ).max(axis=0)
-            survive = diffs <= threshold
-            consumed += width
-            if survive.all():
-                remaining_upper = remaining_upper[width:]
-                remaining_lower = remaining_lower[width:]
+        length, total = upper_t.shape
+        size = count = total if columns is None else columns.size
+        alive = None  # indices into the mask still alive (None: all)
+        picked = columns  # their columns in the matrices (None: all)
+        blocks = -(-count * length // _PRUNE_BUDGET)
+        stride = 1 << min(
+            max(blocks - 1, 0).bit_length(), (length - 1).bit_length()
+        )
+        rows = slice(0, None, stride)
+        while True:
+            column = query[rows, None]
+            upper, lower = upper_t[rows], lower_t[rows]
+            if picked is not None:
+                upper, lower = upper[:, picked], lower[:, picked]
+            survive = (
+                (column - upper <= threshold) & (lower - column <= threshold)
+            ).all(axis=0)
+            if stride == 1:
+                if alive is None:
+                    return survive
+                keep = np.zeros(size, dtype=bool)
+                keep[alive[survive]] = True
+                return keep
+            if not survive.all():
+                kept = np.flatnonzero(survive)
+                alive = kept if alive is None else alive[kept]
+                picked = alive if columns is None else picked[kept]
+                count = kept.size
+            if count * length <= _PRUNE_BUDGET:
+                # Re-checking the consumed rows of so few survivors costs
+                # less than another round of dispatches.
+                rows, stride = slice(None), 1
             else:
-                alive = alive[survive]
-                remaining_upper = remaining_upper[width:, survive]
-                remaining_lower = remaining_lower[width:, survive]
-        keep[alive] = True
-        return keep
+                rows, stride = slice(stride // 2, None, stride), stride // 2
 
     def _frontier_keep(
         self, query: np.ndarray, ids: np.ndarray, epsilon: float
@@ -650,39 +668,27 @@ class FrozenTSIndex:
         """Keep mask for a whole (ascending) frontier of node ids.
 
         Under the BFS layout a dense frontier covers most of a
-        contiguous id span, so the envelope columns come in as zero-copy
+        contiguous id span, so the kernel runs over zero-copy column
         *views* of the timestamp-major matrices (the handful of gap
-        columns are evaluated too, harmlessly); sparse frontiers gather
-        only their own columns.
+        columns are evaluated too, harmlessly); a sparse frontier names
+        its columns and the kernel gathers them a block at a time.
 
         The bound runs over the first ``query.size`` timestamps — the
         timestamp-major layout makes the envelope *prefix* a zero-copy
         leading-row slice, which is what lets a shorter (prefix) query
-        reuse this kernel (and its blocked early abandoning) unchanged.
+        reuse this kernel (and its early abandoning) unchanged.
         """
-        prefix = query.size
+        upper_t = self._uppers_t[: query.size]
+        lower_t = self._lowers_t[: query.size]
         if self._bfs_layout and ids.size > 1:
             lo = int(ids[0])
             hi = int(ids[-1]) + 1
             if 2 * ids.size >= hi - lo:
                 span_keep = self._prune_keep(
-                    query,
-                    self._uppers_t[:prefix, lo:hi],
-                    self._lowers_t[:prefix, lo:hi],
-                    epsilon,
+                    query, upper_t[:, lo:hi], lower_t[:, lo:hi], epsilon
                 )
                 return span_keep[ids - lo]
-        upper = self._uppers_t[:prefix, ids]
-        lower = self._lowers_t[:prefix, ids]
-        if ids.size <= _PRUNE_BLOCK:
-            # Tiny sparse frontiers: one unblocked evaluation beats the
-            # blocked kernel's per-block dispatch overhead.
-            column = query[:, None]
-            return (
-                np.maximum(column - upper, lower - column).max(axis=0)
-                <= epsilon
-            )
-        return self._prune_keep(query, upper, lower, epsilon)
+        return self._prune_keep(query, upper_t, lower_t, epsilon, ids)
 
     def _pair_keep(
         self,
@@ -692,8 +698,8 @@ class FrozenTSIndex:
         epsilon: float,
     ) -> np.ndarray:
         """Keep mask for ``(query, node)`` pairs — the batched frontier
-        bound, with the same blocked early-abandoning as
-        :meth:`_prune_keep`. ``queries_t`` is the ``(l, q)``
+        bound, early-abandoning over contiguous blocks of
+        :data:`_PRUNE_BLOCK` timestamps. ``queries_t`` is the ``(l, q)``
         timestamp-major query matrix; pairs are outer-chunked so gather
         temporaries stay bounded."""
         total = q_idx.size
@@ -776,14 +782,15 @@ class FrozenTSIndex:
         counters) as :meth:`TSIndex.search
         <repro.core.tsindex.TSIndex.search>`, but the traversal is
         level-synchronous: every level bounds the whole surviving
-        frontier against the query in one broadcast reduction instead of
-        one Python call per node.
+        frontier against the query in a few early-abandoning reductions
+        instead of one Python call per node.
         """
         if is_prefix_query(query, self._source.length):
             return self.search_varlength(
                 query, epsilon, verification=verification
             )
         epsilon = check_non_negative(epsilon, name="epsilon")
+        check_mode(verification)
         query = self._prepare_query(query)
         stats = QueryStats()
         candidates = self._collect_candidates(query, epsilon, stats)
@@ -810,8 +817,8 @@ class FrozenTSIndex:
         <repro.core.tsindex.TSIndex.search_varlength>`, executed
         level-synchronously: the whole frontier bounds against the
         zero-copy ``(m, k)`` leading-row spans of the timestamp-major
-        envelope matrices, reusing the blocked early-abandoning pruning
-        kernel unchanged. ``m == l`` delegates to :meth:`search`.
+        envelope matrices, reusing the early-abandoning pruning kernel
+        unchanged. ``m == l`` delegates to :meth:`search`.
         """
         return prefix_search_with_tail(
             self, query, epsilon, verification=verification
@@ -883,6 +890,7 @@ class FrozenTSIndex:
         per-query loop (the shared pair traversal assumes one length).
         """
         epsilon = check_non_negative(epsilon, name="epsilon")
+        check_mode(verification)
         queries = list(queries)
         if any(
             is_prefix_query(query, self._source.length)
@@ -989,76 +997,16 @@ class FrozenTSIndex:
             else np.empty(0, dtype=POSITION_DTYPE)
             for qi in range(nq)
         ]
-        if verification == "bulk":
-            results = self._verify_batch(
-                prepared, per_query_candidates, epsilon, per_query_stats
+        results = [
+            verify(
+                self._source, prepared[qi], per_query_candidates[qi],
+                epsilon, mode=verification, stats=per_query_stats[qi],
             )
-        else:
-            results = [
-                verify(
-                    self._source, prepared[qi], per_query_candidates[qi],
-                    epsilon, mode=verification, stats=per_query_stats[qi],
-                )
-                for qi in range(nq)
-            ]
+            for qi in range(nq)
+        ]
         from ..query.merge import batch_result
 
         return batch_result(results, epsilon)
-
-    def _verify_batch(
-        self,
-        queries: list[np.ndarray],
-        candidates: list[np.ndarray],
-        epsilon: float,
-        stats_list: list[QueryStats],
-    ) -> list[SearchResult]:
-        """Exact verification of every query's candidates in one sweep.
-
-        All ``(query, candidate)`` pairs are verified together with a
-        handful of chunked reductions instead of one :func:`verify` call
-        per query; results (and counters) are exactly those of the
-        per-query ``"bulk"`` verifier.
-        """
-        nq = len(candidates)
-        counts = np.asarray([c.size for c in candidates], dtype=np.int64)
-        total = int(counts.sum())
-        if total == 0:
-            return [SearchResult.empty(stats) for stats in stats_list]
-
-        all_positions = np.concatenate(candidates)
-        all_q = np.repeat(np.arange(nq, dtype=np.int64), counts)
-        # Sort by (query, position) so each query's segment comes out
-        # position-ascending, matching verify_positions' output order.
-        order = np.lexsort((all_positions, all_q))
-        all_positions = all_positions[order]
-        all_q = all_q[order]
-
-        matrix = np.stack(queries)
-        profile = np.empty(total, dtype=FLOAT_DTYPE)
-        rows = max(1, _BOUND_CHUNK // max(1, self.length))
-        for start, stop in iter_chunks(total, rows):
-            block = self._source.windows(all_positions[start:stop])
-            np.abs(block - matrix[all_q[start:stop]], out=block)
-            block.max(axis=1, out=profile[start:stop])
-        keep = profile <= epsilon
-
-        boundaries = np.searchsorted(all_q, np.arange(nq + 1))
-        results: list[SearchResult] = []
-        for qi, stats in enumerate(stats_list):
-            segment = slice(int(boundaries[qi]), int(boundaries[qi + 1]))
-            segment_keep = keep[segment]
-            stats.candidates += int(counts[qi])
-            stats.verified += int(counts[qi])
-            positions = all_positions[segment][segment_keep]
-            stats.matches += int(positions.size)
-            results.append(
-                SearchResult(
-                    positions=positions,
-                    distances=profile[segment][segment_keep],
-                    stats=stats,
-                )
-            )
-        return results
 
     # ------------------------------------------------------------------
     # k-NN (best-first over the flat arrays)

@@ -50,7 +50,7 @@ from ..query.varlength import (
 from .mbts import MBTS
 from .normalization import Normalization
 from .stats import BuildStats, QueryStats, SearchResult
-from .verification import verify
+from .verification import check_mode, verify
 from .windows import WindowSource
 
 #: Valid split assignment metrics (DESIGN.md §5): ``area`` is classic
@@ -545,6 +545,7 @@ class TSIndex:
                 query, epsilon, verification=verification
             )
         epsilon = check_non_negative(epsilon, name="epsilon")
+        check_mode(verification)
         query = self._prepare_query(query)
         stats = QueryStats()
         candidates = self._collect_candidates(query, epsilon, stats)

@@ -4,18 +4,24 @@ Every index produces *candidate* window positions; verification computes
 the exact Chebyshev distance of each candidate to the query and keeps the
 twins. Three interchangeable strategies are provided:
 
-* :func:`verify_positions` — fully vectorized: one NumPy reduction per
-  chunk of candidates. Fastest when most candidates qualify or ``l`` is
-  small.
-* :func:`verify_positions_blocked` — *blocked reordering early
-  abandoning*: timestamps are processed in blocks ordered by decreasing
-  query magnitude, and candidates whose partial distance already exceeds
-  ``ε`` are dropped between blocks. This is the vectorized analogue of
-  the UCR-suite optimization the paper adopts; it wins when candidates
-  are plentiful but matches are rare.
+* :func:`verify_positions` — *streaming reordering early abandoning*,
+  the vectorized form of the UCR-suite check the paper adopts.
+  Timestamps are visited by decreasing query magnitude; for each one the
+  kernel reads the 1-D column ``values[alive + t]`` straight from the
+  source's value buffer, folds ``|x - q_t|`` into a running maximum and
+  compacts the still-alive candidates, so the window matrix of the
+  candidates it rejects is never built. At :data:`GATHER_BELOW`
+  survivors the outstanding timestamps are finished in one small gather.
+  :func:`verify_positions_blocked` names the same kernel.
+* :func:`verify_positions_per_candidate` — one check per candidate, the
+  paper's cost model.
 * :func:`verify_intervals` — verifies contiguous position runs directly
   against zero-copy window blocks (used by KV-Index, whose inverted lists
   store intervals).
+
+The position verifiers take the window length from the query: a query of
+``m < l`` points is compared with the ``m``-window at each position, and
+positions may then run into the series tail, up to ``|T| - m``.
 
 All strategies return identical results; tests enforce this.
 """
@@ -31,25 +37,73 @@ from .._util import (
     check_non_negative,
     iter_chunks,
 )
+from ..exceptions import InvalidParameterError
 from .distance import reorder_by_magnitude
 from .stats import QueryStats, SearchResult
 from .windows import WindowSource
 
-#: Number of candidate windows verified per NumPy batch. Bounds peak
-#: memory at roughly ``chunk * l * 8`` bytes per temporary.
+#: Window rows per ``(chunk, l)`` block of :func:`verify_intervals`.
+#: Bounds peak memory at roughly ``chunk * l * 8`` bytes per temporary.
 DEFAULT_CHUNK = 4096
 
-#: Timestamp block width for blocked early abandoning.
-DEFAULT_BLOCK = 16
+#: Candidates per pass of :func:`verify_positions`, whose temporaries
+#: are 1-D (``chunk * 8`` bytes each).
+STREAM_CHUNK = 1 << 16
+
+#: Survivor count at which the streaming kernel stops walking single
+#: timestamps and gathers the outstanding ones (below it, a NumPy
+#: dispatch per timestamp costs more than the elements it saves).
+GATHER_BELOW = 256
 
 #: Verification strategies accepted by every method's ``search``:
-#: ``bulk`` — vectorized batches (fastest in NumPy; the library default);
-#: ``blocked`` — vectorized blocked reordering early abandoning;
+#: ``bulk`` — the streaming early-abandoning kernel (the default);
+#: ``blocked`` — the same kernel under its historical name;
 #: ``per_candidate`` — one check per candidate, the paper's cost model
 #: (their data lived on disk and each candidate was fetched by random
 #: access, so verification cost scaled with the candidate count; the
 #: benchmark harness uses this mode to reproduce the paper's figures).
 VERIFICATION_MODES = ("bulk", "blocked", "per_candidate")
+
+
+def check_mode(mode: str) -> str:
+    """Validate a ``verification=`` / ``mode=`` name and return it."""
+    if mode not in VERIFICATION_MODES:
+        raise InvalidParameterError(
+            f"unknown verification mode {mode!r}; expected one of "
+            f"{VERIFICATION_MODES}"
+        )
+    return mode
+
+
+def _admit(
+    source: WindowSource,
+    query: np.ndarray,
+    positions: npt.ArrayLike,
+    epsilon: float,
+    stats: QueryStats | None,
+) -> tuple[np.ndarray, float, QueryStats]:
+    """Shared preamble of the position verifiers: validate ``ε`` and the
+    query length, sort the candidates, range-check them against the
+    ``m``-windows of the value buffer, and count them."""
+    epsilon = check_non_negative(epsilon, name="epsilon")
+    positions = np.sort(as_position_array(positions))
+    if query.size != source.length and (
+        query.size > source.length or source._means is not None
+    ):
+        raise InvalidParameterError(
+            f"query length {query.size} cannot be verified against "
+            f"{source!r}"
+        )
+    count = source.values.size - query.size + 1
+    if positions.size and (positions[0] < 0 or positions[-1] >= count):
+        raise InvalidParameterError(
+            f"positions must lie in [0, {count}); got range "
+            f"[{positions[0]}, {positions[-1]}]"
+        )
+    stats = stats if stats is not None else QueryStats()
+    stats.candidates += int(positions.size)
+    stats.verified += int(positions.size)
+    return positions, epsilon, stats
 
 
 def verify_positions(
@@ -59,7 +113,7 @@ def verify_positions(
     epsilon: float,
     *,
     stats: QueryStats | None = None,
-    chunk_size: int = DEFAULT_CHUNK,
+    chunk_size: int = STREAM_CHUNK,
 ) -> SearchResult:
     """Exactly verify ``positions`` against ``query`` at threshold ``ε``.
 
@@ -67,24 +121,64 @@ def verify_positions(
     (callers use :meth:`WindowSource.prepare_query`). Returns a
     :class:`SearchResult` with positions sorted ascending.
     """
-    epsilon = check_non_negative(epsilon, name="epsilon")
-    positions = np.sort(as_position_array(positions))
-    stats = stats if stats is not None else QueryStats()
-    stats.candidates += int(positions.size)
-    stats.verified += int(positions.size)
-
+    positions, epsilon, stats = _admit(source, query, positions, epsilon, stats)
+    order = reorder_by_magnitude(query)
     matched_positions: list[np.ndarray] = []
     matched_distances: list[np.ndarray] = []
     for start, stop in iter_chunks(positions.size, chunk_size):
-        chunk = positions[start:stop]
-        block = source.windows(chunk)
-        profile = np.max(np.abs(block - query), axis=1)
-        keep = profile <= epsilon
-        if np.any(keep):
-            matched_positions.append(chunk[keep])
-            matched_distances.append(profile[keep])
-
+        alive, distances = _stream(
+            source, query, order, positions[start:stop], epsilon
+        )
+        if alive.size:
+            matched_positions.append(alive)
+            matched_distances.append(distances)
     return _collect(matched_positions, matched_distances, stats)
+
+
+def _stream(
+    source: WindowSource,
+    query: np.ndarray,
+    order: np.ndarray,
+    alive: np.ndarray,
+    epsilon: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The twins among the (range-checked) positions ``alive`` and their
+    distances, by streaming early abandoning over ``order``."""
+    values = source.values
+    running = np.zeros(alive.size)
+    scaled = source._means is not None
+    if scaled:
+        means = source._means[alive]
+        stds = source._stds[alive]
+    for step, timestamp in enumerate(order.tolist()):
+        if alive.size <= GATHER_BELOW:
+            rest = order[step:]
+            block = values[alive[:, None] + rest]
+            if scaled:
+                block -= means[:, None]
+                block /= stds[:, None]
+            block -= query[rest]
+            np.abs(block, out=block)
+            np.maximum(running, block.max(axis=1), out=running)
+            keep = running <= epsilon
+            return alive[keep], running[keep]
+        # values[timestamp:][alive] is values[alive + timestamp] without
+        # the index temporary.
+        column = values[timestamp:][alive]
+        if scaled:
+            column -= means
+            column /= stds
+        column -= query[timestamp]
+        np.abs(column, out=column)
+        np.maximum(running, column, out=running)
+        keep = running <= epsilon
+        if not keep.all():
+            alive = alive[keep]
+            running = running[keep]
+            if scaled:
+                means = means[keep]
+                stds = stds[keep]
+    return alive, running
 
 
 def verify_positions_blocked(
@@ -94,50 +188,17 @@ def verify_positions_blocked(
     epsilon: float,
     *,
     stats: QueryStats | None = None,
-    chunk_size: int = DEFAULT_CHUNK,
-    block_size: int = DEFAULT_BLOCK,
+    chunk_size: int = STREAM_CHUNK,
+    block_size: int = 16,
 ) -> SearchResult:
-    """Verification with blocked reordering early abandoning.
+    """:func:`verify_positions` under its historical name.
 
-    Timestamps are visited in blocks sorted by decreasing query magnitude
-    (see :func:`~repro.core.distance.reorder_by_magnitude`); after each
-    block, candidates whose running maximum difference exceeds ``ε`` are
-    discarded, so later blocks touch progressively fewer rows.
+    The streaming kernel abandons after every timestamp, so
+    ``block_size`` has nothing left to tune; it is accepted and ignored.
     """
-    epsilon = check_non_negative(epsilon, name="epsilon")
-    positions = np.sort(as_position_array(positions))
-    stats = stats if stats is not None else QueryStats()
-    stats.candidates += int(positions.size)
-    stats.verified += int(positions.size)
-
-    order = reorder_by_magnitude(query)
-    matched_positions: list[np.ndarray] = []
-    matched_distances: list[np.ndarray] = []
-    for start, stop in iter_chunks(positions.size, chunk_size):
-        # Keep the survivors *compacted*: ``survivors`` always holds only
-        # the still-alive rows, so each block performs a single column
-        # fancy-index (``survivors[:, idx]``) instead of the double
-        # ``block[alive][:, idx]`` gather that copied the full alive
-        # submatrix once per block.
-        alive_positions = positions[start:stop]
-        survivors = source.windows(alive_positions)
-        running = np.zeros(alive_positions.size)
-        for block_start, block_stop in iter_chunks(order.size, block_size):
-            idx = order[block_start:block_stop]
-            diffs = np.max(np.abs(survivors[:, idx] - query[idx]), axis=1)
-            np.maximum(running, diffs, out=running)
-            keep = running <= epsilon
-            if not keep.all():
-                survivors = survivors[keep]
-                alive_positions = alive_positions[keep]
-                running = running[keep]
-            if alive_positions.size == 0:
-                break
-        if alive_positions.size:
-            matched_positions.append(alive_positions)
-            matched_distances.append(running)
-
-    return _collect(matched_positions, matched_distances, stats)
+    return verify_positions(
+        source, query, positions, epsilon, stats=stats, chunk_size=chunk_size
+    )
 
 
 def verify_intervals(
@@ -195,17 +256,15 @@ def verify_positions_per_candidate(
     were read from disk by random access one subsequence at a time.
     Results are identical to :func:`verify_positions`.
     """
-    epsilon = check_non_negative(epsilon, name="epsilon")
-    positions = np.sort(as_position_array(positions))
-    stats = stats if stats is not None else QueryStats()
-    stats.candidates += int(positions.size)
-    stats.verified += int(positions.size)
-
+    positions, epsilon, stats = _admit(source, query, positions, epsilon, stats)
+    values = source.values
+    scaled = source._means is not None
     matched: list[int] = []
     distances: list[float] = []
-    view = source
     for position in positions.tolist():
-        window = view.window(position)
+        window = values[position:position + query.size]
+        if scaled:
+            window = (window - source._means[position]) / source._stds[position]
         distance = float(np.max(np.abs(window - query)))
         if distance <= epsilon:
             matched.append(position)
@@ -228,22 +287,11 @@ def verify(
     stats: QueryStats | None = None,
 ) -> SearchResult:
     """Dispatch to the verification strategy named by ``mode``."""
-    if mode == "bulk":
-        return verify_positions(source, query, positions, epsilon, stats=stats)
-    if mode == "blocked":
-        return verify_positions_blocked(
-            source, query, positions, epsilon, stats=stats
-        )
-    if mode == "per_candidate":
+    if check_mode(mode) == "per_candidate":
         return verify_positions_per_candidate(
             source, query, positions, epsilon, stats=stats
         )
-    from ..exceptions import InvalidParameterError
-
-    raise InvalidParameterError(
-        f"unknown verification mode {mode!r}; expected one of "
-        f"{VERIFICATION_MODES}"
-    )
+    return verify_positions(source, query, positions, epsilon, stats=stats)
 
 
 def _collect(
@@ -252,9 +300,7 @@ def _collect(
     stats: QueryStats,
 ) -> SearchResult:
     if not matched_positions:
-        result = SearchResult.empty(stats)
-        stats.matches += 0
-        return result
+        return SearchResult.empty(stats)
     positions = np.concatenate(matched_positions)
     distances = np.concatenate(matched_distances)
     order = np.argsort(positions, kind="stable")

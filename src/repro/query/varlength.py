@@ -12,9 +12,9 @@ time-aligned *prefix* of two twins is itself a pair of twins
   the Eq. 2 bound over the prefix prunes losslessly — the native
   kernels on the tree and frozen planes exploit exactly this;
 * verification compares the query against the ``m``-window at each
-  candidate position, which is what :func:`prefix_source` exposes: a
-  zero-copy window source of every ``m``-window of the prepared value
-  buffer — **including the tail positions** (the last ``l - m`` window
+  candidate position — read straight from the prepared value buffer by
+  the verification kernels, which take the window length from the
+  query — **including the tail positions** (the last ``l - m`` window
   starts that have no full ``l``-window and are absent from the index).
 
 Everything here answers from the plane's prepared value buffer, so the
@@ -38,7 +38,7 @@ import numpy as np
 from .._util import POSITION_DTYPE, check_non_negative
 from ..core.normalization import Normalization
 from ..core.stats import QueryStats, SearchResult
-from ..core.verification import verify
+from ..core.verification import check_mode, verify
 from ..core.windows import WindowSource, assemble_source
 from .spec import prepare_values
 
@@ -97,17 +97,12 @@ def verify_prefix(
 ) -> SearchResult:
     """Exactly verify candidate positions against their ``m``-windows.
 
-    Routes through the library's chunked verification strategies
-    (:mod:`repro.core.verification`), so peak memory is block-bounded
-    regardless of the candidate count — the fix for the old extension's
-    one-shot ``sliding_window_view(values, m)[positions]`` candidate
-    matrix. ``query`` must already be prepared (index value domain);
-    positions may include tail positions up to ``|T| - m``.
+    The verification kernels read the ``m = query.size`` points at each
+    position straight from ``source.values`` (no ``m``-window source is
+    assembled, memory stays chunk-bounded). ``query`` must already be
+    prepared; positions may include tail positions up to ``|T| - m``.
     """
-    return verify(
-        prefix_source(source, query.size), query, positions, epsilon,
-        mode=mode, stats=stats,
-    )
+    return verify(source, query, positions, epsilon, mode=mode, stats=stats)
 
 
 def prefix_search_with_tail(
@@ -124,6 +119,7 @@ def prefix_search_with_tail(
     cannot drift.
     """
     epsilon = check_non_negative(epsilon, name="epsilon")
+    check_mode(verification)
     source = plane.source
     query = prepare_values(source, query, varlength=True)
     if query.size == source.length:
@@ -183,11 +179,11 @@ def scan_prefix_search(
     """
     epsilon = check_non_negative(epsilon, name="epsilon")
     query = prepare_values(source, query, varlength=True)
-    stats = stats if stats is not None else QueryStats()
-    psource = prefix_source(source, query.size)
-    positions = np.arange(psource.count, dtype=POSITION_DTYPE)
-    return verify(
-        psource, query, positions, epsilon, mode=verification, stats=stats
+    positions = np.arange(
+        source.values.size - query.size + 1, dtype=POSITION_DTYPE
+    )
+    return verify_prefix(
+        source, query, positions, epsilon, mode=verification, stats=stats
     )
 
 

@@ -1,0 +1,289 @@
+"""The two streaming hot-loop kernels against their unblocked references.
+
+* the refine kernel (:func:`repro.core.verification.verify_positions`)
+  against a brute-force max-abs scan over gathered windows — positions
+  and distances must be *bitwise* equal;
+* the filter kernel (:meth:`FrozenTSIndex._prune_keep`) against the
+  unblocked ``np.maximum(q - U, L - q).max(0) <= ε``;
+* frozen-vs-pointer counters on a bulk-loaded tree whose leaf level is
+  wide enough to take the kernel's narrow-block path.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core.bulkload import bulk_load_source
+from repro.core.frozen import _PRUNE_BUDGET, FrozenTSIndex
+from repro.core.tsindex import TSIndexParams
+from repro.core.verification import (
+    GATHER_BELOW,
+    VERIFICATION_MODES,
+    verify,
+    verify_positions,
+)
+from repro.core.windows import WindowSource
+from repro.exceptions import InvalidParameterError
+
+from conftest import LENGTH
+
+REGIMES = ("none", "global", "per_window")
+
+
+def brute_force(source, query, positions, epsilon):
+    """Gather every candidate ``m``-window, then one max-abs reduction."""
+    positions = np.sort(np.asarray(positions, dtype=np.int64))
+    if query.size == source.length:
+        block = source.windows(positions)
+    else:
+        block = np.lib.stride_tricks.sliding_window_view(
+            source.values, query.size
+        )[positions]
+    distances = np.abs(block - query).max(axis=1)
+    keep = distances <= epsilon
+    return positions[keep], distances[keep]
+
+
+def assert_matches_brute_force(source, query, positions, epsilon):
+    expected_positions, expected_distances = brute_force(
+        source, query, positions, epsilon
+    )
+    for mode in VERIFICATION_MODES:
+        result = verify(source, query, positions, epsilon, mode=mode)
+        assert np.array_equal(result.positions, expected_positions), mode
+        assert np.array_equal(result.distances, expected_distances), mode
+        assert result.stats.candidates == len(positions)
+        assert result.stats.matches == expected_positions.size
+
+
+class TestRefineKernel:
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize(
+        "count", [1, GATHER_BELOW - 1, GATHER_BELOW, GATHER_BELOW + 1, None]
+    )
+    def test_both_sides_of_the_cut_over(self, source_of, regime, count):
+        source = source_of(regime)
+        query = source.window(700).copy()
+        positions = np.arange(source.count)[:count]
+        distances = brute_force(source, query, positions, np.inf)[1]
+        for epsilon in (0.0, float(np.median(distances)), float(distances.max())):
+            assert_matches_brute_force(source, query, positions, epsilon)
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_epsilon_zero_finds_the_exact_copy(self, source_of, regime):
+        source = source_of(regime)
+        query = source.window(1234).copy()
+        result = verify(source, query, np.arange(source.count), 0.0)
+        assert 1234 in result.positions
+        assert np.all(result.distances == 0.0)
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_distance_exactly_epsilon_is_a_twin(self, source_of, regime):
+        source = source_of(regime)
+        query = source.window(10).copy()
+        positions = np.arange(source.count)
+        distances = brute_force(source, query, positions, np.inf)[1]
+        for target in (5, 900, source.count - 1):
+            epsilon = float(distances[target])
+            result = verify(source, query, positions, epsilon)
+            assert target in result.positions
+            below = verify(
+                source, query, positions, float(np.nextafter(epsilon, 0.0))
+            )
+            assert target not in below.positions
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_unsorted_and_duplicated_candidates(self, source_of, regime):
+        source = source_of(regime)
+        rng = np.random.default_rng(3)
+        query = source.window(2000).copy()
+        positions = rng.integers(0, source.count, size=4 * GATHER_BELOW)
+        positions = np.concatenate((positions, positions[:50], [2000, 2000]))
+        distances = brute_force(source, query, positions, np.inf)[1]
+        assert_matches_brute_force(
+            source, query, positions, float(np.quantile(distances, 0.3))
+        )
+
+    def test_small_chunks_change_nothing(self, source_global):
+        query = source_global.window(300).copy()
+        positions = np.arange(source_global.count)
+        expected = brute_force(source_global, query, positions, 0.8)
+        for chunk_size in (1, 7, GATHER_BELOW + 1):
+            result = verify_positions(
+                source_global, query, positions, 0.8, chunk_size=chunk_size
+            )
+            assert np.array_equal(result.positions, expected[0])
+            assert np.array_equal(result.distances, expected[1])
+
+    @pytest.mark.parametrize("regime", ["none", "global"])
+    @pytest.mark.parametrize("m", [1, 7, LENGTH - 1])
+    def test_prefix_lengths_include_the_tail(self, source_of, regime, m):
+        source = source_of(regime)
+        total = source.values.size - m + 1
+        assert total > source.count  # the tail positions exist
+        query = source.values[total - 1:total - 1 + m].copy()  # last m-window
+        positions = np.arange(total)
+        distances = brute_force(source, query, positions, np.inf)[1]
+        for epsilon in (0.0, float(np.quantile(distances, 0.2))):
+            assert_matches_brute_force(source, query, positions, epsilon)
+        assert total - 1 in verify(source, query, positions, 0.0).positions
+
+    def test_prefix_rejected_under_per_window(self, source_per_window):
+        with pytest.raises(InvalidParameterError):
+            verify(source_per_window, np.zeros(LENGTH - 1), [0], 1.0)
+
+    @pytest.mark.parametrize("mode", VERIFICATION_MODES)
+    def test_out_of_range_positions_raise(self, source_global, mode):
+        query = source_global.window(0).copy()
+        for bad in ([-1], [source_global.count], [0, 5, source_global.count]):
+            with pytest.raises(InvalidParameterError):
+                verify(source_global, query, bad, 1.0, mode=mode)
+        # A prefix query may reach into the tail, but not past it.
+        m = 10
+        last = source_global.values.size - m
+        assert len(verify(source_global, query[:m], [last], 1e9, mode=mode)) == 1
+        with pytest.raises(InvalidParameterError):
+            verify(source_global, query[:m], [last + 1], 1.0, mode=mode)
+
+
+def random_envelopes(rng, length, columns):
+    """Random-walk centres with random half-widths: ``L <= U``."""
+    centres = np.cumsum(rng.normal(size=(length, columns)), axis=0)
+    centres += rng.normal(scale=3.0, size=columns)
+    half = rng.uniform(0.1, 1.5, size=(length, columns))
+    return centres + half, centres - half
+
+
+def unblocked(query, upper_t, lower_t, threshold):
+    column = query[:, None]
+    return np.maximum(column - upper_t, lower_t - column).max(axis=0) <= threshold
+
+
+class TestPruneKernel:
+    @pytest.mark.parametrize("columns", [1, 31, 33, 300, 700, 5000])
+    @pytest.mark.parametrize("length", [7, 37, 100])
+    def test_matches_unblocked(self, columns, length):
+        rng = np.random.default_rng(columns * 1000 + length)
+        upper_t, lower_t = random_envelopes(rng, length, columns)
+        query = np.cumsum(rng.normal(size=length))
+        bounds = np.maximum(
+            query[:, None] - upper_t, lower_t - query[:, None]
+        ).max(axis=0)
+        thresholds = [0.0, np.inf, float(bounds.min()), float(bounds.max())]
+        thresholds += [float(t) for t in np.quantile(bounds, [0.02, 0.5])]
+        for threshold in thresholds:
+            expected = unblocked(query, upper_t, lower_t, threshold)
+            kept = FrozenTSIndex._prune_keep(query, upper_t, lower_t, threshold)
+            assert kept.dtype == bool
+            assert np.array_equal(kept, expected), threshold
+
+    def test_all_pruned_and_none_pruned(self):
+        rng = np.random.default_rng(0)
+        upper_t, lower_t = random_envelopes(rng, 100, 5000)
+        assert 5000 * 100 > _PRUNE_BUDGET  # the narrow-block path
+        query = np.zeros(100)
+        none = FrozenTSIndex._prune_keep(query, upper_t, lower_t, 1e9)
+        assert none.all() and none.size == 5000
+        far = FrozenTSIndex._prune_keep(query + 1e6, upper_t, lower_t, 1.0)
+        assert not far.any() and far.size == 5000
+
+    @pytest.mark.parametrize("prefix", [1, 5, 64, 99])
+    def test_prefix_lengths(self, prefix):
+        rng = np.random.default_rng(prefix)
+        upper_t, lower_t = random_envelopes(rng, 100, 2000)
+        query = np.cumsum(rng.normal(size=prefix))
+        for threshold in (0.5, 2.0, 8.0):
+            expected = unblocked(
+                query, upper_t[:prefix], lower_t[:prefix], threshold
+            )
+            kept = FrozenTSIndex._prune_keep(
+                query, upper_t[:prefix], lower_t[:prefix], threshold
+            )
+            assert np.array_equal(kept, expected)
+
+    @pytest.mark.parametrize("picked", [3, 200, 3000])
+    def test_views_gathers_and_named_columns_agree(self, picked):
+        rng = np.random.default_rng(picked)
+        upper_t, lower_t = random_envelopes(rng, 100, 6000)
+        query = np.cumsum(rng.normal(size=100))
+        ids = np.sort(rng.choice(6000, size=picked, replace=False))
+        lo, hi = int(ids[0]), int(ids[-1]) + 1
+        for threshold in (1.0, 4.0, np.inf):
+            expected = unblocked(query, upper_t, lower_t, threshold)
+            named = FrozenTSIndex._prune_keep(
+                query, upper_t, lower_t, threshold, ids
+            )
+            gathered = FrozenTSIndex._prune_keep(
+                query, upper_t[:, ids], lower_t[:, ids], threshold
+            )
+            view = FrozenTSIndex._prune_keep(
+                query, upper_t[:, lo:hi], lower_t[:, lo:hi], threshold
+            )
+            assert np.array_equal(named, expected[ids])
+            assert np.array_equal(gathered, expected[ids])
+            assert np.array_equal(view, expected[lo:hi])
+
+    def test_empty_frontier(self):
+        empty = np.empty((100, 0))
+        assert FrozenTSIndex._prune_keep(np.zeros(100), empty, empty, 1.0).size == 0
+
+
+class TestNarrowBlockCounters:
+    """Frozen and pointer planes agree — counters included — when the
+    leaf level is far wider than one block of the pruning kernel."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        series = np.cumsum(np.random.default_rng(21).normal(size=12_000))
+        source = WindowSource(series, LENGTH, "global")
+        tree = bulk_load_source(
+            source, params=TSIndexParams(min_children=4, max_children=8)
+        )
+        frozen = tree.freeze()
+        assert frozen.leaf_count * LENGTH > 2 * _PRUNE_BUDGET
+        return tree, frozen
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05, 0.3, 1.5])
+    def test_search_counters(self, pair, epsilon):
+        tree, frozen = pair
+        for position in (0, 4321, 11_000):
+            query = tree.source.window(position).copy()
+            expected = tree.search(query, epsilon)
+            result = frozen.search(query, epsilon)
+            assert np.array_equal(result.positions, expected.positions)
+            assert np.array_equal(result.distances, expected.distances)
+            assert result.stats.as_dict() == expected.stats.as_dict()
+
+    @pytest.mark.parametrize("m", [5, LENGTH - 1])
+    def test_prefix_search_counters(self, pair, m):
+        tree, frozen = pair
+        query = tree.source.values[6000:6000 + m].copy()
+        expected = tree.search_varlength(query, 0.2)
+        result = frozen.search_varlength(query, 0.2)
+        assert np.array_equal(result.positions, expected.positions)
+        assert np.array_equal(result.distances, expected.distances)
+        assert result.stats.as_dict() == expected.stats.as_dict()
+
+    def test_batch_verifies_like_a_loop_over_search(self, pair):
+        tree, frozen = pair
+        queries = [tree.source.window(p).copy() for p in (10, 5000, 9000)]
+        batch = frozen.search_batch(queries, 0.3)
+        for result, query in zip(batch.results, queries):
+            alone = frozen.search(query, 0.3)
+            assert np.array_equal(result.positions, alone.positions)
+            assert np.array_equal(result.distances, alone.distances)
+            assert result.stats.as_dict() == alone.stats.as_dict()
+
+    def test_unknown_verification_rejected_before_traversal(self, pair, monkeypatch):
+        _, frozen = pair
+
+        def no_traversal(*args, **kwargs):
+            raise AssertionError("traversal ran before the mode was checked")
+
+        monkeypatch.setattr(FrozenTSIndex, "_collect_candidates", no_traversal)
+        query = frozen.source.window(0).copy()
+        with pytest.raises(InvalidParameterError, match="verification mode"):
+            frozen.search(query, 0.3, verification="turbo")
+        with pytest.raises(InvalidParameterError, match="verification mode"):
+            frozen.search(query[:10], 0.3, verification="turbo")
+        with pytest.raises(InvalidParameterError, match="verification mode"):
+            frozen.search_batch([query], 0.3, verification="turbo")
