@@ -90,12 +90,14 @@ _BOUND_CHUNK = 1 << 20
 _PAIR_KERNEL_LIMIT = 4096
 
 #: Element budget of :meth:`_prune_keep`'s first block, so its width
-#: follows the frontier size: a 9 000-node level is first bounded at 4
-#: timestamps (pruned nodes, usually almost all, cost those 4 instead of
-#: ``l``), while a few hundred nodes or fewer take all ``l`` timestamps
-#: in one block — for so few, an extra NumPy dispatch costs more than
-#: the elements it could save.
-_PRUNE_BUDGET = 1 << 15
+#: follows the frontier size: a 9 000-node level is first bounded at
+#: every 4th timestamp (pruned nodes, usually almost all, cost those 25
+#: instead of ``l``), while some 2 600 nodes or fewer take all ``l``
+#: timestamps in one block. 32 K elements (4 timestamps first) answered
+#: a sparse query a quarter faster, but through several rounds of
+#: survivor gathers whose cache-miss latency varied more from run to
+#: run; a wide first block is one contiguous pass.
+_PRUNE_BUDGET = 1 << 18
 
 #: Timestamps per early-abandoning block of the batched pair kernel
 #: (:meth:`_pair_keep`).

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from repro.core.bulkload import bulk_load_source
-from repro.core.frozen import _PRUNE_BUDGET, FrozenTSIndex
+from repro.core import frozen as frozen_module
+from repro.core.frozen import FrozenTSIndex
 from repro.core.tsindex import TSIndexParams
 from repro.core.verification import (
     GATHER_BELOW,
@@ -158,6 +159,16 @@ def unblocked(query, upper_t, lower_t, threshold):
     return np.maximum(column - upper_t, lower_t - column).max(axis=0) <= threshold
 
 
+@pytest.fixture(params=[1 << 12, None], ids=["budget-4096", "budget-default"])
+def budget(request, monkeypatch):
+    """Run under a small element budget too, so that modest column
+    counts take the kernel's multi-block (narrow first block) path."""
+    if request.param is not None:
+        monkeypatch.setattr(frozen_module, "_PRUNE_BUDGET", request.param)
+    return frozen_module._PRUNE_BUDGET
+
+
+@pytest.mark.usefixtures("budget")
 class TestPruneKernel:
     @pytest.mark.parametrize("columns", [1, 31, 33, 300, 700, 5000])
     @pytest.mark.parametrize("length", [7, 37, 100])
@@ -176,10 +187,10 @@ class TestPruneKernel:
             assert kept.dtype == bool
             assert np.array_equal(kept, expected), threshold
 
-    def test_all_pruned_and_none_pruned(self):
+    def test_all_pruned_and_none_pruned(self, budget):
         rng = np.random.default_rng(0)
         upper_t, lower_t = random_envelopes(rng, 100, 5000)
-        assert 5000 * 100 > _PRUNE_BUDGET  # the narrow-block path
+        assert 5000 * 100 > budget  # the narrow-block path
         query = np.zeros(100)
         none = FrozenTSIndex._prune_keep(query, upper_t, lower_t, 1e9)
         assert none.all() and none.size == 5000
@@ -231,6 +242,8 @@ class TestNarrowBlockCounters:
     """Frozen and pointer planes agree — counters included — when the
     leaf level is far wider than one block of the pruning kernel."""
 
+    BUDGET = 1 << 15
+
     @pytest.fixture(scope="class")
     def pair(self):
         series = np.cumsum(np.random.default_rng(21).normal(size=12_000))
@@ -239,8 +252,12 @@ class TestNarrowBlockCounters:
             source, params=TSIndexParams(min_children=4, max_children=8)
         )
         frozen = tree.freeze()
-        assert frozen.leaf_count * LENGTH > 2 * _PRUNE_BUDGET
+        assert frozen.leaf_count * LENGTH > 2 * self.BUDGET
         return tree, frozen
+
+    @pytest.fixture(autouse=True)
+    def narrow_blocks(self, monkeypatch):
+        monkeypatch.setattr(frozen_module, "_PRUNE_BUDGET", self.BUDGET)
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.05, 0.3, 1.5])
     def test_search_counters(self, pair, epsilon):
