@@ -4,8 +4,7 @@ the unified query pipeline's overhead.
 The serving-layer benches (not paper experiments):
 
 * batch throughput of :class:`repro.engine.ShardedTSIndex` across shard
-  counts, with query-level fan-out on a thread pool — the configuration
-  :meth:`QueryEngine.batch` serves;
+  counts, with query-level fan-out on an explicit thread pool;
 * shard-parallel single-query latency across shard counts;
 * :class:`repro.engine.QueryEngine` end-to-end with a repeated workload,
   reporting the cache hit rate alongside throughput;

@@ -176,6 +176,11 @@ def fan_out(
     """``[fn(item) for item in items]`` fanned out on ``executor``, with
     typed failure semantics.
 
+    * With no executor (or a single item) the parts run one after
+      another in the calling thread — the engine's default, since
+      threads sharing the GIL never beat it on this work.
+    * Every part fires the ``fanout.task`` failpoint before it runs,
+      in the caller, a pool thread or a worker process alike.
     * On the first worker exception, the remaining pending futures are
       cancelled (not leaked) and the original exception propagates with
       the failing part's label attached as a note.
@@ -203,6 +208,7 @@ def fan_out(
         results = []
         for label, item in zip(labels, items):
             try:
+                failpoint("fanout.task", part=part, label=label)
                 results.append(fn(item))
             except BaseException as exc:
                 _annotate(exc, part, label)

@@ -62,6 +62,8 @@ def _tsindex_bytes(index: TSIndex, *, include_caches: bool) -> int:
             if include_caches:
                 total += _array_bytes(node._env_upper)
                 total += _array_bytes(node._env_lower)
+    if include_caches:
+        total += _array_bytes(index._scratch)
     return total
 
 

@@ -267,13 +267,10 @@ def build_engine_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=None,
-        help="shard count (default: auto from core count)",
-    )
-    build.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="build thread count (default: one per shard)",
+        help="shard count (default: one per available core, at least "
+        "256 windows each). Shards build one after another in the "
+        "calling thread: more shards buy smaller trees and process "
+        "fan-out, not build parallelism",
     )
     build.add_argument(
         "--frozen",
@@ -968,14 +965,13 @@ def _run_engine(argv) -> int:
             args.length,
             normalization=args.normalization,
             shards=args.shards,
-            max_workers=args.workers,
             frozen=args.frozen,
         )
         save_index(engine, args.output, format=args.format)
         build = engine.build_stats
         print(
             f"built {engine!r} in {build.seconds:.2f}s "
-            f"(critical path; {build.nodes} nodes, {build.splits} splits)"
+            f"(shards in sequence; {build.nodes} nodes, {build.splits} splits)"
         )
         print(f"saved to {args.output}")
         return 0

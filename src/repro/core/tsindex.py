@@ -17,6 +17,7 @@ bulk loading (see :mod:`repro.core.bulkload`).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import heapq
 import itertools
 import time
@@ -197,6 +198,13 @@ class TSIndex:
         self._params = params or TSIndexParams()
         self._root: _Node | None = None
         self._build_stats = BuildStats()
+        # Insertion scratch, ``(3, Mc + 1, l)``: the two blocks
+        # `_choose_subtree` computes into on every level instead of
+        # allocating temporaries, and the tiled window (`_tile`).
+        # Written by insertion only, and a TSIndex has one writer at a
+        # time (the live delta tree is inserted into under the plane's
+        # lock); no query path reads it.
+        self._scratch: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -357,7 +365,9 @@ class TSIndex:
         if self._root is None:
             self._root = _Node(MBTS.from_sequence(window), positions=[position])
             return
-        sibling = self._insert_into(self._root, window, position)
+        sibling = self._insert_into(
+            self._root, window, self._tile(window), position
+        )
         if sibling is not None:
             old_root = self._root
             new_root = _Node(
@@ -366,7 +376,22 @@ class TSIndex:
             )
             self._root = new_root
 
-    def _insert_into(self, node: _Node, window: np.ndarray, position: int):
+    def _tile(self, window: np.ndarray) -> np.ndarray:
+        """``window`` repeated over the rows of a scratch block: tiled
+        once per insert, so :meth:`_choose_subtree` subtracts equal-shaped
+        contiguous blocks on every level instead of broadcasting a row."""
+        scratch = self._scratch
+        if scratch is None:
+            scratch = self._scratch = np.empty(
+                (3, self._params.max_children + 1, self._source.length),
+                dtype=FLOAT_DTYPE,
+            )
+        scratch[2] = window
+        return scratch[2]
+
+    def _insert_into(
+        self, node: _Node, window: np.ndarray, tiled: np.ndarray, position: int
+    ):
         """Recursive insert; returns a new sibling when ``node`` split."""
         node.mbts.expand_fast(window)
         if node.is_leaf:
@@ -375,9 +400,9 @@ class TSIndex:
                 return self._split_leaf(node)
             return None
 
-        chosen = self._choose_subtree(node, window)
+        chosen = self._choose_subtree(node, tiled)
         child = node.children[chosen]
-        new_child = self._insert_into(child, window, position)
+        new_child = self._insert_into(child, window, tiled, position)
         # The recursion expanded (or split and rebuilt) the chosen
         # child's MBTS; bring its envelope row back in sync.
         node.refresh_child_row(chosen)
@@ -387,23 +412,36 @@ class TSIndex:
                 return self._split_internal(node)
         return None
 
-    def _choose_subtree(self, node: _Node, window: np.ndarray) -> int:
+    def _choose_subtree(self, node: _Node, tiled: np.ndarray) -> int:
         """Index of the child whose MBTS is nearest to the window
         (Eq. 2), breaking ties by least enlargement, then smallest
-        area."""
+        area. ``tiled`` is the window as :meth:`_tile` returns it."""
         upper, lower = node.child_envelopes()
-        outside = np.maximum(window - upper, lower - window)
-        distances = np.maximum(outside.max(axis=1), 0.0)
-        minimum = distances.min()
-        best = np.flatnonzero(distances == minimum)
-        if best.size == 1:
-            return int(best[0])
-        enlargements = np.maximum(outside[best], 0.0).sum(axis=1)
-        best = best[enlargements == enlargements.min()]
-        if best.size == 1:
-            return int(best[0])
+        count = upper.shape[0]
+        tiled = tiled[:count]
+        outside, below = self._scratch[0, :count], self._scratch[1, :count]
+        np.subtract(tiled, upper, out=outside)
+        np.subtract(lower, tiled, out=below)
+        np.maximum(outside, below, out=outside)
+        distances = np.maximum.reduce(outside, axis=1).tolist()
+        # Children the window lies inside all sit at distance 0.
+        minimum = max(min(distances), 0.0)
+        best = [i for i, d in enumerate(distances) if d <= minimum]
+        if len(best) == 1:
+            return best[0]
+        if minimum > 0.0:
+            # At distance 0 nothing pokes out of any tied child: every
+            # enlargement is 0 and this round could not separate them.
+            enlargements = np.maximum(outside[best], 0.0).sum(axis=1)
+            best = [
+                i
+                for i, tied in zip(best, enlargements == enlargements.min())
+                if tied
+            ]
+            if len(best) == 1:
+                return best[0]
         areas = (upper[best] - lower[best]).sum(axis=1)
-        return int(best[int(np.argmin(areas))])
+        return best[int(np.argmin(areas))]
 
     # ------------------------------------------------------------------
     # Splits (Section 5.2)
@@ -411,19 +449,12 @@ class TSIndex:
     def _split_leaf(self, node: _Node) -> _Node:
         positions = np.asarray(node.positions, dtype=POSITION_DTYPE)
         matrix = self._source.windows(positions)
-        pairwise = matrix[:, None, :] - matrix[None, :, :]
-        np.abs(pairwise, out=pairwise)
-        distances = pairwise.max(axis=2)
-        seed_a, seed_b = np.unravel_index(
-            np.argmax(distances), distances.shape
-        )
-        if seed_a == seed_b:  # all entries identical: arbitrary halves
+        seeds = _farthest_pair(matrix)
+        if seeds is None:  # all entries identical: arbitrary halves
             half = positions.size // 2
             groups = (list(range(half)), list(range(half, positions.size)))
         else:
-            groups = self._distribute(
-                matrix, int(seed_a), int(seed_b), rows_are_mbts=False
-            )
+            groups = self._distribute(matrix, *seeds, rows_are_mbts=False)
 
         group_a, group_b = groups
         node.positions = [int(positions[i]) for i in group_a]
@@ -476,14 +507,14 @@ class TSIndex:
         """
         total = rows.shape[0]
         minimum = self._params.min_children
-
-        def bounds_of(i):
-            if rows_are_mbts:
-                return rows[i, 0], rows[i, 1]
-            return rows[i], rows[i]
-
-        upper_a, lower_a = (b.copy() for b in bounds_of(seed_a))
-        upper_b, lower_b = (b.copy() for b in bounds_of(seed_b))
+        by_area = self._params.split_metric == "area"
+        highs, lows = (rows[:, 0], rows[:, 1]) if rows_are_mbts else (rows, rows)
+        # Row 0 is group a's envelope, row 1 group b's, so one call
+        # prices an entry against both sides.
+        upper = highs[[seed_a, seed_b]]
+        lower = lows[[seed_a, seed_b]]
+        grow = np.empty((2,) + upper.shape, dtype=FLOAT_DTYPE)
+        grow_up, grow_dn = grow
         group_a, group_b = [seed_a], [seed_b]
         remaining = [i for i in range(total) if i not in (seed_a, seed_b)]
 
@@ -496,29 +527,23 @@ class TSIndex:
                 group_b.extend(remaining[index_in_queue:])
                 break
 
-            hi, lo = bounds_of(i)
-            grow_up_a = np.maximum(hi - upper_a, 0.0)
-            grow_dn_a = np.maximum(lower_a - lo, 0.0)
-            grow_up_b = np.maximum(hi - upper_b, 0.0)
-            grow_dn_b = np.maximum(lower_b - lo, 0.0)
-            if self._params.split_metric == "area":
-                cost_a = float(grow_up_a.sum() + grow_dn_a.sum())
-                cost_b = float(grow_up_b.sum() + grow_dn_b.sum())
+            hi, lo = highs[i], lows[i]
+            np.subtract(hi, upper, out=grow_up)
+            np.subtract(lower, lo, out=grow_dn)
+            np.maximum(grow, 0.0, out=grow)
+            if by_area:
+                up, down = grow.sum(axis=2)
+                cost_a, cost_b = (up + down).tolist()
             else:
-                cost_a = float(max(grow_up_a.max(), grow_dn_a.max()))
-                cost_b = float(max(grow_up_b.max(), grow_dn_b.max()))
-            if cost_a < cost_b or (
-                cost_a == cost_b
-                and float((upper_a - lower_a).sum())
-                <= float((upper_b - lower_b).sum())
-            ):
-                group_a.append(i)
-                np.maximum(upper_a, hi, out=upper_a)
-                np.minimum(lower_a, lo, out=lower_a)
+                cost_a, cost_b = grow.max(axis=(0, 2)).tolist()
+            if cost_a == cost_b:
+                area_a, area_b = (upper - lower).sum(axis=1).tolist()
+                side = 0 if area_a <= area_b else 1
             else:
-                group_b.append(i)
-                np.maximum(upper_b, hi, out=upper_b)
-                np.minimum(lower_b, lo, out=lower_b)
+                side = 0 if cost_a < cost_b else 1
+            (group_a, group_b)[side].append(i)
+            np.maximum(upper[side], hi, out=upper[side])
+            np.minimum(lower[side], lo, out=lower[side])
         return group_a, group_b
 
     # ------------------------------------------------------------------
@@ -943,6 +968,36 @@ def _tsindex_plane(source: WindowSource, **kwargs) -> TSIndex:
     if kwargs:
         params = TSIndexParams(**kwargs)
     return TSIndex.from_source(source, params=params)
+
+
+def _farthest_pair(matrix: np.ndarray) -> tuple[int, int] | None:
+    """The two rows of ``matrix`` farthest apart in Chebyshev distance
+    (``None`` when all rows are identical).
+
+    Among equally far pairs, the first in row-major order of the full
+    pairwise matrix. The distance is symmetric, so that first maximum
+    lies above the diagonal: pricing only the pairs ``a < b``, in that
+    order, finds the same seeds at half the arithmetic.
+    """
+    first, second = _pairs(matrix.shape[0])
+    pairwise = matrix[first]
+    pairwise -= matrix[second]
+    np.abs(pairwise, out=pairwise)
+    distances = pairwise.max(axis=1)
+    farthest = int(np.argmax(distances))
+    if distances[farthest] == 0.0:
+        return None
+    return int(first[farthest]), int(second[farthest])
+
+
+@functools.lru_cache(maxsize=8)
+def _pairs(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every ``a < b`` pair among ``count`` entries,
+    in row-major order (read-only: the arrays are shared)."""
+    first, second = np.triu_indices(count, 1)
+    first.flags.writeable = False
+    second.flags.writeable = False
+    return first, second
 
 
 def _union_of(nodes: list[_Node]) -> MBTS:

@@ -5,7 +5,7 @@ subsystem turns that into a query-serving engine:
 
 * :class:`ShardedTSIndex` — partitions a series into overlapping chunks
   (overlap ``length - 1``, so no window is lost), builds one TS-Index
-  per shard in parallel (frozen into flat
+  per shard, one after another (frozen into flat
   :class:`~repro.core.frozen.FrozenTSIndex` arrays by default), and
   fans ``search`` / ``knn`` / ``search_batch`` out across the shards
   with exact result merging;
@@ -13,8 +13,10 @@ subsystem turns that into a query-serving engine:
   options) with hit/miss/eviction counters;
 * :class:`IndexRegistry` — a named-index owner with build / evict /
   persist (via :mod:`repro.persistence`) and per-index stats;
-* :class:`QueryEngine` — the front door composing all three behind a
-  thread pool, safe for concurrent callers.
+* :class:`QueryEngine` — the front door composing all three, safe for
+  concurrent callers; each call works in the calling thread (its
+  thread pool serves ``timeout=`` deadlines, ``executor="process"``
+  sends shard work to worker processes).
 
 Sharded execution is *exactly* equivalent to a monolithic index — the
 shard window sources are zero-copy views of the monolithic one (see

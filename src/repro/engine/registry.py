@@ -79,7 +79,6 @@ class IndexRegistry:
         normalization: Any = Normalization.GLOBAL,
         shards: int | None = None,
         params: TSIndexParams | None = None,
-        max_workers: int | None = None,
         frozen: bool = True,
         overwrite: bool = False,
         **method_options: Any,
@@ -92,7 +91,7 @@ class IndexRegistry:
         name — paper method or extended plane — builds through
         :func:`~repro.indices.base.create_method` with
         ``method_options`` forwarded. The sharded-only parameters
-        (``shards``/``max_workers``/``frozen``) are rejected for other
+        (``shards``/``frozen``) are rejected for other
         methods rather than silently ignored. Refuses to clobber an
         existing name unless ``overwrite=True`` (rebuilding a live
         index should be a deliberate act).
@@ -109,14 +108,12 @@ class IndexRegistry:
                 normalization=normalization,
                 shards=shards,
                 params=params,
-                max_workers=max_workers,
                 frozen=frozen,
                 **method_options,
             )
         else:
             sharded_only = {
                 "shards": (shards, None),
-                "max_workers": (max_workers, None),
                 "frozen": (frozen, True),
             }
             misapplied = [

@@ -12,9 +12,14 @@ monolithic window — making sharded results *exactly* equal to the
 monolithic ones, not merely approximately (enforced by the equivalence
 property tests).
 
-Shard builds run in parallel via :mod:`concurrent.futures`; queries can
-run the per-shard work serially, on a caller-supplied executor, or on a
-shard-count-sized private pool (see ``executor`` arguments).
+Shards build one after another in the calling thread: insertion is
+pure-Python bookkeeping around NumPy calls on at most ``Mc × l``
+elements, each of which drops and retakes the GIL, so build threads
+only hand the lock back and forth (measured 2.8× *slower* on 2 cores;
+see README "The serving engine"). Queries run the per-shard work
+in the calling thread too, unless the caller passes a pool (see the
+``executor`` arguments) — worth it for a deadline (``timeout=``) or a
+process pool, not for thread parallelism.
 
 By default shard trees are **frozen** after construction (see
 :class:`~repro.core.frozen.FrozenTSIndex`): each shard becomes a flat
@@ -206,26 +211,21 @@ class ShardedTSIndex(SubsequenceIndex):
         normalization: Any = Normalization.GLOBAL,
         shards: int | None = None,
         params: TSIndexParams | None = None,
-        max_workers: int | None = None,
         frozen: bool = True,
     ) -> "ShardedTSIndex":
         """Build shard trees over all ``length``-windows of ``series``.
 
         ``shards`` defaults to :func:`default_shard_count`; shard trees
-        build concurrently on a thread pool of ``max_workers`` threads
-        (default: one per shard, capped by the core count). With
-        ``frozen=True`` (the default) each shard is frozen into a flat
+        build one after another in the calling thread (see
+        :meth:`from_source`). With ``frozen=True`` (the default) each
+        shard is frozen into a flat
         :class:`~repro.core.frozen.FrozenTSIndex` as soon as it is
         built — identical answers, faster serving; pass ``frozen=False``
         to keep dynamic pointer trees.
         """
         source = WindowSource(series, length, normalization)
         return cls.from_source(
-            source,
-            shards=shards,
-            params=params,
-            max_workers=max_workers,
-            frozen=frozen,
+            source, shards=shards, params=params, frozen=frozen
         )
 
     @classmethod
@@ -235,27 +235,27 @@ class ShardedTSIndex(SubsequenceIndex):
         *,
         shards: int | None = None,
         params: TSIndexParams | None = None,
-        max_workers: int | None = None,
         frozen: bool = True,
     ) -> "ShardedTSIndex":
-        """Build from a prepared monolithic window source."""
+        """Build from a prepared monolithic window source.
+
+        Shards build in sequence in the caller: sequential insertion
+        holds the GIL between NumPy calls too small to release it for
+        long, so no thread count ever beat one (12.2–16.8 s threaded
+        against 5.7–6.6 s here for 60 000 windows in 2 shards on 2
+        cores). Frozen builds also keep one pointer tree alive at a
+        time.
+        """
         if shards is None:
             shards = default_shard_count(source.count)
         spans = shard_spans(source.count, shards)
         params = params or TSIndexParams()
-        sources = [source.shard(start, stop) for start, stop in spans]
-        if max_workers is None:
-            max_workers = min(len(spans), available_cpu_count())
 
-        def build_one(shard_source):
+        def build_one(shard_source: WindowSource) -> TSIndex | FrozenTSIndex:
             tree = TSIndex.from_source(shard_source, params=params)
             return tree.freeze() if frozen else tree
 
-        if max_workers > 1 and len(spans) > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers) as pool:
-                trees = list(pool.map(build_one, sources))
-        else:
-            trees = [build_one(shard_source) for shard_source in sources]
+        trees = [build_one(source.shard(start, stop)) for start, stop in spans]
         return cls(source, [start for start, _ in spans], trees, params)
 
     def freeze(self) -> "ShardedTSIndex":
@@ -378,12 +378,12 @@ class ShardedTSIndex(SubsequenceIndex):
 
     @property
     def build_stats(self) -> BuildStats:
-        """Shard build stats aggregated (seconds: max, the parallel
-        critical path; counters: summed)."""
+        """Shard build stats aggregated (seconds and counters summed —
+        shards build one after another; height: the tallest shard)."""
         merged = BuildStats()
         for tree in self._shards:
             stats = tree.build_stats
-            merged.seconds = max(merged.seconds, stats.seconds)
+            merged.seconds += stats.seconds
             merged.windows += stats.windows
             merged.splits += stats.splits
             merged.height = max(merged.height, stats.height)

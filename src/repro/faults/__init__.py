@@ -33,7 +33,8 @@ site                where it fires
 ``compaction.merge``  in the background merge loop, before each merge
 ``shard.search``    per shard inside ``ShardedTSIndex`` fan-out
 ``segment.search``  per sealed segment inside ``LiveTwinIndex`` fan-out
-``fanout.task``     inside every pooled fan-out worker (shared helper)
+``fanout.task``     before every fan-out part (shared helper): in the
+                    calling thread, a pool thread or a worker process
 ==================  =====================================================
 """
 

@@ -251,7 +251,9 @@ class TestMetadata:
         build = sharded.build_stats
         assert build.windows == sharded.size
         assert build.nodes == sum(t.node_count for t in sharded.shards)
-        assert build.seconds == max(t.build_stats.seconds for t in sharded.shards)
+        # Shards build one after another: the build time is their sum.
+        assert build.seconds == sum(t.build_stats.seconds for t in sharded.shards)
+        assert build.seconds > max(t.build_stats.seconds for t in sharded.shards)
 
     def test_spans_partition_positions(self):
         series = _series(47)

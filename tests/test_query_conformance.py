@@ -280,8 +280,7 @@ class TestEngineBuildsEveryPlane:
             if name == "live":
                 plane.close()
 
-    @pytest.mark.parametrize("option", [{"shards": 2}, {"frozen": False},
-                                        {"max_workers": 2}])
+    @pytest.mark.parametrize("option", [{"shards": 2}, {"frozen": False}])
     def test_sharded_only_options_rejected_elsewhere(self, option):
         from repro.exceptions import InvalidParameterError
 
