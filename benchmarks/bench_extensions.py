@@ -3,7 +3,7 @@
 * approximate vs exact search — the accuracy/latency trade of the
   budgeted best-first probe;
 * variable-length queries vs full-length queries;
-* streaming append throughput vs batch rebuild.
+* live append throughput vs batch rebuild.
 """
 
 import numpy as np
@@ -11,8 +11,7 @@ import pytest
 
 from repro.bench.experiments import DEFAULT_LENGTH
 from repro.core.tsindex import TSIndex
-from repro.extensions.streaming import StreamingTwinIndex
-from repro.extensions.varlength import search_variable_length
+from repro.live import LiveTwinIndex
 
 from conftest import default_epsilon, get_context, get_method, get_workload
 
@@ -59,7 +58,7 @@ def test_extension_variable_length(benchmark, query_length):
         total = 0
         for query in workload.queries[:3]:
             total += len(
-                search_variable_length(index, query[:query_length], epsilon)
+                index.search_varlength(query[:query_length], epsilon)
             )
         return total
 
@@ -76,10 +75,10 @@ def test_extension_streaming_append(benchmark):
     benchmark.group = "extension-streaming"
 
     def run():
-        stream = StreamingTwinIndex(values, DEFAULT_LENGTH)
-        for start in range(0, extra.size, 100):
-            stream.append(extra[start : start + 100])
-        return stream.window_count
+        with LiveTwinIndex(values, DEFAULT_LENGTH) as stream:
+            for start in range(0, extra.size, 100):
+                stream.append(extra[start : start + 100])
+            return stream.window_count
 
     windows = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info["windows"] = windows

@@ -9,7 +9,7 @@ neighbour (outside its own neighbourhood) is *far* has no twin anywhere
 This example builds an ECG-like series of repeating heartbeats, injects
 two arrhythmic beats, computes the exact Chebyshev matrix profile with
 TS-Index 1-NN self joins, and reads off motifs (normal beats) and
-discords (the arrhythmias). It also shows the streaming variant:
+discords (the arrhythmias). It also shows the live variant:
 appending new readings and asking "has this beat shape occurred
 before?" with `exists`.
 
@@ -19,7 +19,7 @@ Run:  python examples/anomaly_discords.py
 import numpy as np
 
 from repro.extensions.profile import chebyshev_matrix_profile
-from repro.extensions.streaming import StreamingTwinIndex
+from repro.live import LiveTwinIndex
 
 
 def ecg_like(beats: int = 40, beat_length: int = 80, seed: int = 4):
@@ -76,12 +76,12 @@ def main() -> None:
     print(f"recovered {len(recovered)}/{len(anomalies)} injected arrhythmias "
           f"in the top discords")
 
-    # Streaming: monitor new beats as they arrive.
-    stream = StreamingTwinIndex(series, beat_length)
+    # Live ingestion: monitor new beats as they arrive.
+    stream = LiveTwinIndex(series, beat_length)
     rng = np.random.default_rng(99)
     normal_again = normal_beat * 1.01 + rng.normal(0.0, 0.08, beat_length)
     novel_shape = normal_beat[::-1] * 1.5
-    print("\nstreaming monitor (epsilon = 1.0):")
+    print("\nlive monitor (epsilon = 1.0):")
     for label, beat in (("familiar beat", normal_again), ("novel shape", novel_shape)):
         seen = stream.exists(beat, epsilon=1.0)
         print(f"  {label:14s}: {'seen before' if seen else 'NEVER SEEN -> alert'}")
@@ -89,6 +89,7 @@ def main() -> None:
     print("after appending, both shapes are indexed:")
     for label, beat in (("familiar beat", normal_again), ("novel shape", novel_shape)):
         print(f"  {label:14s}: exists now = {stream.exists(beat, epsilon=1e-9)}")
+    stream.close()
 
 
 if __name__ == "__main__":

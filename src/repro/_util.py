@@ -281,14 +281,14 @@ def fan_out(
     )
 
 
-def map_with_executor(executor, fn, items: Sequence, *, part: str = "part") -> list:
+def map_with_executor(executor, fn, items: Sequence) -> list:
     """``[fn(item) for item in items]``, fanned out on ``executor`` when
-    one is given and there is more than one item (the shared fan-out
-    policy of :class:`~repro.engine.sharding.ShardedTSIndex` and
-    :class:`~repro.live.LiveTwinIndex`). Result order always matches
+    one is given and there is more than one item — the query-level
+    batch loop (index *parts* fan out through
+    :class:`repro.query.parts.PartSet`). Result order always matches
     the input order. A thin wrapper over :func:`fan_out` with the
     fail-fast, no-deadline semantics every non-query fan-out wants."""
-    return fan_out(executor, fn, items, part=part).results
+    return fan_out(executor, fn, items).results
 
 
 def iter_chunks(total: int, chunk_size: int) -> Iterator[tuple[int, int]]:

@@ -10,6 +10,7 @@ the data and parameters.
 from __future__ import annotations
 
 import dataclasses
+from typing import Any, TypedDict
 
 import numpy as np
 
@@ -67,6 +68,16 @@ class QueryStats:
         return data
 
 
+class DegradedReport(TypedDict):
+    """Which parts of a fan-out query answered before its deadline (a
+    plain ``dict`` at run time). Labels are shard numbers on the
+    sharded plane, span starts on the live one."""
+
+    answered: list[Any]
+    missing: list[Any]
+    timeout: float | None
+
+
 @dataclasses.dataclass
 class SearchResult:
     """The answer to one twin subsequence query.
@@ -77,15 +88,15 @@ class SearchResult:
 
     ``degraded`` is ``None`` on every complete answer. A fan-out query
     served in opt-in degraded mode (some shards/segments missed the
-    deadline) carries a :class:`~repro._util.FanOutResult`-shaped record
-    naming exactly which parts answered and which did not — the result
-    is then exact over the answering parts only.
+    deadline) carries a :class:`DegradedReport` naming exactly which
+    parts answered and which did not — the result is then exact over
+    the answering parts only.
     """
 
     positions: np.ndarray
     distances: np.ndarray
     stats: QueryStats = dataclasses.field(default_factory=QueryStats)
-    degraded: object | None = None
+    degraded: DegradedReport | None = None
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=POSITION_DTYPE)

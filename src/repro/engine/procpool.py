@@ -83,8 +83,6 @@ class ArchiveTask:
         target = open_archive(self.path)
         if self.shard is not None:
             target = target.shards[self.shard]
-        if self.call == "prefix_search_part":
-            from ..query.varlength import prefix_search_part
+        from ..query.parts import call_part  # lazy: keeps fork cheap
 
-            return prefix_search_part(target, *self.args, **self.kwargs)
-        return getattr(target, self.call)(*self.args, **self.kwargs)
+        return call_part(target, self.call, self.args, self.kwargs)

@@ -2,7 +2,9 @@
 
 A :class:`ShardedTSIndex` splits the position range of a series into
 contiguous spans, builds one :class:`~repro.core.tsindex.TSIndex` per
-span and answers queries by fanning out across the shards and merging.
+span and answers queries by fanning out across the shards and merging
+(the loop itself is :class:`repro.query.parts.PartSet`, shared with the
+live plane; this class contributes validation and the parts).
 Consecutive shards cover value chunks that overlap by ``length - 1``
 points, so every window of the series belongs to exactly one shard and
 no window is lost at a boundary. Shard window sources are zero-copy
@@ -38,12 +40,8 @@ from typing import Any
 
 from .._util import (
     available_cpu_count,
-    call_task,
     check_non_negative,
     check_positive_int,
-    fan_out,
-    is_process_executor,
-    map_with_executor,
 )
 from ..core.batch import BatchResult
 from ..core.frozen import FrozenTSIndex
@@ -52,9 +50,7 @@ from ..core.stats import BuildStats, SearchResult
 from ..core.tsindex import TSIndex, TSIndexParams
 from ..core.windows import WindowSource
 from ..exceptions import InvalidParameterError
-from ..faults.failpoints import failpoint
 from ..indices.base import SubsequenceIndex
-from ..obs.metrics import HandleCache
 from ..obs.trace import current_trace
 from ..query.capabilities import (
     CAP_BATCHED_KERNEL,
@@ -68,34 +64,15 @@ from ..query.capabilities import (
     CAP_VARLENGTH,
     CAP_VERIFICATION,
 )
-from ..query.merge import batch_result, merge_knn, merge_offset_search
+from ..query.merge import batch_result, merge_offset_search
+from ..query.parts import Part, PartSet
 from ..query.registration import register_plane
 from ..query.spec import normalize_exclude, prepare_values
-from ..query.varlength import (
-    is_prefix_query,
-    prefix_search_part,
-    tail_positions,
-    verify_prefix,
-)
+from ..query.varlength import is_prefix_query, tail_positions, verify_prefix
 
 #: A shard smaller than this many windows is pointless overhead; the
 #: automatic shard count keeps every shard at least this large.
 MIN_SHARD_WINDOWS = 256
-
-#: Fan-out instrumentation (process default registry): per-shard
-#: search latency and the cost of the final offset merge.
-_metrics = HandleCache(
-    lambda registry: (
-        registry.histogram(
-            "repro_shard_search_seconds",
-            "Per-shard search latency during fan-out, in seconds.",
-        ),
-        registry.histogram(
-            "repro_shard_merge_seconds",
-            "Cross-shard result merge latency, in seconds.",
-        ),
-    )
-)
 
 #: Below this many total windows, frozen per-shard *batched* traversal
 #: is slower than the plain per-query loop (its fixed per-level setup
@@ -302,31 +279,21 @@ class ShardedTSIndex(SubsequenceIndex):
         in-memory engine). The archive must hold exactly this index."""
         self._archive_path = os.fspath(path)
 
-    def _shard_tasks(self, call: str, args_for, kwargs_for=None) -> list:
-        """One picklable :class:`~repro.engine.procpool.ArchiveTask`
-        per shard — the process-pool replacement for the per-shard
-        thread closures (``args_for(i)`` / ``kwargs_for(i)`` build the
-        call arguments for shard ``i``)."""
-        from .procpool import ArchiveTask  # lazy: only process fan-out
-
-        if self._archive_path is None:
-            raise InvalidParameterError(
-                "process fan-out needs an on-disk archive to reopen in "
-                "each worker; save this engine with save_index(..., "
-                "format='raw') and reopen it with load_index(), or "
-                "serve it through QueryEngine(executor='process') "
-                "(which spools unarchived engines automatically)"
-            )
-        return [
-            ArchiveTask(
-                self._archive_path,
-                call,
-                shard=i,
-                args=args_for(i),
-                kwargs=kwargs_for(i) if kwargs_for is not None else {},
-            )
-            for i in range(len(self._shards))
-        ]
+    def _parts(self) -> PartSet:
+        """The shards as the shared fan-out plane sees them: labelled by
+        shard number, reopened by workers as the archive's ``i``-th
+        shard. Built per call (a tuple per shard), so it always shows
+        the current :meth:`attach_archive` path."""
+        path = self._archive_path
+        return PartSet(
+            [
+                Part(start, tree, shard, None if path is None else (path, shard))
+                for shard, (start, tree) in enumerate(
+                    zip(self._starts, self._shards)
+                )
+            ],
+            "shard",
+        )
 
     # ------------------------------------------------------------------
     # Metadata
@@ -448,56 +415,14 @@ class ShardedTSIndex(SubsequenceIndex):
             )
         epsilon = check_non_negative(epsilon, name="epsilon")
         query = prepare_values(self._source, query)
-        shard_seconds, merge_seconds = _metrics()
-        # Captured here because executor worker threads do not inherit
-        # the trace context variable — the closure carries it across.
-        trace = current_trace()
-
-        def one(indexed) -> SearchResult:
-            shard, tree = indexed
-            with trace.span("execute", shard=shard):
-                failpoint("shard.search", shard=shard)
-                with shard_seconds.time():
-                    return tree.search(
-                        query, epsilon, verification=verification
-                    )
-
-        # Position re-offsetting happens in the shared merge kernel,
-        # which pairs each result back with its span start. On a
-        # process pool the closure is replaced by per-shard archive
-        # tasks (same call, replayed in the worker against the same
-        # bytes); timeout/degraded semantics are future-based and carry
-        # over unchanged.
-        if is_process_executor(executor):
-            fn, items = call_task, self._shard_tasks(
-                "search",
-                lambda i: (query, epsilon),
-                lambda i: {"verification": verification},
-            )
-        else:
-            fn, items = one, list(enumerate(self._shards))
-        outcome = fan_out(
-            executor,
-            fn,
-            items,
-            part="shard",
+        return self._parts().search(
+            query,
+            epsilon,
+            verification=verification,
+            executor=executor,
             timeout=timeout,
             degraded=degraded,
         )
-        with trace.span("merge"):
-            with merge_seconds.time():
-                merged = merge_offset_search(
-                    (start, result)
-                    for start, result in zip(self._starts, outcome.results)
-                    if result is not None
-                )
-        if outcome.degraded:
-            merged.degraded = {
-                "answered": list(outcome.answered),
-                "missing": list(outcome.missing),
-                "timeout": timeout,
-            }
-        return merged
 
     def search_varlength(
         self,
@@ -526,40 +451,18 @@ class ShardedTSIndex(SubsequenceIndex):
                 query, epsilon, verification=verification, executor=executor
             )
 
-        trace = current_trace()
-
-        def one(indexed) -> SearchResult:
-            shard, tree = indexed
-            with trace.span("execute", shard=shard):
-                return prefix_search_part(
-                    tree, query, epsilon, verification=verification
-                )
-
-        if is_process_executor(executor):
-            results = self._map(
-                executor,
-                call_task,
-                self._shard_tasks(
-                    "prefix_search_part",
-                    lambda i: (query, epsilon),
-                    lambda i: {"verification": verification},
-                ),
-            )
-        else:
-            results = self._map(executor, one, list(enumerate(self._shards)))
-        parts = list(zip(self._starts, results))
         tail = tail_positions(self._source, query.size)
-        with trace.span("verify", tail=len(tail)):
-            parts.append(
-                (
-                    0,
-                    verify_prefix(
-                        self._source, query, tail, epsilon, mode=verification
-                    ),
-                )
+        with current_trace().span("verify", tail=len(tail)):
+            tail_result = verify_prefix(
+                self._source, query, tail, epsilon, mode=verification
             )
-        with trace.span("merge"):
-            return merge_offset_search(parts)
+        return self._parts().prefix_search(
+            query,
+            epsilon,
+            verification=verification,
+            executor=executor,
+            extra=[(0, tail_result)],
+        )
 
     def count(
         self,
@@ -577,19 +480,7 @@ class ShardedTSIndex(SubsequenceIndex):
             )
         epsilon = check_non_negative(epsilon, name="epsilon")
         query = prepare_values(self._source, query)
-
-        def one(tree: TSIndex) -> int:
-            return tree.count(query, epsilon)
-
-        if is_process_executor(executor):
-            return sum(
-                self._map(
-                    executor,
-                    call_task,
-                    self._shard_tasks("count", lambda i: (query, epsilon)),
-                )
-            )
-        return sum(self._map(executor, one, self._shards))
+        return self._parts().count(query, epsilon, executor=executor)
 
     def exists(self, query: Any, epsilon: float) -> bool:
         """Whether any twin exists — probes shards in span order and
@@ -600,9 +491,7 @@ class ShardedTSIndex(SubsequenceIndex):
             return len(self.search_varlength(query, epsilon)) > 0
         epsilon = check_non_negative(epsilon, name="epsilon")
         query = prepare_values(self._source, query)
-        return any(
-            tree.exists(query, epsilon) for tree in self._shards
-        )
+        return self._parts().exists(query, epsilon)
 
     def knn(
         self,
@@ -629,42 +518,9 @@ class ShardedTSIndex(SubsequenceIndex):
             )
         k = check_positive_int(k, name="k")
         query = prepare_values(self._source, query)
-        exclude = normalize_exclude(exclude)
-
-        def local_exclude_for(start: int, tree) -> tuple[int, int] | None:
-            if exclude is None:
-                return None
-            lo = max(0, exclude[0] - start)
-            hi = min(tree.size, exclude[1] - start)
-            return (lo, hi) if lo < hi else None
-
-        def one(args) -> SearchResult:
-            start, tree = args
-            return tree.knn(
-                query,
-                min(k, tree.size),
-                exclude=local_exclude_for(start, tree),
-            )
-
-        if is_process_executor(executor):
-            results = self._map(
-                executor,
-                call_task,
-                self._shard_tasks(
-                    "knn",
-                    lambda i: (query, min(k, self._shards[i].size)),
-                    lambda i: {
-                        "exclude": local_exclude_for(
-                            self._starts[i], self._shards[i]
-                        )
-                    },
-                ),
-            )
-        else:
-            results = self._map(
-                executor, one, list(zip(self._starts, self._shards))
-            )
-        return merge_knn(zip(self._starts, results), k)
+        return self._parts().knn(
+            query, k, exclude=normalize_exclude(exclude), executor=executor
+        )
 
     def search_batch(
         self,
@@ -748,23 +604,7 @@ class ShardedTSIndex(SubsequenceIndex):
                 )
                 for i in range(len(queries))
             ]
-        elif is_process_executor(executor):
-            # Query closures cannot cross a process boundary; run the
-            # query loop here and fan each query's *shards* across the
-            # worker processes instead (identical results — same merge,
-            # same order).
-            results = [
-                self.search(query, epsilon, executor=executor, **search_options)
-                for query in queries
-            ]
-        else:
-            def one(query) -> SearchResult:
-                return self.search(query, epsilon, **search_options)
-
-            results = self._map(executor, one, queries)
-        return batch_result(results, epsilon)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _map(executor, fn, items: list) -> list:
-        return map_with_executor(executor, fn, items)
+            return batch_result(results, epsilon)
+        return PartSet.search_batch(
+            self.search, queries, epsilon, executor=executor, **search_options
+        )

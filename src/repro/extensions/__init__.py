@@ -3,26 +3,21 @@
 * :mod:`repro.extensions.pairs` — twin *pair* discovery across a
   collection of time-aligned series, the problem of the authors' earlier
   SSTD'19 work the paper builds on (Section 2, reference [5]);
-* :mod:`repro.extensions.varlength` — deprecated shim over the unified
-  query plane's variable-length capability (every plane now serves
-  queries of any length ``m <= l`` through :mod:`repro.query`);
 * :mod:`repro.extensions.profile` — exact Chebyshev matrix profile,
-  motifs and discords via exclusion-zone 1-NN self joins;
-* :mod:`repro.extensions.streaming` — deprecated shim over the live
-  ingestion plane (:mod:`repro.live`), kept for compatibility.
+  motifs and discords via exclusion-zone 1-NN self joins.
+
+Variable-length queries and appendable indexes, once extensions, are
+first-class: ``index.search_varlength`` on every plane
+(:mod:`repro.query`) and :class:`repro.live.LiveTwinIndex`.
 """
 
 from .pairs import PairResult, discover_twin_pairs, self_twin_pairs
 from .profile import ChebyshevProfile, chebyshev_matrix_profile
-from .streaming import StreamingTwinIndex
-from .varlength import search_variable_length
 
 __all__ = [
     "ChebyshevProfile",
     "PairResult",
-    "StreamingTwinIndex",
     "chebyshev_matrix_profile",
     "discover_twin_pairs",
-    "search_variable_length",
     "self_twin_pairs",
 ]

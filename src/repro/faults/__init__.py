@@ -31,8 +31,11 @@ site                where it fires
 ``segment.read``    before a segment archive is loaded during recovery
 ``live.seal``       at the start of a seal (delta freeze + archive)
 ``compaction.merge``  in the background merge loop, before each merge
-``shard.search``    per shard inside ``ShardedTSIndex`` fan-out
-``segment.search``  per sealed segment inside ``LiveTwinIndex`` fan-out
+``shard.search``    before every per-shard call of ``ShardedTSIndex``, in
+                    every query mode (``repro.query.parts.PartSet``)
+``segment.search``  before every per-segment call of ``LiveTwinIndex``, in
+                    every query mode (same site in ``PartSet``; the
+                    delta answers under the plane lock and fires none)
 ``fanout.task``     before every fan-out part (shared helper): in the
                     calling thread, a pool thread or a worker process
 ==================  =====================================================

@@ -7,7 +7,8 @@ benchmarking contracts depend on:
   the library. Today: ``source.prepare_query`` may be called only from
   ``query/spec.py`` (the pipeline's one validation + domain-mapping
   site; the conformance suites assume every plane prepares queries
-  identically). The rule table is data — add a row to pin a new method.
+  identically), and ``fan_out`` only from ``query/parts.py`` (the one
+  part loop). The rule table is data — add a row to pin a new method.
 * ``cpu-count`` — ``os.cpu_count()`` reports the machine, not the
   affinity mask this process may run on; every pool must size itself
   with :func:`repro._util.available_cpu_count` instead.
@@ -58,6 +59,24 @@ CALL_SITE_RULES = (
             "query preparation (validation + raw→index domain mapping) "
             "must flow through repro.query.spec.prepare_values so every "
             "plane prepares queries identically"
+        ),
+    ),
+    CallSiteRule(
+        name="fan_out",
+        allowed=("_util.py", "query/parts.py"),
+        reason=(
+            "per-part fan-out (deadline, degraded report, span, failpoint, "
+            "merge) is written once, in repro.query.parts.PartSet; a plane "
+            "hands it parts instead of growing a second copy of the loop"
+        ),
+    ),
+    CallSiteRule(
+        name="map_with_executor",
+        allowed=("_util.py", "query/parts.py", "query/planner.py"),
+        reason=(
+            "only query-level batch loops (PartSet.search_batch, the "
+            "planner's synthesized batches) map over an executor; parts "
+            "fan out through PartSet"
         ),
     ),
 )

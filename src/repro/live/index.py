@@ -23,7 +23,9 @@ them with a log-structured lifecycle:
   after a crash.
 
 ``search`` / ``knn`` / ``exists`` / ``search_batch`` fan out across
-delta + segments and merge with the library's ``(distance, position)``
+delta + segments (the delta answers under the plane lock, the segments
+through :class:`repro.query.parts.PartSet`, the loop the sharded engine
+shares) and merge with the library's ``(distance, position)``
 tie-breaks, so results are **byte-identical to a from-scratch TSIndex
 over the full series** — enforced by the randomized interleaving suite
 in ``tests/test_live_index.py``. Both the raw and the per-window
@@ -44,23 +46,13 @@ from typing import Any
 
 import numpy as np
 
-from .._util import (
-    FLOAT_DTYPE,
-    POSITION_DTYPE,
-    call_task,
-    check_non_negative,
-    check_positive_int,
-    fan_out,
-    is_process_executor,
-    map_with_executor,
-)
+from .._util import FLOAT_DTYPE, check_non_negative, check_positive_int
 from ..core.batch import BatchResult
 from ..core.frozen import FrozenTSIndex
 from ..core.normalization import Normalization, rolling_std, std_block_size
 from ..core.series import TimeSeries
 from ..core.stats import BuildStats, SearchResult
 from ..core.tsindex import TSIndex, TSIndexParams
-from ..core.verification import verify
 from ..core.windows import WindowSource, assemble_source
 from ..exceptions import (
     IndexNotBuiltError,
@@ -74,7 +66,6 @@ from ..faults.failpoints import failpoint
 from ..indices.base import SubsequenceIndex
 from ..obs.logsetup import get_logger
 from ..obs.metrics import HandleCache
-from ..obs.trace import current_trace
 from ..query.capabilities import (
     CAP_COUNT,
     CAP_EXECUTOR,
@@ -86,7 +77,7 @@ from ..query.capabilities import (
     CAP_VARLENGTH,
     CAP_VERIFICATION,
 )
-from ..query.merge import batch_result, merge_knn, merge_offset_search
+from ..query.parts import Part, PartSet, local_exclude
 from ..query.registration import register_plane
 from ..query.spec import (
     check_varlength_query,
@@ -97,6 +88,7 @@ from ..query.varlength import (
     is_prefix_query,
     prefix_search_part,
     scan_prefix_knn,
+    scan_prefix_search,
 )
 from .compaction import Compactor, select_adjacent_pair
 from .segments import Segment, merge_segments
@@ -1180,33 +1172,29 @@ class LiveTwinIndex(SubsequenceIndex):
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _segment_tasks(
-        self, segments, call: str, args: tuple, kwargs_for=None
-    ) -> list | None:
-        """Picklable per-segment archive tasks for process fan-out, or
-        ``None`` when the snapshot cannot be served by path (in-memory
-        plane, or a segment without an archive) — the caller then keeps
-        its closure path and :func:`~repro._util.fan_out` degrades a
-        process pool to the serial loop, byte-identical either way.
-        Workers replay the thread closure's exact call against the
-        segment archive, whose embedded rolling statistics (per-window
-        regime) keep the standalone reload bitwise equal to the
-        in-memory segment."""
-        if self._directory is None or any(
-            segment.file is None for segment in segments
-        ):
-            return None
-        from ..engine.procpool import ArchiveTask  # lazy: process mode only
-
-        return [
-            ArchiveTask(
-                os.path.join(self._directory, segment.file),
-                call,
-                args=args,
-                kwargs=kwargs_for(segment) if kwargs_for is not None else {},
+    def _snapshot(self, answer: Any) -> tuple[PartSet, list]:  # lint: holds(_lock) called with the plane lock held
+        """What a query takes from under the lock: the sealed segments
+        as an immutable :class:`~repro.query.parts.PartSet` (labelled by
+        span start; fanned out once the lock is released) and, as its
+        ``extra``, ``answer(delta)`` — the delta is the only mutable
+        part, so it answers here. A durable segment names the archive a
+        worker process reopens (bitwise equal to the in-memory segment:
+        it embeds the rolling statistics); an in-memory one names none,
+        and a process pool then degrades to the serial loop."""
+        parts = [
+            Part(
+                segment.start,
+                segment.index,
+                segment.start,
+                None
+                if self._directory is None or segment.file is None
+                else (os.path.join(self._directory, segment.file), None),
             )
-            for segment in segments
+            for segment in self._segments
         ]
+        delta = self._delta
+        extra = [] if delta is None else [(self._delta_start, answer(delta))]
+        return PartSet(parts, "segment"), extra
 
     def search(
         self,
@@ -1243,68 +1231,20 @@ class LiveTwinIndex(SubsequenceIndex):
             if self._source is None:
                 return SearchResult.empty()
             prepared = self._prepare(query)
-            segments = list(self._segments)
-            delta_start = self._delta_start
-            delta_result = (
-                None
-                if self._delta is None
-                else self._delta.search(
+            parts, extra = self._snapshot(
+                lambda delta: delta.search(
                     prepared, epsilon, verification=verification
                 )
             )
-
-        # Captured here because executor worker threads do not inherit
-        # the trace context variable — the closure carries it across.
-        trace = current_trace()
-
-        def one(segment: Segment) -> SearchResult:
-            with trace.span("execute", segment=segment.start):
-                failpoint("segment.search", segment=segment.start)
-                return segment.index.search(
-                    prepared, epsilon, verification=verification
-                )
-
-        fn, items = one, segments
-        if is_process_executor(executor):
-            tasks = self._segment_tasks(
-                segments,
-                "search",
-                (prepared, epsilon),
-                lambda segment: {"verification": verification},
-            )
-            if tasks is not None:
-                fn, items = call_task, tasks
-        outcome = fan_out(
-            executor,
-            fn,
-            items,
-            labels=[segment.start for segment in segments],
-            part="segment",
+        return parts.search(
+            prepared,
+            epsilon,
+            verification=verification,
+            executor=executor,
             timeout=timeout,
             degraded=degraded,
+            extra=extra,
         )
-        parts = [
-            (segment.start, result)
-            for segment, result in zip(segments, outcome.results)
-            if result is not None
-        ]
-        if delta_result is not None:
-            parts.append((delta_start, delta_result))
-        # Segments ascend by span and the delta covers the tail, so the
-        # shared offset merge yields a globally position-sorted result —
-        # exactly the monolithic one.
-        with trace.span("merge"):
-            merged = merge_offset_search(parts)
-        if outcome.degraded:
-            answered = list(outcome.answered)
-            if delta_result is not None:
-                answered.append(delta_start)
-            merged.degraded = {
-                "answered": answered,
-                "missing": list(outcome.missing),
-                "timeout": timeout,
-            }
-        return merged
 
     def search_varlength(
         self,
@@ -1342,55 +1282,27 @@ class LiveTwinIndex(SubsequenceIndex):
             size = self._size
             if size < m:
                 return SearchResult.empty()
-            segments = list(self._segments)
-            delta_start = self._delta_start
-            delta_result = None
-            if self._delta is not None:
-                delta_result = prefix_search_part(
-                    self._delta, query, epsilon, verification=verification
+            parts, extra = self._snapshot(
+                lambda delta: prefix_search_part(
+                    delta, query, epsilon, verification=verification
                 )
+            )
             tail_lo = max(0, size - self._length + 1)
             # Snapshot: the buffer may be swapped by a concurrent append.
             tail_chunk = np.array(self._buffer[tail_lo:size])
-
-        def one(segment: Segment) -> SearchResult:
-            return prefix_search_part(
-                segment.index, query, epsilon, verification=verification
-            )
-
-        fn, items = one, segments
-        if is_process_executor(executor):
-            tasks = self._segment_tasks(
-                segments,
-                "prefix_search_part",
-                (query, epsilon),
-                lambda segment: {"verification": verification},
-            )
-            if tasks is not None:
-                fn, items = call_task, tasks
-        results = map_with_executor(executor, fn, items)
-        parts = [
-            (segment.start, result)
-            for segment, result in zip(segments, results)
-        ]
-        if delta_result is not None:
-            parts.append((delta_start, delta_result))
         tail_source = assemble_source(
             tail_chunk, m, Normalization.NONE, name="live-tail"
         )
-        parts.append(
-            (
-                tail_lo,
-                verify(
-                    tail_source,
-                    query,
-                    np.arange(tail_source.count, dtype=POSITION_DTYPE),
-                    epsilon,
-                    mode=verification,
-                ),
-            )
+        tail_result = scan_prefix_search(
+            tail_source, query, epsilon, verification=verification
         )
-        return merge_offset_search(parts)
+        return parts.prefix_search(
+            query,
+            epsilon,
+            verification=verification,
+            executor=executor,
+            extra=[*extra, (tail_lo, tail_result)],
+        )
 
     def count(self, query: Any, epsilon: float, *, executor: Any = None) -> int:
         """Number of twins — summed per part (delta + segments), so the
@@ -1405,22 +1317,12 @@ class LiveTwinIndex(SubsequenceIndex):
             if self._source is None:
                 return 0
             prepared = self._prepare(query)
-            segments = list(self._segments)
-            total = (
-                0
-                if self._delta is None
-                else self._delta.count(prepared, epsilon)
+            parts, extra = self._snapshot(
+                lambda delta: delta.count(prepared, epsilon)
             )
-
-        def one(segment) -> int:
-            return segment.index.count(prepared, epsilon)
-
-        fn, items = one, segments
-        if is_process_executor(executor):
-            tasks = self._segment_tasks(segments, "count", (prepared, epsilon))
-            if tasks is not None:
-                fn, items = call_task, tasks
-        return total + sum(map_with_executor(executor, fn, items))
+        return sum(n for _, n in extra) + parts.count(
+            prepared, epsilon, executor=executor
+        )
 
     def knn(
         self,
@@ -1444,48 +1346,18 @@ class LiveTwinIndex(SubsequenceIndex):
             if self._source is None:
                 return SearchResult.empty()
             prepared = self._prepare(query)
-            segments = list(self._segments)
-            delta_start = self._delta_start
-            delta_result = None
-            if self._delta is not None:
-                delta_result = self._delta.knn(
+            parts, extra = self._snapshot(
+                lambda delta: delta.knn(
                     prepared,
                     min(k, self._delta_count),
-                    exclude=_local_exclude(
-                        exclude, delta_start, self._delta_count
+                    exclude=local_exclude(
+                        exclude, self._delta_start, self._delta_count
                     ),
                 )
-
-        def one(segment: Segment) -> SearchResult:
-            return segment.index.knn(
-                prepared,
-                min(k, segment.size),
-                exclude=_local_exclude(exclude, segment.start, segment.size),
             )
-
-        fn, items = one, segments
-        if is_process_executor(executor):
-            tasks = self._segment_tasks(
-                segments,
-                "knn",
-                (prepared,),
-                lambda segment: {
-                    "k": min(k, segment.size),
-                    "exclude": _local_exclude(
-                        exclude, segment.start, segment.size
-                    ),
-                },
-            )
-            if tasks is not None:
-                fn, items = call_task, tasks
-        results = map_with_executor(executor, fn, items)
-        parts = [
-            (segment.start, result)
-            for segment, result in zip(segments, results)
-        ]
-        if delta_result is not None:
-            parts.append((delta_start, delta_result))
-        return merge_knn(parts, k)
+        return parts.knn(
+            prepared, k, exclude=exclude, executor=executor, extra=extra
+        )
 
     def _prefix_knn(self, query, k: int, exclude) -> SearchResult:
         """Exact prefix-scan k-NN for a query shorter than ``l`` —
@@ -1519,14 +1391,10 @@ class LiveTwinIndex(SubsequenceIndex):
             if self._source is None:
                 return False
             prepared = self._prepare(query)
-            segments = list(self._segments)
-            if self._delta is not None and self._delta.exists(
-                prepared, epsilon
-            ):
-                return True
-        return any(
-            segment.index.exists(prepared, epsilon) for segment in segments
-        )
+            parts, extra = self._snapshot(
+                lambda delta: delta.exists(prepared, epsilon)
+            )
+        return any(hit for _, hit in extra) or parts.exists(prepared, epsilon)
 
     def search_batch(
         self,
@@ -1540,23 +1408,9 @@ class LiveTwinIndex(SubsequenceIndex):
         out across ``executor`` when one is given); result order matches
         the input order."""
         epsilon = check_non_negative(epsilon, name="epsilon")
-        queries = list(queries)
-
-        if is_process_executor(executor):
-            # Query closures cannot cross a process boundary; run the
-            # query loop here and fan each query's *segments* across
-            # the worker processes instead (identical results).
-            results = [
-                self.search(query, epsilon, executor=executor, **search_options)
-                for query in queries
-            ]
-            return batch_result(results, epsilon)
-
-        def one(query) -> SearchResult:
-            return self.search(query, epsilon, **search_options)
-
-        results = map_with_executor(executor, one, queries)
-        return batch_result(results, epsilon)
+        return PartSet.search_batch(
+            self.search, list(queries), epsilon, executor=executor, **search_options
+        )
 
     # ------------------------------------------------------------------
     def _prepare(self, query) -> np.ndarray:
@@ -1614,16 +1468,3 @@ def _quarantine_files(directory, names, *, reason) -> None:
         f" (first failure: {reason!r})" if reason is not None else "",
         list(names),
     )
-
-
-def _local_exclude(
-    exclude: tuple[int, int] | None, start: int, size: int
-) -> tuple[int, int] | None:
-    """Translate a global exclusion zone into a part's local frame."""
-    if exclude is None:
-        return None
-    lo = max(0, exclude[0] - start)
-    hi = min(size, exclude[1] - start)
-    return (lo, hi) if lo < hi else None
-
-

@@ -14,6 +14,9 @@ preparation, capability dispatch, result merging and stats aggregation:
 * :func:`merge_offset_search` / :func:`merge_knn` /
   :func:`aggregate_stats` — the shared merge kernels every composite
   plane reuses (:mod:`repro.query.merge`);
+* :class:`~repro.query.parts.PartSet` — the one fan-out loop over
+  index parts that the composite planes (sharded, live) delegate to
+  (:mod:`repro.query.parts`; internal, not re-exported);
 * :func:`register_plane` — decorator-based plane registration backing
   :func:`repro.indices.base.create_method` (:mod:`repro.query.registration`).
 """

@@ -12,7 +12,6 @@ import repro.engine.cache
 import repro.engine.executor
 import repro.engine.registry
 import repro.engine.sharding
-import repro.extensions.streaming
 import repro.indices.isax
 import repro.indices.kvindex
 import repro.indices.sweepline
@@ -28,7 +27,6 @@ MODULES = [
     repro.engine.executor,
     repro.engine.registry,
     repro.engine.sharding,
-    repro.extensions.streaming,
     repro.indices.isax,
     repro.indices.kvindex,
     repro.indices.sweepline,

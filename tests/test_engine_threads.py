@@ -76,6 +76,50 @@ class TestCallingThread:
         spans = _shard_spans(trace)
         assert sorted(span.meta["shard"] for span in spans) == list(range(SHARDS))
 
+    @pytest.mark.parametrize("mode", ["prefix", "count", "knn"])
+    def test_every_fanned_mode_traces_one_execute_span_per_shard(
+        self, engine, series, mode
+    ):
+        """count and knn used to open no span below the engine's."""
+        query = series[400:400 + LENGTH]
+        if mode == "prefix":
+            engine.query("demo", query[:30], 0.4, use_cache=False)
+        elif mode == "count":
+            engine.count("demo", query, 0.4)
+        else:
+            engine.knn("demo", query, 5)
+        (trace,) = engine.traces()
+        spans = _shard_spans(trace)
+        assert sorted(span.meta["shard"] for span in spans) == list(range(SHARDS))
+
+    @pytest.mark.parametrize("mode", ["search", "prefix", "count", "knn"])
+    def test_live_plane_traces_one_execute_span_per_segment(
+        self, engine, series, mode
+    ):
+        """The live plane opened spans for full-length search only."""
+        from repro.live import LiveTwinIndex
+
+        live = LiveTwinIndex(series[:1200], length=LENGTH, seal_threshold=300)
+        engine.add("live", live)
+        query = series[400:400 + LENGTH]
+        if mode == "search":
+            engine.query("live", query, 0.4, use_cache=False)
+        elif mode == "prefix":
+            engine.query("live", query[:30], 0.4, use_cache=False)
+        elif mode == "count":
+            engine.count("live", query, 0.4)
+        else:
+            engine.knn("live", query, 5)
+        (trace,) = engine.traces()
+        segments = [
+            span.meta["segment"] for span in trace.spans
+            if span.name == "execute" and span.meta and "segment" in span.meta
+        ]
+        assert len(live.segments) >= 3
+        assert sorted(segments) == [segment.start for segment in live.segments]
+        assert _engine_threads() == []
+        live.close()
+
     def test_batch_members_trace_their_shards(self, engine, series):
         queries = [series[s:s + LENGTH] for s in (10, 500)]
         engine.batch("demo", queries, 0.4, use_cache=False)

@@ -160,6 +160,32 @@ class TestShardedPlane:
         want = full.positions[full.positions < span]
         assert np.array_equal(result.positions, want)
 
+    @pytest.mark.parametrize("mode", ["count", "knn", "prefix"])
+    def test_every_mode_fires_shard_search_and_names_the_shard(
+        self, sharded, mode
+    ):
+        """count / knn / prefix search used to skip the failpoint and
+        report failures as "part 1"."""
+        failpoints.arm("shard.search", error="io", on_hit=2)
+        query = np.array(sharded.source.window_block(100, 101)[0])
+        with pytest.raises(OSError) as info:
+            if mode == "count":
+                sharded.count(query, 0.3)
+            elif mode == "knn":
+                sharded.knn(query, 3)
+            else:
+                sharded.search(query[:20], 0.3)
+        assert any(
+            "shard 1" in note
+            for note in getattr(info.value, "__notes__", [])
+        )
+
+    def test_exists_fires_shard_search(self, sharded):
+        failpoints.arm("shard.search", error="io")
+        query = np.array(sharded.source.window_block(100, 101)[0])
+        with pytest.raises(OSError):
+            sharded.exists(query, 0.3)
+
     def test_complete_search_has_no_degraded_record(self, sharded, pool):
         query = np.array(sharded.source.window_block(100, 101)[0])
         result = sharded.search(query, 0.3, executor=pool, timeout=30.0)
@@ -189,6 +215,32 @@ class TestLivePlane:
             "segment" in note
             for note in getattr(info.value, "__notes__", [])
         )
+        live.close()
+
+
+    @pytest.mark.parametrize("mode", ["count", "knn", "prefix", "exists"])
+    def test_every_mode_fires_segment_search_and_names_the_segment(self, mode):
+        """Only full-length ``search`` used to reach the failpoint; the
+        other modes fired nothing and attributed nothing."""
+        series = np.cumsum(np.random.default_rng(7).normal(size=600))
+        live = LiveTwinIndex(series, length=32, seal_threshold=128)
+        second = live.segments[1].start
+        failpoints.arm("segment.search", error="io", on_hit=2)
+        query = series[50:82] + 1e3  # no twin: exists must probe on
+        with pytest.raises(OSError) as info:
+            if mode == "count":
+                live.count(query, 0.3)
+            elif mode == "knn":
+                live.knn(query, 3)
+            elif mode == "exists":
+                live.exists(query, 0.3)
+            else:
+                live.search(query[:20], 0.3)
+        if mode != "exists":  # exists probes in the caller, outside fan_out
+            assert any(
+                f"segment {second}" in note
+                for note in getattr(info.value, "__notes__", [])
+            )
         live.close()
 
 

@@ -277,6 +277,40 @@ class TestSingleCallSite:
         assert lines_of(report) == [1]
         assert "prepare_query" in report.violations[0].message
 
+    def test_part_loop_has_one_home(self):
+        """``fan_out`` belongs to ``query/parts.py``; query-level batch
+        loops (parts, planner) may still ``map_with_executor``."""
+        report = violations(
+            {
+                "_util.py": "r = fan_out(e, f, xs)\n",
+                "query/parts.py": (
+                    "a = fan_out(e, f, xs)\nb = map_with_executor(e, f, xs)\n"
+                ),
+                "query/planner.py": "b = map_with_executor(e, f, xs)\n",
+            },
+            self.CHECKS,
+        )
+        assert report.ok
+
+    @pytest.mark.parametrize(
+        "rel", ["engine/sharding.py", "live/index.py", "query/planner.py"]
+    )
+    def test_second_part_loop_flagged(self, rel):
+        report = violations(
+            {rel: "x = 1\nout = fan_out(pool, fn, shards, part='shard')\n"},
+            self.CHECKS,
+        )
+        assert lines_of(report) == [2]
+        assert "PartSet" in report.violations[0].message
+
+    def test_plane_level_map_flagged(self):
+        report = violations(
+            {"live/index.py": "r = map_with_executor(pool, one, segments)\n"},
+            self.CHECKS,
+        )
+        assert lines_of(report) == [1]
+        assert "map_with_executor" in report.violations[0].message
+
 
 class TestCpuCount:
     CHECKS = ["cpu-count"]

@@ -29,8 +29,6 @@ class TestTopLevelExports:
             "repro.euclidean.mass",
             "repro.extensions",
             "repro.extensions.profile",
-            "repro.extensions.streaming",
-            "repro.extensions.varlength",
             "repro.data",
             "repro.bench",
             "repro.bench.experiments",
@@ -44,6 +42,7 @@ class TestTopLevelExports:
             "repro.query.spec",
             "repro.query.planner",
             "repro.query.merge",
+            "repro.query.parts",
             "repro.query.capabilities",
             "repro.query.registration",
             "repro.query.varlength",

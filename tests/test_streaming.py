@@ -1,4 +1,6 @@
-"""Tests for the appendable streaming TS-Index extension."""
+"""The never-sealing live plane: one mutable TS-Index over a growing
+series (``LiveTwinIndex(seal_threshold=None)``) — the shape the removed
+``StreamingTwinIndex`` shim served, asked of the plane itself."""
 
 import numpy as np
 import pytest
@@ -6,14 +8,18 @@ import pytest
 from repro.core.tsindex import TSIndex, TSIndexParams
 from repro.data import synthetic
 from repro.exceptions import InvalidParameterError
-from repro.extensions.streaming import StreamingTwinIndex
 from repro.indices.sweepline import SweeplineSearch
+from repro.live import LiveTwinIndex
+
+
+def _stream(values, length, **options):
+    return LiveTwinIndex(values, length, seal_threshold=None, **options)
 
 
 @pytest.fixture()
 def stream():
     values = synthetic.random_walk(300, seed=1)
-    return StreamingTwinIndex(
+    return _stream(
         values, length=40,
         params=TSIndexParams(min_children=4, max_children=10),
     )
@@ -24,12 +30,8 @@ class TestConstruction:
         assert stream.series_length == 300
         assert stream.window_count == 261
 
-    def test_needs_enough_initial_values(self):
-        with pytest.raises(InvalidParameterError, match="at least"):
-            StreamingTwinIndex(np.arange(10.0), length=20)
-
     def test_repr(self, stream):
-        assert "StreamingTwinIndex" in repr(stream)
+        assert "LiveTwinIndex" in repr(stream)
 
 
 class TestAppend:
@@ -50,7 +52,7 @@ class TestAppend:
         assert np.array_equal(stream.values[300:], np.arange(5.0))
 
     def test_growth_beyond_capacity(self):
-        stream = StreamingTwinIndex(np.zeros(64), length=16)
+        stream = _stream(np.zeros(64), length=16)
         stream.append(np.random.default_rng(0).normal(size=5000))
         assert stream.series_length == 5064
         assert stream.window_count == 5049
@@ -69,7 +71,7 @@ class TestQueriesTrackTheStream:
         rng = np.random.default_rng(3)
         initial = rng.normal(size=200)
         extra = rng.normal(size=150)
-        stream = StreamingTwinIndex(initial, length=30)
+        stream = _stream(initial, length=30)
         stream.append(extra)
 
         full = np.concatenate([initial, extra])
@@ -98,7 +100,7 @@ class TestQueriesTrackTheStream:
         # Appending one-by-one must yield the same answers as building
         # a TSIndex over the final series by sequential insertion.
         values = synthetic.noisy_sines(260, seed=9)
-        stream = StreamingTwinIndex(values[:100], length=25)
+        stream = _stream(values[:100], length=25)
         for value in values[100:]:
             stream.append(float(value))
         batch = TSIndex.build(values, 25, normalization="none")
@@ -111,7 +113,7 @@ class TestQueriesTrackTheStream:
 
     def test_tree_invariants_after_appends(self, stream):
         stream.append(synthetic.random_walk(500, seed=7))
-        index = stream.index
+        index = stream.delta
         positions = []
         for node, _depth in index.iter_nodes():
             if node.is_leaf:
@@ -120,20 +122,12 @@ class TestQueriesTrackTheStream:
 
 
 class TestLiveShim:
-    def test_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="LiveTwinIndex"):
-            StreamingTwinIndex(np.zeros(32), length=16)
-
     def test_backed_by_never_sealing_live_plane(self, stream):
-        from repro.live import LiveTwinIndex
-
-        assert isinstance(stream.live, LiveTwinIndex)
         stream.append(synthetic.random_walk(600, seed=8))
-        # seal_threshold=None: everything stays in one delta tree, so
-        # the historical `.index` surface remains a single TSIndex.
-        assert stream.live.segment_count == 0
-        assert isinstance(stream.index, TSIndex)
-        assert stream.index.size == stream.window_count
+        # seal_threshold=None: everything stays in one delta tree.
+        assert stream.segment_count == 0
+        assert isinstance(stream.delta, TSIndex)
+        assert stream.delta.size == stream.window_count
 
     def test_per_window_regime_now_supported(self):
         # The znorm-per-window restriction is lifted: per-window
@@ -141,9 +135,7 @@ class TestLiveShim:
         # append-safe; answers must match a from-scratch index.
         rng = np.random.default_rng(21)
         initial, extra = rng.normal(size=120), rng.normal(size=90)
-        stream = StreamingTwinIndex(
-            initial, length=20, normalization="per_window"
-        )
+        stream = _stream(initial, length=20, normalization="per_window")
         stream.append(extra)
         full = np.concatenate([initial, extra])
         reference = TSIndex.build(full, 20, normalization="per_window")
@@ -158,6 +150,4 @@ class TestLiveShim:
         from repro.exceptions import UnsupportedNormalizationError
 
         with pytest.raises(UnsupportedNormalizationError):
-            StreamingTwinIndex(
-                np.arange(64.0), length=16, normalization="global"
-            )
+            _stream(np.arange(64.0), length=16, normalization="global")

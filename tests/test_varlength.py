@@ -1,5 +1,5 @@
-"""Variable-length twin queries: native tree kernel, typed errors,
-block-bounded verification, and the deprecated extension shim.
+"""Variable-length twin queries: native tree kernel, typed errors and
+block-bounded verification.
 
 Cross-plane equivalence (all seven planes vs the brute-force prefix
 scan, engine serving, cache isolation) lives in
@@ -11,16 +11,12 @@ kernel itself plus the bugfix satellites:
   ``None``);
 * verification is block-bounded and identical across every strategy
   (the old extension materialized the full candidate matrix in one
-  shot);
-* ``repro.extensions.search_variable_length`` survives as a
-  ``DeprecationWarning``-emitting shim that now serves *every* plane
-  through the pipeline instead of poking ``index._root``.
+  shot).
 """
 
 import numpy as np
 import pytest
 
-from repro.core.frozen import FrozenTSIndex
 from repro.core.tsindex import TSIndex, TSIndexParams
 from repro.core.windows import WindowSource
 from repro.exceptions import (
@@ -204,27 +200,3 @@ class TestTypedErrors:
                 QuerySpec(query=np.zeros(8), mode="search", epsilon=0.1),
             )
 
-
-class TestDeprecatedShim:
-    def test_warns_and_matches_native_kernel(self, tsindex_global, source_global):
-        from repro.extensions import search_variable_length
-
-        query = np.array(source_global.values[300:330])
-        with pytest.warns(DeprecationWarning, match="search_varlength"):
-            shimmed = search_variable_length(tsindex_global, query, 0.4)
-        native = tsindex_global.search_varlength(query, 0.4)
-        assert np.array_equal(shimmed.positions, native.positions)
-        assert np.array_equal(shimmed.distances, native.distances)
-
-    def test_serves_frozen_plane(self, series_values):
-        """The headline bugfix: the shim used to die on FrozenTSIndex
-        with ``AttributeError: '_root'``; it now serves every plane."""
-        from repro.extensions import search_variable_length
-
-        frozen = FrozenTSIndex.build(
-            series_values[:800], LENGTH, normalization="none"
-        )
-        query = np.array(frozen.source.values[100:120])
-        with pytest.warns(DeprecationWarning):
-            result = search_variable_length(frozen, query, 0.0)
-        assert 100 in result.positions
