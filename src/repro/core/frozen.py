@@ -7,7 +7,8 @@ per-node Python. Freezing converts the finished tree into a
 structure-of-arrays *query plane*:
 
 * ``uppers`` / ``lowers`` — ``(n_nodes, l)`` stacked envelope matrices
-  (rows are node MBTS bounds, in BFS order, root first);
+  (rows are node MBTS bounds, in BFS order, root first), stored as
+  float32 rounded *outward* (uppers up, lowers down) — see below;
 * ``children_offsets`` / ``children`` — a CSR adjacency: node ``i``'s
   children are ``children[children_offsets[i]:children_offsets[i+1]]``;
 * ``leaf_offsets`` / ``positions`` — one contiguous array of all leaf
@@ -15,17 +16,29 @@ structure-of-arrays *query plane*:
   nodes).
 
 Queries then run *level-synchronously*: the Eq. 2 bound of the entire
-frontier against the query (``Q - U <= ε`` and ``L - Q <= ε`` at every
-timestamp) is a few early-abandoning NumPy reductions per level instead
-of one Python call per node, and :meth:`FrozenTSIndex.search_batch`
-extends the same idea to a ``(query, node)`` pair frontier so many
-queries share one traversal.
+frontier against the query (``U >= Q - ε`` and ``L <= Q + ε`` at every
+timestamp) is a few early-abandoning NumPy comparisons per level
+instead of one Python call per node, and
+:meth:`FrozenTSIndex.search_batch` extends the same idea to a
+``(query, node)`` pair frontier so many queries share one traversal.
+
+The filter only has to be *conservative*: verification reads the
+float64 source, so a node kept needlessly costs time, never an answer.
+The envelopes are therefore held once, as float32 rounded outward at
+freeze/load (:func:`~repro.core.mbts.round_up_f32` /
+:func:`~repro.core.mbts.round_down_f32`), and a query is compared
+against them through per-timestamp float32 thresholds rounded outward
+the other way (:func:`_thresholds`) — half the bytes streamed, and two
+compares per element with no arithmetic temporaries.
 
 Results are **exactly** those of the pointer tree — same positions,
 same distances, the same deterministic ``(distance, position)`` k-NN
-tie-break, and (for ``search`` / ``exists``) the same structural
-counters — enforced by the randomized equivalence suite in
-``tests/test_frozen.py``.
+tie-break — enforced by the randomized equivalence suite in
+``tests/test_frozen.py`` and the oracle property in
+``tests/test_frozen_float32.py``. The structural counters of
+``search`` / ``exists`` equal the pointer tree's too, except that a
+node whose exact bound clears ``ε`` by less than the float32 rounding
+step is visited rather than pruned.
 
 Lifecycle: **build** the dynamic tree (sequential insertion or
 :mod:`~repro.core.bulkload`), **freeze** it once writes stop, then
@@ -40,6 +53,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import itertools
 import time
 from typing import TYPE_CHECKING, Iterable
 
@@ -71,6 +85,7 @@ from ..query.varlength import (
     prefix_search_with_tail,
 )
 from .batch import BatchResult
+from .mbts import ENVELOPE_DTYPE, round_down_f32, round_up_f32
 from .normalization import Normalization
 from .stats import BuildStats, QueryStats, SearchResult
 from .verification import check_mode, verify
@@ -79,9 +94,10 @@ from .windows import WindowSource
 if TYPE_CHECKING:  # runtime import would be circular; tsindex imports us
     from .tsindex import TSIndex, TSIndexParams, _Node
 
-#: Upper bound on the elements of one ``(pairs, l)`` bound temporary;
-#: larger frontiers are processed in chunks so peak memory stays at
-#: roughly ``_BOUND_CHUNK * 8`` bytes per temporary.
+#: Upper bound on the elements of one gathered ``(block, pairs)``
+#: temporary of the batched pair kernel; larger levels are processed in
+#: chunks, so a chunk peaks at four float32 gathers and two boolean
+#: masks — roughly ``_BOUND_CHUNK * 18`` bytes.
 _BOUND_CHUNK = 1 << 20
 
 #: Largest (query, node) pair count a batched level evaluates through
@@ -96,8 +112,22 @@ _PAIR_KERNEL_LIMIT = 4096
 #: timestamps in one block. 32 K elements (4 timestamps first) answered
 #: a sparse query a quarter faster, but through several rounds of
 #: survivor gathers whose cache-miss latency varied more from run to
-#: run; a wide first block is one contiguous pass.
+#: run; a wide first block is one contiguous pass. Counted in elements,
+#: not bytes: with float32 envelopes a block streams 2 MiB (1 MiB per
+#: matrix) where float64 streamed 4 — see CHANGES.md (PR 16) for the
+#: re-measurement that kept 256 K.
 _PRUNE_BUDGET = 1 << 18
+
+#: Widening of the query thresholds, in float64 spacings of
+#: ``|q| + ε``. The verifier admits a window when ``fl(|q - w|) <= ε``,
+#: which real arithmetic reads as ``w >= q - ε - ulp(ε)/2``; the
+#: threshold ``fl(q - ε)`` may itself sit half a spacing *above*
+#: ``q - ε``, and subtracting the guard rounds once more. Both halves
+#: and that rounding fit inside two spacings of ``|q| + ε``; four is the
+#: margin. Without it an exact twin can be pruned: ``q = ε = 1`` and a
+#: reading ``w = -1e-17`` verify (``fl(1 + 1e-17) = 1``) against a bare
+#: threshold ``fl(q - ε) = 0 > w``.
+_GUARD_SPACINGS = 4.0
 
 #: Timestamps per early-abandoning block of the batched pair kernel
 #: (:meth:`_pair_keep`).
@@ -137,6 +167,21 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     view = array.view()
     view.setflags(write=False)
     return view
+
+
+def _thresholds(
+    query: np.ndarray, epsilon: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-timestamp float32 bounds ``(lo, hi)`` such that an envelope
+    ``(U, L)`` can hold a twin of ``query`` at ``epsilon`` only if
+    ``U >= lo`` and ``L <= hi`` everywhere: ``q ∓ ε`` computed in
+    float64, widened by :data:`_GUARD_SPACINGS` and rounded outward.
+    Works elementwise, so a ``(q, l)`` query matrix gives matrices."""
+    guard = _GUARD_SPACINGS * np.spacing(np.abs(query) + epsilon)
+    return (
+        round_down_f32(query - epsilon - guard),
+        round_up_f32(query + epsilon + guard),
+    )
 
 
 def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -225,23 +270,24 @@ class FrozenTSIndex:
         self._build_stats = build_stats
         self._freeze_seconds = float(freeze_seconds)
 
+        # Envelopes arrive timestamp-major (raw archives, ``raw_arrays``)
+        # or node-major (``from_tree``, npz archives, ``arrays``), as
+        # float32 (already rounded: adopted as they are — for a
+        # contiguous memmap that is zero-copy, which is what makes mmap
+        # cold starts O(1) in the envelope size) or as float64 (a tree
+        # being frozen, an archive written before the envelopes were
+        # float32: rounded outward here, once).
         if "uppers_t" in arrays:
-            # Timestamp-major input (raw archives): adopt the matrices
-            # as-is — for a contiguous float64 memmap this is zero-copy,
-            # which is what makes mmap cold starts O(1) in the envelope
-            # size. The row-major handles below are transposed views.
-            uppers_t = np.ascontiguousarray(
-                arrays["uppers_t"], dtype=FLOAT_DTYPE
-            )
-            lowers_t = np.ascontiguousarray(
-                arrays["lowers_t"], dtype=FLOAT_DTYPE
-            )
-            uppers = uppers_t.T
-            lowers = lowers_t.T
+            uppers_t = round_up_f32(arrays["uppers_t"])
+            lowers_t = round_down_f32(arrays["lowers_t"])
         else:
-            uppers_t = lowers_t = None
-            uppers = np.ascontiguousarray(arrays["uppers"], dtype=FLOAT_DTYPE)
-            lowers = np.ascontiguousarray(arrays["lowers"], dtype=FLOAT_DTYPE)
+            uppers_t = round_up_f32(arrays["uppers"]).T
+            lowers_t = round_down_f32(arrays["lowers"]).T
+        # The resident form is the contiguous ``(l, n)`` matrix (see
+        # below); a no-op for what raw archives and ``raw_arrays`` hand
+        # over, one float32 transpose for node-major input.
+        uppers_t = np.ascontiguousarray(uppers_t)
+        lowers_t = np.ascontiguousarray(lowers_t)
         kinds = np.ascontiguousarray(arrays["kinds"], dtype=np.int8)
         children_offsets = np.ascontiguousarray(
             arrays["children_offsets"], dtype=np.int64
@@ -256,10 +302,10 @@ class FrozenTSIndex:
 
         n = kinds.size
         length = source.length
-        if uppers.shape != (n, length) or lowers.shape != (n, length):
+        if uppers_t.shape != (length, n) or lowers_t.shape != (length, n):
             raise InvalidParameterError(
                 f"envelope matrices must be ({n}, {length}), got "
-                f"{uppers.shape} and {lowers.shape}"
+                f"{uppers_t.shape[::-1]} and {lowers_t.shape[::-1]}"
             )
         if children_offsets.shape != (n + 1,):
             raise InvalidParameterError(
@@ -325,9 +371,6 @@ class FrozenTSIndex:
         # is one contiguous row; the row-major ``(n, l)`` form
         # (serialization, thaw, per-node reads) is exposed as their
         # transposed views — one resident copy of the envelopes, not two.
-        if uppers_t is None:
-            uppers_t = np.ascontiguousarray(uppers.T)
-            lowers_t = np.ascontiguousarray(lowers.T)
         self._uppers_t = _read_only(uppers_t)
         self._lowers_t = _read_only(lowers_t)
         self._uppers = self._uppers_t.T
@@ -358,8 +401,8 @@ class FrozenTSIndex:
         length = source.length
         if root is None:
             arrays = {
-                "uppers": np.empty((0, length), dtype=FLOAT_DTYPE),
-                "lowers": np.empty((0, length), dtype=FLOAT_DTYPE),
+                "uppers": np.empty((0, length), dtype=ENVELOPE_DTYPE),
+                "lowers": np.empty((0, length), dtype=ENVELOPE_DTYPE),
                 "kinds": np.empty(0, dtype=np.int8),
                 "children_offsets": np.zeros(1, dtype=np.int64),
                 "children": np.empty(0, dtype=np.int64),
@@ -376,36 +419,37 @@ class FrozenTSIndex:
             if not node.is_leaf:
                 order.extend(node.children)
 
+        # One array construction per matrix (the constructor rounds them
+        # to float32 and transposes); ``np.array`` over the row list is
+        # four times faster here than ``np.stack``, which wraps every
+        # row first.
         n = len(order)
-        ids = {id(node): i for i, node in enumerate(order)}
-        uppers = np.empty((n, length), dtype=FLOAT_DTYPE)
-        lowers = np.empty((n, length), dtype=FLOAT_DTYPE)
-        kinds = np.zeros(n, dtype=np.int8)
-        child_counts = np.zeros(n, dtype=np.int64)
-        leaf_counts = np.zeros(n, dtype=np.int64)
-        for i, node in enumerate(order):
-            uppers[i] = node.mbts.upper
-            lowers[i] = node.mbts.lower
-            if node.is_leaf:
-                kinds[i] = 1
-                leaf_counts[i] = len(node.positions)
-            else:
-                child_counts[i] = len(node.children)
-
+        uppers = np.array([node.mbts.upper for node in order])
+        lowers = np.array([node.mbts.lower for node in order])
+        kinds = np.fromiter(
+            (node.positions is not None for node in order),
+            dtype=np.int8,
+            count=n,
+        )
+        members = [
+            node.children if node.positions is None else node.positions
+            for node in order
+        ]
+        counts = np.fromiter(map(len, members), dtype=np.int64, count=n)
         children_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(child_counts, out=children_offsets[1:])
+        np.cumsum(np.where(kinds == 0, counts, 0), out=children_offsets[1:])
         leaf_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(leaf_counts, out=leaf_offsets[1:])
-
-        children = np.empty(int(children_offsets[-1]), dtype=np.int64)
-        positions = np.empty(int(leaf_offsets[-1]), dtype=POSITION_DTYPE)
-        for i, node in enumerate(order):
-            if node.is_leaf:
-                positions[leaf_offsets[i]:leaf_offsets[i + 1]] = node.positions
-            else:
-                children[children_offsets[i]:children_offsets[i + 1]] = [
-                    ids[id(child)] for child in node.children
-                ]
+        np.cumsum(np.where(kinds == 1, counts, 0), out=leaf_offsets[1:])
+        # The walk above appended every node's children in one run, so
+        # in id order the adjacency is simply 1 .. n-1.
+        children = np.arange(1, n, dtype=np.int64)
+        positions = np.fromiter(
+            itertools.chain.from_iterable(
+                itertools.compress(members, kinds.tolist())
+            ),
+            dtype=POSITION_DTYPE,
+            count=int(leaf_offsets[-1]),
+        )
 
         arrays = {
             "uppers": uppers,
@@ -454,7 +498,13 @@ class FrozenTSIndex:
 
     def thaw(self) -> TSIndex:
         """Reconstruct a dynamic :class:`~repro.core.tsindex.TSIndex`
-        (for further insertion; queries on the result match exactly)."""
+        (for further insertion; positions and distances of queries on
+        the result match exactly).
+
+        Its node envelopes are the stored float32 ones widened to
+        float64 — covers of the exact envelopes, less than one float32
+        step looser — so inserting keeps them valid, and freezing the
+        result again reproduces these arrays bit for bit."""
         from .mbts import MBTS
         from .tsindex import TSIndex, _Node
 
@@ -585,7 +635,14 @@ class FrozenTSIndex:
     # Vectorized primitives over the flat arrays
     # ------------------------------------------------------------------
     def _node_bound(self, query: np.ndarray, node: int) -> float:
-        """Exact (clamped) Eq. 2 bound of ``query`` against one node.
+        """(Clamped) Eq. 2 bound of ``query`` against one node's stored
+        envelope, in float64 (the float32 row is promoted).
+
+        The stored envelope covers the exact one and float64
+        subtraction rounds monotonically, so for every window ``w``
+        under the node this is ``<= fl(|q - w|)`` at each timestamp —
+        a lower bound of the very number the verifier computes, with
+        no guard needed (the root check and the k-NN queue rely on it).
 
         Evaluated over the first ``query.size`` timestamps, so a
         shorter (prefix) query bounds against the envelope prefix — for
@@ -605,29 +662,29 @@ class FrozenTSIndex:
 
     @staticmethod
     def _prune_keep(
-        query: np.ndarray,
+        lo: np.ndarray,
+        hi: np.ndarray,
         upper_t: np.ndarray,
         lower_t: np.ndarray,
-        threshold: float,
         columns: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Boolean keep mask (exact Eq. 2 bound ``<= threshold``) over
-        ``columns`` (default: every column) of timestamp-major ``(l, k)``
-        envelope matrices, via blocked early abandoning.
+        """Boolean keep mask over ``columns`` (default: every column)
+        of timestamp-major ``(l, k)`` envelope matrices: a node is kept
+        when ``U >= lo`` and ``L <= hi`` at every timestamp, ``lo`` /
+        ``hi`` being a query's :func:`_thresholds` — two float32
+        compares and an ``&`` per element, no arithmetic temporaries —
+        via blocked early abandoning.
 
-        A node is kept when ``q - U <= threshold`` and ``L - q <=
-        threshold`` at every timestamp — reduced as booleans, which
-        decides exactly what the float ``max(q - U, L - q) <= threshold``
-        decides without its temporaries. Blocks are strided row slices,
-        coarse to fine (rows ``0::s``, ``s/2::s``, ``s/4::s/2``, ...
-        ``1::2``: bit-reversal order), so the first blocks sample the
-        whole window — neighbouring timestamps say nearly the same
-        thing. ``s`` is the power of two that fits the first block into
-        :data:`_PRUNE_BUDGET` elements (1, a single evaluation, for a
-        small frontier). Pruned nodes are dropped between blocks, and as
-        soon as all ``l`` rows of the survivors fit the budget they are
-        finished in one block. Every block is a view, so only the
-        survivors' columns of the current rows are ever gathered.
+        Blocks are strided row slices, coarse to fine (rows ``0::s``,
+        ``s/2::s``, ``s/4::s/2``, ... ``1::2``: bit-reversal order), so
+        the first blocks sample the whole window — neighbouring
+        timestamps say nearly the same thing. ``s`` is the power of two
+        that fits the first block into :data:`_PRUNE_BUDGET` elements
+        (1, a single evaluation, for a small frontier). Pruned nodes
+        are dropped between blocks, and as soon as all ``l`` rows of
+        the survivors fit the budget they are finished in one block.
+        Every block is a view, so only the survivors' columns of the
+        current rows are ever gathered.
         """
         length, total = upper_t.shape
         size = count = total if columns is None else columns.size
@@ -639,13 +696,12 @@ class FrozenTSIndex:
         )
         rows = slice(0, None, stride)
         while True:
-            column = query[rows, None]
             upper, lower = upper_t[rows], lower_t[rows]
             if picked is not None:
                 upper, lower = upper[:, picked], lower[:, picked]
-            survive = (
-                (column - upper <= threshold) & (lower - column <= threshold)
-            ).all(axis=0)
+            inside = upper >= lo[rows, None]
+            inside &= lower <= hi[rows, None]
+            survive = inside.all(axis=0)
             if stride == 1:
                 if alive is None:
                     return survive
@@ -665,9 +721,10 @@ class FrozenTSIndex:
                 rows, stride = slice(stride // 2, None, stride), stride // 2
 
     def _frontier_keep(
-        self, query: np.ndarray, ids: np.ndarray, epsilon: float
+        self, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray
     ) -> np.ndarray:
-        """Keep mask for a whole (ascending) frontier of node ids.
+        """Keep mask for a whole (ascending) frontier of node ids
+        against a query's :func:`_thresholds`.
 
         Under the BFS layout a dense frontier covers most of a
         contiguous id span, so the kernel runs over zero-copy column
@@ -675,35 +732,35 @@ class FrozenTSIndex:
         columns are evaluated too, harmlessly); a sparse frontier names
         its columns and the kernel gathers them a block at a time.
 
-        The bound runs over the first ``query.size`` timestamps — the
+        The bound runs over the first ``lo.size`` timestamps — the
         timestamp-major layout makes the envelope *prefix* a zero-copy
         leading-row slice, which is what lets a shorter (prefix) query
         reuse this kernel (and its early abandoning) unchanged.
         """
-        upper_t = self._uppers_t[: query.size]
-        lower_t = self._lowers_t[: query.size]
+        upper_t = self._uppers_t[: lo.size]
+        lower_t = self._lowers_t[: lo.size]
         if self._bfs_layout and ids.size > 1:
-            lo = int(ids[0])
-            hi = int(ids[-1]) + 1
-            if 2 * ids.size >= hi - lo:
+            first = int(ids[0])
+            last = int(ids[-1]) + 1
+            if 2 * ids.size >= last - first:
                 span_keep = self._prune_keep(
-                    query, upper_t[:, lo:hi], lower_t[:, lo:hi], epsilon
+                    lo, hi, upper_t[:, first:last], lower_t[:, first:last]
                 )
-                return span_keep[ids - lo]
-        return self._prune_keep(query, upper_t, lower_t, epsilon, ids)
+                return span_keep[ids - first]
+        return self._prune_keep(lo, hi, upper_t, lower_t, ids)
 
     def _pair_keep(
         self,
-        queries_t: np.ndarray,
+        lo_t: np.ndarray,
+        hi_t: np.ndarray,
         q_idx: np.ndarray,
         node_idx: np.ndarray,
-        epsilon: float,
     ) -> np.ndarray:
         """Keep mask for ``(query, node)`` pairs — the batched frontier
         bound, early-abandoning over contiguous blocks of
-        :data:`_PRUNE_BLOCK` timestamps. ``queries_t`` is the ``(l, q)``
-        timestamp-major query matrix; pairs are outer-chunked so gather
-        temporaries stay bounded."""
+        :data:`_PRUNE_BLOCK` timestamps. ``lo_t`` / ``hi_t`` are the
+        ``(l, q)`` timestamp-major threshold matrices of the batch;
+        pairs are outer-chunked so gather temporaries stay bounded."""
         total = q_idx.size
         keep = np.empty(total, dtype=bool)
         length = self.length
@@ -716,13 +773,9 @@ class FrozenTSIndex:
             chunk_keep = np.zeros(alive_q.size, dtype=bool)
             while consumed < length and alive.size:
                 rows = slice(consumed, consumed + _PRUNE_BLOCK)
-                query_block = queries_t[rows, alive_q]
-                upper_block = self._uppers_t[rows, alive_n]
-                lower_block = self._lowers_t[rows, alive_n]
-                diffs = np.maximum(
-                    query_block - upper_block, lower_block - query_block
-                ).max(axis=0)
-                survive = diffs <= epsilon
+                inside = self._uppers_t[rows, alive_n] >= lo_t[rows, alive_q]
+                inside &= self._lowers_t[rows, alive_n] <= hi_t[rows, alive_q]
+                survive = inside.all(axis=0)
                 consumed = min(consumed + _PRUNE_BLOCK, length)
                 if not survive.all():
                     alive = alive[survive]
@@ -780,12 +833,14 @@ class FrozenTSIndex:
     ) -> SearchResult:
         """All twin subsequences of ``query`` within Chebyshev ``ε``.
 
-        Same contract (and byte-identical results, including structural
-        counters) as :meth:`TSIndex.search
-        <repro.core.tsindex.TSIndex.search>`, but the traversal is
-        level-synchronous: every level bounds the whole surviving
-        frontier against the query in a few early-abandoning reductions
-        instead of one Python call per node.
+        Same contract (and byte-identical positions and distances) as
+        :meth:`TSIndex.search <repro.core.tsindex.TSIndex.search>`, but
+        the traversal is level-synchronous: every level bounds the
+        whole surviving frontier against the query in a few
+        early-abandoning comparisons instead of one Python call per
+        node. The structural counters equal the pointer tree's unless a
+        node's exact bound clears ``epsilon`` by less than the float32
+        rounding step of the stored envelopes (it is then visited).
         """
         if is_prefix_query(query, self._source.length):
             return self.search_varlength(
@@ -848,6 +903,7 @@ class FrozenTSIndex:
             stats.nodes_pruned += 1
             return np.empty(0, dtype=POSITION_DTYPE)
 
+        lo, hi = _thresholds(query, epsilon)
         collected: list[np.ndarray] = []
         frontier = np.zeros(1, dtype=np.int64)
         while frontier.size:
@@ -860,7 +916,7 @@ class FrozenTSIndex:
             if internal.size == 0:
                 break
             children = self._children_of(internal)
-            keep = self._frontier_keep(query, children, epsilon)
+            keep = self._frontier_keep(lo, hi, children)
             stats.nodes_visited += int(children.size)
             stats.nodes_pruned += int(children.size - np.count_nonzero(keep))
             frontier = children[keep]
@@ -918,7 +974,9 @@ class FrozenTSIndex:
 
         if nq and self.node_count:
             matrix = np.stack(prepared)
-            matrix_t = np.ascontiguousarray(matrix.T)
+            lo, hi = _thresholds(matrix, epsilon)
+            lo_t = np.ascontiguousarray(lo.T)
+            hi_t = np.ascontiguousarray(hi.T)
             visited += 1
             root_bounds = np.maximum(
                 matrix - self._uppers[0], self._lowers[0] - matrix
@@ -949,9 +1007,7 @@ class FrozenTSIndex:
                 # gathered pair kernel; large ones (dense frontiers)
                 # are cheaper per query over contiguous envelope spans.
                 if child_q.size <= _PAIR_KERNEL_LIMIT:
-                    keep = self._pair_keep(
-                        matrix_t, child_q, child_nodes, epsilon
-                    )
+                    keep = self._pair_keep(lo_t, hi_t, child_q, child_nodes)
                 else:
                     keep = np.empty(child_q.size, dtype=bool)
                     bounds_of = np.searchsorted(
@@ -963,7 +1019,7 @@ class FrozenTSIndex:
                         )
                         if segment.stop > segment.start:
                             keep[segment] = self._frontier_keep(
-                                prepared[qi], child_nodes[segment], epsilon
+                                lo[qi], hi[qi], child_nodes[segment]
                             )
                 visited += np.bincount(child_q, minlength=nq)
                 if not keep.all():
@@ -1080,26 +1136,19 @@ class FrozenTSIndex:
                     elif entry > best[0]:
                         heapq.heapreplace(best, entry)
             else:
+                # A node's fan-out is small, so every child is bounded in
+                # full (in float64, see :meth:`_node_bound`) — the bound
+                # is needed as the queue priority anyway.
                 child_ids, upper, lower = self._child_block(node)
-                threshold = kth()
-                if np.isinf(threshold):
-                    survivors = np.arange(child_ids.size)
-                else:
-                    survivors = np.flatnonzero(
-                        self._prune_keep(query, upper, lower, threshold)
-                    )
-                stats.nodes_pruned += int(child_ids.size - survivors.size)
-                if survivors.size == 0:
-                    continue
-                bounds = np.maximum(
-                    np.maximum(
-                        query[:, None] - upper[:, survivors],
-                        lower[:, survivors] - query[:, None],
-                    ).max(axis=0),
-                    0.0,
+                column = query[:, None]
+                bounds = np.maximum(column - upper, lower - column).max(axis=0)
+                keep = bounds <= kth()
+                stats.nodes_pruned += int(
+                    child_ids.size - np.count_nonzero(keep)
                 )
                 for child_bound, child in zip(
-                    bounds.tolist(), child_ids[survivors].tolist()
+                    np.maximum(bounds[keep], 0.0).tolist(),
+                    child_ids[keep].tolist(),
                 ):
                     heapq.heappush(frontier, (child_bound, child))
 
@@ -1123,8 +1172,10 @@ class FrozenTSIndex:
         """Whether *any* twin exists, with early exit.
 
         Pass a :class:`QueryStats` to receive the traversal counters;
-        they match the dynamic tree's :meth:`TSIndex.exists
-        <repro.core.tsindex.TSIndex.exists>` exactly (same visit order).
+        the visit order is the dynamic tree's :meth:`TSIndex.exists
+        <repro.core.tsindex.TSIndex.exists>`, and so are the counters,
+        up to nodes kept by the float32 rounding step (see
+        :meth:`search`).
         Queries shorter than ``l`` derive from :meth:`search_varlength`
         (its counters land in ``stats`` too).
         """
@@ -1145,11 +1196,12 @@ class FrozenTSIndex:
         if self._kinds[0] == 1:
             return self._leaf_has_twin(0, query, epsilon, stats)
 
+        lo, hi = _thresholds(query, epsilon)
         stack = [0]
         while stack:
             node = stack.pop()
             child_ids, upper, lower = self._child_block(node)
-            keep = self._prune_keep(query, upper, lower, epsilon)
+            keep = self._prune_keep(lo, hi, upper, lower)
             stats.nodes_visited += int(child_ids.size)
             for survives, child in zip(keep.tolist(), child_ids.tolist()):
                 if not survives:

@@ -238,3 +238,57 @@ def sequence_mbts_distance(sequence: npt.ArrayLike, mbts: MBTS) -> float:
 def mbts_gap_distance(first: MBTS, second: MBTS) -> float:
     """Functional form of Equation 3 (``d(B1, B2)``)."""
     return first.gap_to(second)
+
+
+# ----------------------------------------------------------------------
+# Outward float32 rounding (the frozen plane's envelope storage)
+# ----------------------------------------------------------------------
+#: Storage dtype of frozen envelopes: half the bytes of the float64 the
+#: tree computes in. A filter only has to be conservative, so the cast
+#: rounds *outward* — uppers up, lowers down — and never inward.
+ENVELOPE_DTYPE = np.float32
+
+
+def _round_f32(values: npt.ArrayLike, outward: int) -> np.ndarray:
+    values = np.asarray(values)
+    if values.dtype == ENVELOPE_DTYPE:
+        return values
+    with np.errstate(over="ignore"):  # beyond float32 range: ±inf, fixed below
+        rounded = values.astype(ENVELOPE_DTYPE)
+    # Round-to-nearest fell short of the input on about half the
+    # elements; move those one float32 outward. Neighbouring floats are
+    # neighbouring integers in their bit pattern (ascending for
+    # positive floats, descending for negative), so the step is ±1 on
+    # the int32 view — five cheap passes where a masked ``nextafter``
+    # costs five times as much on a million-element envelope matrix.
+    # ±inf from an overflowing cast steps back to ±max the same way,
+    # and a zero is only ever stepped away from its own sign.
+    short = rounded < values if outward > 0 else rounded > values
+    bits = rounded.view(np.int32)
+    step = bits >> 31
+    step |= 1  # +1 for positive floats, -1 for negative
+    step *= short
+    if outward > 0:
+        bits += step
+    else:
+        bits -= step
+    return rounded
+
+
+def round_up_f32(values: npt.ArrayLike) -> np.ndarray:
+    """The smallest float32 ``>=`` each value (elementwise ceiling onto
+    the float32 grid).
+
+    Exact float32 inputs — and float32 arrays, returned as they are —
+    pass through unchanged, so the rounding is idempotent; every other
+    result lies less than one float32 step above its input. Values
+    beyond the float32 range stay covered: above ``+max`` they become
+    ``+inf``, below ``-max`` they become ``-max``.
+    """
+    return _round_f32(values, +1)
+
+
+def round_down_f32(values: npt.ArrayLike) -> np.ndarray:
+    """The largest float32 ``<=`` each value — :func:`round_up_f32`
+    mirrored (``-inf`` below the range, ``+max`` above it)."""
+    return _round_f32(values, -1)

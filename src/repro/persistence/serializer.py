@@ -29,7 +29,14 @@ Frozen indexes (:class:`~repro.core.frozen.FrozenTSIndex`, standalone
 or as shards of a sharded engine) round-trip their flat arrays
 *natively*: the archive stores the structure-of-arrays form verbatim
 and loading is pure array reads — no node objects are rebuilt and no
-windows are re-inserted. Standalone frozen dumps of per-window sources
+windows are re-inserted. That includes the envelopes' dtype: they are
+written as the outward-rounded float32 the frozen plane holds (both
+containers record each array's dtype, so nothing in the metadata
+changes), and a float32 envelope file is mapped as it is. Archives
+written while the envelopes were still float64 keep loading:
+:class:`~repro.core.frozen.FrozenTSIndex` rounds float64 envelopes
+outward on the way in — into private memory, once — which yields
+exactly the arrays freezing the same tree yields today. Standalone frozen dumps of per-window sources
 additionally embed the source's rolling window statistics
 (``win_means`` / ``win_stds``): those are block-computed over the
 *monolithic* series, so an archive of a detached chunk (a live sealed
@@ -414,7 +421,8 @@ def _load_tsindex(meta: dict, data: dict) -> TSIndex | FrozenTSIndex:
         # Frozen archives hold the flat arrays natively; loading is
         # pure array reads — no node objects, no re-insertion. Raw
         # archives store the envelopes timestamp-major (``uppers_t``):
-        # those views (mmaps) are adopted as-is, zero-copy.
+        # those views (mmaps) are adopted as-is, zero-copy (float64
+        # ones, from older archives, are rounded to float32 instead).
         fields = RAW_ARRAY_FIELDS if "uppers_t" in data else ARRAY_FIELDS
         return FrozenTSIndex.from_arrays(
             source,

@@ -73,6 +73,10 @@ class TestFrozenRawRoundTrip:
         # private copies: their memory bottoms out at an mmap buffer.
         assert isinstance(_ultimate_base(loaded._uppers_t), mmap.mmap)
         assert isinstance(_ultimate_base(loaded._lowers_t), mmap.mmap)
+        # ... as the float32 the frozen plane holds them in: the file
+        # says its own dtype, and nothing is converted on the way in.
+        assert loaded._uppers_t.dtype == loaded._lowers_t.dtype == np.float32
+        assert np.load(path / "uppers_t.npy", mmap_mode="r").dtype == np.float32
         # mmap=False opts out: plain private arrays.
         in_memory = load_index(path, mmap=False)
         assert not isinstance(_ultimate_base(in_memory._uppers_t), mmap.mmap)
@@ -184,6 +188,44 @@ class TestLegacyCompatibility:
         assert "uppers" in fields and "uppers_t" not in fields
         restored = load_index(path)
         _assert_identical(original, restored, query_of(42))
+
+    @pytest.mark.parametrize("container", ["raw", "npz"])
+    def test_float64_envelope_archives_still_load(
+        self, tmp_path, series_values, any_normalization, query_of, container
+    ):
+        """Archives written before the envelopes became float32 hold
+        them as float64 (timestamp-major in raw directories, node-major
+        in ``.npz``). Loading rounds them outward once — into private
+        memory; the other arrays stay mapped — and gives the very
+        arrays freezing the same tree gives today."""
+        from repro.persistence.serializer import _flatten_tree
+
+        dynamic = TSIndex.build(
+            series_values, LENGTH, normalization=any_normalization
+        )
+        original = dynamic.freeze()
+        exact = _flatten_tree(dynamic._root)  # float64, same BFS order
+        assert exact["uppers"].dtype == np.float64
+        path = tmp_path / f"legacy.{container}"
+        save_index(original, path, format=container, fsync=False)
+        if container == "raw":
+            np.save(path / "uppers_t.npy", np.ascontiguousarray(exact["uppers"].T))
+            np.save(path / "lowers_t.npy", np.ascontiguousarray(exact["lowers"].T))
+        else:
+            with np.load(path, allow_pickle=False) as archive:
+                payload = {key: archive[key] for key in archive.files}
+            payload.update(uppers=exact["uppers"], lowers=exact["lowers"])
+            np.savez_compressed(path, **payload)
+        restored = load_index(path)
+        for field, array in original.raw_arrays().items():
+            assert restored.raw_arrays()[field].dtype == array.dtype
+            assert np.array_equal(restored.raw_arrays()[field], array)
+        if container == "raw":
+            assert not isinstance(_ultimate_base(restored._uppers_t), mmap.mmap)
+            assert isinstance(_ultimate_base(restored._positions), mmap.mmap)
+        source = original.source
+        for position in (42, 1500):
+            _assert_identical(original, restored, query_of(position, source))
 
     def test_raw_other_plane_kinds_round_trip(
         self, tmp_path, series_values, query_of

@@ -4,7 +4,9 @@
   against a brute-force max-abs scan over gathered windows — positions
   and distances must be *bitwise* equal;
 * the filter kernel (:meth:`FrozenTSIndex._prune_keep`) against the
-  unblocked ``np.maximum(q - U, L - q).max(0) <= ε``;
+  unblocked ``(U >= lo) & (L <= hi)`` over every timestamp, which in
+  turn keeps every node the exact float64 bound
+  ``np.maximum(q - U, L - q).max(0) <= ε`` keeps;
 * frozen-vs-pointer counters on a bulk-loaded tree whose leaf level is
   wide enough to take the kernel's narrow-block path.
 """
@@ -15,6 +17,7 @@ import pytest
 from repro.core.bulkload import bulk_load_source
 from repro.core import frozen as frozen_module
 from repro.core.frozen import FrozenTSIndex
+from repro.core.mbts import round_down_f32, round_up_f32
 from repro.core.tsindex import TSIndexParams
 from repro.core.verification import (
     GATHER_BELOW,
@@ -147,16 +150,29 @@ class TestRefineKernel:
 
 
 def random_envelopes(rng, length, columns):
-    """Random-walk centres with random half-widths: ``L <= U``."""
+    """Random-walk centres with random half-widths: ``L <= U``
+    (float64, as a tree computes them)."""
     centres = np.cumsum(rng.normal(size=(length, columns)), axis=0)
     centres += rng.normal(scale=3.0, size=columns)
     half = rng.uniform(0.1, 1.5, size=(length, columns))
     return centres + half, centres - half
 
 
-def unblocked(query, upper_t, lower_t, threshold):
+def exact_keep(query, upper_t, lower_t, threshold):
+    """The float64 Eq. 2 decision the kernel must never fall short of."""
     column = query[:, None]
     return np.maximum(column - upper_t, lower_t - column).max(axis=0) <= threshold
+
+
+def kernel_inputs(query, upper_t, lower_t, threshold):
+    """What the frozen plane hands its kernel: the query's float32
+    thresholds and the outward-rounded float32 envelopes."""
+    lo, hi = frozen_module._thresholds(query, threshold)
+    return lo, hi, round_up_f32(upper_t), round_down_f32(lower_t)
+
+
+def unblocked(lo, hi, upper_t, lower_t):
+    return ((upper_t >= lo[:, None]) & (lower_t <= hi[:, None])).all(axis=0)
 
 
 @pytest.fixture(params=[1 << 12, None], ids=["budget-4096", "budget-default"])
@@ -179,22 +195,29 @@ class TestPruneKernel:
         bounds = np.maximum(
             query[:, None] - upper_t, lower_t - query[:, None]
         ).max(axis=0)
-        thresholds = [0.0, np.inf, float(bounds.min()), float(bounds.max())]
+        thresholds = [0.0, 1e300, float(bounds.min()), float(bounds.max())]
         thresholds += [float(t) for t in np.quantile(bounds, [0.02, 0.5])]
         for threshold in thresholds:
-            expected = unblocked(query, upper_t, lower_t, threshold)
-            kept = FrozenTSIndex._prune_keep(query, upper_t, lower_t, threshold)
+            inputs = kernel_inputs(query, upper_t, lower_t, threshold)
+            kept = FrozenTSIndex._prune_keep(*inputs)
             assert kept.dtype == bool
-            assert np.array_equal(kept, expected), threshold
+            assert np.array_equal(kept, unblocked(*inputs)), threshold
+            # Conservative: whatever the exact bound keeps is kept —
+            # at thresholds that *are* some node's bound, too.
+            assert kept[exact_keep(query, upper_t, lower_t, threshold)].all()
 
     def test_all_pruned_and_none_pruned(self, budget):
         rng = np.random.default_rng(0)
         upper_t, lower_t = random_envelopes(rng, 100, 5000)
         assert 5000 * 100 > budget  # the narrow-block path
         query = np.zeros(100)
-        none = FrozenTSIndex._prune_keep(query, upper_t, lower_t, 1e9)
+        none = FrozenTSIndex._prune_keep(
+            *kernel_inputs(query, upper_t, lower_t, 1e9)
+        )
         assert none.all() and none.size == 5000
-        far = FrozenTSIndex._prune_keep(query + 1e6, upper_t, lower_t, 1.0)
+        far = FrozenTSIndex._prune_keep(
+            *kernel_inputs(query + 1e6, upper_t, lower_t, 1.0)
+        )
         assert not far.any() and far.size == 5000
 
     @pytest.mark.parametrize("prefix", [1, 5, 64, 99])
@@ -203,13 +226,14 @@ class TestPruneKernel:
         upper_t, lower_t = random_envelopes(rng, 100, 2000)
         query = np.cumsum(rng.normal(size=prefix))
         for threshold in (0.5, 2.0, 8.0):
-            expected = unblocked(
+            inputs = kernel_inputs(
                 query, upper_t[:prefix], lower_t[:prefix], threshold
             )
-            kept = FrozenTSIndex._prune_keep(
-                query, upper_t[:prefix], lower_t[:prefix], threshold
-            )
-            assert np.array_equal(kept, expected)
+            kept = FrozenTSIndex._prune_keep(*inputs)
+            assert np.array_equal(kept, unblocked(*inputs))
+            assert kept[
+                exact_keep(query, upper_t[:prefix], lower_t[:prefix], threshold)
+            ].all()
 
     @pytest.mark.parametrize("picked", [3, 200, 3000])
     def test_views_gathers_and_named_columns_agree(self, picked):
@@ -217,25 +241,27 @@ class TestPruneKernel:
         upper_t, lower_t = random_envelopes(rng, 100, 6000)
         query = np.cumsum(rng.normal(size=100))
         ids = np.sort(rng.choice(6000, size=picked, replace=False))
-        lo, hi = int(ids[0]), int(ids[-1]) + 1
-        for threshold in (1.0, 4.0, np.inf):
-            expected = unblocked(query, upper_t, lower_t, threshold)
-            named = FrozenTSIndex._prune_keep(
-                query, upper_t, lower_t, threshold, ids
+        first, last = int(ids[0]), int(ids[-1]) + 1
+        for threshold in (1.0, 4.0, 1e300):
+            lo, hi, upper_t32, lower_t32 = kernel_inputs(
+                query, upper_t, lower_t, threshold
             )
+            expected = unblocked(lo, hi, upper_t32, lower_t32)
+            named = FrozenTSIndex._prune_keep(lo, hi, upper_t32, lower_t32, ids)
             gathered = FrozenTSIndex._prune_keep(
-                query, upper_t[:, ids], lower_t[:, ids], threshold
+                lo, hi, upper_t32[:, ids], lower_t32[:, ids]
             )
             view = FrozenTSIndex._prune_keep(
-                query, upper_t[:, lo:hi], lower_t[:, lo:hi], threshold
+                lo, hi, upper_t32[:, first:last], lower_t32[:, first:last]
             )
             assert np.array_equal(named, expected[ids])
             assert np.array_equal(gathered, expected[ids])
-            assert np.array_equal(view, expected[lo:hi])
+            assert np.array_equal(view, expected[first:last])
 
     def test_empty_frontier(self):
-        empty = np.empty((100, 0))
-        assert FrozenTSIndex._prune_keep(np.zeros(100), empty, empty, 1.0).size == 0
+        empty = np.empty((100, 0), dtype=np.float32)
+        lo, hi = frozen_module._thresholds(np.zeros(100), 1.0)
+        assert FrozenTSIndex._prune_keep(lo, hi, empty, empty).size == 0
 
 
 class TestNarrowBlockCounters:
