@@ -14,9 +14,11 @@ kinds:
 Every (executor, workers) point is gated on byte-identical results —
 positions, distances, and structural query stats — against the serial
 in-process walk before it is timed. Results are written as JSON
-(``BENCH_scaling.json`` by default) so the scaling trajectory is
-recorded per change; CI runs ``--smoke`` on both executors and uploads
-the artifact.
+(``BENCH_scaling.json`` by default; git-ignored, never committed) in
+the ``repro.bench/1`` envelope. This is the one runner kept outside
+twinbench: no twinbench workload yet sits on the ``executor="process"``
+side of the thread-vs-process choice. CI runs ``--smoke`` on both
+executors as an equality gate and keeps no artifact.
 
 Run::
 

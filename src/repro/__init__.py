@@ -38,9 +38,8 @@ flat form (:class:`~repro.core.frozen.FrozenTSIndex`, via
 answers from structure-of-arrays storage with vectorized frontier
 traversal and a batched ``search_batch``. :mod:`repro.engine` turns the
 library into a query-serving engine: :class:`~repro.engine.ShardedTSIndex`
-partitions a series into per-shard TS-Indexes (parallel build, frozen
-shards by default, fan-out queries, results exactly equal to a
-monolithic index),
+partitions a series into per-shard TS-Indexes (frozen shards, fan-out
+queries, results exactly equal to a monolithic index),
 :class:`~repro.engine.QueryCache` memoizes repeated queries, and
 :class:`~repro.engine.QueryEngine` composes both with a named-index
 registry behind a thread pool for concurrent callers:
@@ -128,7 +127,6 @@ from .obs import (
     to_prometheus,
 )
 from .query import QuerySpec
-from .sweep import QueryMix, SweepSpec, compare_artifacts, run_sweep
 
 # Library logging convention: silent unless the application configures
 # handlers (repro.obs.configure_logging is the documented shortcut).
@@ -158,7 +156,6 @@ __all__ = [
     "Normalization",
     "QueryCache",
     "QueryEngine",
-    "QueryMix",
     "QuerySpec",
     "QueryStats",
     "QueryTrace",
@@ -170,7 +167,6 @@ __all__ = [
     "SimulatedCrashError",
     "StorageError",
     "SubsequenceIndex",
-    "SweepSpec",
     "SweeplineSearch",
     "TSIndex",
     "TSIndexParams",
@@ -183,7 +179,6 @@ __all__ = [
     "bulk_load",
     "bulk_load_source",
     "chebyshev_distance",
-    "compare_artifacts",
     "configure_logging",
     "create_method",
     "euclidean_distance",
@@ -195,7 +190,6 @@ __all__ = [
     "search_batch",
     "to_json",
     "to_prometheus",
-    "run_sweep",
     "twin_search",
     "__version__",
 ]

@@ -10,7 +10,7 @@ the paper's figure/table number.
 from .harness import ExperimentResult, MethodTiming, run_query_experiment
 from .memory import index_memory_bytes, memory_report
 from .reporting import format_series_table, format_table, to_markdown
-from .timing import Timer, paired_best, sample_seconds
+from .timing import Timer
 from .workloads import QueryWorkload, generate_workload
 
 __all__ = [
@@ -23,8 +23,6 @@ __all__ = [
     "generate_workload",
     "index_memory_bytes",
     "memory_report",
-    "paired_best",
     "run_query_experiment",
-    "sample_seconds",
     "to_markdown",
 ]

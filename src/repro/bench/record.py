@@ -3,15 +3,13 @@ EXPERIMENTS.md generator.
 
 Artifact envelope
 -----------------
-Every ``benchmarks/bench_*.py`` script (and the sweep driver) writes
-its ``BENCH_*.json`` through :func:`write_artifact`, which wraps the
-script's result sections in one schema-versioned envelope — ``schema``,
-``kind``, and a ``meta`` block (generation time, seed, cpu_count, git
-revision, python version) — and serializes with sorted keys so
-artifacts diff stably. :func:`read_artifact` is the mirror: it loads
-any artifact, normalizing pre-envelope ("legacy") ``BENCH_*.json``
-files into the same shape, so ``repro sweep compare`` can gate a fresh
-run against any committed baseline regardless of vintage.
+``benchmarks/bench_scaling.py`` — the one runner outside twinbench that
+writes a JSON artifact — does so through :func:`write_artifact`, which
+wraps the script's result sections in one schema-versioned envelope —
+``schema``, ``kind``, and a ``meta`` block (generation time, seed,
+cpu_count, git revision, python version) — and serializes with sorted
+keys so artifacts diff stably. The ``bench-writes`` lint holds any
+other ``BENCH_*.json`` writer to the same path.
 
 EXPERIMENTS.md generator
 ------------------------
@@ -27,23 +25,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
-import re
 import subprocess
 import sys
 import time
 
 from .._util import available_cpu_count
-from ..exceptions import InvalidParameterError, SerializationError
+from ..exceptions import InvalidParameterError
 from . import experiments as exp
 from .reporting import to_markdown
 
 #: Envelope schema written by :func:`write_artifact`.
 ARTIFACT_SCHEMA = "repro.bench/1"
-
-#: Schema tag assigned to pre-envelope artifacts by :func:`read_artifact`.
-LEGACY_SCHEMA = "repro.bench/0-legacy"
 
 #: Top-level keys the envelope owns; result sections may not shadow them.
 RESERVED_KEYS = ("schema", "kind", "meta")
@@ -112,44 +105,6 @@ def write_artifact(path, results: dict, *, kind: str, seed=None) -> dict:
         handle.write("\n")
     return payload
 
-
-def _infer_kind(path) -> str:
-    """``BENCH_<kind>.json`` → ``<kind>``; anything else → ``unknown``."""
-    name = os.path.basename(str(path))
-    match = re.fullmatch(r"BENCH_([A-Za-z0-9_]+)\.json", name)
-    return match.group(1) if match else "unknown"
-
-
-def read_artifact(path) -> dict:
-    """Load a benchmark artifact, normalizing legacy files.
-
-    Artifacts written before the envelope existed (no ``schema`` key)
-    are wrapped in place: their sections become the payload body under
-    ``schema = "repro.bench/0-legacy"`` with the kind inferred from the
-    filename — so every committed ``BENCH_*.json`` ever produced reads
-    through the one code path and can serve as a ``compare`` baseline.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise SerializationError(f"cannot read artifact {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SerializationError(
-            f"artifact {path} must hold a JSON object, got "
-            f"{type(data).__name__}"
-        )
-    if "schema" in data:
-        return data
-    normalized = {
-        "schema": LEGACY_SCHEMA,
-        "kind": _infer_kind(path),
-        "meta": {},
-    }
-    for key, value in data.items():
-        if key not in normalized:
-            normalized[key] = value
-    return normalized
 
 #: The paper's qualitative claim for each figure, quoted/condensed from
 #: Section 6.2 — what the measured series are compared against.

@@ -1,24 +1,9 @@
-"""Wall-clock timing primitives shared by the harness, the overhead
-benchmarks and the sweep runner.
-
-Three tools, one convention (``time.perf_counter``, seconds):
-
-* :class:`Timer` — a context manager for ad-hoc blocks;
-* :func:`paired_best` — the noise-resistant A/B comparison used by the
-  overhead gates (``bench_obs_overhead.py``, ``bench_chaos.py``): both
-  sides run interleaved (A B A B ...) and the best of each side is
-  kept, so drift and one-off stalls hit both sides equally;
-* :func:`sample_seconds` — per-repetition samples (after un-timed
-  warmup runs) for statistical reporting — the sweep driver's input to
-  mean/stdev/CI/percentile summaries, never a single sample.
-"""
+"""Wall-clock timing for the experiment harness: :class:`Timer`, a
+context manager over ``time.perf_counter`` (seconds)."""
 
 from __future__ import annotations
 
-import math
 import time
-
-from ..exceptions import InvalidParameterError
 
 
 class Timer:
@@ -47,58 +32,3 @@ class Timer:
     def milliseconds(self) -> float:
         """Elapsed time in milliseconds."""
         return self.seconds * 1000.0
-
-
-def paired_best(repeats, setup_a, run_a, setup_b, run_b):
-    """Best wall-clock seconds of two runs, interleaved (A B A B ...).
-
-    ``setup_*`` runs un-timed immediately before its side on every
-    round — overhead benchmarks swap process state there (the default
-    metrics registry, failpoint bindings) off the clock. Interleaving
-    plus best-of makes the *difference* between the sides robust to
-    background noise: a stall in round k inflates both sides' round-k
-    samples, and the minimum discards it.
-
-    Returns ``(best_a_seconds, best_b_seconds)``.
-    """
-    repeats = int(repeats)
-    if repeats < 1:
-        raise InvalidParameterError(f"repeats must be >= 1, got {repeats}")
-    best_a = best_b = math.inf
-    for _ in range(repeats):
-        setup_a()
-        started = time.perf_counter()
-        run_a()
-        best_a = min(best_a, time.perf_counter() - started)
-        setup_b()
-        started = time.perf_counter()
-        run_b()
-        best_b = min(best_b, time.perf_counter() - started)
-    return best_a, best_b
-
-
-def sample_seconds(run, *, repetitions, warmup: int = 0) -> list[float]:
-    """Wall-clock seconds of ``repetitions`` timed calls to ``run()``,
-    preceded by ``warmup`` un-timed calls.
-
-    The warmup runs absorb cold caches, lazy imports and first-touch
-    page faults; the returned samples are what statistical summaries
-    (mean/stdev/CI/p50/p99) should be computed over — one sample per
-    repetition, never a single-sample "measurement".
-    """
-    repetitions = int(repetitions)
-    warmup = int(warmup)
-    if repetitions < 1:
-        raise InvalidParameterError(
-            f"repetitions must be >= 1, got {repetitions}"
-        )
-    if warmup < 0:
-        raise InvalidParameterError(f"warmup must be >= 0, got {warmup}")
-    for _ in range(warmup):
-        run()
-    samples = []
-    for _ in range(repetitions):
-        started = time.perf_counter()
-        run()
-        samples.append(time.perf_counter() - started)
-    return samples

@@ -17,9 +17,7 @@ comparisons).
 Drive the sharded query engine (:mod:`repro.engine`)::
 
     python -m repro.cli engine build --output idx.npz --dataset insect \
-        --scale 0.1 --length 100 --shards 4          # frozen by default
-    python -m repro.cli engine build --output idx.npz --no-frozen \
-        --dataset insect                             # dynamic pointer trees
+        --scale 0.1 --length 100 --shards 4          # frozen shards
     python -m repro.cli engine query --index idx.npz --position 250 \
         --epsilon 0.5
     python -m repro.cli engine query --index idx.npz --position 250 --knn 5
@@ -75,7 +73,7 @@ FIGURES = ("fig4", "fig5", "fig6", "fig7", "fig8")
 COMMANDS = (
     ("table1", "table2", "intro", "all")
     + FIGURES
-    + ("engine", "live", "obs", "chaos", "sweep", "lint")
+    + ("engine", "live", "obs", "chaos", "lint")
 )
 
 
@@ -271,15 +269,6 @@ def build_engine_parser() -> argparse.ArgumentParser:
         "256 windows each). Shards build one after another in the "
         "calling thread: more shards buy smaller trees and process "
         "fan-out, not build parallelism",
-    )
-    build.add_argument(
-        "--frozen",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="freeze shards into flat read-optimized arrays after the "
-        "build (identical answers, much faster queries; the archive "
-        "stores the arrays natively). Default: on; pass --no-frozen "
-        "to keep dynamic pointer trees.",
     )
 
     query = commands.add_parser(
@@ -781,97 +770,6 @@ def run_chaos(argv) -> int:
     return 1 if failed else 0
 
 
-def build_sweep_parser() -> argparse.ArgumentParser:
-    """Parser for the ``sweep`` subcommands (statistical benchmark
-    sweeps over :mod:`repro.sweep`)."""
-    parser = argparse.ArgumentParser(
-        prog="repro-twin sweep",
-        description="Run parameter-grid benchmark sweeps with "
-        "per-scenario observability signals, render sweep reports, and "
-        "gate fresh runs against committed baselines.",
-    )
-    commands = parser.add_subparsers(dest="sweep_command", required=True)
-
-    run = commands.add_parser(
-        "run", help="execute a sweep and write the JSON artifact"
-    )
-    run.add_argument(
-        "--smoke", action="store_true",
-        help="the tiny CI grid instead of the full-scale one",
-    )
-    run.add_argument(
-        "--output", default="BENCH_sweep.json",
-        help="artifact path (default: BENCH_sweep.json)",
-    )
-    run.add_argument(
-        "--repetitions", type=int, default=None,
-        help="override the spec's timed repetitions per scenario",
-    )
-    run.add_argument(
-        "--warmup", type=int, default=None,
-        help="override the spec's un-timed warmup replays per scenario",
-    )
-    run.add_argument("--seed", type=int, default=7)
-
-    report = commands.add_parser(
-        "report", help="render a sweep artifact as markdown"
-    )
-    report.add_argument("artifact", help="path to a BENCH_sweep.json")
-
-    compare = commands.add_parser(
-        "compare",
-        help="gate a sweep artifact against a baseline (exit 1 on "
-        "regression)",
-    )
-    compare.add_argument("current", help="freshly generated artifact")
-    compare.add_argument("baseline", help="committed baseline artifact")
-    compare.add_argument(
-        "--threshold-scale", type=float, default=1.0,
-        help="multiply every per-metric threshold (default: 1.0)",
-    )
-    return parser
-
-
-def run_sweep_cli(argv) -> int:
-    """Execute one ``sweep`` subcommand; returns an exit code
-    (``compare`` exits non-zero on a regression verdict)."""
-    from . import sweep
-    from .bench.record import read_artifact
-    from .exceptions import ReproError
-
-    args = build_sweep_parser().parse_args(argv)
-    try:
-        if args.sweep_command == "run":
-            spec = (
-                sweep.smoke_spec(seed=args.seed)
-                if args.smoke
-                else sweep.full_spec(seed=args.seed)
-            )
-            def progress(index, total, scenario_id):
-                print(f"[{index + 1}/{total}] {scenario_id}", flush=True)
-            result = sweep.run_sweep(
-                spec,
-                repetitions=args.repetitions,
-                warmup=args.warmup,
-                progress=progress,
-            )
-            sweep.write_report(args.output, result, seed=args.seed)
-            print(f"wrote {args.output} ({result['scenario_count']} scenarios)")
-            return 0
-        if args.sweep_command == "report":
-            print(sweep.render_markdown(sweep.load_report(args.artifact)))
-            return 0
-        comparison = sweep.compare_artifacts(
-            read_artifact(args.current),
-            read_artifact(args.baseline),
-            threshold_scale=args.threshold_scale,
-        )
-        print(sweep.render_compare(comparison))
-        return 0 if comparison["passed"] else 1
-    except ReproError as exc:
-        raise SystemExit(f"error: {exc}") from exc
-
-
 def build_lint_parser() -> argparse.ArgumentParser:
     """Parser for the ``lint`` command (project-invariant static
     analysis over :mod:`repro.lint`)."""
@@ -965,7 +863,6 @@ def _run_engine(argv) -> int:
             args.length,
             normalization=args.normalization,
             shards=args.shards,
-            frozen=args.frozen,
         )
         save_index(engine, args.output, format=args.format)
         build = engine.build_stats
@@ -1007,12 +904,10 @@ def main(argv=None) -> int:
         return run_obs(argv[1:])
     if argv and argv[0] == "chaos":
         return run_chaos(argv[1:])
-    if argv and argv[0] == "sweep":
-        return run_sweep_cli(argv[1:])
     if argv and argv[0] == "lint":
         return run_lint_cli(argv[1:])
     args = build_parser().parse_args(argv)
-    if args.command in ("engine", "live", "obs", "chaos", "sweep", "lint"):
+    if args.command in ("engine", "live", "obs", "chaos", "lint"):
         # Reached only when the subsystem word was not the first
         # argument (main dispatches argv[0] before this parser runs).
         raise SystemExit(

@@ -38,7 +38,6 @@ from .verification import (
     verify,
     verify_intervals,
     verify_positions,
-    verify_positions_blocked,
     verify_positions_per_candidate,
 )
 from .windows import WindowSource
@@ -77,7 +76,6 @@ __all__ = [
     "verify",
     "verify_intervals",
     "verify_positions",
-    "verify_positions_blocked",
     "verify_positions_per_candidate",
     "znormalize",
     "znormalize_window",

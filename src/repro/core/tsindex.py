@@ -573,7 +573,7 @@ class TSIndex:
         check_mode(verification)
         query = self._prepare_query(query)
         stats = QueryStats()
-        candidates = self._collect_candidates(query, epsilon, stats)
+        candidates = self.collect_varlength_candidates(query, epsilon, stats)
         return verify(
             self._source, query, candidates, epsilon,
             mode=verification, stats=stats,
@@ -636,7 +636,9 @@ class TSIndex:
         self, query: np.ndarray, epsilon: float, stats: QueryStats
     ) -> np.ndarray:
         """Algorithm 1's traversal with the Eq. 2 bound restricted to
-        the first ``query.size`` timestamps of every node envelope.
+        the first ``query.size`` timestamps of every node envelope
+        (all of them for a full-length query: :meth:`search`'s own
+        traversal).
 
         Returns unverified candidate window positions (tail positions
         excluded) — the fan-out hook the composite planes (sharded,
@@ -808,45 +810,6 @@ class TSIndex:
         upper, lower = node.child_envelopes()
         outside = np.maximum(query - upper, lower - query).max(axis=1)
         return np.maximum(outside, 0.0)
-
-    def _collect_candidates(
-        self, query: np.ndarray, epsilon: float, stats: QueryStats
-    ) -> np.ndarray:
-        """Algorithm 1's traversal, accumulating leaf candidates."""
-        if self._root is None:
-            return np.empty(0, dtype=POSITION_DTYPE)
-
-        collected: list[np.ndarray] = []
-        root = self._root
-        stats.nodes_visited += 1
-        if root.mbts.distance_to_sequence(query) > epsilon:
-            stats.nodes_pruned += 1
-            return np.empty(0, dtype=POSITION_DTYPE)
-        if root.is_leaf:
-            stats.leaves_accessed += 1
-            return np.asarray(root.positions, dtype=POSITION_DTYPE)
-
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            upper, lower = node.child_envelopes()
-            outside = np.maximum(query - upper, lower - query).max(axis=1)
-            stats.nodes_visited += len(node.children)
-            for child_index, child in enumerate(node.children):
-                if outside[child_index] > epsilon:
-                    stats.nodes_pruned += 1
-                    continue
-                if child.is_leaf:
-                    stats.leaves_accessed += 1
-                    collected.append(
-                        np.asarray(child.positions, dtype=POSITION_DTYPE)
-                    )
-                else:
-                    stack.append(child)
-
-        if not collected:
-            return np.empty(0, dtype=POSITION_DTYPE)
-        return np.concatenate(collected)
 
     # ------------------------------------------------------------------
     # k-NN twin search (extension; best-first with the Eq. 2 bound)

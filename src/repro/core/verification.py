@@ -12,7 +12,6 @@ twins. Three interchangeable strategies are provided:
   compacts the still-alive candidates, so the window matrix of the
   candidates it rejects is never built. At :data:`GATHER_BELOW`
   survivors the outstanding timestamps are finished in one small gather.
-  :func:`verify_positions_blocked` names the same kernel.
 * :func:`verify_positions_per_candidate` — one check per candidate, the
   paper's cost model.
 * :func:`verify_intervals` — verifies contiguous position runs directly
@@ -57,12 +56,11 @@ GATHER_BELOW = 256
 
 #: Verification strategies accepted by every method's ``search``:
 #: ``bulk`` — the streaming early-abandoning kernel (the default);
-#: ``blocked`` — the same kernel under its historical name;
 #: ``per_candidate`` — one check per candidate, the paper's cost model
 #: (their data lived on disk and each candidate was fetched by random
 #: access, so verification cost scaled with the candidate count; the
 #: benchmark harness uses this mode to reproduce the paper's figures).
-VERIFICATION_MODES = ("bulk", "blocked", "per_candidate")
+VERIFICATION_MODES = ("bulk", "per_candidate")
 
 
 def check_mode(mode: str) -> str:
@@ -179,26 +177,6 @@ def _stream(
                 means = means[keep]
                 stds = stds[keep]
     return alive, running
-
-
-def verify_positions_blocked(
-    source: WindowSource,
-    query: np.ndarray,
-    positions: npt.ArrayLike,
-    epsilon: float,
-    *,
-    stats: QueryStats | None = None,
-    chunk_size: int = STREAM_CHUNK,
-    block_size: int = 16,
-) -> SearchResult:
-    """:func:`verify_positions` under its historical name.
-
-    The streaming kernel abandons after every timestamp, so
-    ``block_size`` has nothing left to tune; it is accepted and ignored.
-    """
-    return verify_positions(
-        source, query, positions, epsilon, stats=stats, chunk_size=chunk_size
-    )
 
 
 def verify_intervals(

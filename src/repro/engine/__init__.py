@@ -6,7 +6,7 @@ subsystem turns that into a query-serving engine:
 * :class:`ShardedTSIndex` — partitions a series into overlapping chunks
   (overlap ``length - 1``, so no window is lost), builds one TS-Index
   per shard, one after another (frozen into flat
-  :class:`~repro.core.frozen.FrozenTSIndex` arrays by default), and
+  :class:`~repro.core.frozen.FrozenTSIndex` arrays), and
   fans ``search`` / ``knn`` / ``search_batch`` out across the shards
   with exact result merging;
 * :class:`QueryCache` — a thread-safe LRU over (query digest, ε,

@@ -259,8 +259,7 @@ class QueryEngine:
         """Build and register a query plane (see
         :meth:`IndexRegistry.build`; the default ``method="sharded"``
         builds a fan-out sharded index with shards frozen into flat
-        read-optimized arrays unless ``frozen=False`` is passed, and
-        any registered plane name — ``"sweepline"``, ``"kvindex"``,
+        read-optimized arrays, and any registered plane name — ``"sweepline"``, ``"kvindex"``,
         ``"isax"``, ``"tsindex"``, ``"frozen"``, ``"live"`` — builds
         through the same factory).
 

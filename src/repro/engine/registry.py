@@ -79,7 +79,6 @@ class IndexRegistry:
         normalization: Any = Normalization.GLOBAL,
         shards: int | None = None,
         params: TSIndexParams | None = None,
-        frozen: bool = True,
         overwrite: bool = False,
         **method_options: Any,
     ) -> SubsequenceIndex:
@@ -87,14 +86,13 @@ class IndexRegistry:
 
         The default ``method="sharded"`` builds a fan-out
         :class:`ShardedTSIndex` (shards frozen into flat read-optimized
-        arrays unless ``frozen=False``); any other registered plane
-        name — paper method or extended plane — builds through
+        arrays); any other registered plane name — paper method or
+        extended plane — builds through
         :func:`~repro.indices.base.create_method` with
-        ``method_options`` forwarded. The sharded-only parameters
-        (``shards``/``frozen``) are rejected for other
-        methods rather than silently ignored. Refuses to clobber an
-        existing name unless ``overwrite=True`` (rebuilding a live
-        index should be a deliberate act).
+        ``method_options`` forwarded. The sharded-only ``shards`` is
+        rejected for other methods rather than silently ignored.
+        Refuses to clobber an existing name unless ``overwrite=True``
+        (rebuilding a live index should be a deliberate act).
         """
         name = self._check_name(name)
         if not overwrite and name in self._engines:
@@ -108,23 +106,13 @@ class IndexRegistry:
                 normalization=normalization,
                 shards=shards,
                 params=params,
-                frozen=frozen,
                 **method_options,
             )
         else:
-            sharded_only = {
-                "shards": (shards, None),
-                "frozen": (frozen, True),
-            }
-            misapplied = [
-                key
-                for key, (value, default) in sharded_only.items()
-                if value != default
-            ]
-            if misapplied:
+            if shards is not None:
                 raise InvalidParameterError(
-                    f"{', '.join(misapplied)} only apply to "
-                    f"method='sharded', not method={method!r}"
+                    f"shards only applies to method='sharded', "
+                    f"not method={method!r}"
                 )
             if params is not None:
                 method_options["params"] = params
@@ -311,7 +299,6 @@ class IndexRegistry:
             "length": engine.length,
             "normalization": engine.source.normalization.value,
             "shards": engine.shard_count,
-            "frozen": engine.frozen,
             "nodes": build.nodes,
             "splits": build.splits,
             "build_seconds": round(build.seconds, 4),

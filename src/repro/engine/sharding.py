@@ -23,13 +23,12 @@ in the calling thread too, unless the caller passes a pool (see the
 ``executor`` arguments) — worth it for a deadline (``timeout=``) or a
 process pool, not for thread parallelism.
 
-By default shard trees are **frozen** after construction (see
-:class:`~repro.core.frozen.FrozenTSIndex`): each shard becomes a flat
+Shard trees are **frozen** as soon as they are built (see
+:class:`~repro.core.frozen.FrozenTSIndex`): each shard is a flat
 structure-of-arrays query plane with vectorized frontier traversal —
 byte-identical answers, much lower per-query latency, and a batched
 ``search_batch`` path in which all queries share one traversal per
-shard. Pass ``frozen=False`` to keep dynamic pointer trees (e.g. when
-shards must keep accepting inserts).
+shard.
 """
 
 from __future__ import annotations
@@ -76,9 +75,9 @@ MIN_SHARD_WINDOWS = 256
 
 #: Below this many total windows, frozen per-shard *batched* traversal
 #: is slower than the plain per-query loop (its fixed per-level setup
-#: outweighs the shared work on small trees — see
-#: ``benchmarks/bench_frozen_traversal.py``), so ``search_batch`` only
-#: auto-selects it for larger indexes.
+#: outweighs the shared work on small trees — compare twinbench's
+#: ``core.frozen.batch_ms_per_query`` with ``core.frozen.search_ms_p50``),
+#: so ``search_batch`` only auto-selects it for larger indexes.
 BATCHED_MIN_WINDOWS = 50_000
 
 
@@ -167,7 +166,7 @@ class ShardedTSIndex(SubsequenceIndex):
         self,
         source: WindowSource,
         starts: list[int],
-        shards: list[TSIndex | FrozenTSIndex],
+        shards: list[FrozenTSIndex],
         params: TSIndexParams,
     ):
         self._source = source
@@ -188,22 +187,17 @@ class ShardedTSIndex(SubsequenceIndex):
         normalization: Any = Normalization.GLOBAL,
         shards: int | None = None,
         params: TSIndexParams | None = None,
-        frozen: bool = True,
     ) -> "ShardedTSIndex":
         """Build shard trees over all ``length``-windows of ``series``.
 
         ``shards`` defaults to :func:`default_shard_count`; shard trees
         build one after another in the calling thread (see
-        :meth:`from_source`). With ``frozen=True`` (the default) each
-        shard is frozen into a flat
+        :meth:`from_source`), and each is frozen into a flat
         :class:`~repro.core.frozen.FrozenTSIndex` as soon as it is
-        built — identical answers, faster serving; pass ``frozen=False``
-        to keep dynamic pointer trees.
+        built.
         """
         source = WindowSource(series, length, normalization)
-        return cls.from_source(
-            source, shards=shards, params=params, frozen=frozen
-        )
+        return cls.from_source(source, shards=shards, params=params)
 
     @classmethod
     def from_source(
@@ -212,7 +206,6 @@ class ShardedTSIndex(SubsequenceIndex):
         *,
         shards: int | None = None,
         params: TSIndexParams | None = None,
-        frozen: bool = True,
     ) -> "ShardedTSIndex":
         """Build from a prepared monolithic window source.
 
@@ -220,42 +213,25 @@ class ShardedTSIndex(SubsequenceIndex):
         holds the GIL between NumPy calls too small to release it for
         long, so no thread count ever beat one (12.2–16.8 s threaded
         against 5.7–6.6 s here for 60 000 windows in 2 shards on 2
-        cores). Frozen builds also keep one pointer tree alive at a
-        time.
+        cores). Freezing each shard as it finishes also keeps one
+        pointer tree alive at a time.
         """
         if shards is None:
             shards = default_shard_count(source.count)
         spans = shard_spans(source.count, shards)
         params = params or TSIndexParams()
-
-        def build_one(shard_source: WindowSource) -> TSIndex | FrozenTSIndex:
-            tree = TSIndex.from_source(shard_source, params=params)
-            return tree.freeze() if frozen else tree
-
-        trees = [build_one(source.shard(start, stop)) for start, stop in spans]
+        trees = [
+            TSIndex.from_source(source.shard(start, stop), params=params).freeze()
+            for start, stop in spans
+        ]
         return cls(source, [start for start, _ in spans], trees, params)
-
-    def freeze(self) -> "ShardedTSIndex":
-        """A copy of this engine with every shard frozen (no-op view of
-        already-frozen shards; dynamic shards are snapshotted)."""
-        if self.frozen:
-            return self
-        return ShardedTSIndex(
-            self._source,
-            list(self._starts),
-            [
-                tree if isinstance(tree, FrozenTSIndex) else tree.freeze()
-                for tree in self._shards
-            ],
-            self._params,
-        )
 
     @classmethod
     def _from_prebuilt(
         cls,
         source: WindowSource,
         starts: list[int],
-        shards: list[TSIndex],
+        shards: list[FrozenTSIndex],
         params: TSIndexParams,
     ) -> "ShardedTSIndex":
         """Internal hook used by the persistence layer."""
@@ -324,16 +300,9 @@ class ShardedTSIndex(SubsequenceIndex):
         return len(self._shards)
 
     @property
-    def shards(self) -> tuple[TSIndex | FrozenTSIndex, ...]:
-        """The per-span shard trees (read-only view)."""
+    def shards(self) -> tuple[FrozenTSIndex, ...]:
+        """The per-span frozen shard trees (read-only view)."""
         return tuple(self._shards)
-
-    @property
-    def frozen(self) -> bool:
-        """True when every shard is a frozen (flat-array) index."""
-        return all(
-            isinstance(tree, FrozenTSIndex) for tree in self._shards
-        )
 
     @property
     def spans(self) -> list[tuple[int, int]]:
@@ -360,7 +329,7 @@ class ShardedTSIndex(SubsequenceIndex):
     def __repr__(self) -> str:
         return (
             f"ShardedTSIndex(windows={self.size}, length={self.length}, "
-            f"shards={self.shard_count}, frozen={self.frozen})"
+            f"shards={self.shard_count})"
         )
 
     def shard_stats(self) -> list[dict]:
@@ -375,7 +344,6 @@ class ShardedTSIndex(SubsequenceIndex):
                     "nodes": tree.node_count,
                     "splits": tree.build_stats.splits,
                     "build_seconds": round(tree.build_stats.seconds, 4),
-                    "frozen": isinstance(tree, FrozenTSIndex),
                 }
             )
         return rows
@@ -536,16 +504,16 @@ class ShardedTSIndex(SubsequenceIndex):
         With ``executor`` the *queries* fan out across the pool (each
         query then walks its shards serially — the profitable split for
         workloads of many small queries, and it avoids nested-pool
-        deadlock); without one the batch runs serially. When every shard
-        is frozen, no executor is supplied and the index is large
-        enough (:data:`BATCHED_MIN_WINDOWS`; on smaller trees the
-        shared traversal's fixed setup costs more than it saves), each
+        deadlock); without one the batch runs serially. When no
+        executor is supplied and the index is large enough
+        (:data:`BATCHED_MIN_WINDOWS`; on smaller trees the shared
+        traversal's fixed setup costs more than it saves), each
         shard answers the whole workload with one batched traversal
         (:meth:`FrozenTSIndex.search_batch
         <repro.core.frozen.FrozenTSIndex.search_batch>`) — identical
         results, fewer NumPy dispatches. ``batched=False`` forces the
         per-query loop; ``batched=True`` forces the shared traversal and
-        raises if it cannot run (dynamic shards, or an executor).
+        raises if it cannot run (an executor was passed).
         Result order always matches the input order. Workloads holding
         any query shorter than ``l`` dispatch to the pipeline's
         per-query loop (mixed lengths supported).
@@ -580,19 +548,12 @@ class ShardedTSIndex(SubsequenceIndex):
                 executor is None
                 and len(queries) > 1
                 and self.size >= BATCHED_MIN_WINDOWS
-                and self.frozen
             )
-        elif batched:
-            if executor is not None:
-                raise InvalidParameterError(
-                    "batched=True runs each shard's whole workload in "
-                    "one traversal and cannot fan out on an executor"
-                )
-            if not self.frozen:
-                raise InvalidParameterError(
-                    "batched=True requires frozen shards (build with "
-                    "frozen=True, the default, or call freeze())"
-                )
+        elif batched and executor is not None:
+            raise InvalidParameterError(
+                "batched=True runs each shard's whole workload in "
+                "one traversal and cannot fan out on an executor"
+            )
         if batched and queries:
             per_shard = [
                 tree.search_batch(queries, epsilon, **search_options)

@@ -9,8 +9,7 @@ Two layers:
   ``times``) and error classes (I/O error, ENOSPC, torn write,
   simulated crash). Disarmed sites cost one empty-dict check.
 * :mod:`repro.faults.chaos` — the kill-and-recover harness driven by
-  ``benchmarks/bench_chaos.py`` and the ``repro chaos`` CLI: crash loops
-  mid-seal/mid-compaction under bursty ingest, disk-full and torn-write
+  the ``repro chaos`` CLI: crash loops mid-seal/mid-compaction under bursty ingest, disk-full and torn-write
   storms, byte-exactness asserted against a from-scratch oracle after
   every recovery. Imported lazily (``import repro.faults.chaos``) so the
   failpoint layer stays dependency-free.

@@ -16,8 +16,8 @@ recovery contract after every incident:
   torn writes, transient I/O errors) — failed appends surface as typed
   :class:`~repro.exceptions.StorageError`\\ s and later appends succeed.
 
-``benchmarks/bench_chaos.py`` and the ``repro chaos`` CLI subcommand are
-thin drivers over :func:`run_kill_recover` and :func:`run_storm`.
+The ``repro chaos`` CLI subcommand is a thin driver over
+:func:`run_kill_recover` and :func:`run_storm`.
 
 This module is imported lazily (``import repro.faults.chaos``) — it
 pulls in :mod:`repro.live` and :mod:`repro.core`, so importing it from

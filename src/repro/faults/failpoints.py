@@ -3,11 +3,9 @@
 The storage and fan-out layers call :func:`failpoint` at every durability
 and distribution edge (``"wal.append"``, ``"manifest.commit"``,
 ``"shard.search"``, ...). In production nothing is armed and the call is
-a single dict lookup on an empty module-global — the disarmed overhead
-gate in ``benchmarks/bench_chaos.py`` holds it to <= 1% of the hot
-single-query path. Tests and the chaos harness arm sites with
-deterministic triggers and let the *real* recovery code run against the
-injected failure.
+a single dict lookup on an empty module-global. Tests and the chaos
+harness arm sites with deterministic triggers and let the *real*
+recovery code run against the injected failure.
 
 Arming::
 

@@ -137,6 +137,11 @@ _metrics = HandleCache(
         "seals": registry.counter(
             "repro_live_seals_total", "Delta seals performed."
         ),
+        "seal_failures": registry.counter(
+            "repro_live_seal_failures_total",
+            "Threshold seals that raised; the delta stays in memory "
+            "and the next append retries.",
+        ),
         "compaction_seconds": registry.histogram(
             "repro_live_compaction_seconds",
             "Adjacent-segment merge duration, in seconds.",
@@ -295,6 +300,8 @@ class LiveTwinIndex(SubsequenceIndex):
         self._source: WindowSource | None = None  # lint: guarded-by(_lock)
         self._mutations = 0  # lint: guarded-by(_lock)
         self._seals = 0  # lint: guarded-by(_lock)
+        self._seal_failures = 0  # lint: guarded-by(_lock)
+        self._last_seal_error: Exception | None = None  # lint: guarded-by(_lock)
         self._compactions = 0  # lint: guarded-by(_lock)
         self._closed = False  # lint: guarded-by(_lock)
         self._quarantined: tuple[str, ...] = ()  # lint: guarded-by(_lock)
@@ -765,6 +772,12 @@ class LiveTwinIndex(SubsequenceIndex):
                 "delta_windows": self._delta_count,
                 "seal_threshold": self._seal_threshold,
                 "seals": self._seals,
+                "seal_failures": self._seal_failures,
+                "last_seal_error": (
+                    repr(self._last_seal_error)
+                    if self._last_seal_error
+                    else None
+                ),
                 "compactions": self._compactions,
                 "mutations": self._mutations,
                 "durable": self._directory is not None,
@@ -796,7 +809,10 @@ class LiveTwinIndex(SubsequenceIndex):
         The journal write (durable planes) happens *before* any
         in-memory mutation, so a crash mid-append loses at most the
         un-journaled batch. May seal the delta and schedule background
-        compaction on the way out.
+        compaction on the way out; once the batch is journaled the
+        append has succeeded, so a seal that fails is accounted like a
+        failed compaction (log, ``stats()["seal_failures"]``) and
+        retried by the next append, not raised.
         """
         readings = _coerce_readings(readings, allow_empty=False)
         metrics = _metrics()
@@ -982,20 +998,38 @@ class LiveTwinIndex(SubsequenceIndex):
         )
         self._stats_count = count
 
-    def _absorb(self, previous_windows: int) -> int:
+    def _absorb(self, previous_windows: int) -> int:  # lint: holds(_lock) called with the plane lock held
         """Index every window completed since ``previous_windows``,
-        sealing whenever the delta crosses the threshold."""
+        sealing whenever the delta crosses the threshold.
+
+        Every window is inserted whatever a seal does: ``_size`` has
+        already advanced, so a batch cut short would leave positions the
+        next append never revisits. A seal that raises leaves the delta
+        (or, past the in-memory hand-over, the new segment) answering
+        for its windows; it is counted and left to the next append —
+        not retried on every remaining window of this batch. A
+        :class:`~repro.exceptions.SimulatedCrashError` is not an
+        ``Exception`` and passes through.
+        """
         if self._size < self._length:
             return 0
         self._refresh_source()
         total = self._source.count
+        sealing = self._seal_threshold is not None
         for position in range(previous_windows, total):
             self._insert_window(position)
-            if (
-                self._seal_threshold is not None
-                and self._delta_count >= self._seal_threshold
-            ):
-                self._seal_locked()
+            if sealing and self._delta_count >= self._seal_threshold:
+                try:
+                    self._seal_locked()
+                except Exception as exc:
+                    sealing = False
+                    self._seal_failures += 1
+                    self._last_seal_error = exc
+                    _metrics()["seal_failures"].inc()
+                    _log.error(
+                        "seal failed with %d windows in the delta (the "
+                        "next append retries): %r", self._delta_count, exc,
+                    )
         return total - previous_windows
 
     def _insert_window(self, position: int) -> None:  # lint: holds(_lock) called with the plane lock held
@@ -1041,6 +1075,7 @@ class LiveTwinIndex(SubsequenceIndex):
                 self._wal.rewrite(
                     start=stop, values=self._buffer[stop : self._size]
                 )
+        self._last_seal_error = None
         metrics["seals"].inc()
         metrics["lag"].set(self._size - self._delta_start)
         _log.info(

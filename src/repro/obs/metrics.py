@@ -26,9 +26,8 @@ Instrumentation can be turned off wholesale: :data:`NULL_REGISTRY`
 implements the same surface with shared no-op metric objects — one
 attribute lookup and one call per would-be update, nothing recorded.
 ``set_default_registry(NULL_REGISTRY)`` disables every library-level
-metric in the process; the overhead benchmark
-(``benchmarks/bench_obs_overhead.py``) gates the enabled-vs-disabled
-difference on the hot query path.
+metric in the process; twinbench's ``obs.overhead_pct`` probe measures
+the enabled-vs-disabled difference on the hot query path.
 
 All counters are exact under concurrency: every update takes the
 metric's lock (plain ``+=`` on a Python int is a read-modify-write and

@@ -627,21 +627,14 @@ def _dump_sharded(engine, *, raw: bool = False) -> dict:
     shard_meta = []
     payload: dict = {"series": engine.source.series.values}
     for i, ((start, stop), tree) in enumerate(zip(engine.spans, engine.shards)):
-        if isinstance(tree, FrozenTSIndex):
-            arrays = tree.raw_arrays() if raw else tree.arrays()
-            frozen = True
-        else:
-            if tree._root is None:
-                raise SerializationError("cannot serialize an empty shard tree")
-            arrays = _flatten_tree(tree._root)
-            frozen = False
+        arrays = tree.raw_arrays() if raw else tree.arrays()
         for key, value in arrays.items():
             payload[f"s{i}_{key}"] = value
         shard_meta.append(
             {
                 "start": start,
                 "stop": stop,
-                "frozen": frozen,
+                "frozen": True,
                 "build_stats": dataclasses.asdict(tree.build_stats),
             }
         )
@@ -664,7 +657,7 @@ def _load_sharded(meta: dict, data: dict):
     source = _source_from(meta, data)
     params = TSIndexParams(**meta["params"])
     starts: list[int] = []
-    trees: list[TSIndex | FrozenTSIndex] = []
+    trees: list[FrozenTSIndex] = []
     for i, shard in enumerate(meta["shards"]):
         start, stop = int(shard["start"]), int(shard["stop"])
         shard_source = source.shard(start, stop)
@@ -687,11 +680,13 @@ def _load_sharded(meta: dict, data: dict):
                 )
             )
         else:
+            # An archive written when shards could stay pointer trees:
+            # rebuild the tree, then freeze it as a build does today.
             root = _tree_from_arrays(data, prefix=f"s{i}_")
             trees.append(
                 TSIndex._from_prebuilt_root(
                     shard_source, root, params, build_stats
-                )
+                ).freeze()
             )
         starts.append(start)
     return ShardedTSIndex._from_prebuilt(source, starts, trees, params)

@@ -12,7 +12,6 @@ from repro.core.tsindex import TSIndex, TSIndexParams
 from repro.core.verification import (
     verify_intervals,
     verify_positions,
-    verify_positions_blocked,
     verify_positions_per_candidate,
 )
 from repro.core.windows import WindowSource
@@ -77,8 +76,8 @@ class TestMethodsIncludeBoundary:
 class TestVerifiersIncludeBoundary:
     @pytest.mark.parametrize(
         "verifier",
-        [verify_positions, verify_positions_blocked, verify_positions_per_candidate],
-        ids=["bulk", "blocked", "per_candidate"],
+        [verify_positions, verify_positions_per_candidate],
+        ids=["bulk", "per_candidate"],
     )
     def test_position_verifiers(self, boundary_setup, verifier):
         source, query = boundary_setup

@@ -108,7 +108,7 @@ class TestSearchEquivalence:
                 assert np.array_equal(expected.distances, actual.distances)
                 assert actual.stats.matches == expected.stats.matches
 
-    @pytest.mark.parametrize("verification", ["bulk", "blocked", "per_candidate"])
+    @pytest.mark.parametrize("verification", ["bulk", "per_candidate"])
     def test_search_equivalent_under_every_verification_mode(self, verification):
         series = _series(5)
         mono = TSIndex.build(series, 40, normalization="global", params=PARAMS)

@@ -155,6 +155,78 @@ class TestWalFaults:
         recovered.close()
 
 
+def assert_six_modes_exact(live, stream):
+    """Every query mode of the plane equals a from-scratch index over
+    the same readings."""
+    values = np.asarray(live.values)
+    assert np.array_equal(values, stream[: values.size])
+    oracle = TSIndex.build(values, length=LENGTH, normalization="none")
+    epsilon = 0.4 * float(np.std(values))
+    queries = [np.array(values[p:p + LENGTH]) for p in (7, 120, values.size - LENGTH)]
+    for query in queries:
+        for got, want in (
+            (live.search(query, epsilon), oracle.search(query, epsilon)),
+            (live.search(query[:9], epsilon), oracle.search(query[:9], epsilon)),
+            (live.knn(query, 7), oracle.knn(query, 7)),
+        ):
+            assert np.array_equal(got.positions, want.positions)
+            assert np.array_equal(got.distances, want.distances)
+        assert live.count(query, epsilon) == oracle.count(query, epsilon)
+        assert live.exists(query, 0.0) and oracle.exists(query, 0.0)
+        assert live.exists(query + 1e6, epsilon) == oracle.exists(query + 1e6, epsilon)
+    got = live.search_batch(queries, epsilon)
+    want = oracle.search_batch(queries, epsilon)
+    for mine, theirs in zip(got.results, want.results):
+        assert np.array_equal(mine.positions, theirs.positions)
+        assert np.array_equal(mine.distances, theirs.distances)
+
+
+class TestSealFailure:
+    def test_one_failed_seal_does_not_wedge_the_plane(self, tmp_path):
+        """An I/O error writing a sealed segment's archive, mid-batch:
+        the readings are journaled and indexable, so the append
+        succeeds and indexes the whole batch; the failure is counted,
+        and the next append seals the oversized delta."""
+        path = tmp_path / "live"
+        stream = np.cumsum(np.random.default_rng(3).normal(size=400))
+        live = LiveTwinIndex.create(
+            str(path), length=LENGTH, seal_threshold=SEAL,
+            background_compaction=False,
+        )
+        live.append(stream[:100])
+        assert (live.seal_count, live.delta_windows) == (1, 37)
+
+        failpoints.arm("segment.write", error="io", times=1)
+        assert live.append(stream[100:157]) == 57  # crosses the threshold
+        assert (live.seal_count, live.delta_windows) == (1, 37 + 57)
+        stats = live.stats()
+        assert stats["seal_failures"] == 1
+        assert "segment write failed" in stats["last_seal_error"]
+        assert_six_modes_exact(live, stream)
+
+        for lo in range(157, 400, 81):  # the first of these re-seals
+            live.append(stream[lo:lo + 81])
+        assert live.seal_count >= 3
+        stats = live.stats()
+        assert stats["seal_failures"] == 1
+        assert stats["last_seal_error"] is None
+        assert_six_modes_exact(live, stream)
+        segments = [(s.start, s.stop, s.file) for s in live.segments]
+        live.close()
+
+        recovered = LiveTwinIndex.recover(path, background_compaction=False)
+        assert np.array_equal(np.asarray(recovered.values), stream)
+        assert [(s.start, s.stop, s.file) for s in recovered.segments] == segments
+        assert_six_modes_exact(recovered, stream)
+        recovered.close()
+
+    def test_crash_during_seal_still_propagates(self):
+        live = LiveTwinIndex(length=LENGTH, seal_threshold=SEAL)
+        with failpoints.armed("live.seal", crash=True):
+            with pytest.raises(SimulatedCrashError):
+                live.append(np.arange(100.0))
+
+
 class TestDoubleRecovery:
     def test_recover_recover_is_bitwise_idempotent(self, tmp_path):
         path = tmp_path / "live"

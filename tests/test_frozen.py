@@ -198,7 +198,7 @@ class TestEquivalence:
         dynamic, frozen = pair
         rng = np.random.default_rng(8)
         (query,) = _queries(dynamic.source, rng, count=3)[:1]
-        for mode in ("bulk", "blocked", "per_candidate"):
+        for mode in ("bulk", "per_candidate"):
             _assert_result_equal(
                 dynamic.search(query, 0.4, verification=mode),
                 frozen.search(query, 0.4, verification=mode),
@@ -343,12 +343,10 @@ class TestPersistence:
         engine = ShardedTSIndex.build(
             values, LENGTH, normalization="global", shards=3, params=PARAMS
         )
-        assert engine.frozen
         path = tmp_path / "engine.npz"
         save_index(engine, path)
         restored = load_index(path)
         assert isinstance(restored, ShardedTSIndex)
-        assert restored.frozen
         assert all(
             isinstance(tree, FrozenTSIndex) for tree in restored.shards
         )
@@ -358,41 +356,54 @@ class TestPersistence:
                 restored.search(query, epsilon), engine.search(query, epsilon)
             )
 
-    def test_sharded_dynamic_round_trip_stays_dynamic(self, tmp_path, values):
-        engine = ShardedTSIndex.build(
-            values, LENGTH, normalization="global", shards=2,
-            params=PARAMS, frozen=False,
-        )
-        assert not engine.frozen
-        path = tmp_path / "engine.npz"
-        save_index(engine, path)
+    def test_pointer_shard_archive_loads_frozen(self):
+        """``tests/data/sharded_pointer_shards.npz`` was written by the
+        last commit whose ``ShardedTSIndex.build`` took ``frozen=False``
+        (700-point seed-17 random walk, l = 24, 2 shards, μc/Mc = 4/10).
+        Its pointer shards freeze on load into the very arrays freezing
+        those trees gives."""
+        import pathlib
+
+        path = pathlib.Path(__file__).parent / "data" / "sharded_pointer_shards.npz"
         restored = load_index(path)
-        assert not restored.frozen
-        assert all(isinstance(tree, TSIndex) for tree in restored.shards)
+        assert isinstance(restored, ShardedTSIndex)
+        assert all(isinstance(tree, FrozenTSIndex) for tree in restored.shards)
+        series = np.cumsum(np.random.default_rng(17).normal(size=700))
+        rebuilt = ShardedTSIndex.build(
+            series, 24, normalization="global", shards=2, params=PARAMS
+        )
+        assert restored.spans == rebuilt.spans
+        for loaded, built in zip(restored.shards, rebuilt.shards):
+            for field in ARRAY_FIELDS:
+                assert np.array_equal(
+                    loaded.arrays()[field], built.arrays()[field]
+                )
+        query = np.array(rebuilt.source.window_block(123, 124)[0])
+        for epsilon in (0.0, 0.4):
+            _assert_result_equal(
+                restored.search(query, epsilon), rebuilt.search(query, epsilon)
+            )
 
 
 class TestShardedFrozen:
     @pytest.fixture(scope="class")
-    def trio(self, values):
-        """(monolithic dynamic, frozen sharded, dynamic sharded)."""
+    def engines(self, values):
+        """(monolithic dynamic, sharded)."""
         source = WindowSource(values, LENGTH, Normalization.GLOBAL)
         mono = TSIndex.from_source(source, params=PARAMS)
         frozen_engine = ShardedTSIndex.from_source(
             source, shards=4, params=PARAMS
         )
-        dynamic_engine = ShardedTSIndex.from_source(
-            source, shards=4, params=PARAMS, frozen=False
+        return mono, frozen_engine
+
+    def test_default_build_is_frozen(self, engines):
+        _, frozen_engine = engines
+        assert all(
+            isinstance(tree, FrozenTSIndex) for tree in frozen_engine.shards
         )
-        return mono, frozen_engine, dynamic_engine
 
-    def test_default_build_is_frozen(self, trio):
-        _, frozen_engine, dynamic_engine = trio
-        assert frozen_engine.frozen
-        assert not dynamic_engine.frozen
-        assert all(row["frozen"] for row in frozen_engine.shard_stats())
-
-    def test_search_matches_monolithic(self, trio):
-        mono, frozen_engine, _ = trio
+    def test_search_matches_monolithic(self, engines):
+        mono, frozen_engine = engines
         rng = np.random.default_rng(41)
         for query in _queries(mono.source, rng, count=9):
             for epsilon in (0.0, 0.3, 1.0):
@@ -402,8 +413,8 @@ class TestShardedFrozen:
                     stats=False,
                 )
 
-    def test_knn_matches_monolithic(self, trio):
-        mono, frozen_engine, _ = trio
+    def test_knn_matches_monolithic(self, engines):
+        mono, frozen_engine = engines
         rng = np.random.default_rng(42)
         for query in _queries(mono.source, rng, count=6):
             for k in (1, 9):
@@ -413,45 +424,31 @@ class TestShardedFrozen:
                     stats=False,
                 )
 
-    def test_batched_path_matches_per_query(self, trio):
-        _, frozen_engine, dynamic_engine = trio
+    def test_batched_path_matches_per_query(self, engines):
+        _, frozen_engine = engines
         rng = np.random.default_rng(43)
         queries = _queries(frozen_engine.source, rng, count=8)
         # batched=True forces the shared-traversal path (the auto gate
         # only engages it on large indexes).
         batched = frozen_engine.search_batch(queries, 0.4, batched=True)
-        looped = dynamic_engine.search_batch(queries, 0.4)
+        looped = frozen_engine.search_batch(queries, 0.4, batched=False)
         assert len(batched) == len(looped)
         for fast, slow in zip(batched.results, looped.results):
             _assert_result_equal(fast, slow)
         assert batched.stats.as_dict() == looped.stats.as_dict()
 
-    def test_batched_true_fails_loudly_when_unusable(self, trio):
+    def test_batched_true_fails_loudly_when_unusable(self, engines):
         import concurrent.futures
 
         from repro.exceptions import InvalidParameterError
 
-        _, frozen_engine, dynamic_engine = trio
+        _, frozen_engine = engines
         queries = [np.array(frozen_engine.source.window_block(5, 6)[0])]
-        with pytest.raises(InvalidParameterError):
-            dynamic_engine.search_batch(queries, 0.4, batched=True)
         with concurrent.futures.ThreadPoolExecutor(2) as pool:
             with pytest.raises(InvalidParameterError):
                 frozen_engine.search_batch(
                     queries, 0.4, batched=True, executor=pool
                 )
-
-    def test_freeze_method(self, trio):
-        _, frozen_engine, dynamic_engine = trio
-        assert frozen_engine.freeze() is frozen_engine
-        refrozen = dynamic_engine.freeze()
-        assert refrozen.frozen
-        query = np.array(dynamic_engine.source.window_block(55, 56)[0])
-        _assert_result_equal(
-            refrozen.search(query, 0.4),
-            dynamic_engine.search(query, 0.4),
-            stats=False,
-        )
 
 
 class TestFactoryAndCLI:
@@ -461,16 +458,18 @@ class TestFactoryAndCLI:
         )
         assert isinstance(method, FrozenTSIndex)
 
-    def test_engine_build_frozen_flag(self, tmp_path, capsys):
+    def test_engine_build_freezes_shards(self, tmp_path, capsys):
         from repro import cli
 
-        for flag, expect in (("--frozen", True), ("--no-frozen", False)):
-            path = tmp_path / f"{expect}.npz"
-            code = cli.main([
-                "engine", "build", "--output", str(path),
-                "--dataset", "insect", "--scale", "0.02",
-                "--length", "50", "--shards", "2", flag,
-            ])
-            assert code == 0
-            assert load_index(path).frozen is expect
+        path = tmp_path / "engine.npz"
+        code = cli.main([
+            "engine", "build", "--output", str(path),
+            "--dataset", "insect", "--scale", "0.02",
+            "--length", "50", "--shards", "2",
+        ])
+        assert code == 0
+        assert all(
+            isinstance(tree, FrozenTSIndex)
+            for tree in load_index(path).shards
+        )
         capsys.readouterr()

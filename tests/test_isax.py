@@ -123,9 +123,8 @@ class TestSearch:
     def test_verification_modes_agree(self, isax_global, query_of):
         query = query_of(222)
         reference = isax_global.search(query, 0.5)
-        for mode in ("blocked", "per_candidate"):
-            other = isax_global.search(query, 0.5, verification=mode)
-            assert np.array_equal(other.positions, reference.positions)
+        other = isax_global.search(query, 0.5, verification="per_candidate")
+        assert np.array_equal(other.positions, reference.positions)
 
     def test_pruning_happens(self, isax_global, query_of):
         stats = isax_global.search(query_of(100), 0.1).stats

@@ -115,9 +115,8 @@ class TestSearch:
     def test_verification_modes_agree(self, kvindex_global, query_of):
         query = query_of(123)
         reference = kvindex_global.search(query, 0.5)
-        for mode in ("blocked", "per_candidate"):
-            other = kvindex_global.search(query, 0.5, verification=mode)
-            assert np.array_equal(other.positions, reference.positions)
+        other = kvindex_global.search(query, 0.5, verification="per_candidate")
+        assert np.array_equal(other.positions, reference.positions)
 
     def test_raw_regime(self, series_values, query_of):
         source = WindowSource(series_values, LENGTH, "none")

@@ -332,8 +332,8 @@ class TestBenchWrites:
     CHECKS = ["bench-writes"]
 
     def test_direct_open_flagged(self):
-        code = 'f = open("BENCH_sweep.json", "w")\n'
-        report = violations({"sweep/report.py": code}, self.CHECKS)
+        code = 'f = open("BENCH_scaling.json", "w")\n'
+        report = violations({"bench/reporting.py": code}, self.CHECKS)
         assert lines_of(report) == [1]
         assert "write_artifact" in report.violations[0].message
 
@@ -343,12 +343,12 @@ class TestBenchWrites:
         assert lines_of(report) == [1]
 
     def test_envelope_module_allowed(self):
-        code = 'f = open("BENCH_sweep.json", "w")\n'
+        code = 'f = open("BENCH_scaling.json", "w")\n'
         assert violations({"bench/record.py": code}, self.CHECKS).ok
 
     def test_default_argument_mention_tolerated(self):
         # argparse defaults *name* the artifact; they don't write it.
-        code = 'parser.add_argument("--output", default="BENCH_sweep.json")\n'
+        code = 'parser.add_argument("--output", default="BENCH_scaling.json")\n'
         assert violations({"cli.py": code}, self.CHECKS).ok
 
 
@@ -579,11 +579,11 @@ class TestToolConfig:
 
     def test_mypy_strict_tier_covers_the_serving_packages(self, pyproject):
         files = pyproject["tool"]["mypy"]["files"]
-        assert {f"src/repro/{pkg}" for pkg in ("query", "obs", "faults", "sweep")} <= set(files)
+        assert {f"src/repro/{pkg}" for pkg in ("query", "obs", "faults")} <= set(files)
         overrides = pyproject["tool"]["mypy"]["overrides"]
         strict = [o for o in overrides if o.get("disallow_untyped_defs")]
         modules = {m for o in strict for m in o["module"]}
-        assert {"repro.query.*", "repro.obs.*", "repro.faults.*", "repro.sweep.*"} <= modules
+        assert {"repro.query.*", "repro.obs.*", "repro.faults.*"} <= modules
 
     @pytest.mark.skipif(shutil.which("ruff") is None, reason="ruff not installed")
     def test_ruff_clean(self):

@@ -104,8 +104,8 @@ class TestFailureSemantics:
 
     def test_search_options_reach_every_part(self):
         first, second = FakeIndex([0]), FakeIndex([0])
-        _fakes(first, second).search(QUERY, 0.1, verification="blocked")
-        assert first.calls == second.calls == [("search", {"verification": "blocked"})]
+        _fakes(first, second).search(QUERY, 0.1, verification="per_candidate")
+        assert first.calls == second.calls == [("search", {"verification": "per_candidate"})]
 
     @pytest.mark.parametrize("mode", ["search", "count", "knn", "exists"])
     def test_raising_part_is_named_in_every_mode(self, mode):

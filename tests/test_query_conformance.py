@@ -280,7 +280,7 @@ class TestEngineBuildsEveryPlane:
             if name == "live":
                 plane.close()
 
-    @pytest.mark.parametrize("option", [{"shards": 2}, {"frozen": False}])
+    @pytest.mark.parametrize("option", [{"shards": 2}])
     def test_sharded_only_options_rejected_elsewhere(self, option):
         from repro.exceptions import InvalidParameterError
 

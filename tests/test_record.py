@@ -1,9 +1,18 @@
-"""Tests for the EXPERIMENTS.md record generator."""
+"""Tests for the benchmark artifact envelope, the EXPERIMENTS.md record
+generator, and the README's benchmark catalog."""
+
+import json
+import pathlib
+import re
+import subprocess
 
 import pytest
 
 from repro.bench import experiments as exp
 from repro.bench import record
+from repro.exceptions import InvalidParameterError
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -65,3 +74,50 @@ class TestCli:
         )
         assert code == 0
         assert "Measured results" in capsys.readouterr().out
+
+
+class TestArtifactEnvelope:
+    def test_write_round_trip(self, tmp_path):
+        path = tmp_path / "BENCH_demo.json"
+        payload = record.write_artifact(
+            path, {"section": {"ms": 1.5}}, kind="demo", seed=3
+        )
+        assert json.loads(path.read_text()) == payload
+        assert payload["schema"] == record.ARTIFACT_SCHEMA
+        assert payload["kind"] == "demo"
+        assert payload["meta"]["seed"] == 3
+        assert "cpu_count" in payload["meta"]
+        assert payload["section"] == {"ms": 1.5}
+
+    def test_reserved_keys_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            record.make_artifact({"meta": {}}, kind="demo")
+
+
+class TestBenchmarkCatalog:
+    """The README's what-stays table is the catalog of ``benchmarks/``:
+    it cannot name a script that is gone, miss one that exists, or sit
+    beside a committed ``BENCH_*.json``."""
+
+    def test_readme_table_matches_the_benchmarks_directory(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `(benchmarks/bench_\w+\.py)` \|", readme, re.M)
+        on_disk = sorted(
+            f"benchmarks/{path.name}"
+            for path in (ROOT / "benchmarks").glob("bench_*.py")
+        )
+        assert sorted(rows) == on_disk
+        assert (ROOT / "benchmarks" / "twinbench" / "run.py").exists()
+
+    def test_no_benchmark_artifact_is_committed(self):
+        # A local ``bench_scaling.py`` run leaves a git-ignored
+        # BENCH_scaling.json behind; only tracked files count (outside a
+        # git checkout, any file at the root does).
+        try:
+            tracked = subprocess.run(
+                ["git", "ls-files", "BENCH_*.json"],
+                cwd=ROOT, capture_output=True, text=True, check=True, timeout=30,
+            ).stdout.split()
+        except (OSError, subprocess.SubprocessError):
+            tracked = [path.name for path in ROOT.glob("BENCH_*.json")]
+        assert tracked == []

@@ -51,9 +51,8 @@ class TestSearch:
     def test_verification_modes_agree(self, sweepline_global, query_of):
         query = query_of(55)
         reference = sweepline_global.search(query, 0.6)
-        for mode in ("blocked", "per_candidate"):
-            other = sweepline_global.search(query, 0.6, verification=mode)
-            assert np.array_equal(other.positions, reference.positions)
+        other = sweepline_global.search(query, 0.6, verification="per_candidate")
+        assert np.array_equal(other.positions, reference.positions)
 
     def test_negative_epsilon(self, sweepline_global, query_of):
         with pytest.raises(InvalidParameterError):

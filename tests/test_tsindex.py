@@ -100,9 +100,8 @@ class TestQueries:
     def test_verification_modes_identical(self, tsindex_global, query_of):
         query = query_of(321)
         reference = tsindex_global.search(query, 0.7)
-        for mode in ("blocked", "per_candidate"):
-            other = tsindex_global.search(query, 0.7, verification=mode)
-            assert np.array_equal(other.positions, reference.positions)
+        other = tsindex_global.search(query, 0.7, verification="per_candidate")
+        assert np.array_equal(other.positions, reference.positions)
 
     def test_count_matches_search(self, tsindex_global, query_of):
         query = query_of(99)

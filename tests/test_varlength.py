@@ -121,15 +121,11 @@ class TestBlockBoundedVerification:
         bulk = tsindex_global.search_varlength(
             query, 0.6, verification="bulk"
         )
-        blocked = tsindex_global.search_varlength(
-            query, 0.6, verification="blocked"
-        )
         per_candidate = tsindex_global.search_varlength(
             query, 0.6, verification="per_candidate"
         )
-        for other in (blocked, per_candidate):
-            assert np.array_equal(bulk.positions, other.positions)
-            assert np.array_equal(bulk.distances, other.distances)
+        assert np.array_equal(bulk.positions, per_candidate.positions)
+        assert np.array_equal(bulk.distances, per_candidate.distances)
 
     def test_routes_through_chunked_verifier(self, monkeypatch, series_values):
         """Even with every window a candidate, verification goes through

@@ -13,12 +13,9 @@ from repro.core.verification import (
     verify,
     verify_intervals,
     verify_positions,
-    verify_positions_blocked,
     verify_positions_per_candidate,
 )
 from repro.exceptions import InvalidParameterError
-
-from conftest import LENGTH
 
 
 @pytest.fixture()
@@ -43,28 +40,26 @@ def _run(strategy, source, query, positions, epsilon):
         positions = np.arange(source.count)
     if strategy == "bulk":
         return verify_positions(source, query, positions, epsilon)
-    if strategy == "blocked":
-        return verify_positions_blocked(source, query, positions, epsilon)
     return verify_positions_per_candidate(source, query, positions, epsilon)
 
 
 class TestStrategiesAgree:
     @pytest.mark.parametrize(
-        "strategy", ["bulk", "blocked", "per_candidate", "intervals"]
+        "strategy", ["bulk", "per_candidate", "intervals"]
     )
     def test_full_scan_matches_naive(self, source_global, ground_truth, strategy):
         query, epsilon, expected = ground_truth
         result = _run(strategy, source_global, query, ALL_POSITIONS, epsilon)
         assert result.positions.tolist() == expected
 
-    @pytest.mark.parametrize("strategy", ["bulk", "blocked", "per_candidate"])
+    @pytest.mark.parametrize("strategy", ["bulk", "per_candidate"])
     def test_subset_of_positions(self, source_global, ground_truth, strategy):
         query, epsilon, expected = ground_truth
         subset = np.arange(0, source_global.count, 3)
         result = _run(strategy, source_global, query, subset, epsilon)
         assert result.positions.tolist() == [p for p in expected if p % 3 == 0]
 
-    @pytest.mark.parametrize("strategy", ["bulk", "blocked", "per_candidate"])
+    @pytest.mark.parametrize("strategy", ["bulk", "per_candidate"])
     def test_empty_candidates(self, source_global, ground_truth, strategy):
         query, epsilon, _ = ground_truth
         result = _run(strategy, source_global, query, np.array([], dtype=int), epsilon)
@@ -78,10 +73,9 @@ class TestStrategiesAgree:
             reference = verify_positions(
                 source, query, np.arange(source.count), epsilon
             )
-            for strategy in ("blocked", "per_candidate"):
-                other = _run(strategy, source, query, ALL_POSITIONS, epsilon)
-                assert np.array_equal(other.positions, reference.positions)
-                assert np.allclose(other.distances, reference.distances)
+            other = _run("per_candidate", source, query, ALL_POSITIONS, epsilon)
+            assert np.array_equal(other.positions, reference.positions)
+            assert np.allclose(other.distances, reference.distances)
 
 
 class TestDistances:
@@ -168,18 +162,6 @@ class TestDispatch:
         query, _, _ = ground_truth
         with pytest.raises(InvalidParameterError):
             verify_positions(source_global, query, [0], -1.0)
-
-    def test_blocked_various_block_sizes(self, source_global, ground_truth):
-        query, epsilon, expected = ground_truth
-        for block_size in (1, 3, LENGTH, 2 * LENGTH):
-            result = verify_positions_blocked(
-                source_global,
-                query,
-                np.arange(source_global.count),
-                epsilon,
-                block_size=block_size,
-            )
-            assert result.positions.tolist() == expected
 
     def test_small_chunks(self, source_global, ground_truth):
         query, epsilon, expected = ground_truth
