@@ -6,9 +6,10 @@ throughput, because every traversal chases object references and runs
 per-node Python. Freezing converts the finished tree into a
 structure-of-arrays *query plane*:
 
-* ``uppers`` / ``lowers`` — ``(n_nodes, l)`` stacked envelope matrices
-  (rows are node MBTS bounds, in BFS order, root first), stored as
-  float32 rounded *outward* (uppers up, lowers down) — see below;
+* ``uppers`` / ``lowers`` — the ``(n_nodes, l)`` stacked envelope
+  matrices (rows are node MBTS bounds, in BFS order, root first), as
+  float32 rounded *outward* (uppers up, lowers down), each held once,
+  cut into a timestamp-major head and a node-major tail — see below;
 * ``children_offsets`` / ``children`` — a CSR adjacency: node ``i``'s
   children are ``children[children_offsets[i]:children_offsets[i+1]]``;
 * ``leaf_offsets`` / ``positions`` — one contiguous array of all leaf
@@ -17,7 +18,7 @@ structure-of-arrays *query plane*:
 
 Queries then run *level-synchronously*: the Eq. 2 bound of the entire
 frontier against the query (``U >= Q - ε`` and ``L <= Q + ε`` at every
-timestamp) is a few early-abandoning NumPy comparisons per level
+timestamp) is a two-phase pass of a few NumPy comparisons per level
 instead of one Python call per node, and
 :meth:`FrozenTSIndex.search_batch` extends the same idea to a
 ``(query, node)`` pair frontier so many queries share one traversal.
@@ -30,6 +31,36 @@ freeze/load (:func:`~repro.core.mbts.round_up_f32` /
 against them through per-timestamp float32 thresholds rounded outward
 the other way (:func:`_thresholds`) — half the bytes streamed, and two
 compares per element with no arithmetic temporaries.
+
+**Resident layout.** A level's bound check prunes almost every node
+and keeps a few (``twin_sparse``: 9,091 leaf envelopes in, ≈ 290 out),
+and the two outcomes want opposite layouts. *Pruning* wants a few
+timestamps of every node side by side, so that a pruned node costs
+those and not ``l``; *finishing* a survivor wants that node's other
+timestamps side by side. So each bound is cut along the timestamps:
+
+* the **head** — every :data:`_HEAD_STRIDE`-th timestamp (0, 4, 8, ...:
+  spread over the window, because neighbouring timestamps say nearly
+  the same thing) — is a timestamp-major ``(h, n)`` matrix. The sweep
+  over a frontier that is dense in id order reads ``h`` contiguous row
+  slices, a zero-copy view (0.135–0.145 ms for the ``(25, 9,091)`` leaf
+  level); a sparse frontier gathers its columns;
+* the **tail** — the remaining ``l - h`` timestamps, ascending — is a
+  node-major ``(n, l - h)`` matrix: finishing a survivor is one
+  contiguous ≈ 300-byte row read per bound. From whole timestamp-major
+  ``(l, n)`` matrices the same values sat in ``l - h`` different cache
+  lines per survivor and bound — gathering 300 / 600 / 1,200 / 2,000
+  survivors cost 183 / 416 / 777 / 1,136 µs there against 36 / 74 /
+  236 / 481 µs from node-major rows.
+
+Same elements, same float32 values, one copy: ``arrays()`` / ``thaw()``
+/ ``.npz`` archives assemble the whole ``(n, l)`` matrices back, bit
+for bit; raw archives store the parts as they are (see
+:data:`RAW_ARRAY_FIELDS`), and which timestamps went where follows from
+the shapes. A prefix query of length ``m`` uses the timestamps below
+``m``, which are a leading slice of both parts. The constructor is the
+only code that cuts matrices, and ``_head_tail`` the only code that
+says how.
 
 Results are **exactly** those of the pointer tree — same positions,
 same distances, the same deterministic ``(distance, position)`` k-NN
@@ -65,7 +96,6 @@ from .._util import (
     POSITION_DTYPE,
     check_non_negative,
     check_positive_int,
-    iter_chunks,
 )
 from ..exceptions import InvalidParameterError
 from ..query.capabilities import (
@@ -94,29 +124,36 @@ from .windows import WindowSource
 if TYPE_CHECKING:  # runtime import would be circular; tsindex imports us
     from .tsindex import TSIndex, TSIndexParams, _Node
 
-#: Upper bound on the elements of one gathered ``(block, pairs)``
-#: temporary of the batched pair kernel; larger levels are processed in
-#: chunks, so a chunk peaks at four float32 gathers and two boolean
-#: masks — roughly ``_BOUND_CHUNK * 18`` bytes.
-_BOUND_CHUNK = 1 << 20
-
 #: Largest (query, node) pair count a batched level evaluates through
 #: the gathered pair kernel; bigger levels switch to per-query passes
 #: over contiguous envelope spans (less copying, same results).
 _PAIR_KERNEL_LIMIT = 4096
 
-#: Element budget of :meth:`_prune_keep`'s first block, so its width
-#: follows the frontier size: a 9 000-node level is first bounded at
-#: every 4th timestamp (pruned nodes, usually almost all, cost those 25
-#: instead of ``l``), while some 2 600 nodes or fewer take all ``l``
-#: timestamps in one block. 32 K elements (4 timestamps first) answered
-#: a sparse query a quarter faster, but through several rounds of
-#: survivor gathers whose cache-miss latency varied more from run to
-#: run; a wide first block is one contiguous pass. Counted in elements,
-#: not bytes: with float32 envelopes a block streams 2 MiB (1 MiB per
-#: matrix) where float64 streamed 4 — see CHANGES.md (PR 16) for the
-#: re-measurement that kept 256 K.
-_PRUNE_BUDGET = 1 << 18
+#: Every ``_HEAD_STRIDE``-th timestamp (0, 4, 8, ...) of an envelope is
+#: held in the timestamp-major *head*; the others, ascending, in the
+#: node-major *tail* (see the module docstring). Not a setting: strides
+#: 3-8 measured flat on a 9,091-node level, and raw archives are read
+#: back with the stride they were written with.
+_HEAD_STRIDE = 4
+
+#: A frontier covering at least ``1 / _SPAN_FACTOR`` of its id span
+#: takes its head pass over the zero-copy span view; a sparser one
+#: gathers its own columns (:meth:`FrozenTSIndex._frontier_keep`). The
+#: view costs the span, the gather the ids: on a 9,091-id span the view
+#: pass takes 90–125 µs at any density, the ``np.take`` pass 582 µs at
+#: 1×, 232 at 2×, 162 at 5×, 102 at 8×, 71 at 12×, 37 at 20× (fancy
+#: indexing 836 ... 43) — break-even near 8× with hot caches. In
+#: process (twinbench seeds 1–2, 400 queries, 200,000 windows, mean
+#: filter stage in ms, sparse / dense, settings interleaved per query):
+#: 1× 0.77–0.79 / 1.18–1.19, 2× 0.55 / 0.94–0.97, 3× 0.53 / 0.93–0.96,
+#: 5× 0.53 / 0.94–0.97, 8× 0.53 / 0.93–0.97, 12× 0.53–0.54 / 0.93–0.96,
+#: always the view 0.53–0.54 / 0.93–0.96 — flat from 3× up, because
+#: only 18–20 % of sparse leaf-level frontiers (7.5–9 % of dense) are
+#: sparser than 2× and 4–6.5 % (2–3 %) sparser than 5×. The 2× rule
+#: this replaces sent that fifth to the gather. 5 sits on the flat part
+#: and below the break-even; what it guards against is a handful of
+#: ids spanning a level far wider than these.
+_SPAN_FACTOR = 5
 
 #: Widening of the query thresholds, in float64 spacings of
 #: ``|q| + ε``. The verifier admits a window when ``fl(|q - w|) <= ε``,
@@ -128,10 +165,6 @@ _PRUNE_BUDGET = 1 << 18
 #: reading ``w = -1e-17`` verify (``fl(1 + 1e-17) = 1``) against a bare
 #: threshold ``fl(q - ε) = 0 > w``.
 _GUARD_SPACINGS = 4.0
-
-#: Timestamps per early-abandoning block of the batched pair kernel
-#: (:meth:`_pair_keep`).
-_PRUNE_BLOCK = 32
 
 #: Names of the flat arrays a frozen index is made of (the serializer
 #: round-trips exactly this set).
@@ -145,14 +178,17 @@ ARRAY_FIELDS = (
     "positions",
 )
 
-#: The same arrays with the envelopes in their *resident*
-#: timestamp-major ``(l, n)`` layout (``uppers_t`` / ``lowers_t``).
-#: Archives stored this way load zero-copy: :meth:`FrozenTSIndex`
-#: adopts the matrices as-is (memmap views included) instead of
-#: transposing ``(n, l)`` input into fresh private memory.
+#: The same arrays with the envelopes in their *resident* layout: per
+#: bound a timestamp-major ``(h, n)`` head and a node-major
+#: ``(n, l - h)`` tail, ``h = ceil(l / _HEAD_STRIDE)``. Archives stored
+#: this way load zero-copy: :class:`FrozenTSIndex` adopts the matrices
+#: as they are (memmap views included) instead of re-laying ``(n, l)``
+#: input out into fresh private memory.
 RAW_ARRAY_FIELDS = (
-    "uppers_t",
-    "lowers_t",
+    "uppers_head",
+    "uppers_tail",
+    "lowers_head",
+    "lowers_tail",
     "kinds",
     "children_offsets",
     "children",
@@ -182,6 +218,29 @@ def _thresholds(
         round_down_f32(query - epsilon - guard),
         round_up_f32(query + epsilon + guard),
     )
+
+
+def _tail_mask(length: int) -> np.ndarray:
+    """Boolean mask over timestamps ``0 .. length``: the ones *not*
+    sampled into the head."""
+    return np.arange(length) % _HEAD_STRIDE != 0
+
+
+def _head_tail(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split the last axis — timestamps ``0 .. m`` of a query, a
+    threshold vector or an ``(n, m)`` envelope matrix, batches included
+    — into its head part (a strided view) and its tail part. Both keep
+    ascending order, so the parts of a length-``m`` prefix are leading
+    slices of the parts of the full length."""
+    return values[..., ::_HEAD_STRIDE], values[..., _tail_mask(values.shape[-1])]
+
+
+def _part_bound(
+    query: np.ndarray, upper: np.ndarray, lower: np.ndarray
+) -> np.ndarray:
+    """Clamped Eq. 2 bound over one part: ``max(q - U, L - q, 0)`` along
+    the last axis (0 for an empty part), broadcasting."""
+    return np.maximum(query - upper, lower - query).max(axis=-1, initial=0.0)
 
 
 def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -244,16 +303,16 @@ class FrozenTSIndex:
         "_params",
         "_build_stats",
         "_freeze_seconds",
-        "_uppers",
-        "_lowers",
+        "_upper_head",
+        "_upper_tail",
+        "_lower_head",
+        "_lower_tail",
         "_kinds",
         "_children_offsets",
         "_children",
         "_leaf_offsets",
         "_positions",
         "_bfs_layout",
-        "_uppers_t",
-        "_lowers_t",
     )
 
     def __init__(
@@ -270,24 +329,33 @@ class FrozenTSIndex:
         self._build_stats = build_stats
         self._freeze_seconds = float(freeze_seconds)
 
-        # Envelopes arrive timestamp-major (raw archives, ``raw_arrays``)
-        # or node-major (``from_tree``, npz archives, ``arrays``), as
-        # float32 (already rounded: adopted as they are — for a
-        # contiguous memmap that is zero-copy, which is what makes mmap
-        # cold starts O(1) in the envelope size) or as float64 (a tree
-        # being frozen, an archive written before the envelopes were
-        # float32: rounded outward here, once).
-        if "uppers_t" in arrays:
-            uppers_t = round_up_f32(arrays["uppers_t"])
-            lowers_t = round_down_f32(arrays["lowers_t"])
-        else:
-            uppers_t = round_up_f32(arrays["uppers"]).T
-            lowers_t = round_down_f32(arrays["lowers"]).T
-        # The resident form is the contiguous ``(l, n)`` matrix (see
-        # below); a no-op for what raw archives and ``raw_arrays`` hand
-        # over, one float32 transpose for node-major input.
-        uppers_t = np.ascontiguousarray(uppers_t)
-        lowers_t = np.ascontiguousarray(lowers_t)
+        # Envelopes arrive in the resident head/tail layout (raw
+        # archives, ``raw_arrays``: adopted as they are — for a
+        # contiguous float32 memmap that is zero-copy, which is what
+        # makes mmap cold starts O(1) in the envelope size), or as whole
+        # matrices — ``(n, l)`` ``uppers`` / ``lowers`` (``from_tree``,
+        # npz archives, ``arrays``) or the ``(l, n)`` ``uppers_t`` /
+        # ``lowers_t`` that raw archives carried before this layout —
+        # which are re-laid-out here, once. Float64 input (a tree being
+        # frozen, an archive written before the envelopes were float32)
+        # is rounded outward on the same occasion.
+        # One bound at a time: the rounded whole matrix of the first is
+        # released before the second's exists.
+        parts = []
+        for name, rounded in (("uppers", round_up_f32), ("lowers", round_down_f32)):
+            if f"{name}_head" in arrays:
+                head = rounded(arrays[f"{name}_head"])
+                tail = rounded(arrays[f"{name}_tail"])
+            else:
+                if f"{name}_t" in arrays:
+                    matrix = arrays[f"{name}_t"].T
+                else:
+                    matrix = arrays[name]
+                head, tail = _head_tail(rounded(matrix))
+                head = head.T
+            head, tail = np.ascontiguousarray(head), np.ascontiguousarray(tail)
+            parts += [head, tail]
+        upper_head, upper_tail, lower_head, lower_tail = parts
         kinds = np.ascontiguousarray(arrays["kinds"], dtype=np.int8)
         children_offsets = np.ascontiguousarray(
             arrays["children_offsets"], dtype=np.int64
@@ -302,10 +370,19 @@ class FrozenTSIndex:
 
         n = kinds.size
         length = source.length
-        if uppers_t.shape != (length, n) or lowers_t.shape != (length, n):
+        # The sampled timestamps follow from the shapes alone, so an
+        # archive needs no record of them.
+        head = -(-length // _HEAD_STRIDE)
+        shapes = ((head, n), (n, length - head))
+        if (upper_head.shape, upper_tail.shape) != shapes or (
+            lower_head.shape,
+            lower_tail.shape,
+        ) != shapes:
             raise InvalidParameterError(
-                f"envelope matrices must be ({n}, {length}), got "
-                f"{uppers_t.shape[::-1]} and {lowers_t.shape[::-1]}"
+                f"envelope matrices must cover ({n}, {length}) as a "
+                f"{shapes[0]} head and a {shapes[1]} tail, got "
+                f"{upper_head.shape} + {upper_tail.shape} and "
+                f"{lower_head.shape} + {lower_tail.shape}"
             )
         if children_offsets.shape != (n + 1,):
             raise InvalidParameterError(
@@ -363,18 +440,14 @@ class FrozenTSIndex:
         self._children = _read_only(children)
         self._leaf_offsets = _read_only(leaf_offsets)
         self._positions = _read_only(positions)
-        # The envelopes are stored timestamp-major: the pruning kernels
-        # consume a few timestamps of every node at a time, and on a
-        # row-major layout those touch the same cache lines as the full
-        # matrix, so early abandoning would save ALU work but no memory
-        # traffic. In the contiguous ``(l, n)`` matrices each timestamp
-        # is one contiguous row; the row-major ``(n, l)`` form
-        # (serialization, thaw, per-node reads) is exposed as their
-        # transposed views — one resident copy of the envelopes, not two.
-        self._uppers_t = _read_only(uppers_t)
-        self._lowers_t = _read_only(lowers_t)
-        self._uppers = self._uppers_t.T
-        self._lowers = self._lowers_t.T
+        # Each bound is held once, in two parts (see the module
+        # docstring): the sweep over a frontier reads the head, one
+        # contiguous row per sampled timestamp, and a node that
+        # survives it is finished from its own contiguous tail row.
+        self._upper_head = _read_only(upper_head)
+        self._upper_tail = _read_only(upper_tail)
+        self._lower_head = _read_only(lower_head)
+        self._lower_tail = _read_only(lower_tail)
         # In the canonical BFS layout every node except the root is the
         # child of exactly one earlier node, appended in visit order, so
         # the adjacency values are just 1..n-1 and each node's children
@@ -420,7 +493,7 @@ class FrozenTSIndex:
                 order.extend(node.children)
 
         # One array construction per matrix (the constructor rounds them
-        # to float32 and transposes); ``np.array`` over the row list is
+        # to float32 and cuts them); ``np.array`` over the row list is
         # four times faster here than ``np.stack``, which wraps every
         # row first.
         n = len(order)
@@ -517,8 +590,9 @@ class FrozenTSIndex:
                 dataclasses.replace(self._build_stats),
             )
         nodes: list[_Node] = []
+        uppers, lowers = self._envelope_matrices()
         for i in range(n):
-            mbts = MBTS(self._uppers[i], self._lowers[i])
+            mbts = MBTS(uppers[i], lowers[i])
             if self._kinds[i] == 1:
                 start, stop = self._leaf_offsets[i], self._leaf_offsets[i + 1]
                 nodes.append(
@@ -542,11 +616,30 @@ class FrozenTSIndex:
             dataclasses.replace(self._build_stats),
         )
 
+    def _envelope_matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(n, l)`` upper and lower envelope matrices, assembled
+        from the resident parts (fresh read-only arrays)."""
+        rest = _tail_mask(self.length)
+        matrices = []
+        for head, tail in (
+            (self._upper_head, self._upper_tail),
+            (self._lower_head, self._lower_tail),
+        ):
+            matrix = np.empty((self.node_count, self.length), ENVELOPE_DTYPE)
+            matrix[:, ::_HEAD_STRIDE] = head.T
+            matrix[:, rest] = tail
+            matrices.append(_read_only(matrix))
+        return matrices[0], matrices[1]
+
     def arrays(self) -> dict:
-        """The flat arrays (read-only views; see :data:`ARRAY_FIELDS`)."""
+        """The flat arrays, envelopes as whole ``(n, l)`` matrices
+        (read-only; see :data:`ARRAY_FIELDS`). The matrices are
+        assembled per call — the serialization / ``thaw`` form, not a
+        query path."""
+        uppers, lowers = self._envelope_matrices()
         return {
-            "uppers": self._uppers,
-            "lowers": self._lowers,
+            "uppers": uppers,
+            "lowers": lowers,
             "kinds": self._kinds,
             "children_offsets": self._children_offsets,
             "children": self._children,
@@ -556,13 +649,15 @@ class FrozenTSIndex:
 
     def raw_arrays(self) -> dict:
         """The flat arrays with the envelopes in their resident
-        timestamp-major layout (see :data:`RAW_ARRAY_FIELDS`) — the
-        zero-copy serialization form: no transposes on save, and
+        head/tail layout (see :data:`RAW_ARRAY_FIELDS`) — the zero-copy
+        serialization form: nothing is re-laid-out on save, and
         :meth:`from_arrays` adopts them (memmaps included) without
         copying on load."""
         return {
-            "uppers_t": self._uppers_t,
-            "lowers_t": self._lowers_t,
+            "uppers_head": self._upper_head,
+            "uppers_tail": self._upper_tail,
+            "lowers_head": self._lower_head,
+            "lowers_tail": self._lower_tail,
             "kinds": self._kinds,
             "children_offsets": self._children_offsets,
             "children": self._children,
@@ -634,9 +729,10 @@ class FrozenTSIndex:
     # ------------------------------------------------------------------
     # Vectorized primitives over the flat arrays
     # ------------------------------------------------------------------
-    def _node_bound(self, query: np.ndarray, node: int) -> float:
-        """(Clamped) Eq. 2 bound of ``query`` against one node's stored
-        envelope, in float64 (the float32 row is promoted).
+    def _node_bound(self, query: np.ndarray, node: int) -> np.ndarray:
+        """(Clamped) Eq. 2 bound of ``query`` — or of every row of a
+        ``(q, m)`` query matrix — against one node's stored envelope,
+        in float64 (the float32 values are promoted).
 
         The stored envelope covers the exact one and float64
         subtraction rounds monotonically, so for every window ``w``
@@ -644,152 +740,117 @@ class FrozenTSIndex:
         a lower bound of the very number the verifier computes, with
         no guard needed (the root check and the k-NN queue rely on it).
 
-        Evaluated over the first ``query.size`` timestamps, so a
-        shorter (prefix) query bounds against the envelope prefix — for
-        full-length queries the slice is the whole row.
+        Evaluated over the query's own ``m`` timestamps, so a shorter
+        (prefix) query bounds against the envelope prefix — leading
+        slices of the node's head column and tail row.
         """
-        return max(
-            float(
-                np.max(
-                    np.maximum(
-                        query - self._uppers[node, : query.size],
-                        self._lowers[node, : query.size] - query,
-                    )
-                )
+        head, tail = _head_tail(query)
+        rows, width = head.shape[-1], tail.shape[-1]
+        return np.maximum(
+            _part_bound(
+                head,
+                self._upper_head[:rows, node],
+                self._lower_head[:rows, node],
             ),
-            0.0,
+            _part_bound(
+                tail,
+                self._upper_tail[node, :width],
+                self._lower_tail[node, :width],
+            ),
         )
 
-    @staticmethod
-    def _prune_keep(
-        lo: np.ndarray,
-        hi: np.ndarray,
-        upper_t: np.ndarray,
-        lower_t: np.ndarray,
-        columns: np.ndarray | None = None,
+    def _tail_keep(
+        self, ids: np.ndarray, lo_tail: np.ndarray, hi_tail: np.ndarray
     ) -> np.ndarray:
-        """Boolean keep mask over ``columns`` (default: every column)
-        of timestamp-major ``(l, k)`` envelope matrices: a node is kept
-        when ``U >= lo`` and ``L <= hi`` at every timestamp, ``lo`` /
-        ``hi`` being a query's :func:`_thresholds` — two float32
-        compares and an ``&`` per element, no arithmetic temporaries —
-        via blocked early abandoning.
-
-        Blocks are strided row slices, coarse to fine (rows ``0::s``,
-        ``s/2::s``, ``s/4::s/2``, ... ``1::2``: bit-reversal order), so
-        the first blocks sample the whole window — neighbouring
-        timestamps say nearly the same thing. ``s`` is the power of two
-        that fits the first block into :data:`_PRUNE_BUDGET` elements
-        (1, a single evaluation, for a small frontier). Pruned nodes
-        are dropped between blocks, and as soon as all ``l`` rows of
-        the survivors fit the budget they are finished in one block.
-        Every block is a view, so only the survivors' columns of the
-        current rows are ever gathered.
-        """
-        length, total = upper_t.shape
-        size = count = total if columns is None else columns.size
-        alive = None  # indices into the mask still alive (None: all)
-        picked = columns  # their columns in the matrices (None: all)
-        blocks = -(-count * length // _PRUNE_BUDGET)
-        stride = 1 << min(
-            max(blocks - 1, 0).bit_length(), (length - 1).bit_length()
-        )
-        rows = slice(0, None, stride)
-        while True:
-            upper, lower = upper_t[rows], lower_t[rows]
-            if picked is not None:
-                upper, lower = upper[:, picked], lower[:, picked]
-            inside = upper >= lo[rows, None]
-            inside &= lower <= hi[rows, None]
-            survive = inside.all(axis=0)
-            if stride == 1:
-                if alive is None:
-                    return survive
-                keep = np.zeros(size, dtype=bool)
-                keep[alive[survive]] = True
-                return keep
-            if not survive.all():
-                kept = np.flatnonzero(survive)
-                alive = kept if alive is None else alive[kept]
-                picked = alive if columns is None else picked[kept]
-                count = kept.size
-            if count * length <= _PRUNE_BUDGET:
-                # Re-checking the consumed rows of so few survivors costs
-                # less than another round of dispatches.
-                rows, stride = slice(None), 1
-            else:
-                rows, stride = slice(stride // 2, None, stride), stride // 2
+        """Second phase of the bound check: which of ``ids`` (survivors
+        of a head pass) also hold ``U >= lo`` and ``L <= hi`` at their
+        tail timestamps. One contiguous row read per node and bound;
+        ``lo_tail`` / ``hi_tail`` are one threshold vector, or one row
+        per id, over the first ``m - ceil(m / 4)`` tail columns."""
+        width = lo_tail.shape[-1]
+        inside = np.take(self._upper_tail, ids, axis=0)[:, :width] >= lo_tail
+        inside &= np.take(self._lower_tail, ids, axis=0)[:, :width] <= hi_tail
+        return inside.all(axis=1)
 
     def _frontier_keep(
-        self, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray
+        self,
+        lo: tuple[np.ndarray, np.ndarray],
+        hi: tuple[np.ndarray, np.ndarray],
+        ids: np.ndarray,
     ) -> np.ndarray:
-        """Keep mask for a whole (ascending) frontier of node ids
-        against a query's :func:`_thresholds`.
+        """Keep mask for a whole (ascending) frontier of node ids: a
+        node is kept when ``U >= lo`` and ``L <= hi`` at every
+        timestamp, ``lo`` / ``hi`` being the :func:`_head_tail` parts of
+        a query's :func:`_thresholds` — two float32 compares and an
+        ``&`` per element, no arithmetic temporaries, in two phases.
 
-        Under the BFS layout a dense frontier covers most of a
-        contiguous id span, so the kernel runs over zero-copy column
-        *views* of the timestamp-major matrices (the handful of gap
-        columns are evaluated too, harmlessly); a sparse frontier names
-        its columns and the kernel gathers them a block at a time.
+        The head pass covers the whole frontier at the sampled
+        timestamps, which spread over the window (neighbouring
+        timestamps say nearly the same thing), so a pruned node —
+        usually almost every node — costs a quarter of its timestamps.
+        Under the BFS layout a frontier that is dense in id order is
+        covered by zero-copy column *views* of the head (the gap
+        columns are evaluated too, harmlessly); a sparse one gathers
+        its columns. The survivors are finished by :meth:`_tail_keep`.
 
-        The bound runs over the first ``lo.size`` timestamps — the
-        timestamp-major layout makes the envelope *prefix* a zero-copy
-        leading-row slice, which is what lets a shorter (prefix) query
-        reuse this kernel (and its early abandoning) unchanged.
+        A prefix query of length ``m`` carries shorter parts, and both
+        phases run over the matching leading slices.
         """
-        upper_t = self._uppers_t[: lo.size]
-        lower_t = self._lowers_t[: lo.size]
-        if self._bfs_layout and ids.size > 1:
-            first = int(ids[0])
-            last = int(ids[-1]) + 1
-            if 2 * ids.size >= last - first:
-                span_keep = self._prune_keep(
-                    lo, hi, upper_t[:, first:last], lower_t[:, first:last]
-                )
-                return span_keep[ids - first]
-        return self._prune_keep(lo, hi, upper_t, lower_t, ids)
+        if ids.size == 0:
+            return np.zeros(0, dtype=bool)
+        (lo_head, lo_tail), (hi_head, hi_tail) = lo, hi
+        rows = lo_head.size
+        lo_head, hi_head = lo_head[:, None], hi_head[:, None]
+        first = int(ids[0])
+        span = int(ids[-1]) + 1 - first
+        if self._bfs_layout and span <= _SPAN_FACTOR * ids.size:
+            columns = slice(first, first + span)
+            inside = self._upper_head[:rows, columns] >= lo_head
+            inside &= self._lower_head[:rows, columns] <= hi_head
+            keep = inside.all(axis=0)
+            if span != ids.size:
+                keep = keep[ids - first]
+        else:
+            inside = np.take(self._upper_head[:rows], ids, axis=1) >= lo_head
+            inside &= np.take(self._lower_head[:rows], ids, axis=1) <= hi_head
+            keep = inside.all(axis=0)
+        alive = np.flatnonzero(keep)
+        keep[alive] = self._tail_keep(ids[alive], lo_tail, hi_tail)
+        return keep
 
     def _pair_keep(
         self,
-        lo_t: np.ndarray,
-        hi_t: np.ndarray,
+        lo: tuple[np.ndarray, np.ndarray],
+        hi: tuple[np.ndarray, np.ndarray],
         q_idx: np.ndarray,
         node_idx: np.ndarray,
     ) -> np.ndarray:
         """Keep mask for ``(query, node)`` pairs — the batched frontier
-        bound, early-abandoning over contiguous blocks of
-        :data:`_PRUNE_BLOCK` timestamps. ``lo_t`` / ``hi_t`` are the
-        ``(l, q)`` timestamp-major threshold matrices of the batch;
-        pairs are outer-chunked so gather temporaries stay bounded."""
-        total = q_idx.size
-        keep = np.empty(total, dtype=bool)
-        length = self.length
-        chunk_pairs = max(1, _BOUND_CHUNK // max(1, _PRUNE_BLOCK))
-        for start, stop in iter_chunks(total, chunk_pairs):
-            alive_q = q_idx[start:stop]
-            alive_n = node_idx[start:stop]
-            alive = np.arange(alive_q.size)
-            consumed = 0
-            chunk_keep = np.zeros(alive_q.size, dtype=bool)
-            while consumed < length and alive.size:
-                rows = slice(consumed, consumed + _PRUNE_BLOCK)
-                inside = self._uppers_t[rows, alive_n] >= lo_t[rows, alive_q]
-                inside &= self._lowers_t[rows, alive_n] <= hi_t[rows, alive_q]
-                survive = inside.all(axis=0)
-                consumed = min(consumed + _PRUNE_BLOCK, length)
-                if not survive.all():
-                    alive = alive[survive]
-                    alive_q = alive_q[survive]
-                    alive_n = alive_n[survive]
-            chunk_keep[alive] = True
-            keep[start:stop] = chunk_keep
+        bound, in the same two phases as :meth:`_frontier_keep`, both
+        gathered. ``lo`` / ``hi`` hold the batch's thresholds as a
+        timestamp-major ``(h, q)`` head and a query-major ``(q, l - h)``
+        tail, mirroring the envelope parts."""
+        (lo_head, lo_tail), (hi_head, hi_tail) = lo, hi
+        inside = self._upper_head[:, node_idx] >= lo_head[:, q_idx]
+        inside &= self._lower_head[:, node_idx] <= hi_head[:, q_idx]
+        keep = inside.all(axis=0)
+        alive = np.flatnonzero(keep)
+        queries = q_idx[alive]
+        keep[alive] = self._tail_keep(
+            node_idx[alive], lo_tail[queries], hi_tail[queries]
+        )
         return keep
 
-    def _children_of(self, ids: np.ndarray) -> np.ndarray:
-        """Concatenated child ids of every (internal) node in ``ids``."""
+    def _children_of(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Concatenated child ids of every (internal) node in ``ids``,
+        and how many each node contributed."""
         starts = self._children_offsets[ids]
         counts = self._children_offsets[ids + 1] - starts
-        return self._children[_concat_ranges(starts, counts)]
+        if self._bfs_layout:
+            # The adjacency is ``arange(1, n)``: slot ``i`` names node
+            # ``i + 1``, so the slot ranges *are* the ids, shifted.
+            return _concat_ranges(starts + 1, counts), counts
+        return self._children[_concat_ranges(starts, counts)], counts
 
     def _leaf_positions(self, ids: np.ndarray) -> np.ndarray:
         """Concatenated stored positions of every leaf in ``ids``."""
@@ -802,24 +863,36 @@ class FrozenTSIndex:
             self._leaf_offsets[node]:self._leaf_offsets[node + 1]
         ]
 
-    def _child_block(
-        self, node: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(child_ids, upper_t, lower_t)`` for one internal node —
-        timestamp-major ``(l, fanout)`` envelope matrices, zero-copy
-        views under the BFS layout."""
-        start = self._children_offsets[node]
-        stop = self._children_offsets[node + 1]
-        child_ids = self._children[start:stop]
-        if self._bfs_layout and child_ids.size:
-            lo = int(child_ids[0])
-            hi = lo + child_ids.size
-            return child_ids, self._uppers_t[:, lo:hi], self._lowers_t[:, lo:hi]
-        return (
-            child_ids,
-            self._uppers_t[:, child_ids],
-            self._lowers_t[:, child_ids],
-        )
+    def _child_block(self, node: int) -> tuple[np.ndarray, slice | np.ndarray]:
+        """Child ids of one internal node, and what picks their head
+        columns and tail rows: under the BFS layout the one id range
+        they occupy (zero-copy slices of both parts), otherwise the ids
+        themselves (gathers)."""
+        child_ids = self._children[
+            self._children_offsets[node]:self._children_offsets[node + 1]
+        ]
+        if self._bfs_layout:
+            return child_ids, slice(int(child_ids[0]), int(child_ids[-1]) + 1)
+        return child_ids, child_ids
+
+    def _block_keep(
+        self,
+        lo: tuple[np.ndarray, np.ndarray],
+        hi: tuple[np.ndarray, np.ndarray],
+        picked: slice | np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`_frontier_keep`'s predicate over one
+        :meth:`_child_block`. A node's fan-out is small, so there is
+        nothing to abandon early: both parts are compared in full, and
+        as views that is half the dispatches of the two-phase pass."""
+        (lo_head, lo_tail), (hi_head, hi_tail) = lo, hi
+        inside = self._upper_head[: lo_head.size, picked] >= lo_head[:, None]
+        inside &= self._lower_head[: lo_head.size, picked] <= hi_head[:, None]
+        keep = inside.all(axis=0)
+        inside = self._upper_tail[picked, : lo_tail.size] >= lo_tail
+        inside &= self._lower_tail[picked, : lo_tail.size] <= hi_tail
+        keep &= inside.all(axis=1)
+        return keep
 
     # ------------------------------------------------------------------
     # Threshold search (Algorithm 1, level-synchronous)
@@ -836,8 +909,8 @@ class FrozenTSIndex:
         Same contract (and byte-identical positions and distances) as
         :meth:`TSIndex.search <repro.core.tsindex.TSIndex.search>`, but
         the traversal is level-synchronous: every level bounds the
-        whole surviving frontier against the query in a few
-        early-abandoning comparisons instead of one Python call per
+        whole surviving frontier against the query in one two-phase
+        pass (:meth:`_frontier_keep`) instead of one Python call per
         node. The structural counters equal the pointer tree's unless a
         node's exact bound clears ``epsilon`` by less than the float32
         rounding step of the stored envelopes (it is then visited).
@@ -873,8 +946,8 @@ class FrozenTSIndex:
         Same contract as :meth:`TSIndex.search_varlength
         <repro.core.tsindex.TSIndex.search_varlength>`, executed
         level-synchronously: the whole frontier bounds against the
-        zero-copy ``(m, k)`` leading-row spans of the timestamp-major
-        envelope matrices, reusing the early-abandoning pruning kernel
+        timestamps below ``m`` — leading slices of the envelope heads
+        and tails — through the pruning kernel of :meth:`search`,
         unchanged. ``m == l`` delegates to :meth:`search`.
         """
         return prefix_search_with_tail(
@@ -903,7 +976,7 @@ class FrozenTSIndex:
             stats.nodes_pruned += 1
             return np.empty(0, dtype=POSITION_DTYPE)
 
-        lo, hi = _thresholds(query, epsilon)
+        lo, hi = map(_head_tail, _thresholds(query, epsilon))
         collected: list[np.ndarray] = []
         frontier = np.zeros(1, dtype=np.int64)
         while frontier.size:
@@ -915,7 +988,7 @@ class FrozenTSIndex:
             internal = frontier[~leaf_mask]
             if internal.size == 0:
                 break
-            children = self._children_of(internal)
+            children, _ = self._children_of(internal)
             keep = self._frontier_keep(lo, hi, children)
             stats.nodes_visited += int(children.size)
             stats.nodes_pruned += int(children.size - np.count_nonzero(keep))
@@ -974,14 +1047,15 @@ class FrozenTSIndex:
 
         if nq and self.node_count:
             matrix = np.stack(prepared)
-            lo, hi = _thresholds(matrix, epsilon)
-            lo_t = np.ascontiguousarray(lo.T)
-            hi_t = np.ascontiguousarray(hi.T)
+            (lo_head, lo_tail), (hi_head, hi_tail) = map(
+                _head_tail, _thresholds(matrix, epsilon)
+            )
+            # The pair kernel gathers threshold columns beside envelope
+            # columns, so its head thresholds are timestamp-major too.
+            pair_lo = np.ascontiguousarray(lo_head.T), lo_tail
+            pair_hi = np.ascontiguousarray(hi_head.T), hi_tail
             visited += 1
-            root_bounds = np.maximum(
-                matrix - self._uppers[0], self._lowers[0] - matrix
-            ).max(axis=1)
-            dead = root_bounds > epsilon
+            dead = self._node_bound(matrix, 0) > epsilon
             pruned += dead
             alive = np.flatnonzero(~dead).astype(np.int64)
             leaf_q: list[np.ndarray] = []
@@ -998,16 +1072,16 @@ class FrozenTSIndex:
                 node_idx = node_idx[internal]
                 if q_idx.size == 0:
                     break
-                starts = self._children_offsets[node_idx]
-                counts = self._children_offsets[node_idx + 1] - starts
-                child_nodes = self._children[_concat_ranges(starts, counts)]
+                child_nodes, counts = self._children_of(node_idx)
                 child_q = np.repeat(q_idx, counts)
                 # Two evaluation shapes for the level's (query, node)
                 # pairs: small pair sets amortize best through one
                 # gathered pair kernel; large ones (dense frontiers)
                 # are cheaper per query over contiguous envelope spans.
                 if child_q.size <= _PAIR_KERNEL_LIMIT:
-                    keep = self._pair_keep(lo_t, hi_t, child_q, child_nodes)
+                    keep = self._pair_keep(
+                        pair_lo, pair_hi, child_q, child_nodes
+                    )
                 else:
                     keep = np.empty(child_q.size, dtype=bool)
                     bounds_of = np.searchsorted(
@@ -1019,7 +1093,9 @@ class FrozenTSIndex:
                         )
                         if segment.stop > segment.start:
                             keep[segment] = self._frontier_keep(
-                                lo[qi], hi[qi], child_nodes[segment]
+                                (lo_head[qi], lo_tail[qi]),
+                                (hi_head[qi], hi_tail[qi]),
+                                child_nodes[segment],
                             )
                 visited += np.bincount(child_q, minlength=nq)
                 if not keep.all():
@@ -1099,7 +1175,10 @@ class FrozenTSIndex:
         if self.node_count == 0:
             return SearchResult.empty(stats)
 
-        frontier: list[tuple[float, int]] = [(self._node_bound(query, 0), 0)]
+        frontier: list[tuple[float, int]] = [
+            (float(self._node_bound(query, 0)), 0)
+        ]
+        head, tail = _head_tail(query)
         # Max-heap of the best k ((distance, position) both negated, so
         # ties at the k-th distance resolve to the smallest positions).
         best: list[tuple[float, int]] = []
@@ -1139,16 +1218,23 @@ class FrozenTSIndex:
                 # A node's fan-out is small, so every child is bounded in
                 # full (in float64, see :meth:`_node_bound`) — the bound
                 # is needed as the queue priority anyway.
-                child_ids, upper, lower = self._child_block(node)
-                column = query[:, None]
-                bounds = np.maximum(column - upper, lower - column).max(axis=0)
+                child_ids, picked = self._child_block(node)
+                bounds = np.maximum(
+                    _part_bound(
+                        head,
+                        self._upper_head[:, picked].T,
+                        self._lower_head[:, picked].T,
+                    ),
+                    _part_bound(
+                        tail, self._upper_tail[picked], self._lower_tail[picked]
+                    ),
+                )
                 keep = bounds <= kth()
                 stats.nodes_pruned += int(
                     child_ids.size - np.count_nonzero(keep)
                 )
                 for child_bound, child in zip(
-                    np.maximum(bounds[keep], 0.0).tolist(),
-                    child_ids[keep].tolist(),
+                    bounds[keep].tolist(), child_ids[keep].tolist()
                 ):
                     heapq.heappush(frontier, (child_bound, child))
 
@@ -1196,12 +1282,12 @@ class FrozenTSIndex:
         if self._kinds[0] == 1:
             return self._leaf_has_twin(0, query, epsilon, stats)
 
-        lo, hi = _thresholds(query, epsilon)
+        lo, hi = map(_head_tail, _thresholds(query, epsilon))
         stack = [0]
         while stack:
             node = stack.pop()
-            child_ids, upper, lower = self._child_block(node)
-            keep = self._prune_keep(lo, hi, upper, lower)
+            child_ids, picked = self._child_block(node)
+            keep = self._block_keep(lo, hi, picked)
             stats.nodes_visited += int(child_ids.size)
             for survives, child in zip(keep.tolist(), child_ids.tolist()):
                 if not survives:

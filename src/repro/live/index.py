@@ -586,10 +586,10 @@ class LiveTwinIndex(SubsequenceIndex):
                             detached,
                             params,
                             dataclasses.replace(archive.build_stats),
-                            # Timestamp-major form: the re-sourced
-                            # segment adopts the loaded envelopes
-                            # (mmap views for raw archives) without a
-                            # transpose copy per segment.
+                            # Resident form: the re-sourced segment
+                            # adopts the loaded envelopes (mmap views
+                            # for raw archives) without a re-layout
+                            # copy per segment.
                             archive.raw_arrays(),
                         ),
                         file=file,

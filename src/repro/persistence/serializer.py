@@ -14,8 +14,10 @@ recursion):
   maps the files instead of reading them: cold starts are O(metadata),
   the page cache holds one shared copy of the arrays across every
   process serving the archive, and frozen envelopes are stored in their
-  resident timestamp-major layout so not a single element is copied or
-  transposed on the way in. The directory commits atomically:
+  resident layout (per bound a timestamp-major head and a node-major
+  tail — see :mod:`repro.core.frozen`, which alone knows how they are
+  cut) so not a single element is copied or re-laid-out on the way in.
+  The directory commits atomically:
   ``meta.json`` is written last via tmp-file + fsync + rename (the same
   protocol as the live plane's ``MANIFEST.json``), so a crash
   mid-write leaves a directory without valid metadata — which
@@ -32,11 +34,14 @@ and loading is pure array reads — no node objects are rebuilt and no
 windows are re-inserted. That includes the envelopes' dtype: they are
 written as the outward-rounded float32 the frozen plane holds (both
 containers record each array's dtype, so nothing in the metadata
-changes), and a float32 envelope file is mapped as it is. Archives
-written while the envelopes were still float64 keep loading:
-:class:`~repro.core.frozen.FrozenTSIndex` rounds float64 envelopes
-outward on the way in — into private memory, once — which yields
-exactly the arrays freezing the same tree yields today. Standalone frozen dumps of per-window sources
+changes), and a float32 envelope file is mapped as it is. Older
+archives keep loading, because the loader hands over whichever
+envelope members it finds and :class:`~repro.core.frozen.FrozenTSIndex`
+converts them on the way in — into private memory, once: raw archives
+that hold whole timestamp-major ``uppers_t`` / ``lowers_t`` matrices
+are re-laid-out, and float64 envelopes (either container) are rounded
+outward, which yields exactly the arrays freezing the same tree yields
+today. Standalone frozen dumps of per-window sources
 additionally embed the source's rolling window statistics
 (``win_means`` / ``win_stds``): those are block-computed over the
 *monolithic* series, so an archive of a detached chunk (a live sealed
@@ -414,21 +419,31 @@ def _dump_tsindex(index: TSIndex) -> dict:
     return payload
 
 
+def _frozen_members(data: dict, prefix: str = "") -> dict:
+    """The flat arrays of one frozen tree, under the names the archive
+    holds them by: the resident layout (raw archives — those mmaps are
+    adopted as they are, zero-copy), the ``(n, l)`` matrices (``.npz``)
+    or the ``(l, n)`` ``uppers_t`` / ``lowers_t`` of raw archives
+    written before the head/tail layout. Which it is, and what to do
+    about it, is :class:`FrozenTSIndex`'s business."""
+    fields = dict.fromkeys(
+        RAW_ARRAY_FIELDS + ARRAY_FIELDS + ("uppers_t", "lowers_t")
+    )
+    return {
+        field: data[prefix + field]
+        for field in fields
+        if prefix + field in data
+    }
+
+
 def _load_tsindex(meta: dict, data: dict) -> TSIndex | FrozenTSIndex:
     source = _source_from(meta, data)
     params = TSIndexParams(**meta["params"])
     if meta.get("frozen"):
         # Frozen archives hold the flat arrays natively; loading is
-        # pure array reads — no node objects, no re-insertion. Raw
-        # archives store the envelopes timestamp-major (``uppers_t``):
-        # those views (mmaps) are adopted as-is, zero-copy (float64
-        # ones, from older archives, are rounded to float32 instead).
-        fields = RAW_ARRAY_FIELDS if "uppers_t" in data else ARRAY_FIELDS
+        # pure array reads — no node objects, no re-insertion.
         return FrozenTSIndex.from_arrays(
-            source,
-            params,
-            _build_stats_from(meta),
-            {field: data[field] for field in fields},
+            source, params, _build_stats_from(meta), _frozen_members(data)
         )
     root = _tree_from_arrays(data)
     index = TSIndex._from_prebuilt_root(
@@ -439,8 +454,8 @@ def _load_tsindex(meta: dict, data: dict) -> TSIndex | FrozenTSIndex:
 
 def _dump_frozen(index: FrozenTSIndex, *, raw: bool = False) -> dict:
     """Frozen indexes serialize their flat arrays verbatim (the raw
-    container keeps the envelopes timestamp-major, so neither save nor
-    load ever transposes them)."""
+    container keeps the envelopes in their resident layout, so neither
+    save nor load ever re-lays them out)."""
     payload = {
         "meta": np.asarray(
             _meta_for(
@@ -663,20 +678,12 @@ def _load_sharded(meta: dict, data: dict):
         shard_source = source.shard(start, stop)
         build_stats = BuildStats(**shard.get("build_stats", {}))
         if shard.get("frozen"):
-            fields = (
-                RAW_ARRAY_FIELDS
-                if f"s{i}_uppers_t" in data
-                else ARRAY_FIELDS
-            )
             trees.append(
                 FrozenTSIndex.from_arrays(
                     shard_source,
                     params,
                     build_stats,
-                    {
-                        field: data[f"s{i}_{field}"]
-                        for field in fields
-                    },
+                    _frozen_members(data, prefix=f"s{i}_"),
                 )
             )
         else:

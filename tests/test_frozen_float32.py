@@ -34,6 +34,7 @@ from repro.core.tsindex import TSIndex, TSIndexParams
 from repro.engine import ShardedTSIndex
 from repro.indices.sweepline import SweeplineSearch
 from repro.live import LiveTwinIndex
+from repro.persistence.serializer import _flatten_tree
 
 _ORACLE_FILE = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -108,11 +109,24 @@ class TestOutwardRounding:
     @pytest.mark.parametrize("normalization", ["none", "global", "per_window"])
     def test_thaw_freeze_reproduces_the_arrays(self, normalization):
         series = np.cumsum(np.random.default_rng(5).normal(size=900))
-        frozen = TSIndex.build(series, 24, normalization=normalization).freeze()
+        dynamic = TSIndex.build(series, 24, normalization=normalization)
+        frozen = dynamic.freeze()
         again = frozen.thaw().freeze()
         for field, array in frozen.raw_arrays().items():
             assert again.raw_arrays()[field].dtype == array.dtype
             assert np.array_equal(again.raw_arrays()[field], array), field
+        # ... and ``arrays()`` assembles, whatever the resident layout,
+        # the ``(n, l)`` matrices the plane has exposed since its
+        # envelopes became float32: the tree's exact rows, in BFS
+        # order, rounded outward — bit for bit.
+        exact = _flatten_tree(dynamic._root)
+        for assembled in (frozen.arrays(), again.arrays()):
+            for field, rounded in (
+                ("uppers", round_up_f32(exact["uppers"])),
+                ("lowers", round_down_f32(exact["lowers"])),
+            ):
+                assert assembled[field].dtype == np.float32
+                assert assembled[field].tobytes() == rounded.tobytes(), field
 
 
 # ----------------------------------------------------------------------
@@ -120,9 +134,9 @@ class TestOutwardRounding:
 # ----------------------------------------------------------------------
 def _assert_float32(index: FrozenTSIndex) -> None:
     arrays = index.raw_arrays()
-    assert arrays["uppers_t"].dtype == np.float32
-    assert arrays["lowers_t"].dtype == np.float32
-    assert arrays["uppers_t"].flags.c_contiguous
+    for part in ("uppers_head", "uppers_tail", "lowers_head", "lowers_tail"):
+        assert arrays[part].dtype == np.float32
+        assert arrays[part].flags.c_contiguous
     assert index.arrays()["uppers"].dtype == np.float32
 
 
@@ -209,10 +223,10 @@ def parents_of(index: FrozenTSIndex) -> np.ndarray:
 def assert_twin_paths_survive(index, query, epsilon, twin_positions):
     """Every node on the root-to-leaf path of every twin passes the
     filter kernel (evaluated over all nodes at once)."""
-    lo, hi = frozen_module._thresholds(query, epsilon)
-    keep = FrozenTSIndex._prune_keep(
-        lo, hi, index._uppers_t[: query.size], index._lowers_t[: query.size]
+    lo, hi = map(
+        frozen_module._head_tail, frozen_module._thresholds(query, epsilon)
     )
+    keep = index._frontier_keep(lo, hi, np.arange(index.node_count))
     arrays = index.arrays()
     leaf_of = np.repeat(
         np.arange(index.node_count), np.diff(arrays["leaf_offsets"])
@@ -267,12 +281,14 @@ def check_against_oracle(index, query, epsilon):
         )
 
 
-@pytest.fixture(params=[None, 64], ids=["budget-default", "budget-64"])
+@pytest.fixture(params=[None, 0], ids=["budget-default", "budget-64"])
 def budget(request, monkeypatch):
-    """Also under a tiny element budget, so that trees of a few dozen
-    nodes take the kernel's strided multi-block path."""
+    """Also with ``_SPAN_FACTOR`` at 0, so that every frontier of these
+    small trees gathers its head columns instead of taking the span
+    view. (The ids date from the element budget the kernel had before
+    the head/tail layout; kept so the test names stay comparable.)"""
     if request.param is not None:
-        monkeypatch.setattr(frozen_module, "_PRUNE_BUDGET", request.param)
+        monkeypatch.setattr(frozen_module, "_SPAN_FACTOR", request.param)
 
 
 @pytest.mark.usefixtures("budget")

@@ -37,8 +37,15 @@ from repro.core.windows import WindowSource
 
 
 def tree_digest(index: TSIndex) -> str:
+    """Over the structure arrays and the whole envelope matrices in
+    their ``(l, n)`` transposes under the names ``uppers_t`` /
+    ``lowers_t`` — the form the digests were recorded in, which a
+    frozen index's own layout of the same values does not move."""
+    arrays = index.freeze().arrays()
+    arrays["uppers_t"] = arrays.pop("uppers").T
+    arrays["lowers_t"] = arrays.pop("lowers").T
     digest = hashlib.sha256()
-    for name, array in sorted(index.freeze().raw_arrays().items()):
+    for name, array in sorted(arrays.items()):
         array = np.ascontiguousarray(array)
         digest.update(f"{name}:{array.dtype.str}:{array.shape}".encode())
         digest.update(array.tobytes())

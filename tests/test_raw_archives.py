@@ -11,12 +11,14 @@ copying them.
 
 import mmap
 import os
+import pathlib
 
 import numpy as np
 import pytest
 
-from repro.core.frozen import FrozenTSIndex
-from repro.core.tsindex import TSIndex
+from repro.core.frozen import ARRAY_FIELDS, RAW_ARRAY_FIELDS, FrozenTSIndex
+from repro.core.stats import QueryStats
+from repro.core.tsindex import TSIndex, TSIndexParams
 from repro.engine import ShardedTSIndex
 from repro.exceptions import SerializationError
 from repro.persistence import load_index, save_index
@@ -39,6 +41,13 @@ def _assert_identical(a, b, query, epsilon=0.5, k=5):
     assert np.array_equal(ka.positions, kb.positions)
     assert np.array_equal(ka.distances, kb.distances)
     assert a.count(query, epsilon) == b.count(query, epsilon)
+
+
+#: The resident envelope arrays of a frozen index (its private slots).
+ENVELOPE_PARTS = ("_upper_head", "_upper_tail", "_lower_head", "_lower_tail")
+ENVELOPE_FILES = ("uppers_head", "uppers_tail", "lowers_head", "lowers_tail")
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def _ultimate_base(array):
@@ -69,17 +78,23 @@ class TestFrozenRawRoundTrip:
         path = tmp_path / "frozen.raw"
         save_index(original, path, format="raw")
         loaded = load_index(path)
-        # The envelope planes must live in the OS page cache, not in
-        # private copies: their memory bottoms out at an mmap buffer.
-        assert isinstance(_ultimate_base(loaded._uppers_t), mmap.mmap)
-        assert isinstance(_ultimate_base(loaded._lowers_t), mmap.mmap)
-        # ... as the float32 the frozen plane holds them in: the file
-        # says its own dtype, and nothing is converted on the way in.
-        assert loaded._uppers_t.dtype == loaded._lowers_t.dtype == np.float32
-        assert np.load(path / "uppers_t.npy", mmap_mode="r").dtype == np.float32
+        # The envelope planes — both parts of both bounds — must live in
+        # the OS page cache, not in private copies: their memory
+        # bottoms out at an mmap buffer.
+        for part, file in zip(ENVELOPE_PARTS, ENVELOPE_FILES):
+            assert isinstance(_ultimate_base(getattr(loaded, part)), mmap.mmap)
+            # ... as the float32 the frozen plane holds them in: the
+            # file says its own dtype and shape, and nothing is
+            # converted or re-laid-out on the way in.
+            on_disk = np.load(path / f"{file}.npy", mmap_mode="r")
+            assert getattr(loaded, part).dtype == on_disk.dtype == np.float32
+            assert getattr(loaded, part).shape == on_disk.shape
         # mmap=False opts out: plain private arrays.
         in_memory = load_index(path, mmap=False)
-        assert not isinstance(_ultimate_base(in_memory._uppers_t), mmap.mmap)
+        for part in ENVELOPE_PARTS:
+            assert not isinstance(
+                _ultimate_base(getattr(in_memory, part)), mmap.mmap
+            )
         _assert_identical(loaded, in_memory, query_of(50))
 
     def test_raw_views_are_read_only(self, tmp_path, series_values):
@@ -87,8 +102,9 @@ class TestFrozenRawRoundTrip:
         path = tmp_path / "frozen.raw"
         save_index(original, path, format="raw")
         loaded = load_index(path)
-        with pytest.raises(ValueError):
-            loaded._uppers_t[0, 0] = 0.0
+        for part in ENVELOPE_PARTS:
+            with pytest.raises(ValueError):
+                getattr(loaded, part)[0, 0] = 0.0
 
     def test_overwrite_in_place(self, tmp_path, series_values, query_of):
         path = tmp_path / "frozen.raw"
@@ -133,7 +149,8 @@ class TestShardedRawRoundTrip:
         save_index(engine, path, format="raw")
         loaded = load_index(path)
         for shard in loaded.shards:
-            assert isinstance(_ultimate_base(shard._uppers_t), mmap.mmap)
+            for part in ENVELOPE_PARTS:
+                assert isinstance(_ultimate_base(getattr(shard, part)), mmap.mmap)
 
 
 class TestAtomicCommit:
@@ -154,7 +171,7 @@ class TestAtomicCommit:
     def test_torn_array_fails_loudly(self, tmp_path, series_values):
         path = tmp_path / "frozen.raw"
         save_index(_frozen(series_values, "global"), path, format="raw")
-        (path / "uppers_t.npy").write_bytes(b"\x93NUMPY")
+        (path / "uppers_tail.npy").write_bytes(b"\x93NUMPY")
         with pytest.raises(SerializationError):
             load_index(path).search(series_values[:LENGTH], 0.5)
 
@@ -178,14 +195,15 @@ class TestLegacyCompatibility:
         self, tmp_path, series_values, query_of
     ):
         """Archives in the pre-raw layout carry ``uppers``/``lowers``
-        (window-major, no ``uppers_t``); the compressed container still
-        writes exactly that layout, and it must keep loading."""
+        (whole node-major matrices, none of the resident parts); the
+        compressed container still writes exactly that layout, and it
+        must keep loading."""
         original = _frozen(series_values, "global")
         path = tmp_path / "legacy.npz"
         save_index(original, path)
         with np.load(path, allow_pickle=False) as archive:
             fields = set(archive.files)
-        assert "uppers" in fields and "uppers_t" not in fields
+        assert "uppers" in fields and not fields & set(ENVELOPE_FILES)
         restored = load_index(path)
         _assert_identical(original, restored, query_of(42))
 
@@ -194,10 +212,11 @@ class TestLegacyCompatibility:
         self, tmp_path, series_values, any_normalization, query_of, container
     ):
         """Archives written before the envelopes became float32 hold
-        them as float64 (timestamp-major in raw directories, node-major
-        in ``.npz``). Loading rounds them outward once — into private
-        memory; the other arrays stay mapped — and gives the very
-        arrays freezing the same tree gives today."""
+        them as float64 (whole timestamp-major ``uppers_t`` /
+        ``lowers_t`` matrices in raw directories, node-major in
+        ``.npz``). Loading rounds them outward and re-lays them out
+        once — into private memory; the other arrays stay mapped — and
+        gives the very arrays freezing the same tree gives today."""
         from repro.persistence.serializer import _flatten_tree
 
         dynamic = TSIndex.build(
@@ -209,6 +228,8 @@ class TestLegacyCompatibility:
         path = tmp_path / f"legacy.{container}"
         save_index(original, path, format=container, fsync=False)
         if container == "raw":
+            for file in ENVELOPE_FILES:
+                os.unlink(path / f"{file}.npy")
             np.save(path / "uppers_t.npy", np.ascontiguousarray(exact["uppers"].T))
             np.save(path / "lowers_t.npy", np.ascontiguousarray(exact["lowers"].T))
         else:
@@ -221,11 +242,94 @@ class TestLegacyCompatibility:
             assert restored.raw_arrays()[field].dtype == array.dtype
             assert np.array_equal(restored.raw_arrays()[field], array)
         if container == "raw":
-            assert not isinstance(_ultimate_base(restored._uppers_t), mmap.mmap)
+            for part in ENVELOPE_PARTS:
+                assert not isinstance(
+                    _ultimate_base(getattr(restored, part)), mmap.mmap
+                )
             assert isinstance(_ultimate_base(restored._positions), mmap.mmap)
         source = original.source
         for position in (42, 1500):
             _assert_identical(original, restored, query_of(position, source))
+
+    @pytest.mark.parametrize(
+        "fixture", ["frozen_timestamp_major.raw", "frozen_node_major.npz"]
+    )
+    def test_archives_of_the_previous_layout_load(self, fixture):
+        """``tests/data/frozen_timestamp_major.raw`` (whole ``(l, n)``
+        float32 ``uppers_t`` / ``lowers_t`` members) and
+        ``frozen_node_major.npz`` (``(n, l)`` ``uppers`` / ``lowers``)
+        were written by the last commit whose resident envelopes were
+        the timestamp-major matrices: a 700-point seed-18 random walk,
+        l = 24, μc/Mc = 4/10. Each loads to the arrays a fresh freeze
+        holds and answers all six query modes as it does."""
+        restored = load_index(DATA / fixture)
+        assert isinstance(restored, FrozenTSIndex)
+        series = np.cumsum(np.random.default_rng(18).normal(size=700))
+        fresh = TSIndex.build(
+            series, 24, normalization="global",
+            params=TSIndexParams(min_children=4, max_children=10),
+        ).freeze()
+        for field, array in fresh.raw_arrays().items():
+            assert restored.raw_arrays()[field].dtype == array.dtype
+            assert np.array_equal(restored.raw_arrays()[field], array), field
+        # ``arrays()`` hands back the archived matrices themselves.
+        if fixture.endswith(".npz"):
+            with np.load(DATA / fixture, allow_pickle=False) as archive:
+                stored = {"uppers": archive["uppers"], "lowers": archive["lowers"]}
+        else:
+            stored = {
+                "uppers": np.load(DATA / fixture / "uppers_t.npy").T,
+                "lowers": np.load(DATA / fixture / "lowers_t.npy").T,
+            }
+        for field, matrix in stored.items():
+            assert matrix.dtype == np.float32
+            assert np.array_equal(restored.arrays()[field], matrix), field
+        source = fresh.source
+        for position in (5, 123, 600):
+            query = np.array(source.window_block(position, position + 1)[0])
+            _assert_identical(fresh, restored, query, epsilon=0.4)
+            prefix_a = fresh.search(query[:11], 0.4)
+            prefix_b = restored.search(query[:11], 0.4)
+            assert np.array_equal(prefix_a.positions, prefix_b.positions)
+            assert np.array_equal(prefix_a.distances, prefix_b.distances)
+            assert prefix_a.stats == prefix_b.stats
+            stats_a, stats_b = QueryStats(), QueryStats()
+            assert fresh.exists(query + 0.01, 0.4, stats=stats_a) == (
+                restored.exists(query + 0.01, 0.4, stats=stats_b)
+            )
+            assert stats_a == stats_b
+            queries = [query, query[::-1].copy()]
+            batch_a = fresh.search_batch(queries, 0.4)
+            batch_b = restored.search_batch(queries, 0.4)
+            for a, b in zip(batch_a.results, batch_b.results):
+                assert np.array_equal(a.positions, b.positions)
+                assert np.array_equal(a.distances, b.distances)
+                assert a.stats == b.stats
+
+    def test_one_resident_copy_of_the_envelopes(self, series_values):
+        """The resident arrays hold every envelope element exactly once
+        — ``2·n·l`` float32 values — beside the structure arrays: a
+        shadow copy in either layout would show here (and in
+        twinbench's ``footprint_bytes_per_window``, which sums the same
+        arrays)."""
+        index = _frozen(series_values, "global")
+        raw = index.raw_arrays()
+        assert set(raw) == set(RAW_ARRAY_FIELDS)
+        structure = [f for f in ARRAY_FIELDS if f not in ("uppers", "lowers")]
+        assert set(raw) - set(ENVELOPE_FILES) == set(structure)
+        envelope_bytes = 2 * index.node_count * index.length * 4
+        assert sum(raw[file].nbytes for file in ENVELOPE_FILES) == envelope_bytes
+        assert sum(array.nbytes for array in raw.values()) == envelope_bytes + sum(
+            index.arrays()[field].nbytes for field in structure
+        )
+        # Nothing else on the object holds an array.
+        held = [
+            getattr(index, slot)
+            for slot in FrozenTSIndex.__slots__
+            if isinstance(getattr(index, slot), np.ndarray)
+        ]
+        assert len(held) == len(raw)
+        assert {id(array) for array in held} == {id(a) for a in raw.values()}
 
     def test_raw_other_plane_kinds_round_trip(
         self, tmp_path, series_values, query_of

@@ -3,12 +3,14 @@
 * the refine kernel (:func:`repro.core.verification.verify_positions`)
   against a brute-force max-abs scan over gathered windows — positions
   and distances must be *bitwise* equal;
-* the filter kernel (:meth:`FrozenTSIndex._prune_keep`) against the
-  unblocked ``(U >= lo) & (L <= hi)`` over every timestamp, which in
-  turn keeps every node the exact float64 bound
+* the filter kernel (:meth:`FrozenTSIndex._frontier_keep`: a head pass
+  over the frontier — span view or gather — then the survivors' tail
+  rows; and ``_block_keep``, its one-shot form over a node's children)
+  against the unblocked ``(U >= lo) & (L <= hi)`` over every timestamp,
+  which in turn keeps every node the exact float64 bound
   ``np.maximum(q - U, L - q).max(0) <= ε`` keeps;
-* frozen-vs-pointer counters on a bulk-loaded tree whose leaf level is
-  wide enough to take the kernel's narrow-block path.
+* frozen-vs-pointer counters on a bulk-loaded tree, with every frontier
+  forced onto the gather path the other suites rarely take.
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ from repro.core.bulkload import bulk_load_source
 from repro.core import frozen as frozen_module
 from repro.core.frozen import FrozenTSIndex
 from repro.core.mbts import round_down_f32, round_up_f32
+from repro.core.stats import BuildStats
 from repro.core.tsindex import TSIndexParams
 from repro.core.verification import (
     GATHER_BELOW,
@@ -165,8 +168,8 @@ def exact_keep(query, upper_t, lower_t, threshold):
 
 
 def kernel_inputs(query, upper_t, lower_t, threshold):
-    """What the frozen plane hands its kernel: the query's float32
-    thresholds and the outward-rounded float32 envelopes."""
+    """The query's float32 thresholds and the outward-rounded float32
+    envelopes the frozen plane compares them with."""
     lo, hi = frozen_module._thresholds(query, threshold)
     return lo, hi, round_up_f32(upper_t), round_down_f32(lower_t)
 
@@ -175,13 +178,60 @@ def unblocked(lo, hi, upper_t, lower_t):
     return ((upper_t >= lo[:, None]) & (lower_t <= hi[:, None])).all(axis=0)
 
 
-@pytest.fixture(params=[1 << 12, None], ids=["budget-4096", "budget-default"])
+def index_over(upper_t, lower_t, *, bfs=True):
+    """A frozen index whose node ``i`` carries column ``i`` of the
+    ``(l, n)`` float64 envelopes: a root over ``n - 1`` empty leaves
+    (the kernel never looks at the structure beyond the BFS flag).
+    ``bfs=False`` permutes the adjacency, which turns the id-range
+    shortcuts off."""
+    length, n = upper_t.shape
+    children = np.arange(1, n, dtype=np.int64)
+    if not bfs:
+        children = children[::-1].copy()
+    kinds = np.ones(n, dtype=np.int8)
+    kinds[:1] = 0
+    children_offsets = np.full(n + 1, n - 1, dtype=np.int64)
+    children_offsets[0] = 0
+    index = FrozenTSIndex.from_arrays(
+        WindowSource(np.zeros(length + 3), length, "none"),
+        TSIndexParams(),
+        BuildStats(),
+        {
+            "uppers": upper_t.T,
+            "lowers": lower_t.T,
+            "kinds": kinds,
+            "children_offsets": children_offsets,
+            "children": children,
+            "leaf_offsets": np.zeros(n + 1, dtype=np.int64),
+            "positions": np.empty(0, dtype=np.int64),
+        },
+    )
+    assert index._bfs_layout == (bfs or n <= 2)
+    return index
+
+
+def frontier_keep(index, lo, hi, ids):
+    """The kernel as ``search`` calls it: thresholds split into their
+    head and tail parts, ids as an int64 array."""
+    return index._frontier_keep(
+        frozen_module._head_tail(lo),
+        frozen_module._head_tail(hi),
+        np.asarray(ids, dtype=np.int64),
+    )
+
+
+@pytest.fixture(
+    params=[0, None], ids=["budget-4096", "budget-default"]
+)
 def budget(request, monkeypatch):
-    """Run under a small element budget too, so that modest column
-    counts take the kernel's multi-block (narrow first block) path."""
+    """Both head passes of the kernel: with ``_SPAN_FACTOR`` at 0 every
+    frontier gathers its head columns; at the default a frontier dense
+    in id order takes the span view. (The ids date from the element
+    budget the kernel had before the head/tail layout; they are kept so
+    the test names stay comparable across commits.)"""
     if request.param is not None:
-        monkeypatch.setattr(frozen_module, "_PRUNE_BUDGET", request.param)
-    return frozen_module._PRUNE_BUDGET
+        monkeypatch.setattr(frozen_module, "_SPAN_FACTOR", request.param)
+    return frozen_module._SPAN_FACTOR
 
 
 @pytest.mark.usefixtures("budget")
@@ -191,6 +241,7 @@ class TestPruneKernel:
     def test_matches_unblocked(self, columns, length):
         rng = np.random.default_rng(columns * 1000 + length)
         upper_t, lower_t = random_envelopes(rng, length, columns)
+        index = index_over(upper_t, lower_t)
         query = np.cumsum(rng.normal(size=length))
         bounds = np.maximum(
             query[:, None] - upper_t, lower_t - query[:, None]
@@ -199,24 +250,25 @@ class TestPruneKernel:
         thresholds += [float(t) for t in np.quantile(bounds, [0.02, 0.5])]
         for threshold in thresholds:
             inputs = kernel_inputs(query, upper_t, lower_t, threshold)
-            kept = FrozenTSIndex._prune_keep(*inputs)
+            kept = frontier_keep(index, *inputs[:2], np.arange(columns))
             assert kept.dtype == bool
             assert np.array_equal(kept, unblocked(*inputs)), threshold
             # Conservative: whatever the exact bound keeps is kept —
             # at thresholds that *are* some node's bound, too.
             assert kept[exact_keep(query, upper_t, lower_t, threshold)].all()
 
-    def test_all_pruned_and_none_pruned(self, budget):
+    def test_all_pruned_and_none_pruned(self):
         rng = np.random.default_rng(0)
         upper_t, lower_t = random_envelopes(rng, 100, 5000)
-        assert 5000 * 100 > budget  # the narrow-block path
+        index = index_over(upper_t, lower_t)
+        ids = np.arange(5000)
         query = np.zeros(100)
-        none = FrozenTSIndex._prune_keep(
-            *kernel_inputs(query, upper_t, lower_t, 1e9)
+        none = frontier_keep(
+            index, *kernel_inputs(query, upper_t, lower_t, 1e9)[:2], ids
         )
         assert none.all() and none.size == 5000
-        far = FrozenTSIndex._prune_keep(
-            *kernel_inputs(query + 1e6, upper_t, lower_t, 1.0)
+        far = frontier_keep(
+            index, *kernel_inputs(query + 1e6, upper_t, lower_t, 1.0)[:2], ids
         )
         assert not far.any() and far.size == 5000
 
@@ -224,12 +276,13 @@ class TestPruneKernel:
     def test_prefix_lengths(self, prefix):
         rng = np.random.default_rng(prefix)
         upper_t, lower_t = random_envelopes(rng, 100, 2000)
+        index = index_over(upper_t, lower_t)
         query = np.cumsum(rng.normal(size=prefix))
         for threshold in (0.5, 2.0, 8.0):
             inputs = kernel_inputs(
                 query, upper_t[:prefix], lower_t[:prefix], threshold
             )
-            kept = FrozenTSIndex._prune_keep(*inputs)
+            kept = frontier_keep(index, *inputs[:2], np.arange(2000))
             assert np.array_equal(kept, unblocked(*inputs))
             assert kept[
                 exact_keep(query, upper_t[:prefix], lower_t[:prefix], threshold)
@@ -237,38 +290,97 @@ class TestPruneKernel:
 
     @pytest.mark.parametrize("picked", [3, 200, 3000])
     def test_views_gathers_and_named_columns_agree(self, picked):
+        """A frontier naming some columns gets the same answers for
+        them as the whole id range does, on either head pass, under the
+        BFS layout and without it."""
         rng = np.random.default_rng(picked)
         upper_t, lower_t = random_envelopes(rng, 100, 6000)
         query = np.cumsum(rng.normal(size=100))
         ids = np.sort(rng.choice(6000, size=picked, replace=False))
         first, last = int(ids[0]), int(ids[-1]) + 1
-        for threshold in (1.0, 4.0, 1e300):
-            lo, hi, upper_t32, lower_t32 = kernel_inputs(
-                query, upper_t, lower_t, threshold
-            )
-            expected = unblocked(lo, hi, upper_t32, lower_t32)
-            named = FrozenTSIndex._prune_keep(lo, hi, upper_t32, lower_t32, ids)
-            gathered = FrozenTSIndex._prune_keep(
-                lo, hi, upper_t32[:, ids], lower_t32[:, ids]
-            )
-            view = FrozenTSIndex._prune_keep(
-                lo, hi, upper_t32[:, first:last], lower_t32[:, first:last]
-            )
-            assert np.array_equal(named, expected[ids])
-            assert np.array_equal(gathered, expected[ids])
-            assert np.array_equal(view, expected[first:last])
+        for index in (
+            index_over(upper_t, lower_t),
+            index_over(upper_t, lower_t, bfs=False),
+        ):
+            for threshold in (1.0, 4.0, 1e300):
+                lo, hi, upper_t32, lower_t32 = kernel_inputs(
+                    query, upper_t, lower_t, threshold
+                )
+                expected = unblocked(lo, hi, upper_t32, lower_t32)
+                named = frontier_keep(index, lo, hi, ids)
+                span = frontier_keep(index, lo, hi, np.arange(first, last))
+                assert np.array_equal(named, expected[ids])
+                assert np.array_equal(span, expected[first:last])
 
     def test_empty_frontier(self):
-        empty = np.empty((100, 0), dtype=np.float32)
+        rng = np.random.default_rng(1)
+        index = index_over(*random_envelopes(rng, 100, 40))
         lo, hi = frozen_module._thresholds(np.zeros(100), 1.0)
-        assert FrozenTSIndex._prune_keep(lo, hi, empty, empty).size == 0
+        kept = frontier_keep(index, lo, hi, [])
+        assert kept.dtype == bool and kept.size == 0
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 7, 100])
+    def test_two_phase_keep_equals_unblocked(self, length):
+        """Head pass + tail rows == one unblocked evaluation, for every
+        prefix length ``m`` (``l - h = 0`` at ``l = 1``, an empty tail
+        slice whenever ``m = 1``) and every shape of frontier; the
+        thresholds include ones where no node survives the head, where
+        every node does, and where the head keeps nodes the tail
+        prunes."""
+        rng = np.random.default_rng(length)
+        columns = 240
+        upper_t, lower_t = random_envelopes(rng, length, columns)
+        upper32, lower32 = round_up_f32(upper_t), round_down_f32(lower_t)
+        bfs = index_over(upper_t, lower_t)
+        foreign = index_over(upper_t, lower_t, bfs=False)
+        frontiers = {
+            "empty": np.empty(0, dtype=np.int64),
+            "single": np.array([17]),
+            "dense": np.arange(5, 200),
+            "sparse": np.array([2, 90, 91, 239]),
+            "unordered": rng.permutation(columns)[:50],
+        }
+        head_differs = False
+        for m in range(1, length + 1):
+            query = np.cumsum(rng.normal(size=m))
+            bounds = np.maximum(
+                query[:, None] - upper_t[:m], lower_t[:m] - query[:, None]
+            ).max(axis=0)
+            cases = (
+                (query, float(np.median(bounds))),
+                (query, 1e300),  # every node survives both phases
+                (query + 1e6, 1.0),  # no node survives the head
+            )
+            for case, (query, threshold) in enumerate(cases):
+                lo, hi = frozen_module._thresholds(query, threshold)
+                expected = unblocked(lo, hi, upper32[:m], lower32[:m])
+                head_only = unblocked(
+                    lo[::4], hi[::4], upper32[:m:4], lower32[:m:4]
+                )
+                head_differs |= bool((head_only & ~expected).any())
+                assert case != 1 or expected.all()
+                assert case != 2 or not head_only.any()
+                for name, ids in frontiers.items():
+                    for index in (bfs, foreign):
+                        if name == "unordered" and index is bfs:
+                            continue  # BFS frontiers are ascending
+                        kept = frontier_keep(index, lo, hi, ids)
+                        assert np.array_equal(kept, expected[ids]), (m, name)
+                # ``exists``' one-shot form of the same predicate, over a
+                # child block as an id range and as gathered ids.
+                parts = frozen_module._head_tail(lo), frozen_module._head_tail(hi)
+                for picked in (slice(5, 200), frontiers["sparse"]):
+                    kept = bfs._block_keep(*parts, picked)
+                    assert np.array_equal(kept, expected[picked]), m
+        # The tail phase is doing something wherever there is a tail.
+        assert head_differs == (length > 1)
 
 
 class TestNarrowBlockCounters:
-    """Frozen and pointer planes agree — counters included — when the
-    leaf level is far wider than one block of the pruning kernel."""
-
-    BUDGET = 1 << 15
+    """Frozen and pointer planes agree — counters included — with every
+    frontier on the head pass that gathers its columns (the path sparse
+    frontiers take; a bulk-loaded tree's own are dense in id order and
+    would take the span view, as they do in every other suite)."""
 
     @pytest.fixture(scope="class")
     def pair(self):
@@ -278,12 +390,12 @@ class TestNarrowBlockCounters:
             source, params=TSIndexParams(min_children=4, max_children=8)
         )
         frozen = tree.freeze()
-        assert frozen.leaf_count * LENGTH > 2 * self.BUDGET
+        assert frozen._bfs_layout and frozen.leaf_count > 1000
         return tree, frozen
 
     @pytest.fixture(autouse=True)
-    def narrow_blocks(self, monkeypatch):
-        monkeypatch.setattr(frozen_module, "_PRUNE_BUDGET", self.BUDGET)
+    def gathered_heads(self, monkeypatch):
+        monkeypatch.setattr(frozen_module, "_SPAN_FACTOR", 0)
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.05, 0.3, 1.5])
     def test_search_counters(self, pair, epsilon):
