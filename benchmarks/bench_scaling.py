@@ -158,7 +158,7 @@ def main(argv=None) -> int:
     scratch = tempfile.mkdtemp(prefix="bench-scaling-")
     try:
         archive = os.path.join(scratch, "engine.raw")
-        save_index(built, archive, format="raw")
+        save_index(built, archive)
         engine = load_index(archive)  # archive attached: process-servable
 
         source = engine.source

@@ -4,7 +4,7 @@ Demonstrates :class:`repro.core.frozen.FrozenTSIndex` end to end —
 build a dynamic TS-Index (the structure that accepts inserts), freeze
 it into the flat array-backed query plane, check the answers are
 byte-identical, run a batched workload through one shared traversal,
-and round-trip the flat arrays through the ``.npz`` serializer.
+and round-trip the flat arrays through an mmap-able archive directory.
 
 Run:  python examples/frozen_serving.py
 """
@@ -61,7 +61,7 @@ def main() -> None:
 
     # --- persistence: the flat arrays round-trip natively -------------
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "frozen.npz")
+        path = os.path.join(tmp, "frozen.rts")
         save_index(frozen, path)
         restored = load_index(path)
         again = restored.search(query, epsilon)

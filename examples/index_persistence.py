@@ -2,7 +2,7 @@
 
 Index construction dominates cost; real deployments build offline and
 serve queries from a reloaded index. Every method in the library
-round-trips through a single ``.npz`` archive.
+round-trips through one archive directory (mmapped on load).
 
 Run:  python examples/index_persistence.py
 """
@@ -33,7 +33,7 @@ def main() -> None:
                 index = cls.build(series, length, normalization="none")
             expected = index.search(query, epsilon=0.2)
 
-            path = os.path.join(workdir, f"{label}.npz")
+            path = os.path.join(workdir, f"{label}.rts")
             with Timer() as save_timer:
                 save_index(index, path)
             with Timer() as load_timer:
@@ -41,7 +41,9 @@ def main() -> None:
             actual = restored.search(query, epsilon=0.2)
 
             assert np.array_equal(actual.positions, expected.positions)
-            size_mb = os.path.getsize(path) / (1024 * 1024)
+            size_mb = sum(
+                entry.stat().st_size for entry in os.scandir(path)
+            ) / (1024 * 1024)
             print(f"{label:8s} build {build_timer.seconds:6.2f}s | "
                   f"save {save_timer.milliseconds:7.1f}ms | "
                   f"load {load_timer.milliseconds:7.1f}ms | "

@@ -16,12 +16,12 @@ comparisons).
 
 Drive the sharded query engine (:mod:`repro.engine`)::
 
-    python -m repro.cli engine build --output idx.npz --dataset insect \
+    python -m repro.cli engine build --output idx.rts --dataset insect \
         --scale 0.1 --length 100 --shards 4          # frozen shards
-    python -m repro.cli engine query --index idx.npz --position 250 \
+    python -m repro.cli engine query --index idx.rts --position 250 \
         --epsilon 0.5
-    python -m repro.cli engine query --index idx.npz --position 250 --knn 5
-    python -m repro.cli engine stats --index idx.npz
+    python -m repro.cli engine query --index idx.rts --position 250 --knn 5
+    python -m repro.cli engine stats --index idx.rts
 
 Drive the live ingestion plane (:mod:`repro.live`) — a durable,
 appendable index with WAL recovery::
@@ -36,7 +36,7 @@ appendable index with WAL recovery::
 Inspect the observability plane (:mod:`repro.obs`) — the `stats`
 subcommands also take ``--json`` for machine-readable snapshots::
 
-    python -m repro.cli engine stats --index idx.npz --json
+    python -m repro.cli engine stats --index idx.rts --json
     python -m repro.cli live stats --path ./traffic --json
     python -m repro.cli obs export --format prometheus
     python -m repro.cli obs export --format json
@@ -216,6 +216,50 @@ def _run_command(command: str, contexts) -> None:
 # ----------------------------------------------------------------------
 # Engine subcommands (repro.engine)
 # ----------------------------------------------------------------------
+def _add_query_arguments(query: argparse.ArgumentParser, noun: str) -> None:
+    """The arguments ``engine query`` and ``live query`` share; ``noun``
+    names the parts the plane fans out over ("shard" / "segment")."""
+    what = query.add_mutually_exclusive_group(required=True)
+    what.add_argument(
+        "--position",
+        type=int,
+        help="use the indexed window at this position as the query",
+    )
+    what.add_argument(
+        "--query-file",
+        help="CSV/text file with the query values in the raw value "
+        "domain (mapped into the index's domain automatically)",
+    )
+    query.add_argument(
+        "--epsilon", type=float, default=None, help="twin threshold ε"
+    )
+    query.add_argument(
+        "--knn", type=int, default=None, help="run a k-NN query instead of ε"
+    )
+    query.add_argument(
+        "--query-length",
+        type=int,
+        default=None,
+        help="use only the first m values of the query (variable-length "
+        "twin search over window prefixes, any m <= l; tail positions "
+        "included)",
+    )
+    query.add_argument(
+        "--limit",
+        type=int,
+        default=10,
+        help="matches to print (default: 10; totals always shown)",
+    )
+    query.add_argument(
+        "--executor",
+        choices=("serial", "thread", "process"),
+        default="serial",
+        help=f"{noun} fan-out: serial in-process walk, a thread pool, or "
+        f"a process pool whose workers mmap each {noun}'s archive by path "
+        "(default: serial; results are byte-identical)",
+    )
+
+
 def build_engine_parser() -> argparse.ArgumentParser:
     """Parser for the ``engine build|query|stats`` subcommands."""
     parser = argparse.ArgumentParser(
@@ -228,15 +272,7 @@ def build_engine_parser() -> argparse.ArgumentParser:
         "build", help="build a sharded TS-Index and save it to disk"
     )
     build.add_argument(
-        "--output", required=True, help="archive path (.npz file or raw dir)"
-    )
-    build.add_argument(
-        "--format",
-        choices=("npz", "raw"),
-        default="npz",
-        help="archive container: compressed single-file npz, or a raw "
-        "directory of uncompressed per-array files that later loads "
-        "open O(1) via mmap (default: npz)",
+        "--output", required=True, help="archive directory to write, e.g. idx.rts"
     )
     source = build.add_mutually_exclusive_group()
     source.add_argument(
@@ -275,45 +311,7 @@ def build_engine_parser() -> argparse.ArgumentParser:
         "query", help="run a twin or k-NN query against a saved engine"
     )
     query.add_argument("--index", required=True, help="archive built by `engine build`")
-    what = query.add_mutually_exclusive_group(required=True)
-    what.add_argument(
-        "--position",
-        type=int,
-        help="use the indexed window at this position as the query",
-    )
-    what.add_argument(
-        "--query-file",
-        help="CSV/text file with the query values in the raw value "
-        "domain (mapped into the index's domain automatically)",
-    )
-    query.add_argument(
-        "--epsilon", type=float, default=None, help="twin threshold ε"
-    )
-    query.add_argument(
-        "--knn", type=int, default=None, help="run a k-NN query instead of ε"
-    )
-    query.add_argument(
-        "--query-length",
-        type=int,
-        default=None,
-        help="use only the first m values of the query (variable-length "
-        "twin search over window prefixes, any m <= l; tail positions "
-        "included)",
-    )
-    query.add_argument(
-        "--limit",
-        type=int,
-        default=10,
-        help="matches to print (default: 10; totals always shown)",
-    )
-    query.add_argument(
-        "--executor",
-        choices=("serial", "thread", "process"),
-        default="serial",
-        help="shard fan-out: serial in-process walk, a thread pool, or "
-        "a process pool whose workers mmap the archive by path "
-        "(default: serial; results are byte-identical)",
-    )
+    _add_query_arguments(query, "shard")
 
     stats = commands.add_parser(
         "stats", help="per-shard structural stats of a saved engine"
@@ -371,14 +369,13 @@ def _run_plane_query(index, args) -> int:
     """Run one search/k-NN query against any plane and print the result.
 
     The shared query path of the ``engine query`` and ``live query``
-    subcommands: the query comes from ``--position`` (already in the
-    index's value domain) or ``--query-file`` (raw values — the
-    :class:`~repro.query.QuerySpec` ``domain="raw"`` mapping handles
-    the global-normalization case that used to be open-coded here),
-    and execution routes through the unified pipeline. Queries of any
-    length ``m <= l`` are served (``--query-length`` truncates to a
-    prefix; a short ``--query-file`` works as-is) — the planner
-    dispatches them to the planes' variable-length kernels.
+    subcommands (arguments: :func:`_add_query_arguments`): the query
+    comes from ``--position`` (already in the index's value domain) or
+    ``--query-file`` (raw values, mapped by :class:`~repro.query.QuerySpec`
+    ``domain="raw"``) and execution routes through the unified pipeline.
+    Queries of any length ``m <= l`` are served (``--query-length``
+    truncates to a prefix; a short ``--query-file`` works as-is) — the
+    planner dispatches them to the planes' variable-length kernels.
     """
     import numpy as np
 
@@ -393,7 +390,7 @@ def _run_plane_query(index, args) -> int:
         from .data import load_series
 
         query, domain = load_series(args.query_file).values, "raw"
-    prefix = getattr(args, "query_length", None)
+    prefix = args.query_length
     if prefix is not None:
         if not 1 <= prefix <= query.size:
             raise SystemExit(
@@ -407,7 +404,7 @@ def _run_plane_query(index, args) -> int:
         spec = QuerySpec(
             query=query, mode="search", epsilon=args.epsilon, domain=domain
         )
-    pool = _fanout_pool(getattr(args, "executor", "serial"))
+    pool = _fanout_pool(args.executor)
     try:
         result = execute(index, spec, executor=pool)
     finally:
@@ -491,14 +488,6 @@ def build_live_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="fsync every journal write (power-loss safe, slower)",
     )
-    init.add_argument(
-        "--archive-format",
-        choices=("npz", "raw"),
-        default="npz",
-        help="sealed-segment container: compressed npz files, or raw "
-        "directories that recovery and process fan-out open O(1) via "
-        "mmap (default: npz)",
-    )
 
     append = commands.add_parser(
         "append", help="durably append readings to a live index"
@@ -514,43 +503,7 @@ def build_live_parser() -> argparse.ArgumentParser:
         "query", help="run a twin or k-NN query against a live index"
     )
     query.add_argument("--path", required=True, help="live index directory")
-    what = query.add_mutually_exclusive_group(required=True)
-    what.add_argument(
-        "--position",
-        type=int,
-        help="use the indexed window at this position as the query",
-    )
-    what.add_argument(
-        "--query-file", help="CSV/text file with the query values"
-    )
-    query.add_argument(
-        "--epsilon", type=float, default=None, help="twin threshold ε"
-    )
-    query.add_argument(
-        "--knn", type=int, default=None, help="run a k-NN query instead of ε"
-    )
-    query.add_argument(
-        "--query-length",
-        type=int,
-        default=None,
-        help="use only the first m values of the query (variable-length "
-        "twin search over window prefixes, any m <= l; tail positions "
-        "included)",
-    )
-    query.add_argument(
-        "--limit",
-        type=int,
-        default=10,
-        help="matches to print (default: 10; totals always shown)",
-    )
-    query.add_argument(
-        "--executor",
-        choices=("serial", "thread", "process"),
-        default="serial",
-        help="segment fan-out: serial in-process walk, a thread pool, "
-        "or a process pool whose workers mmap the sealed segments by "
-        "path (default: serial; results are byte-identical)",
-    )
+    _add_query_arguments(query, "segment")
 
     stats = commands.add_parser(
         "stats", help="segment/delta/WAL stats of a live index"
@@ -568,7 +521,7 @@ def _live_readings(args):
     """Readings from --values or --input for `live append`."""
     import numpy as np
 
-    if getattr(args, "values", None):
+    if args.values:
         try:
             return np.asarray(
                 [float(part) for part in args.values.split(",") if part.strip()]
@@ -616,7 +569,6 @@ def _run_live(argv) -> int:
             length=args.length,
             normalization=args.normalization,
             fsync=args.fsync,
-            archive_format=args.archive_format,
             **options,
         ) as live:
             print(f"initialized {live!r} at {args.path}")
@@ -864,7 +816,7 @@ def _run_engine(argv) -> int:
             normalization=args.normalization,
             shards=args.shards,
         )
-        save_index(engine, args.output, format=args.format)
+        save_index(engine, args.output)
         build = engine.build_stats
         print(
             f"built {engine!r} in {build.seconds:.2f}s "

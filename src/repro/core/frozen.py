@@ -54,8 +54,8 @@ timestamps side by side. So each bound is cut along the timestamps:
   236 / 481 µs from node-major rows.
 
 Same elements, same float32 values, one copy: ``arrays()`` / ``thaw()``
-/ ``.npz`` archives assemble the whole ``(n, l)`` matrices back, bit
-for bit; raw archives store the parts as they are (see
+assemble the whole ``(n, l)`` matrices back, bit for bit (the form
+legacy ``.npz`` archives hold); archives store the parts as they are (see
 :data:`RAW_ARRAY_FIELDS`), and which timestamps went where follows from
 the shapes. A prefix query of length ``m`` uses the timestamps below
 ``m``, which are a leading slice of both parts. The constructor is the
@@ -334,7 +334,7 @@ class FrozenTSIndex:
         # contiguous float32 memmap that is zero-copy, which is what
         # makes mmap cold starts O(1) in the envelope size), or as whole
         # matrices — ``(n, l)`` ``uppers`` / ``lowers`` (``from_tree``,
-        # npz archives, ``arrays``) or the ``(l, n)`` ``uppers_t`` /
+        # legacy npz archives, ``arrays``) or the ``(l, n)`` ``uppers_t`` /
         # ``lowers_t`` that raw archives carried before this layout —
         # which are re-laid-out here, once. Float64 input (a tree being
         # frozen, an archive written before the envelopes were float32)
@@ -634,8 +634,8 @@ class FrozenTSIndex:
     def arrays(self) -> dict:
         """The flat arrays, envelopes as whole ``(n, l)`` matrices
         (read-only; see :data:`ARRAY_FIELDS`). The matrices are
-        assembled per call — the serialization / ``thaw`` form, not a
-        query path."""
+        assembled per call — the ``thaw`` form and a layout-independent
+        digest, not a query path."""
         uppers, lowers = self._envelope_matrices()
         return {
             "uppers": uppers,

@@ -386,7 +386,7 @@ class QueryEngine:
 
             self._spool_seq += 1
             path = os.path.join(self._spool, f"plane-{self._spool_seq}")
-            save_index(index, path, format="raw")
+            save_index(index, path)
             index.attach_archive(path)
             _log.debug("spooled %r for process fan-out", path)
 

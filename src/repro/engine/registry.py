@@ -225,9 +225,8 @@ class IndexRegistry:
     # ------------------------------------------------------------------
     # Persistence (via repro.persistence)
     # ------------------------------------------------------------------
-    def save(self, name: str, path: Any, *, format: str = "npz") -> None:
-        """Persist the plane under ``name`` — a compressed ``.npz``
-        archive by default, or with ``format="raw"`` a directory of
+    def save(self, name: str, path: Any) -> None:
+        """Persist the plane under ``name`` as an archive directory of
         uncompressed per-array files that later loads open O(1) via
         ``mmap`` (see :func:`repro.persistence.save_index`)."""
         engine = self.get(name)
@@ -239,7 +238,7 @@ class IndexRegistry:
             )
         from ..persistence import save_index  # lazy: avoids import cycle
 
-        save_index(engine, path, format=format)
+        save_index(engine, path)
 
     def load(self, name: str, path: Any, *, overwrite: bool = False) -> ShardedTSIndex:
         """Restore an engine from ``path`` and register it as ``name``."""

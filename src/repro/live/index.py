@@ -105,10 +105,11 @@ DEFAULT_MAX_SEGMENTS = 8
 #: Journal file name inside a live directory.
 WAL_NAME = "wal.log"
 
-#: Segment archive name suffix per on-disk container format:
-#: ``npz`` writes one compressed file, ``raw`` an uncompressed
-#: mmap-able directory (see :mod:`repro.persistence.serializer`).
-SEGMENT_SUFFIXES = {"npz": ".npz", "raw": ".rts"}
+#: Segment archive name suffixes: the one written (a directory, see
+#: :mod:`repro.persistence.serializer`), then the legacy single-file
+#: one an older live directory may still hold — loaded through its
+#: manifest entry, swept when orphaned, rewritten by compaction.
+SEGMENT_SUFFIXES = (".rts", ".npz")
 
 _log = get_logger("repro.live")
 
@@ -221,7 +222,6 @@ class LiveTwinIndex(SubsequenceIndex):
         background_compaction: bool = True,
         _directory: Any = None,
         _wal: WriteAheadLog | None = None,
-        _archive_format: str = "npz",
     ):
         self._init_config(
             length,
@@ -233,7 +233,6 @@ class LiveTwinIndex(SubsequenceIndex):
             directory=_directory,
             wal=_wal,
             fsync=_wal.fsync if _wal is not None else False,
-            archive_format=_archive_format,
         )
         values = _coerce_readings(initial_values, allow_empty=True)
         self._init_buffer(values)
@@ -252,14 +251,7 @@ class LiveTwinIndex(SubsequenceIndex):
         directory,
         wal,
         fsync,
-        archive_format: str = "npz",
     ) -> None:
-        if archive_format not in SEGMENT_SUFFIXES:
-            raise InvalidParameterError(
-                f"unknown archive format {archive_format!r}; expected one "
-                f"of {tuple(SEGMENT_SUFFIXES)}"
-            )
-        self._archive_format = archive_format
         self._length = check_positive_int(length, name="length")
         self._normalization = Normalization.coerce(normalization)
         if self._normalization is Normalization.GLOBAL:
@@ -356,20 +348,25 @@ class LiveTwinIndex(SubsequenceIndex):
         max_segments: int = DEFAULT_MAX_SEGMENTS,
         background_compaction: bool = True,
         fsync: bool = False,
-        archive_format: str = "npz",
+        archive_format: str = "raw",
     ) -> "LiveTwinIndex":
         """Initialize a **durable** live plane under directory ``path``.
 
         Every subsequent :meth:`append` is journaled to the write-ahead
-        log before it is indexed; sealed segments are archived
-        (``archive_format="npz"`` — compressed single files, the
-        default — or ``"raw"`` — uncompressed mmap-able directories
-        that recover in O(metadata) and support process fan-out with a
-        single page-cache copy) and committed to the manifest.
+        log before it is indexed; sealed segments are archived as
+        uncompressed mmap-able directories (they recover in O(metadata)
+        and support process fan-out with a single page-cache copy) and
+        committed to the manifest.
         ``fsync=True`` additionally fsyncs each journal write
         (crash-safe against power loss, at a heavy per-append cost;
         the default survives process crashes).
         """
+        # ``archive_format`` has one value; the keyword stays only because
+        # benchmarks/twinbench (frozen by BENCHMARK.json) passes "raw".
+        if archive_format != "raw":
+            raise InvalidParameterError(
+                f"unknown archive format {archive_format!r}; expected 'raw'"
+            )
         path = os.fspath(path)
         os.makedirs(path, exist_ok=True)
         if os.path.exists(manifest_path(path)):
@@ -393,7 +390,6 @@ class LiveTwinIndex(SubsequenceIndex):
             background_compaction=background_compaction,
             _directory=path,
             _wal=wal,
-            _archive_format=archive_format,
         )
         with index._lock:
             index._write_manifest_locked()
@@ -452,11 +448,6 @@ class LiveTwinIndex(SubsequenceIndex):
             if seal_threshold is not None:
                 seal_threshold = int(seal_threshold)
             max_segments = int(manifest.get("max_segments", DEFAULT_MAX_SEGMENTS))
-            archive_format = str(manifest.get("archive_format", "npz"))
-            if archive_format not in SEGMENT_SUFFIXES:
-                raise ValueError(
-                    f"unknown archive_format {archive_format!r}"
-                )
         except (TypeError, ValueError, InvalidParameterError) as exc:
             raise SerializationError(
                 f"live manifest in {path!r} holds invalid configuration: {exc}"
@@ -567,7 +558,6 @@ class LiveTwinIndex(SubsequenceIndex):
             directory=path,
             wal=None,
             fsync=fsync,
-            archive_format=archive_format,
         )
         index._init_buffer(series)
         with index._lock:
@@ -618,7 +608,7 @@ class LiveTwinIndex(SubsequenceIndex):
             for name in os.listdir(path):
                 if (
                     name.startswith("seg-")
-                    and name.endswith(tuple(SEGMENT_SUFFIXES.values()))
+                    and name.endswith(SEGMENT_SUFFIXES)
                     and name not in referenced
                 ):
                     _remove_archive(os.path.join(path, name))
@@ -782,7 +772,6 @@ class LiveTwinIndex(SubsequenceIndex):
                 "mutations": self._mutations,
                 "durable": self._directory is not None,
                 "directory": self._directory,
-                "archive_format": self._archive_format,
                 "quarantined_files": list(self._quarantined),
                 "compaction": self._compactor.stats(),
                 "segment_stats": [
@@ -1151,29 +1140,23 @@ class LiveTwinIndex(SubsequenceIndex):
 
     def _segment_file(self, start: int, stop: int) -> str:
         """Archive name for the segment spanning ``[start, stop)``."""
-        suffix = SEGMENT_SUFFIXES[self._archive_format]
-        return f"seg-{start:012d}-{stop:012d}{suffix}"
+        return f"seg-{start:012d}-{stop:012d}{SEGMENT_SUFFIXES[0]}"
 
     def _save_segment_archive(self, frozen: FrozenTSIndex, file: str) -> None:
         """Write one segment archive; in fsync mode the data (and its
         directory entry) must be durable *before* the manifest commits a
         reference to it — otherwise a power loss could leave a manifest
-        pointing at a torn archive after the WAL was truncated. (Raw
-        archives fsync-and-rename internally; their commit marker is
+        pointing at a torn archive after the WAL was truncated. (The
+        archive fsyncs and renames its own files; its commit marker is
         ``meta.json``, written last.)"""
         from ..persistence import save_index  # lazy: avoids import cost
-        from .wal import fsync_directory, fsync_file
+        from .wal import fsync_directory
 
         path = os.path.join(self._directory, file)
         with wrap_os_errors("segment write", path):
             failpoint("segment.write", file=file)
-            if self._archive_format == "raw":
-                save_index(frozen, path, format="raw", fsync=self._fsync)
-            else:
-                save_index(frozen, path)
+            save_index(frozen, path, fsync=self._fsync)
         if self._fsync:
-            if self._archive_format != "raw":
-                fsync_file(path)
             fsync_directory(self._directory)
 
     def _write_manifest_locked(self) -> None:
@@ -1191,7 +1174,6 @@ class LiveTwinIndex(SubsequenceIndex):
                 "seal_threshold": self._seal_threshold,
                 "max_segments": self._max_segments,
                 "fsync": self._fsync,
-                "archive_format": self._archive_format,
                 "wal_offset": self._delta_start,
                 "segments": [
                     {
@@ -1467,9 +1449,9 @@ def _coerce_readings(readings, *, allow_empty: bool) -> np.ndarray:
 
 
 def _remove_archive(path: str) -> None:
-    """Best-effort removal of a segment archive — a compressed file or
-    a raw archive directory (stale-file cleanup must never fail a
-    recovery or compaction commit)."""
+    """Best-effort removal of a segment archive — a directory, or a
+    legacy single file (stale-file cleanup must never fail a recovery
+    or compaction commit)."""
     import shutil
 
     try:

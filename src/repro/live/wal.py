@@ -4,8 +4,9 @@ Durability model (classic LSM):
 
 * every appended reading is written to ``wal.log`` **before** it is
   indexed — a crash loses at most the bytes of one in-flight record;
-* sealing a delta writes the frozen segment to its own ``.npz`` archive
-  (through :mod:`repro.persistence`), commits it to ``MANIFEST.json``
+* sealing a delta writes the frozen segment to its own archive
+  directory (through :mod:`repro.persistence`), commits it to
+  ``MANIFEST.json``
   (atomic tmp + rename), then rewrites the WAL to hold only the
   readings past the sealed frontier;
 * :meth:`recovery <repro.live.index.LiveTwinIndex.recover>` loads the
@@ -327,16 +328,6 @@ def fsync_directory(directory: Any) -> None:
         pass
     finally:
         os.close(fd)
-
-
-def fsync_file(path: Any) -> None:
-    """fsync an already-written file's contents to disk."""
-    with wrap_os_errors("fsync", path):
-        fd = os.open(os.fspath(path), os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
 
 
 def manifest_path(directory: Any) -> str:

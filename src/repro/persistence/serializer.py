@@ -1,52 +1,45 @@
 """Save/load support for every index (extension).
 
 The paper keeps indices in memory; real deployments want to build once
-and reuse. Two on-disk containers share one logical payload (the raw
-series, the construction parameters and the method-specific structure,
-flattened with explicit child offsets so reload is O(size) with no
-recursion):
+and reuse. :func:`save_index` writes one container — a *directory* of
+uncompressed per-array ``.npy`` files plus a ``meta.json`` — holding
+the raw series, the construction parameters and the method-specific
+structure, flattened with explicit child offsets so reload is O(size)
+with no recursion. :func:`load_index` maps the files instead of reading
+them: cold starts are O(metadata), the page cache holds one shared copy
+of the arrays across every process serving the archive, and frozen
+envelopes are stored in their resident layout (per bound a
+timestamp-major head and a node-major tail — :mod:`repro.core.frozen`
+alone knows how they are cut), so nothing is copied or re-laid-out on
+the way in. The directory commits atomically: ``meta.json`` is written
+last via tmp-file + fsync + rename (the protocol of the live plane's
+``MANIFEST.json``), so a crash mid-write leaves a directory without
+valid metadata — which :func:`load_index` rejects loudly — never a
+half-written archive that mmap would happily map. To ship an archive
+compactly, ``tar -czf`` the directory.
 
-* ``format="npz"`` (default, and the only pre-existing format) — a
-  single compressed ``.npz`` archive. Compact, but every byte is
-  decompressed into private memory at load.
-* ``format="raw"`` — a *directory* of uncompressed per-array ``.npy``
-  files plus a ``meta.json``, opened with ``mmap_mode="r"``. Loading
-  maps the files instead of reading them: cold starts are O(metadata),
-  the page cache holds one shared copy of the arrays across every
-  process serving the archive, and frozen envelopes are stored in their
-  resident layout (per bound a timestamp-major head and a node-major
-  tail — see :mod:`repro.core.frozen`, which alone knows how they are
-  cut) so not a single element is copied or re-laid-out on the way in.
-  The directory commits atomically:
-  ``meta.json`` is written last via tmp-file + fsync + rename (the same
-  protocol as the live plane's ``MANIFEST.json``), so a crash
-  mid-write leaves a directory without valid metadata — which
-  :func:`load_index` rejects loudly — never a half-written archive
-  that mmap would happily map.
+**Legacy ``.npz`` files are read, never written.** A regular file is a
+compressed single-file archive of an earlier version, whatever wrote
+it; it loads into private memory through the same ``_load_*`` functions,
+so migrating is ``save_index(load_index(old), new_dir)``.
 
 Loaded indices answer queries identically to the originals — enforced
-by round-trip tests.
-
-Frozen indexes (:class:`~repro.core.frozen.FrozenTSIndex`, standalone
-or as shards of a sharded engine) round-trip their flat arrays
-*natively*: the archive stores the structure-of-arrays form verbatim
-and loading is pure array reads — no node objects are rebuilt and no
-windows are re-inserted. That includes the envelopes' dtype: they are
-written as the outward-rounded float32 the frozen plane holds (both
-containers record each array's dtype, so nothing in the metadata
-changes), and a float32 envelope file is mapped as it is. Older
-archives keep loading, because the loader hands over whichever
-envelope members it finds and :class:`~repro.core.frozen.FrozenTSIndex`
-converts them on the way in — into private memory, once: raw archives
-that hold whole timestamp-major ``uppers_t`` / ``lowers_t`` matrices
-are re-laid-out, and float64 envelopes (either container) are rounded
-outward, which yields exactly the arrays freezing the same tree yields
-today. Standalone frozen dumps of per-window sources
-additionally embed the source's rolling window statistics
-(``win_means`` / ``win_stds``): those are block-computed over the
-*monolithic* series, so an archive of a detached chunk (a live sealed
-segment) reloaded in another process stays bitwise identical to the
-parent's in-memory segment.
+by round-trip tests. Frozen indexes (standalone or as shards) round-trip
+their flat arrays *natively*: loading is pure array reads — no node
+objects are rebuilt, no windows re-inserted — and envelopes are written
+as the outward-rounded float32 the frozen plane holds (each array file
+records its own dtype). Older archives keep loading because the loader
+hands over whichever envelope members it finds and
+:class:`~repro.core.frozen.FrozenTSIndex` converts them on the way in,
+once, into private memory: whole timestamp-major ``uppers_t`` /
+``lowers_t`` (older raw archives) and node-major ``uppers`` / ``lowers``
+(``.npz``) are re-laid-out and float64 envelopes rounded outward, which
+yields exactly the arrays freezing the same tree yields today.
+Standalone frozen dumps of per-window sources also embed the source's
+rolling window statistics (``win_means`` / ``win_stds``): those are
+block-computed over the *monolithic* series, so an archive of a
+detached chunk (a live sealed segment) reloaded in another process
+stays bitwise identical to the parent's in-memory segment.
 """
 
 from __future__ import annotations
@@ -76,7 +69,7 @@ from ..obs.metrics import HandleCache
 FORMAT_VERSION = 1
 
 #: The on-disk containers :func:`save_index` can write.
-ARCHIVE_FORMATS = ("npz", "raw")
+ARCHIVE_FORMATS = ("raw",)
 
 #: Commit marker of a raw archive directory (written last, atomically).
 RAW_META_NAME = "meta.json"
@@ -84,21 +77,21 @@ RAW_META_NAME = "meta.json"
 _load_metrics = HandleCache(
     lambda registry: registry.histogram(
         "repro_archive_load_seconds",
-        "Index archive open latency by on-disk container format, in "
-        "seconds (raw archives are mmapped, so this excludes the lazy "
-        "page-in of the array data).",
+        "Index archive open latency by on-disk container, in seconds "
+        "(raw archives are mmapped, so this excludes the lazy page-in "
+        "of the array data; npz marks loads of legacy archives).",
         labels=("format",),
     )
 )
 
 
-def _payload_for(index, *, raw: bool) -> dict:
+def _payload_for(index) -> dict:
     from ..engine.sharding import ShardedTSIndex  # lazy: engine imports us
 
     if isinstance(index, ShardedTSIndex):
-        return _dump_sharded(index, raw=raw)
+        return _dump_sharded(index)
     if isinstance(index, FrozenTSIndex):
-        return _dump_frozen(index, raw=raw)
+        return _dump_frozen(index)
     if isinstance(index, TSIndex):
         return _dump_tsindex(index)
     if isinstance(index, KVIndex):
@@ -112,25 +105,23 @@ def _payload_for(index, *, raw: bool) -> dict:
     )
 
 
-def save_index(index, path, *, format: str = "npz", fsync: bool = True) -> None:
-    """Serialize ``index`` to ``path``.
-
-    ``format="npz"`` writes a single compressed archive file;
-    ``format="raw"`` writes an uncompressed, mmap-able archive
-    *directory* (committed atomically; ``fsync=False`` skips the
+def save_index(index, path, *, format: str = "raw", fsync: bool = True) -> None:
+    """Serialize ``index`` to the archive *directory* ``path`` (created
+    if absent, committed atomically; ``fsync=False`` skips the
     durability syncs for throwaway archives such as test fixtures).
+    An archive already there is overwritten in place; a regular file,
+    or a directory holding anything but an archive's own files, is
+    refused with :class:`SerializationError` and left untouched.
     """
+    # ``format`` has one value; the keyword stays only because
+    # benchmarks/twinbench (frozen by BENCHMARK.json) passes "raw" and
+    # probes "npz" for exactly this error to note "npz archives absent".
     if format not in ARCHIVE_FORMATS:
         raise InvalidParameterError(
             f"unknown archive format {format!r}; expected one of "
             f"{ARCHIVE_FORMATS}"
         )
-    path = os.fspath(path)
-    payload = _payload_for(index, raw=(format == "raw"))
-    if format == "npz":
-        np.savez_compressed(path, **payload)
-    else:
-        _write_raw(path, payload, fsync=fsync)
+    _write_raw(os.fspath(path), _payload_for(index), fsync=fsync)
 
 
 class _RawArchive:
@@ -172,13 +163,29 @@ def _write_raw(path: str, payload: dict, *, fsync: bool = True) -> None:
     manifest writes."""
     from ..live.wal import fsync_directory  # lazy: avoids cycle
 
-    meta_text = str(np.asarray(payload["meta"])[()])
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise SerializationError(
+            f"cannot write archive {path!r}: an archive is a directory, "
+            "and a file is already there (remove it or pick another path)"
+        )
     os.makedirs(path, exist_ok=True)
+    stale = os.listdir(path)
+    foreign = sorted(
+        name
+        for name in stale
+        if name != RAW_META_NAME and not name.endswith((".npy", ".tmp"))
+    )
+    if foreign:
+        raise SerializationError(
+            f"cannot write archive {path!r}: the directory holds "
+            f"{foreign[:3]}, which no archive contains — refusing to "
+            "clear a directory that is not an archive"
+        )
     meta_file = os.path.join(path, RAW_META_NAME)
-    if os.path.exists(meta_file):
+    if RAW_META_NAME in stale:
         os.unlink(meta_file)
-    for name in os.listdir(path):
-        if name.endswith(".npy") or name.endswith(".tmp"):
+    for name in stale:
+        if name != RAW_META_NAME:
             os.unlink(os.path.join(path, name))
     for key, value in payload.items():
         if key == "meta":
@@ -193,7 +200,7 @@ def _write_raw(path: str, payload: dict, *, fsync: bool = True) -> None:
         os.replace(tmp, target)
     tmp = meta_file + ".tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(meta_text)
+        handle.write(payload["meta"])
         handle.flush()
         if fsync:
             os.fsync(handle.fileno())
@@ -207,8 +214,8 @@ def load_index(path, *, mmap: bool = True):
 
     A directory is opened as a raw archive (``mmap=True`` maps the
     array files zero-copy; ``mmap=False`` reads them into private
-    memory); a file is read as a compressed ``.npz`` archive — legacy
-    archives keep loading unchanged. Sharded engines remember the
+    memory); a regular file is read as a legacy compressed ``.npz``
+    archive, which keeps loading unchanged. Sharded engines remember the
     archive they came from (see
     :meth:`~repro.engine.sharding.ShardedTSIndex.attach_archive`), so
     process-pool fan-out can reopen the same archive by path inside
@@ -408,10 +415,8 @@ def _dump_tsindex(index: TSIndex) -> dict:
     if index._root is None:
         raise SerializationError("cannot serialize an empty TS-Index")
     payload = {
-        "meta": np.asarray(
-            _meta_for(
-                index, "tsindex", {"params": _tsindex_params_meta(index.params)}
-            )
+        "meta": _meta_for(
+            index, "tsindex", {"params": _tsindex_params_meta(index.params)}
         ),
         "series": index.source.series.values,
     }
@@ -452,20 +457,15 @@ def _load_tsindex(meta: dict, data: dict) -> TSIndex | FrozenTSIndex:
     return index
 
 
-def _dump_frozen(index: FrozenTSIndex, *, raw: bool = False) -> dict:
-    """Frozen indexes serialize their flat arrays verbatim (the raw
-    container keeps the envelopes in their resident layout, so neither
-    save nor load ever re-lays them out)."""
+def _dump_frozen(index: FrozenTSIndex) -> dict:
+    """Frozen indexes serialize their flat arrays verbatim, envelopes
+    in their resident layout, so neither save nor load ever re-lays
+    them out."""
     payload = {
-        "meta": np.asarray(
-            _meta_for(
-                index,
-                "tsindex",
-                {
-                    "params": _tsindex_params_meta(index.params),
-                    "frozen": True,
-                },
-            )
+        "meta": _meta_for(
+            index,
+            "tsindex",
+            {"params": _tsindex_params_meta(index.params), "frozen": True},
         ),
         "series": index.source.series.values,
     }
@@ -473,7 +473,7 @@ def _dump_frozen(index: FrozenTSIndex, *, raw: bool = False) -> dict:
     if source._means is not None:
         payload["win_means"] = source._means
         payload["win_stds"] = source._stds
-    payload.update(index.raw_arrays() if raw else index.arrays())
+    payload.update(index.raw_arrays())
     return payload
 
 
@@ -493,9 +493,7 @@ def _dump_kvindex(index: KVIndex) -> dict:
         for start, stop in index.bin_intervals(bin_id):
             triples.append((bin_id, start, stop))
     return {
-        "meta": np.asarray(
-            _meta_for(index, "kvindex", {"num_bins": index.params.num_bins})
-        ),
+        "meta": _meta_for(index, "kvindex", {"num_bins": index.params.num_bins}),
         "series": index.source.series.values,
         "edges": index.edges,
         "triples": np.asarray(triples, dtype=np.int64).reshape(-1, 3),
@@ -558,19 +556,17 @@ def _dump_isax(index: ISAXIndex) -> dict:
     params = index.params
     alphabet = index.alphabet
     return {
-        "meta": np.asarray(
-            _meta_for(
-                index,
-                "isax",
-                {
-                    "params": {
-                        "segments": params.segments,
-                        "leaf_capacity": params.leaf_capacity,
-                        "base_bits": params.base_bits,
-                        "max_bits": params.max_bits,
-                    }
-                },
-            )
+        "meta": _meta_for(
+            index,
+            "isax",
+            {
+                "params": {
+                    "segments": params.segments,
+                    "leaf_capacity": params.leaf_capacity,
+                    "base_bits": params.base_bits,
+                    "max_bits": params.max_bits,
+                }
+            },
         ),
         "series": index.source.series.values,
         "alphabet": alphabet.breakpoints(alphabet.max_cardinality),
@@ -632,7 +628,7 @@ def _load_isax(meta: dict, data: dict) -> ISAXIndex:
 # ----------------------------------------------------------------------
 # Sharded TS-Index: per-shard trees flattened under prefixed keys
 # ----------------------------------------------------------------------
-def _dump_sharded(engine, *, raw: bool = False) -> dict:
+def _dump_sharded(engine) -> dict:
     """One archive holding the full series plus every shard tree.
 
     Shard window sources are zero-copy views of the monolithic source,
@@ -642,8 +638,7 @@ def _dump_sharded(engine, *, raw: bool = False) -> dict:
     shard_meta = []
     payload: dict = {"series": engine.source.series.values}
     for i, ((start, stop), tree) in enumerate(zip(engine.spans, engine.shards)):
-        arrays = tree.raw_arrays() if raw else tree.arrays()
-        for key, value in arrays.items():
+        for key, value in tree.raw_arrays().items():
             payload[f"s{i}_{key}"] = value
         shard_meta.append(
             {
@@ -653,15 +648,10 @@ def _dump_sharded(engine, *, raw: bool = False) -> dict:
                 "build_stats": dataclasses.asdict(tree.build_stats),
             }
         )
-    payload["meta"] = np.asarray(
-        _meta_for(
-            engine,
-            "sharded_tsindex",
-            {
-                "params": _tsindex_params_meta(engine.params),
-                "shards": shard_meta,
-            },
-        )
+    payload["meta"] = _meta_for(
+        engine,
+        "sharded_tsindex",
+        {"params": _tsindex_params_meta(engine.params), "shards": shard_meta},
     )
     return payload
 
@@ -704,7 +694,7 @@ def _load_sharded(meta: dict, data: dict):
 # ----------------------------------------------------------------------
 def _dump_sweepline(index: SweeplineSearch) -> dict:
     return {
-        "meta": np.asarray(_meta_for(index, "sweepline")),
+        "meta": _meta_for(index, "sweepline"),
         "series": index.source.series.values,
     }
 

@@ -122,8 +122,8 @@ class PartSet:
                     return None
                 raise InvalidParameterError(
                     "process fan-out needs an on-disk archive to reopen in "
-                    "each worker; save this engine with save_index(..., "
-                    "format='raw') and reopen it with load_index(), or "
+                    "each worker; save this engine with save_index() and "
+                    "reopen it with load_index(), or "
                     "serve it through QueryEngine(executor='process') "
                     "(which spools unarchived engines automatically)"
                 )

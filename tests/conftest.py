@@ -7,6 +7,9 @@ session-scoped prebuilt indices reused by the read-only query tests.
 
 from __future__ import annotations
 
+import pathlib
+import shutil
+
 import numpy as np
 import pytest
 
@@ -104,5 +107,54 @@ def query_of(source_global):
     def factory(position: int, source: WindowSource | None = None) -> np.ndarray:
         chosen = source if source is not None else source_global
         return np.array(chosen.window_block(position, position + 1)[0])
+
+    return factory
+
+
+@pytest.fixture(scope="session")
+def save_legacy_npz():
+    """Factory: write ``index`` as the single compressed ``.npz`` file
+    :func:`repro.persistence.save_index` produced while that was a
+    write format — the same members, with frozen envelopes as whole
+    node-major ``(n, l)`` ``uppers`` / ``lowers`` matrices — so the
+    read-only legacy branch of ``load_index`` is exercised by files the
+    library can no longer write. ``overrides`` replace members (e.g.
+    float64 envelopes)."""
+    from repro.core.frozen import RAW_ARRAY_FIELDS, FrozenTSIndex
+    from repro.persistence.serializer import _payload_for
+
+    def factory(index, path, **overrides) -> None:
+        payload = _payload_for(index)
+        if isinstance(index, FrozenTSIndex):
+            trees = {"": index}
+        else:
+            shards = getattr(index, "shards", ())
+            trees = {f"s{i}_": shard for i, shard in enumerate(shards)}
+        for prefix, tree in trees.items():
+            for field in RAW_ARRAY_FIELDS:
+                del payload[prefix + field]
+            for field, array in tree.arrays().items():
+                payload[prefix + field] = array
+        payload.update(overrides)
+        with open(path, "wb") as handle:  # a handle keeps the name as given
+            np.savez_compressed(handle, **payload)
+
+    return factory
+
+
+@pytest.fixture(scope="session")
+def legacy_live_copy():
+    """Factory: a writable copy, at ``target``, of
+    ``tests/data/live_npz_segments`` — a durable live directory written
+    by the last commit whose sealed segments were single ``.npz`` files
+    (PR 18): the first 300 points of a seed-19 random walk, ``l = 16``,
+    ``normalization="none"``, μc/Mc = 4/10, ``seal_threshold=64``, fed
+    40 readings at creation and 20 per append — four ``.npz`` segments
+    of 64 windows, 29 un-sealed windows in the WAL, and a manifest that
+    still carries the retired ``archive_format`` key."""
+
+    def factory(target) -> pathlib.Path:
+        source = pathlib.Path(__file__).parent / "data" / "live_npz_segments"
+        return pathlib.Path(shutil.copytree(source, target))
 
     return factory

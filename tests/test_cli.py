@@ -1,5 +1,7 @@
 """Tests for the CLI experiment driver and engine subcommands."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -92,12 +94,12 @@ class TestEngineCLI:
     def test_engine_parser_subcommands(self):
         parser = cli.build_engine_parser()
         args = parser.parse_args(
-            ["build", "--output", "x.npz", "--shards", "4"]
+            ["build", "--output", "x.rts", "--shards", "4"]
         )
         assert args.engine_command == "build"
         assert args.shards == 4
         args = parser.parse_args(
-            ["query", "--index", "x.npz", "--position", "5", "--epsilon", "0.5"]
+            ["query", "--index", "x.rts", "--position", "5", "--epsilon", "0.5"]
         )
         assert args.engine_command == "query"
         with pytest.raises(SystemExit):
@@ -109,7 +111,7 @@ class TestEngineCLI:
 
     @pytest.fixture(scope="class")
     def built_archive(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("engine") / "idx.npz"
+        path = tmp_path_factory.mktemp("engine") / "idx.rts"
         code = cli.main(
             [
                 "engine", "build", "--output", str(path),
@@ -121,7 +123,54 @@ class TestEngineCLI:
         return path
 
     def test_engine_build_output(self, built_archive, capsys):
-        assert built_archive.exists()
+        assert built_archive.is_dir()
+
+    def test_engine_build_writes_exactly_the_path_given(self, tmp_path, capsys):
+        """A suffix-less ``--output`` is the path ``--index`` takes
+        (numpy used to append ``.npz`` behind "saved to idx")."""
+        path = tmp_path / "idx"
+        build = [
+            "engine", "build", "--output", str(path), "--dataset", "insect",
+            "--scale", "0.01", "--length", "50", "--shards", "2",
+        ]
+        assert cli.main(build) == 0
+        assert f"saved to {path}" in capsys.readouterr().out
+        assert os.listdir(tmp_path) == ["idx"]
+        query = ["engine", "query", "--index", str(path), "--position", "5",
+                 "--epsilon", "0.5"]
+        assert cli.main(query) == 0
+        serial = capsys.readouterr().out
+        assert cli.main(query + ["--executor", "process"]) == 0
+        assert capsys.readouterr().out == serial
+
+    def test_engine_build_over_a_file_is_a_clean_error(self, tmp_path):
+        """Last week's single-file archive in the way: a one-line typed
+        error, not a bare ``FileExistsError`` traceback — and the file
+        is left alone."""
+        path = tmp_path / "idx.npz"
+        path.write_bytes(b"an older archive")
+        with pytest.raises(SystemExit, match="error: cannot write archive"):
+            cli.main([
+                "engine", "build", "--output", str(path), "--dataset", "insect",
+                "--scale", "0.01", "--length", "50", "--shards", "2",
+            ])
+        assert path.read_bytes() == b"an older archive"
+
+    def test_query_arguments_are_declared_once_for_both_planes(self):
+        given = [
+            "--position", "5", "--knn", "3", "--query-length", "20",
+            "--limit", "4", "--executor", "process",
+        ]
+        engine = cli.build_engine_parser().parse_args(
+            ["query", "--index", "idx.rts"] + given
+        )
+        live = cli.build_live_parser().parse_args(
+            ["query", "--path", "traffic"] + given
+        )
+        shared = ("position", "query_file", "epsilon", "knn", "query_length",
+                  "limit", "executor")
+        assert [getattr(engine, n) for n in shared] == [getattr(live, n) for n in shared]
+        assert [getattr(engine, n) for n in shared] == [5, None, None, 3, 20, 4, "process"]
 
     def test_engine_query_epsilon(self, built_archive, capsys):
         code = cli.main(
@@ -230,7 +279,7 @@ class TestEngineCLI:
         series = np.cumsum(np.random.default_rng(0).normal(size=500))
         save_index(
             TSIndex.build(series, 50, normalization="none"),
-            tmp_path / "mono.npz",
+            tmp_path / "mono.rts",
         )
         with pytest.raises(SystemExit, match="not a sharded engine"):
-            cli.main(["engine", "stats", "--index", str(tmp_path / "mono.npz")])
+            cli.main(["engine", "stats", "--index", str(tmp_path / "mono.rts")])

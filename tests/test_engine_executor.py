@@ -141,7 +141,7 @@ class TestLifecycleAndStats:
     def test_load_overwrite_invalidates_cache(self, engine, series, tmp_path):
         query = engine.registry.get("demo").source.window(77)
         stale = engine.query("demo", query, 0.3)
-        path = tmp_path / "demo.npz"
+        path = tmp_path / "demo.rts"
         engine.registry.save("demo", path)
         restored = engine.load("demo", path, overwrite=True)
         assert engine.registry.get("demo") is restored

@@ -84,7 +84,7 @@ class TestStats:
 
 class TestPersistence:
     def test_save_load_roundtrip(self, registry, tmp_path):
-        path = tmp_path / "demo.npz"
+        path = tmp_path / "demo.rts"
         registry.save("demo", path)
         restored = registry.load("copy", path)
         original = registry.get("demo")
@@ -103,8 +103,8 @@ class TestPersistence:
             "pw", series, 30, normalization="per_window", shards=4,
             params=PARAMS,
         )
-        registry.save("pw", tmp_path / "pw.npz")
-        restored = registry.load("pw2", tmp_path / "pw.npz")
+        registry.save("pw", tmp_path / "pw.rts")
+        restored = registry.load("pw2", tmp_path / "pw.rts")
         query = np.array(series[100:130])  # raw query, normalized on entry
         expected = original.search(query, 0.2)
         actual = restored.search(query, 0.2)
@@ -115,13 +115,13 @@ class TestPersistence:
         from repro.persistence import save_index
 
         mono = TSIndex.build(series, 40, normalization="none", params=PARAMS)
-        path = tmp_path / "mono.npz"
+        path = tmp_path / "mono.rts"
         save_index(mono, path)
         with pytest.raises(InvalidParameterError):
             registry.load("mono", path)
 
     def test_load_duplicate_name_rejected(self, registry, tmp_path):
-        path = tmp_path / "demo.npz"
+        path = tmp_path / "demo.rts"
         registry.save("demo", path)
         with pytest.raises(InvalidParameterError):
             registry.load("demo", path)

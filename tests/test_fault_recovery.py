@@ -91,7 +91,7 @@ class TestManifestCommitCrash:
                 live.append(np.cumsum(np.ones(2 * SEAL)) + fed[-1])
         live.abandon()
         recovered = LiveTwinIndex.recover(path, background_compaction=False)
-        files = {n for n in os.listdir(path) if n.endswith(".npz")}
+        files = {n for n in os.listdir(path) if n.startswith("seg-")}
         assert files == {s.file for s in recovered.segments}
         assert before <= files or len(files) >= len(before)
         stream = np.concatenate(
@@ -258,8 +258,7 @@ class TestQuarantine:
         live = LiveTwinIndex.recover(path, background_compaction=False)
         target = live.segments[position].file
         live.close()
-        full = os.path.join(str(path), target)
-        with open(full, "wb") as handle:
+        with open(os.path.join(str(path), target, "meta.json"), "wb") as handle:
             handle.write(b"not an archive")
         return target
 

@@ -317,7 +317,7 @@ class TestThaw:
 class TestPersistence:
     def test_frozen_round_trip(self, tmp_path, pair):
         dynamic, frozen = pair
-        path = tmp_path / "frozen.npz"
+        path = tmp_path / "frozen.rts"
         save_index(frozen, path)
         restored = load_index(path)
         assert isinstance(restored, FrozenTSIndex)
@@ -335,7 +335,7 @@ class TestPersistence:
 
     def test_pointer_archives_still_load_as_trees(self, tmp_path, pair):
         dynamic, _ = pair
-        path = tmp_path / "pointer.npz"
+        path = tmp_path / "pointer.rts"
         save_index(dynamic, path)
         assert isinstance(load_index(path), TSIndex)
 
@@ -343,7 +343,7 @@ class TestPersistence:
         engine = ShardedTSIndex.build(
             values, LENGTH, normalization="global", shards=3, params=PARAMS
         )
-        path = tmp_path / "engine.npz"
+        path = tmp_path / "engine.rts"
         save_index(engine, path)
         restored = load_index(path)
         assert isinstance(restored, ShardedTSIndex)
@@ -461,7 +461,7 @@ class TestFactoryAndCLI:
     def test_engine_build_freezes_shards(self, tmp_path, capsys):
         from repro import cli
 
-        path = tmp_path / "engine.npz"
+        path = tmp_path / "engine.rts"
         code = cli.main([
             "engine", "build", "--output", str(path),
             "--dataset", "insect", "--scale", "0.02",

@@ -155,17 +155,22 @@ class TestEnvelopeDtype:
             _assert_float32(shard)
 
     @pytest.mark.parametrize("archive_format", ["npz", "raw"])
-    def test_recovered_segments(self, tmp_path, archive_format):
-        live = LiveTwinIndex.create(
-            tmp_path / "live", self.SERIES[:600], length=40,
-            seal_threshold=200, background_compaction=False,
-            archive_format=archive_format,
-        )
-        live.append(self.SERIES[600:1500])
-        assert live.segments
-        for segment in live.segments:
-            _assert_float32(segment.index)
-        live.close()
+    def test_recovered_segments(self, tmp_path, archive_format, legacy_live_copy):
+        """Segments recovered from archive directories written here, or
+        (``npz``) from the committed directory of single-file segments
+        an older version wrote."""
+        if archive_format == "npz":
+            legacy_live_copy(tmp_path / "live")
+        else:
+            live = LiveTwinIndex.create(
+                tmp_path / "live", self.SERIES[:600], length=40,
+                seal_threshold=200, background_compaction=False,
+            )
+            live.append(self.SERIES[600:1500])
+            assert live.segments
+            for segment in live.segments:
+                _assert_float32(segment.index)
+            live.close()
         recovered = LiveTwinIndex.recover(
             tmp_path / "live", background_compaction=False
         )

@@ -97,7 +97,7 @@ class TestRegistry:
         registry = IndexRegistry()
         registry.add_live("stream", make_live())
         with pytest.raises(InvalidParameterError, match="write-ahead"):
-            registry.save("stream", tmp_path / "x.npz")
+            registry.save("stream", tmp_path / "x.rts")
 
     def test_evict_live(self):
         registry = IndexRegistry()

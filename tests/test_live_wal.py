@@ -251,14 +251,11 @@ class TestRecovery:
         live, _ = make_durable(path, seed=5)
         segment_file = live.segments[0].file
         live.close()
-        archive_path = path / segment_file
-        with np.load(archive_path, allow_pickle=False) as archive:
-            data = {key: archive[key] for key in archive.files}
+        children_file = path / segment_file / "children.npy"
         # Out-of-range child ids: from_arrays' structural validation
         # (PR 2) must reject the archive instead of wrapping around
         # under fancy indexing.
-        data["children"] = np.full_like(data["children"], 10**6)
-        np.savez_compressed(archive_path, **data)
+        np.save(children_file, np.full_like(np.load(children_file), 10**6))
         with pytest.raises((SerializationError, InvalidParameterError)):
             LiveTwinIndex.recover(path)
 
@@ -337,16 +334,20 @@ class TestRecovery:
     def test_recover_sweeps_orphan_archives(self, tmp_path):
         # A crash between writing an archive and committing it to the
         # manifest (or between a compaction's manifest commit and its
-        # unlink step) leaves unreferenced seg-*.npz files; recovery
-        # must clean them up instead of leaking them forever.
+        # unlink step) leaves unreferenced seg-* archives; recovery
+        # must clean them up instead of leaking them forever — the
+        # directories it writes and the single files it used to write.
         path = tmp_path / "live"
         live, _ = make_durable(path, seed=11)
         live.close()
-        orphan = path / "seg-999999999000-999999999100.npz"
-        orphan.write_bytes(b"leftover from a crashed seal")
+        orphan = path / "seg-999999999000-999999999100.rts"
+        orphan.mkdir()
+        (orphan / "series.npy").write_bytes(b"leftover from a crashed seal")
+        legacy_orphan = path / "seg-999999999100-999999999200.npz"
+        legacy_orphan.write_bytes(b"leftover from a crashed seal")
         recovered = LiveTwinIndex.recover(path, background_compaction=False)
-        assert not orphan.exists()
-        files = {name for name in os.listdir(path) if name.endswith(".npz")}
+        assert not orphan.exists() and not legacy_orphan.exists()
+        files = {name for name in os.listdir(path) if name.startswith("seg-")}
         assert files == {s.file for s in recovered.segments}
         recovered.close()
 
@@ -394,6 +395,6 @@ class TestRecovery:
         recovered = LiveTwinIndex.recover(path, background_compaction=False)
         assert [(s.start, s.stop) for s in recovered.segments] == segment_spans
         # stale pre-compaction archives were unlinked
-        files = {name for name in os.listdir(path) if name.endswith(".npz")}
+        files = {name for name in os.listdir(path) if name.startswith("seg-")}
         assert files == {s.file for s in recovered.segments}
         recovered.close()

@@ -1,4 +1,6 @@
-"""Round-trip tests for index persistence."""
+"""Round-trip tests for index persistence: every kind through the raw
+archive directory ``save_index`` writes, and through the legacy ``.npz``
+file ``load_index`` still reads."""
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ def _assert_same_answers(original, restored, query, epsilons=(0.0, 0.4, 1.0)):
 
 class TestRoundTrips:
     def test_tsindex(self, tmp_path, tsindex_global, query_of):
-        path = tmp_path / "ts.npz"
+        path = tmp_path / "ts.rts"
         save_index(tsindex_global, path)
         restored = load_index(path)
         assert isinstance(restored, TSIndex)
@@ -31,13 +33,13 @@ class TestRoundTrips:
         _assert_same_answers(tsindex_global, restored, query_of(321))
 
     def test_tsindex_params_preserved(self, tmp_path, tsindex_global):
-        path = tmp_path / "ts.npz"
+        path = tmp_path / "ts.rts"
         save_index(tsindex_global, path)
         restored = load_index(path)
         assert restored.params == tsindex_global.params
 
     def test_kvindex(self, tmp_path, kvindex_global, query_of):
-        path = tmp_path / "kv.npz"
+        path = tmp_path / "kv.rts"
         save_index(kvindex_global, path)
         restored = load_index(path)
         assert isinstance(restored, KVIndex)
@@ -45,7 +47,7 @@ class TestRoundTrips:
         _assert_same_answers(kvindex_global, restored, query_of(100))
 
     def test_isax(self, tmp_path, isax_global, query_of):
-        path = tmp_path / "isax.npz"
+        path = tmp_path / "isax.rts"
         save_index(isax_global, path)
         restored = load_index(path)
         assert isinstance(restored, ISAXIndex)
@@ -53,14 +55,14 @@ class TestRoundTrips:
         _assert_same_answers(isax_global, restored, query_of(250))
 
     def test_sweepline(self, tmp_path, sweepline_global, query_of):
-        path = tmp_path / "sweep.npz"
+        path = tmp_path / "sweep.rts"
         save_index(sweepline_global, path)
         restored = load_index(path)
         assert isinstance(restored, SweeplineSearch)
         _assert_same_answers(sweepline_global, restored, query_of(7))
 
     def test_knn_after_restore(self, tmp_path, tsindex_global, query_of):
-        path = tmp_path / "ts.npz"
+        path = tmp_path / "ts.rts"
         save_index(tsindex_global, path)
         restored = load_index(path)
         query = query_of(500)
@@ -69,7 +71,7 @@ class TestRoundTrips:
         assert np.allclose(original.distances, loaded.distances)
 
     def test_build_stats_preserved(self, tmp_path, tsindex_global):
-        path = tmp_path / "ts.npz"
+        path = tmp_path / "ts.rts"
         save_index(tsindex_global, path)
         restored = load_index(path)
         assert restored.build_stats.windows == (
@@ -78,10 +80,24 @@ class TestRoundTrips:
 
     def test_normalization_preserved(self, tmp_path, source_per_window):
         index = TSIndex.from_source(source_per_window)
-        path = tmp_path / "pw.npz"
+        path = tmp_path / "pw.rts"
         save_index(index, path)
         restored = load_index(path)
         assert restored.source.normalization.value == "per_window"
+
+
+class TestLegacyFileRoundTrips:
+    @pytest.mark.parametrize("kind", ["tsindex", "kvindex", "isax", "sweepline"])
+    def test_same_answers(
+        self, kind, request, tmp_path, save_legacy_npz, query_of
+    ):
+        original = request.getfixturevalue(f"{kind}_global")
+        path = tmp_path / f"{kind}.npz"
+        save_legacy_npz(original, path)
+        assert path.is_file()
+        restored = load_index(path)
+        assert type(restored) is type(original)
+        _assert_same_answers(original, restored, query_of(321))
 
 
 class TestErrors:

@@ -45,7 +45,7 @@ def sharded_raw(tmp_path_factory, series_values):
     engine = ShardedTSIndex.build(
         series_values, LENGTH, normalization="per_window", shards=3
     )
-    save_index(engine, path, format="raw")
+    save_index(engine, path)
     return load_index(path)
 
 
@@ -92,7 +92,7 @@ class TestShardedProcessEquivalence:
         engine = ShardedTSIndex.build(
             series_values, LENGTH, normalization="none", shards=3
         )
-        save_index(engine, path, format="raw")
+        save_index(engine, path)
         loaded = load_index(path)
         query = np.array(series_values[100 : 100 + LENGTH // 2])
         serial = loaded.search_varlength(query, 0.3)
@@ -111,7 +111,7 @@ class TestShardedProcessEquivalence:
     ):
         engine = ShardedTSIndex.build(series_values, LENGTH, shards=2)
         path = tmp_path / "engine.raw"
-        save_index(engine, path, format="raw")
+        save_index(engine, path)
         engine.attach_archive(path)
         query = query_of(42)
         _assert_same_result(
@@ -121,57 +121,73 @@ class TestShardedProcessEquivalence:
 
 
 @pytest.fixture(scope="module", params=["npz", "raw"])
-def live_durable(tmp_path_factory, series_values, request):
-    plane = LiveTwinIndex.create(
-        tmp_path_factory.mktemp("live") / f"plane-{request.param}",
-        series_values[:2000],
-        length=LENGTH,
-        normalization="none",
-        seal_threshold=400,
-        max_segments=64,
-        background_compaction=False,
-        archive_format=request.param,
-    )
-    plane.append(series_values[2000:])
+def live_durable(tmp_path_factory, series_values, request, legacy_live_copy):
+    """A durable plane with sealed segments and a delta: written here
+    (segment archive directories), or — ``npz`` — recovered from the
+    committed directory of an older version, whose segments are single
+    compressed files that workers open by path just the same."""
+    root = tmp_path_factory.mktemp("live")
+    if request.param == "npz":
+        plane = LiveTwinIndex.recover(
+            legacy_live_copy(root / "plane-npz"), background_compaction=False
+        )
+        assert all(segment.file.endswith(".npz") for segment in plane.segments)
+    else:
+        plane = LiveTwinIndex.create(
+            root / "plane-raw",
+            series_values[:2000],
+            length=LENGTH,
+            normalization="none",
+            seal_threshold=400,
+            max_segments=64,
+            background_compaction=False,
+        )
+        plane.append(series_values[2000:])
+    assert plane.segment_count >= 4 and plane.delta_windows > 0
     yield plane
     plane.close()
 
 
+def _window(plane, fraction: float) -> np.ndarray:
+    """The indexed window that far through ``plane``, as a query."""
+    position = int(fraction * (plane.window_count - 1))
+    return np.array(plane.source.window_block(position, position + 1)[0])
+
+
 class TestLiveProcessEquivalence:
-    def test_search_matches_serial(self, live_durable, procpool, query_of):
-        query = query_of(150)
+    def test_search_matches_serial(self, live_durable, procpool):
+        query = _window(live_durable, 0.25)
+        serial = live_durable.search(query, 3.0)
+        assert len(serial) > 1
         _assert_same_result(
-            live_durable.search(query, 0.5),
-            live_durable.search(query, 0.5, executor=procpool),
+            serial, live_durable.search(query, 3.0, executor=procpool)
         )
 
-    def test_knn_matches_serial(self, live_durable, procpool, query_of):
-        query = query_of(700)
-        serial = live_durable.knn(query, 5, exclude=(650, 750))
-        pooled = live_durable.knn(
-            query, 5, exclude=(650, 750), executor=procpool
-        )
+    def test_knn_matches_serial(self, live_durable, procpool):
+        query = _window(live_durable, 0.5)
+        position = int(0.5 * (live_durable.window_count - 1))
+        exclude = (position - 10, position + 10)
+        serial = live_durable.knn(query, 5, exclude=exclude)
+        pooled = live_durable.knn(query, 5, exclude=exclude, executor=procpool)
         _assert_same_result(serial, pooled)
 
-    def test_count_matches_serial(self, live_durable, procpool, query_of):
-        query = query_of(33)
-        assert live_durable.count(query, 0.5) == live_durable.count(
-            query, 0.5, executor=procpool
+    def test_count_matches_serial(self, live_durable, procpool):
+        query = _window(live_durable, 0.01)
+        assert live_durable.count(query, 3.0) == live_durable.count(
+            query, 3.0, executor=procpool
         )
 
-    def test_varlength_matches_serial(self, live_durable, procpool, query_of):
-        query = np.array(query_of(90)[: LENGTH // 2])
+    def test_varlength_matches_serial(self, live_durable, procpool):
+        query = _window(live_durable, 0.03)[: live_durable.length // 2]
         _assert_same_result(
-            live_durable.search_varlength(query, 0.3),
-            live_durable.search_varlength(query, 0.3, executor=procpool),
+            live_durable.search_varlength(query, 2.0),
+            live_durable.search_varlength(query, 2.0, executor=procpool),
         )
 
-    def test_batch_matches_serial(self, live_durable, procpool, query_of):
-        queries = [query_of(11), query_of(800)]
-        serial = live_durable.search_batch(queries, 0.5)
-        pooled = live_durable.search_batch(
-            queries, 0.5, executor=procpool
-        )
+    def test_batch_matches_serial(self, live_durable, procpool):
+        queries = [_window(live_durable, 0.004), _window(live_durable, 0.9)]
+        serial = live_durable.search_batch(queries, 3.0)
+        pooled = live_durable.search_batch(queries, 3.0, executor=procpool)
         for a, b in zip(serial.results, pooled.results):
             _assert_same_result(a, b)
 
@@ -274,11 +290,7 @@ class TestTaskProtocol:
         from repro.core.tsindex import TSIndex
 
         path = tmp_path / "plane.raw"
-        save_index(
-            TSIndex.build(series_values[:1000], LENGTH).freeze(),
-            path,
-            format="raw",
-        )
+        save_index(TSIndex.build(series_values[:1000], LENGTH).freeze(), path)
         first = open_archive(os.fspath(path))
         second = open_archive(os.fspath(path))
         assert first is second

@@ -1,9 +1,12 @@
-"""Raw (mmap-able) archive directories: format equivalence, zero-copy
-adoption, atomic commit, and legacy ``.npz`` compatibility.
+"""Raw (mmap-able) archive directories — the one container
+``save_index`` writes: zero-copy adoption, atomic commit, the paths it
+refuses, and the read-only legacy ``.npz`` reader.
 
 The contract under test: an index restored from a raw archive answers
-every query byte-identically to the in-memory original *and* to an
-``.npz`` restore — positions, distances, and the structural
+every query byte-identically to the in-memory original *and* to a
+restore of a legacy ``.npz`` file (written here by the
+``save_legacy_npz`` fixture, or committed under ``tests/data``) —
+positions, distances, and the structural
 :class:`~repro.core.stats.QueryStats` counters alike — while the load
 itself adopts the on-disk arrays as read-only memory maps instead of
 copying them.
@@ -60,13 +63,14 @@ def _ultimate_base(array):
 
 class TestFrozenRawRoundTrip:
     def test_byte_identical_across_formats(
-        self, tmp_path, series_values, any_normalization, query_of
+        self, tmp_path, series_values, any_normalization, query_of,
+        save_legacy_npz,
     ):
         original = _frozen(series_values, any_normalization)
         npz_path = tmp_path / "frozen.npz"
         raw_path = tmp_path / "frozen.raw"
-        save_index(original, npz_path)
-        save_index(original, raw_path, format="raw")
+        save_legacy_npz(original, npz_path)
+        save_index(original, raw_path)
         from_npz = load_index(npz_path)
         from_raw = load_index(raw_path)
         query = query_of(123)
@@ -76,7 +80,7 @@ class TestFrozenRawRoundTrip:
     def test_mmap_load_is_zero_copy(self, tmp_path, series_values, query_of):
         original = _frozen(series_values, "global")
         path = tmp_path / "frozen.raw"
-        save_index(original, path, format="raw")
+        save_index(original, path)
         loaded = load_index(path)
         # The envelope planes — both parts of both bounds — must live in
         # the OS page cache, not in private copies: their memory
@@ -100,7 +104,7 @@ class TestFrozenRawRoundTrip:
     def test_raw_views_are_read_only(self, tmp_path, series_values):
         original = _frozen(series_values, "none")
         path = tmp_path / "frozen.raw"
-        save_index(original, path, format="raw")
+        save_index(original, path)
         loaded = load_index(path)
         for part in ENVELOPE_PARTS:
             with pytest.raises(ValueError):
@@ -108,23 +112,24 @@ class TestFrozenRawRoundTrip:
 
     def test_overwrite_in_place(self, tmp_path, series_values, query_of):
         path = tmp_path / "frozen.raw"
-        save_index(_frozen(series_values[:1000], "global"), path, format="raw")
+        save_index(_frozen(series_values[:1000], "global"), path)
         replacement = _frozen(series_values, "global")
-        save_index(replacement, path, format="raw")
+        save_index(replacement, path)
         _assert_identical(replacement, load_index(path), query_of(99))
 
 
 class TestShardedRawRoundTrip:
     def test_byte_identical_across_formats(
-        self, tmp_path, series_values, any_normalization, query_of
+        self, tmp_path, series_values, any_normalization, query_of,
+        save_legacy_npz,
     ):
         engine = ShardedTSIndex.build(
             series_values, LENGTH, normalization=any_normalization, shards=3
         )
         raw_path = tmp_path / "engine.raw"
         npz_path = tmp_path / "engine.npz"
-        save_index(engine, raw_path, format="raw")
-        save_index(engine, npz_path)
+        save_index(engine, raw_path)
+        save_legacy_npz(engine, npz_path)
         from_raw = load_index(raw_path)
         assert isinstance(from_raw, ShardedTSIndex)
         assert from_raw.shard_count == engine.shard_count
@@ -132,21 +137,23 @@ class TestShardedRawRoundTrip:
         _assert_identical(engine, from_raw, query)
         _assert_identical(load_index(npz_path), from_raw, query)
 
-    def test_load_attaches_archive_path(self, tmp_path, series_values):
+    def test_load_attaches_archive_path(
+        self, tmp_path, series_values, save_legacy_npz
+    ):
         engine = ShardedTSIndex.build(series_values, LENGTH, shards=2)
         assert engine.archive_path is None
         raw_path = tmp_path / "engine.raw"
-        save_index(engine, raw_path, format="raw")
+        save_index(engine, raw_path)
         loaded = load_index(raw_path)
         assert loaded.archive_path == os.fspath(raw_path)
         npz_path = tmp_path / "engine.npz"
-        save_index(engine, npz_path)
+        save_legacy_npz(engine, npz_path)
         assert load_index(npz_path).archive_path == os.fspath(npz_path)
 
     def test_shard_planes_are_mmapped(self, tmp_path, series_values):
         engine = ShardedTSIndex.build(series_values, LENGTH, shards=2)
         path = tmp_path / "engine.raw"
-        save_index(engine, path, format="raw")
+        save_index(engine, path)
         loaded = load_index(path)
         for shard in loaded.shards:
             for part in ENVELOPE_PARTS:
@@ -156,60 +163,118 @@ class TestShardedRawRoundTrip:
 class TestAtomicCommit:
     def test_missing_meta_fails_loudly(self, tmp_path, series_values):
         path = tmp_path / "frozen.raw"
-        save_index(_frozen(series_values, "global"), path, format="raw")
+        save_index(_frozen(series_values, "global"), path)
         os.unlink(path / "meta.json")
         with pytest.raises(SerializationError, match="uncommitted or torn"):
             load_index(path)
 
     def test_corrupt_meta_fails_loudly(self, tmp_path, series_values):
         path = tmp_path / "frozen.raw"
-        save_index(_frozen(series_values, "global"), path, format="raw")
+        save_index(_frozen(series_values, "global"), path)
         (path / "meta.json").write_text("{not json")
         with pytest.raises(SerializationError, match="uncommitted or torn"):
             load_index(path)
 
     def test_torn_array_fails_loudly(self, tmp_path, series_values):
         path = tmp_path / "frozen.raw"
-        save_index(_frozen(series_values, "global"), path, format="raw")
+        save_index(_frozen(series_values, "global"), path)
         (path / "uppers_tail.npy").write_bytes(b"\x93NUMPY")
         with pytest.raises(SerializationError):
             load_index(path).search(series_values[:LENGTH], 0.5)
 
     def test_no_tmp_files_survive_commit(self, tmp_path, series_values):
         path = tmp_path / "frozen.raw"
-        save_index(_frozen(series_values, "global"), path, format="raw")
+        save_index(_frozen(series_values, "global"), path)
         leftovers = [n for n in os.listdir(path) if n.endswith(".tmp")]
         assert leftovers == []
 
     def test_stale_arrays_removed_on_rewrite(self, tmp_path, series_values):
         path = tmp_path / "frozen.raw"
-        save_index(_frozen(series_values, "global"), path, format="raw")
+        save_index(_frozen(series_values, "global"), path)
         stale = path / "ghost_field.npy"
         stale.write_bytes(b"stale")
-        save_index(_frozen(series_values, "global"), path, format="raw")
+        save_index(_frozen(series_values, "global"), path)
         assert not stale.exists()
+
+
+class TestRefusedPaths:
+    """``save_index`` clears its target directory before writing, so it
+    only ever does that to a directory that is an archive (or empty, or
+    absent), and says so with a typed error otherwise."""
+
+    def test_regular_file_is_refused(self, tmp_path, series_values):
+        path = tmp_path / "last_week.npz"
+        path.write_bytes(b"an archive file of an older version")
+        with pytest.raises(SerializationError, match="a file is already there"):
+            save_index(_frozen(series_values[:500], "none"), path)
+        assert path.read_bytes() == b"an archive file of an older version"
+
+    def test_directory_of_other_files_is_refused_untouched(
+        self, tmp_path, series_values
+    ):
+        path = tmp_path / "experiment"
+        path.mkdir()
+        np.save(path / "my_experiment.npy", np.arange(5))
+        (path / "notes.txt").write_text("do not lose")
+        with pytest.raises(SerializationError, match="notes.txt"):
+            save_index(_frozen(series_values[:500], "none"), path)
+        assert sorted(os.listdir(path)) == ["my_experiment.npy", "notes.txt"]
+        assert np.array_equal(np.load(path / "my_experiment.npy"), np.arange(5))
+
+    def test_torn_archive_directory_is_overwritten(
+        self, tmp_path, series_values, query_of
+    ):
+        """No ``meta.json``, a stray ``.tmp``: what a crashed save
+        leaves behind holds only files of ours, and is written over."""
+        path = tmp_path / "torn.rts"
+        original = _frozen(series_values, "global")
+        save_index(original, path)
+        os.unlink(path / "meta.json")
+        (path / "series.npy.tmp").write_bytes(b"half a write")
+        save_index(original, path)
+        assert not (path / "series.npy.tmp").exists()
+        _assert_identical(original, load_index(path), query_of(7))
+
+    @pytest.mark.parametrize("name", ["idx", "b.rts", "idx.npz"])
+    def test_load_returns_what_save_wrote_at_the_path_given(
+        self, tmp_path, series_values, query_of, name
+    ):
+        """Whatever the name, the archive is at exactly that path (numpy
+        used to append ``.npz`` to a suffix-less one, so ``load_index``
+        of the same path failed — or served a stale directory)."""
+        path = tmp_path / name
+        save_index(_frozen(series_values[:800], "global"), path)
+        replacement = _frozen(series_values, "global")
+        save_index(replacement, path)
+        assert os.listdir(tmp_path) == [name]
+        _assert_identical(replacement, load_index(path), query_of(31))
 
 
 class TestLegacyCompatibility:
     def test_legacy_field_layout_still_loads(
-        self, tmp_path, series_values, query_of
+        self, tmp_path, series_values, query_of, save_legacy_npz
     ):
         """Archives in the pre-raw layout carry ``uppers``/``lowers``
-        (whole node-major matrices, none of the resident parts); the
-        compressed container still writes exactly that layout, and it
-        must keep loading."""
+        (whole node-major matrices, none of the resident parts) in one
+        compressed file. Nothing writes that any more; it must keep
+        loading — and the fixture that stands in for the old writer
+        must produce the members of a committed file the old writer
+        made."""
         original = _frozen(series_values, "global")
         path = tmp_path / "legacy.npz"
-        save_index(original, path)
+        save_legacy_npz(original, path)
         with np.load(path, allow_pickle=False) as archive:
             fields = set(archive.files)
         assert "uppers" in fields and not fields & set(ENVELOPE_FILES)
+        with np.load(DATA / "frozen_node_major.npz", allow_pickle=False) as archive:
+            assert fields == set(archive.files)
         restored = load_index(path)
         _assert_identical(original, restored, query_of(42))
 
     @pytest.mark.parametrize("container", ["raw", "npz"])
     def test_float64_envelope_archives_still_load(
-        self, tmp_path, series_values, any_normalization, query_of, container
+        self, tmp_path, series_values, any_normalization, query_of, container,
+        save_legacy_npz,
     ):
         """Archives written before the envelopes became float32 hold
         them as float64 (whole timestamp-major ``uppers_t`` /
@@ -226,17 +291,16 @@ class TestLegacyCompatibility:
         exact = _flatten_tree(dynamic._root)  # float64, same BFS order
         assert exact["uppers"].dtype == np.float64
         path = tmp_path / f"legacy.{container}"
-        save_index(original, path, format=container, fsync=False)
         if container == "raw":
+            save_index(original, path, fsync=False)
             for file in ENVELOPE_FILES:
                 os.unlink(path / f"{file}.npy")
             np.save(path / "uppers_t.npy", np.ascontiguousarray(exact["uppers"].T))
             np.save(path / "lowers_t.npy", np.ascontiguousarray(exact["lowers"].T))
         else:
-            with np.load(path, allow_pickle=False) as archive:
-                payload = {key: archive[key] for key in archive.files}
-            payload.update(uppers=exact["uppers"], lowers=exact["lowers"])
-            np.savez_compressed(path, **payload)
+            save_legacy_npz(
+                original, path, uppers=exact["uppers"], lowers=exact["lowers"]
+            )
         restored = load_index(path)
         for field, array in original.raw_arrays().items():
             assert restored.raw_arrays()[field].dtype == array.dtype
@@ -338,7 +402,7 @@ class TestLegacyCompatibility:
         pointer-tree TS-Index round-trips through it too."""
         original = TSIndex.build(series_values, LENGTH, normalization="global")
         path = tmp_path / "dynamic.raw"
-        save_index(original, path, format="raw")
+        save_index(original, path)
         restored = load_index(path)
         query = query_of(77)
         a, b = original.search(query, 0.5), restored.search(query, 0.5)
@@ -347,7 +411,9 @@ class TestLegacyCompatibility:
 
 
 class TestLoadMetric:
-    def test_archive_load_histogram_observes(self, tmp_path, series_values):
+    def test_archive_load_histogram_observes(
+        self, tmp_path, series_values, save_legacy_npz
+    ):
         from repro.obs import (
             MetricsRegistry,
             default_registry,
@@ -357,8 +423,8 @@ class TestLoadMetric:
         npz_path = tmp_path / "frozen.npz"
         raw_path = tmp_path / "frozen.raw"
         original = _frozen(series_values, "global")
-        save_index(original, npz_path)
-        save_index(original, raw_path, format="raw")
+        save_legacy_npz(original, npz_path)
+        save_index(original, raw_path)
         previous = default_registry()
         registry = MetricsRegistry()
         set_default_registry(registry)
