@@ -14,7 +14,7 @@ package reproduces the paper's four search methods —
   Section 3.2),
 
 — plus the datasets, workloads and harness needed to regenerate every
-table and figure of the evaluation (see DESIGN.md / EXPERIMENTS.md).
+table and figure of the evaluation.
 
 Quickstart
 ----------

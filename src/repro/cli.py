@@ -41,12 +41,6 @@ subcommands also take ``--json`` for machine-readable snapshots::
     python -m repro.cli obs export --format prometheus
     python -m repro.cli obs export --format json
 
-Chaos-test the serving stack (:mod:`repro.faults`) — kill-and-recover
-loops and fault storms with byte-exact recovery checks::
-
-    python -m repro.cli chaos kill --loops 10
-    python -m repro.cli chaos storm --mode enospc --probability 0.2
-
 Audit the source tree against the project's own invariants
 (:mod:`repro.lint`) — failpoint registry, crash-safety, lock
 discipline, layering, public-API hygiene::
@@ -73,7 +67,7 @@ FIGURES = ("fig4", "fig5", "fig6", "fig7", "fig8")
 COMMANDS = (
     ("table1", "table2", "intro", "all")
     + FIGURES
-    + ("engine", "live", "obs", "chaos", "lint")
+    + ("engine", "live", "obs", "lint")
 )
 
 
@@ -644,84 +638,6 @@ def run_obs(argv) -> int:
     return 0
 
 
-def build_chaos_parser() -> argparse.ArgumentParser:
-    """Parser for the ``chaos`` subcommands (fault-injection drivers
-    over :mod:`repro.faults.chaos`)."""
-    parser = argparse.ArgumentParser(
-        prog="repro-twin chaos",
-        description="Drive the serving stack through injected failures: "
-        "kill-and-recover loops or fault storms against a durable live "
-        "plane, reporting the recovery contract as JSON.",
-    )
-    commands = parser.add_subparsers(dest="chaos_command", required=True)
-
-    kill = commands.add_parser(
-        "kill", help="kill-and-recover loops with byte-exact oracle checks"
-    )
-    kill.add_argument(
-        "--loops", type=int, default=10,
-        help="simulated kills to inject (default: 10)",
-    )
-    kill.add_argument("--length", type=int, default=32)
-    kill.add_argument("--seed", type=int, default=0)
-    kill.add_argument(
-        "--path", default=None,
-        help="working directory (default: a fresh temp dir, removed after)",
-    )
-
-    storm = commands.add_parser(
-        "storm", help="probabilistic fault storm on the WAL or query path"
-    )
-    storm.add_argument(
-        "--mode", choices=("enospc", "io", "search"), default="enospc",
-        help="fault class to rain (default: enospc)",
-    )
-    storm.add_argument("--appends", type=int, default=300)
-    storm.add_argument("--queries", type=int, default=200)
-    storm.add_argument("--probability", type=float, default=0.15)
-    storm.add_argument("--seed", type=int, default=0)
-    storm.add_argument(
-        "--path", default=None,
-        help="working directory (default: a fresh temp dir, removed after)",
-    )
-    return parser
-
-
-def run_chaos(argv) -> int:
-    """Execute one ``chaos`` subcommand; returns an exit code (non-zero
-    when the recovery contract was violated)."""
-    import json
-    import shutil
-    import tempfile
-
-    from .faults import chaos
-
-    args = build_chaos_parser().parse_args(argv)
-    workdir = args.path or tempfile.mkdtemp(prefix="repro_chaos_")
-    try:
-        if args.chaos_command == "kill":
-            report = chaos.run_kill_recover(
-                workdir, loops=args.loops, length=args.length,
-                seed=args.seed,
-            )
-            failed = report["exactness_violations"] != 0
-        else:
-            report = chaos.run_storm(
-                workdir, mode=args.mode, appends=args.appends,
-                queries=args.queries, probability=args.probability,
-                seed=args.seed,
-            )
-            failed = (
-                report["exactness_violations"] != 0
-                or not report["serviceable_after_storm"]
-            )
-    finally:
-        if args.path is None:
-            shutil.rmtree(workdir, ignore_errors=True)
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return 1 if failed else 0
-
-
 def build_lint_parser() -> argparse.ArgumentParser:
     """Parser for the ``lint`` command (project-invariant static
     analysis over :mod:`repro.lint`)."""
@@ -854,12 +770,10 @@ def main(argv=None) -> int:
         return run_live(argv[1:])
     if argv and argv[0] == "obs":
         return run_obs(argv[1:])
-    if argv and argv[0] == "chaos":
-        return run_chaos(argv[1:])
     if argv and argv[0] == "lint":
         return run_lint_cli(argv[1:])
     args = build_parser().parse_args(argv)
-    if args.command in ("engine", "live", "obs", "chaos", "lint"):
+    if args.command in ("engine", "live", "obs", "lint"):
         # Reached only when the subsystem word was not the first
         # argument (main dispatches argv[0] before this parser runs).
         raise SystemExit(

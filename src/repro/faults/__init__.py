@@ -1,18 +1,18 @@
-"""Fault injection and chaos testing for the serving stack.
+"""Fault injection for the serving stack.
 
-Two layers:
+:mod:`repro.faults.failpoints` is a zero-dependency failpoint framework.
+Storage and fan-out code declares named sites
+(``failpoint("wal.append")``); tests arm them with deterministic
+triggers (nth-hit, seeded probability, bounded ``times``) and error
+classes (I/O error, ENOSPC, torn write, simulated crash). Disarmed
+sites cost one empty-dict check.
 
-* :mod:`repro.faults.failpoints` — the zero-dependency failpoint
-  framework. Storage and fan-out code declares named sites
-  (``failpoint("wal.append")``); tests and the chaos harness arm them
-  with deterministic triggers (nth-hit, seeded probability, bounded
-  ``times``) and error classes (I/O error, ENOSPC, torn write,
-  simulated crash). Disarmed sites cost one empty-dict check.
-* :mod:`repro.faults.chaos` — the kill-and-recover harness driven by
-  the ``repro chaos`` CLI: crash loops mid-seal/mid-compaction under bursty ingest, disk-full and torn-write
-  storms, byte-exactness asserted against a from-scratch oracle after
-  every recovery. Imported lazily (``import repro.faults.chaos``) so the
-  failpoint layer stays dependency-free.
+What the faults are *for* — the live plane's crash contract — is held by
+one executed model, ``tests/test_live_state_machine.py``: a Hypothesis
+state machine over append / seal / compact / reopen / query whose fault
+table arms every live-plane site below (a tier-1 test asserts the table
+covers this registry), with byte-exactness against a from-scratch
+oracle after every step.
 
 Instrumented sites
 ------------------
@@ -23,7 +23,8 @@ site                where it fires
 ``wal.append``      before a WAL record write (supports the torn-write
                     payload ``{"torn_after_bytes": k, "error": ...}``)
 ``wal.fsync``       before ``os.fsync`` on the WAL file
-``wal.rewrite``     before the WAL tmp-file rewrite begins
+``wal.rewrite``     before the WAL tmp file is written (the old journal's
+                    handle is already released)
 ``manifest.commit``  after the manifest tmp file is written + fsynced,
                     before the atomic rename
 ``segment.write``   before a sealed segment archive is written

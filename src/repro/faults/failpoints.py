@@ -3,9 +3,9 @@
 The storage and fan-out layers call :func:`failpoint` at every durability
 and distribution edge (``"wal.append"``, ``"manifest.commit"``,
 ``"shard.search"``, ...). In production nothing is armed and the call is
-a single dict lookup on an empty module-global. Tests and the chaos
-harness arm sites with deterministic triggers and let the *real*
-recovery code run against the injected failure.
+a single dict lookup on an empty module-global. Tests arm sites with
+deterministic triggers and let the *real* recovery code run against the
+injected failure.
 
 Arming::
 
@@ -71,7 +71,7 @@ ERROR_CLASSES = ("io", "enospc", "crash")
 #: Canonical registry of every failpoint site in the library. The
 #: ``failpoint-sites`` checker (``repro lint``) enforces both directions
 #: of the contract: every ``failpoint("...")`` literal in the source
-#: tree names a registered site (so an armed chaos test can never
+#: tree names a registered site (so an armed fault test can never
 #: silently no-op against a renamed call site), and every registered
 #: site still has a call site (so the registry never advertises dead
 #: arms). Adding a new site means adding its call *and* its entry here.

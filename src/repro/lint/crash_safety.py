@@ -1,6 +1,6 @@
 """``crash-safety`` — keep :class:`SimulatedCrashError` un-swallowable.
 
-The chaos harness's central guarantee is that an injected crash
+The fault tests' central guarantee is that an injected crash
 (:class:`~repro.exceptions.SimulatedCrashError`, deliberately derived
 from ``BaseException``) unwinds the process the way a real ``kill -9``
 would — no retry loop or cleanup handler may absorb it and carry on.

@@ -3,7 +3,7 @@
 The failpoint framework (:mod:`repro.faults.failpoints`) is name-based:
 ``arm("wal.append", ...)`` and the ``failpoint("wal.append")`` call site
 only meet at runtime, through a string. Renaming a call site therefore
-silently turns every armed chaos test for it into a no-op — the test
+silently turns every armed fault test for it into a no-op — the test
 still passes, it just stops injecting. This checker makes the contract
 static, in both directions, against the canonical
 :data:`repro.faults.failpoints.SITES` registry:

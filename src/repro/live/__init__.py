@@ -14,12 +14,18 @@ queryable. This subsystem provides the missing write path:
   delta + segments and merge exactly — results are byte-identical to a
   from-scratch TS-Index over the full series, in both the raw and the
   per-window normalization regimes.
-* :class:`WriteAheadLog` — a CRC-guarded append journal plus an atomic
-  segment manifest; :meth:`LiveTwinIndex.create` makes a plane durable
-  and :meth:`LiveTwinIndex.recover` replays un-sealed readings after a
-  crash.
+* :class:`WriteAheadLog` — a CRC-guarded append journal;
+  :meth:`LiveTwinIndex.create` makes a plane durable and
+  :meth:`LiveTwinIndex.recover` replays un-sealed readings after a
+  crash. The live directory around it — manifest, segment archives,
+  the order they are committed in — is :mod:`repro.live.store`'s.
 * :class:`Segment` / :func:`merge_segments` / :class:`Compactor` — the
   sealed-run representation and the size-tiered merge policy.
+
+Modules: ``index`` (the plane: config, lock, lifecycle, queries),
+``ingest`` (append buffer + incremental window statistics), ``store``
+(on-disk protocol), ``wal``, ``segments``, ``compaction``. The crash
+contract is held by ``tests/test_live_state_machine.py``.
 
 Serve a live plane through :class:`repro.engine.QueryEngine` via
 :meth:`IndexRegistry.add_live <repro.engine.IndexRegistry.add_live>`
@@ -29,14 +35,16 @@ append can never serve a stale result), or from the command line with
 ``repro-twin live init|append|query|stats``.
 """
 
-from .compaction import Compactor, select_adjacent_pair
-from .index import (
+from .compaction import (
     DEFAULT_MAX_SEGMENTS,
     DEFAULT_SEAL_THRESHOLD,
-    LiveTwinIndex,
+    Compactor,
+    select_adjacent_pair,
 )
+from .index import LiveTwinIndex
 from .segments import Segment, merge_segments
-from .wal import WriteAheadLog, load_manifest, save_manifest
+from .store import load_manifest, save_manifest
+from .wal import WriteAheadLog
 
 __all__ = [
     "Compactor",

@@ -49,6 +49,14 @@ _metrics = HandleCache(
     )
 )
 
+#: Delta windows accumulated before the memtable is sealed into a
+#: frozen segment. Large enough that segment trees amortize their
+#: freeze cost, small enough that the insert-heavy delta stays shallow.
+DEFAULT_SEAL_THRESHOLD = 4096
+
+#: Segment count above which background compaction kicks in.
+DEFAULT_MAX_SEGMENTS = 8
+
 #: Retries per scheduled run before the run is abandoned.
 DEFAULT_MAX_RETRIES = 4
 

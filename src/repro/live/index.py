@@ -1,64 +1,43 @@
-"""LiveTwinIndex — the LSM-style live ingestion plane.
-
-The paper motivates twin search with monitoring workloads (traffic,
-EEG, seismic) where readings arrive continuously; this module serves
-them with a log-structured lifecycle:
-
-* **append** — readings land in a growable buffer (journaled to a
-  :class:`~repro.live.wal.WriteAheadLog` first when the plane is
-  durable); each newly completed window is inserted into a small
-  mutable **delta** :class:`~repro.core.tsindex.TSIndex` (the
-  memtable);
-* **seal** — once the delta holds ``seal_threshold`` windows it is
-  flattened into an immutable
-  :class:`~repro.core.frozen.FrozenTSIndex` **segment**
-  (:class:`~repro.live.segments.Segment`) whose value chunk overlaps
-  its neighbour by ``l - 1`` readings, so no window is lost at a
-  boundary;
-* **compact** — a background thread merges adjacent segments whenever
-  more than ``max_segments`` accumulate, keeping query fan-out bounded
-  (:mod:`repro.live.compaction`);
-* **recover** — :meth:`LiveTwinIndex.recover` reloads sealed segments
-  from their archives and replays the journal's un-sealed readings
-  after a crash.
+"""LiveTwinIndex — the live plane itself: configuration, lock, lifecycle
+(append → seal → compact → recover, as :mod:`repro.live` describes it)
+and the six query methods.
 
 ``search`` / ``knn`` / ``exists`` / ``search_batch`` fan out across
 delta + segments (the delta answers under the plane lock, the segments
 through :class:`repro.query.parts.PartSet`, the loop the sharded engine
 shares) and merge with the library's ``(distance, position)``
 tie-breaks, so results are **byte-identical to a from-scratch TSIndex
-over the full series** — enforced by the randomized interleaving suite
-in ``tests/test_live_index.py``. Both the raw and the per-window
+over the full series** — held across append / seal / compact / crash /
+recover, under every injected fault, by the state machine in
+``tests/test_live_state_machine.py``. Both the raw and the per-window
 normalization regimes are supported (per-window scaling depends only on
 each window's own values, and the library's rolling statistics are
 prefix-stable under appends — see
 :func:`~repro.core.normalization.rolling_std`); only global
 z-normalization stays rejected, because appends shift the series
 moments under every already-indexed window.
+
+What a reading costs to buffer is :mod:`repro.live.ingest`'s business;
+what the live directory looks like on disk, and in which order it
+changes, is :mod:`repro.live.store`'s.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import os
 import threading
 from typing import Any
 
 import numpy as np
 
-from .._util import FLOAT_DTYPE, check_non_negative, check_positive_int
+from .._util import check_non_negative, check_positive_int
 from ..core.batch import BatchResult
-from ..core.frozen import FrozenTSIndex
-from ..core.normalization import Normalization, rolling_std, std_block_size
-from ..core.series import TimeSeries
+from ..core.normalization import Normalization
 from ..core.stats import BuildStats, SearchResult
 from ..core.tsindex import TSIndex, TSIndexParams
 from ..core.windows import WindowSource, assemble_source
 from ..exceptions import (
     IndexNotBuiltError,
     InvalidParameterError,
-    SerializationError,
-    StorageError,
     UnsupportedNormalizationError,
     wrap_os_errors,
 )
@@ -90,26 +69,16 @@ from ..query.varlength import (
     scan_prefix_knn,
     scan_prefix_search,
 )
-from .compaction import Compactor, select_adjacent_pair
+from .compaction import (
+    DEFAULT_MAX_SEGMENTS,
+    DEFAULT_SEAL_THRESHOLD,
+    Compactor,
+    select_adjacent_pair,
+)
+from .ingest import IngestBuffer, coerce_readings
 from .segments import Segment, merge_segments
-from .wal import MANIFEST_FORMAT, WriteAheadLog, load_manifest, manifest_path, save_manifest
-
-#: Delta windows accumulated before the memtable is sealed into a
-#: frozen segment. Large enough that segment trees amortize their
-#: freeze cost, small enough that the insert-heavy delta stays shallow.
-DEFAULT_SEAL_THRESHOLD = 4096
-
-#: Segment count above which background compaction kicks in.
-DEFAULT_MAX_SEGMENTS = 8
-
-#: Journal file name inside a live directory.
-WAL_NAME = "wal.log"
-
-#: Segment archive name suffixes: the one written (a directory, see
-#: :mod:`repro.persistence.serializer`), then the legacy single-file
-#: one an older live directory may still hold — loaded through its
-#: manifest entry, swept when orphaned, rewritten by compaction.
-SEGMENT_SUFFIXES = (".rts", ".npz")
+from .store import LiveStore, Manifest
+from .wal import WriteAheadLog
 
 _log = get_logger("repro.live")
 
@@ -154,11 +123,6 @@ _metrics = HandleCache(
         "recoveries": registry.counter(
             "repro_live_recoveries_total",
             "Live-plane recoveries completed.",
-        ),
-        "quarantined": registry.counter(
-            "repro_segments_quarantined_total",
-            "Segment archives moved aside by non-strict recovery "
-            "(corrupt archive plus the non-contiguous suffix behind it).",
         ),
     }
 )
@@ -220,38 +184,9 @@ class LiveTwinIndex(SubsequenceIndex):
         seal_threshold: int | None = DEFAULT_SEAL_THRESHOLD,
         max_segments: int = DEFAULT_MAX_SEGMENTS,
         background_compaction: bool = True,
-        _directory: Any = None,
-        _wal: WriteAheadLog | None = None,
+        _store: LiveStore | None = None,
+        _sealed: tuple[Segment, ...] = (),
     ):
-        self._init_config(
-            length,
-            normalization,
-            params,
-            seal_threshold,
-            max_segments,
-            background_compaction,
-            directory=_directory,
-            wal=_wal,
-            fsync=_wal.fsync if _wal is not None else False,
-        )
-        values = _coerce_readings(initial_values, allow_empty=True)
-        self._init_buffer(values)
-        with self._lock:
-            self._absorb(0)
-
-    def _init_config(  # lint: holds(_lock) constructor helper, object not yet shared
-        self,
-        length,
-        normalization,
-        params,
-        seal_threshold,
-        max_segments,
-        background_compaction,
-        *,
-        directory,
-        wal,
-        fsync,
-    ) -> None:
         self._length = check_positive_int(length, name="length")
         self._normalization = Normalization.coerce(normalization)
         if self._normalization is Normalization.GLOBAL:
@@ -270,21 +205,15 @@ class LiveTwinIndex(SubsequenceIndex):
             max_segments, name="max_segments"
         )
         self._background = bool(background_compaction)
-        self._directory = None if directory is None else os.fspath(directory)
-        self._wal = wal
-        #: fsync segment archives (and, inside the WAL, every journal
-        #: write) — the power-loss durability mode.
-        self._fsync = bool(fsync)
+        #: The durable directory (``None``: an in-memory plane). Set
+        #: once; its journal and manifest change only under the lock.
+        self._store = _store
         self._lock = threading.RLock()
-        # Per-window rolling statistics, maintained incrementally (see
-        # _extend_window_stats): prefix-stability makes extending the
-        # cached arrays bitwise identical to recomputing from scratch,
-        # turning the per-append source refresh O(batch), not O(series).
-        self._csum: np.ndarray | None = None  # lint: guarded-by(_lock)
-        self._csum_count = 0  # lint: guarded-by(_lock)
-        self._win_means: np.ndarray | None = None  # lint: guarded-by(_lock)
-        self._win_stds: np.ndarray | None = None  # lint: guarded-by(_lock)
-        self._stats_count = 0  # lint: guarded-by(_lock)
+        self._ingest = IngestBuffer(  # lint: guarded-by(_lock)
+            coerce_readings(initial_values, allow_empty=True),
+            self._length,
+            self._normalization,
+        )
         self._segments: list[Segment] = []  # lint: guarded-by(_lock)
         self._delta: TSIndex | None = None  # lint: guarded-by(_lock)
         self._delta_start = 0  # lint: guarded-by(_lock)
@@ -298,12 +227,16 @@ class LiveTwinIndex(SubsequenceIndex):
         self._closed = False  # lint: guarded-by(_lock)
         self._quarantined: tuple[str, ...] = ()  # lint: guarded-by(_lock)
         self._compactor = Compactor(self._compact_loop)
-
-    def _init_buffer(self, values: np.ndarray) -> None:  # lint: holds(_lock) constructor helper, object not yet shared
-        self._capacity = max(1024, int(values.size) * 2, self._length * 2)
-        self._buffer = np.empty(self._capacity, dtype=FLOAT_DTYPE)  # lint: guarded-by(_lock)
-        self._buffer[: values.size] = values
-        self._size = int(values.size)  # lint: guarded-by(_lock)
+        with self._lock:
+            if _sealed:
+                # The chain a recovery loaded, each segment re-sourced
+                # against the recovered monolith.
+                self._refresh_source()
+                self._segments.extend(
+                    segment.rebased(self._source, self._params) for segment in _sealed
+                )
+                self._delta_start = _sealed[-1].stop
+            self._absorb(self._delta_start)
 
     # ------------------------------------------------------------------
     # Alternate constructors
@@ -320,11 +253,6 @@ class LiveTwinIndex(SubsequenceIndex):
     ) -> "LiveTwinIndex":
         """Build a live plane preloaded with a prepared source's series
         (the :func:`~repro.indices.base.create_method` entry point)."""
-        if source.normalization is Normalization.GLOBAL:
-            raise UnsupportedNormalizationError(
-                "live indexes cannot serve globally z-normalized windows; "
-                "use 'none' or 'per_window'"
-            )
         return cls(
             source.series.values,
             source.length,
@@ -367,19 +295,7 @@ class LiveTwinIndex(SubsequenceIndex):
             raise InvalidParameterError(
                 f"unknown archive format {archive_format!r}; expected 'raw'"
             )
-        path = os.fspath(path)
-        os.makedirs(path, exist_ok=True)
-        if os.path.exists(manifest_path(path)):
-            raise InvalidParameterError(
-                f"{path!r} already holds a live index; open it with "
-                "LiveTwinIndex.recover()"
-            )
-        values = _coerce_readings(initial_values, allow_empty=True)
-        wal = WriteAheadLog.create(
-            os.path.join(path, WAL_NAME), start=0, fsync=fsync
-        )
-        if values.size:
-            wal.append(values)
+        values = coerce_readings(initial_values, allow_empty=True)
         index = cls(
             values,
             length,
@@ -388,11 +304,10 @@ class LiveTwinIndex(SubsequenceIndex):
             seal_threshold=seal_threshold,
             max_segments=max_segments,
             background_compaction=background_compaction,
-            _directory=path,
-            _wal=wal,
+            _store=LiveStore.create(path, values, fsync=fsync),
         )
         with index._lock:
-            index._write_manifest_locked()
+            index._store.commit(index._manifest())
         return index
 
     @classmethod
@@ -422,204 +337,48 @@ class LiveTwinIndex(SubsequenceIndex):
         :class:`~repro.exceptions.SerializationError` /
         :class:`~repro.exceptions.InvalidParameterError` loudly.
 
-        ``strict=False`` switches corrupt-**archive** handling from
-        fail-loud to quarantine-and-continue: the first unreadable
-        archive *and every archive behind it* (segments partition the
-        position axis, so nothing past a hole is position-addressable)
-        are moved into a ``quarantine/`` subdirectory — never deleted —
-        a WARNING is logged, and the plane recovers the longest intact
-        prefix, byte-identical to a from-scratch index over those
-        readings. A journal that no longer abuts the truncated frontier
-        is quarantined with them. Manifest damage stays loud in both
-        modes: quarantine is for losing *data files*, not for trusting
-        a directory whose catalog cannot be parsed.
+        ``strict=False`` quarantines unreadable archives instead (see
+        :meth:`LiveStore.open <repro.live.store.LiveStore.open>`) and
+        recovers the longest intact prefix, byte-identical to a
+        from-scratch index over those readings; manifest damage stays
+        loud in both modes.
         """
-        from ..persistence import load_index  # lazy: avoids import cost
-
-        path = os.fspath(path)
-        manifest = load_manifest(path)
+        store, found = LiveStore.open(path, fsync=fsync, strict=strict)
         try:
-            length = int(manifest["length"])
-            normalization = Normalization.coerce(manifest["normalization"])
-            params = TSIndexParams(**manifest["params"])
-            seal_threshold = manifest.get(
-                "seal_threshold", DEFAULT_SEAL_THRESHOLD
+            config = found.manifest
+            index = cls(
+                found.series,
+                config.length,
+                normalization=config.normalization,
+                params=config.params,
+                seal_threshold=config.seal_threshold,
+                max_segments=config.max_segments,
+                background_compaction=background_compaction,
+                _store=store,
+                _sealed=found.sealed,
             )
-            if seal_threshold is not None:
-                seal_threshold = int(seal_threshold)
-            max_segments = int(manifest.get("max_segments", DEFAULT_MAX_SEGMENTS))
-        except (TypeError, ValueError, InvalidParameterError) as exc:
-            raise SerializationError(
-                f"live manifest in {path!r} holds invalid configuration: {exc}"
-            ) from exc
-        if fsync is None:
-            fsync = bool(manifest.get("fsync", False))
-
-        loaded: list[tuple[int, int, str, FrozenTSIndex]] = []
-        frontier = 0
-        quarantined: list[str] = []
-        entries = manifest["segments"]
-        for position, entry in enumerate(entries):
-            start, stop = int(entry["start"]), int(entry["stop"])
-            if start != frontier or stop <= start:
-                raise SerializationError(
-                    f"segment chain broken at [{start}, {stop}) "
-                    f"(expected a segment starting at {frontier})"
+            with index._lock:
+                index._quarantined = found.quarantined
+                # Normalize the directory to the recovered state: the
+                # journal re-anchored at the sealed frontier without its
+                # torn tail, and the archives a crash orphaned swept.
+                manifest = index._manifest()
+                store.commit(
+                    manifest,
+                    tail=index._ingest.values[index._delta_start :],
+                    stale=store.orphans(manifest),
                 )
-            try:
-                with wrap_os_errors("segment read", entry["file"]):
-                    failpoint("segment.read", file=str(entry["file"]))
-                    archive = load_index(os.path.join(path, str(entry["file"])))
-                if not isinstance(archive, FrozenTSIndex):
-                    raise SerializationError(
-                        f"{entry['file']}: not a frozen segment archive "
-                        f"(got {type(archive).__name__})"
-                    )
-                if archive.size != stop - start or archive.length != length:
-                    raise SerializationError(
-                        f"{entry['file']}: archive shape disagrees with "
-                        f"the manifest span [{start}, {stop})"
-                    )
-            except (StorageError, InvalidParameterError) as exc:
-                if strict:
-                    raise
-                quarantined = [str(e["file"]) for e in entries[position:]]
-                _quarantine_files(path, quarantined, reason=exc)
-                break
-            loaded.append((start, stop, str(entry["file"]), archive))
-            frontier = stop
-        wal_offset = manifest.get("wal_offset")
-        if (
-            not quarantined
-            and wal_offset is not None
-            and int(wal_offset) != frontier
-        ):
-            raise SerializationError(
-                f"manifest wal_offset {wal_offset} disagrees with the "
-                f"sealed frontier {frontier}"
-            )
-
-        wal_path = os.path.join(path, WAL_NAME)
-        wal_dropped = False
-        wal_start, wal_values, _clean = WriteAheadLog.replay(wal_path)
-        if wal_start > frontier:
-            if not quarantined:
-                raise SerializationError(
-                    f"WAL begins at value {wal_start}, past the sealed "
-                    f"frontier {frontier}; readings are missing"
-                )
-            # The journal starts past the truncated frontier — its
-            # readings are not contiguous with the surviving prefix.
-            # Preserve it alongside the quarantined archives.
-            _quarantine_files(path, [WAL_NAME], reason=None)
-            wal_dropped = True
-            wal_start = frontier
-            wal_values = np.empty(0, dtype=FLOAT_DTYPE)
-
-        # Reconstruct the full series: sealed chunks cover
-        # [0, frontier + l - 1), the journal covers [wal_start, ...).
-        pieces = [
-            archive.source.series.values[: stop - start]
-            for start, stop, _, archive in loaded
-        ]
-        if loaded:
-            last_start, last_stop, _, last_archive = loaded[-1]
-            pieces.append(
-                last_archive.source.series.values[last_stop - last_start :]
-            )
-        known = (
-            np.concatenate(pieces)
-            if pieces
-            else np.empty(0, dtype=FLOAT_DTYPE)
-        )
-        overlap = min(known.size, wal_start + wal_values.size) - wal_start
-        if overlap > 0 and not np.array_equal(
-            known[wal_start : wal_start + overlap], wal_values[:overlap]
-        ):
-            raise SerializationError(
-                "WAL readings disagree with sealed segment values; "
-                "refusing to recover from an inconsistent directory"
-            )
-        if wal_start + wal_values.size > known.size:
-            series = np.concatenate(
-                [known, wal_values[known.size - wal_start :]]
-            )
-        else:
-            series = known
-
-        index = cls.__new__(cls)
-        index._init_config(
-            length,
-            normalization,
-            params,
-            seal_threshold,
-            max_segments,
-            background_compaction,
-            directory=path,
-            wal=None,
-            fsync=fsync,
-        )
-        index._init_buffer(series)
-        with index._lock:
-            if index._size >= length:
-                index._refresh_source()
-            # Re-source each sealed segment against the recovered
-            # monolith: prefix-stable rolling statistics make the
-            # re-derived chunk sources bitwise equal to the pre-crash
-            # ones, and from_arrays re-validates the flat structure.
-            for start, stop, file, archive in loaded:
-                detached = index._source.detach(start, stop)
-                index._segments.append(
-                    Segment(
-                        start=start,
-                        index=FrozenTSIndex.from_arrays(
-                            detached,
-                            params,
-                            dataclasses.replace(archive.build_stats),
-                            # Resident form: the re-sourced segment
-                            # adopts the loaded envelopes (mmap views
-                            # for raw archives) without a re-layout
-                            # copy per segment.
-                            archive.raw_arrays(),
-                        ),
-                        file=file,
-                    )
-                )
-            index._delta_start = frontier
-            if wal_dropped:
-                index._wal = WriteAheadLog.create(
-                    wal_path, start=frontier, fsync=fsync
-                )
-            else:
-                index._wal = WriteAheadLog.open(wal_path, fsync=fsync)
-            index._quarantined = tuple(quarantined)
-            index._absorb(frontier)
-            # Normalize the journal to the recovered state: drops any
-            # torn tail record and re-anchors at the sealed frontier.
-            index._wal.rewrite(
-                start=index._delta_start,
-                values=index._buffer[index._delta_start : index._size],
-            )
-            index._write_manifest_locked()
-            # Sweep archives a crash orphaned (written but never
-            # committed to the manifest, or superseded by a compaction
-            # whose unlink step was interrupted).
-            referenced = {segment.file for segment in index._segments}
-            for name in os.listdir(path):
-                if (
-                    name.startswith("seg-")
-                    and name.endswith(SEGMENT_SUFFIXES)
-                    and name not in referenced
-                ):
-                    _remove_archive(os.path.join(path, name))
+        except BaseException:
+            store.close()
+            raise
         _metrics()["recoveries"].inc()
         _log.info(
             "recovered live plane at %r: %d segments, %d journal "
             "readings replayed%s%s",
-            path, len(loaded), wal_values.size,
-            "" if _clean else " (torn WAL tail dropped)",
-            f" ({len(quarantined)} archives quarantined)"
-            if quarantined else "",
+            store.directory, len(found.sealed), found.replayed,
+            "" if found.clean else " (torn WAL tail dropped)",
+            f" ({len(found.quarantined)} archives quarantined)"
+            if found.quarantined else "",
         )
         return index
 
@@ -645,13 +404,13 @@ class LiveTwinIndex(SubsequenceIndex):
     def series_length(self) -> int:
         """Number of readings appended so far."""
         with self._lock:
-            return self._size
+            return self._ingest.size
 
     @property
     def window_count(self) -> int:
         """Number of indexed windows (0 until ``length`` readings)."""
         with self._lock:
-            return max(0, self._size - self._length + 1)
+            return self._ingest.window_count
 
     @property
     def size(self) -> int:
@@ -662,7 +421,7 @@ class LiveTwinIndex(SubsequenceIndex):
     def values(self) -> np.ndarray:
         """The series so far (a read-only view)."""
         with self._lock:
-            view = self._buffer[: self._size]
+            view = self._ingest.values
         view.setflags(write=False)
         return view
 
@@ -672,7 +431,7 @@ class LiveTwinIndex(SubsequenceIndex):
         with self._lock:
             if self._source is None:
                 raise IndexNotBuiltError(
-                    f"no windows yet: {self._size} readings < "
+                    f"no windows yet: {self._ingest.size} readings < "
                     f"length {self._length}"
                 )
             return self._source
@@ -723,18 +482,29 @@ class LiveTwinIndex(SubsequenceIndex):
     @property
     def directory(self) -> str | None:
         """The durability directory (``None`` for in-memory planes)."""
-        return self._directory
+        return None if self._store is None else self._store.directory
 
     @property
     def durable(self) -> bool:
         """Whether appends are journaled to a write-ahead log."""
-        return self._directory is not None
+        return self._store is not None
+
+    @property
+    def _wal(self) -> WriteAheadLog | None:
+        return None if self._store is None else self._store.wal
+
+    @property
+    def _fsync(self) -> bool:
+        return self._store is not None and self._store.fsync
 
     @property
     def build_stats(self) -> BuildStats:
-        """Aggregate build counters (seconds: max over parts; counters
-        summed), mirroring :attr:`ShardedTSIndex.build_stats
-        <repro.engine.sharding.ShardedTSIndex.build_stats>`."""
+        """Aggregate build counters over segments + delta: counters
+        summed and ``height`` the maximum, as in
+        :attr:`ShardedTSIndex.build_stats
+        <repro.engine.sharding.ShardedTSIndex.build_stats>` — except
+        ``seconds``: shards build one after another and that one sums
+        them; this one reports the slowest part."""
         merged = BuildStats()
         with self._lock:
             parts = [segment.index for segment in self._segments]
@@ -754,8 +524,8 @@ class LiveTwinIndex(SubsequenceIndex):
         engine registry)."""
         with self._lock:
             return {
-                "windows": max(0, self._size - self._length + 1),
-                "readings": self._size,
+                "windows": self._ingest.window_count,
+                "readings": self._ingest.size,
                 "length": self._length,
                 "normalization": self._normalization.value,
                 "segments": len(self._segments),
@@ -770,8 +540,8 @@ class LiveTwinIndex(SubsequenceIndex):
                 ),
                 "compactions": self._compactions,
                 "mutations": self._mutations,
-                "durable": self._directory is not None,
-                "directory": self._directory,
+                "durable": self.durable,
+                "directory": self.directory,
                 "quarantined_files": list(self._quarantined),
                 "compaction": self._compactor.stats(),
                 "segment_stats": [
@@ -782,8 +552,8 @@ class LiveTwinIndex(SubsequenceIndex):
     def __repr__(self) -> str:
         with self._lock:
             return (
-                f"LiveTwinIndex(readings={self._size}, "
-                f"windows={max(0, self._size - self._length + 1)}, "
+                f"LiveTwinIndex(readings={self._ingest.size}, "
+                f"windows={self._ingest.window_count}, "
                 f"length={self._length}, segments={len(self._segments)}, "
                 f"delta={self._delta_count})"
             )
@@ -803,29 +573,21 @@ class LiveTwinIndex(SubsequenceIndex):
         failed compaction (log, ``stats()["seal_failures"]``) and
         retried by the next append, not raised.
         """
-        readings = _coerce_readings(readings, allow_empty=False)
+        readings = coerce_readings(readings, allow_empty=False)
         metrics = _metrics()
         with self._lock:
             if self._closed:
                 raise InvalidParameterError(
                     "live index is closed; reopen with LiveTwinIndex.recover()"
                 )
-            if self._wal is not None:
-                self._wal.append(readings)
-            previous_windows = max(0, self._size - self._length + 1)
-            needed = self._size + readings.size
-            if needed > self._capacity:
-                while self._capacity < needed:
-                    self._capacity *= 2
-                grown = np.empty(self._capacity, dtype=FLOAT_DTYPE)
-                grown[: self._size] = self._buffer[: self._size]
-                self._buffer = grown
-            self._buffer[self._size : needed] = readings
-            self._size = needed
+            if self._store is not None:
+                self._store.wal.append(readings)
+            previous_windows = self._ingest.window_count
+            self._ingest.extend(readings)
             added = self._absorb(previous_windows)
             self._mutations += 1
             metrics["readings"].inc(readings.size)
-            metrics["lag"].set(self._size - self._delta_start)
+            metrics["lag"].set(self._ingest.size - self._delta_start)
             return added
 
     def seal(self) -> bool:
@@ -860,37 +622,26 @@ class LiveTwinIndex(SubsequenceIndex):
         with self._lock:
             if self._closed:
                 return
+            # _closed makes the compaction loop bail before its next
+            # splice/manifest commit: once shutdown has begun, the
+            # background thread changes nothing durable.
             self._closed = True
         try:
             self._compactor.close()
         finally:
             with self._lock:
-                if self._wal is not None:
-                    self._wal.close()
+                if self._store is not None:
+                    self._store.close()
 
     def abandon(self) -> None:
-        """Drop the plane as a crash would: stop accepting work and
-        release file handles **without** flushing, sealing, or letting
-        in-flight background compaction commit anything.
-
-        For fault testing (the chaos harness calls this after a
-        :class:`~repro.exceptions.SimulatedCrashError`): after
-        ``abandon()`` the only way back is :meth:`recover`, exactly as
-        after a real kill. Idempotent, like :meth:`close`.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            # _closed makes the compaction loop bail before its next
-            # splice/manifest commit, so the background thread cannot
-            # mutate durable state past the "crash".
-            self._closed = True
-        self._compactor.close()
-        with self._lock:
-            if self._wal is not None:
-                # Every append ends in a flush, so closing the handle
-                # writes nothing a crash would not have written.
-                self._wal.close()
+        """Drop the plane as a crash would. :meth:`close` already
+        flushes and seals nothing and lets no in-flight compaction
+        commit, so this *is* :meth:`close`; the name is what a fault
+        test says after a
+        :class:`~repro.exceptions.SimulatedCrashError` (the state
+        machine in ``tests/test_live_state_machine.py`` does): the only
+        way back is :meth:`recover`, exactly as after a real kill."""
+        self.close()
 
     def __enter__(self) -> "LiveTwinIndex":
         return self
@@ -903,96 +654,21 @@ class LiveTwinIndex(SubsequenceIndex):
     # ------------------------------------------------------------------
     def _refresh_source(self) -> None:  # lint: holds(_lock) called with the plane lock held
         """Point the monolithic source (and the delta's shard view) at
-        the grown buffer. Already-extracted window values never change:
-        the regime is raw or per-window, and the rolling statistics are
-        prefix-stable (see :func:`~repro.core.normalization.rolling_std`).
-
-        Under the per-window regime the rolling statistics are extended
-        incrementally rather than recomputed — prefix-stability makes
-        the extension bitwise identical, and it keeps each append
-        O(batch + block) instead of O(series)."""
-        view = self._buffer[: self._size]
-        if self._normalization is Normalization.PER_WINDOW:
-            self._extend_window_stats()
-            count = self._size - self._length + 1
-            self._source = assemble_source(
-                view,
-                self._length,
-                self._normalization,
-                means=self._win_means[:count],
-                stds=self._win_stds[:count],
-                name="live",
-            )
-        else:
-            series = TimeSeries(view, name="live", copy=False)
-            self._source = WindowSource(
-                series, self._length, self._normalization
-            )
+        the grown buffer; already-extracted window values never change
+        (see :meth:`IngestBuffer.source
+        <repro.live.ingest.IngestBuffer.source>`)."""
+        self._source = self._ingest.source()
         if self._delta is not None:
             self._delta._source = self._source.shard(
                 self._delta_start, self._source.count
             )
 
-    def _extend_window_stats(self) -> None:  # lint: holds(_lock) called with the plane lock held
-        """Extend the cached per-window rolling statistics to the
-        current size — bitwise identical to recomputing
-        ``rolling_mean``/``rolling_std`` over the full buffer, because
-        the cumulative sum continues sequentially and the std kernel's
-        block boundaries sit at fixed absolute positions."""
-        size = self._size
-        if self._csum is None or self._csum.size < size + 1:
-            grown = np.zeros(self._capacity + 1, dtype=FLOAT_DTYPE)
-            if self._csum is not None:
-                grown[: self._csum_count + 1] = self._csum[
-                    : self._csum_count + 1
-                ]
-            self._csum = grown
-        if size > self._csum_count:
-            new = self._buffer[self._csum_count : size]
-            # cumsum seeded with the running total continues the exact
-            # sequential accumulation one cumsum over the whole buffer
-            # would perform — same order, same rounding.
-            tail = np.cumsum(
-                np.concatenate(([self._csum[self._csum_count]], new)),
-                dtype=FLOAT_DTYPE,
-            )
-            self._csum[self._csum_count + 1 : size + 1] = tail[1:]
-            self._csum_count = size
-        count = size - self._length + 1
-        if self._win_means is None or self._win_means.size < count:
-            grown_means = np.empty(self._capacity, dtype=FLOAT_DTYPE)
-            grown_stds = np.empty(self._capacity, dtype=FLOAT_DTYPE)
-            if self._win_means is not None:
-                grown_means[: self._stats_count] = self._win_means[
-                    : self._stats_count
-                ]
-                grown_stds[: self._stats_count] = self._win_stds[
-                    : self._stats_count
-                ]
-            self._win_means = grown_means
-            self._win_stds = grown_stds
-        if count <= self._stats_count:
-            return
-        lo = self._stats_count
-        length = self._length
-        self._win_means[lo:count] = (
-            self._csum[lo + length : count + length] - self._csum[lo:count]
-        ) / length
-        # Only std blocks touching new windows change; recomputing from
-        # the containing block's absolute boundary reproduces the global
-        # kernel's chunks (and centers) exactly.
-        block_start = (lo // std_block_size(length)) * std_block_size(length)
-        self._win_stds[block_start:count] = rolling_std(
-            self._buffer[block_start:size], length
-        )
-        self._stats_count = count
-
     def _absorb(self, previous_windows: int) -> int:  # lint: holds(_lock) called with the plane lock held
         """Index every window completed since ``previous_windows``,
         sealing whenever the delta crosses the threshold.
 
-        Every window is inserted whatever a seal does: ``_size`` has
-        already advanced, so a batch cut short would leave positions the
+        Every window is inserted whatever a seal does: the buffer has
+        already grown, so a batch cut short would leave positions the
         next append never revisits. A seal that raises leaves the delta
         (or, past the in-memory hand-over, the new segment) answering
         for its windows; it is counted and left to the next append —
@@ -1000,7 +676,7 @@ class LiveTwinIndex(SubsequenceIndex):
         :class:`~repro.exceptions.SimulatedCrashError` is not an
         ``Exception`` and passes through.
         """
-        if self._size < self._length:
+        if self._ingest.size < self._length:
             return 0
         self._refresh_source()
         total = self._source.count
@@ -1030,43 +706,31 @@ class LiveTwinIndex(SubsequenceIndex):
         self._delta_count += 1
 
     def _seal_locked(self) -> None:  # lint: holds(_lock) called with the plane lock held
-        """Flatten the delta into an immutable segment.
-
-        The segment's source is **detached** (owns copies of its value
-        chunk and statistics slices), so sealed segments never pin the
-        historical append buffer alive. Durable planes write the
-        archive, then the manifest, then truncate the journal — each
-        step atomic, so a crash between any two recovers cleanly.
-        """
+        """Flatten the delta into an immutable segment; durable planes
+        archive it and commit it (:meth:`LiveStore.commit
+        <repro.live.store.LiveStore.commit>`: manifest, then journal
+        truncation)."""
         metrics = _metrics()
         start = self._delta_start
         stop = self._delta_start + self._delta_count
-        failpoint("live.seal", start=start, stop=stop)
+        with wrap_os_errors("seal", f"[{start}, {stop})"):
+            failpoint("live.seal", start=start, stop=stop)
         with metrics["seal_seconds"].time():
-            detached = self._source.detach(self._delta_start, stop)
-            frozen = FrozenTSIndex.from_tree(
-                detached,
-                self._delta._root,
-                self._params,
-                dataclasses.replace(self._delta._build_stats),
-            )
-            segment = Segment(start=self._delta_start, index=frozen)
-            if self._directory is not None:
-                segment.file = self._segment_file(segment.start, stop)
-                self._save_segment_archive(frozen, segment.file)
+            segment = Segment.sealed(self._source, self._delta, start, stop)
+            if self._store is not None:
+                segment.file = self._store.save_segment(segment)
             self._segments.append(segment)
             self._delta = None
             self._delta_count = 0
             self._delta_start = stop
             self._seals += 1
-            if self._directory is not None:
-                self._write_manifest_locked()
-                self._wal.rewrite(
-                    start=stop, values=self._buffer[stop : self._size]
+            if self._store is not None:
+                self._store.commit(
+                    self._manifest(), tail=self._ingest.values[stop:]
                 )
         self._last_seal_error = None
         metrics["seals"].inc()
-        metrics["lag"].set(self._size - self._delta_start)
+        metrics["lag"].set(self._ingest.size - self._delta_start)
         _log.info(
             "sealed segment [%d, %d) (%d windows, %d segments total)",
             start, stop, stop - start, len(self._segments),
@@ -1098,9 +762,8 @@ class LiveTwinIndex(SubsequenceIndex):
             metrics = _metrics()
             with metrics["compaction_seconds"].time():
                 merged = merge_segments(first, second, self._params)
-            if self._directory is not None:
-                merged.file = self._segment_file(merged.start, merged.stop)
-                self._save_segment_archive(merged.index, merged.file)
+            if self._store is not None:
+                merged.file = self._store.save_segment(merged)
             with self._lock:
                 if self._closed:
                     return
@@ -1130,60 +793,30 @@ class LiveTwinIndex(SubsequenceIndex):
                     first.start, first.stop, second.start, second.stop,
                     merged.start, merged.stop, len(self._segments),
                 )
-                if self._directory is not None:
-                    self._write_manifest_locked()
-                    for stale in (first.file, second.file):
-                        if stale and stale != merged.file:
-                            _remove_archive(
-                                os.path.join(self._directory, stale)
-                            )
+                if self._store is not None:
+                    self._store.commit(
+                        self._manifest(),
+                        stale=[
+                            file
+                            for file in (first.file, second.file)
+                            if file and file != merged.file
+                        ],
+                    )
 
-    def _segment_file(self, start: int, stop: int) -> str:
-        """Archive name for the segment spanning ``[start, stop)``."""
-        return f"seg-{start:012d}-{stop:012d}{SEGMENT_SUFFIXES[0]}"
-
-    def _save_segment_archive(self, frozen: FrozenTSIndex, file: str) -> None:
-        """Write one segment archive; in fsync mode the data (and its
-        directory entry) must be durable *before* the manifest commits a
-        reference to it — otherwise a power loss could leave a manifest
-        pointing at a torn archive after the WAL was truncated. (The
-        archive fsyncs and renames its own files; its commit marker is
-        ``meta.json``, written last.)"""
-        from ..persistence import save_index  # lazy: avoids import cost
-        from .wal import fsync_directory
-
-        path = os.path.join(self._directory, file)
-        with wrap_os_errors("segment write", path):
-            failpoint("segment.write", file=file)
-            save_index(frozen, path, fsync=self._fsync)
-        if self._fsync:
-            fsync_directory(self._directory)
-
-    def _write_manifest_locked(self) -> None:
-        save_manifest(
-            self._directory,
-            {
-                "format": MANIFEST_FORMAT,
-                "length": self._length,
-                "normalization": self._normalization.value,
-                "params": {
-                    "min_children": self._params.min_children,
-                    "max_children": self._params.max_children,
-                    "split_metric": self._params.split_metric,
-                },
-                "seal_threshold": self._seal_threshold,
-                "max_segments": self._max_segments,
-                "fsync": self._fsync,
-                "wal_offset": self._delta_start,
-                "segments": [
-                    {
-                        "start": segment.start,
-                        "stop": segment.stop,
-                        "file": segment.file,
-                    }
-                    for segment in self._segments
-                ],
-            },
+    def _manifest(self) -> Manifest:  # lint: holds(_lock) called with the plane lock held
+        """The plane as its directory's catalog should describe it."""
+        return Manifest(
+            length=self._length,
+            normalization=self._normalization,
+            params=self._params,
+            seal_threshold=self._seal_threshold,
+            max_segments=self._max_segments,
+            fsync=self._store.fsync,
+            wal_offset=self._delta_start,
+            segments=tuple(
+                (segment.start, segment.stop, segment.file)
+                for segment in self._segments
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -1204,8 +837,8 @@ class LiveTwinIndex(SubsequenceIndex):
                 segment.index,
                 segment.start,
                 None
-                if self._directory is None or segment.file is None
-                else (os.path.join(self._directory, segment.file), None),
+                if self._store is None or segment.file is None
+                else (self._store.path(segment.file), None),
             )
             for segment in self._segments
         ]
@@ -1296,7 +929,7 @@ class LiveTwinIndex(SubsequenceIndex):
                 query, epsilon, verification=verification, executor=executor
             )
         with self._lock:
-            size = self._size
+            size = self._ingest.size
             if size < m:
                 return SearchResult.empty()
             parts, extra = self._snapshot(
@@ -1306,7 +939,7 @@ class LiveTwinIndex(SubsequenceIndex):
             )
             tail_lo = max(0, size - self._length + 1)
             # Snapshot: the buffer may be swapped by a concurrent append.
-            tail_chunk = np.array(self._buffer[tail_lo:size])
+            tail_chunk = np.array(self._ingest.values[tail_lo:])
         tail_source = assemble_source(
             tail_chunk, m, Normalization.NONE, name="live-tail"
         )
@@ -1386,7 +1019,7 @@ class LiveTwinIndex(SubsequenceIndex):
             query, self._length, self._normalization
         )
         with self._lock:
-            values = np.array(self._buffer[: self._size])
+            values = np.array(self._ingest.values)
         if values.size < query.size:
             return SearchResult.empty()
         snapshot = assemble_source(
@@ -1432,56 +1065,3 @@ class LiveTwinIndex(SubsequenceIndex):
     # ------------------------------------------------------------------
     def _prepare(self, query) -> np.ndarray:
         return prepare_values(self._source, query, expected=self._length)
-
-
-# ----------------------------------------------------------------------
-def _coerce_readings(readings, *, allow_empty: bool) -> np.ndarray:
-    if readings is None:
-        if allow_empty:
-            return np.empty(0, dtype=FLOAT_DTYPE)
-        raise InvalidParameterError("readings must be a non-empty 1-D batch")
-    array = np.atleast_1d(np.asarray(readings, dtype=FLOAT_DTYPE))
-    if array.ndim != 1 or (array.size == 0 and not allow_empty):
-        raise InvalidParameterError("readings must be a non-empty 1-D batch")
-    if not np.all(np.isfinite(array)):
-        raise InvalidParameterError("readings contain NaN or infinity")
-    return array
-
-
-def _remove_archive(path: str) -> None:
-    """Best-effort removal of a segment archive — a directory, or a
-    legacy single file (stale-file cleanup must never fail a recovery
-    or compaction commit)."""
-    import shutil
-
-    try:
-        if os.path.isdir(path):
-            shutil.rmtree(path)
-        else:
-            os.unlink(path)
-    except OSError:  # lint: disable=crash-safety best-effort removal of an already-stale file
-        pass
-
-
-def _quarantine_files(directory, names, *, reason) -> None:
-    """Move ``names`` from the live directory into ``quarantine/``
-    (never deleted — preserved for forensics and manual repair)."""
-    qdir = os.path.join(os.fspath(directory), "quarantine")
-    os.makedirs(qdir, exist_ok=True)
-    moved = 0
-    for name in names:
-        source = os.path.join(directory, name)
-        try:
-            os.replace(source, os.path.join(qdir, name))
-            moved += 1
-        except FileNotFoundError:
-            continue
-        except OSError as exc:
-            _log.warning("could not quarantine %r: %s", source, exc)
-    _metrics()["quarantined"].inc(len(names))
-    _log.warning(
-        "quarantined %d file(s) into %r%s: %s",
-        moved, qdir,
-        f" (first failure: {reason!r})" if reason is not None else "",
-        list(names),
-    )

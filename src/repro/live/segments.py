@@ -29,7 +29,7 @@ import numpy as np
 from ..core.bulkload import bulk_load_source
 from ..core.frozen import FrozenTSIndex
 from ..core.normalization import Normalization
-from ..core.tsindex import TSIndexParams
+from ..core.tsindex import TSIndex, TSIndexParams
 from ..core.windows import WindowSource, assemble_source
 from ..exceptions import InvalidParameterError
 
@@ -57,6 +57,39 @@ class Segment:
     def size(self) -> int:
         """Number of windows in this segment."""
         return self.index.size
+
+    @classmethod
+    def sealed(cls, source: WindowSource, delta: TSIndex, start: int, stop: int) -> "Segment":
+        """The delta tree over windows ``[start, stop)`` of the plane's
+        monolithic ``source``, flattened. The segment's source is
+        **detached** (owns copies of its value chunk and statistics
+        slices), so sealed segments never pin the historical append
+        buffer alive."""
+        frozen = FrozenTSIndex.from_tree(
+            source.detach(start, stop),
+            delta._root,
+            delta.params,
+            dataclasses.replace(delta._build_stats),
+        )
+        return cls(start=start, index=frozen)
+
+    def rebased(self, source: WindowSource, params: TSIndexParams) -> "Segment":
+        """This segment — as loaded from its archive — over its own span
+        of the recovered monolithic ``source``: prefix-stable rolling
+        statistics make the re-derived chunk source bitwise equal to
+        the pre-crash one, ``from_arrays`` re-validates the flat
+        structure, and the loaded envelopes (mmap views, for raw
+        archives) are adopted without a re-layout copy."""
+        return Segment(
+            start=self.start,
+            index=FrozenTSIndex.from_arrays(
+                source.detach(self.start, self.stop),
+                params,
+                dataclasses.replace(self.index.build_stats),
+                self.index.raw_arrays(),
+            ),
+            file=self.file,
+        )
 
     def stats_row(self) -> dict:
         """One diagnostics row (for ``live stats`` and the registry)."""

@@ -1,17 +1,11 @@
-"""Write-ahead log and segment manifest for the live ingestion plane.
+"""Write-ahead log for the live ingestion plane.
 
-Durability model (classic LSM):
-
-* every appended reading is written to ``wal.log`` **before** it is
-  indexed — a crash loses at most the bytes of one in-flight record;
-* sealing a delta writes the frozen segment to its own archive
-  directory (through :mod:`repro.persistence`), commits it to
-  ``MANIFEST.json``
-  (atomic tmp + rename), then rewrites the WAL to hold only the
-  readings past the sealed frontier;
-* :meth:`recovery <repro.live.index.LiveTwinIndex.recover>` loads the
-  manifest's segments, replays the WAL tail, and re-inserts only the
-  un-sealed windows.
+Every appended reading is written to the journal **before** it is
+indexed — a crash loses at most the bytes of one in-flight record; a
+seal truncates it to the readings past the sealed frontier
+(:meth:`WriteAheadLog.rewrite`). Where the journal sits among the other
+files of a live directory, and the order they are committed in, is
+:mod:`repro.live.store`'s business; this module knows one file.
 
 WAL format: a fixed header (magic + the global value offset of the
 first reading in the file) followed by length-prefixed, CRC-guarded
@@ -28,7 +22,7 @@ established must never be silently treated as empty.
 
 from __future__ import annotations
 
-import json
+import contextlib
 import os
 import struct
 import zlib
@@ -76,12 +70,6 @@ _HEADER = struct.Struct("<Q")
 
 #: Record layout: reading count, CRC32 of the payload bytes.
 _RECORD = struct.Struct("<II")
-
-#: Manifest file name inside a live directory.
-MANIFEST_NAME = "MANIFEST.json"
-
-#: Manifest format marker.
-MANIFEST_FORMAT = 1
 
 
 class WriteAheadLog:
@@ -214,30 +202,45 @@ class WriteAheadLog:
 
     def rewrite(self, *, start: int, values: Any) -> None:
         """Atomically replace the journal with one holding ``values``
-        from global offset ``start`` (the post-seal truncation)."""
-        failpoint("wal.rewrite", path=self._path, start=int(start))
+        from global offset ``start`` (the post-seal truncation).
+
+        A rewrite that fails leaves the old journal in place and
+        appendable: it merely starts before ``start``, which recovery
+        accepts (and cross-checks against the sealed values).
+        """
         was_open = self._file is not None
         if was_open:
             self._file.close()
             self._file = None
         tmp = self._path + ".tmp"
         payload = np.ascontiguousarray(values, dtype=FLOAT_DTYPE).tobytes()
-        with wrap_os_errors("WAL rewrite", self._path):
-            with open(tmp, "wb") as handle:
-                handle.write(WAL_MAGIC + _HEADER.pack(int(start)))
-                if payload:
-                    handle.write(
-                        _RECORD.pack(len(payload) // 8, zlib.crc32(payload))
-                    )
-                    handle.write(payload)
-                handle.flush()
+        try:
+            with wrap_os_errors("WAL rewrite", self._path):
+                failpoint("wal.rewrite", path=self._path, start=int(start))
+                try:
+                    with open(tmp, "wb") as handle:
+                        handle.write(WAL_MAGIC + _HEADER.pack(int(start)))
+                        if payload:
+                            handle.write(
+                                _RECORD.pack(len(payload) // 8, zlib.crc32(payload))
+                            )
+                            handle.write(payload)
+                        handle.flush()
+                        if self._fsync:
+                            os.fsync(handle.fileno())
+                    os.replace(tmp, self._path)
+                except OSError:
+                    with contextlib.suppress(OSError):
+                        os.unlink(tmp)
+                    raise
                 if self._fsync:
-                    os.fsync(handle.fileno())
-            os.replace(tmp, self._path)
-            if self._fsync:
-                fsync_directory(os.path.dirname(self._path) or ".")
+                    fsync_directory(os.path.dirname(self._path) or ".")
+        finally:
+            # Whichever journal is at the path now — the new one, or the
+            # old one after a failure — is the one appends continue in.
             if was_open:
-                self._file = open(self._path, "ab")
+                with wrap_os_errors("WAL reopen", self._path):
+                    self._file = open(self._path, "ab")
 
     def close(self) -> None:
         """Close the journal handle (idempotent)."""
@@ -313,8 +316,6 @@ class WriteAheadLog:
 
 
 # ----------------------------------------------------------------------
-# Segment manifest
-# ----------------------------------------------------------------------
 def fsync_directory(directory: Any) -> None:
     """fsync a directory so renames/creations inside it are durable
     (best-effort: some filesystems refuse directory fds)."""
@@ -330,82 +331,11 @@ def fsync_directory(directory: Any) -> None:
         os.close(fd)
 
 
-def manifest_path(directory: Any) -> str:
-    """The manifest file path inside a live directory."""
-    return os.path.join(os.fspath(directory), MANIFEST_NAME)
+def __getattr__(name: str) -> Any:
+    # The manifest moved to repro.live.store (which imports this module,
+    # so the old names resolve on first use, not at import).
+    if name in ("MANIFEST_NAME", "load_manifest", "manifest_path", "save_manifest"):
+        from . import store
 
-
-def save_manifest(directory: Any, manifest: dict) -> None:
-    """Atomically write ``manifest`` (tmp file + fsync + rename + dir
-    fsync, so a crash leaves either the old or the new manifest, never
-    a torn one — and the rename itself is durable). Manifest writes
-    happen only at init/seal/compaction, so the extra fsyncs are off
-    the append hot path."""
-    path = manifest_path(directory)
-    tmp = path + ".tmp"
-    with wrap_os_errors("manifest commit", path):
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=1)
-            handle.flush()
-            os.fsync(handle.fileno())
-        spec = failpoint("manifest.commit", path=path)
-        if spec is not None:
-            if isinstance(spec, dict) and "truncate_tmp_to" in spec:
-                # Leave a *partially written* tmp file behind, as a
-                # crash mid-write would.
-                with open(tmp, "r+b") as handle:
-                    handle.truncate(int(spec["truncate_tmp_to"]))
-            raise SimulatedCrashError(
-                f"injected crash before manifest commit at {path!r}"
-            )
-        os.replace(tmp, path)
-        fsync_directory(directory)
-
-
-def load_manifest(directory: Any) -> dict:
-    """Read and validate a live directory's manifest.
-
-    Every failure mode — missing file, invalid JSON, wrong format
-    marker, missing keys, malformed segment entries — raises
-    :class:`~repro.exceptions.SerializationError`: recovery must fail
-    loudly rather than serve from a half-understood directory.
-    """
-    path = manifest_path(directory)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    except OSError as exc:
-        raise SerializationError(
-            f"cannot read live manifest {path!r}: {exc}"
-        ) from exc
-    except json.JSONDecodeError as exc:
-        raise SerializationError(
-            f"live manifest {path!r} is not valid JSON: {exc}"
-        ) from exc
-    if not isinstance(manifest, dict):
-        raise SerializationError(f"live manifest {path!r} must be an object")
-    if manifest.get("format") != MANIFEST_FORMAT:
-        raise SerializationError(
-            f"unsupported live manifest format {manifest.get('format')!r} "
-            f"in {path!r}"
-        )
-    for key in ("length", "normalization", "params", "segments"):
-        if key not in manifest:
-            raise SerializationError(
-                f"live manifest {path!r} is missing {key!r}"
-            )
-    segments = manifest["segments"]
-    if not isinstance(segments, list):
-        raise SerializationError(
-            f"live manifest {path!r}: segments must be a list"
-        )
-    for entry in segments:
-        if not isinstance(entry, dict) or not {
-            "start",
-            "stop",
-            "file",
-        } <= set(entry):
-            raise SerializationError(
-                f"live manifest {path!r}: malformed segment entry {entry!r}"
-            )
-    return manifest
+        return getattr(store, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

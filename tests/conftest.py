@@ -12,6 +12,7 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.normalization import Normalization
 from repro.core.tsindex import TSIndex, TSIndexParams
@@ -20,6 +21,18 @@ from repro.data import synthetic
 from repro.indices.isax import ISAXIndex, ISAXParams
 from repro.indices.kvindex import KVIndex, KVIndexParams
 from repro.indices.sweepline import SweeplineSearch
+
+# Hypothesis budgets. ``ci`` (the default) is derandomized and has no
+# per-example deadline — this box's timings swing 2× between runs — and
+# keeps tests/test_live_state_machine.py under 15 s; ``soak`` is the long
+# run of the same machine: ``--hypothesis-profile soak``.
+settings.register_profile(
+    "ci", max_examples=100, stateful_step_count=30, deadline=None, derandomize=True
+)
+settings.register_profile(
+    "soak", max_examples=2000, stateful_step_count=40, deadline=None
+)
+settings.load_profile("ci")
 
 #: Window length used across the suite (paper default is 100; 50 keeps
 #: the suite fast without changing any behaviour under test).

@@ -12,15 +12,16 @@ from repro import cli
 from repro.engine import IndexRegistry
 from repro.exceptions import InvalidParameterError
 from repro.live import LiveTwinIndex
+from repro.live import store
 from repro.live.wal import MANIFEST_NAME
 from repro.persistence import load_index, save_index, serializer
 
 SRC = pathlib.Path(repro.__file__).parent
 
 
-def _code_strings(tree: ast.AST) -> list[str]:
-    """Every identifier and string literal of a module — comments never
-    reach the AST, and docstrings are skipped."""
+def _code_strings(tree: ast.AST, identifiers: bool = True) -> list[str]:
+    """Every string literal of a module, and by default every identifier
+    too — comments never reach the AST, and docstrings are skipped."""
     docstrings = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -32,7 +33,7 @@ def _code_strings(tree: ast.AST) -> list[str]:
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             if id(node) not in docstrings:
                 found.append(node.value)
-        for field in ("id", "attr", "arg", "name"):
+        for field in ("id", "attr", "arg", "name") if identifiers else ():
             value = getattr(node, field, None)
             if isinstance(value, str):
                 found.append(value)
@@ -89,4 +90,42 @@ def test_one_container_and_no_way_to_ask_for_another(tmp_path, series_values):
         hits = [s for s in _code_strings(ast.parse(path.read_text())) if "npz" in s.lower()]
         if hits:
             mentions[str(path.relative_to(SRC))] = hits
-    assert mentions == {"live/index.py": [".npz"]}
+    assert mentions == {"live/store.py": [".npz"]}
+
+
+def test_the_live_directory_is_spelled_in_one_module(tmp_path, series_values):
+    with LiveTwinIndex.create(
+        tmp_path / "live", series_values[:200], length=50, seal_threshold=64
+    ) as live:
+        assert live.segment_count == 2
+    # What is on disk is what repro.live.store says is on disk ...
+    names = sorted(path.name for path in (tmp_path / "live").iterdir())
+    assert names == [store.MANIFEST_NAME, *(s.file for s in live.segments), store.WAL_NAME]
+    assert all(
+        s.file.startswith(store.SEGMENT_PREFIX) and s.file.endswith(store.SEGMENT_SUFFIXES[0])
+        for s in live.segments
+    )
+    manifest = json.loads((tmp_path / "live" / store.MANIFEST_NAME).read_text())
+    assert set(manifest) == {
+        "format", "length", "normalization", "params", "seal_threshold",
+        "max_segments", "fsync", "wal_offset", "segments",
+    }  # fmt: skip
+    assert all(set(entry) == {"start", "stop", "file"} for entry in manifest["segments"])
+    assert store.Manifest.read(tmp_path / "live").segments == tuple(
+        (s.start, s.stop, s.file) for s in live.segments
+    )
+
+    # ... and no other module spells a file name or a manifest key of it.
+    # ("wal_offset" stands for the keys: the others are everyday words.)
+    protocol = {
+        store.WAL_NAME, store.MANIFEST_NAME, store.SEGMENT_PREFIX, store.QUARANTINE_DIR,
+        "wal_offset",
+    }  # fmt: skip
+    assert protocol == {"wal.log", "MANIFEST.json", "seg-", "quarantine", "wal_offset"}
+    spelled = {}
+    for path in sorted(SRC.rglob("*.py")):
+        literals = _code_strings(ast.parse(path.read_text()), identifiers=False)
+        hits = sorted({s for s in literals if s in protocol or s.startswith("seg-")})
+        if hits:
+            spelled[str(path.relative_to(SRC))] = hits
+    assert list(spelled) == ["live/store.py"], spelled

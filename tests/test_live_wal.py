@@ -8,6 +8,7 @@ fails **loudly** on corrupted manifests or segment archives instead of
 serving silently wrong answers.
 """
 
+import errno
 import json
 import os
 
@@ -19,7 +20,9 @@ from repro.exceptions import (
     InvalidParameterError,
     ReproError,
     SerializationError,
+    StorageError,
 )
+from repro.faults import failpoints
 from repro.live import LiveTwinIndex, WriteAheadLog
 from repro.live.wal import (
     MANIFEST_NAME,
@@ -385,6 +388,43 @@ class TestRecovery:
             )
             live.close()  # must not raise
         assert live._wal._file is None
+
+    def test_failed_journal_truncation_leaves_the_plane_appendable(
+        self, tmp_path, monkeypatch
+    ):
+        # The post-seal journal rewrite released its handle before the
+        # tmp write: a disk-full rename left it closed, and every later
+        # append failed with "WAL ... is closed" until a restart.
+        path = tmp_path / "live"
+        live = LiveTwinIndex.create(path, length=16, background_compaction=False)
+        live.append(np.arange(40.0))
+        real_replace = os.replace
+
+        def full_disk(source, target):
+            if os.path.basename(target) == "wal.log":
+                raise OSError(errno.ENOSPC, "no space left on device")
+            return real_replace(source, target)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(os, "replace", full_disk)
+            with pytest.raises(StorageError, match="WAL rewrite"):
+                live.seal()
+        assert not (path / "wal.log.tmp").exists()
+        # The seal itself is committed; the old journal merely starts
+        # before the frontier, and keeps taking appends.
+        assert live.segment_count == 1 and live.stats()["seal_failures"] == 0
+        live.append([40.0])
+        live.append([41.0])
+        # An armed fault at the same site is typed too, and survivable.
+        with failpoints.armed("wal.rewrite", error="io"):
+            with pytest.raises(StorageError, match="WAL rewrite"):
+                live.seal()
+        live.append([42.0])
+        live.close()
+        recovered = LiveTwinIndex.recover(path, background_compaction=False)
+        assert np.array_equal(recovered.values, np.arange(43.0))
+        assert_matches_reference(recovered)
+        recovered.close()
 
     def test_compaction_persists_across_recovery(self, tmp_path):
         path = tmp_path / "live"

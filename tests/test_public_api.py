@@ -51,9 +51,10 @@ class TestTopLevelExports:
             "repro.live.segments",
             "repro.live.compaction",
             "repro.live.wal",
+            "repro.live.store",
+            "repro.live.ingest",
             "repro.faults",
             "repro.faults.failpoints",
-            "repro.faults.chaos",
             "repro.obs",
             "repro.obs.metrics",
             "repro.obs.trace",
