@@ -3,8 +3,9 @@
 Demonstrates the :mod:`repro.live` ingestion plane end to end — create
 a durable :class:`~repro.live.LiveTwinIndex`, stream a synthetic
 traffic series (daily periodicity + noise) in small batches while
-alternating twin queries, watch the delta seal into frozen segments and
-compact in the background, then simulate a crash and recover from the
+alternating twin queries, watch the delta (the scanned, unindexed tail
+of the append buffer) seal into bulk-loaded frozen segments and compact
+in the background, then simulate a crash and recover from the
 write-ahead log.
 
 Run:  python examples/live_monitoring.py

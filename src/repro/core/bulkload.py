@@ -1,4 +1,4 @@
-"""Bottom-up bulk loading for TS-Index (extension; see DESIGN.md §5).
+"""Bottom-up bulk loading for TS-Index (an extension of the paper).
 
 The paper constructs TS-Index by sequential insertion. For long series
 this dominates build time, so — in the spirit of iSAX 2.0 / Coconut,
@@ -17,8 +17,9 @@ Three orderings are offered:
 * ``paa`` — lexicographic on a coarse PAA word (Coconut-style sortable
   summaries).
 
-The ablation benchmark ``bench_ablation_bulkload`` compares build time
-and query time across orderings and against sequential insertion.
+Every live segment (:mod:`repro.live.segments`) is this module's
+product; twinbench's ``core.bulkload.build_s`` / ``windows_per_s`` and
+``core.frozen.freeze_ms`` measure the load and the freeze after it.
 """
 
 from __future__ import annotations

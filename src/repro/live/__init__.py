@@ -5,12 +5,13 @@ over a *static* series; monitoring workloads — the intro's traffic /
 EEG / seismic scenarios — need the series to grow while staying
 queryable. This subsystem provides the missing write path:
 
-* :class:`LiveTwinIndex` — appends readings into a growable buffer,
-  indexes each newly completed window in a small mutable **delta**
-  TS-Index, seals the delta into immutable
-  :class:`~repro.core.frozen.FrozenTSIndex` **segments** (value chunks
-  overlapping by ``l - 1``, so no window is lost), and compacts
-  adjacent segments on a background thread. Queries fan out over
+* :class:`LiveTwinIndex` — appends readings into a growable buffer;
+  the windows completed since the last seal are the **delta**, that
+  buffer's unindexed tail, scanned by the streaming refine kernel. A
+  seal bulk-loads the delta into an immutable
+  :class:`~repro.core.frozen.FrozenTSIndex` **segment** (value chunks
+  overlapping by ``l - 1``, so no window is lost), and adjacent
+  segments are compacted on a background thread. Queries fan out over
   delta + segments and merge exactly — results are byte-identical to a
   from-scratch TS-Index over the full series, in both the raw and the
   per-window normalization regimes.

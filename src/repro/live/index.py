@@ -2,6 +2,13 @@
 (append → seal → compact → recover, as :mod:`repro.live` describes it)
 and the six query methods.
 
+The **delta** — the windows appended since the last seal — is the
+unindexed tail of the ingest buffer, not a tree: an append is a journal
+write, a buffer extend and a counter; a query scans the delta with the
+streaming refine kernel over every position (the paper's sweepline, the
+right plan for a few thousand windows); a seal bulk-loads it, as
+compaction does (:meth:`Segment.build <repro.live.segments.Segment.build>`).
+
 ``search`` / ``knn`` / ``exists`` / ``search_batch`` fan out across
 delta + segments (the delta answers under the plane lock, the segments
 through :class:`repro.query.parts.PartSet`, the loop the sharded engine
@@ -29,11 +36,12 @@ from typing import Any
 
 import numpy as np
 
-from .._util import check_non_negative, check_positive_int
+from .._util import POSITION_DTYPE, check_non_negative, check_positive_int
 from ..core.batch import BatchResult
 from ..core.normalization import Normalization
 from ..core.stats import BuildStats, SearchResult
-from ..core.tsindex import TSIndex, TSIndexParams
+from ..core.tsindex import TSIndexParams
+from ..core.verification import verify
 from ..core.windows import WindowSource, assemble_source
 from ..exceptions import (
     IndexNotBuiltError,
@@ -57,6 +65,7 @@ from ..query.capabilities import (
     CAP_VERIFICATION,
 )
 from ..query.parts import Part, PartSet, local_exclude
+from ..query.planner import scan_knn
 from ..query.registration import register_plane
 from ..query.spec import (
     check_varlength_query,
@@ -65,7 +74,6 @@ from ..query.spec import (
 )
 from ..query.varlength import (
     is_prefix_query,
-    prefix_search_part,
     scan_prefix_knn,
     scan_prefix_search,
 )
@@ -96,13 +104,13 @@ _metrics = HandleCache(
         "lag": registry.gauge(
             "repro_live_ingest_lag_readings",
             "Ingest lag: readings buffered past the sealed frontier "
-            "(indexed in the delta or still completing windows, not "
+            "(scanned in the delta or still completing windows, not "
             "yet sealed into a segment).",
         ),
         "seal_seconds": registry.histogram(
             "repro_live_seal_seconds",
-            "Delta seal duration (freeze + archive + manifest commit "
-            "+ WAL truncation), in seconds.",
+            "Delta seal duration (bulk load + freeze + archive + "
+            "manifest commit + WAL truncation), in seconds.",
         ),
         "seals": registry.counter(
             "repro_live_seals_total", "Delta seals performed."
@@ -128,6 +136,16 @@ _metrics = HandleCache(
 )
 
 
+def _scan(
+    delta: WindowSource, query: np.ndarray, epsilon: float, mode: str = "bulk"
+) -> SearchResult:
+    """The twins of a prepared ``query`` in the delta: the refine
+    kernel over every position, no filter step. It takes the window
+    length from the query, so a prefix (``m < l``) is the same call."""
+    positions = np.arange(delta.count, dtype=POSITION_DTYPE)
+    return verify(delta, query, positions, epsilon, mode=mode)
+
+
 @register_plane(
     "live",
     aliases=("livetwinindex",),
@@ -141,6 +159,11 @@ class LiveTwinIndex(SubsequenceIndex):
     a durable one with :meth:`recover`. All public methods are safe to
     call from multiple threads; queries snapshot the segment list and
     never block on background compaction.
+
+    Windows appended since the last seal are scanned, not indexed, and
+    ``seal_threshold`` bounds that scan: ``seal_threshold=None`` is a
+    linear scan over everything appended — the paper's sweepline, by
+    request.
 
     Examples
     --------
@@ -215,7 +238,8 @@ class LiveTwinIndex(SubsequenceIndex):
             self._normalization,
         )
         self._segments: list[Segment] = []  # lint: guarded-by(_lock)
-        self._delta: TSIndex | None = None  # lint: guarded-by(_lock)
+        #: The delta: windows ``[_delta_start, _delta_start +
+        #: _delta_count)`` of ``_source``, which end at ``_source.count``.
         self._delta_start = 0  # lint: guarded-by(_lock)
         self._delta_count = 0  # lint: guarded-by(_lock)
         self._source: WindowSource | None = None  # lint: guarded-by(_lock)
@@ -231,12 +255,12 @@ class LiveTwinIndex(SubsequenceIndex):
             if _sealed:
                 # The chain a recovery loaded, each segment re-sourced
                 # against the recovered monolith.
-                self._refresh_source()
+                self._source = self._ingest.source()
                 self._segments.extend(
                     segment.rebased(self._source, self._params) for segment in _sealed
                 )
                 self._delta_start = _sealed[-1].stop
-            self._absorb(self._delta_start)
+            self._absorb()
 
     # ------------------------------------------------------------------
     # Alternate constructors
@@ -281,7 +305,7 @@ class LiveTwinIndex(SubsequenceIndex):
         """Initialize a **durable** live plane under directory ``path``.
 
         Every subsequent :meth:`append` is journaled to the write-ahead
-        log before it is indexed; sealed segments are archived as
+        log before it is buffered; sealed segments are archived as
         uncompressed mmap-able directories (they recover in O(metadata)
         and support process fan-out with a single page-cache copy) and
         committed to the manifest.
@@ -327,9 +351,9 @@ class LiveTwinIndex(SubsequenceIndex):
         value to override.
 
         Sealed segments are restored from their archives (pure array
-        reads — no re-insertion); the journal is replayed up to its
-        last fully durable record, and only the un-sealed windows are
-        re-inserted into a fresh delta. A torn tail record (the
+        reads — no rebuild); the journal is replayed up to its last
+        fully durable record into the ingest buffer, where the un-sealed
+        windows are the delta again — a count. A torn tail record (the
         in-flight append a crash interrupted) is dropped, which is the
         durability contract; a corrupted manifest, a broken segment
         chain, or a segment archive that fails its structural
@@ -449,14 +473,8 @@ class LiveTwinIndex(SubsequenceIndex):
             return len(self._segments)
 
     @property
-    def delta(self) -> TSIndex | None:
-        """The mutable delta tree (``None`` right after a seal)."""
-        with self._lock:
-            return self._delta
-
-    @property
     def delta_windows(self) -> int:
-        """Windows currently held by the delta."""
+        """Windows appended since the last seal — what a query scans."""
         with self._lock:
             return self._delta_count
 
@@ -499,19 +517,16 @@ class LiveTwinIndex(SubsequenceIndex):
 
     @property
     def build_stats(self) -> BuildStats:
-        """Aggregate build counters over segments + delta: counters
-        summed and ``height`` the maximum, as in
-        :attr:`ShardedTSIndex.build_stats
+        """Aggregate build counters over the sealed segments (the delta
+        is not built and not counted): counters summed and ``height``
+        the maximum, as in :attr:`ShardedTSIndex.build_stats
         <repro.engine.sharding.ShardedTSIndex.build_stats>` — except
         ``seconds``: shards build one after another and that one sums
-        them; this one reports the slowest part."""
+        them; this one reports the slowest part — a bulk load, whether
+        a seal or a compaction made the segment."""
         merged = BuildStats()
-        with self._lock:
-            parts = [segment.index for segment in self._segments]
-            if self._delta is not None:
-                parts.append(self._delta)
-        for tree in parts:
-            stats = tree.build_stats
+        for segment in self.segments:
+            stats = segment.index.build_stats
             merged.seconds = max(merged.seconds, stats.seconds)
             merged.windows += stats.windows
             merged.splits += stats.splits
@@ -582,9 +597,8 @@ class LiveTwinIndex(SubsequenceIndex):
                 )
             if self._store is not None:
                 self._store.wal.append(readings)
-            previous_windows = self._ingest.window_count
             self._ingest.extend(readings)
-            added = self._absorb(previous_windows)
+            added = self._absorb()
             self._mutations += 1
             metrics["readings"].inc(readings.size)
             metrics["lag"].set(self._ingest.size - self._delta_start)
@@ -597,7 +611,7 @@ class LiveTwinIndex(SubsequenceIndex):
         with self._lock:
             if self._delta_count == 0:
                 return False
-            self._seal_locked()
+            self._seal_locked(self._delta_start + self._delta_count)
             return True
 
     def compact(self, timeout: float | None = None) -> None:
@@ -652,77 +666,61 @@ class LiveTwinIndex(SubsequenceIndex):
     # ------------------------------------------------------------------
     # Internal lifecycle (all callers hold the lock)
     # ------------------------------------------------------------------
-    def _refresh_source(self) -> None:  # lint: holds(_lock) called with the plane lock held
-        """Point the monolithic source (and the delta's shard view) at
-        the grown buffer; already-extracted window values never change
-        (see :meth:`IngestBuffer.source
-        <repro.live.ingest.IngestBuffer.source>`)."""
-        self._source = self._ingest.source()
-        if self._delta is not None:
-            self._delta._source = self._source.shard(
-                self._delta_start, self._source.count
-            )
+    def _absorb(self) -> int:  # lint: holds(_lock) called with the plane lock held
+        """Count every window completed since the last call into the
+        delta — the source is re-pointed at the grown buffer, whose
+        already-extracted window values never change (see
+        :meth:`IngestBuffer.source
+        <repro.live.ingest.IngestBuffer.source>`); nothing is built —
+        then seal the oldest ``seal_threshold`` windows while the delta
+        holds that many.
 
-    def _absorb(self, previous_windows: int) -> int:  # lint: holds(_lock) called with the plane lock held
-        """Index every window completed since ``previous_windows``,
-        sealing whenever the delta crosses the threshold.
-
-        Every window is inserted whatever a seal does: the buffer has
-        already grown, so a batch cut short would leave positions the
-        next append never revisits. A seal that raises leaves the delta
-        (or, past the in-memory hand-over, the new segment) answering
-        for its windows; it is counted and left to the next append —
-        not retried on every remaining window of this batch. A
-        :class:`~repro.exceptions.SimulatedCrashError` is not an
-        ``Exception`` and passes through.
+        A seal that raises leaves the delta (or, past the in-memory
+        hand-over, the new segment) answering for its windows; it is
+        counted and left to the next append, which starts again at the
+        oldest un-sealed window: a threshold seal is exactly
+        ``seal_threshold`` windows however large a backlog a failure
+        left. A :class:`~repro.exceptions.SimulatedCrashError` is not
+        an ``Exception`` and passes through.
         """
         if self._ingest.size < self._length:
             return 0
-        self._refresh_source()
-        total = self._source.count
-        sealing = self._seal_threshold is not None
-        for position in range(previous_windows, total):
-            self._insert_window(position)
-            if sealing and self._delta_count >= self._seal_threshold:
-                try:
-                    self._seal_locked()
-                except Exception as exc:
-                    sealing = False
-                    self._seal_failures += 1
-                    self._last_seal_error = exc
-                    _metrics()["seal_failures"].inc()
-                    _log.error(
-                        "seal failed with %d windows in the delta (the "
-                        "next append retries): %r", self._delta_count, exc,
-                    )
-        return total - previous_windows
+        self._source = self._ingest.source()
+        added = self._source.count - self._delta_start - self._delta_count
+        self._delta_count += added
+        threshold = self._seal_threshold
+        while threshold is not None and self._delta_count >= threshold:
+            try:
+                self._seal_locked(self._delta_start + threshold)
+            except Exception as exc:
+                self._seal_failures += 1
+                self._last_seal_error = exc
+                _metrics()["seal_failures"].inc()
+                _log.error(
+                    "seal failed with %d windows in the delta (the "
+                    "next append retries): %r", self._delta_count, exc,
+                )
+                break
+        return added
 
-    def _insert_window(self, position: int) -> None:  # lint: holds(_lock) called with the plane lock held
-        if self._delta is None:
-            view = self._source.shard(self._delta_start, self._source.count)
-            self._delta = TSIndex(view, self._params)
-        self._delta._insert_position(position - self._delta_start)
-        self._delta._build_stats.windows += 1
-        self._delta_count += 1
-
-    def _seal_locked(self) -> None:  # lint: holds(_lock) called with the plane lock held
-        """Flatten the delta into an immutable segment; durable planes
-        archive it and commit it (:meth:`LiveStore.commit
-        <repro.live.store.LiveStore.commit>`: manifest, then journal
-        truncation)."""
+    def _seal_locked(self, stop: int) -> None:  # lint: holds(_lock) called with the plane lock held
+        """Bulk-load the delta's windows up to ``stop`` into an
+        immutable segment; durable planes archive it and commit it
+        (:meth:`LiveStore.commit <repro.live.store.LiveStore.commit>`:
+        manifest, then journal truncation)."""
         metrics = _metrics()
         start = self._delta_start
-        stop = self._delta_start + self._delta_count
         with wrap_os_errors("seal", f"[{start}, {stop})"):
             failpoint("live.seal", start=start, stop=stop)
         with metrics["seal_seconds"].time():
-            segment = Segment.sealed(self._source, self._delta, start, stop)
+            segment = Segment.build(
+                self._source.detach(start, stop), start, self._params
+            )
             if self._store is not None:
                 segment.file = self._store.save_segment(segment)
             self._segments.append(segment)
-            self._delta = None
-            self._delta_count = 0
             self._delta_start = stop
+            self._delta_count -= stop - start
             self._seals += 1
             if self._store is not None:
                 self._store.commit(
@@ -826,8 +824,9 @@ class LiveTwinIndex(SubsequenceIndex):
         """What a query takes from under the lock: the sealed segments
         as an immutable :class:`~repro.query.parts.PartSet` (labelled by
         span start; fanned out once the lock is released) and, as its
-        ``extra``, ``answer(delta)`` — the delta is the only mutable
-        part, so it answers here. A durable segment names the archive a
+        ``extra``, ``answer(delta)`` over the delta's shard of the
+        monolithic source — the delta is the only mutable part, so it
+        is scanned here. A durable segment names the archive a
         worker process reopens (bitwise equal to the in-memory segment:
         it embeds the rolling statistics); an in-memory one names none,
         and a process pool then degrades to the serial loop."""
@@ -842,8 +841,11 @@ class LiveTwinIndex(SubsequenceIndex):
             )
             for segment in self._segments
         ]
-        delta = self._delta
-        extra = [] if delta is None else [(self._delta_start, answer(delta))]
+        extra = []
+        if self._delta_count:
+            start = self._delta_start
+            delta = self._source.shard(start, start + self._delta_count)
+            extra.append((start, answer(delta)))
         return PartSet(parts, "segment"), extra
 
     def search(
@@ -861,7 +863,7 @@ class LiveTwinIndex(SubsequenceIndex):
         :class:`~repro.core.tsindex.TSIndex` over the full series.
 
         Segments answer in parallel on ``executor`` when one is given;
-        the delta is searched under the plane's lock (it is the only
+        the delta is scanned under the plane's lock (it is the only
         mutable part), segments from an immutable snapshot outside it.
         Queries shorter than ``l`` dispatch to :meth:`search_varlength`.
 
@@ -882,9 +884,7 @@ class LiveTwinIndex(SubsequenceIndex):
                 return SearchResult.empty()
             prepared = self._prepare(query)
             parts, extra = self._snapshot(
-                lambda delta: delta.search(
-                    prepared, epsilon, verification=verification
-                )
+                lambda delta: _scan(delta, prepared, epsilon, verification)
             )
         return parts.search(
             prepared,
@@ -909,10 +909,11 @@ class LiveTwinIndex(SubsequenceIndex):
         tail (and, before ``length`` readings have even arrived, over
         the raw readings themselves).
 
-        Delta and segments each run the prefix-bounded traversal over
-        their own span (their value chunks overlap by ``l - 1 >= m - 1``
-        readings, so every ``m``-window of a part's window span lies
-        inside its chunk); the tail — the last ``l - m`` starts — is a
+        Segments run the prefix-bounded traversal and the delta the
+        scan, each over its own span (their value chunks overlap by
+        ``l - 1 >= m - 1`` readings, so every ``m``-window of a part's
+        window span lies inside its chunk); the tail — the last
+        ``l - m`` starts — is a
         direct scan over a snapshot of the append buffer. Parts merge
         through the shared offset kernel, byte-identical to a prefix
         scan over the full series. ``m == l`` delegates to
@@ -933,9 +934,7 @@ class LiveTwinIndex(SubsequenceIndex):
             if size < m:
                 return SearchResult.empty()
             parts, extra = self._snapshot(
-                lambda delta: prefix_search_part(
-                    delta, query, epsilon, verification=verification
-                )
+                lambda delta: _scan(delta, query, epsilon, verification)
             )
             tail_lo = max(0, size - self._length + 1)
             # Snapshot: the buffer may be swapped by a concurrent append.
@@ -968,9 +967,9 @@ class LiveTwinIndex(SubsequenceIndex):
                 return 0
             prepared = self._prepare(query)
             parts, extra = self._snapshot(
-                lambda delta: delta.count(prepared, epsilon)
+                lambda delta: _scan(delta, prepared, epsilon)
             )
-        return sum(n for _, n in extra) + parts.count(
+        return sum(len(found) for _, found in extra) + parts.count(
             prepared, epsilon, executor=executor
         )
 
@@ -997,12 +996,9 @@ class LiveTwinIndex(SubsequenceIndex):
                 return SearchResult.empty()
             prepared = self._prepare(query)
             parts, extra = self._snapshot(
-                lambda delta: delta.knn(
-                    prepared,
-                    min(k, self._delta_count),
-                    exclude=local_exclude(
-                        exclude, self._delta_start, self._delta_count
-                    ),
+                lambda delta: scan_knn(
+                    delta, prepared, k,
+                    local_exclude(exclude, self._delta_start, delta.count),
                 )
             )
         return parts.knn(
@@ -1042,9 +1038,11 @@ class LiveTwinIndex(SubsequenceIndex):
                 return False
             prepared = self._prepare(query)
             parts, extra = self._snapshot(
-                lambda delta: delta.exists(prepared, epsilon)
+                lambda delta: _scan(delta, prepared, epsilon)
             )
-        return any(hit for _, hit in extra) or parts.exists(prepared, epsilon)
+        return any(len(found) for _, found in extra) or parts.exists(
+            prepared, epsilon
+        )
 
     def search_batch(
         self,

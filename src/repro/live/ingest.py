@@ -2,7 +2,10 @@
 
 :class:`IngestBuffer` holds every reading appended so far in one
 growable array and hands out the monolithic
-:class:`~repro.core.windows.WindowSource` over it. Under the per-window
+:class:`~repro.core.windows.WindowSource` over it. Its tail past the
+last sealed window is the plane's **delta** — scanned as a
+:meth:`~repro.core.windows.WindowSource.shard` of that source, bulk
+loaded at seal — so extending the buffer is all an append costs. Under the per-window
 regime it also maintains the rolling means and standard deviations
 incrementally: they are prefix-stable under appends (see
 :func:`~repro.core.normalization.rolling_std`), so extending the cached

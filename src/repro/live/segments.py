@@ -13,11 +13,11 @@ prefix-stable under appends (see
 bitwise identical to the corresponding windows of a from-scratch index
 over the whole grown series.
 
-:func:`merge_segments` is the compaction primitive: two adjacent
-segments become one, rebuilt with the bulk loader over the concatenated
-chunk (dropping the duplicated ``l - 1`` overlap values) — results are
-unchanged because twin answers are exact post-verification and window
-values carry over bitwise.
+Every segment is bulk loaded (:meth:`Segment.build`): a seal builds one
+over the delta's windows; :func:`merge_segments`, the compaction
+primitive, over the concatenated chunk of two adjacent segments (minus
+the duplicated ``l - 1`` overlap values). Tree shape never shows in an
+answer: twins are exact post-verification, window values carry bitwise.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from ..core.bulkload import bulk_load_source
 from ..core.frozen import FrozenTSIndex
 from ..core.normalization import Normalization
-from ..core.tsindex import TSIndex, TSIndexParams
+from ..core.tsindex import TSIndexParams
 from ..core.windows import WindowSource, assemble_source
 from ..exceptions import InvalidParameterError
 
@@ -59,19 +59,13 @@ class Segment:
         return self.index.size
 
     @classmethod
-    def sealed(cls, source: WindowSource, delta: TSIndex, start: int, stop: int) -> "Segment":
-        """The delta tree over windows ``[start, stop)`` of the plane's
-        monolithic ``source``, flattened. The segment's source is
-        **detached** (owns copies of its value chunk and statistics
-        slices), so sealed segments never pin the historical append
-        buffer alive."""
-        frozen = FrozenTSIndex.from_tree(
-            source.detach(start, stop),
-            delta._root,
-            delta.params,
-            dataclasses.replace(delta._build_stats),
-        )
-        return cls(start=start, index=frozen)
+    def build(cls, source: WindowSource, start: int, params: TSIndexParams) -> "Segment":
+        """Bulk load, then freeze, every window of ``source`` — the
+        plane's windows from global position ``start`` on, in memory of
+        its own (a ``detach``-ed span or a fresh ``assemble_source``), so
+        a segment never pins the historical append buffer alive."""
+        tree = bulk_load_source(source, params=params)
+        return cls(start=start, index=tree.freeze())
 
     def rebased(self, source: WindowSource, params: TSIndexParams) -> "Segment":
         """This segment — as loaded from its archive — over its own span
@@ -92,7 +86,8 @@ class Segment:
         )
 
     def stats_row(self) -> dict:
-        """One diagnostics row (for ``live stats`` and the registry)."""
+        """One diagnostics row (for ``live stats`` and the registry);
+        ``build_seconds`` is the bulk load, of a seal or a compaction."""
         build = self.index.build_stats
         return {
             "span": f"[{self.start}, {self.stop})",
@@ -114,9 +109,7 @@ def merge_segments(
 
     Self-contained: reads only the two segments' own sources (never the
     live plane's mutable state), so it is safe to run on a background
-    thread while appends proceed. The merged tree is bulk loaded — tree
-    shape differs from sequential insertion, but twin answers are exact
-    post-verification, so results are unchanged.
+    thread while appends proceed.
     """
     if first.stop != second.start:
         raise InvalidParameterError(
@@ -143,5 +136,4 @@ def merge_segments(
         stds=stds,
         name=f"live[{first.start}:{second.stop + length - 1}]",
     )
-    tree = bulk_load_source(merged_source, params=params)
-    return Segment(start=first.start, index=tree.freeze())
+    return Segment.build(merged_source, first.start, params)

@@ -8,7 +8,7 @@ run it on every part, then merge by position (``search``) or by
 written once. A plane contributes its **parts**; its **kind**
 (``"shard"`` / ``"segment"`` — the span key, the failpoint site, the
 wording of fan-out errors); and the answers it must compute itself (the
-live delta, searched under the plane lock; the prefix tail scan) as
+live delta, scanned under the plane lock; the prefix tail scan) as
 already-computed ``extra=[(start, result)]``, merged after the fanned
 parts in the order given.
 

@@ -137,7 +137,7 @@ def prefix_search_with_tail(
 def prefix_search_part(
     tree: Any, query: np.ndarray, epsilon: float, *, verification: str = "bulk"
 ) -> SearchResult:
-    """One composite-plane part (a shard, a segment, the delta): prefix
+    """One composite-plane part (a shard, a live segment): prefix
     candidates over the part's *indexed* windows, verified against its
     own value chunk — no tail, the composite plane covers that once.
     ``query`` must already be prepared."""

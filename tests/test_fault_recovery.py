@@ -220,6 +220,56 @@ class TestSealFailure:
         assert_six_modes_exact(recovered, stream)
         recovered.close()
 
+    def test_a_retry_seals_the_backlog_in_threshold_steps(self, tmp_path):
+        """What the append after a failed threshold seal seals: the
+        *oldest* ``seal_threshold`` windows, then the next, for as long
+        as a full threshold is left — not the whole over-threshold
+        delta as one outsized segment."""
+        stream = np.cumsum(np.random.default_rng(4).normal(size=300))
+        live = LiveTwinIndex.create(
+            str(tmp_path / "live"), length=LENGTH, seal_threshold=SEAL,
+            background_compaction=False,
+        )
+
+        def spans():
+            return [(s.start, s.stop) for s in live.segments]
+
+        def absorbed():
+            return live.segments[-1].stop + live.delta_windows
+
+        live.append(stream[:100])
+        assert spans() == [(0, SEAL)] and live.delta_windows == 37
+        with failpoints.armed("segment.write", error="io", times=1):
+            # 120 more windows: three thresholds' worth, none sealed —
+            # a failed seal is not retried within its batch.
+            assert live.append(stream[100:220]) == 120
+        assert spans() == [(0, SEAL)] and live.delta_windows == 157
+        assert live.stats()["seal_failures"] == 1
+        assert absorbed() == live.window_count
+        assert_six_modes_exact(live, stream)
+
+        assert live.append(stream[220:221]) == 1  # the retry
+        assert spans() == [(lo, lo + SEAL) for lo in range(0, 4 * SEAL, SEAL)]
+        assert live.delta_windows == 158 - 3 * SEAL
+        assert absorbed() == live.window_count
+        assert live.stats()["last_seal_error"] is None
+        assert_six_modes_exact(live, stream)
+
+        # Past the in-memory hand-over the new segment answers, the
+        # failure is still counted, and every window is still absorbed.
+        with failpoints.armed("manifest.commit", error="io", times=1):
+            assert live.append(stream[221:260]) == 39
+        assert spans()[-1] == (4 * SEAL, 5 * SEAL)
+        assert live.stats()["seal_failures"] == 2
+        assert absorbed() == live.window_count
+        assert_six_modes_exact(live, stream)
+        live.close()
+        with LiveTwinIndex.recover(
+            tmp_path / "live", background_compaction=False
+        ) as recovered:
+            assert np.array_equal(np.asarray(recovered.values), stream[:260])
+            assert_six_modes_exact(recovered, stream)
+
     def test_crash_during_seal_still_propagates(self):
         live = LiveTwinIndex(length=LENGTH, seal_threshold=SEAL)
         with failpoints.armed("live.seal", crash=True):

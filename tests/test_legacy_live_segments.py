@@ -33,19 +33,6 @@ def _segment_names(path) -> list[str]:
     return sorted(name for name in os.listdir(path) if name.startswith("seg-"))
 
 
-def _replay(readings: int) -> LiveTwinIndex:
-    """An in-memory plane fed ``SERIES[:readings]`` exactly as the
-    committed directory was (40 at creation, 20 per append): the same
-    segment and delta trees, hence the same ``QueryStats``."""
-    plane = LiveTwinIndex(
-        SERIES[:40], LENGTH, params=PARAMS, seal_threshold=SEAL,
-        background_compaction=False,
-    )
-    for start in range(40, readings, 20):
-        plane.append(SERIES[start : start + 20])
-    return plane
-
-
 def _answers(index, readings: int) -> list:
     """Positions, distances and stats of all six query modes, for a
     fixed set of queries taken from ``SERIES[:readings]``."""
@@ -73,11 +60,13 @@ def _without_stats(answers: list) -> list:
     return [a[:2] if isinstance(a, tuple) else a for a in answers]
 
 
-def _assert_exact(live: LiveTwinIndex, readings: int, *, stats: bool = True) -> None:
+def _assert_exact(live: LiveTwinIndex, readings: int) -> None:
     """``live`` holds ``SERIES[:readings]`` and answers like a
-    from-scratch ``TSIndex`` over them (positions, distances) and —
-    while no compaction has re-packed its segments — like an in-memory
-    plane fed the same way (``QueryStats`` too)."""
+    from-scratch ``TSIndex`` over them (positions, distances).
+    ``QueryStats`` have no second source to agree with: the committed
+    segments are insertion-shaped trees, which nothing builds any more
+    (a seal bulk-loads); that they are *stable* across reopens is
+    ``test_close_and_recover_again_is_identical``."""
     assert np.array_equal(live.values, SERIES[:readings])
     actual = _answers(live, readings)
     assert any(isinstance(a, tuple) and len(a[0]) > 5 for a in actual)
@@ -86,10 +75,6 @@ def _assert_exact(live: LiveTwinIndex, readings: int, *, stats: bool = True) -> 
         SERIES[:readings], LENGTH, normalization="none", params=PARAMS
     )
     assert _without_stats(actual) == _without_stats(_answers(scratch, readings))
-    if stats:
-        replayed = _replay(readings)
-        assert actual == _answers(replayed, readings)
-        replayed.close()
 
 
 @pytest.fixture()
@@ -143,7 +128,7 @@ def test_compaction_rewrites_the_files_as_directories(legacy_dir):
         live.compact()
         assert live.segment_count == 1
         assert _segment_names(legacy_dir) == ["seg-000000000000-000000000256.rts"]
-        _assert_exact(live, FED, stats=False)
+        _assert_exact(live, FED)
         before = _answers(live, FED)
     with LiveTwinIndex.recover(legacy_dir, background_compaction=False) as again:
         assert again.segment_count == 1

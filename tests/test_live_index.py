@@ -237,7 +237,7 @@ class TestSealAndCompaction:
         assert live.segment_count == 0
         assert live.seal() is True
         assert live.segment_count == 1
-        assert live.delta is None
+        assert live.delta_windows == 0
         assert live.seal() is False  # nothing left to seal
         # queries still exact after a forced seal
         ref = reference(live)
@@ -338,8 +338,11 @@ class TestSurface:
         )
         query = np.array(live.values[42:58])
         assert live.count(query, 0.0) >= 1
+        # Only sealed segments are built; the delta is a scanned span.
         build = live.build_stats
-        assert build.windows == live.window_count
+        assert live.delta_windows > 0
+        assert build.windows == live.window_count - live.delta_windows
+        assert build.windows == sum(s.size for s in live.segments)
         assert build.nodes > 0
 
     def test_stats_snapshot(self):

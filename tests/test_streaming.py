@@ -1,6 +1,8 @@
-"""The never-sealing live plane: one mutable TS-Index over a growing
-series (``LiveTwinIndex(seal_threshold=None)``) — the shape the removed
-``StreamingTwinIndex`` shim served, asked of the plane itself."""
+"""The never-sealing live plane (``LiveTwinIndex(seal_threshold=None)``)
+— the shape the removed ``StreamingTwinIndex`` shim served, asked of
+the plane itself. Nothing is ever sealed, so nothing is ever indexed:
+every query is a linear scan over everything appended — the paper's
+sweepline, by request."""
 
 import numpy as np
 import pytest
@@ -111,23 +113,17 @@ class TestQueriesTrackTheStream:
                 batch.search(query, epsilon).positions,
             )
 
-    def test_tree_invariants_after_appends(self, stream):
-        stream.append(synthetic.random_walk(500, seed=7))
-        index = stream.delta
-        positions = []
-        for node, _depth in index.iter_nodes():
-            if node.is_leaf:
-                positions.extend(node.positions)
-        assert sorted(positions) == list(range(stream.window_count))
-
 
 class TestLiveShim:
     def test_backed_by_never_sealing_live_plane(self, stream):
         stream.append(synthetic.random_walk(600, seed=8))
-        # seal_threshold=None: everything stays in one delta tree.
+        # seal_threshold=None: everything stays in the scanned delta,
+        # and a query verifies every window of it and visits no node.
         assert stream.segment_count == 0
-        assert isinstance(stream.delta, TSIndex)
-        assert stream.delta.size == stream.window_count
+        assert stream.delta_windows == stream.window_count
+        stats = stream.search(stream.values[400:440], 0.5).stats
+        assert stats.candidates == stats.verified == stream.window_count
+        assert stats.nodes_visited == stats.leaves_accessed == 0
 
     def test_per_window_regime_now_supported(self):
         # The znorm-per-window restriction is lifted: per-window
