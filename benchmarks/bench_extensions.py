@@ -1,8 +1,7 @@
 """Benches for the extension features (not paper experiments).
 
-* approximate vs exact search — the accuracy/latency trade of the
-  budgeted best-first probe;
-* variable-length queries vs full-length queries;
+* variable-length queries vs full-length queries (``m = l`` is the
+  exact full-length search);
 * live append throughput vs batch rebuild.
 """
 
@@ -17,33 +16,6 @@ from conftest import default_epsilon, get_context, get_method, get_workload
 
 DATASET = "insect"
 NORMALIZATION = "global"
-
-
-@pytest.mark.benchmark(max_time=0.6, min_rounds=2, warmup=False)
-@pytest.mark.parametrize("mode", ["exact", "approx-1", "approx-8"])
-def test_extension_approximate_vs_exact(benchmark, mode):
-    index = get_method(DATASET, "tsindex", DEFAULT_LENGTH, NORMALIZATION)
-    workload = get_workload(DATASET, DEFAULT_LENGTH, NORMALIZATION)
-    epsilon = default_epsilon(DATASET, NORMALIZATION)
-    benchmark.group = "extension-approximate"
-
-    def run():
-        total = 0
-        for query in workload:
-            if mode == "exact":
-                total += len(index.search(query, epsilon))
-            else:
-                budget = int(mode.split("-")[1])
-                total += len(
-                    index.search_approximate(query, epsilon, max_leaves=budget)
-                )
-        return total
-
-    matches = benchmark(run)
-    exact_total = sum(len(index.search(q, epsilon)) for q in workload)
-    benchmark.extra_info["matches"] = matches
-    benchmark.extra_info["recall"] = round(matches / max(1, exact_total), 3)
-    assert matches <= exact_total
 
 
 @pytest.mark.benchmark(max_time=0.6, min_rounds=2, warmup=False)

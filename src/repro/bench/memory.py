@@ -64,6 +64,10 @@ def _tsindex_bytes(index: TSIndex, *, include_caches: bool) -> int:
                 total += _array_bytes(node._env_lower)
     if include_caches:
         total += _array_bytes(index._scratch)
+        # The held `freeze()` snapshot (knn / exists / batch / prefix
+        # queries run on it) is a cache of the tree, not index size.
+        if index._frozen is not None:
+            total += sum(map(_array_bytes, index._frozen.raw_arrays().values()))
     return total
 
 

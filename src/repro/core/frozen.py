@@ -62,14 +62,16 @@ the shapes. A prefix query of length ``m`` uses the timestamps below
 only code that cuts matrices, and ``_head_tail`` the only code that
 says how.
 
-Results are **exactly** those of the pointer tree — same positions,
-same distances, the same deterministic ``(distance, position)`` k-NN
-tie-break — enforced by the randomized equivalence suite in
-``tests/test_frozen.py`` and the oracle property in
-``tests/test_frozen_float32.py``. The structural counters of
-``search`` / ``exists`` equal the pointer tree's too, except that a
-node whose exact bound clears ``ε`` by less than the float32 rounding
-step is visited rather than pruned.
+``search`` returns **exactly** what the pointer tree's Algorithm 1
+traversal returns — same positions, same distances — enforced by the
+randomized equivalence suite in ``tests/test_frozen.py`` and the
+oracle property in ``tests/test_frozen_float32.py``; its structural
+counters equal the pointer tree's too, except that a node whose exact
+bound clears ``ε`` by less than the float32 rounding step is visited
+rather than pruned. ``knn`` / ``exists`` / ``search_batch`` /
+``search_varlength`` exist here only (the pointer tree answers them
+through its :meth:`~repro.core.tsindex.TSIndex.freeze` snapshot), and
+the same suites hold them to brute-force Chebyshev scans.
 
 Lifecycle: **build** the dynamic tree (sequential insertion or
 :mod:`~repro.core.bulkload`), **freeze** it once writes stop, then
@@ -469,7 +471,10 @@ class FrozenTSIndex:
         params: TSIndexParams,
         build_stats: BuildStats,
     ) -> "FrozenTSIndex":
-        """Flatten a dynamic ``_Node`` tree (BFS order, root = id 0)."""
+        """Flatten a dynamic ``_Node`` tree (BFS order, root = id 0).
+
+        ``build_stats`` is adopted, with ``windows`` / ``nodes`` /
+        ``height`` set to what is flattened (``insert`` keeps none)."""
         started = time.perf_counter()
         length = source.length
         if root is None:
@@ -533,13 +538,17 @@ class FrozenTSIndex:
             "leaf_offsets": leaf_offsets,
             "positions": positions,
         }
-        return cls(
+        frozen = cls(
             source,
             params,
             build_stats,
             arrays,
             freeze_seconds=time.perf_counter() - started,
         )
+        build_stats.windows = int(positions.size)
+        build_stats.nodes = n
+        build_stats.height = frozen.height
+        return frozen
 
     @classmethod
     def from_arrays(
@@ -941,14 +950,20 @@ class FrozenTSIndex:
         *,
         verification: str = "bulk",
     ) -> SearchResult:
-        """All twins of a query of length ``m <= l``, tail included.
+        """All twins of a query of length ``m <= l`` (extension).
 
-        Same contract as :meth:`TSIndex.search_varlength
-        <repro.core.tsindex.TSIndex.search_varlength>`, executed
-        level-synchronously: the whole frontier bounds against the
+        Returns every position ``p`` in ``[0, n - m]`` with
+        ``max_i |T[p + i] - Q_i| <= ε`` — *including* the ``l - m``
+        tail positions the fixed-length index does not store, which a
+        direct scan covers. The whole frontier bounds against the
         timestamps below ``m`` — leading slices of the envelope heads
         and tails — through the pruning kernel of :meth:`search`,
-        unchanged. ``m == l`` delegates to :meth:`search`.
+        unchanged (a node MBTS prefix is a valid envelope for the
+        window prefixes beneath it, so pruning stays lossless);
+        ``m == l`` delegates to :meth:`search` — identical positions,
+        distances and counters. Exact in the raw and global regimes;
+        per-window z-normalization rejects ``m < l`` with a typed error
+        (see :func:`repro.query.spec.prepare_values`).
         """
         return prefix_search_with_tail(
             self, query, epsilon, verification=verification
@@ -1150,11 +1165,25 @@ class FrozenTSIndex:
     ) -> SearchResult:
         """The ``k`` windows nearest to ``query`` in Chebyshev distance.
 
-        Best-first over the flat arrays; one vectorized bound reduction
-        per expanded node instead of one call per child. The answer —
-        ranked by ``(distance, position)`` — is exactly
-        :meth:`TSIndex.knn <repro.core.tsindex.TSIndex.knn>`'s. Queries
-        shorter than ``l`` dispatch to the pipeline's exact prefix scan.
+        Best-first over the flat arrays: nodes are expanded in order of
+        their Eq. 2 lower bound (one vectorized reduction per expanded
+        node), and expansion stops once the bound exceeds the current
+        k-th best exact distance — the standard optimal R-tree NN
+        argument carries over because Eq. 2 lower-bounds the exact
+        distance of every window under the node (Lemma 1).
+
+        Ties at the k-th distance are broken by smallest position, so
+        the answer is a deterministic function of the data — and agrees
+        exactly with :class:`repro.engine.ShardedTSIndex`'s shard merge,
+        which ranks by ``(distance, position)``.
+
+        ``exclude`` removes the half-open position range ``[a, b)`` from
+        consideration — the *exclusion zone* used by matrix-profile
+        style self joins to skip trivial matches of a query with its own
+        overlapping windows.
+
+        Queries shorter than ``l`` dispatch to the pipeline's exact
+        prefix scan (ranked by the same tie-break, tail included).
         """
         if is_prefix_query(query, self._source.length):
             from ..query import QuerySpec, execute
@@ -1255,15 +1284,18 @@ class FrozenTSIndex:
     def exists(
         self, query: npt.ArrayLike, epsilon: float, *, stats: QueryStats | None = None
     ) -> bool:
-        """Whether *any* twin exists, with early exit.
+        """Whether *any* twin exists, with early exit (extension).
 
-        Pass a :class:`QueryStats` to receive the traversal counters;
-        the visit order is the dynamic tree's :meth:`TSIndex.exists
-        <repro.core.tsindex.TSIndex.exists>`, and so are the counters,
-        up to nodes kept by the float32 rounding step (see
-        :meth:`search`).
-        Queries shorter than ``l`` derive from :meth:`search_varlength`
-        (its counters land in ``stats`` too).
+        Unlike :meth:`search`, qualifying leaves are verified as soon as
+        they are reached and the traversal stops at the first twin —
+        the cheapest possible decision procedure for questions like
+        "has this pattern occurred before?".
+
+        Pass a :class:`QueryStats` to receive the traversal counters
+        (nodes visited/pruned, leaves accessed, candidates verified;
+        ``matches`` is 1 when a twin was found). Queries shorter than
+        ``l`` derive from :meth:`search_varlength` (its counters land in
+        ``stats`` too).
         """
         if is_prefix_query(query, self._source.length):
             result = self.search_varlength(query, epsilon)

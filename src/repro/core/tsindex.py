@@ -9,17 +9,17 @@ entries (Chebyshev distance for leaves, Eq. 3 gap for internal nodes).
 Twin queries traverse top-down, pruning any subtree whose MBTS is more
 than ``ε`` away from the query (Lemma 1 / Algorithm 1).
 
-Beyond the paper, this module adds a best-first **k-NN twin search**
-(`knn`) that uses the same Eq. 2 bound as a lower bound, and hooks for
-bulk loading (see :mod:`repro.core.bulkload`).
+That is all the pointer tree implements (:mod:`repro.core.bulkload`
+builds one bottom-up). The library's extensions — k-NN, ``exists``,
+batches, prefix queries — live on the flat arrays of
+:class:`~repro.core.frozen.FrozenTSIndex`, which the tree reaches
+through a memoised :meth:`TSIndex.freeze`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import heapq
-import itertools
 import time
 from typing import Any, Iterable
 
@@ -43,19 +43,15 @@ from ..query.capabilities import (
 )
 from ..query.registration import register_plane
 from ..query.spec import prepare_values
-from ..query.varlength import (
-    is_prefix_query,
-    merge_exists_stats,
-    prefix_search_with_tail,
-)
+from ..query.varlength import is_prefix_query
 from .mbts import MBTS
 from .normalization import Normalization
 from .stats import BuildStats, QueryStats, SearchResult
 from .verification import check_mode, verify
 from .windows import WindowSource
 
-#: Valid split assignment metrics (DESIGN.md §5): ``area`` is classic
-#: R-tree total enlargement, ``max`` is the Chebyshev-style maximum
+#: Valid split assignment metrics: ``area`` is classic R-tree total
+#: enlargement, ``max`` is the Chebyshev-style maximum
 #: single-timestamp enlargement.
 SPLIT_METRICS = ("area", "max")
 
@@ -164,8 +160,17 @@ class TSIndex:
 
     Build one with :meth:`TSIndex.build` (from raw values) or
     :meth:`TSIndex.from_source` (from a prepared
-    :class:`~repro.core.windows.WindowSource`), then answer queries with
-    :meth:`search` (threshold queries, Algorithm 1) or :meth:`knn`.
+    :class:`~repro.core.windows.WindowSource`), then answer threshold
+    queries with :meth:`search` (Algorithm 1 over the node pointers).
+
+    :meth:`knn`, :meth:`exists`, :meth:`search_batch` and
+    :meth:`search_varlength` run on the flat form: each takes the
+    :meth:`freeze` snapshot, which is built on first use, kept until
+    the next :meth:`insert` and shared with every :meth:`freeze`
+    caller. Alternating inserts with those four therefore re-flattens
+    the tree before each query (≈ 0.2 µs per indexed window); a caller
+    that must query between inserts uses :meth:`search`, which takes no
+    snapshot.
 
     Examples
     --------
@@ -202,9 +207,12 @@ class TSIndex:
         # `_choose_subtree` computes into on every level instead of
         # allocating temporaries, and the tiled window (`_tile`).
         # Written by insertion only, and a TSIndex has one writer at a
-        # time (the live delta tree is inserted into under the plane's
-        # lock); no query path reads it.
+        # time; no query path reads it.
         self._scratch: np.ndarray | None = None
+        # `freeze`'s snapshot of the tree as it stands, or None (cleared
+        # by `_insert_position`). Two first queries racing here both
+        # flatten and keep either result: equal, and immutable.
+        self._frozen: Any = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -253,27 +261,28 @@ class TSIndex:
         return index
 
     def freeze(self) -> Any:
-        """Snapshot this tree into a read-optimized
-        :class:`~repro.core.frozen.FrozenTSIndex`.
-
-        The frozen form answers ``search`` / ``knn`` / ``exists`` /
-        ``search_batch`` over flat structure-of-arrays storage with
-        vectorized frontier traversal — byte-identical results, a
-        fraction of the latency. Freeze once the tree stops growing
-        (the snapshot does not see later :meth:`insert` calls); thaw
-        with :meth:`FrozenTSIndex.thaw
-        <repro.core.frozen.FrozenTSIndex.thaw>` to resume insertion.
+        """This tree as a read-optimized
+        :class:`~repro.core.frozen.FrozenTSIndex`: flat
+        structure-of-arrays storage and vectorized frontier traversal —
+        byte-identical results, a fraction of the latency. The snapshot
+        is immutable and does not see later :meth:`insert` calls; until
+        the next one, every call returns the same object
+        (:meth:`FrozenTSIndex.thaw
+        <repro.core.frozen.FrozenTSIndex.thaw>` makes a tree of one).
         """
-        from .frozen import FrozenTSIndex  # local: frozen imports us
+        frozen = self._frozen
+        if frozen is None:
+            from .frozen import FrozenTSIndex  # local: frozen imports us
 
-        return FrozenTSIndex.from_tree(
-            self._source,
-            self._root,
-            self._params,
-            # Copy: later inserts into this tree must not mutate the
-            # snapshot's (or its serialized form's) build counters.
-            dataclasses.replace(self._build_stats),
-        )
+            frozen = self._frozen = FrozenTSIndex.from_tree(
+                self._source,
+                self._root,
+                self._params,
+                # Copy: later inserts into this tree must not mutate the
+                # snapshot's (or its serialized form's) build counters.
+                dataclasses.replace(self._build_stats),
+            )
+        return frozen
 
     # ------------------------------------------------------------------
     # Metadata
@@ -361,6 +370,7 @@ class TSIndex:
         self._build_stats.windows = max(self._build_stats.windows, 0) + 1
 
     def _insert_position(self, position: int) -> None:
+        self._frozen = None
         window = self._source.window(position)
         if self._root is None:
             self._root = _Node(MBTS.from_sequence(window), positions=[position])
@@ -563,7 +573,8 @@ class TSIndex:
         candidate positions which are then exactly verified with the
         chosen strategy (see
         :data:`~repro.core.verification.VERIFICATION_MODES`; all modes
-        return identical results).
+        return identical results). Queries shorter than ``l`` are
+        :meth:`search_varlength`'s.
         """
         if is_prefix_query(query, self._source.length):
             return self.search_varlength(
@@ -571,88 +582,27 @@ class TSIndex:
             )
         epsilon = check_non_negative(epsilon, name="epsilon")
         check_mode(verification)
-        query = self._prepare_query(query)
+        query = prepare_values(self._source, query, expected=self._source.length)
         stats = QueryStats()
-        candidates = self.collect_varlength_candidates(query, epsilon, stats)
+        candidates = self._collect_candidates(query, epsilon, stats)
         return verify(
             self._source, query, candidates, epsilon,
             mode=verification, stats=stats,
         )
 
-    def count(self, query: npt.ArrayLike, epsilon: float) -> int:
-        """Number of twins (convenience wrapper over :meth:`search`;
-        shorter queries count their prefix twins, tail included)."""
-        return len(self.search(query, epsilon))
-
-    def search_batch(
-        self, queries: Iterable[npt.ArrayLike], epsilon: float, **search_options: Any
-    ) -> Any:
-        """Run a whole workload; per-query results plus aggregates.
-
-        The pipeline-backed default every plane shares (a planner loop
-        over :meth:`search` with the shared merge/stats kernel); the
-        frozen form (:meth:`freeze`) has a batched shared-traversal
-        kernel instead.
-        """
-        from ..query import QuerySpec, execute
-
-        return execute(
-            self,
-            QuerySpec(
-                query=list(queries),
-                mode="batch",
-                epsilon=epsilon,
-                options=dict(search_options),
-            ),
-        )
-
-    def search_varlength(
-        self,
-        query: npt.ArrayLike,
-        epsilon: float,
-        *,
-        verification: str = "bulk",
-    ) -> SearchResult:
-        """All twins of a query of length ``m <= l`` (extension).
-
-        Returns every position ``p`` in ``[0, n - m]`` with
-        ``max_i |T[p + i] - Q_i| <= ε`` — *including* the ``l - m``
-        tail positions the fixed-length index does not store, which a
-        direct scan covers. The traversal applies the Eq. 2 bound
-        restricted to the query's prefix length (a node MBTS prefix is
-        a valid envelope for the window prefixes beneath it, so pruning
-        stays lossless); queries of exactly length ``l`` delegate to
-        :meth:`search` — identical positions, distances and counters.
-
-        Per-window z-normalization rejects shorter queries with a typed
-        error (windows are normalized over ``l`` points, the query over
-        ``m``); the raw and global regimes are exact.
-        """
-        return prefix_search_with_tail(
-            self, query, epsilon, verification=verification
-        )
-
-    def collect_varlength_candidates(
+    def _collect_candidates(
         self, query: np.ndarray, epsilon: float, stats: QueryStats
     ) -> np.ndarray:
-        """Algorithm 1's traversal with the Eq. 2 bound restricted to
-        the first ``query.size`` timestamps of every node envelope
-        (all of them for a full-length query: :meth:`search`'s own
-        traversal).
-
-        Returns unverified candidate window positions (tail positions
-        excluded) — the fan-out hook the composite planes (sharded,
-        live) call per shard/segment before one shared verification.
-        ``query`` must already be prepared.
-        """
-        m = query.size
+        """Algorithm 1's traversal: the unverified positions of every
+        leaf whose envelope, and every ancestor's, is within ``ε`` of
+        the (prepared, full-length) ``query`` by Eq. 2."""
         root = self._root
         if root is None:
             return np.empty(0, dtype=POSITION_DTYPE)
 
         stats.nodes_visited += 1
         root_outside = np.maximum(
-            query - root.mbts.upper[:m], root.mbts.lower[:m] - query
+            query - root.mbts.upper, root.mbts.lower - query
         ).max()
         if max(float(root_outside), 0.0) > epsilon:
             stats.nodes_pruned += 1
@@ -666,9 +616,7 @@ class TSIndex:
         while stack:
             node = stack.pop()
             upper, lower = node.child_envelopes()
-            outside = np.maximum(
-                query - upper[:, :m], lower[:, :m] - query
-            ).max(axis=1)
+            outside = np.maximum(query - upper, lower - query).max(axis=1)
             stats.nodes_visited += len(node.children)
             for child_index, child in enumerate(node.children):
                 if outside[child_index] > epsilon:
@@ -686,237 +634,63 @@ class TSIndex:
             return np.empty(0, dtype=POSITION_DTYPE)
         return np.concatenate(collected)
 
-    def search_approximate(
-        self, query: npt.ArrayLike, epsilon: float, *, max_leaves: int = 8
+    def count(self, query: npt.ArrayLike, epsilon: float) -> int:
+        """Number of twins (convenience wrapper over :meth:`search`;
+        shorter queries count their prefix twins, tail included)."""
+        return len(self.search(query, epsilon))
+
+    # ------------------------------------------------------------------
+    # Extensions: answered by the frozen snapshot
+    # ------------------------------------------------------------------
+    def search_batch(
+        self, queries: Iterable[npt.ArrayLike], epsilon: float, **search_options: Any
+    ) -> Any:
+        """Run a whole workload; per-query results plus aggregates
+        (:meth:`FrozenTSIndex.search_batch
+        <repro.core.frozen.FrozenTSIndex.search_batch>`: one shared
+        traversal for all queries)."""
+        return self.freeze().search_batch(queries, epsilon, **search_options)
+
+    def search_varlength(
+        self,
+        query: npt.ArrayLike,
+        epsilon: float,
+        *,
+        verification: str = "bulk",
     ) -> SearchResult:
-        """Twins from the ``max_leaves`` most promising leaves only.
-
-        A budgeted best-first probe (the ADS+-style interactive
-        primitive): leaves are verified in increasing order of their
-        Eq. 2 bound and traversal stops after ``max_leaves`` of them
-        (or once the bound exceeds ``ε``). Always a subset of
-        :meth:`search`; raising the budget converges to the exact
-        answer, with cost bounded by ``max_leaves`` leaf verifications.
-        """
-        epsilon = check_non_negative(epsilon, name="epsilon")
-        max_leaves = check_positive_int(max_leaves, name="max_leaves")
-        query = self._prepare_query(query)
-        stats = QueryStats()
-        if self._root is None:
-            return SearchResult.empty(stats)
-
-        counter = itertools.count()
-        frontier = [
-            (self._root.mbts.distance_to_sequence(query), next(counter), self._root)
-        ]
-        collected: list[np.ndarray] = []
-        while frontier and stats.leaves_accessed < max_leaves:
-            bound, _, node = heapq.heappop(frontier)
-            if bound > epsilon:
-                stats.nodes_pruned += 1
-                break  # every remaining bound is at least as large
-            stats.nodes_visited += 1
-            if node.is_leaf:
-                stats.leaves_accessed += 1
-                collected.append(
-                    np.asarray(node.positions, dtype=POSITION_DTYPE)
-                )
-            else:
-                bounds = self._child_bounds(node, query)
-                for child_bound, child in zip(bounds.tolist(), node.children):
-                    if child_bound <= epsilon:
-                        heapq.heappush(
-                            frontier, (child_bound, next(counter), child)
-                        )
-                    else:
-                        stats.nodes_pruned += 1
-
-        candidates = (
-            np.concatenate(collected)
-            if collected
-            else np.empty(0, dtype=POSITION_DTYPE)
+        """All twins of a query of length ``m <= l``, the ``l - m`` tail
+        positions the index does not store included
+        (:meth:`FrozenTSIndex.search_varlength
+        <repro.core.frozen.FrozenTSIndex.search_varlength>`)."""
+        return self.freeze().search_varlength(
+            query, epsilon, verification=verification
         )
-        return verify(self._source, query, candidates, epsilon, stats=stats)
+
+    def collect_varlength_candidates(
+        self, query: np.ndarray, epsilon: float, stats: QueryStats
+    ) -> np.ndarray:
+        """Unverified candidate positions for a prepared query of
+        length ``m <= l`` — the per-part hook of
+        :func:`repro.query.varlength.prefix_search_part`."""
+        return self.freeze().collect_varlength_candidates(query, epsilon, stats)
 
     def exists(
         self, query: npt.ArrayLike, epsilon: float, *, stats: QueryStats | None = None
     ) -> bool:
-        """Whether *any* twin exists, with early exit (extension).
+        """Whether *any* twin exists, stopping at the first
+        (:meth:`FrozenTSIndex.exists
+        <repro.core.frozen.FrozenTSIndex.exists>`; ``stats`` receives
+        its traversal counters)."""
+        return self.freeze().exists(query, epsilon, stats=stats)
 
-        Unlike :meth:`search`, qualifying leaves are verified as soon as
-        they are reached and the traversal stops at the first twin —
-        the cheapest possible decision procedure for questions like
-        "has this pattern occurred before?".
-
-        Pass a :class:`QueryStats` to receive the traversal counters
-        (nodes visited/pruned, leaves accessed, candidates verified;
-        ``matches`` is 1 when a twin was found). The counters match
-        :meth:`FrozenTSIndex.exists
-        <repro.core.frozen.FrozenTSIndex.exists>` exactly, so the two
-        paths stay comparable. Queries shorter than ``l`` derive from
-        :meth:`search_varlength` (its counters land in ``stats`` too).
-        """
-        if is_prefix_query(query, self._source.length):
-            result = self.search_varlength(query, epsilon)
-            merge_exists_stats(stats, result)
-            return len(result) > 0
-        epsilon = check_non_negative(epsilon, name="epsilon")
-        query = self._prepare_query(query)
-        stats = stats if stats is not None else QueryStats()
-        if self._root is None:
-            return False
-
-        stats.nodes_visited += 1
-        if self._root.mbts.distance_to_sequence(query) > epsilon:
-            stats.nodes_pruned += 1
-            return False
-        if self._root.is_leaf:
-            return self._leaf_has_twin(self._root, query, epsilon, stats)
-
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            bounds = self._child_bounds(node, query)
-            stats.nodes_visited += len(node.children)
-            for bound, child in zip(bounds.tolist(), node.children):
-                if bound > epsilon:
-                    stats.nodes_pruned += 1
-                    continue
-                if child.is_leaf:
-                    if self._leaf_has_twin(child, query, epsilon, stats):
-                        return True
-                else:
-                    stack.append(child)
-        return False
-
-    def _leaf_has_twin(
-        self, node: _Node, query: np.ndarray, epsilon: float, stats: QueryStats
-    ) -> bool:
-        stats.leaves_accessed += 1
-        positions = np.asarray(node.positions, dtype=POSITION_DTYPE)
-        block = self._source.windows(positions)
-        stats.candidates += int(positions.size)
-        stats.verified += int(positions.size)
-        found = bool(np.any(np.max(np.abs(block - query), axis=1) <= epsilon))
-        if found:
-            stats.matches += 1
-        return found
-
-    @staticmethod
-    def _child_bounds(node: _Node, query: np.ndarray) -> np.ndarray:
-        """Eq. 2 bound of ``query`` against every child of ``node`` —
-        one vectorized reduction over the cached envelope matrices
-        instead of a per-child ``distance_to_sequence`` call."""
-        upper, lower = node.child_envelopes()
-        outside = np.maximum(query - upper, lower - query).max(axis=1)
-        return np.maximum(outside, 0.0)
-
-    # ------------------------------------------------------------------
-    # k-NN twin search (extension; best-first with the Eq. 2 bound)
-    # ------------------------------------------------------------------
     def knn(
         self, query: npt.ArrayLike, k: int, *, exclude: tuple[int, int] | None = None
     ) -> SearchResult:
-        """The ``k`` windows nearest to ``query`` in Chebyshev distance.
-
-        Best-first traversal: nodes are expanded in order of their Eq. 2
-        lower bound, and expansion stops once the bound exceeds the
-        current k-th best exact distance — the standard optimal R-tree
-        NN argument carries over because Eq. 2 lower-bounds the exact
-        distance of every window under the node (Lemma 1).
-
-        Ties at the k-th distance are broken by smallest position, so
-        the answer is a deterministic function of the data — and agrees
-        exactly with :class:`repro.engine.ShardedTSIndex`'s shard merge,
-        which ranks by ``(distance, position)``.
-
-        ``exclude`` removes the half-open position range ``[a, b)`` from
-        consideration — the *exclusion zone* used by matrix-profile
-        style self joins to skip trivial matches of a query with its own
-        overlapping windows.
-
-        Queries shorter than ``l`` dispatch to the pipeline's exact
-        prefix scan (ranked by the same tie-break, tail included).
-        """
-        if is_prefix_query(query, self._source.length):
-            from ..query import QuerySpec, execute
-
-            return execute(
-                self,
-                QuerySpec(query=query, mode="knn", k=k, exclude=exclude),
-            )
-        k = check_positive_int(k, name="k")
-        query = self._prepare_query(query)
-        if exclude is not None:
-            exclude_start, exclude_stop = int(exclude[0]), int(exclude[1])
-            if exclude_start > exclude_stop:
-                raise InvalidParameterError(
-                    f"exclude range must satisfy start <= stop, got {exclude}"
-                )
-        stats = QueryStats()
-        if self._root is None:
-            return SearchResult.empty(stats)
-
-        counter = itertools.count()
-        frontier = [
-            (self._root.mbts.distance_to_sequence(query), next(counter), self._root)
-        ]
-        # Max-heap of the best k ((distance, position) both negated, so
-        # the root is the lexicographically worst entry and ties at the
-        # k-th distance resolve to the smallest positions).
-        best: list[tuple[float, int]] = []
-
-        def kth() -> float:
-            return -best[0][0] if len(best) == k else np.inf
-
-        while frontier:
-            bound, _, node = heapq.heappop(frontier)
-            if bound > kth():
-                stats.nodes_pruned += 1
-                continue
-            stats.nodes_visited += 1
-            if node.is_leaf:
-                stats.leaves_accessed += 1
-                positions = np.asarray(node.positions, dtype=POSITION_DTYPE)
-                if exclude is not None:
-                    keep = (positions < exclude_start) | (positions >= exclude_stop)
-                    positions = positions[keep]
-                    if positions.size == 0:
-                        continue
-                block = self._source.windows(positions)
-                profile = np.max(np.abs(block - query), axis=1)
-                stats.candidates += positions.size
-                stats.verified += positions.size
-                for distance, position in zip(profile.tolist(), positions.tolist()):
-                    entry = (-float(distance), -int(position))
-                    if len(best) < k:
-                        heapq.heappush(best, entry)
-                    elif entry > best[0]:
-                        heapq.heapreplace(best, entry)
-            else:
-                bounds = self._child_bounds(node, query)
-                threshold = kth()
-                for child_bound, child in zip(bounds.tolist(), node.children):
-                    if child_bound <= threshold:
-                        heapq.heappush(
-                            frontier, (child_bound, next(counter), child)
-                        )
-                    else:
-                        stats.nodes_pruned += 1
-
-        ranked = sorted((-negated, -negated_position) for negated, negated_position in best)
-        stats.matches = len(ranked)
-        return SearchResult(
-            positions=np.asarray([p for _, p in ranked], dtype=POSITION_DTYPE),
-            distances=np.asarray([d for d, _ in ranked], dtype=FLOAT_DTYPE),
-            stats=stats,
-        )
-
-    # ------------------------------------------------------------------
-    def _prepare_query(self, query) -> np.ndarray:
-        return prepare_values(
-            self._source, query, expected=self._source.length
-        )
+        """The ``k`` windows nearest to ``query`` in Chebyshev distance,
+        ranked by ``(distance, position)``, outside the half-open
+        position range ``exclude`` (:meth:`FrozenTSIndex.knn
+        <repro.core.frozen.FrozenTSIndex.knn>`)."""
+        return self.freeze().knn(query, k, exclude=exclude)
 
 
 @register_plane(

@@ -15,7 +15,8 @@ Matrix Profile computes these under Euclidean distance with FFT tricks
 that do not transfer to Chebyshev (as the paper notes about the UCR
 suite); here the profile is computed exactly with one TS-Index 1-NN
 query per window, using the exclusion-zone k-NN of
-:meth:`repro.core.tsindex.TSIndex.knn`.
+:meth:`repro.core.frozen.FrozenTSIndex.knn` (a ``TSIndex`` answers it
+from its ``freeze()`` snapshot, flattened once for all the windows).
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ time-aligned *prefix* of two twins is itself a pair of twins
 
 * a node's MBTS restricted to its first ``m`` timestamps is a valid
   envelope for the ``m``-prefixes of every window under the node, so
-  the Eq. 2 bound over the prefix prunes losslessly — the native
-  kernels on the tree and frozen planes exploit exactly this;
+  the Eq. 2 bound over the prefix prunes losslessly — the frozen
+  plane's kernel (every tree-backed plane's) exploits exactly this;
 * verification compares the query against the ``m``-window at each
   candidate position — read straight from the prepared value buffer by
   the verification kernels, which take the window length from the
@@ -108,15 +108,14 @@ def verify_prefix(
 def prefix_search_with_tail(
     plane: Any, query: Any, epsilon: float, *, verification: str = "bulk"
 ) -> SearchResult:
-    """The monolithic-plane prefix search driver (TSIndex, frozen).
+    """The prefix search driver of ``FrozenTSIndex.search_varlength``.
 
     Validates and prepares the query (``m == l`` delegates to the
     plane's fixed-length ``search`` — identical positions, distances
     and counters), collects unverified candidates through the plane's
     ``collect_varlength_candidates`` hook, appends the ``l - m`` tail
     positions the index does not store, and verifies everything
-    block-bounded. One implementation, so the tree and frozen planes
-    cannot drift.
+    block-bounded.
     """
     epsilon = check_non_negative(epsilon, name="epsilon")
     check_mode(verification)

@@ -1,4 +1,4 @@
-"""Tests for the approximate (single-leaf) search mode."""
+"""Tests for iSAX's approximate (single-leaf) search mode."""
 
 import numpy as np
 
@@ -40,47 +40,3 @@ class TestISAXApproximate:
         result = isax_global.search_approximate(query, 0.6)
         assert np.all(result.distances <= 0.6)
 
-
-class TestTSIndexApproximate:
-    def test_subset_of_exact(self, tsindex_global, query_of):
-        for position in (10, 400, 1500):
-            query = query_of(position)
-            exact = set(tsindex_global.search(query, 0.5).positions.tolist())
-            approx = set(
-                tsindex_global.search_approximate(query, 0.5).positions.tolist()
-            )
-            assert approx <= exact
-
-    def test_leaf_budget_respected(self, tsindex_global, query_of):
-        for budget in (1, 3, 8):
-            result = tsindex_global.search_approximate(
-                query_of(55), 0.5, max_leaves=budget
-            )
-            assert result.stats.leaves_accessed <= budget
-
-    def test_usually_finds_self_within_budget(self, tsindex_global, query_of):
-        # Best-first by the Eq. 2 bound reaches the query's own leaf in
-        # the first handful of pops for indexed queries.
-        hits = 0
-        for position in range(0, 1000, 50):
-            result = tsindex_global.search_approximate(query_of(position), 0.0)
-            hits += position in result.positions
-        assert hits >= 18  # of 20
-
-    def test_budget_monotone(self, tsindex_global, query_of):
-        query = query_of(444)
-        small = set(
-            tsindex_global.search_approximate(
-                query, 0.5, max_leaves=1
-            ).positions.tolist()
-        )
-        large = set(
-            tsindex_global.search_approximate(
-                query, 0.5, max_leaves=16
-            ).positions.tolist()
-        )
-        assert small <= large
-
-    def test_respects_epsilon(self, tsindex_global, query_of):
-        result = tsindex_global.search_approximate(query_of(9), 0.25)
-        assert np.all(result.distances <= 0.25)

@@ -1,7 +1,10 @@
-"""FrozenTSIndex: structure, exact frozen/pointer equivalence, wiring.
+"""FrozenTSIndex: structure, exactness, the snapshot memo, wiring.
 
-The contract under test is *exactness*: freezing a TS-Index must change
-nothing observable about its answers — positions, distances, k-NN
+The contract under test is *exactness*: ``search`` on the flat form
+returns what Algorithm 1 over the pointer tree returns, and the modes
+only the flat form implements (``knn`` / ``exists`` / ``search_batch``,
+which ``TSIndex`` answers through its ``freeze()`` snapshot) return what
+a brute-force Chebyshev scan returns — positions, distances, k-NN
 ``(distance, position)`` tie-breaks — across every normalization regime.
 The frozen envelopes are float32 rounded outward, so the structural
 counters of ``search`` / ``exists`` may exceed the pointer tree's by
@@ -26,8 +29,10 @@ from repro.core.tsindex import TSIndex, TSIndexParams
 from repro.core.windows import WindowSource
 from repro.data import synthetic
 from repro.engine import ShardedTSIndex
+from repro.euclidean.mass import chebyshev_distance_profile
 from repro.indices import create_method
 from repro.persistence import load_index, save_index
+from repro.query.planner import scan_knn
 
 #: Small capacities force deep trees so traversal logic is exercised.
 PARAMS = TSIndexParams(min_children=4, max_children=10)
@@ -182,7 +187,8 @@ class TestStructure:
 
 
 class TestEquivalence:
-    """Seeded randomized frozen == pointer, across regimes."""
+    """Seeded randomized frozen == pointer ``search`` == brute-force
+    scan, across regimes."""
 
     def test_search_exact(self, pair):
         dynamic, frozen = pair
@@ -208,12 +214,24 @@ class TestEquivalence:
         dynamic, frozen = pair
         rng = np.random.default_rng(9)
         for query in _queries(dynamic.source, rng):
+            profile = chebyshev_distance_profile(dynamic.source, query)
             for epsilon in EPSILONS:
-                dynamic_stats, frozen_stats = QueryStats(), QueryStats()
-                assert dynamic.exists(
-                    query, epsilon, stats=dynamic_stats
-                ) == frozen.exists(query, epsilon, stats=frozen_stats)
-                assert dynamic_stats.as_dict() == frozen_stats.as_dict()
+                stats = QueryStats()
+                found = frozen.exists(query, epsilon, stats=stats)
+                assert found == bool(profile.min() <= epsilon)
+                assert stats.matches == int(found)
+                assert stats.verified == stats.candidates
+                # Against Algorithm 1 on the pointer tree: a miss walks
+                # all of it, a hit stops somewhere inside it.
+                full = dynamic.search(query, epsilon).stats
+                mine, whole = (
+                    (s.nodes_visited, s.nodes_pruned, s.leaves_accessed, s.candidates)
+                    for s in (stats, full)
+                )
+                if found:
+                    assert all(a <= b for a, b in zip(mine, whole))
+                else:
+                    assert mine == whole
 
     def test_exists_agrees_with_search(self, pair):
         dynamic, frozen = pair
@@ -229,7 +247,9 @@ class TestEquivalence:
         for query in _queries(dynamic.source, rng, count=6):
             for k in (1, 5, 23):
                 _assert_result_equal(
-                    dynamic.knn(query, k), frozen.knn(query, k), stats=False
+                    scan_knn(dynamic.source, query, k),
+                    frozen.knn(query, k),
+                    stats=False,
                 )
 
     def test_knn_exclude_exact(self, pair):
@@ -241,16 +261,16 @@ class TestEquivalence:
                 dynamic.source.window_block(position, position + 1)[0]
             )
             zone = (max(0, position - LENGTH), position + LENGTH)
-            a = dynamic.knn(query, 7, exclude=zone)
+            a = scan_knn(dynamic.source, query, 7, exclude=zone)
             b = frozen.knn(query, 7, exclude=zone)
             _assert_result_equal(a, b, stats=False)
-            assert not np.any((a.positions >= zone[0]) & (a.positions < zone[1]))
+            assert not np.any((b.positions >= zone[0]) & (b.positions < zone[1]))
 
     def test_knn_k_exceeds_size(self, pair):
         dynamic, frozen = pair
         query = np.array(dynamic.source.window_block(0, 1)[0])
         _assert_result_equal(
-            dynamic.knn(query, dynamic.size + 5),
+            scan_knn(dynamic.source, query, dynamic.size + 5),
             frozen.knn(query, frozen.size + 5),
             stats=False,
         )
@@ -312,6 +332,55 @@ class TestThaw:
         thawed.insert(200)
         query = np.array(source.window_block(200, 201)[0])
         assert 200 in thawed.search(query, 0.0).positions
+
+
+class TestSnapshot:
+    """The memoised ``freeze()`` that ``TSIndex.knn`` / ``exists`` /
+    ``search_batch`` / ``search_varlength`` answer from."""
+
+    @staticmethod
+    def _seen_by(tree: TSIndex, position: int) -> list[bool]:
+        """Whether each delegated mode finds the window at ``position``
+        (noisy data: it has no other exact twin)."""
+        query = np.array(tree.source.window_block(position, position + 1)[0])
+        return [
+            position in tree.knn(query, 1).positions,
+            tree.exists(query, 0.0),
+            position in tree.search_batch([query], 0.0).results[0].positions,
+            position in tree.search_varlength(query[: LENGTH // 2], 0.0).positions,
+        ]
+
+    @pytest.fixture()
+    def partial(self, values) -> TSIndex:
+        tree = TSIndex(WindowSource(values, LENGTH, Normalization.NONE), PARAMS)
+        for position in range(300):
+            tree.insert(position)
+        return tree
+
+    def test_insert_invalidates_the_snapshot(self, partial):
+        assert self._seen_by(partial, 300) == [False] * 4
+        snapshot = partial.freeze()
+        assert partial.freeze() is snapshot
+        partial.insert(300)
+        assert partial.freeze() is not snapshot
+        assert self._seen_by(partial, 300) == [True] * 4
+        thawed = partial.freeze().thaw()
+        assert self._seen_by(thawed, 301) == [False] * 4
+        thawed.insert(301)
+        assert self._seen_by(thawed, 301) == [True] * 4
+        assert self._seen_by(partial, 301) == [False] * 4
+
+    def test_freeze_stamps_what_it_flattens(self, partial, tmp_path):
+        # insert() keeps no height / node count; the snapshot, and every
+        # archive written from it, used to carry the zeros.
+        frozen = partial.freeze()
+        save_index(frozen, tmp_path / "partial.rts", fsync=False)
+        for index in (frozen, load_index(tmp_path / "partial.rts")):
+            stats = index.build_stats
+            assert (stats.height, stats.nodes, stats.windows) == (
+                partial.height, partial.node_count, 300,
+            )
+            assert (index.height, index.node_count) == (stats.height, stats.nodes)
 
 
 class TestPersistence:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench.memory import index_memory_bytes, memory_report
+from repro.core.tsindex import TSIndex
 from repro.exceptions import InvalidParameterError
 
 
@@ -33,6 +34,17 @@ class TestFootprints:
         base = index_memory_bytes(tsindex_global)
         with_caches = index_memory_bytes(tsindex_global, include_caches=True)
         assert with_caches > base
+
+    def test_held_snapshot_is_a_cache(self, source_global, query_of):
+        # knn runs on the memoised freeze() snapshot: Figure 8a's
+        # "index size" must not move because a query ran.
+        tree = TSIndex.from_source(source_global.shard(0, 600))
+        base = index_memory_bytes(tree)
+        with_caches = index_memory_bytes(tree, include_caches=True)
+        tree.knn(query_of(0), 3)
+        assert index_memory_bytes(tree) == base
+        held = sum(a.nbytes for a in tree.freeze().raw_arrays().values())
+        assert index_memory_bytes(tree, include_caches=True) == with_caches + held
 
     def test_unknown_type_rejected(self):
         with pytest.raises(InvalidParameterError):

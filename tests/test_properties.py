@@ -20,6 +20,7 @@ from repro.indices.paa import paa_transform, segment_bounds
 from repro.indices.sax import SAXAlphabet
 from repro.indices.sweepline import SweeplineSearch
 from repro.live import LiveTwinIndex
+from repro.query.planner import scan_knn
 
 #: Bounded, finite float arrays keep distances well-conditioned.
 finite_floats = st.floats(
@@ -241,3 +242,8 @@ class TestSearchEquivalenceProperty:
         block = source.window_block(0, source.count)
         profile = np.max(np.abs(block - query), axis=1)
         assert np.allclose(np.sort(result.distances), np.sort(profile)[:k])
+        # The tree answers from its frozen snapshot, so the reference is
+        # the scan: same (distance, position) ranking, bit for bit.
+        expected = scan_knn(source, query, k)
+        assert np.array_equal(result.positions, expected.positions)
+        assert np.array_equal(result.distances, expected.distances)

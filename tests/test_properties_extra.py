@@ -11,6 +11,7 @@ from repro.core.mbts import MBTS
 from repro.core.stats import SearchResult
 from repro.core.tsindex import TSIndex, TSIndexParams
 from repro.core.windows import WindowSource
+from repro.query.planner import scan_knn
 
 finite_floats = st.floats(
     min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False
@@ -126,3 +127,6 @@ class TestKnnExclusionProperty:
             assert position < start or position >= stop
         expected = min(5, source.count - (stop - start))
         assert len(result) == expected
+        scanned = scan_knn(source, query, 5, exclude=(start, stop))
+        assert np.array_equal(result.positions, scanned.positions)
+        assert np.array_equal(result.distances, scanned.distances)

@@ -23,6 +23,7 @@ from repro.core.frozen import ARRAY_FIELDS, RAW_ARRAY_FIELDS, FrozenTSIndex
 from repro.core.stats import QueryStats
 from repro.core.tsindex import TSIndex, TSIndexParams
 from repro.engine import ShardedTSIndex
+from repro.euclidean.mass import chebyshev_distance_profile
 from repro.exceptions import SerializationError
 from repro.persistence import load_index, save_index
 
@@ -358,8 +359,10 @@ class TestLegacyCompatibility:
             assert np.array_equal(prefix_a.distances, prefix_b.distances)
             assert prefix_a.stats == prefix_b.stats
             stats_a, stats_b = QueryStats(), QueryStats()
-            assert fresh.exists(query + 0.01, 0.4, stats=stats_a) == (
-                restored.exists(query + 0.01, 0.4, stats=stats_b)
+            found = fresh.exists(query + 0.01, 0.4, stats=stats_a)
+            assert found == restored.exists(query + 0.01, 0.4, stats=stats_b)
+            assert found == bool(
+                chebyshev_distance_profile(source, query + 0.01).min() <= 0.4
             )
             assert stats_a == stats_b
             queries = [query, query[::-1].copy()]

@@ -308,6 +308,7 @@ class TestExistsStatsOnPrefixPath:
         reference = plane.search_varlength(query, 0.0).stats
         assert stats == reference
         assert stats.candidates > 0
+        assert stats.matches == len(scan_prefix_search(plane.source, query, 0.0))
 
 
 class TestFullLengthParity:
