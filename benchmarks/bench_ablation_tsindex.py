@@ -1,8 +1,13 @@
-"""Ablations on TS-Index design choices (DESIGN.md §5).
+"""Ablations on TS-Index design choices the paper leaves open or fixes
+without a sweep.
 
 * node capacity (μc, Mc) — the paper fixes (10, 30); we sweep it;
-* split assignment metric — R-tree area enlargement (default) vs the
-  Chebyshev-style max enlargement;
+* split assignment metric — the paper does not say how a split assigns
+  entries to its two seeds. ``area`` (default) is the R-tree rule: the
+  seed whose envelope grows least in total, ``Σ_i`` of the per-timestamp
+  excursions; ``max`` grows least in the Chebyshev sense, the largest
+  single-timestamp excursion (Eq. 2's distance). Both keep every
+  invariant, so answers are identical and only tree shape differs;
 * bulk loading vs sequential insertion — build time and query time for
   each ordering.
 """

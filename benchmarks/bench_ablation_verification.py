@@ -4,9 +4,10 @@ The harness reproduces the paper's figures under ``per_candidate``
 verification (each candidate fetched individually, as the paper reads
 candidates from disk by random access). This ablation quantifies how
 much the pure-NumPy ``bulk`` verifier changes the picture — the
-reproduction's main deviation finding (see EXPERIMENTS.md): bulk
-verification compresses the gap between filter-quality tiers because
-verifying a candidate costs nanoseconds instead of microseconds.
+reproduction's main deviation (EXPERIMENTS.md, "Deviations from the
+paper"): bulk verification compresses the gap between filter-quality
+tiers because verifying a candidate costs nanoseconds instead of
+microseconds.
 """
 
 import pytest

@@ -1,10 +1,10 @@
-"""Shared state for the benchmark suites.
+"""Shared state for the ablation suites.
 
 Index construction dominates benchmark cost, so built methods are cached
 per (dataset, method, length, regime) in module scope and shared by all
-bench files. Scales are chosen so the full suite runs in minutes while
-preserving every figure's shape (method orderings); the CLI harness runs
-the larger record-keeping configuration (see EXPERIMENTS.md).
+bench files. Scales are chosen so a suite runs in minutes while
+preserving method orderings; the paper's figures themselves are measured
+by ``repro-twin run`` and recorded in EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -51,11 +51,6 @@ def run_workload(method, workload, epsilon: float) -> int:
     for query in workload:
         total += len(method.search(query, epsilon, verification=VERIFICATION))
     return total
-
-
-def epsilon_grid(dataset: str, normalization: str):
-    """Table 1's ε grid (re-scaled for raw values on surrogates)."""
-    return get_context(dataset).epsilons(normalization)
 
 
 def default_epsilon(dataset: str, normalization: str) -> float:

@@ -1,12 +1,14 @@
 """Experiment definitions for every table and figure (Section 6).
 
 Each ``run_*`` function reproduces one experiment of the paper's
-evaluation and returns figure-shaped data: the sweep values, and one
-series of average per-query milliseconds per method — exactly what the
-corresponding paper figure plots. The CLI renders these as tables;
-EXPERIMENTS.md records measured outputs next to the paper's claims.
-
-Experiments (see DESIGN.md §3 for the full index):
+evaluation and returns figure-shaped data: the sweep values, one series
+of average per-query milliseconds per method — what the paper figure
+plots — and, per sweep value and method, the deterministic counters
+behind it (matches, candidates, nodes visited / pruned).
+:func:`run_all` is the *run* step: every experiment once, on both
+surrogates, as one plain-data mapping that ``repro-twin run`` writes
+through :func:`repro.bench.record.write_artifact`;
+:func:`repro.bench.record.evaluate` renders that file as EXPERIMENTS.md.
 
 * :func:`run_intro`   — §1 Chebyshev-vs-Euclidean result counts;
 * :func:`run_figure4` — query time vs ε, z-normalized series;
@@ -15,21 +17,25 @@ Experiments (see DESIGN.md §3 for the full index):
   (KV-Index inapplicable);
 * :func:`run_figure7` — query time vs ε on raw values;
 * :func:`run_figure8` — per-index memory footprint and build time;
-* :data:`TABLE1` / :data:`TABLE2` — the parameter grids themselves.
+* :func:`table1_rows` / :func:`table2_rows` — the parameter grids.
+
+The surrogate datasets and why scaling them preserves the comparisons:
+:mod:`repro.data`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import time
 
 from ..core.normalization import Normalization
 from ..core.windows import WindowSource
-from ..data.datasets import dataset_spec, load_dataset
+from ..data.datasets import DATASET_NAMES, dataset_spec, load_dataset
 from ..euclidean.mass import twin_vs_euclidean_comparison
 from ..indices.base import create_method_from_source
-from .harness import ExperimentResult, run_query_experiment
+from .harness import run_query_experiment
 from .memory import index_memory_bytes
-from .workloads import workload_for_source
+from .workloads import PAPER_QUERY_COUNT, workload_for_source
 
 #: Table 2 parameter grids; bold defaults from the paper.
 TABLE2_SEGMENTS = (5, 10, 20, 25, 50)
@@ -42,12 +48,31 @@ ALL_METHODS = ("sweepline", "kvindex", "isax", "tsindex")
 ZNORM_SUBSEQ_METHODS = ("isax", "tsindex")  # Figure 6: KV inapplicable
 INDEX_METHODS = ("kvindex", "isax", "tsindex")  # Figure 8
 
+#: Every figure runs the paper's pointer tree; the read-optimized
+#: ``"frozen"`` plane is measured beside it in Figures 4-7 as a reported
+#: series that no paper claim is checked against.
+FROZEN_SERIES = "frozen"
+
 #: The harness reproduces the paper's cost model by default: candidates
 #: are verified one at a time, the way the paper fetched each candidate
 #: subsequence from disk by random access (Section 6.1). Pass
 #: ``verification="bulk"`` to any run_* function for the pure-NumPy
 #: in-memory cost model instead (see the verification ablation bench).
 DEFAULT_VERIFICATION = "per_candidate"
+
+#: What :func:`run_all` runs at unless told otherwise, and the committed
+#: EXPERIMENTS.json was measured with: fractions of the paper's series
+#: lengths, a workload size, passes over the workload per setting.
+DEFAULT_SCALES = {"insect": 1.0, "eeg": 0.05}
+DEFAULT_QUERY_COUNT = 20
+PASSES = 1
+#: Stored in the data file's ``config`` and printed in EXPERIMENTS.md.
+BUDGET_NOTE = (
+    f"The run step's defaults (insect {DEFAULT_SCALES['insect']:g} / EEG "
+    f"{DEFAULT_SCALES['eeg']:g} / {DEFAULT_QUERY_COUNT} queries) are "
+    "shrunk from insect 1 / EEG 0.1 / 30 queries (about 25 min, one "
+    "pass, on a 2-core box) until one whole run fits in 15 minutes there."
+)
 
 
 def table1_rows() -> list[dict]:
@@ -93,7 +118,7 @@ class ExperimentContext:
 
     dataset: str
     scale: float = 1.0
-    query_count: int = 100
+    query_count: int = PAPER_QUERY_COUNT
     workload_seed: int = 1234
 
     def __post_init__(self):
@@ -159,7 +184,9 @@ class ExperimentContext:
 
 @dataclasses.dataclass
 class FigureData:
-    """One figure panel: sweep values + per-method timing series."""
+    """One figure panel: sweep values, per-method timing series and the
+    per-setting counters — plain data, so ``dataclasses.asdict`` of it
+    is what the run step stores and ``FigureData(**stored)`` reads."""
 
     figure: str
     dataset: str
@@ -167,62 +194,70 @@ class FigureData:
     sweep_values: tuple
     #: method -> list of avg ms aligned with sweep_values.
     series_ms: dict
-    #: the raw per-setting experiment results (with counters).
-    results: list[ExperimentResult]
-
-    def method_series(self, method: str) -> list[float]:
-        """The timing series of one method."""
-        return list(self.series_ms[method])
+    #: one flat dict per (sweep value, method): the timing beside the
+    #: deterministic counters (:meth:`ExperimentResult.as_rows`), plus
+    #: the setting's window and query counts.
+    rows: list
 
 
-def _sweep_epsilon(
+def _sweep(
     ctx: ExperimentContext,
     figure: str,
+    sweep_name: str,
     normalization,
     methods,
-    epsilons=None,
-    *,
-    segments: int = DEFAULT_SEGMENTS,
-    length: int = DEFAULT_LENGTH,
-    verification: str = DEFAULT_VERIFICATION,
+    settings,
+    verification: str,
 ) -> FigureData:
-    """Shared driver for the ε sweeps of Figures 4, 6 and 7."""
-    epsilons = tuple(epsilons) if epsilons is not None else ctx.epsilons(normalization)
-    workload = ctx.workload(length, normalization)
-    built = {
-        name: _build(ctx, name, length, normalization, segments)
-        for name in methods
-    }
+    """Shared driver of Figures 4-7: time ``methods`` over the cached
+    workload at every ``(sweep value, length, ε)`` of ``settings``."""
+    settings = tuple(settings)
     series_ms = {name: [] for name in methods}
-    results = []
-    for epsilon in epsilons:
+    rows = []
+    for value, length, epsilon in settings:
+        workload = ctx.workload(length, normalization)
         result = run_query_experiment(
-            f"{figure}:{ctx.dataset}:eps={epsilon}",
-            built,
+            f"{figure}:{ctx.dataset}:{sweep_name}={value}",
+            {name: _build(ctx, name, length, normalization) for name in methods},
             workload,
             epsilon,
-            parameters={"epsilon": epsilon, "dataset": ctx.dataset},
+            parameters={
+                sweep_name: value,
+                "windows": ctx.source(length, normalization).count,
+                "queries": len(workload),
+            },
             search_options={"verification": verification},
         )
-        results.append(result)
+        rows.extend(result.as_rows())
         for timing in result.timings:
             series_ms[timing.method].append(timing.avg_query_ms)
     return FigureData(
         figure=figure,
         dataset=ctx.dataset,
-        sweep_name="epsilon",
-        sweep_values=epsilons,
+        sweep_name=sweep_name,
+        sweep_values=tuple(value for value, _, _ in settings),
         series_ms=series_ms,
-        results=results,
+        rows=rows,
     )
 
 
-def _build(ctx, name, length, normalization, segments):
+def _sweep_epsilon(ctx, figure, normalization, methods, epsilons, verification):
+    """The ε sweeps of Figures 4, 6 and 7 (Table 1's grid by default)."""
+    if epsilons is None:
+        epsilons = ctx.epsilons(normalization)
+    return _sweep(
+        ctx, figure, "epsilon", normalization, methods,
+        ((epsilon, DEFAULT_LENGTH, epsilon) for epsilon in epsilons),
+        verification,
+    )
+
+
+def _build(ctx, name, length, normalization):
     if name == "isax":
         from ..indices.isax import ISAXParams
 
         return ctx.method(
-            name, length, normalization, params=ISAXParams(segments=segments)
+            name, length, normalization, params=ISAXParams(segments=DEFAULT_SEGMENTS)
         )
     return ctx.method(name, length, normalization)
 
@@ -236,8 +271,7 @@ def run_figure4(
 ) -> FigureData:
     """Figure 4: query time vs ε on the globally z-normalized series."""
     return _sweep_epsilon(
-        ctx, "fig4", Normalization.GLOBAL, methods, epsilons,
-        verification=verification,
+        ctx, "fig4", Normalization.GLOBAL, methods, epsilons, verification
     )
 
 
@@ -253,8 +287,7 @@ def run_figure6(
     KV-Index is excluded: its mean filter degenerates (Section 4.1).
     """
     return _sweep_epsilon(
-        ctx, "fig6", Normalization.PER_WINDOW, methods, epsilons,
-        verification=verification,
+        ctx, "fig6", Normalization.PER_WINDOW, methods, epsilons, verification
     )
 
 
@@ -265,10 +298,13 @@ def run_figure7(
     methods=ALL_METHODS,
     verification: str = DEFAULT_VERIFICATION,
 ) -> FigureData:
-    """Figure 7: query time vs ε on raw (non-normalized) values."""
+    """Figure 7: query time vs ε on raw (non-normalized) values.
+
+    Table 1's raw grid is re-expressed as the same fractions of the
+    surrogate's value range (:meth:`DatasetSpec.scaled_raw_epsilons
+    <repro.data.datasets.DatasetSpec.scaled_raw_epsilons>`)."""
     return _sweep_epsilon(
-        ctx, "fig7", Normalization.NONE, methods, epsilons,
-        verification=verification,
+        ctx, "fig7", Normalization.NONE, methods, epsilons, verification
     )
 
 
@@ -284,46 +320,20 @@ def run_figure5(
     default ε)."""
     normalization = Normalization.GLOBAL
     epsilon = ctx.default_epsilon(normalization) if epsilon is None else epsilon
-    series_ms = {name: [] for name in methods}
-    results = []
-    for length in lengths:
-        workload = ctx.workload(length, normalization)
-        built = {
-            name: _build(ctx, name, length, normalization, DEFAULT_SEGMENTS)
-            for name in methods
-        }
-        result = run_query_experiment(
-            f"fig5:{ctx.dataset}:l={length}",
-            built,
-            workload,
-            epsilon,
-            parameters={"length": length, "dataset": ctx.dataset},
-            search_options={"verification": verification},
-        )
-        results.append(result)
-        for timing in result.timings:
-            series_ms[timing.method].append(timing.avg_query_ms)
-    return FigureData(
-        figure="fig5",
-        dataset=ctx.dataset,
-        sweep_name="length",
-        sweep_values=tuple(lengths),
-        series_ms=series_ms,
-        results=results,
+    return _sweep(
+        ctx, "fig5", "length", normalization, methods,
+        ((length, length, epsilon) for length in lengths),
+        verification,
     )
 
 
-def run_figure8(
-    ctx: ExperimentContext,
-    *,
-    methods=INDEX_METHODS,
-    length: int = DEFAULT_LENGTH,
-    normalization=Normalization.GLOBAL,
-) -> dict:
-    """Figure 8: memory footprint (MB) and build time (s) per index."""
+def run_figure8(ctx: ExperimentContext) -> list[dict]:
+    """Figure 8: memory footprint (MB) and build time (s) per index
+    (default ``l``, GLOBAL regime — the indices Figure 4 queried)."""
     rows = []
-    for name in methods:
-        method = _build(ctx, name, length, normalization, DEFAULT_SEGMENTS)
+    for name in INDEX_METHODS:
+        method = _build(ctx, name, DEFAULT_LENGTH, Normalization.GLOBAL)
+        build = method.build_stats
         rows.append(
             {
                 "dataset": ctx.dataset,
@@ -331,10 +341,12 @@ def run_figure8(
                 "memory_mb": round(
                     index_memory_bytes(method) / (1024.0 * 1024.0), 3
                 ),
-                "build_s": round(method.build_stats.seconds, 3),
+                "build_s": round(build.seconds, 3),
+                "nodes": build.nodes,
+                "height": build.height,
             }
         )
-    return {"figure": "fig8", "rows": rows}
+    return rows
 
 
 def run_intro(
@@ -343,29 +355,27 @@ def run_intro(
     epsilon=None,
     query_count: int = 5,
     length: int = DEFAULT_LENGTH,
-    normalization=Normalization.GLOBAL,
 ) -> dict:
     """The introduction's Chebyshev-vs-Euclidean comparison.
 
     Aggregates :func:`twin_vs_euclidean_comparison` over the first
     ``query_count`` workload queries and reports total counts — the
     paper's single-query version reported 1,034 twins vs 127,887
-    Euclidean results on EEG.
+    Euclidean results on EEG. Plain fields only; ``excess_factor`` is
+    ``None`` when the workload has no twin at all.
     """
-    normalization = Normalization.coerce(normalization)
+    normalization = Normalization.GLOBAL
     epsilon = ctx.default_epsilon(normalization) if epsilon is None else epsilon
     source = ctx.source(length, normalization)
     workload = ctx.workload(length, normalization).subset(query_count)
     twin_total = 0
     euclid_total = 0
     missed_total = 0
-    per_query = []
     for query in workload:
         comparison = twin_vs_euclidean_comparison(source, query, epsilon)
         twin_total += comparison.twin_count
         euclid_total += comparison.euclidean_count
         missed_total += comparison.missed_twins
-        per_query.append(comparison)
     return {
         "figure": "intro",
         "dataset": ctx.dataset,
@@ -374,8 +384,61 @@ def run_intro(
         "twin_results": twin_total,
         "euclidean_results": euclid_total,
         "missed_twins": missed_total,
-        "excess_factor": (euclid_total / twin_total) if twin_total else float("inf"),
-        "per_query": per_query,
+        "excess_factor": (euclid_total / twin_total) if twin_total else None,
+    }
+
+
+def run_all(
+    *,
+    scales=DEFAULT_SCALES,
+    query_count: int = DEFAULT_QUERY_COUNT,
+    seed: int = 1234,
+) -> dict:
+    """The *run* step: Tables 1-2, the intro experiment and Figures 4-8
+    once on each surrogate, as plain data.
+
+    Figures 4-7 carry the :data:`FROZEN_SERIES` beside the paper's
+    methods. The result is what ``repro-twin run`` hands to
+    :func:`repro.bench.record.write_artifact`, and all that
+    :func:`repro.bench.record.evaluate` reads.
+    """
+    started = time.perf_counter()
+    datasets = {}
+    for name in DATASET_NAMES:
+        ctx = ExperimentContext(
+            dataset=name,
+            scale=scales[name],
+            query_count=query_count,
+            workload_seed=seed,
+        )
+        section = {
+            "scale": ctx.scale,
+            "n": len(ctx.series),
+            "intro": run_intro(ctx),
+        }
+        for runner, methods in (
+            (run_figure4, ALL_METHODS),
+            (run_figure5, ALL_METHODS),
+            (run_figure6, ZNORM_SUBSEQ_METHODS),
+            (run_figure7, ALL_METHODS),
+        ):
+            data = runner(ctx, methods=methods + (FROZEN_SERIES,))
+            section[data.figure] = dataclasses.asdict(data)
+        section["fig8"] = run_figure8(ctx)
+        datasets[name] = section
+    return {
+        "config": {
+            "queries": query_count,
+            "paper_queries": PAPER_QUERY_COUNT,
+            "passes": PASSES,
+            "verification": DEFAULT_VERIFICATION,
+            "length": DEFAULT_LENGTH,
+            "wall_seconds": round(time.perf_counter() - started, 1),
+            "note": BUDGET_NOTE,
+        },
+        "table1": table1_rows(),
+        "table2": table2_rows(),
+        "datasets": datasets,
     }
 
 
@@ -385,9 +448,10 @@ def run_intro(
 def check_figure_shape(data: FigureData) -> dict:
     """Evaluate the paper's qualitative claims on measured series.
 
-    Returns ``{claim: bool}``. Used by EXPERIMENTS.md generation and by
-    integration tests (on small scales, so only the robust claims are
-    asserted there).
+    Returns ``{claim: bool}``; EXPERIMENTS.md prints every verdict, and
+    the tests assert the robust ones at smoke scale. Only the paper's
+    methods are judged — the :data:`FROZEN_SERIES` is reported, not
+    checked.
     """
     checks: dict[str, bool] = {}
     series = data.series_ms
@@ -409,3 +473,14 @@ def check_figure_shape(data: FigureData) -> dict:
         ts = series["tsindex"]
         checks["tsindex_not_slower_with_length"] = ts[-1] <= ts[0] * 1.5
     return checks
+
+
+def check_figure8(rows: list[dict]) -> dict:
+    """Figure 8's claims on one dataset's rows, as ``{claim: bool}``."""
+    by_index = {row["index"]: row for row in rows}
+    kv, isax, ts = (by_index[name] for name in INDEX_METHODS)
+    return {
+        "kvindex_least_memory": kv["memory_mb"] <= min(isax["memory_mb"], ts["memory_mb"]),
+        "isax_smaller_than_tsindex": isax["memory_mb"] < ts["memory_mb"],
+        "kvindex_fastest_build": kv["build_s"] <= min(isax["build_s"], ts["build_s"]),
+    }

@@ -10,6 +10,7 @@ aggregate filter/pruning statistics (our hardware-independent addition).
 from __future__ import annotations
 
 import dataclasses
+import gc
 
 from ..core.stats import QueryStats
 from .timing import Timer
@@ -77,11 +78,20 @@ def time_workload(
     search_options = search_options or {}
     aggregate = QueryStats()
     total_matches = 0
-    with Timer() as timer:
-        for query in workload:
-            result = method.search(query, epsilon, **search_options)
-            total_matches += len(result)
-            aggregate = aggregate.merge(result.stats)
+    # As timeit does: a generational collection landing inside one
+    # method's pass — tens of ms over the node objects of every tree
+    # built so far — would be charged to that method.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        with Timer() as timer:
+            for query in workload:
+                result = method.search(query, epsilon, **search_options)
+                total_matches += len(result)
+                aggregate = aggregate.merge(result.stats)
+    finally:
+        if collecting:
+            gc.enable()
     count = max(1, len(workload))
     return MethodTiming(
         method=getattr(method, "method_name", type(method).__name__.lower()),

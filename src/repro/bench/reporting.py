@@ -1,13 +1,8 @@
-"""Plain-text and markdown table rendering for experiment output.
-
-The CLI prints the same rows/series the paper's figures plot: one row
-per parameter value, one column per method, cells are average query
-milliseconds (or MB / seconds for Figure 8).
-"""
+"""Plain-text and markdown table rendering: :func:`format_table` for
+the CLI's stats and query output, :func:`to_markdown` for EXPERIMENTS.md
+(one row per parameter value, one column per method)."""
 
 from __future__ import annotations
-
-from ..exceptions import InvalidParameterError
 
 
 def format_table(rows: list[dict], *, columns: list[str] | None = None) -> str:
@@ -28,35 +23,6 @@ def format_table(rows: list[dict], *, columns: list[str] | None = None) -> str:
             "  ".join(_cell(row.get(column)).ljust(widths[column]) for column in columns)
         )
     return "\n".join(lines)
-
-
-def format_series_table(
-    sweep_name: str,
-    sweep_values,
-    per_method: dict,
-    *,
-    unit: str = "ms",
-) -> str:
-    """The figure-shaped view: rows = sweep values, columns = methods.
-
-    ``per_method`` maps method name to a list aligned with
-    ``sweep_values``. This is exactly the data series each paper figure
-    plots.
-    """
-    methods = list(per_method.keys())
-    for method, series in per_method.items():
-        if len(series) != len(sweep_values):
-            raise InvalidParameterError(
-                f"method {method!r} has {len(series)} values for "
-                f"{len(sweep_values)} sweep points"
-            )
-    rows = []
-    for i, value in enumerate(sweep_values):
-        row = {sweep_name: value}
-        for method in methods:
-            row[f"{method} ({unit})"] = round(float(per_method[method][i]), 3)
-        rows.append(row)
-    return format_table(rows)
 
 
 def to_markdown(rows: list[dict], *, columns: list[str] | None = None) -> str:

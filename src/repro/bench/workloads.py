@@ -13,13 +13,10 @@ import dataclasses
 import numpy as np
 
 from .._util import check_positive_int
-from ..core.series import TimeSeries
 from ..core.windows import WindowSource
-from ..exceptions import InvalidParameterError
 
-#: Paper defaults.
-DEFAULT_QUERY_COUNT = 100
-DEFAULT_QUERY_LENGTH = 100
+#: The paper's workload size.
+PAPER_QUERY_COUNT = 100
 
 
 @dataclasses.dataclass(frozen=True)
@@ -55,57 +52,20 @@ class QueryWorkload:
         )
 
 
-def generate_workload(
-    series,
-    *,
-    count: int = DEFAULT_QUERY_COUNT,
-    length: int = DEFAULT_QUERY_LENGTH,
-    seed: int = 1234,
-) -> QueryWorkload:
-    """Randomly extract ``count`` query subsequences of ``length``.
-
-    Positions are drawn without replacement where possible, with a fixed
-    seed so every experiment (and every method within an experiment)
-    sees the identical workload.
-
-    Note: queries are extracted from the *raw* series. Under the GLOBAL
-    regime a search method normalizes the whole series; the benchmark
-    harness therefore extracts queries from the method's own window
-    source instead (see :func:`workload_for_source`), matching how the
-    paper's workload lives in the same value domain as the index.
-    """
-    if not isinstance(series, TimeSeries):
-        series = TimeSeries(series)
-    count = check_positive_int(count, name="count")
-    length = check_positive_int(length, name="length")
-    limit = len(series) - length + 1
-    if limit < 1:
-        raise InvalidParameterError(
-            f"series of length {len(series)} has no window of length {length}"
-        )
-    rng = np.random.default_rng(seed)
-    replace = limit < count
-    positions = rng.choice(limit, size=count, replace=replace)
-    positions = tuple(int(p) for p in positions)
-    queries = tuple(
-        np.array(series.subsequence(p, length), dtype=float) for p in positions
-    )
-    return QueryWorkload(
-        positions=positions, queries=queries, length=length, seed=seed
-    )
-
-
 def workload_for_source(
     source: WindowSource,
     *,
-    count: int = DEFAULT_QUERY_COUNT,
+    count: int = PAPER_QUERY_COUNT,
     seed: int = 1234,
 ) -> QueryWorkload:
-    """Extract a workload directly in a window source's value domain.
+    """Randomly extract ``count`` windows of ``source`` as queries, in
+    the source's value domain.
 
-    Used by the harness so each method receives queries expressed the
-    same way its index stores windows (the GLOBAL regime normalizes the
-    series before windows are cut; queries must match).
+    Each method receives queries expressed the same way its index
+    stores windows (the GLOBAL regime normalizes the series before
+    windows are cut; queries must match). Positions are drawn without
+    replacement where possible, with a fixed seed so every experiment
+    (and every method within one) sees the identical workload.
     """
     count = check_positive_int(count, name="count")
     limit = source.count

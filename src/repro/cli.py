@@ -1,18 +1,19 @@
-"""Command-line experiment driver and engine front end.
+"""Command-line front end: the paper's experiments, the serving engine,
+the live plane, metrics export and the project linter.
 
-Regenerate any table or figure of the paper::
+Reproduce the paper's evaluation (Section 6: the intro experiment,
+Figures 4-8, Tables 1-2) — one *run* step that measures and writes a
+data file, one *evaluate* step that only reads it::
 
-    python -m repro.cli table1
-    python -m repro.cli fig4 --dataset insect
-    python -m repro.cli fig5 --dataset eeg --scale 0.05
-    python -m repro.cli fig8 --dataset both --queries 20
-    python -m repro.cli intro --dataset eeg
-    python -m repro.cli all --queries 20 --scale-eeg 0.05
+    python -m repro.cli run --data EXPERIMENTS.json
+    python -m repro.cli evaluate --data EXPERIMENTS.json --output EXPERIMENTS.md
 
-Defaults follow the paper (100 queries of length 100); ``--scale-eeg``
-truncates the 1.8M-point EEG surrogate so tree construction stays
-tractable in pure Python (DESIGN.md §4 explains why this preserves the
-comparisons).
+``run`` defaults to the constants the committed EXPERIMENTS.json was
+measured at; ``--scale-insect`` / ``--scale-eeg`` truncate the surrogate
+series so tree construction stays tractable in pure Python (every
+method then answers the same queries over the same, fewer, windows,
+which preserves the orderings the paper reports). ``evaluate`` exits
+non-zero when a robust claim fails.
 
 Drive the sharded query engine (:mod:`repro.engine`)::
 
@@ -57,154 +58,111 @@ import argparse
 import sys
 
 from .bench import experiments as exp
-from .bench.reporting import format_series_table, format_table
-
-#: Dataset scales used when the user does not override them.
-DEFAULT_SCALE_INSECT = 1.0
-DEFAULT_SCALE_EEG = 0.1
-
-FIGURES = ("fig4", "fig5", "fig6", "fig7", "fig8")
-COMMANDS = (
-    ("table1", "table2", "intro", "all")
-    + FIGURES
-    + ("engine", "live", "obs", "lint")
-)
+from .bench.reporting import format_table
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests).
 
-    The ``engine`` command is dispatched to its own parser (see
-    :func:`build_engine_parser`) before this one runs; it is listed in
-    the choices so help and error messages stay complete.
+    The :data:`SUBSYSTEMS` are dispatched to their own parsers (see
+    :func:`build_engine_parser` and friends) before this one runs; they
+    are listed here so help and error messages stay complete.
     """
     from .indices.base import available_methods, extended_methods
 
     parser = argparse.ArgumentParser(
         prog="repro-twin",
-        description="Regenerate the paper's tables and figures, or "
-        "drive the sharded query engine.",
-        epilog="engine subcommands: `engine build|query|stats` "
-        "(see `repro-twin engine --help`). "
-        f"query planes: paper methods {', '.join(available_methods())}; "
+        description="Run and render the paper's experiments, or drive "
+        "the sharded query engine, the live plane, metrics and lint.",
+        epilog="query planes: paper methods "
+        f"{', '.join(available_methods())}; "
         f"extended planes {', '.join(extended_methods())}.",
     )
-    parser.add_argument(
-        "command",
-        choices=COMMANDS,
-        help="experiment to run, or `engine` for the serving engine",
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    run = commands.add_parser(
+        "run",
+        help="measure the intro experiment, Figures 4-8 and Tables 1-2 "
+        "on both surrogates and write the data file",
     )
-    parser.add_argument(
-        "--dataset",
-        choices=("insect", "eeg", "both"),
-        default="both",
-        help="dataset(s) to run against (default: both)",
-    )
-    parser.add_argument(
+    run.add_argument("--data", required=True, help="data file to write")
+    run.add_argument(
         "--queries",
         type=int,
-        default=100,
-        help="workload size (paper: 100)",
+        default=exp.DEFAULT_QUERY_COUNT,
+        help=f"workload size (default: {exp.DEFAULT_QUERY_COUNT}; "
+        f"paper: {exp.PAPER_QUERY_COUNT})",
     )
-    parser.add_argument(
-        "--scale-insect",
-        type=float,
-        default=DEFAULT_SCALE_INSECT,
-        help="fraction of the insect series to use (default: 1.0)",
-    )
-    parser.add_argument(
-        "--scale-eeg",
-        type=float,
-        default=DEFAULT_SCALE_EEG,
-        help="fraction of the EEG series to use (default: 0.1)",
-    )
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=None,
-        help="override both dataset scales at once",
-    )
-    parser.add_argument(
+    for name, scale in exp.DEFAULT_SCALES.items():
+        run.add_argument(
+            f"--scale-{name}",
+            type=float,
+            default=scale,
+            help=f"fraction of the {name} series to use (default: {scale:g})",
+        )
+    run.add_argument(
         "--seed", type=int, default=1234, help="workload seed (default: 1234)"
     )
+
+    evaluate = commands.add_parser(
+        "evaluate",
+        help="render a data file written by `run` as markdown "
+        "(EXPERIMENTS.md); reads nothing else",
+    )
+    evaluate.add_argument("--data", required=True, help="data file to read")
+    evaluate.add_argument(
+        "--output", default="-", help="output path or - for stdout"
+    )
+
+    for name in SUBSYSTEMS:
+        commands.add_parser(
+            name, help=f"see `repro-twin {name} --help`", add_help=False
+        )
     return parser
 
 
-def _contexts(args) -> list[exp.ExperimentContext]:
-    names = ("insect", "eeg") if args.dataset == "both" else (args.dataset,)
-    contexts = []
-    for name in names:
-        if args.scale is not None:
-            scale = args.scale
-        else:
-            scale = args.scale_insect if name == "insect" else args.scale_eeg
-        contexts.append(
-            exp.ExperimentContext(
-                dataset=name,
-                scale=scale,
-                query_count=args.queries,
-                workload_seed=args.seed,
-            )
-        )
-    return contexts
+def run_experiments(args) -> int:
+    """The ``run`` command: measure once, write the data file."""
+    from .bench.record import EXPERIMENTS_KIND, write_artifact
 
-
-def _print_figure(data: exp.FigureData, *, chart: bool = True) -> None:
-    print(f"\n== {data.figure} / {data.dataset} "
-          f"(avg query time per method, ms) ==")
-    print(
-        format_series_table(
-            data.sweep_name, data.sweep_values, data.series_ms, unit="ms"
-        )
+    results = exp.run_all(
+        scales={name: getattr(args, f"scale_{name}") for name in exp.DEFAULT_SCALES},
+        query_count=args.queries,
+        seed=args.seed,
     )
-    if chart:
-        from .bench.charts import render_figure
-
-        print()
-        print(render_figure(data))
-    checks = exp.check_figure_shape(data)
-    if checks:
-        print("shape checks: " + ", ".join(
-            f"{name}={'PASS' if ok else 'FAIL'}" for name, ok in checks.items()
-        ))
+    write_artifact(args.data, results, kind=EXPERIMENTS_KIND, seed=args.seed)
+    print(f"wrote {args.data} in {results['config']['wall_seconds']:g} s")
+    return 0
 
 
-def _run_command(command: str, contexts) -> None:
-    if command == "table1":
-        print("\n== Table 1: datasets and distance thresholds ==")
-        print(format_table(exp.table1_rows()))
-        return
-    if command == "table2":
-        print("\n== Table 2: other parameters ==")
-        print(format_table(exp.table2_rows()))
-        return
+def run_evaluate(args) -> int:
+    """The ``evaluate`` command: render the data file; exit 1 when a
+    robust claim fails."""
+    import json
 
-    for ctx in contexts:
-        print(f"\n### dataset={ctx.dataset} scale={ctx.scale:g} "
-              f"n={len(ctx.series)} queries={ctx.query_count}")
-        if command == "intro":
-            report = exp.run_intro(ctx)
-            rows = [{
-                "epsilon": report["epsilon"],
-                "queries": report["queries"],
-                "twin results": report["twin_results"],
-                "euclidean results": report["euclidean_results"],
-                "excess factor": round(report["excess_factor"], 1),
-                "missed twins": report["missed_twins"],
-            }]
-            print(format_table(rows))
-        elif command == "fig4":
-            _print_figure(exp.run_figure4(ctx))
-        elif command == "fig5":
-            _print_figure(exp.run_figure5(ctx))
-        elif command == "fig6":
-            _print_figure(exp.run_figure6(ctx))
-        elif command == "fig7":
-            _print_figure(exp.run_figure7(ctx))
-        elif command == "fig8":
-            report = exp.run_figure8(ctx)
-            print("\n== fig8: memory footprint and build time ==")
-            print(format_table(report["rows"]))
+    from .bench import record
+
+    try:
+        with open(args.data, encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"error: cannot read {args.data}: {exc}") from exc
+    found = (payload.get("schema"), payload.get("kind")) if isinstance(payload, dict) else None
+    if found != (record.ARTIFACT_SCHEMA, record.EXPERIMENTS_KIND):
+        raise SystemExit(
+            f"error: {args.data} is not a {record.ARTIFACT_SCHEMA} "
+            f"{record.EXPERIMENTS_KIND!r} artifact written by `repro-twin run`"
+        )
+    document = record.evaluate(payload)
+    if args.output == "-":
+        sys.stdout.write(document)
+    else:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(document)
+    failed = record.robust_failures(payload)
+    for failure in failed:
+        print(f"robust claim failed: {failure}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 # ----------------------------------------------------------------------
@@ -759,35 +717,33 @@ def _run_engine(argv) -> int:
     return 0
 
 
+#: Subsystems with a parser of their own, dispatched on ``argv[0]``.
+SUBSYSTEMS = {
+    "engine": run_engine,
+    "live": run_live,
+    "obs": run_obs,
+    "lint": run_lint_cli,
+}
+COMMANDS = ("run", "evaluate") + tuple(SUBSYSTEMS)
+
+
 def main(argv=None) -> int:
     """CLI entry point; returns a process exit code."""
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)
-    if argv and argv[0] == "engine":
-        return run_engine(argv[1:])
-    if argv and argv[0] == "live":
-        return run_live(argv[1:])
-    if argv and argv[0] == "obs":
-        return run_obs(argv[1:])
-    if argv and argv[0] == "lint":
-        return run_lint_cli(argv[1:])
-    args = build_parser().parse_args(argv)
-    if args.command in ("engine", "live", "obs", "lint"):
-        # Reached only when the subsystem word was not the first
-        # argument (main dispatches argv[0] before this parser runs).
+    if argv and argv[0] in SUBSYSTEMS:
+        return SUBSYSTEMS[argv[0]](argv[1:])
+    misplaced = [word for word in argv[1:] if word in SUBSYSTEMS]
+    if misplaced and argv[0] not in COMMANDS:
         raise SystemExit(
-            f"`{args.command}` must be the first argument: "
-            f"repro-twin {args.command} ... (see "
-            f"`repro-twin {args.command} --help`)"
+            f"`{misplaced[0]}` must be the first argument: repro-twin "
+            f"{misplaced[0]} ... (see `repro-twin {misplaced[0]} --help`)"
         )
-    contexts = _contexts(args)
-    if args.command == "all":
-        for command in ("table1", "table2", "intro") + FIGURES:
-            _run_command(command, contexts)
-    else:
-        _run_command(args.command, contexts)
-    return 0
+    args = build_parser().parse_args(argv)
+    if args.command == "run":
+        return run_experiments(args)
+    return run_evaluate(args)
 
 
 if __name__ == "__main__":

@@ -12,9 +12,16 @@ in an R-tree. This module implements:
 * the MBTS↔MBTS gap distance of Equation 3 (used to seed internal-node
   splits). The printed Eq. 3 contains a typo in its branch conditions;
   we implement the standard disjoint-gap form
-  ``max_i max(B1ℓ_i - B2u_i, B2ℓ_i - B1u_i, 0)`` (see DESIGN.md §5);
+  ``max_i max(B1ℓ_i - B2u_i, B2ℓ_i - B1u_i, 0)``: zero where the
+  envelopes overlap at a timestamp, the gap between them where they do
+  not — the only reading under which Eq. 3 is symmetric and lower-bounds
+  the distance between any two member sequences;
 * the enlargement metrics used to choose insertion subtrees and split
-  assignments (DESIGN.md §5 documents the choice).
+  assignments. The paper does not fix one; ``split_metric="area"`` (the
+  default) is the R-tree rule, total growth ``Σ_i`` over timestamps,
+  and ``"max"`` the Chebyshev-style largest single-timestamp growth.
+  Answers are identical under both — only tree shape, hence pruning,
+  differs (``benchmarks/bench_ablation_tsindex.py`` measures it).
 """
 
 from __future__ import annotations
@@ -195,7 +202,8 @@ class MBTS:
         """Area growth if ``sequence`` were included (split metric).
 
         ``Σ_i max(s_i - u_i, 0) + max(ℓ_i - s_i, 0)`` — the R-tree style
-        total enlargement documented in DESIGN.md §5.
+        total enlargement (``split_metric="area"``, see the module
+        docstring).
         """
         sequence = as_float_array(sequence, name="sequence")
         self._check_length(sequence.size)

@@ -242,8 +242,6 @@ class TSIndex:
             index._insert_position(position)
         index._build_stats.seconds = time.perf_counter() - started
         index._build_stats.windows = source.count
-        index._build_stats.height = index.height
-        index._build_stats.nodes = index.node_count
         return index
 
     @classmethod
@@ -299,8 +297,14 @@ class TSIndex:
 
     @property
     def build_stats(self) -> BuildStats:
-        """Counters recorded during construction."""
-        return self._build_stats
+        """Counters recorded during construction. ``height`` and
+        ``nodes`` are read off the tree as it stands (``insert`` keeps
+        neither), so a tree grown window by window reports — and
+        archives — its real shape."""
+        stats = self._build_stats
+        stats.height = self.height
+        stats.nodes = self.node_count
+        return stats
 
     @property
     def length(self) -> int:

@@ -17,7 +17,10 @@ by the harness when requested (see
 :meth:`DatasetSpec.scaled_raw_epsilons`).
 
 ``load_dataset`` accepts a ``scale`` in (0, 1] to truncate the series —
-used to keep pure-Python tree construction tractable (DESIGN.md §4).
+used to keep pure-Python tree construction tractable. Truncation takes
+the same windows away from every method, and the ε grids keep their
+selectivity (a fraction of windows, not a count), so the comparisons
+between methods survive it; EXPERIMENTS.md names the scales it ran at.
 """
 
 from __future__ import annotations

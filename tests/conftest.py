@@ -7,6 +7,7 @@ session-scoped prebuilt indices reused by the read-only query tests.
 
 from __future__ import annotations
 
+import json
 import pathlib
 import shutil
 
@@ -122,6 +123,27 @@ def query_of(source_global):
         return np.array(chosen.window_block(position, position + 1)[0])
 
     return factory
+
+
+@pytest.fixture(scope="session")
+def smoke_run(tmp_path_factory):
+    """``repro-twin run`` at smoke scale, once per session: the data
+    file's path and its parsed payload (≈ 7 s; every test of the
+    run / evaluate pair reads this one run). Tiny series, but 8 queries:
+    a timed cell is then tens of ms, so a scheduler hiccup cannot flip
+    ``tsindex_faster_than_sweepline`` at the loosest ε, where the two
+    methods are within 1.3-1.7x of each other at any scale."""
+    from repro import cli
+
+    path = tmp_path_factory.mktemp("experiments") / "smoke.json"
+    code = cli.main(
+        [
+            "run", "--data", str(path), "--queries", "8",
+            "--scale-insect", "0.02", "--scale-eeg", "0.001",
+        ]
+    )
+    assert code == 0
+    return path, json.loads(path.read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,4 @@
-"""Tests for the CLI experiment driver and engine subcommands."""
+"""Tests for the CLI: the run / evaluate pair and the engine subcommands."""
 
 import os
 
@@ -8,86 +8,104 @@ import pytest
 from repro import cli
 
 
+def _argv(command):
+    """The shortest valid argv for a top-level command."""
+    return [command, "--data", "x.json"] if command in ("run", "evaluate") else [command]
+
+
 class TestParser:
     def test_all_commands_accepted(self):
         parser = cli.build_parser()
         for command in cli.COMMANDS:
-            args = parser.parse_args([command])
+            args = parser.parse_args(_argv(command))
             assert args.command == command
 
     def test_unknown_command_rejected(self):
-        with pytest.raises(SystemExit):
-            cli.build_parser().parse_args(["fig99"])
+        # The nine per-figure commands and their two selectors are gone:
+        # one run step, one evaluate step.
+        parser = cli.build_parser()
+        for argv in (
+            ["fig99"], ["fig4"], ["table1"], ["all"], ["run"], ["evaluate"],
+            ["run", "--data", "x.json", "--scale", "0.5"],
+            ["run", "--data", "x.json", "--dataset", "insect"],
+            ["evaluate", "--data", "x.json", "--queries", "3"],
+        ):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
 
     def test_defaults(self):
-        args = cli.build_parser().parse_args(["fig4"])
-        assert args.dataset == "both"
-        assert args.queries == 100
-        assert args.scale is None
+        from repro.bench import experiments as exp
 
-    def test_scale_override(self):
-        args = cli.build_parser().parse_args(["fig4", "--scale", "0.5"])
-        contexts = cli._contexts(args)
-        assert all(ctx.scale == 0.5 for ctx in contexts)
+        args = cli.build_parser().parse_args(_argv("run"))
+        assert args.queries == exp.DEFAULT_QUERY_COUNT
+        assert args.seed == 1234
+        assert {
+            "insect": args.scale_insect, "eeg": args.scale_eeg
+        } == exp.DEFAULT_SCALES
+        assert cli.build_parser().parse_args(_argv("evaluate")).output == "-"
 
     def test_per_dataset_scales(self):
         args = cli.build_parser().parse_args(
-            ["fig4", "--scale-insect", "0.3", "--scale-eeg", "0.02"]
+            _argv("run") + ["--scale-insect", "0.3", "--scale-eeg", "0.02"]
         )
-        contexts = cli._contexts(args)
-        scales = {ctx.dataset: ctx.scale for ctx in contexts}
-        assert scales == {"insect": 0.3, "eeg": 0.02}
-
-    def test_single_dataset(self):
-        args = cli.build_parser().parse_args(["fig4", "--dataset", "insect"])
-        contexts = cli._contexts(args)
-        assert [ctx.dataset for ctx in contexts] == ["insect"]
+        assert (args.scale_insect, args.scale_eeg) == (0.3, 0.02)
 
 
 class TestExecution:
-    def test_table1_output(self, capsys):
-        assert cli.main(["table1"]) == 0
-        output = capsys.readouterr().out
-        assert "insect" in output
-        assert "1801999" in output
+    """``run`` then ``evaluate`` at smoke scale (the ``smoke_run``
+    fixture is the ``run`` half, through ``cli.main``)."""
 
-    def test_table2_output(self, capsys):
-        assert cli.main(["table2"]) == 0
-        output = capsys.readouterr().out
-        assert "segments" in output
+    @pytest.fixture(scope="class")
+    def rendered(self, smoke_run):
+        import contextlib
+        import io
 
-    def test_fig4_small_run(self, capsys):
-        code = cli.main(
-            [
-                "fig4",
-                "--dataset",
-                "insect",
-                "--scale",
-                "0.02",
-                "--queries",
-                "2",
-            ]
-        )
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "tsindex (ms)" in output
-        assert "shape checks" in output
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            assert cli.main(["evaluate", "--data", str(smoke_run[0])]) == 0
+        return buffer.getvalue()
 
-    def test_fig8_small_run(self, capsys):
-        code = cli.main(
-            ["fig8", "--dataset", "insect", "--scale", "0.02", "--queries", "2"]
-        )
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "memory" in output
+    def test_table1_output(self, rendered):
+        assert "| insect | 64436 |" in rendered
+        assert "1801999" in rendered
 
-    def test_intro_small_run(self, capsys):
-        code = cli.main(
-            ["intro", "--dataset", "insect", "--scale", "0.02", "--queries", "2"]
-        )
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "euclidean results" in output
+    def test_table2_output(self, rendered):
+        assert "number m of segments" in rendered
+
+    def test_fig4_small_run(self, rendered, smoke_run):
+        assert smoke_run[1]["kind"] == "experiments"
+        assert "### fig4 / insect" in rendered
+        assert "tsindex (ms)" in rendered
+        assert "Shape checks" in rendered
+
+    def test_fig8_small_run(self, rendered):
+        assert "### fig8 / eeg" in rendered
+        assert "memory_mb" in rendered
+
+    def test_intro_small_run(self, rendered):
+        assert "| euclidean_results |" in rendered
+
+    def test_evaluate_exits_nonzero_on_a_failed_robust_claim(
+        self, smoke_run, tmp_path, capsys
+    ):
+        import copy
+        import json
+
+        payload = copy.deepcopy(smoke_run[1])
+        payload["datasets"]["eeg"]["intro"]["missed_twins"] = 1
+        data = tmp_path / "broken.json"
+        data.write_text(json.dumps(payload))
+        output = tmp_path / "broken.md"
+        assert cli.main(["evaluate", "--data", str(data), "--output", str(output)]) == 1
+        assert "eeg/intro/no_missed_twins" in capsys.readouterr().err
+        assert "no_missed_twins: FAIL" in output.read_text()
+
+    def test_evaluate_rejects_what_run_did_not_write(self, tmp_path):
+        foreign = tmp_path / "scaling.json"
+        foreign.write_text('{"schema": "repro.bench/1", "kind": "scaling"}')
+        for path in (foreign, tmp_path / "missing.json"):
+            with pytest.raises(SystemExit, match="error: "):
+                cli.main(["evaluate", "--data", str(path)])
 
 
 class TestEngineCLI:

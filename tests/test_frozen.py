@@ -371,11 +371,17 @@ class TestSnapshot:
         assert self._seen_by(partial, 301) == [False] * 4
 
     def test_freeze_stamps_what_it_flattens(self, partial, tmp_path):
-        # insert() keeps no height / node count; the snapshot, and every
-        # archive written from it, used to carry the zeros.
+        # insert() keeps no height / node count; the pointer tree, its
+        # snapshot, and every archive written from either used to carry
+        # the zeros.
         frozen = partial.freeze()
         save_index(frozen, tmp_path / "partial.rts", fsync=False)
-        for index in (frozen, load_index(tmp_path / "partial.rts")):
+        save_index(partial, tmp_path / "pointer.rts", fsync=False)
+        restored = load_index(tmp_path / "pointer.rts")
+        assert isinstance(restored, TSIndex)
+        for index in (
+            partial, restored, frozen, load_index(tmp_path / "partial.rts")
+        ):
             stats = index.build_stats
             assert (stats.height, stats.nodes, stats.windows) == (
                 partial.height, partial.node_count, 300,

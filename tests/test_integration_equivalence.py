@@ -1,8 +1,11 @@
 """Integration tests: every method returns the sweepline ground truth.
 
-This is the correctness contract of the whole library (DESIGN.md §7):
+This is the correctness contract of the whole library — exactness:
 for any series, regime, query and threshold, TS-Index, KV-Index and
-iSAX must return *exactly* the same twins as the exhaustive scan.
+iSAX must return *exactly* the same twins as the exhaustive scan (every
+window within Chebyshev ε of the query, no false positive, distances
+equal, ``distance == ε`` included). An index is a filter in front of
+the same verification; it may only be faster, never different.
 """
 
 import numpy as np

@@ -268,7 +268,7 @@ class TestCLI:
         with pytest.raises(SystemExit, match="first argument"):
             # argv[1] is "live" but main() receives a list where it is
             # not first — the parser's guidance must fire.
-            main(["--dataset", "insect", "live"])
+            main(["--seed", "7", "live"])
 
     def test_live_cli_query_validation(self, tmp_path):
         from repro.cli import main

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.bench.reporting import format_series_table, format_table, to_markdown
-from repro.exceptions import InvalidParameterError
+from repro.bench.reporting import format_table, to_markdown
 
 
 @pytest.fixture()
@@ -36,21 +35,6 @@ class TestFormatTable:
     def test_missing_cell_blank(self):
         text = format_table([{"a": 1}, {"b": 2}], columns=["a", "b"])
         assert "1" in text and "2" in text
-
-
-class TestSeriesTable:
-    def test_figure_shape(self):
-        text = format_series_table(
-            "epsilon", (0.1, 0.2), {"tsindex": [1.0, 2.0], "isax": [3.0, 4.0]}
-        )
-        lines = text.splitlines()
-        assert "epsilon" in lines[0]
-        assert "tsindex (ms)" in lines[0]
-        assert len(lines) == 4
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidParameterError):
-            format_series_table("epsilon", (0.1, 0.2), {"ts": [1.0]})
 
 
 class TestMarkdown:

@@ -86,7 +86,9 @@ class TestStatisticalStructure:
 
     def test_insect_selectivity_calibration(self):
         # The generator is calibrated so z-normalized twin queries at
-        # eps = 0.5 are highly selective (DESIGN.md §4).
+        # eps = 0.5 are highly selective, as on the paper's Insect
+        # series: selectivity at Table 1's grid is what makes the
+        # surrogate a fair stand-in for the method comparisons.
         from repro.core.windows import WindowSource
         from repro.indices.sweepline import SweeplineSearch
 

@@ -1,62 +1,51 @@
 """Tests for query workload generation (Section 6.1 protocol)."""
 
 import numpy as np
-import pytest
 
-from repro.bench.workloads import (
-    QueryWorkload,
-    generate_workload,
-    workload_for_source,
-)
-from repro.exceptions import InvalidParameterError
+from repro.bench.workloads import QueryWorkload, workload_for_source
+from repro.core.windows import WindowSource
 
 from conftest import LENGTH
 
 
 class TestGenerateWorkload:
-    def test_count_and_length(self, series_values):
-        workload = generate_workload(series_values, count=10, length=40, seed=0)
+    def test_count_and_length(self, source_raw):
+        workload = workload_for_source(source_raw, count=10, seed=0)
+        assert isinstance(workload, QueryWorkload)
         assert len(workload) == 10
-        assert all(q.size == 40 for q in workload)
-        assert workload.length == 40
+        assert all(q.size == LENGTH for q in workload)
+        assert workload.length == LENGTH
 
-    def test_deterministic(self, series_values):
-        a = generate_workload(series_values, count=5, length=30, seed=7)
-        b = generate_workload(series_values, count=5, length=30, seed=7)
+    def test_deterministic(self, source_raw):
+        a = workload_for_source(source_raw, count=5, seed=7)
+        b = workload_for_source(source_raw, count=5, seed=7)
         assert a.positions == b.positions
         for qa, qb in zip(a, b):
             assert np.array_equal(qa, qb)
 
-    def test_seed_changes_positions(self, series_values):
-        a = generate_workload(series_values, count=5, length=30, seed=7)
-        b = generate_workload(series_values, count=5, length=30, seed=8)
+    def test_seed_changes_positions(self, source_raw):
+        a = workload_for_source(source_raw, count=5, seed=7)
+        b = workload_for_source(source_raw, count=5, seed=8)
         assert a.positions != b.positions
 
-    def test_queries_are_subsequences(self, series_values):
-        workload = generate_workload(series_values, count=5, length=30, seed=1)
-        for position, query in zip(workload.positions, workload.queries):
-            assert np.array_equal(query, series_values[position : position + 30])
-
-    def test_no_replacement_when_possible(self, series_values):
-        workload = generate_workload(series_values, count=50, length=30, seed=2)
+    def test_no_replacement_when_possible(self, source_raw):
+        workload = workload_for_source(source_raw, count=50, seed=2)
         assert len(set(workload.positions)) == 50
 
     def test_replacement_on_tiny_series(self):
-        workload = generate_workload(np.arange(12.0), count=30, length=10, seed=0)
+        tiny = WindowSource(np.arange(12.0), 10, "none")
+        workload = workload_for_source(tiny, count=30, seed=0)
         assert len(workload) == 30
+        assert set(workload.positions) <= {0, 1, 2}
 
-    def test_too_short_series(self):
-        with pytest.raises(InvalidParameterError):
-            generate_workload(np.arange(5.0), count=1, length=10)
-
-    def test_subset(self, series_values):
-        workload = generate_workload(series_values, count=10, length=30, seed=3)
+    def test_subset(self, source_raw):
+        workload = workload_for_source(source_raw, count=10, seed=3)
         subset = workload.subset(4)
         assert len(subset) == 4
         assert subset.positions == workload.positions[:4]
 
-    def test_subset_larger_than_workload(self, series_values):
-        workload = generate_workload(series_values, count=3, length=30, seed=3)
+    def test_subset_larger_than_workload(self, source_raw):
+        workload = workload_for_source(source_raw, count=3, seed=3)
         assert len(workload.subset(100)) == 3
 
 
