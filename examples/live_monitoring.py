@@ -98,11 +98,13 @@ def main() -> None:
         serving.append("traffic", series[:batch])  # ingest via the engine
 
     # --- crash and recover ----------------------------------------------
-    # Drop the object without a clean close: everything journaled or
-    # sealed must come back.
+    # Drop the plane as a crash would: everything journaled or sealed
+    # must come back. (A bare ``del`` is not a crash: the plane's
+    # compaction thread would go on committing to the directory the
+    # recovered plane now owns.)
     readings_before = live.series_length
     answer_before = live.search(latest, epsilon=12.0)
-    del live
+    live.abandon()
 
     recovered = LiveTwinIndex.recover(directory)
     answer_after = recovered.search(latest, epsilon=12.0)

@@ -65,8 +65,7 @@ def main() -> None:
               f"count: {serving.count('archive', short, 0.2)}")
 
     # --- live plane: a short pattern across the appended tail -----------
-    live = LiveTwinIndex(series[:5000], length, seal_threshold=1024,
-                         background_compaction=False)
+    live = LiveTwinIndex(series[:5000], length, seal_threshold=1024)
     try:
         motif = np.array(series[100:130])      # m=30 pattern
         live.append(motif)                     # lands in the tail

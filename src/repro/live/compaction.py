@@ -84,9 +84,10 @@ class Compactor:
 
     ``work`` is expected to loop until the plane is quiescent (segment
     count within bounds) and return; :meth:`schedule` guarantees a run
-    begins at or after the call, coalescing bursts into one run. The
-    thread is only created on first use, so short-lived in-memory
-    indexes never pay for it.
+    begins at or after the call, coalescing bursts into one run: a
+    schedule that lands while a run is in flight leaves a pending flag
+    that run re-checks before it ends. The thread is only created on
+    first use, so short-lived in-memory indexes never pay for it.
 
     ``work`` failures are retried up to ``max_retries`` times with
     exponential backoff (``backoff`` seconds doubling to
@@ -110,6 +111,10 @@ class Compactor:
         self._pool: concurrent.futures.ThreadPoolExecutor | None = None  # lint: guarded-by(_lock)
         self._future: concurrent.futures.Future | None = None  # lint: guarded-by(_lock)
         self._lock = threading.Lock()
+        #: A run is owed: set by schedule(), cleared when a run starts.
+        self._pending = False  # lint: guarded-by(_lock)
+        #: A run is in flight; only that run clears it, when it ends.
+        self._running = False  # lint: guarded-by(_lock)
         self._shutdown = False  # lint: guarded-by(_lock)
         #: Interrupts a backoff sleep when close() is called.
         self._wake = threading.Event()
@@ -156,6 +161,19 @@ class Compactor:
 
     # ------------------------------------------------------------------
     def _run(self) -> None:
+        """What the thread runs: budgeted runs until no schedule is
+        pending. The pending check and the end of the thread's turn are
+        one locked step, so a :meth:`schedule` is either seen here or
+        finds no run in flight and submits its own. Never raises."""
+        while True:
+            with self._lock:
+                if not self._pending or self._shutdown or self._crashed:
+                    self._running = False
+                    return
+                self._pending = False
+            self._run_once()
+
+    def _run_once(self) -> None:
         """One scheduled run: the work function under a bounded
         retry/backoff loop. Never raises — errors are accounted, not
         latched (a :class:`SimulatedCrashError` stops the thread cold,
@@ -204,16 +222,20 @@ class Compactor:
                 return
 
     def schedule(self) -> None:
-        """Ensure a compaction run is in flight (no-op after close)."""
+        """Ensure a compaction run begins at or after this call (no-op
+        after close)."""
         with self._lock:
             if self._shutdown or self._crashed:
                 return
+            self._pending = True
+            if self._running:
+                return
+            self._running = True
             if self._pool is None:
                 self._pool = concurrent.futures.ThreadPoolExecutor(
                     max_workers=1, thread_name_prefix="repro-live-compact"
                 )
-            if self._future is None or self._future.done():
-                self._future = self._pool.submit(self._run)
+            self._future = self._pool.submit(self._run)
 
     def wait(self, timeout: float | None = None) -> None:
         """Block until the in-flight run (if any) finishes. Merge errors

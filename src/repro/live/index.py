@@ -8,6 +8,8 @@ write, a buffer extend and a counter; a query scans the delta with the
 streaming refine kernel over every position (the paper's sweepline, the
 right plan for a few thousand windows); a seal bulk-loads it, as
 compaction does (:meth:`Segment.build <repro.live.segments.Segment.build>`).
+Compaction has one path, the :class:`~repro.live.compaction.Compactor`
+thread that a seal over ``max_segments`` schedules.
 
 ``search`` / ``knn`` / ``exists`` / ``search_batch`` fan out across
 delta + segments (the delta answers under the plane lock, the segments
@@ -158,7 +160,8 @@ class LiveTwinIndex(SubsequenceIndex):
     :meth:`from_source`), a durable one with :meth:`create`, and reopen
     a durable one with :meth:`recover`. All public methods are safe to
     call from multiple threads; queries snapshot the segment list and
-    never block on background compaction.
+    never block on compaction, which runs on the plane's one background
+    thread however the plane was built (see :meth:`compact`).
 
     Windows appended since the last seal are scanned, not indexed, and
     ``seal_threshold`` bounds that scan: ``seal_threshold=None`` is a
@@ -206,7 +209,6 @@ class LiveTwinIndex(SubsequenceIndex):
         params: TSIndexParams | None = None,
         seal_threshold: int | None = DEFAULT_SEAL_THRESHOLD,
         max_segments: int = DEFAULT_MAX_SEGMENTS,
-        background_compaction: bool = True,
         _store: LiveStore | None = None,
         _sealed: tuple[Segment, ...] = (),
     ):
@@ -227,7 +229,6 @@ class LiveTwinIndex(SubsequenceIndex):
         self._max_segments = check_positive_int(
             max_segments, name="max_segments"
         )
-        self._background = bool(background_compaction)
         #: The durable directory (``None``: an in-memory plane). Set
         #: once; its journal and manifest change only under the lock.
         self._store = _store
@@ -273,10 +274,10 @@ class LiveTwinIndex(SubsequenceIndex):
         params: TSIndexParams | None = None,
         seal_threshold: int | None = DEFAULT_SEAL_THRESHOLD,
         max_segments: int = DEFAULT_MAX_SEGMENTS,
-        background_compaction: bool = True,
     ) -> "LiveTwinIndex":
-        """Build a live plane preloaded with a prepared source's series
-        (the :func:`~repro.indices.base.create_method` entry point)."""
+        """Build an in-memory live plane preloaded with a prepared
+        source's series (the :func:`~repro.indices.base.create_method`
+        entry point); the preload seals and compacts as appends do."""
         return cls(
             source.series.values,
             source.length,
@@ -284,7 +285,6 @@ class LiveTwinIndex(SubsequenceIndex):
             params=params,
             seal_threshold=seal_threshold,
             max_segments=max_segments,
-            background_compaction=background_compaction,
         )
 
     @classmethod
@@ -298,7 +298,6 @@ class LiveTwinIndex(SubsequenceIndex):
         params: TSIndexParams | None = None,
         seal_threshold: int | None = DEFAULT_SEAL_THRESHOLD,
         max_segments: int = DEFAULT_MAX_SEGMENTS,
-        background_compaction: bool = True,
         fsync: bool = False,
         archive_format: str = "raw",
     ) -> "LiveTwinIndex":
@@ -308,7 +307,8 @@ class LiveTwinIndex(SubsequenceIndex):
         log before it is buffered; sealed segments are archived as
         uncompressed mmap-able directories (they recover in O(metadata)
         and support process fan-out with a single page-cache copy) and
-        committed to the manifest.
+        committed to the manifest; a compaction's merged archive
+        replaces its inputs in the same way.
         ``fsync=True`` additionally fsyncs each journal write
         (crash-safe against power loss, at a heavy per-append cost;
         the default survives process crashes).
@@ -327,7 +327,6 @@ class LiveTwinIndex(SubsequenceIndex):
             params=params,
             seal_threshold=seal_threshold,
             max_segments=max_segments,
-            background_compaction=background_compaction,
             _store=LiveStore.create(path, values, fsync=fsync),
         )
         with index._lock:
@@ -340,7 +339,6 @@ class LiveTwinIndex(SubsequenceIndex):
         path: Any,
         *,
         fsync: bool | None = None,
-        background_compaction: bool = True,
         strict: bool = True,
     ) -> "LiveTwinIndex":
         """Reopen a durable live plane after a shutdown or crash.
@@ -365,7 +363,8 @@ class LiveTwinIndex(SubsequenceIndex):
         :meth:`LiveStore.open <repro.live.store.LiveStore.open>`) and
         recovers the longest intact prefix, byte-identical to a
         from-scratch index over those readings; manifest damage stays
-        loud in both modes.
+        loud in both modes. A chain a crash left over ``max_segments``
+        is merged after the next seal, or by :meth:`compact`.
         """
         store, found = LiveStore.open(path, fsync=fsync, strict=strict)
         try:
@@ -377,7 +376,6 @@ class LiveTwinIndex(SubsequenceIndex):
                 params=config.params,
                 seal_threshold=config.seal_threshold,
                 max_segments=config.max_segments,
-                background_compaction=background_compaction,
                 _store=store,
                 _sealed=found.sealed,
             )
@@ -591,10 +589,7 @@ class LiveTwinIndex(SubsequenceIndex):
         readings = coerce_readings(readings, allow_empty=False)
         metrics = _metrics()
         with self._lock:
-            if self._closed:
-                raise InvalidParameterError(
-                    "live index is closed; reopen with LiveTwinIndex.recover()"
-                )
+            self._check_open()
             if self._store is not None:
                 self._store.wal.append(readings)
             self._ingest.extend(readings)
@@ -607,21 +602,22 @@ class LiveTwinIndex(SubsequenceIndex):
     def seal(self) -> bool:
         """Force-seal the current delta into a segment (normally the
         ``seal_threshold`` does this automatically); returns whether a
-        seal happened."""
+        seal happened. A closed plane refuses, as :meth:`append` does:
+        its directory may already belong to a recovered plane."""
         with self._lock:
+            self._check_open()
             if self._delta_count == 0:
                 return False
             self._seal_locked(self._delta_start + self._delta_count)
             return True
 
     def compact(self, timeout: float | None = None) -> None:
-        """Compact until at most ``max_segments`` segments remain,
-        waiting for the background worker when one is in use."""
-        if self._background:
-            self._compactor.schedule()
-            self._compactor.wait(timeout)
-        else:
-            self._compact_loop()
+        """Schedule a compaction and wait for it: on return at most
+        ``max_segments`` segments remain, unless a merge failed past its
+        retries (``stats()["compaction"]``) or ``timeout`` seconds
+        expired first (:class:`TimeoutError`)."""
+        self._compactor.schedule()
+        self._compactor.wait(timeout)
 
     def wait_for_compaction(self, timeout: float | None = None) -> None:
         """Block until any in-flight background compaction finishes."""
@@ -629,10 +625,9 @@ class LiveTwinIndex(SubsequenceIndex):
 
     def close(self) -> None:
         """Seal nothing, stop background work, close the journal
-        (idempotent). The plane rejects further appends; reopen durable
-        planes with :meth:`recover`. A background-compaction error
-        surfaces here — after the journal has been closed, so shutdown
-        side effects happen even on the failure path."""
+        (idempotent). The plane refuses further appends and seals;
+        reopen durable planes with :meth:`recover`. A failed compaction
+        does not raise here (it stays in ``stats()["compaction"]``)."""
         with self._lock:
             if self._closed:
                 return
@@ -652,9 +647,10 @@ class LiveTwinIndex(SubsequenceIndex):
         flushes and seals nothing and lets no in-flight compaction
         commit, so this *is* :meth:`close`; the name is what a fault
         test says after a
-        :class:`~repro.exceptions.SimulatedCrashError` (the state
-        machine in ``tests/test_live_state_machine.py`` does): the only
-        way back is :meth:`recover`, exactly as after a real kill."""
+        :class:`~repro.exceptions.SimulatedCrashError`, raised or
+        recorded by the compactor it killed (the state machine in
+        ``tests/test_live_state_machine.py`` does): the only way back is
+        :meth:`recover`, exactly as after a real kill."""
         self.close()
 
     def __enter__(self) -> "LiveTwinIndex":
@@ -734,19 +730,23 @@ class LiveTwinIndex(SubsequenceIndex):
             start, stop, stop - start, len(self._segments),
         )
         if len(self._segments) > self._max_segments:
-            if self._background:
-                _log.debug(
-                    "scheduling background compaction (%d segments > "
-                    "max %d)", len(self._segments), self._max_segments,
-                )
-                self._compactor.schedule()
-            else:
-                self._compact_loop()
+            _log.debug(
+                "scheduling background compaction (%d segments > max %d)",
+                len(self._segments), self._max_segments,
+            )
+            self._compactor.schedule()
+
+    def _check_open(self) -> None:  # lint: holds(_lock) called with the plane lock held
+        if self._closed:
+            raise InvalidParameterError(
+                "live index is closed; reopen with LiveTwinIndex.recover()"
+            )
 
     def _compact_loop(self) -> None:
-        """Merge adjacent segments until at most ``max_segments``
-        remain. The expensive merge runs without the lock (its inputs
-        are immutable); only the list splice and manifest commit are
+        """The :class:`~repro.live.compaction.Compactor`'s work: merge
+        adjacent segments until at most ``max_segments`` remain. The
+        expensive merge runs without the lock (its inputs are
+        immutable); only the list splice and manifest commit are
         locked."""
         while True:
             with self._lock:

@@ -40,7 +40,6 @@ from .metrics import (
     default_registry,
     resolve_registry,
     set_default_registry,
-    snapshot_delta,
 )
 from .trace import (
     DEFAULT_TRACE_CAPACITY,
@@ -65,7 +64,6 @@ __all__ = [
     "default_registry",
     "set_default_registry",
     "resolve_registry",
-    "snapshot_delta",
     "to_prometheus",
     "to_json",
     "json_snapshot",

@@ -425,40 +425,6 @@ class MetricsRegistry:
         with self._lock:
             return [self._metrics[name] for name in sorted(self._metrics)]
 
-    def snapshot(self) -> dict:
-        """A point-in-time, JSON-ready view of every metric.
-
-        Returns ``{name: {"kind": ..., "samples": {label_key: value}}}``
-        where ``label_key`` joins the child's label values with ``|``
-        (empty for unlabelled metrics). Counter and gauge samples are
-        floats; histogram samples are ``{"count", "sum", "buckets"}``
-        dicts (bucket counts aligned with the metric-level ``"le"``
-        bound list, +Inf last). Each leaf is read under its own lock,
-        so every *sample* is internally consistent — a histogram's
-        ``sum``/``count``/``buckets`` always describe the same set of
-        observations — while cross-metric consistency is not promised.
-
-        Benchmark scenarios use ``snapshot()`` pairs with
-        :func:`snapshot_delta` to isolate their own activity on a
-        shared registry without resetting anyone else's counters.
-        """
-        out: dict = {}
-        for metric in self.collect():
-            entry: dict = {"kind": metric.kind, "samples": {}}
-            if metric.kind == "histogram":
-                entry["le"] = list(metric.buckets)
-            for label_values, leaf in metric.samples():
-                key = "|".join(label_values)
-                if metric.kind == "histogram":
-                    counts, total, count = leaf.snapshot()
-                    entry["samples"][key] = {
-                        "count": count, "sum": total, "buckets": counts
-                    }
-                else:
-                    entry["samples"][key] = leaf.value
-            out[metric.name] = entry
-        return out
-
     @property
     def age_seconds(self) -> float:
         """Seconds since this registry was created (used by exports to
@@ -588,9 +554,6 @@ class NullRegistry:
     def collect(self) -> list:
         return []
 
-    def snapshot(self) -> dict:
-        return {}
-
     def __contains__(self, name: Any) -> bool:
         return False
 
@@ -664,46 +627,3 @@ def resolve_registry(metrics: Any) -> MetricsRegistry:
     if metrics is False:
         return NULL_REGISTRY
     return metrics
-
-
-def snapshot_delta(before: dict, after: dict) -> dict:
-    """What happened between two :meth:`MetricsRegistry.snapshot` calls.
-
-    Cumulative metrics (counters, histograms) are subtracted sample by
-    sample — a sample absent from ``before`` counts from zero, so
-    metrics registered mid-interval are attributed in full. Gauges are
-    point-in-time by definition and pass through with their ``after``
-    value. Metrics absent from ``after`` are dropped (a registry is
-    never expected to shrink mid-interval). The result has the same
-    shape as the inputs, so it nests inside benchmark artifacts as-is.
-    """
-    delta: dict = {}
-    for name, entry in after.items():
-        kind = entry["kind"]
-        prior = before.get(name, {})
-        prior_samples = prior.get("samples", {}) if prior.get("kind") == kind else {}
-        out: dict = {"kind": kind, "samples": {}}
-        if "le" in entry:
-            out["le"] = list(entry["le"])
-        for key, sample in entry["samples"].items():
-            if kind == "histogram":
-                base = prior_samples.get(
-                    key, {"count": 0, "sum": 0.0, "buckets": []}
-                )
-                base_buckets = list(base["buckets"]) or [0] * len(sample["buckets"])
-                out["samples"][key] = {
-                    "count": sample["count"] - base["count"],
-                    "sum": sample["sum"] - base["sum"],
-                    "buckets": [
-                        current - previous
-                        for current, previous in zip(
-                            sample["buckets"], base_buckets
-                        )
-                    ],
-                }
-            elif kind == "counter":
-                out["samples"][key] = sample - prior_samples.get(key, 0.0)
-            else:
-                out["samples"][key] = sample
-        delta[name] = out
-    return delta

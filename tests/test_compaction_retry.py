@@ -2,6 +2,8 @@
 backoff, an exhausted budget never poisons the plane, and a simulated
 crash stops the background thread cold."""
 
+import sys
+import threading
 import time
 
 import numpy as np
@@ -99,6 +101,63 @@ class TestRetry:
         compactor.wait(timeout=10.0)
         compactor.close()
 
+    def test_a_schedule_during_a_run_is_served_by_that_run(self):
+        # The schedule lands after the running work has made its last
+        # check but before its run ends: that run must run it, or
+        # wait() returns with work left pending.
+        pending, runs = [0], []
+        blocked, release = threading.Event(), threading.Event()
+
+        def work():
+            runs.append(pending[0])
+            pending[0] = 0
+            if len(runs) == 1:
+                blocked.set()
+                release.wait(10.0)
+
+        compactor = Compactor(work, backoff=0.001)
+        compactor.schedule()
+        assert blocked.wait(10.0)
+        pending[0] = 1
+        compactor.schedule()
+        release.set()
+        compactor.wait(timeout=10.0)
+        compactor.close()
+        assert runs == [0, 1] and pending[0] == 0
+
+    def test_concurrent_schedules_are_never_lost(self):
+        # More scheduling threads than cores and a short switch
+        # interval: whatever the interleaving, the run wait() waits for
+        # began after the last schedule, so it saw the last request.
+        requested, seen = [0], [0]
+        lock = threading.Lock()
+
+        def work():
+            with lock:
+                seen[0] = requested[0]
+
+        def client():
+            for _ in range(300):
+                with lock:
+                    requested[0] += 1
+                compactor.schedule()
+
+        compactor = Compactor(work, backoff=0.001)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            clients = [threading.Thread(target=client) for _ in range(4)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(30.0)
+            assert not any(thread.is_alive() for thread in clients)
+            compactor.wait(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+            compactor.close()
+        assert seen[0] == requested[0] == 1200
+
 
 class TestPlaneIntegration:
     def test_merge_failures_leave_plane_serviceable(self, tmp_path):
@@ -128,6 +187,45 @@ class TestPlaneIntegration:
         result = live.search(stream[50:66], 0.3)
         assert len(result) >= 1
         live.close()
+
+    def test_a_merge_failure_is_never_a_seal_failure(
+        self, tmp_path, compaction_on_calling_thread
+    ):
+        # Each seal below leaves two segments over max_segments=1, so
+        # the 2nd archive write of the step is the merge's, not the
+        # seal's: it is the compactor's to retry, and the seal that
+        # committed before it stays a success.
+        from repro.obs import MetricsRegistry, set_default_registry
+
+        registry = MetricsRegistry("repro")
+        previous = set_default_registry(registry)
+        try:
+            live = LiveTwinIndex.create(
+                tmp_path / "live", np.arange(20.0), length=6,
+                seal_threshold=8, max_segments=1,
+            )
+            live._compactor._backoff = 0.001
+            failures = registry.get("repro_live_seal_failures_total")
+            for step in (
+                lambda: live.append(np.arange(20.0, 28.0)),  # a threshold seal
+                live.seal,
+            ):
+                seals, retries = live.seal_count, live._compactor.retry_count
+                with failpoints.armed("segment.write", error="io", on_hit=2):
+                    step()
+                stats = live.stats()
+                assert stats["seals"] == seals + 1
+                assert stats["seal_failures"] == 0
+                assert stats["last_seal_error"] is None
+                assert stats["compaction"]["retries"] >= retries + 1
+                assert stats["segments"] == 1
+                assert failures.value == 0
+            live.close()
+        finally:
+            set_default_registry(previous)
+        with LiveTwinIndex.recover(tmp_path / "live") as recovered:
+            assert np.array_equal(recovered.values, np.arange(28.0))
+            assert recovered.segment_count == 1
 
     def test_retries_surface_in_metrics(self):
         from repro.obs import MetricsRegistry, set_default_registry

@@ -21,6 +21,8 @@ from repro.live.wal import MANIFEST_NAME
 LENGTH = 16
 SEAL = 48
 
+pytestmark = pytest.mark.usefixtures("compaction_on_calling_thread")
+
 
 @pytest.fixture(autouse=True)
 def _clean_registry():
@@ -35,7 +37,6 @@ def make_plane(path, readings=300, seed=0):
     rng = np.random.default_rng(seed)
     live = LiveTwinIndex.create(
         str(path), length=LENGTH, seal_threshold=SEAL,
-        background_compaction=False,
     )
     fed = np.cumsum(rng.normal(size=readings))
     live.append(fed)
@@ -69,7 +70,7 @@ class TestManifestCommitCrash:
         live.abandon()
         tmp = str(tmp_path / "live" / (MANIFEST_NAME + ".tmp"))
         assert os.path.exists(tmp) and os.path.getsize(tmp) == 4
-        recovered = LiveTwinIndex.recover(path, background_compaction=False)
+        recovered = LiveTwinIndex.recover(path)
         # Everything acked before the crash survives; the WAL replays
         # the in-flight readings past the un-renamed manifest.
         assert recovered.series_length >= fed.size
@@ -90,7 +91,7 @@ class TestManifestCommitCrash:
             with pytest.raises(SimulatedCrashError):
                 live.append(np.cumsum(np.ones(2 * SEAL)) + fed[-1])
         live.abandon()
-        recovered = LiveTwinIndex.recover(path, background_compaction=False)
+        recovered = LiveTwinIndex.recover(path)
         files = {n for n in os.listdir(path) if n.startswith("seg-")}
         assert files == {s.file for s in recovered.segments}
         assert before <= files or len(files) >= len(before)
@@ -116,7 +117,7 @@ class TestWalFaults:
         live.append(extra)
         assert_exact(live, np.concatenate([fed, extra]))
         live.close()
-        recovered = LiveTwinIndex.recover(path, background_compaction=False)
+        recovered = LiveTwinIndex.recover(path)
         assert_exact(recovered, np.concatenate([fed, extra]))
         recovered.close()
 
@@ -134,7 +135,7 @@ class TestWalFaults:
                 live.append(extra)
         live.append(extra)
         live.close()
-        recovered = LiveTwinIndex.recover(path, background_compaction=False)
+        recovered = LiveTwinIndex.recover(path)
         assert_exact(recovered, np.concatenate([fed, extra]))
         recovered.close()
 
@@ -149,7 +150,7 @@ class TestWalFaults:
             with pytest.raises(SimulatedCrashError):
                 live.append(np.ones(10) + fed[-1])
         live.abandon()
-        recovered = LiveTwinIndex.recover(path, background_compaction=False)
+        recovered = LiveTwinIndex.recover(path)
         assert recovered.series_length >= fed.size
         assert_exact(recovered, fed)
         recovered.close()
@@ -191,7 +192,6 @@ class TestSealFailure:
         stream = np.cumsum(np.random.default_rng(3).normal(size=400))
         live = LiveTwinIndex.create(
             str(path), length=LENGTH, seal_threshold=SEAL,
-            background_compaction=False,
         )
         live.append(stream[:100])
         assert (live.seal_count, live.delta_windows) == (1, 37)
@@ -214,7 +214,7 @@ class TestSealFailure:
         segments = [(s.start, s.stop, s.file) for s in live.segments]
         live.close()
 
-        recovered = LiveTwinIndex.recover(path, background_compaction=False)
+        recovered = LiveTwinIndex.recover(path)
         assert np.array_equal(np.asarray(recovered.values), stream)
         assert [(s.start, s.stop, s.file) for s in recovered.segments] == segments
         assert_six_modes_exact(recovered, stream)
@@ -228,7 +228,6 @@ class TestSealFailure:
         stream = np.cumsum(np.random.default_rng(4).normal(size=300))
         live = LiveTwinIndex.create(
             str(tmp_path / "live"), length=LENGTH, seal_threshold=SEAL,
-            background_compaction=False,
         )
 
         def spans():
@@ -264,9 +263,7 @@ class TestSealFailure:
         assert absorbed() == live.window_count
         assert_six_modes_exact(live, stream)
         live.close()
-        with LiveTwinIndex.recover(
-            tmp_path / "live", background_compaction=False
-        ) as recovered:
+        with LiveTwinIndex.recover(tmp_path / "live") as recovered:
             assert np.array_equal(np.asarray(recovered.values), stream[:260])
             assert_six_modes_exact(recovered, stream)
 
@@ -286,13 +283,13 @@ class TestDoubleRecovery:
                 live.append(np.cumsum(np.ones(2 * SEAL)) + fed[-1])
         live.abandon()
 
-        first = LiveTwinIndex.recover(path, background_compaction=False)
+        first = LiveTwinIndex.recover(path)
         values_a = np.array(first.values)
         segments_a = [(s.start, s.stop, s.file) for s in first.segments]
         first.close()
         manifest_a = (tmp_path / "live" / MANIFEST_NAME).read_bytes()
 
-        second = LiveTwinIndex.recover(path, background_compaction=False)
+        second = LiveTwinIndex.recover(path)
         values_b = np.array(second.values)
         segments_b = [(s.start, s.stop, s.file) for s in second.segments]
         second.close()
@@ -305,7 +302,7 @@ class TestDoubleRecovery:
 
 class TestQuarantine:
     def corrupt_segment(self, path, position=-1):
-        live = LiveTwinIndex.recover(path, background_compaction=False)
+        live = LiveTwinIndex.recover(path)
         target = live.segments[position].file
         live.close()
         with open(os.path.join(str(path), target, "meta.json"), "wb") as handle:
@@ -318,7 +315,7 @@ class TestQuarantine:
         live.close()
         self.corrupt_segment(path)
         with pytest.raises(StorageError):
-            LiveTwinIndex.recover(path, background_compaction=False)
+            LiveTwinIndex.recover(path)
 
     def test_quarantine_moves_aside_and_serves_remainder(self, tmp_path):
         path = tmp_path / "live"
@@ -327,9 +324,7 @@ class TestQuarantine:
         # Corrupt the *last* segment: quarantine truncates the position
         # axis there, so everything before it keeps serving.
         target = self.corrupt_segment(path, position=-1)
-        recovered = LiveTwinIndex.recover(
-            path, background_compaction=False, strict=False
-        )
+        recovered = LiveTwinIndex.recover(path, strict=False)
         # The corrupt archive (and everything after it on the position
         # axis) moved into quarantine/ — never deleted.
         qdir = tmp_path / "live" / "quarantine"
@@ -349,13 +344,11 @@ class TestQuarantine:
         live, fed = make_plane(path, readings=400)
         live.close()
         self.corrupt_segment(path, position=-1)
-        degraded = LiveTwinIndex.recover(
-            path, background_compaction=False, strict=False
-        )
+        degraded = LiveTwinIndex.recover(path, strict=False)
         survivors = np.asarray(degraded.values).copy()
         degraded.close()
         # After quarantine the on-disk state is consistent again: a
         # plain strict recover succeeds.
-        clean = LiveTwinIndex.recover(path, background_compaction=False)
+        clean = LiveTwinIndex.recover(path)
         assert np.array_equal(np.asarray(clean.values), survivors)
         clean.close()

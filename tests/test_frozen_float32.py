@@ -163,17 +163,14 @@ class TestEnvelopeDtype:
             legacy_live_copy(tmp_path / "live")
         else:
             live = LiveTwinIndex.create(
-                tmp_path / "live", self.SERIES[:600], length=40,
-                seal_threshold=200, background_compaction=False,
+                tmp_path / "live", self.SERIES[:600], length=40, seal_threshold=200
             )
             live.append(self.SERIES[600:1500])
             assert live.segments
             for segment in live.segments:
                 _assert_float32(segment.index)
             live.close()
-        recovered = LiveTwinIndex.recover(
-            tmp_path / "live", background_compaction=False
-        )
+        recovered = LiveTwinIndex.recover(tmp_path / "live")
         try:
             assert recovered.segments
             for segment in recovered.segments:

@@ -93,7 +93,7 @@ def test_the_fixture_is_what_it_says(legacy_dir):
 
 
 def test_recovers_exactly_in_all_six_modes(legacy_dir):
-    with LiveTwinIndex.recover(legacy_dir, background_compaction=False) as live:
+    with LiveTwinIndex.recover(legacy_dir) as live:
         assert [s.file for s in live.segments] == _segment_names(legacy_dir)
         assert live.delta_windows == FED - LENGTH + 1 - 4 * SEAL
         _assert_exact(live, FED)
@@ -103,7 +103,7 @@ def test_recovers_exactly_in_all_six_modes(legacy_dir):
 
 
 def test_new_seals_land_as_directories_beside_the_files(legacy_dir):
-    with LiveTwinIndex.recover(legacy_dir, background_compaction=False) as live:
+    with LiveTwinIndex.recover(legacy_dir) as live:
         before = _segment_names(legacy_dir)
         for start in range(FED, 400, 20):
             live.append(SERIES[start : start + 20])
@@ -114,7 +114,7 @@ def test_new_seals_land_as_directories_beside_the_files(legacy_dir):
         assert all((legacy_dir / name).is_dir() for name in added)
         assert [s.file for s in live.segments] == after
         _assert_exact(live, 400)
-    with LiveTwinIndex.recover(legacy_dir, background_compaction=False) as again:
+    with LiveTwinIndex.recover(legacy_dir) as again:
         assert _segment_names(legacy_dir) == after
         _assert_exact(again, 400)
 
@@ -123,14 +123,14 @@ def test_compaction_rewrites_the_files_as_directories(legacy_dir):
     manifest = json.loads((legacy_dir / MANIFEST_NAME).read_text())
     manifest["max_segments"] = 1
     (legacy_dir / MANIFEST_NAME).write_text(json.dumps(manifest))
-    with LiveTwinIndex.recover(legacy_dir, background_compaction=False) as live:
+    with LiveTwinIndex.recover(legacy_dir) as live:
         assert live.segment_count == 4  # recovery itself rewrites nothing
         live.compact()
         assert live.segment_count == 1
         assert _segment_names(legacy_dir) == ["seg-000000000000-000000000256.rts"]
         _assert_exact(live, FED)
         before = _answers(live, FED)
-    with LiveTwinIndex.recover(legacy_dir, background_compaction=False) as again:
+    with LiveTwinIndex.recover(legacy_dir) as again:
         assert again.segment_count == 1
         assert _answers(again, FED) == before
 
@@ -138,17 +138,17 @@ def test_compaction_rewrites_the_files_as_directories(legacy_dir):
 def test_unreferenced_legacy_file_is_swept(legacy_dir):
     orphan = legacy_dir / "seg-000000000256-000000000320.npz"
     orphan.write_bytes((legacy_dir / "seg-000000000192-000000000256.npz").read_bytes())
-    with LiveTwinIndex.recover(legacy_dir, background_compaction=False) as live:
+    with LiveTwinIndex.recover(legacy_dir) as live:
         assert not orphan.exists()
         assert len(_segment_names(legacy_dir)) == 4
         _assert_exact(live, FED)
 
 
 def test_close_and_recover_again_is_identical(legacy_dir):
-    with LiveTwinIndex.recover(legacy_dir, background_compaction=False) as first:
+    with LiveTwinIndex.recover(legacy_dir) as first:
         answers = _answers(first, FED)
     manifest = (legacy_dir / MANIFEST_NAME).read_bytes()
-    with LiveTwinIndex.recover(legacy_dir, background_compaction=False) as second:
+    with LiveTwinIndex.recover(legacy_dir) as second:
         assert _answers(second, FED) == answers
     assert (legacy_dir / MANIFEST_NAME).read_bytes() == manifest
     assert len(_segment_names(legacy_dir)) == 4

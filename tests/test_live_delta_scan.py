@@ -61,17 +61,16 @@ def test_appends_seals_and_recovery_never_insert(tmp_path, monkeypatch, normaliz
 
     monkeypatch.setattr(TSIndex, "_insert_position", insert)
     options = dict(length=LENGTH, normalization=normalization, params=PARAMS, seal_threshold=64)
-    live = LiveTwinIndex.create(
-        tmp_path / "live", stream[:50], max_segments=2, background_compaction=False, **options
-    )
+    live = LiveTwinIndex.create(tmp_path / "live", stream[:50], max_segments=2, **options)
     for lo in range(50, 400, 35):
         live.append(stream[lo : lo + 35])
+    live.compact()
     assert live.seal_count >= 2 and live.compaction_count >= 1
     assert live.delta_windows > 0
     positions = (3, 150, live.window_count - 1)
     _assert_six_modes(live, oracle, positions, epsilon=1.5)
     live.close()
-    with LiveTwinIndex.recover(tmp_path / "live", background_compaction=False) as recovered:
+    with LiveTwinIndex.recover(tmp_path / "live") as recovered:
         assert recovered.delta_windows == live.delta_windows
         _assert_six_modes(recovered, oracle, positions, epsilon=1.5)
     # In memory and preloaded, too: the constructor seals in steps.
@@ -90,10 +89,7 @@ def _assert_same_tree(segment, expected) -> None:
 @pytest.mark.parametrize("normalization", REGIMES)
 def test_a_sealed_segment_is_the_bulk_load_of_its_span(normalization):
     stream = _walk(140, seed=8)
-    options = dict(
-        length=LENGTH, normalization=normalization, params=PARAMS,
-        max_segments=8, background_compaction=False,
-    )
+    options = dict(length=LENGTH, normalization=normalization, params=PARAMS, max_segments=8)
     live = LiveTwinIndex(stream, seal_threshold=40, **options)
     assert [(s.start, s.stop) for s in live.segments] == [(0, 40), (40, 80), (80, 120)]
     for segment in live.segments:
@@ -136,8 +132,7 @@ def test_a_never_sealing_plane_is_an_exact_scan(normalization):
 def test_exclusion_zones_straddling_the_sealed_frontier(normalization):
     stream = _steps(220, seed=17)
     live = LiveTwinIndex(
-        stream[:120], LENGTH, normalization=normalization, params=PARAMS,
-        seal_threshold=None, background_compaction=False,
+        stream[:120], LENGTH, normalization=normalization, params=PARAMS, seal_threshold=None
     )
     assert live.seal() is True
     frontier = live.segments[-1].stop

@@ -20,16 +20,10 @@ from repro.live import LiveTwinIndex
 PARAMS = TSIndexParams(min_children=4, max_children=10)
 
 
-def make_live(seed=0, n=400, length=32, **overrides):
-    options = dict(
-        params=PARAMS,
-        seal_threshold=64,
-        max_segments=2,
-        background_compaction=False,
-    )
-    options.update(overrides)
+def make_live(seed=0, n=400, length=32):
     return LiveTwinIndex(
-        synthetic.random_walk(n, seed=seed), length, **options
+        synthetic.random_walk(n, seed=seed), length,
+        params=PARAMS, seal_threshold=64, max_segments=2,
     )
 
 
@@ -187,7 +181,7 @@ class TestEngineServing:
         # internally consistent (positions sorted, distances <= eps).
         import threading
 
-        live = make_live(seed=12, background_compaction=True)
+        live = make_live(seed=12)
         stop = threading.Event()
         errors = []
 

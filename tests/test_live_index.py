@@ -31,12 +31,7 @@ from repro.live import (
 PARAMS = TSIndexParams(min_children=2, max_children=4)
 
 #: Small thresholds so every test exercises seals and compactions.
-SMALL = dict(
-    params=PARAMS,
-    seal_threshold=12,
-    max_segments=2,
-    background_compaction=False,
-)
+SMALL = dict(params=PARAMS, seal_threshold=12, max_segments=2)
 
 
 def reference(live: LiveTwinIndex) -> TSIndex:
@@ -150,6 +145,7 @@ class TestRandomizedEquivalence:
                 len(ref.search(probe, 0.5)) > 0
             )
         # The interleaving must have exercised the whole lifecycle.
+        live.compact()
         assert live.seal_count >= 1
         assert live.compaction_count >= 1
 
@@ -231,8 +227,7 @@ class TestRandomizedEquivalence:
 class TestSealAndCompaction:
     def test_force_seal(self):
         live = LiveTwinIndex(
-            np.arange(64.0), length=16, params=PARAMS,
-            seal_threshold=None, background_compaction=False,
+            np.arange(64.0), length=16, params=PARAMS, seal_threshold=None
         )
         assert live.segment_count == 0
         assert live.seal() is True
@@ -258,20 +253,22 @@ class TestSealAndCompaction:
         live = LiveTwinIndex(
             synthetic.random_walk(700, seed=4), length=16, **SMALL
         )
-        # inline compaction: the bound holds as soon as append returns
-        assert live.segment_count <= 2 + 1  # at most one pending seal over
-        live.compact()
+        live.compact()  # the seals scheduled it; this waits for it
         assert live.segment_count <= 2
+        assert live.compaction_count >= 1
+        ref = reference(live)
+        query = np.array(ref.source.window_block(77, 78)[0])
+        assert_results_equal(live.search(query, 0.6), ref.search(query, 0.6))
+        live.close()
 
     def test_background_compaction_converges(self):
         live = LiveTwinIndex(
-            length=16, params=PARAMS, seal_threshold=12, max_segments=2,
-            background_compaction=True,
+            length=16, params=PARAMS, seal_threshold=12, max_segments=2
         )
         rng = np.random.default_rng(5)
         for _ in range(40):
             live.append(rng.normal(size=11))
-        live.compact()
+        live.compact()  # the seals scheduled it; this waits for it
         assert live.segment_count <= 2
         assert live.compaction_count >= 1
         ref = reference(live)
@@ -280,6 +277,8 @@ class TestSealAndCompaction:
         live.close()
         with pytest.raises(InvalidParameterError, match="closed"):
             live.append([1.0])
+        with pytest.raises(InvalidParameterError, match="closed"):
+            live.seal()
 
     def test_merge_segments_requires_adjacency(self):
         live = LiveTwinIndex(

@@ -12,6 +12,11 @@ under one armed failpoint, and holds it to the plane's whole contract:
   on positions and distances — filter-and-refine answers do not depend
   on how the windows are partitioned, so that is a complete invariant.
 
+Compaction runs where production runs it, in the plane's ``Compactor``
+(failpoint, retries, backoff, crash accounting), only on the calling
+thread (:class:`conftest.CallingThreadCompactor`), so every step is
+deterministic; a compactor a fault killed counts as a kill of the step.
+
 Budgets come from the Hypothesis profile (``tests/conftest.py``): ``ci``
 by default, ``--hypothesis-profile soak`` for the long run.
 """
@@ -21,6 +26,7 @@ import shutil
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -30,10 +36,13 @@ from hypothesis.stateful import (
     rule,
 )
 
+import repro.live.index as live_index
 from repro.core.tsindex import TSIndex, TSIndexParams
 from repro.exceptions import SimulatedCrashError, StorageError
 from repro.faults import failpoints
 from repro.live import LiveTwinIndex
+
+from conftest import CallingThreadCompactor
 
 LENGTH = 6
 PARAMS = TSIndexParams(min_children=2, max_children=4)
@@ -57,18 +66,22 @@ TORN = {
     "manifest.commit": ({"payload": {"truncate_tmp_to": 5}},),
 }
 #: The fault table: every live-plane failpoint site, the rules whose
-#: code path reaches it (an append may seal, a seal may compact inline),
-#: and how many times one such step can hit it — a fault is armed for
-#: the 1st..nth hit (the 2nd ``segment.write`` of a seal is the inline
-#: compaction's archive, and so on).
+#: code path reaches it (an append may seal, every seal over
+#: ``MAX_SEGMENTS`` runs the compactor, and so does every compact), and
+#: how many times one such step commonly hits it — a fault is armed for
+#: the 1st..nth hit. An append that seals twice writes and commits
+#: seal, merge, seal, merge: four ``segment.write`` and four
+#: ``manifest.commit`` hits. Rarer reaches are left out rather than
+#: diluting the draw: a three-seal backlog (5-6 hits), a recovery whose
+#: journal replays a full threshold and seals.
 SITES = {
     "wal.append": (("append",), 1),
     "wal.fsync": (("append",), 1),
     "live.seal": (("append", "seal"), 2),
-    "segment.write": (("append", "seal", "compact"), 3),
-    "manifest.commit": (("append", "seal", "compact", "reopen"), 3),
+    "segment.write": (("append", "seal", "compact"), 4),
+    "manifest.commit": (("append", "seal", "compact", "reopen"), 4),
     "wal.rewrite": (("append", "seal", "reopen"), 2),
-    "compaction.merge": (("compact",), 1),
+    "compaction.merge": (("append", "seal", "compact"), 2),
     "segment.read": (("reopen",), 2),
     "segment.search": (("query",), 2),
 }
@@ -104,6 +117,10 @@ class LivePlaneMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         failpoints.reset()
+        # Set here, not by a fixture, so a pasted shrunk sequence runs
+        # the same compactor the test did.
+        self.seam = pytest.MonkeyPatch()
+        self.seam.setattr(live_index, "Compactor", CallingThreadCompactor)
         self.directory = tempfile.mkdtemp(prefix="repro-live-machine-")
         self.live = None
         self.acked = np.empty(0)
@@ -113,11 +130,12 @@ class LivePlaneMachine(RuleBasedStateMachine):
         failpoints.reset()
         if self.live is not None:
             self.live.close()
+        self.seam.undo()
         shutil.rmtree(self.directory, ignore_errors=True)
 
     # -- helpers -------------------------------------------------------
     def adopt(self, live):
-        # Retries of a failed background merge back off; keep them short.
+        # Retries of a failed merge back off; keep them short.
         live._compactor._backoff = 0.001
         self.live = live
 
@@ -129,9 +147,10 @@ class LivePlaneMachine(RuleBasedStateMachine):
         """Run ``operation`` with ``fault`` armed and say how it ended:
         ``"done"``; ``"refused"`` — a typed ``StorageError``, the one
         survivable way not to complete; or ``"killed"`` — a
-        ``SimulatedCrashError``, after which the plane is recovered and
-        must hold the durability contract for ``in_flight``. Anything
-        else fails the run."""
+        ``SimulatedCrashError``, raised or recorded by the compactor it
+        killed, after which the plane is recovered and must hold the
+        durability contract for ``in_flight``. Anything else fails the
+        run."""
         armed = contextlib.nullcontext()
         if fault is not None:
             site, config, on_hit = fault
@@ -139,12 +158,14 @@ class LivePlaneMachine(RuleBasedStateMachine):
         try:
             with armed:
                 operation()
+            if self.live._compactor.crashed:
+                raise SimulatedCrashError("the compactor was killed")
             return "done"
         except StorageError:
             return "refused"
         except SimulatedCrashError:
             self.live.abandon()
-            self.adopt(LiveTwinIndex.recover(self.directory, background_compaction=False))
+            self.adopt(LiveTwinIndex.recover(self.directory))
             survived = np.asarray(self.live.values)
             stream = np.concatenate([self.acked, in_flight])
             assert survived.size >= self.acked.size, "acked readings lost"
@@ -171,7 +192,6 @@ class LivePlaneMachine(RuleBasedStateMachine):
                 params=PARAMS,
                 seal_threshold=SEAL_THRESHOLD,
                 max_segments=MAX_SEGMENTS,
-                background_compaction=False,
             )
         )
         self.ack(self.live.values)
@@ -192,35 +212,20 @@ class LivePlaneMachine(RuleBasedStateMachine):
 
     @rule(fault=faults("compact"))
     def compact(self, fault):
-        def through_the_thread():
-            # The merge failpoint sits in the background driver, which an
-            # inline plane still owns; run it and wait, so the step stays
-            # deterministic.
-            compactor = self.live._compactor
-            compactor.schedule()
-            compactor.wait(timeout=30.0)
-            if compactor.crashed:
-                raise SimulatedCrashError("the compaction thread was killed")
-
-        threaded = fault is not None and fault[0] == "compaction.merge"
-        operation = through_the_thread if threaded else self.live.compact
-        if self.under(fault, operation) == "refused":
-            self.append_must_succeed(np.array([-1.0]))
+        # A merge fault is retried or recorded by the compactor, never
+        # raised to the caller.
+        assert self.under(fault, self.live.compact) != "refused"
 
     @rule(how=st.sampled_from(["close", "abandon"]), fault=faults("reopen"))
     def reopen(self, how, fault):
         getattr(self.live, how)()
-        reopened = None
-        if fault is not None:
-            site, config, on_hit = fault
-            with failpoints.armed(site, on_hit=on_hit, **config):
-                try:
-                    reopened = LiveTwinIndex.recover(self.directory, background_compaction=False)
-                except (StorageError, SimulatedCrashError):
-                    pass  # a recovery that dies must leave a recoverable directory
-        if reopened is None:
-            reopened = LiveTwinIndex.recover(self.directory, background_compaction=False)
-        self.adopt(reopened)
+
+        def recover():
+            self.adopt(LiveTwinIndex.recover(self.directory))
+
+        # A recovery that dies must leave a recoverable directory.
+        if self.under(fault, recover) == "refused":
+            recover()
 
     @rule(
         position=st.integers(0, 10_000),

@@ -9,6 +9,7 @@ serving silently wrong answers.
 """
 
 import errno
+import hashlib
 import json
 import os
 
@@ -32,12 +33,9 @@ from repro.live.wal import (
 )
 
 PARAMS = TSIndexParams(min_children=2, max_children=4)
-SMALL = dict(
-    params=PARAMS,
-    seal_threshold=12,
-    max_segments=2,
-    background_compaction=False,
-)
+SMALL = dict(params=PARAMS, seal_threshold=12, max_segments=2)
+
+pytestmark = pytest.mark.usefixtures("compaction_on_calling_thread")
 
 
 def make_durable(path, *, seed=0, normalization="none", appends=12):
@@ -186,9 +184,7 @@ class TestRecovery:
         before = live.search(query, 0.9)
         live.close()
 
-        recovered = LiveTwinIndex.recover(
-            tmp_path / "live", background_compaction=False
-        )
+        recovered = LiveTwinIndex.recover(tmp_path / "live")
         after = recovered.search(query, 0.9)
         assert np.array_equal(before.positions, after.positions)
         assert np.array_equal(before.distances, after.distances)
@@ -208,7 +204,6 @@ class TestRecovery:
             params=PARAMS,
             seal_threshold=500,  # the torn append must not seal
             max_segments=2,
-            background_compaction=False,
         )
         live.append(rng.normal(size=20))
         durable_readings = live.series_length
@@ -218,7 +213,7 @@ class TestRecovery:
         with open(wal, "r+b") as handle:
             handle.truncate(os.path.getsize(wal) - 11)
 
-        recovered = LiveTwinIndex.recover(path, background_compaction=False)
+        recovered = LiveTwinIndex.recover(path)
         assert recovered.series_length == durable_readings
         assert_matches_reference(recovered)
         recovered.close()
@@ -236,7 +231,7 @@ class TestRecovery:
         # reading is lost, sealed ones must remain.
         with open(wal, "r+b") as handle:
             handle.truncate(14)
-        recovered = LiveTwinIndex.recover(path, background_compaction=False)
+        recovered = LiveTwinIndex.recover(path)
         assert recovered.series_length == frontier + recovered.length - 1
         assert_matches_reference(recovered)
         recovered.close()
@@ -291,15 +286,38 @@ class TestRecovery:
         with pytest.raises(InvalidParameterError, match="already holds"):
             LiveTwinIndex.create(path, length=16)
 
+    def test_a_closed_plane_refuses_to_seal(self, tmp_path):
+        # The directory is the recovered plane's now: a seal through the
+        # stale handle would commit a manifest and rewrite the journal
+        # the recovered plane appends to, losing what it acked.
+        path = tmp_path / "live"
+
+        def digests():
+            return {
+                str(file.relative_to(path)): hashlib.sha256(file.read_bytes()).hexdigest()
+                for file in path.rglob("*")
+                if file.is_file()
+            }
+
+        stale = LiveTwinIndex.create(path, np.arange(40.0), length=16)
+        stale.close()
+        live = LiveTwinIndex.recover(path)
+        before = digests()
+        with pytest.raises(InvalidParameterError, match="closed"):
+            stale.seal()
+        assert digests() == before
+        live.append(np.arange(40.0, 45.0))
+        live.close()
+        with LiveTwinIndex.recover(path) as recovered:
+            assert np.array_equal(recovered.values, np.arange(45.0))
+
     def test_recover_is_repeatable(self, tmp_path):
         path = tmp_path / "live"
         live, _ = make_durable(path, seed=9)
         readings = live.series_length
         live.close()
         for _ in range(3):
-            recovered = LiveTwinIndex.recover(
-                path, background_compaction=False
-            )
+            recovered = LiveTwinIndex.recover(path)
             assert recovered.series_length == readings
             recovered.close()
 
@@ -348,7 +366,7 @@ class TestRecovery:
         (orphan / "series.npy").write_bytes(b"leftover from a crashed seal")
         legacy_orphan = path / "seg-999999999100-999999999200.npz"
         legacy_orphan.write_bytes(b"leftover from a crashed seal")
-        recovered = LiveTwinIndex.recover(path, background_compaction=False)
+        recovered = LiveTwinIndex.recover(path)
         assert not orphan.exists() and not legacy_orphan.exists()
         files = {name for name in os.listdir(path) if name.startswith("seg-")}
         assert files == {s.file for s in recovered.segments}
@@ -396,7 +414,7 @@ class TestRecovery:
         # tmp write: a disk-full rename left it closed, and every later
         # append failed with "WAL ... is closed" until a restart.
         path = tmp_path / "live"
-        live = LiveTwinIndex.create(path, length=16, background_compaction=False)
+        live = LiveTwinIndex.create(path, length=16)
         live.append(np.arange(40.0))
         real_replace = os.replace
 
@@ -421,7 +439,7 @@ class TestRecovery:
                 live.seal()
         live.append([42.0])
         live.close()
-        recovered = LiveTwinIndex.recover(path, background_compaction=False)
+        recovered = LiveTwinIndex.recover(path)
         assert np.array_equal(recovered.values, np.arange(43.0))
         assert_matches_reference(recovered)
         recovered.close()
@@ -432,7 +450,7 @@ class TestRecovery:
         assert live.compaction_count >= 1
         segment_spans = [(s.start, s.stop) for s in live.segments]
         live.close()
-        recovered = LiveTwinIndex.recover(path, background_compaction=False)
+        recovered = LiveTwinIndex.recover(path)
         assert [(s.start, s.stop) for s in recovered.segments] == segment_spans
         # stale pre-compaction archives were unlinked
         files = {name for name in os.listdir(path) if name.startswith("seg-")}

@@ -1,11 +1,11 @@
-"""Registry snapshots and deltas: structure, subtraction semantics, and
-per-sample consistency under concurrent mutation."""
+"""Histogram snapshots: per-sample consistency under concurrent mutation
+(the exporters read every histogram through ``Histogram.snapshot()``)."""
 
 import threading
 
 import pytest
 
-from repro.obs import MetricsRegistry, NULL_REGISTRY, snapshot_delta
+from repro.obs import MetricsRegistry
 
 
 @pytest.fixture
@@ -13,84 +13,11 @@ def registry():
     return MetricsRegistry("snaptest")
 
 
-class TestSnapshotStructure:
-    def test_counter_and_gauge_values(self, registry):
-        registry.counter("jobs_total", "Jobs.").inc(3)
-        registry.gauge("depth", "Depth.").set(7.5)
-        snap = registry.snapshot()
-        assert snap["jobs_total"]["kind"] == "counter"
-        assert snap["jobs_total"]["samples"][""] == 3.0
-        assert snap["depth"]["samples"][""] == 7.5
-
-    def test_labelled_samples_keyed_by_label_values(self, registry):
-        counter = registry.counter("ops_total", "Ops.", labels=("mode",))
-        counter.labels(mode="search").inc(2)
-        counter.labels(mode="knn").inc()
-        samples = registry.snapshot()["ops_total"]["samples"]
-        assert samples == {"search": 2.0, "knn": 1.0}
-
-    def test_histogram_sample_shape(self, registry):
-        histogram = registry.histogram("lat_seconds", "Latency.")
-        histogram.observe(0.003)
-        histogram.observe(0.004)
-        entry = registry.snapshot()["lat_seconds"]
-        sample = entry["samples"][""]
-        assert sample["count"] == 2
-        assert sample["sum"] == pytest.approx(0.007)
-        assert len(sample["buckets"]) == len(entry["le"]) + 1
-        assert sum(sample["buckets"]) == 2
-
-    def test_null_registry_snapshot_is_empty(self):
-        assert NULL_REGISTRY.snapshot() == {}
-
-
-class TestSnapshotDelta:
-    def test_counters_subtract(self, registry):
-        counter = registry.counter("jobs_total", "Jobs.")
-        counter.inc(5)
-        before = registry.snapshot()
-        counter.inc(2)
-        delta = snapshot_delta(before, registry.snapshot())
-        assert delta["jobs_total"]["samples"][""] == 2.0
-
-    def test_metric_registered_mid_interval_counts_from_zero(self, registry):
-        before = registry.snapshot()
-        registry.counter("late_total", "Late.").inc(4)
-        delta = snapshot_delta(before, registry.snapshot())
-        assert delta["late_total"]["samples"][""] == 4.0
-
-    def test_gauges_pass_through_after_value(self, registry):
-        gauge = registry.gauge("depth", "Depth.")
-        gauge.set(10)
-        before = registry.snapshot()
-        gauge.set(3)
-        delta = snapshot_delta(before, registry.snapshot())
-        assert delta["depth"]["samples"][""] == 3.0
-
-    def test_histograms_subtract_bucketwise(self, registry):
-        histogram = registry.histogram("lat_seconds", "Latency.")
-        histogram.observe(0.003)
-        before = registry.snapshot()
-        histogram.observe(0.003)
-        histogram.observe(0.3)
-        delta = snapshot_delta(before, registry.snapshot())
-        sample = delta["lat_seconds"]["samples"][""]
-        assert sample["count"] == 2
-        assert sample["sum"] == pytest.approx(0.303)
-        assert sum(sample["buckets"]) == 2
-
-    def test_metric_absent_from_after_is_dropped(self, registry):
-        registry.counter("jobs_total", "Jobs.").inc()
-        before = registry.snapshot()
-        delta = snapshot_delta(before, {})
-        assert delta == {}
-
-
 class TestConcurrentConsistency:
-    """Each snapshotted histogram sample must be internally consistent
-    (count == sum of buckets, sum == count * observed value) even while
-    writer threads are mid-flight, and counters must be monotonic
-    across successive snapshots."""
+    """Each histogram snapshot must be internally consistent (count ==
+    sum of buckets, sum == count * observed value) even while writer
+    threads are mid-flight, and counters must be monotonic across
+    successive reads."""
 
     OBSERVED = 0.004
     WRITERS = 4
@@ -116,19 +43,15 @@ class TestConcurrentConsistency:
 
         previous_count = 0.0
         for _ in range(200):
-            snap = registry.snapshot()
-            sample = snap["lat_seconds"]["samples"][""]
-            assert sample["count"] == sum(sample["buckets"])
-            assert sample["sum"] == pytest.approx(
-                sample["count"] * self.OBSERVED
-            )
-            count = snap["jobs_total"]["samples"][""]
-            assert count >= previous_count
-            previous_count = count
+            buckets, total, count = histogram.snapshot()
+            assert count == sum(buckets)
+            assert total == pytest.approx(count * self.OBSERVED)
+            jobs = counter.value
+            assert jobs >= previous_count
+            previous_count = jobs
 
         for thread in threads:
             thread.join()
-        final = registry.snapshot()
         expected = self.WRITERS * self.INCREMENTS
-        assert final["jobs_total"]["samples"][""] == expected
-        assert final["lat_seconds"]["samples"][""]["count"] == expected
+        assert counter.value == expected
+        assert histogram.snapshot()[2] == expected

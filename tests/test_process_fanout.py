@@ -128,9 +128,7 @@ def live_durable(tmp_path_factory, series_values, request, legacy_live_copy):
     compressed files that workers open by path just the same."""
     root = tmp_path_factory.mktemp("live")
     if request.param == "npz":
-        plane = LiveTwinIndex.recover(
-            legacy_live_copy(root / "plane-npz"), background_compaction=False
-        )
+        plane = LiveTwinIndex.recover(legacy_live_copy(root / "plane-npz"))
         assert all(segment.file.endswith(".npz") for segment in plane.segments)
     else:
         plane = LiveTwinIndex.create(
@@ -140,7 +138,6 @@ def live_durable(tmp_path_factory, series_values, request, legacy_live_copy):
             normalization="none",
             seal_threshold=400,
             max_segments=64,
-            background_compaction=False,
         )
         plane.append(series_values[2000:])
     assert plane.segment_count >= 4 and plane.delta_windows > 0

@@ -213,7 +213,6 @@ class TestSearchEquivalenceProperty:
             params=TSIndexParams(min_children=2, max_children=4),
             seal_threshold=16,
             max_segments=2,
-            background_compaction=False,
         )
         position = rnd.randrange(source.count)
         query = np.array(source.window_block(position, position + 1)[0])

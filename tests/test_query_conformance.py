@@ -43,7 +43,7 @@ ALL_PLANES = ("sweepline", "kvindex", "isax", "tsindex", "frozen",
 #: Extra build options per plane (keep the suite light and thread-free).
 BUILD_OPTIONS = {
     "sharded": {"shards": 3},
-    "live": {"seal_threshold": 128, "background_compaction": False},
+    "live": {"seal_threshold": 128},
 }
 
 

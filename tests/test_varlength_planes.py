@@ -42,7 +42,7 @@ NATIVE_VARLENGTH = ("tsindex", "frozen", "sharded", "live")
 
 BUILD_OPTIONS = {
     "sharded": {"shards": 3},
-    "live": {"seal_threshold": 96, "background_compaction": False},
+    "live": {"seal_threshold": 96},
 }
 
 
@@ -230,8 +230,7 @@ class TestChunkBoundaryCoverage:
     @pytest.mark.parametrize("m", QUERY_LENGTHS[:-1])
     def test_every_segment_boundary_position_served(self, m):
         plane = create_method(
-            "live", SERIES, LENGTH, normalization="none",
-            seal_threshold=96, background_compaction=False,
+            "live", SERIES, LENGTH, normalization="none", seal_threshold=96
         )
         try:
             starts = [segment.start for segment in plane.segments]
@@ -446,10 +445,7 @@ class TestEngineCacheIsolation:
     def test_live_append_invalidates_varlength_results(self):
         from repro.live import LiveTwinIndex
 
-        live = LiveTwinIndex(
-            SERIES[:300], LENGTH, seal_threshold=96,
-            background_compaction=False,
-        )
+        live = LiveTwinIndex(SERIES[:300], LENGTH, seal_threshold=96)
         try:
             with QueryEngine(cache_capacity=32) as serving:
                 serving.add_live("live", live)
