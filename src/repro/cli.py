@@ -694,7 +694,7 @@ def _run_engine(argv) -> int:
         build = engine.build_stats
         print(
             f"built {engine!r} in {build.seconds:.2f}s "
-            f"(shards in sequence; {build.nodes} nodes, {build.splits} splits)"
+            f"(shards in sequence; {build.nodes} nodes, height {build.height})"
         )
         print(f"saved to {args.output}")
         return 0

@@ -17,7 +17,8 @@ Three orderings are offered:
 * ``paa`` — lexicographic on a coarse PAA word (Coconut-style sortable
   summaries).
 
-Every live segment (:mod:`repro.live.segments`) is this module's
+Every live segment (:mod:`repro.live.segments`) and every shard of a
+:class:`~repro.engine.sharding.ShardedTSIndex` is this module's
 product; twinbench's ``core.bulkload.build_s`` / ``windows_per_s`` and
 ``core.frozen.freeze_ms`` measure the load and the freeze after it.
 """

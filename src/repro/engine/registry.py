@@ -85,9 +85,9 @@ class IndexRegistry:
         """Build a query plane and register it under ``name``.
 
         The default ``method="sharded"`` builds a fan-out
-        :class:`ShardedTSIndex` (shards frozen into flat read-optimized
-        arrays); any other registered plane name — paper method or
-        extended plane — builds through
+        :class:`ShardedTSIndex` (shards bulk-loaded and frozen into flat
+        read-optimized arrays); any other registered plane name — paper
+        method or extended plane — builds through
         :func:`~repro.indices.base.create_method` with
         ``method_options`` forwarded. The sharded-only ``shards`` is
         rejected for other methods rather than silently ignored.

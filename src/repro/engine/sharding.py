@@ -1,8 +1,8 @@
 """Sharded TS-Index: partitioned build and fan-out query execution.
 
 A :class:`ShardedTSIndex` splits the position range of a series into
-contiguous spans, builds one :class:`~repro.core.tsindex.TSIndex` per
-span and answers queries by fanning out across the shards and merging
+contiguous spans, bulk-loads one TS-Index per span and answers
+queries by fanning out across the shards and merging
 (the loop itself is :class:`repro.query.parts.PartSet`, shared with the
 live plane; this class contributes validation and the parts).
 Consecutive shards cover value chunks that overlap by ``length - 1``
@@ -14,12 +14,10 @@ monolithic window — making sharded results *exactly* equal to the
 monolithic ones, not merely approximately (enforced by the equivalence
 property tests).
 
-Shards build one after another in the calling thread: insertion is
-pure-Python bookkeeping around NumPy calls on at most ``Mc × l``
-elements, each of which drops and retakes the GIL, so build threads
-only hand the lock back and forth (measured 2.8× *slower* on 2 cores;
-see README "The serving engine"). Queries run the per-shard work
-in the calling thread too, unless the caller passes a pool (see the
+Shards build one after another in the calling thread; a bulk load
+packs a few hundred nodes per shard in milliseconds, so there is
+nothing for a build pool to overlap. Queries run the per-shard work in
+the calling thread too, unless the caller passes a pool (see the
 ``executor`` arguments) — worth it for a deadline (``timeout=``) or a
 process pool, not for thread parallelism.
 
@@ -43,10 +41,11 @@ from .._util import (
     check_positive_int,
 )
 from ..core.batch import BatchResult
+from ..core.bulkload import bulk_load_source
 from ..core.frozen import FrozenTSIndex
 from ..core.normalization import Normalization
 from ..core.stats import BuildStats, SearchResult
-from ..core.tsindex import TSIndex, TSIndexParams
+from ..core.tsindex import TSIndexParams
 from ..core.windows import WindowSource
 from ..exceptions import InvalidParameterError
 from ..indices.base import SubsequenceIndex
@@ -190,9 +189,9 @@ class ShardedTSIndex(SubsequenceIndex):
     ) -> "ShardedTSIndex":
         """Build shard trees over all ``length``-windows of ``series``.
 
-        ``shards`` defaults to :func:`default_shard_count`; shard trees
-        build one after another in the calling thread (see
-        :meth:`from_source`), and each is frozen into a flat
+        ``shards`` defaults to :func:`default_shard_count`; each shard
+        tree is bulk-loaded in the calling thread (see
+        :meth:`from_source`) and frozen into a flat
         :class:`~repro.core.frozen.FrozenTSIndex` as soon as it is
         built.
         """
@@ -209,19 +208,19 @@ class ShardedTSIndex(SubsequenceIndex):
     ) -> "ShardedTSIndex":
         """Build from a prepared monolithic window source.
 
-        Shards build in sequence in the caller: sequential insertion
-        holds the GIL between NumPy calls too small to release it for
-        long, so no thread count ever beat one (12.2–16.8 s threaded
-        against 5.7–6.6 s here for 60 000 windows in 2 shards on 2
-        cores). Freezing each shard as it finishes also keeps one
-        pointer tree alive at a time.
+        Each shard is bulk-loaded (windows packed into leaves in
+        position order, levels stacked bottom-up), not built by the
+        paper's insertion: the answers are the same, the packed leaves
+        admit fewer candidates, and the build takes milliseconds, not
+        seconds. Shards build in sequence in the caller; freezing each
+        as it finishes keeps one pointer tree alive at a time.
         """
         if shards is None:
             shards = default_shard_count(source.count)
         spans = shard_spans(source.count, shards)
         params = params or TSIndexParams()
         trees = [
-            TSIndex.from_source(source.shard(start, stop), params=params).freeze()
+            bulk_load_source(source.shard(start, stop), params=params).freeze()
             for start, stop in spans
         ]
         return cls(source, [start for start, _ in spans], trees, params)
@@ -342,7 +341,6 @@ class ShardedTSIndex(SubsequenceIndex):
                     "windows": tree.size,
                     "height": tree.height,
                     "nodes": tree.node_count,
-                    "splits": tree.build_stats.splits,
                     "build_seconds": round(tree.build_stats.seconds, 4),
                 }
             )

@@ -12,6 +12,7 @@ import concurrent.futures
 import numpy as np
 import pytest
 
+from repro.core.bulkload import bulk_load_source
 from repro.core.normalization import Normalization
 from repro.core.tsindex import TSIndex, TSIndexParams
 from repro.core.windows import WindowSource
@@ -19,8 +20,17 @@ from repro.data import synthetic
 from repro.engine import ShardedTSIndex, default_shard_count, shard_spans
 from repro.exceptions import InvalidParameterError
 
-#: Small capacities force deep trees and many shard-internal splits.
+#: Small capacities force deep trees: many leaves per bulk-loaded shard,
+#: and many splits in the monolithic insertion build compared against.
 PARAMS = TSIndexParams(min_children=4, max_children=10)
+
+#: Capacities for the tiny-shard edges: a two-level minimum, the suite's
+#: own, and the defaults (where every tiny shard is one underfull leaf).
+TINY_PARAMS = [
+    TSIndexParams(min_children=2, max_children=4),
+    PARAMS,
+    TSIndexParams(),
+]
 
 REGIMES = [Normalization.NONE, Normalization.GLOBAL, Normalization.PER_WINDOW]
 
@@ -240,6 +250,127 @@ class TestBatchEquivalence:
             parallel = sharded.search_batch(queries, 0.3, executor=pool)
         for a, b in zip(serial, parallel):
             assert np.array_equal(a.positions, b.positions)
+
+
+class TestShardShape:
+    """Every shard is the bulk load of its span, packed in position
+    order: no split ever runs while a sharded index builds."""
+
+    @pytest.mark.parametrize("regime", REGIMES, ids=[r.value for r in REGIMES])
+    def test_each_shard_is_the_bulk_load_of_its_span(self, regime):
+        sharded = ShardedTSIndex.build(
+            _series(19), 40, normalization=regime, shards=3, params=PARAMS
+        )
+        for (start, stop), tree in zip(sharded.spans, sharded.shards):
+            packed = bulk_load_source(
+                sharded.source.shard(start, stop), params=PARAMS
+            ).freeze()
+            expected, actual = packed.arrays(), tree.arrays()
+            assert actual.keys() == expected.keys()
+            for field, array in expected.items():
+                assert np.array_equal(actual[field], array)
+            assert tree.build_stats.splits == 0
+        assert sharded.build_stats.splits == 0
+
+    def test_shard_stats_rows_carry_no_splits(self):
+        sharded = ShardedTSIndex.build(
+            _series(19), 40, normalization="none", shards=2, params=PARAMS
+        )
+        for row, tree in zip(sharded.shard_stats(), sharded.shards):
+            assert "splits" not in row
+            assert (row["nodes"], row["height"]) == (tree.node_count, tree.height)
+
+
+def _tiny_series(windows: int, length: int) -> np.ndarray:
+    """A random walk holding exactly ``windows`` ``length``-windows."""
+    rng = np.random.default_rng(windows)
+    return np.cumsum(rng.normal(size=windows + length - 1))
+
+
+def _assert_same_answer(expected, actual):
+    assert np.array_equal(expected.positions, actual.positions)
+    assert np.array_equal(expected.distances, actual.distances)
+
+
+class TestTinyShards:
+    """Shards of a handful of windows — one window each, or fewer than
+    ``min_children`` (a bulk load then packs a single underfull leaf) —
+    answer every mode exactly as the monolithic insertion build does."""
+
+    LENGTH = 8
+
+    each_params = pytest.mark.parametrize(
+        "params", TINY_PARAMS, ids=lambda p: f"{p.min_children}-{p.max_children}"
+    )
+
+    @each_params
+    @pytest.mark.parametrize(
+        ("windows", "shards"),
+        [
+            (1, 1),
+            (2, 1),
+            (2, 2),  # one window per shard
+            (3, 3),
+            (5, 2),  # shards of 3 and 2: below min_children for 4/10
+            (5, 5),
+            (9, 2),
+            (9, 3),  # shards of 3: below min_children for 4/10 and 10/30
+            (9, 9),
+        ],
+    )
+    def test_every_mode_matches_monolithic(self, params, windows, shards):
+        length = self.LENGTH
+        series = _tiny_series(windows, length)
+        mono = TSIndex.build(series, length, normalization="none", params=params)
+        sharded = ShardedTSIndex.build(
+            series, length, normalization="none", shards=shards, params=params
+        )
+        assert sharded.size == mono.size == windows
+        assert sharded.shard_count == shards
+        noise = np.random.default_rng(windows + 100).normal(size=length)
+        queries = [mono.source.window(p) for p in range(windows)] + [noise]
+        for query in queries:
+            for epsilon in (0.0, 0.5, 2.0):
+                expected = mono.search(query, epsilon)
+                _assert_same_answer(expected, sharded.search(query, epsilon))
+                assert sharded.count(query, epsilon) == len(expected)
+                assert sharded.exists(query, epsilon) == mono.exists(
+                    query, epsilon
+                )
+                _assert_same_answer(
+                    mono.search(query[:5], epsilon),
+                    sharded.search(query[:5], epsilon),
+                )
+            for k in (1, 3, windows + 2):
+                _assert_same_answer(mono.knn(query, k), sharded.knn(query, k))
+
+    @each_params
+    def test_one_to_forty_windows(self, params):
+        """Every window count from 1 to 40, at 1, 2 and one-per-window
+        shards: ``search`` / ``knn`` / ``exists`` equal the monolithic
+        index's, ε = 0 included."""
+        length = self.LENGTH
+        for windows in range(1, 41):
+            series = _tiny_series(windows, length)
+            mono = TSIndex.build(
+                series, length, normalization="none", params=params
+            )
+            for shards in sorted({1, min(2, windows), windows}):
+                sharded = ShardedTSIndex.build(
+                    series, length, normalization="none", shards=shards,
+                    params=params,
+                )
+                for position in range(0, windows, 3):
+                    query = mono.source.window(position)
+                    for epsilon in (0.0, 0.5):
+                        expected = mono.search(query, epsilon)
+                        _assert_same_answer(
+                            expected, sharded.search(query, epsilon)
+                        )
+                        assert sharded.exists(query, epsilon) == mono.exists(
+                            query, epsilon
+                        )
+                    _assert_same_answer(mono.knn(query, 3), sharded.knn(query, 3))
 
 
 class TestMetadata:
