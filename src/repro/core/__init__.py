@@ -36,7 +36,6 @@ from .tsindex import TSIndex, TSIndexParams
 from .verification import (
     VERIFICATION_MODES,
     verify,
-    verify_intervals,
     verify_positions,
     verify_positions_per_candidate,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "rolling_std",
     "sequence_mbts_distance",
     "verify",
-    "verify_intervals",
     "verify_positions",
     "verify_positions_per_candidate",
     "znormalize",

@@ -134,10 +134,10 @@ class CollectionIndex:
     def knn(self, query: npt.ArrayLike, k: int) -> list[CollectionMatch]:
         """The ``k`` nearest windows across the whole collection.
 
-        Every member answers — natively (TS-Index) or through the
-        query planner's exact-scan synthesis (sweepline, KV-Index,
-        iSAX); per-series top-k lists are merged and re-ranked
-        globally.
+        Every member answers — natively (TS-Index, the sweepline's
+        scan) or through the query planner's exact-scan synthesis
+        (KV-Index, iSAX); per-series top-k lists are merged and
+        re-ranked globally.
         """
         k = check_positive_int(k, name="k")
         candidates: list[CollectionMatch] = []

@@ -2,7 +2,7 @@
 
 Every index produces *candidate* window positions; verification computes
 the exact Chebyshev distance of each candidate to the query and keeps the
-twins. Three interchangeable strategies are provided:
+twins. Two interchangeable strategies are provided:
 
 * :func:`verify_positions` — *streaming reordering early abandoning*,
   the vectorized form of the UCR-suite check the paper adopts.
@@ -12,17 +12,17 @@ twins. Three interchangeable strategies are provided:
   compacts the still-alive candidates, so the window matrix of the
   candidates it rejects is never built. At :data:`GATHER_BELOW`
   survivors the outstanding timestamps are finished in one small gather.
+  Every candidate set goes through it: a tree's leaves, KV-Index's
+  interval runs (expanded to positions) and the sweepline's every
+  position alike.
 * :func:`verify_positions_per_candidate` — one check per candidate, the
   paper's cost model.
-* :func:`verify_intervals` — verifies contiguous position runs directly
-  against zero-copy window blocks (used by KV-Index, whose inverted lists
-  store intervals).
 
-The position verifiers take the window length from the query: a query of
-``m < l`` points is compared with the ``m``-window at each position, and
-positions may then run into the series tail, up to ``|T| - m``.
+Both take the window length from the query: a query of ``m < l`` points
+is compared with the ``m``-window at each position, and positions may
+then run into the series tail, up to ``|T| - m``.
 
-All strategies return identical results; tests enforce this.
+Both strategies return identical results; tests enforce this.
 """
 
 from __future__ import annotations
@@ -40,10 +40,6 @@ from ..exceptions import InvalidParameterError
 from .distance import reorder_by_magnitude
 from .stats import QueryStats, SearchResult
 from .windows import WindowSource
-
-#: Window rows per ``(chunk, l)`` block of :func:`verify_intervals`.
-#: Bounds peak memory at roughly ``chunk * l * 8`` bytes per temporary.
-DEFAULT_CHUNK = 4096
 
 #: Candidates per pass of :func:`verify_positions`, whose temporaries
 #: are 1-D (``chunk * 8`` bytes each).
@@ -177,45 +173,6 @@ def _stream(
                 means = means[keep]
                 stds = stds[keep]
     return alive, running
-
-
-def verify_intervals(
-    source: WindowSource,
-    query: np.ndarray,
-    intervals: npt.ArrayLike,
-    epsilon: float,
-    *,
-    stats: QueryStats | None = None,
-    chunk_size: int = DEFAULT_CHUNK,
-) -> SearchResult:
-    """Verify half-open position runs ``[(start, stop), ...]``.
-
-    Runs must be disjoint and sorted; window blocks are zero-copy views
-    under the NONE/GLOBAL regimes, which makes this the cheapest path for
-    interval-shaped candidate sets (KV-Index, sweepline).
-    """
-    epsilon = check_non_negative(epsilon, name="epsilon")
-    stats = stats if stats is not None else QueryStats()
-
-    matched_positions: list[np.ndarray] = []
-    matched_distances: list[np.ndarray] = []
-    for start, stop in intervals:
-        run = stop - start
-        stats.candidates += run
-        stats.verified += run
-        for offset, offset_stop in iter_chunks(run, chunk_size):
-            lo = start + offset
-            hi = start + offset_stop
-            block = source.window_block(lo, hi)
-            profile = np.max(np.abs(block - query), axis=1)
-            keep = profile <= epsilon
-            if np.any(keep):
-                matched_positions.append(
-                    np.arange(lo, hi, dtype=POSITION_DTYPE)[keep]
-                )
-                matched_distances.append(profile[keep])
-
-    return _collect(matched_positions, matched_distances, stats)
 
 
 def verify_positions_per_candidate(

@@ -39,6 +39,7 @@ from .._util import (
     available_cpu_count,
     check_non_negative,
     check_positive_int,
+    is_process_executor,
 )
 from ..core.batch import BatchResult
 from ..core.bulkload import bulk_load_source
@@ -46,10 +47,10 @@ from ..core.frozen import FrozenTSIndex
 from ..core.normalization import Normalization
 from ..core.stats import BuildStats, SearchResult
 from ..core.tsindex import TSIndexParams
-from ..core.windows import WindowSource
+from ..core.windows import WindowSource, assemble_source
 from ..exceptions import InvalidParameterError
 from ..indices.base import SubsequenceIndex
-from ..obs.trace import current_trace
+from ..indices.sweepline import SweeplineSearch
 from ..query.capabilities import (
     CAP_BATCHED_KERNEL,
     CAP_COUNT,
@@ -66,7 +67,7 @@ from ..query.merge import batch_result, merge_offset_search
 from ..query.parts import Part, PartSet
 from ..query.registration import register_plane
 from ..query.spec import normalize_exclude, prepare_values
-from ..query.varlength import is_prefix_query, tail_positions, verify_prefix
+from ..query.varlength import is_prefix_query
 
 #: A shard smaller than this many windows is pointless overhead; the
 #: automatic shard count keeps every shard at least this large.
@@ -254,21 +255,34 @@ class ShardedTSIndex(SubsequenceIndex):
         in-memory engine). The archive must hold exactly this index."""
         self._archive_path = os.fspath(path)
 
-    def _parts(self) -> PartSet:
+    def _parts(self, executor: Any = None, prefix: int | None = None) -> PartSet:
         """The shards as the shared fan-out plane sees them: labelled by
         shard number, reopened by workers as the archive's ``i``-th
         shard. Built per call (a tuple per shard), so it always shows
-        the current :meth:`attach_archive` path."""
+        the current :meth:`attach_archive` path — which a process pool
+        needs. A ``prefix`` query length adds the series tail (the
+        ``l - m`` starts past the last indexed window) as one more
+        part, labelled ``"tail"``: a sweepline over its ``m``-windows,
+        with no archive (a process pool leaves it to this thread)."""
         path = self._archive_path
-        return PartSet(
-            [
-                Part(start, tree, shard, None if path is None else (path, shard))
-                for shard, (start, tree) in enumerate(
-                    zip(self._starts, self._shards)
-                )
-            ],
-            "shard",
-        )
+        if path is None and is_process_executor(executor):
+            raise InvalidParameterError(
+                "process fan-out needs an on-disk archive to reopen in "
+                "each worker; save this engine with save_index() and "
+                "reopen it with load_index(), or "
+                "serve it through QueryEngine(executor='process') "
+                "(which spools unarchived engines automatically)"
+            )
+        parts = [
+            Part(start, tree, shard, None if path is None else (path, shard))
+            for shard, (start, tree) in enumerate(zip(self._starts, self._shards))
+        ]
+        if prefix is not None:
+            tail = assemble_source(
+                self._source.values[self.size :], prefix, Normalization.NONE
+            )
+            parts.append(Part(self.size, SweeplineSearch.from_source(tail), "tail", None))
+        return PartSet(parts, "shard")
 
     # ------------------------------------------------------------------
     # Metadata
@@ -381,7 +395,7 @@ class ShardedTSIndex(SubsequenceIndex):
             )
         epsilon = check_non_negative(epsilon, name="epsilon")
         query = prepare_values(self._source, query)
-        return self._parts().search(
+        return self._parts(executor).search(
             query,
             epsilon,
             verification=verification,
@@ -405,9 +419,10 @@ class ShardedTSIndex(SubsequenceIndex):
         (chunks overlap by ``l - 1 >= m - 1`` values, so every
         ``m``-window of a shard's *window span* lies inside its chunk);
         the series tail — the ``l - m`` starts past the last indexed
-        window — is covered by one direct scan. Shard window spans
-        partition the position range, so the shared offset merge yields
-        exactly the monolithic prefix-scan answer, byte for byte.
+        window — is one more part, a sweepline over its ``m``-windows.
+        The parts partition the position range, so the shared offset
+        merge yields exactly the monolithic prefix-scan answer, byte for
+        byte.
         ``m == l`` delegates to :meth:`search`.
         """
         epsilon = check_non_negative(epsilon, name="epsilon")
@@ -416,18 +431,8 @@ class ShardedTSIndex(SubsequenceIndex):
             return self.search(
                 query, epsilon, verification=verification, executor=executor
             )
-
-        tail = tail_positions(self._source, query.size)
-        with current_trace().span("verify", tail=len(tail)):
-            tail_result = verify_prefix(
-                self._source, query, tail, epsilon, mode=verification
-            )
-        return self._parts().prefix_search(
-            query,
-            epsilon,
-            verification=verification,
-            executor=executor,
-            extra=[(0, tail_result)],
+        return self._parts(executor, prefix=query.size).prefix_search(
+            query, epsilon, verification=verification, executor=executor
         )
 
     def count(
@@ -446,7 +451,7 @@ class ShardedTSIndex(SubsequenceIndex):
             )
         epsilon = check_non_negative(epsilon, name="epsilon")
         query = prepare_values(self._source, query)
-        return self._parts().count(query, epsilon, executor=executor)
+        return self._parts(executor).count(query, epsilon, executor=executor)
 
     def exists(self, query: Any, epsilon: float) -> bool:
         """Whether any twin exists — probes shards in span order and
@@ -484,7 +489,7 @@ class ShardedTSIndex(SubsequenceIndex):
             )
         k = check_positive_int(k, name="k")
         query = prepare_values(self._source, query)
-        return self._parts().knn(
+        return self._parts(executor).knn(
             query, k, exclude=normalize_exclude(exclude), executor=executor
         )
 

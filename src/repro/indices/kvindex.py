@@ -30,7 +30,7 @@ from .._util import (
 )
 from ..core.normalization import Normalization
 from ..core.stats import BuildStats, QueryStats, SearchResult
-from ..core.verification import verify, verify_intervals
+from ..core.verification import verify
 from ..core.windows import WindowSource
 from ..exceptions import UnsupportedNormalizationError
 from ..query.registration import register_plane
@@ -229,13 +229,8 @@ class KVIndex(SubsequenceIndex):
         stats.nodes_pruned = self.num_bins - stats.nodes_visited
         intervals = self._merged_intervals(first, last)
         stats.leaves_accessed = len(intervals)
-        if verification == "bulk":
-            return verify_intervals(
-                self._source, query, intervals, epsilon, stats=stats
-            )
-        positions = intervals_to_positions(intervals)
         return verify(
-            self._source, query, positions, epsilon,
+            self._source, query, intervals_to_positions(intervals), epsilon,
             mode=verification, stats=stats,
         )
 

@@ -3,9 +3,18 @@
 Scans the series with a sliding window of the query's length and
 verifies every window against the Chebyshev threshold — no filtering at
 all, so its cost is flat in ``ε`` (exactly the behaviour shown for
-"Sweepline" in Figures 4–7). Verification is the shared vectorized
-machinery; a pure-Python reordering-early-abandoning scan is also
-provided as an executable specification (tests compare the two).
+"Sweepline" in Figures 4–7). Verification is the shared streaming
+early-abandoning kernel over every position; a pure-Python
+reordering-early-abandoning scan is also provided as an executable
+specification (tests compare the two).
+
+It is also the library's one **scan part**: a composite plane hands
+:class:`~repro.query.parts.PartSet` a sweepline over each span it scans
+rather than indexes — the live plane's delta, and the ``l - m`` tail
+starts of a prefix query — and the span then answers every mode like an
+indexed part: ``knn`` (the exact scan), ``count`` and ``exists`` (its
+own search) natively, and the prefix hook
+:meth:`collect_varlength_candidates` with every position.
 """
 
 from __future__ import annotations
@@ -14,14 +23,22 @@ import time
 
 import numpy as np
 
-from .._util import POSITION_DTYPE, check_non_negative
+from .._util import POSITION_DTYPE, check_non_negative, check_positive_int
 from ..core.distance import chebyshev_distance_reordered, reorder_by_magnitude
 from ..core.normalization import Normalization
 from ..core.stats import BuildStats, QueryStats, SearchResult
-from ..core.verification import verify, verify_intervals
+from ..core.verification import verify
 from ..core.windows import WindowSource
+from ..query.capabilities import (
+    CAP_COUNT,
+    CAP_EXISTS,
+    CAP_KNN,
+    CAP_SEARCH,
+    CAP_VERIFICATION,
+)
+from ..query.planner import scan_knn
 from ..query.registration import register_plane
-from ..query.spec import prepare_values
+from ..query.spec import normalize_exclude, prepare_values
 from ..query.varlength import is_prefix_query
 from .base import SubsequenceIndex
 
@@ -46,6 +63,12 @@ class SweeplineSearch(SubsequenceIndex):
     """
 
     method_name = "sweepline"
+
+    #: Native kernels the query planner (and a part fan-out) calls
+    #: directly: every mode is the scan itself.
+    capabilities = frozenset(
+        {CAP_SEARCH, CAP_KNN, CAP_EXISTS, CAP_COUNT, CAP_VERIFICATION}
+    )
 
     def __init__(self, source: WindowSource):
         self._source = source
@@ -76,6 +99,11 @@ class SweeplineSearch(SubsequenceIndex):
         return self._source
 
     @property
+    def size(self) -> int:
+        """Number of windows scanned."""
+        return self._source.count
+
+    @property
     def build_stats(self) -> BuildStats:
         """Essentially zero — the sweepline has nothing to build."""
         return self._build_stats
@@ -90,10 +118,9 @@ class SweeplineSearch(SubsequenceIndex):
         """Verify every window position against ``query`` at ``ε``.
 
         ``verification`` picks the strategy (see
-        :data:`~repro.core.verification.VERIFICATION_MODES`); ``bulk``
-        uses zero-copy interval verification over the whole range.
-        Queries shorter than ``l`` dispatch to the pipeline's prefix
-        scan (:meth:`~repro.indices.base.SubsequenceIndex.search_varlength`).
+        :data:`~repro.core.verification.VERIFICATION_MODES`). Queries
+        shorter than ``l`` dispatch to the pipeline's prefix scan
+        (:meth:`~repro.indices.base.SubsequenceIndex.search_varlength`).
         """
         if is_prefix_query(query, self._source.length):
             return self.search_varlength(
@@ -101,14 +128,35 @@ class SweeplineSearch(SubsequenceIndex):
             )
         epsilon = check_non_negative(epsilon, name="epsilon")
         query = prepare_values(self._source, query)
-        if verification == "bulk":
-            return verify_intervals(
-                self._source, query, [(0, self._source.count)], epsilon
-            )
         positions = np.arange(self._source.count, dtype=POSITION_DTYPE)
         return verify(
             self._source, query, positions, epsilon, mode=verification
         )
+
+    def knn(self, query, k: int, *, exclude=None) -> SearchResult:
+        """The ``k`` nearest windows: the exact scan, ranked by the
+        library-wide ``(distance, position)`` tie-break (queries shorter
+        than ``l`` take the pipeline's prefix scan)."""
+        if is_prefix_query(query, self._source.length):
+            return super().knn(query, k, exclude=exclude)
+        k = check_positive_int(k, name="k")
+        return scan_knn(self._source, query, k, normalize_exclude(exclude))
+
+    def count(self, query, epsilon: float) -> int:
+        """Number of twins (the length of :meth:`search`)."""
+        return len(self.search(query, epsilon))
+
+    def exists(self, query, epsilon: float) -> bool:
+        """Whether any twin exists (:meth:`search` is non-empty)."""
+        return len(self.search(query, epsilon)) > 0
+
+    def collect_varlength_candidates(
+        self, query: np.ndarray, epsilon: float, stats: QueryStats
+    ) -> np.ndarray:
+        """Every position — the scan's candidates for a prefix query, so
+        :func:`~repro.query.varlength.prefix_search_part` serves a scan
+        part as it serves a tree."""
+        return np.arange(self._source.count, dtype=POSITION_DTYPE)
 
     def search_pure_python(self, query, epsilon: float) -> SearchResult:
         """Reference implementation: a per-window Python loop using

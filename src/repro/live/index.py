@@ -4,26 +4,24 @@ and the six query methods.
 
 The **delta** — the windows appended since the last seal — is the
 unindexed tail of the ingest buffer, not a tree: an append is a journal
-write, a buffer extend and a counter; a query scans the delta with the
-streaming refine kernel over every position (the paper's sweepline, the
-right plan for a few thousand windows); a seal bulk-loads it, as
-compaction does (:meth:`Segment.build <repro.live.segments.Segment.build>`).
+write, a buffer extend and a counter; a query scans it with the paper's
+sweepline (:class:`~repro.indices.sweepline.SweeplineSearch`, the right
+plan for a few thousand windows); a seal bulk-loads it, as compaction
+does (:meth:`Segment.build <repro.live.segments.Segment.build>`).
 Compaction has one path, the :class:`~repro.live.compaction.Compactor`
 thread that a seal over ``max_segments`` schedules.
 
-``search`` / ``knn`` / ``exists`` / ``search_batch`` fan out across
-delta + segments (the delta answers under the plane lock, the segments
+Every query takes its parts under the plane lock — the segments, the
+delta's sweepline, a prefix query's tail — and answers them outside it
 through :class:`repro.query.parts.PartSet`, the loop the sharded engine
-shares) and merge with the library's ``(distance, position)``
-tie-breaks, so results are **byte-identical to a from-scratch TSIndex
-over the full series** — held across append / seal / compact / crash /
+shares, merging with the library's ``(distance, position)``
+tie-breaks: results are **byte-identical to a from-scratch TSIndex over
+the full series** — held across append / seal / compact / crash /
 recover, under every injected fault, by the state machine in
-``tests/test_live_state_machine.py``. Both the raw and the per-window
-normalization regimes are supported (per-window scaling depends only on
-each window's own values, and the library's rolling statistics are
-prefix-stable under appends — see
-:func:`~repro.core.normalization.rolling_std`); only global
-z-normalization stays rejected, because appends shift the series
+``tests/test_live_state_machine.py``. The raw and per-window regimes
+are supported (per-window scaling depends only on each window's own
+values, and the rolling statistics are prefix-stable under appends);
+global z-normalization is rejected, because appends shift the series
 moments under every already-indexed window.
 
 What a reading costs to buffer is :mod:`repro.live.ingest`'s business;
@@ -38,12 +36,11 @@ from typing import Any
 
 import numpy as np
 
-from .._util import POSITION_DTYPE, check_non_negative, check_positive_int
+from .._util import check_non_negative, check_positive_int
 from ..core.batch import BatchResult
 from ..core.normalization import Normalization
 from ..core.stats import BuildStats, SearchResult
 from ..core.tsindex import TSIndexParams
-from ..core.verification import verify
 from ..core.windows import WindowSource, assemble_source
 from ..exceptions import (
     IndexNotBuiltError,
@@ -53,6 +50,7 @@ from ..exceptions import (
 )
 from ..faults.failpoints import failpoint
 from ..indices.base import SubsequenceIndex
+from ..indices.sweepline import SweeplineSearch
 from ..obs.logsetup import get_logger
 from ..obs.metrics import HandleCache
 from ..query.capabilities import (
@@ -66,19 +64,14 @@ from ..query.capabilities import (
     CAP_VARLENGTH,
     CAP_VERIFICATION,
 )
-from ..query.parts import Part, PartSet, local_exclude
-from ..query.planner import scan_knn
+from ..query.parts import Part, PartSet
 from ..query.registration import register_plane
 from ..query.spec import (
     check_varlength_query,
     normalize_exclude,
     prepare_values,
 )
-from ..query.varlength import (
-    is_prefix_query,
-    scan_prefix_knn,
-    scan_prefix_search,
-)
+from ..query.varlength import is_prefix_query, scan_prefix_knn
 from .compaction import (
     DEFAULT_MAX_SEGMENTS,
     DEFAULT_SEAL_THRESHOLD,
@@ -138,16 +131,6 @@ _metrics = HandleCache(
 )
 
 
-def _scan(
-    delta: WindowSource, query: np.ndarray, epsilon: float, mode: str = "bulk"
-) -> SearchResult:
-    """The twins of a prepared ``query`` in the delta: the refine
-    kernel over every position, no filter step. It takes the window
-    length from the query, so a prefix (``m < l``) is the same call."""
-    positions = np.arange(delta.count, dtype=POSITION_DTYPE)
-    return verify(delta, query, positions, epsilon, mode=mode)
-
-
 @register_plane(
     "live",
     aliases=("livetwinindex",),
@@ -159,9 +142,9 @@ class LiveTwinIndex(SubsequenceIndex):
     Build an in-memory plane with the constructor (or
     :meth:`from_source`), a durable one with :meth:`create`, and reopen
     a durable one with :meth:`recover`. All public methods are safe to
-    call from multiple threads; queries snapshot the segment list and
-    never block on compaction, which runs on the plane's one background
-    thread however the plane was built (see :meth:`compact`).
+    call from multiple threads; a query holds the plane lock only to
+    take its parts, so it never blocks an append or compaction (which
+    runs on the plane's one background thread, see :meth:`compact`).
 
     Windows appended since the last seal are scanned, not indexed, and
     ``seal_threshold`` bounds that scan: ``seal_threshold=None`` is a
@@ -820,16 +803,18 @@ class LiveTwinIndex(SubsequenceIndex):
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _snapshot(self, answer: Any) -> tuple[PartSet, list]:  # lint: holds(_lock) called with the plane lock held
-        """What a query takes from under the lock: the sealed segments
-        as an immutable :class:`~repro.query.parts.PartSet` (labelled by
-        span start; fanned out once the lock is released) and, as its
-        ``extra``, ``answer(delta)`` over the delta's shard of the
-        monolithic source — the delta is the only mutable part, so it
-        is scanned here. A durable segment names the archive a
-        worker process reopens (bitwise equal to the in-memory segment:
-        it embeds the rolling statistics); an in-memory one names none,
-        and a process pool then degrades to the serial loop."""
+    def _parts(self, prefix: int | None = None) -> PartSet:  # lint: holds(_lock) called with the plane lock held
+        """What a query takes from under the lock: every span as a part,
+        labelled by span start — the sealed segments, then the delta as
+        a sweepline over its shard of the monolithic source (immutable
+        once taken: the ingest buffer only ever writes past it), and, for
+        a ``prefix`` query of length ``m < l``, the series tail as a
+        sweepline over the ``m``-windows no ``l``-window covers. The set
+        is answered once the lock is released. A durable segment names
+        the archive a worker process reopens (bitwise equal to the
+        in-memory segment: it embeds the rolling statistics); the scan
+        parts and an in-memory plane's segments name none, so a process
+        pool leaves them to the calling thread."""
         parts = [
             Part(
                 segment.start,
@@ -841,12 +826,17 @@ class LiveTwinIndex(SubsequenceIndex):
             )
             for segment in self._segments
         ]
-        extra = []
         if self._delta_count:
             start = self._delta_start
             delta = self._source.shard(start, start + self._delta_count)
-            extra.append((start, answer(delta)))
-        return PartSet(parts, "segment"), extra
+            parts.append(Part(start, SweeplineSearch.from_source(delta), start, None))
+        if prefix is not None:
+            start = max(0, self._ingest.size - self._length + 1)
+            tail = assemble_source(
+                self._ingest.values[start:], prefix, Normalization.NONE, name="live-tail"
+            )
+            parts.append(Part(start, SweeplineSearch.from_source(tail), start, None))
+        return PartSet(parts, "segment")
 
     def search(
         self,
@@ -862,38 +852,28 @@ class LiveTwinIndex(SubsequenceIndex):
         appended so far — byte-identical to a from-scratch
         :class:`~repro.core.tsindex.TSIndex` over the full series.
 
-        Segments answer in parallel on ``executor`` when one is given;
-        the delta is scanned under the plane's lock (it is the only
-        mutable part), segments from an immutable snapshot outside it.
-        Queries shorter than ``l`` dispatch to :meth:`search_varlength`.
+        The parts — segments and the delta's scan — are taken under the
+        plane's lock and answered outside it, in parallel on
+        ``executor`` when one is given. Queries shorter than ``l``
+        dispatch to :meth:`search_varlength`.
 
-        ``timeout`` bounds the pooled segment fan-out, in seconds (the
-        delta answers inline and is never dropped). On expiry the
-        default is a typed
+        ``timeout`` bounds the pooled fan-out, in seconds, the delta's
+        scan included. On expiry the default is a typed
         :class:`~repro.exceptions.ShardTimeoutError`; ``degraded=True``
-        instead serves the segments that answered, recording exactly
-        which parts did on ``result.degraded``.
+        instead serves the parts that answered, recording exactly which
+        did on ``result.degraded``.
         """
         if is_prefix_query(query, self._length):
-            return self.search_varlength(
-                query, epsilon, verification=verification, executor=executor
-            )
+            return self.search_varlength(query, epsilon, verification=verification, executor=executor)
         epsilon = check_non_negative(epsilon, name="epsilon")
         with self._lock:
             if self._source is None:
                 return SearchResult.empty()
             prepared = self._prepare(query)
-            parts, extra = self._snapshot(
-                lambda delta: _scan(delta, prepared, epsilon, verification)
-            )
+            parts = self._parts()
         return parts.search(
-            prepared,
-            epsilon,
-            verification=verification,
-            executor=executor,
-            timeout=timeout,
-            degraded=degraded,
-            extra=extra,
+            prepared, epsilon, verification=verification, executor=executor,
+            timeout=timeout, degraded=degraded,
         )
 
     def search_varlength(
@@ -913,65 +893,35 @@ class LiveTwinIndex(SubsequenceIndex):
         scan, each over its own span (their value chunks overlap by
         ``l - 1 >= m - 1`` readings, so every ``m``-window of a part's
         window span lies inside its chunk); the tail — the last
-        ``l - m`` starts — is a
-        direct scan over a snapshot of the append buffer. Parts merge
-        through the shared offset kernel, byte-identical to a prefix
-        scan over the full series. ``m == l`` delegates to
-        :meth:`search`; the per-window regime rejects shorter queries
-        with a typed error.
+        ``l - m`` starts — is one more scan part. Parts merge through
+        the shared offset kernel, byte-identical to a prefix scan over
+        the full series. ``m == l`` delegates to :meth:`search`; the
+        per-window regime rejects shorter queries with a typed error.
         """
         epsilon = check_non_negative(epsilon, name="epsilon")
-        query = check_varlength_query(
-            query, self._length, self._normalization
-        )
+        query = check_varlength_query(query, self._length, self._normalization)
         m = query.size
         if m == self._length:
-            return self.search(
-                query, epsilon, verification=verification, executor=executor
-            )
+            return self.search(query, epsilon, verification=verification, executor=executor)
         with self._lock:
-            size = self._ingest.size
-            if size < m:
+            if self._ingest.size < m:
                 return SearchResult.empty()
-            parts, extra = self._snapshot(
-                lambda delta: _scan(delta, query, epsilon, verification)
-            )
-            tail_lo = max(0, size - self._length + 1)
-            # Snapshot: the buffer may be swapped by a concurrent append.
-            tail_chunk = np.array(self._ingest.values[tail_lo:])
-        tail_source = assemble_source(
-            tail_chunk, m, Normalization.NONE, name="live-tail"
-        )
-        tail_result = scan_prefix_search(
-            tail_source, query, epsilon, verification=verification
-        )
-        return parts.prefix_search(
-            query,
-            epsilon,
-            verification=verification,
-            executor=executor,
-            extra=[*extra, (tail_lo, tail_result)],
-        )
+            parts = self._parts(prefix=m)
+        return parts.prefix_search(query, epsilon, verification=verification, executor=executor)
 
     def count(self, query: Any, epsilon: float, *, executor: Any = None) -> int:
-        """Number of twins — summed per part (delta + segments), so the
+        """Number of twins — summed per part (segments + delta), so the
         merged result arrays are never materialized (shorter queries
         derive from :meth:`search_varlength`)."""
         if is_prefix_query(query, self._length):
-            return len(
-                self.search_varlength(query, epsilon, executor=executor)
-            )
+            return len(self.search_varlength(query, epsilon, executor=executor))
         epsilon = check_non_negative(epsilon, name="epsilon")
         with self._lock:
             if self._source is None:
                 return 0
             prepared = self._prepare(query)
-            parts, extra = self._snapshot(
-                lambda delta: _scan(delta, prepared, epsilon)
-            )
-        return sum(len(found) for _, found in extra) + parts.count(
-            prepared, epsilon, executor=executor
-        )
+            parts = self._parts()
+        return parts.count(prepared, epsilon, executor=executor)
 
     def knn(
         self,
@@ -981,8 +931,8 @@ class LiveTwinIndex(SubsequenceIndex):
         exclude: tuple[int, int] | None = None,
         executor: Any = None,
     ) -> SearchResult:
-        """The ``k`` globally nearest windows, merged across delta and
-        segments by ``(distance, position)`` — the library-wide k-NN
+        """The ``k`` globally nearest windows, merged across segments
+        and delta by ``(distance, position)`` — the library-wide k-NN
         tie-break, so the answer equals the monolithic one exactly.
         Queries shorter than ``l`` run the exact prefix scan — served
         even before ``length`` readings have arrived (over the raw
@@ -995,15 +945,8 @@ class LiveTwinIndex(SubsequenceIndex):
             if self._source is None:
                 return SearchResult.empty()
             prepared = self._prepare(query)
-            parts, extra = self._snapshot(
-                lambda delta: scan_knn(
-                    delta, prepared, k,
-                    local_exclude(exclude, self._delta_start, delta.count),
-                )
-            )
-        return parts.knn(
-            prepared, k, exclude=exclude, executor=executor, extra=extra
-        )
+            parts = self._parts()
+        return parts.knn(prepared, k, exclude=exclude, executor=executor)
 
     def _prefix_knn(self, query, k: int, exclude) -> SearchResult:
         """Exact prefix-scan k-NN for a query shorter than ``l`` —
@@ -1011,25 +954,21 @@ class LiveTwinIndex(SubsequenceIndex):
         plane holding fewer than ``length`` readings."""
         k = check_positive_int(k, name="k")
         exclude = normalize_exclude(exclude)
-        query = check_varlength_query(
-            query, self._length, self._normalization
-        )
+        query = check_varlength_query(query, self._length, self._normalization)
         with self._lock:
-            values = np.array(self._ingest.values)
+            values = self._ingest.values
         if values.size < query.size:
             return SearchResult.empty()
         snapshot = assemble_source(
-            values, self._length if values.size >= self._length
-            else values.size,
-            Normalization.NONE,
-            name="live",
+            values, min(self._length, values.size), Normalization.NONE, name="live"
         )
         return scan_prefix_knn(snapshot, query, k, exclude=exclude)
 
     def exists(self, query: Any, epsilon: float) -> bool:
         """Whether the pattern has occurred anywhere so far (early
-        exit; the delta — the freshest data — is probed first; shorter
-        queries derive from :meth:`search_varlength`)."""
+        exit: the parts are probed in span order, segments then the
+        delta, stopping at the first hit; shorter queries derive from
+        :meth:`search_varlength`)."""
         if is_prefix_query(query, self._length):
             return len(self.search_varlength(query, epsilon)) > 0
         epsilon = check_non_negative(epsilon, name="epsilon")
@@ -1037,12 +976,8 @@ class LiveTwinIndex(SubsequenceIndex):
             if self._source is None:
                 return False
             prepared = self._prepare(query)
-            parts, extra = self._snapshot(
-                lambda delta: _scan(delta, prepared, epsilon)
-            )
-        return any(len(found) for _, found in extra) or parts.exists(
-            prepared, epsilon
-        )
+            parts = self._parts()
+        return parts.exists(prepared, epsilon)
 
     def search_batch(
         self,

@@ -3,9 +3,9 @@
 :class:`IngestBuffer` holds every reading appended so far in one
 growable array and hands out the monolithic
 :class:`~repro.core.windows.WindowSource` over it. Its tail past the
-last sealed window is the plane's **delta** — scanned as a
-:meth:`~repro.core.windows.WindowSource.shard` of that source, bulk
-loaded at seal — so extending the buffer is all an append costs. Under the per-window
+last sealed window is the plane's **delta** — scanned by a sweepline
+over a :meth:`~repro.core.windows.WindowSource.shard` of that source,
+bulk loaded at seal — so extending the buffer is all an append costs. Under the per-window
 regime it also maintains the rolling means and standard deviations
 incrementally: they are prefix-stable under appends (see
 :func:`~repro.core.normalization.rolling_std`), so extending the cached
@@ -15,7 +15,8 @@ and each append costs O(batch + block), not O(series).
 No lock and no I/O here: the buffer belongs to one
 :class:`~repro.live.index.LiveTwinIndex`, which declares its reference
 ``guarded-by(_lock)`` and calls :meth:`IngestBuffer.extend` /
-:meth:`IngestBuffer.source` with that lock held.
+:meth:`IngestBuffer.source` with that lock held. What they hand out
+never changes afterwards, so a query answers it without the lock.
 """
 
 from __future__ import annotations
@@ -73,9 +74,10 @@ class IngestBuffer:
 
     @property
     def values(self) -> np.ndarray:
-        """A view of the readings held. An :meth:`extend` that outgrows
-        the capacity swaps the array, so a reader that lets go of the
-        owner's lock takes a copy first."""
+        """A view of the readings held. It never changes: :meth:`extend`
+        writes only past it, and one that outgrows the capacity copies
+        into a new array — so a reader may keep it (or a :meth:`source`)
+        after letting go of the owner's lock."""
         return self._buffer[: self._size]
 
     def extend(self, readings: np.ndarray) -> None:
@@ -92,9 +94,11 @@ class IngestBuffer:
 
     def source(self) -> WindowSource:
         """The monolithic source over the buffer as it is now (at least
-        ``length`` readings). Already-extracted window values never
-        change: the regime is raw or per-window, and the rolling
-        statistics are prefix-stable."""
+        ``length`` readings). It never changes either: its values are
+        a :attr:`values` view, the regime is raw or per-window, and the
+        rolling statistics are prefix-stable (a later append rewrites
+        the std block it extends with the same bytes, or regrows the
+        arrays by copying)."""
         view = self.values
         if self._normalization is not Normalization.PER_WINDOW:
             series = TimeSeries(view, name="live", copy=False)

@@ -69,7 +69,6 @@ from .varlength import (
     prefix_source,
     scan_prefix_search,
     tail_positions,
-    verify_prefix,
 )
 
 __all__ = [
@@ -110,5 +109,4 @@ __all__ = [
     "scan_knn",
     "scan_prefix_search",
     "tail_positions",
-    "verify_prefix",
 ]

@@ -2,20 +2,21 @@
 
 Filter-and-refine cost and exactness do not depend on how the windows
 are partitioned, so the sharded engine (static shards) and the live
-plane (sealed segments + a mutable delta) answer a query the same way:
-run it on every part, then merge by position (``search``) or by
-``(distance, position)`` (``knn``). :class:`PartSet` is that loop,
-written once. A plane contributes its **parts**; its **kind**
-(``"shard"`` / ``"segment"`` — the span key, the failpoint site, the
-wording of fan-out errors); and the answers it must compute itself (the
-live delta, scanned under the plane lock; the prefix tail scan) as
-already-computed ``extra=[(start, result)]``, merged after the fanned
-parts in the order given.
+plane (sealed segments + the delta) answer a query the same way: run it
+on every part, then merge by position (``search``) or by ``(distance,
+position)`` (``knn``). :class:`PartSet` is that loop, written once. A
+plane contributes its **parts** and its **kind** (``"shard"`` /
+``"segment"`` — the span key, the failpoint site, the wording of
+fan-out errors). Every span a query touches is a part: a span the plane
+scans rather than indexes — the live delta, a prefix query's ``l - m``
+tail starts — is a :class:`~repro.indices.sweepline.SweeplineSearch`
+over it, answered like a tree.
 
 Every part call of every mode opens one ``execute`` span, fires the
 plane's part failpoint and is timed into ``repro_shard_search_seconds``;
 on a process pool a worker replays the same call from an
-:class:`~repro.engine.procpool.ArchiveTask` instead.
+:class:`~repro.engine.procpool.ArchiveTask` instead, for every part with
+an archive to reopen (a part without one answers in the calling thread).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import Any, NamedTuple
 from .._util import FanOutResult, call_task, fan_out, is_process_executor, map_with_executor
 from ..core.batch import BatchResult
 from ..core.stats import DegradedReport, SearchResult
-from ..exceptions import InvalidParameterError
 from ..faults.failpoints import failpoint
 from ..obs.metrics import HandleCache
 from ..obs.trace import current_trace
@@ -49,21 +49,20 @@ _metrics = HandleCache(
     )
 )
 
-#: Already-computed ``(start, result)`` answers a plane hands in.
-Extra = Sequence[tuple[int, SearchResult]]
-
 
 class Part(NamedTuple):
     """One immutable slice of the position axis."""
 
     #: Global position of the part's first window.
     start: int
-    #: The part's tree; it answers in part-local positions.
+    #: The part's index — a tree, or a sweepline over a scanned span; it
+    #: answers in part-local positions.
     index: Any
     #: Names the part in spans, error notes and degraded reports.
     label: Any
     #: ``(archive path, shard number or None)`` for a worker process to
-    #: reopen; ``None`` when the part exists only in memory.
+    #: reopen; ``None`` when the part exists only in memory (a process
+    #: pool then leaves it to the calling thread).
     archive: tuple[str, int | None] | None
 
 
@@ -108,29 +107,6 @@ class PartSet:
             with _metrics()[0].time():
                 return call_part(part.index, call, args, kwargs)
 
-    def _tasks(self, call: str, args: tuple, kwargs: Callable[[Part], dict]) -> list | None:
-        """One picklable archive task per part — or ``None`` when a
-        live part has no archive to reopen, and ``fan_out`` then runs
-        the closures serially (byte-identical). Shards are static, so
-        an unarchived engine is told how to get archived instead."""
-        from ..engine.procpool import ArchiveTask  # lazy: only process fan-out
-
-        tasks = []
-        for part in self.parts:
-            if part.archive is None:
-                if self.kind != "shard":
-                    return None
-                raise InvalidParameterError(
-                    "process fan-out needs an on-disk archive to reopen in "
-                    "each worker; save this engine with save_index() and "
-                    "reopen it with load_index(), or "
-                    "serve it through QueryEngine(executor='process') "
-                    "(which spools unarchived engines automatically)"
-                )
-            path, shard = part.archive
-            tasks.append(ArchiveTask(path, call, shard=shard, args=args, kwargs=kwargs(part)))
-        return tasks
-
     def _run(
         self,
         call: str,
@@ -140,35 +116,49 @@ class PartSet:
         timeout: float | None = None,
         degraded: bool = False,
     ) -> FanOutResult:
-        """``call(*args, **kwargs(part))`` on every part — closures in
-        this process, archive tasks on a process pool — with
-        :func:`~repro._util.fan_out`'s failure and deadline semantics."""
+        """``call(*args, **kwargs(part))`` on every part, with
+        :func:`~repro._util.fan_out`'s failure and deadline semantics.
+        On a process pool the parts with an archive go to the workers as
+        :class:`~repro.engine.procpool.ArchiveTask` values, after the
+        others have answered here, one after another: a scan part, or
+        every segment of an in-memory plane (then this is the serial
+        loop, byte-identical)."""
         # Captured here: pool threads do not inherit the trace context.
         trace = current_trace()
 
         def one(part: Part) -> Any:
             return self._answer(trace, part, call, args, kwargs(part))
 
-        fn: Callable[[Any], Any] = one
-        items: Sequence = self.parts
-        if is_process_executor(executor):
-            tasks = self._tasks(call, args, kwargs)
-            if tasks is not None:
-                fn, items = call_task, tasks
-        labels = [part.label for part in self.parts]
-        return fan_out(
-            executor, fn, items, labels=labels, part=self.kind, timeout=timeout, degraded=degraded
+        def labels(parts: Sequence[Part]) -> list:
+            return [part.label for part in parts]
+
+        deadline = {"part": self.kind, "timeout": timeout, "degraded": degraded}
+        if not is_process_executor(executor):
+            return fan_out(executor, one, self.parts, labels=labels(self.parts), **deadline)
+        from ..engine.procpool import ArchiveTask  # lazy: only process fan-out
+
+        here = [part for part in self.parts if part.archive is None]
+        shipped = [part for part in self.parts if part.archive is not None]
+        answers = iter(fan_out(None, one, here, labels=labels(here), part=self.kind).results)
+        tasks = [
+            ArchiveTask(part.archive[0], call, shard=part.archive[1], args=args, kwargs=kwargs(part))
+            for part in shipped
+        ]
+        outcome = fan_out(executor, call_task, tasks, labels=labels(shipped), **deadline)
+        remote = iter(outcome.results)
+        return FanOutResult(
+            [next(answers if part.archive is None else remote) for part in self.parts],
+            tuple(label for label in labels(self.parts) if label not in outcome.missing),
+            outcome.missing,
         )
 
-    def _pairs(self, outcome: FanOutResult, extra: Extra) -> list:
-        """``(start, result)`` of every part that answered, then the
-        plane's own answers."""
-        pairs = [
+    def _pairs(self, outcome: FanOutResult) -> list:
+        """``(start, result)`` of every part that answered."""
+        return [
             (part.start, result)
             for part, result in zip(self.parts, outcome.results)
             if result is not None
         ]
-        return [*pairs, *extra]
 
     def search(
         self,
@@ -179,33 +169,31 @@ class PartSet:
         executor: Any = None,
         timeout: float | None = None,
         degraded: bool = False,
-        extra: Extra = (),
         call: str = "search",
     ) -> SearchResult:
         """All twins of a full-length query. ``timeout`` bounds the
         pooled fan-out: past it the default raises
         :class:`~repro.exceptions.ShardTimeoutError`, ``degraded=True``
-        merges what answered (``extra`` always has) and says which on
-        ``result.degraded``."""
+        merges what answered and says which on ``result.degraded``."""
         outcome = self._run(
             call, (query, epsilon), lambda part: {"verification": verification},
             executor, timeout, degraded,
         )
-        # Parts ascend by span and the extras follow them, so the offset
-        # merge is globally position-sorted without a sort.
+        # Parts ascend by span, so the offset merge is globally
+        # position-sorted without a sort.
         with current_trace().span("merge"), _metrics()[1].time():
-            merged = merge_offset_search(self._pairs(outcome, extra))
+            merged = merge_offset_search(self._pairs(outcome))
         if outcome.degraded:
             merged.degraded = DegradedReport(
-                answered=[*outcome.answered, *(start for start, _ in extra)],
+                answered=list(outcome.answered),
                 missing=list(outcome.missing),
                 timeout=timeout,
             )
         return merged
 
-    #: All twins of a query shorter than ``l`` among the parts' indexed
-    #: windows; the plane scans the series tail itself and hands it in
-    #: as ``extra``. Prefix queries take no deadline — the planes pass none.
+    #: All twins of a query shorter than ``l``, each part verifying its
+    #: own prefix candidates (the plane adds the series tail as a scan
+    #: part). Prefix queries take no deadline — the planes pass none.
     prefix_search = functools.partialmethod(search, call="prefix_search_part")
 
     def count(self, query: Any, epsilon: float, *, executor: Any = None) -> int:
@@ -219,7 +207,6 @@ class PartSet:
         *,
         exclude: tuple[int, int] | None = None,
         executor: Any = None,
-        extra: Extra = (),
     ) -> SearchResult:
         """The ``k`` nearest windows: a local k-NN per part (exclusion
         zone translated into its frame), re-ranked globally."""
@@ -230,7 +217,7 @@ class PartSet:
 
         outcome = self._run("knn", (query,), kwargs, executor)
         with current_trace().span("merge"), _metrics()[1].time():
-            return merge_knn(self._pairs(outcome, extra), k)
+            return merge_knn(self._pairs(outcome), k)
 
     def exists(self, query: Any, epsilon: float) -> bool:
         """Whether any part holds a twin — probed in span order in the

@@ -9,7 +9,7 @@ One pipeline answers every query mode on every plane:
    understand are dropped, and the rest is **synthesized centrally**
    (exact scan k-NN, search-backed existence and counting, a fan-out
    batch loop) — so a plane that only implements
-   ``search`` (sweepline, KV-Index, iSAX) is still fully servable
+   ``search`` (KV-Index, iSAX) is still fully servable
    through :class:`~repro.engine.executor.QueryEngine`;
 3. :meth:`QueryPlan.execute` runs it, optionally fanning work out on an
    executor (natively where the plane supports ``executor=``, at the

@@ -86,25 +86,6 @@ def tail_positions(source: WindowSource, m: int) -> np.ndarray:
     )
 
 
-def verify_prefix(
-    source: WindowSource,
-    query: np.ndarray,
-    positions: Any,
-    epsilon: float,
-    *,
-    mode: str = "bulk",
-    stats: QueryStats | None = None,
-) -> SearchResult:
-    """Exactly verify candidate positions against their ``m``-windows.
-
-    The verification kernels read the ``m = query.size`` points at each
-    position straight from ``source.values`` (no ``m``-window source is
-    assembled, memory stays chunk-bounded). ``query`` must already be
-    prepared; positions may include tail positions up to ``|T| - m``.
-    """
-    return verify(source, query, positions, epsilon, mode=mode, stats=stats)
-
-
 def prefix_search_with_tail(
     plane: Any, query: Any, epsilon: float, *, verification: str = "bulk"
 ) -> SearchResult:
@@ -128,7 +109,7 @@ def prefix_search_with_tail(
     positions = np.concatenate(
         (candidates, tail_positions(source, query.size))
     )
-    return verify_prefix(
+    return verify(
         source, query, positions, epsilon, mode=verification, stats=stats
     )
 
@@ -136,13 +117,13 @@ def prefix_search_with_tail(
 def prefix_search_part(
     tree: Any, query: np.ndarray, epsilon: float, *, verification: str = "bulk"
 ) -> SearchResult:
-    """One composite-plane part (a shard, a live segment): prefix
-    candidates over the part's *indexed* windows, verified against its
-    own value chunk — no tail, the composite plane covers that once.
-    ``query`` must already be prepared."""
+    """One composite-plane part (a shard, a live segment, a scan part):
+    prefix candidates over the part's windows, verified against its own
+    value chunk — no tail, the composite plane adds that as a part of
+    its own. ``query`` must already be prepared."""
     stats = QueryStats()
     candidates = tree.collect_varlength_candidates(query, epsilon, stats)
-    return verify_prefix(
+    return verify(
         tree.source, query, candidates, epsilon,
         mode=verification, stats=stats,
     )
@@ -181,7 +162,7 @@ def scan_prefix_search(
     positions = np.arange(
         source.values.size - query.size + 1, dtype=POSITION_DTYPE
     )
-    return verify_prefix(
+    return verify(
         source, query, positions, epsilon, mode=verification, stats=stats
     )
 

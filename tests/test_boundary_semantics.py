@@ -10,7 +10,6 @@ import pytest
 
 from repro.core.tsindex import TSIndex, TSIndexParams
 from repro.core.verification import (
-    verify_intervals,
     verify_positions,
     verify_positions_per_candidate,
 )
@@ -83,13 +82,6 @@ class TestVerifiersIncludeBoundary:
         source, query = boundary_setup
         result = verifier(
             source, query, np.arange(source.count), EXACT_EPSILON
-        )
-        assert 40 in result.positions
-
-    def test_interval_verifier(self, boundary_setup):
-        source, query = boundary_setup
-        result = verify_intervals(
-            source, query, [(0, source.count)], EXACT_EPSILON
         )
         assert 40 in result.positions
 

@@ -80,7 +80,8 @@ class TestCallingThread:
     def test_every_fanned_mode_traces_one_execute_span_per_shard(
         self, engine, series, mode
     ):
-        """count and knn used to open no span below the engine's."""
+        """count and knn used to open no span below the engine's; a
+        prefix query's tail is one more part, with a span of its own."""
         query = series[400:400 + LENGTH]
         if mode == "prefix":
             engine.query("demo", query[:30], 0.4, use_cache=False)
@@ -89,14 +90,16 @@ class TestCallingThread:
         else:
             engine.knn("demo", query, 5)
         (trace,) = engine.traces()
-        spans = _shard_spans(trace)
-        assert sorted(span.meta["shard"] for span in spans) == list(range(SHARDS))
+        labels = [span.meta["shard"] for span in _shard_spans(trace)]
+        assert labels == list(range(SHARDS)) + (["tail"] if mode == "prefix" else [])
 
     @pytest.mark.parametrize("mode", ["search", "prefix", "count", "knn"])
     def test_live_plane_traces_one_execute_span_per_segment(
         self, engine, series, mode
     ):
-        """The live plane opened spans for full-length search only."""
+        """The live plane opened spans for full-length search only. The
+        delta's scan (and a prefix query's tail) is a part like a
+        segment, labelled by its span start too."""
         from repro.live import LiveTwinIndex
 
         live = LiveTwinIndex(series[:1200], length=LENGTH, seal_threshold=300)
@@ -115,8 +118,11 @@ class TestCallingThread:
             span.meta["segment"] for span in trace.spans
             if span.name == "execute" and span.meta and "segment" in span.meta
         ]
-        assert len(live.segments) >= 3
-        assert sorted(segments) == [segment.start for segment in live.segments]
+        assert len(live.segments) >= 3 and live.delta_windows > 0
+        expected = [segment.start for segment in live.segments] + [live.segments[-1].stop]
+        if mode == "prefix":
+            expected.append(live.window_count)
+        assert sorted(segments) == expected
         assert _engine_threads() == []
         live.close()
 

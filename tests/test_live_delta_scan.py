@@ -1,18 +1,26 @@
 """The live delta is a scanned span of the ingest buffer, not a tree.
 
-Three things hold that up: an append never inserts into a ``TSIndex``
+Five things hold that up: an append never inserts into a ``TSIndex``
 (nor does a seal, a compaction or a recovery); a seal makes the segment
-compaction would have made over the same windows; and the scan alone —
-a plane that never seals — answers all six modes like a from-scratch
-``TSIndex``, k-NN ties and exclusion zones included.
+compaction would have made over the same windows; the scan alone — a
+plane that never seals — answers all six modes like a from-scratch
+``TSIndex``, k-NN ties and exclusion zones included; a source taken
+from the ingest buffer never changes afterwards; and so a search scans
+the delta outside the plane lock, where an append need not wait for it.
 """
+
+import concurrent.futures
+import threading
 
 import numpy as np
 import pytest
 
+from repro.core import verification
 from repro.core.bulkload import bulk_load_source
+from repro.core.normalization import Normalization, std_block_size
 from repro.core.tsindex import TSIndex, TSIndexParams
 from repro.live import LiveTwinIndex, merge_segments
+from repro.live.ingest import IngestBuffer
 
 LENGTH = 12
 PARAMS = TSIndexParams(min_children=2, max_children=4)
@@ -149,3 +157,60 @@ def test_exclusion_zones_straddling_the_sealed_frontier(normalization):
     _assert_six_modes(
         live, oracle, (frontier - 1, frontier, frontier + 40), epsilon=1.0, k=6, excludes=excludes
     )
+
+
+@pytest.mark.parametrize("normalization", REGIMES)
+def test_a_taken_source_never_changes(normalization):
+    """What a query takes under the plane lock stays valid without it:
+    ``extend`` writes only past the readings held, and a regrowth
+    copies into a new array, so values, means and stds of an earlier
+    source are byte-equal after any later append."""
+    buffer = IngestBuffer(_walk(100, seed=21), LENGTH, Normalization.coerce(normalization))
+    block = std_block_size(LENGTH)
+    taken = []
+
+    def take():
+        source = buffer.source()
+        arrays = (source.values, source._means, source._stds)
+        taken.append((arrays, [None if a is None else a.tobytes() for a in arrays]))
+
+    take()
+    buffer.extend(_walk(50, seed=22))  # (a) fits the buffer, same std block
+    take()
+    assert buffer.window_count < block
+    buffer.extend(_walk(2 * block, seed=23))  # (c) crosses std blocks in place
+    assert buffer.window_count > block and buffer.size <= 1024
+    take()
+    buffer.extend(_walk(1024, seed=24))  # (b) regrows the buffer
+    take()
+    for arrays, snapshot in taken:
+        assert [None if a is None else a.tobytes() for a in arrays] == snapshot
+
+
+def test_an_append_does_not_wait_for_a_search_in_the_delta_scan(monkeypatch):
+    stream = _walk(300, seed=31)
+    live = LiveTwinIndex(stream, LENGTH, params=PARAMS, seal_threshold=None)
+    assert (live.segment_count, live.delta_windows) == (0, live.window_count)
+    entered, release = threading.Event(), threading.Event()
+    kernel = verification.verify_positions
+
+    def gated(*args, **kwargs):
+        entered.set()
+        release.wait(10.0)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(verification, "verify_positions", gated)
+    query = stream[40 : 40 + LENGTH]
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        searching = pool.submit(live.search, query, 1.0)
+        assert entered.wait(10.0)
+        appending = pool.submit(live.append, _walk(30, seed=32))
+        try:
+            added = appending.result(timeout=5.0)
+        finally:
+            release.set()
+        found = searching.result(timeout=10.0)
+    assert added == 30 and live.window_count == 330 - LENGTH + 1
+    # The search answers the windows it took, before the append.
+    _same(found, TSIndex.build(stream, LENGTH, normalization="none", params=PARAMS).search(query, 1.0))
+    live.close()

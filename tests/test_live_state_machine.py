@@ -71,9 +71,11 @@ TORN = {
 #: how many times one such step commonly hits it — a fault is armed for
 #: the 1st..nth hit. An append that seals twice writes and commits
 #: seal, merge, seal, merge: four ``segment.write`` and four
-#: ``manifest.commit`` hits. Rarer reaches are left out rather than
-#: diluting the draw: a three-seal backlog (5-6 hits), a recovery whose
-#: journal replays a full threshold and seals.
+#: ``manifest.commit`` hits. A search hits ``segment.search`` once per
+#: part: up to ``MAX_SEGMENTS`` segments, then the delta's scan. Rarer
+#: reaches are left out rather than diluting the draw: a three-seal
+#: backlog (5-6 hits), a recovery whose journal replays a full threshold
+#: and seals, a search over a chain compaction has not yet merged.
 SITES = {
     "wal.append": (("append",), 1),
     "wal.fsync": (("append",), 1),
@@ -83,7 +85,7 @@ SITES = {
     "wal.rewrite": (("append", "seal", "reopen"), 2),
     "compaction.merge": (("append", "seal", "compact"), 2),
     "segment.read": (("reopen",), 2),
-    "segment.search": (("query",), 2),
+    "segment.search": (("query",), 3),
 }
 FAULTS = tuple(
     (site, config, on_hit)
@@ -246,9 +248,9 @@ class LivePlaneMachine(RuleBasedStateMachine):
         start = position % windows
         query = self.acked[start : start + LENGTH]
         if fault is not None:
-            # A segment that fails mid-query surfaces its own error (the
-            # fan-out contract); the plane must answer the same query
-            # exactly right after.
+            # A part (a segment or the delta's scan) that fails
+            # mid-query surfaces its own error (the fan-out contract);
+            # the plane must answer the same query exactly right after.
             with contextlib.suppress(OSError):
                 self.under(fault, lambda: self.live.search(query, epsilon))
         live = self.live

@@ -4,8 +4,8 @@ Two halves. The failure semantics (fail-fast, first failure cancels,
 deadline, degraded report, part attribution in notes, spans and
 failpoints) run over hand-made fake parts, so nothing real has to be
 monkeypatched to be slow or broken. Exactness runs over real trees —
-pointer and frozen parts mixed, one part answered by the "plane" and
-handed in as ``extra`` — against one brute-force Chebyshev scan.
+pointer and frozen parts mixed, the last span a sweepline scan part as
+the live delta is — against one brute-force Chebyshev scan.
 """
 
 import concurrent.futures
@@ -17,13 +17,13 @@ import pytest
 
 from repro.core.stats import QueryStats, SearchResult
 from repro.core.tsindex import TSIndex, TSIndexParams
-from repro.core.windows import WindowSource
+from repro.core.windows import WindowSource, assemble_source
 from repro.engine import ShardedTSIndex
-from repro.exceptions import InvalidParameterError, ShardTimeoutError
+from repro.exceptions import ShardTimeoutError
 from repro.faults import failpoints
+from repro.indices.sweepline import SweeplineSearch
 from repro.obs.trace import QueryTrace, activate_trace, deactivate_trace
 from repro.query.parts import Part, PartSet, local_exclude
-from repro.query.varlength import prefix_search_part, tail_positions, verify_prefix
 
 
 @pytest.fixture(autouse=True)
@@ -94,9 +94,9 @@ QUERY = np.zeros(4)
 
 
 class TestFailureSemantics:
-    def test_merges_in_part_order_then_extras(self):
-        parts = _fakes(FakeIndex([1, 3]), FakeIndex(), FakeIndex([0]))
-        merged = parts.search(QUERY, 0.1, extra=[(30, _result([2]))])
+    def test_merges_in_part_order(self):
+        parts = _fakes(FakeIndex([1, 3]), FakeIndex(), FakeIndex([0]), FakeIndex([2]))
+        merged = parts.search(QUERY, 0.1)
         assert merged.positions.tolist() == [1, 3, 20, 32]
         # The empty part merges its counters and nothing else.
         assert merged.stats.matches == 4
@@ -153,15 +153,12 @@ class TestFailureSemantics:
         assert list(info.value.answered) == ["a", "c"]
         assert list(info.value.missing) == ["slow"]
 
-    def test_degraded_serves_answered_parts_and_extras(self, pool):
+    def test_degraded_serves_answered_parts(self, pool):
         parts = _fakes(
-            FakeIndex([1]), FakeIndex([2], delay=3.0), FakeIndex([3]),
-            kind="segment", labels=[0, 10, 20],
+            FakeIndex([1]), FakeIndex([2], delay=3.0), FakeIndex([3]), FakeIndex([5]),
+            kind="segment", labels=[0, 10, 20, 30],
         )
-        merged = parts.search(
-            QUERY, 0.1, executor=pool, timeout=0.3, degraded=True,
-            extra=[(30, _result([5]))],
-        )
+        merged = parts.search(QUERY, 0.1, executor=pool, timeout=0.3, degraded=True)
         assert merged.positions.tolist() == [1, 23, 35]
         # A plain dict (the fault suites index it), typed as DegradedReport.
         assert merged.degraded == {
@@ -201,14 +198,16 @@ class TestFailureSemantics:
         assert local_exclude((2, 6), 6, 10) is None
 
     def test_process_pool_without_archives(self):
+        # Parts without an archive answer in the calling thread, so a
+        # set of them is the serial loop: no worker is ever spawned.
+        # (An unarchived *engine* refuses a process pool up front.)
         with concurrent.futures.ProcessPoolExecutor(1) as procpool:
-            # Segments fall back to the serial loop (no worker spawned) ...
-            live_like = _fakes(FakeIndex([1]), FakeIndex([2]), kind="segment")
-            merged = live_like.search(QUERY, 0.1, executor=procpool)
-            assert merged.positions.tolist() == [1, 12]
-            # ... an unarchived engine is told how to get archived.
-            with pytest.raises(InvalidParameterError, match="process fan-out"):
-                _fakes(FakeIndex(), FakeIndex()).count(QUERY, 0.1, executor=procpool)
+            for kind in ("shard", "segment"):
+                parts = _fakes(FakeIndex([1]), FakeIndex([2]), kind=kind)
+                merged = parts.search(QUERY, 0.1, executor=procpool)
+                assert merged.positions.tolist() == [1, 12]
+                assert parts.count(QUERY, 0.1, executor=procpool) == 2
+            assert not procpool._processes
 
     def test_batch_keeps_input_order_on_a_pool(self, pool):
         def search(query, epsilon, **options):
@@ -269,9 +268,10 @@ def _same(result, expected):
 
 @pytest.mark.parametrize("m", [LENGTH, 11], ids=["m=l", "m<l"])
 class TestExactness:
-    """``PartSet`` direct — the last part is the "plane's own" answer,
-    handed in as ``extra`` — and through ``ShardedTSIndex`` over the
-    same mixed trees, which adds validation and the prefix dispatch."""
+    """``PartSet`` direct — the last span a sweepline scan part, as the
+    live delta is, and a prefix query's tail another — and through
+    ``ShardedTSIndex`` over the same mixed trees, which adds validation
+    and the prefix dispatch."""
 
     def _query(self, source, m, at=200):
         return np.array(source.values[at : at + m]) + 0.01
@@ -282,18 +282,16 @@ class TestExactness:
 
     def test_search_with_an_extra_part(self, source, trees, m):
         query, epsilon = self._query(source, m), self._epsilon(source, m)
-        fanned = PartSet(
-            [Part(a, tree, a, None) for (a, _), tree in zip(SPANS[:-1], trees)], "segment"
-        )
-        last = trees[-1]
+        parts = [Part(a, tree, a, None) for (a, _), tree in zip(SPANS[:-1], trees)]
+        last = SPANS[-1][0]
+        parts.append(Part(last, SweeplineSearch.from_source(source.shard(*SPANS[-1])), last, None))
         if m == LENGTH:
-            extra = [(SPANS[-1][0], last.search(query, epsilon))]
-            merged = fanned.search(query, epsilon, extra=extra)
+            merged = PartSet(parts, "segment").search(query, epsilon)
             expected = brute(source.values, query, epsilon, windows=source.count)
         else:
-            tail = verify_prefix(source, query, tail_positions(source, m), epsilon)
-            extra = [(SPANS[-1][0], prefix_search_part(last, query, epsilon)), (0, tail)]
-            merged = fanned.prefix_search(query, epsilon, extra=extra)
+            tail = assemble_source(source.values[source.count :], m, "none")
+            parts.append(Part(source.count, SweeplineSearch.from_source(tail), "tail", None))
+            merged = PartSet(parts, "segment").prefix_search(query, epsilon)
             expected = brute(source.values, query, epsilon)
         assert len(expected[0]) >= 12
         _same(merged, expected)

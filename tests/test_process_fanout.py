@@ -207,6 +207,55 @@ class TestLiveProcessEquivalence:
             plane.close()
 
 
+class CountingPool(concurrent.futures.ProcessPoolExecutor):
+    """A process pool that counts the tasks it is handed."""
+
+    submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.fixture()
+def counting_pool():
+    with CountingPool(2) as executor:
+        yield executor
+
+
+class TestScanPartsBesideThePool:
+    """A scan part (the live delta, a prefix query's tail) has no
+    archive and answers in the calling thread; every archived part
+    still goes to the workers — a silent fall-back to the serial loop
+    would submit nothing."""
+
+    def test_live_segments_go_to_the_pool_beside_the_delta(
+        self, live_durable, counting_pool
+    ):
+        query = _window(live_durable, 0.25)
+        for call, probe, epsilon in (
+            (live_durable.search, query, 3.0),
+            (live_durable.search_varlength, query[: live_durable.length // 2], 2.0),
+        ):
+            counting_pool.submitted = 0
+            _assert_same_result(call(probe, epsilon), call(probe, epsilon, executor=counting_pool))
+            assert counting_pool.submitted == live_durable.segment_count
+
+    def test_sharded_prefix_query_ships_shards_and_scans_the_tail_here(
+        self, tmp_path, series_values, counting_pool
+    ):
+        path = tmp_path / "engine.raw"
+        save_index(
+            ShardedTSIndex.build(series_values, LENGTH, normalization="none", shards=3), path
+        )
+        engine = load_index(path)
+        query = np.array(series_values[-LENGTH // 2 :])  # its twin is in the tail
+        serial = engine.search_varlength(query, 0.3)
+        assert serial.positions[-1] >= engine.size
+        _assert_same_result(serial, engine.search_varlength(query, 0.3, executor=counting_pool))
+        assert counting_pool.submitted == engine.shard_count
+
+
 class TestEngineProcessExecutor:
     def test_rejects_unknown_kind(self):
         with pytest.raises(InvalidParameterError, match="executor"):

@@ -11,7 +11,6 @@ from repro.core.stats import QueryStats
 from repro.core.verification import (
     VERIFICATION_MODES,
     verify,
-    verify_intervals,
     verify_positions,
     verify_positions_per_candidate,
 )
@@ -34,8 +33,6 @@ ALL_POSITIONS = "all"
 
 
 def _run(strategy, source, query, positions, epsilon):
-    if strategy == "intervals":
-        return verify_intervals(source, query, [(0, source.count)], epsilon)
     if positions is ALL_POSITIONS:
         positions = np.arange(source.count)
     if strategy == "bulk":
@@ -44,9 +41,7 @@ def _run(strategy, source, query, positions, epsilon):
 
 
 class TestStrategiesAgree:
-    @pytest.mark.parametrize(
-        "strategy", ["bulk", "per_candidate", "intervals"]
-    )
+    @pytest.mark.parametrize("strategy", ["bulk", "per_candidate"])
     def test_full_scan_matches_naive(self, source_global, ground_truth, strategy):
         query, epsilon, expected = ground_truth
         result = _run(strategy, source_global, query, ALL_POSITIONS, epsilon)
@@ -117,14 +112,6 @@ class TestStats:
         assert stats.verified == source_global.count
         assert stats.matches == len(expected)
         assert result.stats is stats
-
-    def test_interval_stats(self, source_global, ground_truth):
-        query, epsilon, expected = ground_truth
-        stats = QueryStats()
-        verify_intervals(
-            source_global, query, [(0, 10), (20, 30)], epsilon, stats=stats
-        )
-        assert stats.candidates == 20
 
     def test_filter_ratio(self):
         stats = QueryStats(candidates=25)
