@@ -7,8 +7,7 @@ EXPERIMENTS.json, ``benchmarks/bench_scaling.py``'s git-ignored
 schema-versioned envelope (``schema``, ``kind``, and a ``meta`` block:
 generation time, seed, cpu_count, git revision, python version), sorted
 keys so artifacts diff stably, strict JSON (a non-finite number is
-refused). The ``bench-writes`` lint holds any ``BENCH_*.json`` writer
-to the same path.
+refused).
 
 :func:`evaluate` is a pure function of one ``kind="experiments"``
 artifact (:func:`repro.bench.experiments.run_all` produced its

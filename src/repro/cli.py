@@ -1,5 +1,5 @@
 """Command-line front end: the paper's experiments, the serving engine,
-the live plane, metrics export and the project linter.
+the live plane and metrics export.
 
 Reproduce the paper's evaluation (Section 6: the intro experiment,
 Figures 4-8, Tables 1-2) — one *run* step that measures and writes a
@@ -41,15 +41,6 @@ subcommands also take ``--json`` for machine-readable snapshots::
     python -m repro.cli live stats --path ./traffic --json
     python -m repro.cli obs export --format prometheus
     python -m repro.cli obs export --format json
-
-Audit the source tree against the project's own invariants
-(:mod:`repro.lint`) — failpoint registry, crash-safety, lock
-discipline, layering, public-API hygiene::
-
-    python -m repro.cli lint
-    python -m repro.cli lint --check single-call-site --check wall-clock
-    python -m repro.cli lint --format json
-    python -m repro.cli lint --list
 """
 
 from __future__ import annotations
@@ -73,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-twin",
         description="Run and render the paper's experiments, or drive "
-        "the sharded query engine, the live plane, metrics and lint.",
+        "the sharded query engine, the live plane and metrics.",
         epilog="query planes: paper methods "
         f"{', '.join(available_methods())}; "
         f"extended planes {', '.join(extended_methods())}.",
@@ -596,72 +587,6 @@ def run_obs(argv) -> int:
     return 0
 
 
-def build_lint_parser() -> argparse.ArgumentParser:
-    """Parser for the ``lint`` command (project-invariant static
-    analysis over :mod:`repro.lint`)."""
-    from .lint import CHECKERS
-
-    parser = argparse.ArgumentParser(
-        prog="repro-twin lint",
-        description="Audit the repro source tree against the project's "
-        "own invariants (failpoint registry, crash safety, lock "
-        "discipline, layering, public-API hygiene). Exits 1 when any "
-        "violation is found.",
-        epilog="checkers: " + ", ".join(sorted(CHECKERS)),
-    )
-    parser.add_argument(
-        "--check",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="run only this checker (repeatable; default: all)",
-    )
-    parser.add_argument(
-        "--root",
-        default=None,
-        help="package root to audit (default: the installed repro "
-        "package itself)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--list",
-        action="store_true",
-        dest="list_checks",
-        help="list the available checkers and exit",
-    )
-    return parser
-
-
-def run_lint_cli(argv) -> int:
-    """Execute the ``lint`` command; returns an exit code (0 clean,
-    non-zero when violations were found)."""
-    from .exceptions import ReproError
-    from .lint import CHECKERS, run_lint
-
-    args = build_lint_parser().parse_args(argv)
-    if args.list_checks:
-        width = max(len(name) for name in CHECKERS)
-        for name, checker in sorted(CHECKERS.items()):
-            print(f"{name:<{width}}  {checker.description}")
-        return 0
-    try:
-        report = run_lint(args.root, checks=args.check)
-    except ReproError as exc:
-        raise SystemExit(f"error: {exc}") from exc
-    if args.format == "json":
-        import json
-
-        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.format_text())
-    return report.exit_code
-
-
 def run_engine(argv) -> int:
     """Execute one ``engine`` subcommand; returns an exit code.
 
@@ -722,7 +647,6 @@ SUBSYSTEMS = {
     "engine": run_engine,
     "live": run_live,
     "obs": run_obs,
-    "lint": run_lint_cli,
 }
 COMMANDS = ("run", "evaluate") + tuple(SUBSYSTEMS)
 

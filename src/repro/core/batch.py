@@ -10,7 +10,7 @@ stop re-implementing the aggregation loop the harness uses.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Iterable, Protocol
+from typing import Any, Iterable, Iterator, Protocol
 
 import numpy.typing as npt
 
@@ -39,10 +39,10 @@ class BatchResult:
     def __len__(self) -> int:
         return len(self.results)
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[SearchResult]:
         return iter(self.results)
 
-    def __getitem__(self, item) -> SearchResult:
+    def __getitem__(self, item: int) -> SearchResult:
         return self.results[item]
 
     @property

@@ -88,7 +88,7 @@ import dataclasses
 import heapq
 import itertools
 import time
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 import numpy as np
 import numpy.typing as npt
@@ -1348,7 +1348,7 @@ class FrozenTSIndex:
         return found
 
     # ------------------------------------------------------------------
-    def _prepare_query(self, query) -> np.ndarray:
+    def _prepare_query(self, query: npt.ArrayLike) -> np.ndarray:
         return prepare_values(
             self._source, query, expected=self._source.length
         )
@@ -1359,7 +1359,7 @@ class FrozenTSIndex:
     aliases=("frozentsindex",),
     summary="read-optimized flat TS-Index snapshot (vectorized frontier)",
 )
-def _frozen_plane(source: WindowSource, **kwargs) -> FrozenTSIndex:
+def _frozen_plane(source: WindowSource, **kwargs: Any) -> FrozenTSIndex:
     """Registry builder: a TS-Index built then frozen in place."""
     from .tsindex import TSIndex, TSIndexParams
 

@@ -103,14 +103,14 @@ class MBTS:
     def __repr__(self) -> str:
         return f"MBTS(length={self.length}, area={self.area():.4g})"
 
-    def __eq__(self, other) -> bool:
+    def __eq__(self, other: object) -> bool:
         if not isinstance(other, MBTS):
             return NotImplemented
         return np.array_equal(self.upper, other.upper) and np.array_equal(
             self.lower, other.lower
         )
 
-    def __hash__(self):  # pragma: no cover - mutable, unhashable by design
+    def __hash__(self) -> int:  # pragma: no cover - mutable, unhashable by design
         raise TypeError("MBTS is mutable and unhashable")
 
     # ------------------------------------------------------------------

@@ -8,6 +8,8 @@ Positions are 0-based throughout the library (the paper is 1-based).
 
 from __future__ import annotations
 
+from typing import Any, Iterator
+
 import numpy as np
 import numpy.typing as npt
 
@@ -66,13 +68,15 @@ class TimeSeries:
     def __len__(self) -> int:
         return self._values.size
 
-    def __getitem__(self, key):
+    def __getitem__(self, key: Any) -> Any:
         return self._values[key]
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[Any]:
         return iter(self._values)
 
-    def __array__(self, dtype=None, copy=None):
+    def __array__(
+        self, dtype: npt.DTypeLike = None, copy: bool | None = None
+    ) -> np.ndarray:
         if dtype is not None:
             return np.asarray(self._values, dtype=dtype)
         return self._values
@@ -81,12 +85,12 @@ class TimeSeries:
         label = f" name={self._name!r}" if self._name else ""
         return f"TimeSeries(length={len(self)}{label})"
 
-    def __eq__(self, other) -> bool:
+    def __eq__(self, other: object) -> bool:
         if not isinstance(other, TimeSeries):
             return NotImplemented
         return np.array_equal(self._values, other._values)
 
-    def __hash__(self):
+    def __hash__(self) -> int:
         return hash((len(self._values), self._values.tobytes()[:256]))
 
     # ------------------------------------------------------------------

@@ -10,7 +10,7 @@ the data and parameters.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, TypedDict
+from typing import Any, Iterator, TypedDict
 
 import numpy as np
 
@@ -98,7 +98,7 @@ class SearchResult:
     stats: QueryStats = dataclasses.field(default_factory=QueryStats)
     degraded: DegradedReport | None = None
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         self.positions = np.asarray(self.positions, dtype=POSITION_DTYPE)
         self.distances = np.asarray(self.distances, dtype=float)
         if self.positions.shape != self.distances.shape:
@@ -110,7 +110,7 @@ class SearchResult:
     def __len__(self) -> int:
         return int(self.positions.size)
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[tuple[int, float]]:
         return iter(zip(self.positions.tolist(), self.distances.tolist()))
 
     def __repr__(self) -> str:

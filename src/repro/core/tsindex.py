@@ -68,7 +68,7 @@ class TSIndexParams:
     max_children: int = 30
     split_metric: str = "area"
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         check_positive_int(self.min_children, name="min_children")
         check_positive_int(self.max_children, name="max_children")
         if self.max_children < 2 * self.min_children:
@@ -89,7 +89,13 @@ class _Node:
 
     __slots__ = ("mbts", "children", "positions", "_env_upper", "_env_lower")
 
-    def __init__(self, mbts: MBTS, *, children=None, positions=None):
+    def __init__(
+        self,
+        mbts: MBTS,
+        *,
+        children: list[_Node] | None = None,
+        positions: list[int] | None = None,
+    ):
         self.mbts = mbts
         self.children: list[_Node] | None = children
         self.positions: list[int] | None = positions
@@ -405,7 +411,7 @@ class TSIndex:
 
     def _insert_into(
         self, node: _Node, window: np.ndarray, tiled: np.ndarray, position: int
-    ):
+    ) -> _Node | None:
         """Recursive insert; returns a new sibling when ``node`` split."""
         node.mbts.expand_fast(window)
         if node.is_leaf:
@@ -510,7 +516,9 @@ class TSIndex:
         self._build_stats.splits += 1
         return sibling
 
-    def _distribute(self, rows: np.ndarray, seed_a: int, seed_b: int, *, rows_are_mbts: bool):
+    def _distribute(
+        self, rows: np.ndarray, seed_a: int, seed_b: int, *, rows_are_mbts: bool
+    ) -> tuple[list[int], list[int]]:
         """Assign entries to the two seeds, honouring ``min_children``.
 
         ``rows`` is ``(k, l)`` of sequences (leaf split) or ``(k, 2, l)``
@@ -703,7 +711,7 @@ class TSIndex:
     paper=True,
     summary="MBTS tree, the paper's contribution (Section 5)",
 )
-def _tsindex_plane(source: WindowSource, **kwargs) -> TSIndex:
+def _tsindex_plane(source: WindowSource, **kwargs: Any) -> TSIndex:
     """Registry builder: loose kwargs become :class:`TSIndexParams`."""
     params = kwargs.pop("params", None)
     if kwargs:

@@ -110,7 +110,7 @@ class QueryCache:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, key) -> bool:
+    def __contains__(self, key: object) -> bool:
         with self._lock:
             return key in self._entries
 

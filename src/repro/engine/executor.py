@@ -50,7 +50,7 @@ import shutil
 import tempfile
 import threading
 import time
-from typing import Any
+from typing import Any, Callable
 
 from .._util import available_cpu_count
 from ..core.batch import BatchResult
@@ -65,7 +65,7 @@ from ..obs.trace import (
     activate_trace,
     deactivate_trace,
 )
-from ..query import QuerySpec, batch_result, plan
+from ..query import QueryPlan, QuerySpec, batch_result, plan
 from ..query.spec import MODES
 from .cache import CacheStats, QueryCache, query_key
 from .registry import IndexRegistry
@@ -107,7 +107,7 @@ class EngineStats:
 
 
 class QueryEngine:
-    """Concurrent, cached twin-query serving over named sharded indexes.
+    """Concurrent, cached twin-query serving over named query planes.
 
     Examples
     --------
@@ -249,7 +249,7 @@ class QueryEngine:
     def __enter__(self) -> "QueryEngine":
         return self
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, *exc_info: object) -> None:
         self.close()
 
     # ------------------------------------------------------------------
@@ -328,7 +328,7 @@ class QueryEngine:
             self._clear_cache(f"reload of {name!r}")
         return index
 
-    def evict(self, name: str) -> ShardedTSIndex:
+    def evict(self, name: str) -> SubsequenceIndex:
         """Evict the named index and drop its cached results."""
         engine = self._registry.evict(name)
         # Cached entries key on the index name; a blanket clear keeps
@@ -352,7 +352,7 @@ class QueryEngine:
         call)."""
         return self._executor_kind
 
-    def _fanout(self, index, *, deadline: bool = False) -> object:
+    def _fanout(self, index: SubsequenceIndex, *, deadline: bool = False) -> object:
         """The executor a plan's fan-out runs on; ``None`` means the
         calling thread. The process pool when configured (spooling
         in-memory sharded planes to raw archives first, so workers can
@@ -364,7 +364,7 @@ class QueryEngine:
             return self._fanout_pool
         return self._pool if deadline else None
 
-    def _ensure_process_servable(self, index) -> None:
+    def _ensure_process_servable(self, index: SubsequenceIndex) -> None:
         """Give an unarchived sharded plane an on-disk identity for
         process workers: save it once as a raw (mmap) archive in the
         engine spool and attach the path. Planes loaded from disk or
@@ -550,7 +550,7 @@ class QueryEngine:
         started = time.perf_counter()
         fanout = self._fanout(index)
 
-        def one(query) -> SearchResult:
+        def one(query: Any) -> SearchResult:
             self._count_query()
             spec = QuerySpec(
                 query=query,
@@ -584,7 +584,9 @@ class QueryEngine:
             self._tracer.finish(trace)
 
     @staticmethod
-    def _spec_key(spec: QuerySpec, executed, name: str, generation) -> tuple:
+    def _spec_key(
+        spec: QuerySpec, executed: QueryPlan, name: str, generation: object
+    ) -> tuple:
         """The cache key for one planned spec: query digest + effective
         (capability-filtered) options + plane name and generation. The
         arrival domain is part of the key — the same raw values mean a
@@ -599,7 +601,7 @@ class QueryEngine:
             **{str(k): v for k, v in executed.options.items()},
         )
 
-    def _serve(self, mode: str, name: str, run):
+    def _serve(self, mode: str, name: str, run: Callable[[], Any]) -> Any:
         """Wrap one serving call in the per-mode instrumentation: a
         (possibly sampled-out) trace, the latency histogram, and the
         mode / index counters."""

@@ -74,7 +74,7 @@ class ArchiveTask:
     args: tuple = ()
     kwargs: dict = dataclasses.field(default_factory=dict)
 
-    def __call__(self):
+    def __call__(self) -> Any:
         if self.call not in ALLOWED_CALLS:
             raise InvalidParameterError(
                 f"archive task call {self.call!r} is not a fan-out entry "

@@ -37,8 +37,8 @@ from .sharding import ShardedTSIndex
 
 
 class IndexRegistry:
-    """A thread-safe name → :class:`ShardedTSIndex` mapping with
-    ownership semantics (build, evict, persist, stats).
+    """A thread-safe name → :class:`~repro.indices.base.SubsequenceIndex`
+    mapping with ownership semantics (build, evict, persist, stats).
 
     Examples
     --------
@@ -55,9 +55,9 @@ class IndexRegistry:
     True
     """
 
-    def __init__(self):
-        # ShardedTSIndex engines and LiveTwinIndex planes, by name.
-        self._engines: dict[str, object] = {}  # lint: guarded-by(_lock)
+    def __init__(self) -> None:
+        # Query planes (sharded engines, live planes, ...), by name.
+        self._engines: dict[str, SubsequenceIndex] = {}  # lint: guarded-by(_lock)
         self._built_at: dict[str, float] = {}  # lint: guarded-by(_lock)
         # Monotonic per-name registration counter. Callers that cache
         # results key on (name, generation) so an in-flight computation
@@ -158,7 +158,9 @@ class IndexRegistry:
             )
         self._register(name, index, overwrite=overwrite)
 
-    def _register(self, name: str, engine, *, overwrite: bool) -> None:
+    def _register(
+        self, name: str, engine: SubsequenceIndex, *, overwrite: bool
+    ) -> None:
         name = self._check_name(name)
         with self._lock:
             if not overwrite and name in self._engines:
@@ -169,12 +171,12 @@ class IndexRegistry:
             self._built_at[name] = time.time()  # lint: disable=wall-clock epoch timestamp, not a duration
             self._generations[name] = self._generations.get(name, 0) + 1
 
-    def get(self, name: str) -> ShardedTSIndex:
-        """The live engine registered under ``name``."""
+    def get(self, name: str) -> SubsequenceIndex:
+        """The plane registered under ``name``."""
         return self.get_with_generation(name)[0]
 
-    def get_with_generation(self, name: str) -> tuple[ShardedTSIndex, object]:
-        """The live engine plus its cache generation (atomic).
+    def get_with_generation(self, name: str) -> tuple[SubsequenceIndex, object]:
+        """The plane plus its cache generation (atomic).
 
         The generation increments every time ``name`` is (re)registered,
         so ``(name, generation)`` uniquely identifies one built index
@@ -198,8 +200,8 @@ class IndexRegistry:
             return engine, (generation, mutations)
         return engine, generation
 
-    def evict(self, name: str) -> ShardedTSIndex:
-        """Remove and return the engine under ``name`` (the last live
+    def evict(self, name: str) -> SubsequenceIndex:
+        """Remove and return the plane under ``name`` (the last live
         reference unless a caller kept one)."""
         with self._lock:
             try:
@@ -218,7 +220,7 @@ class IndexRegistry:
         with self._lock:
             return len(self._engines)
 
-    def __contains__(self, name) -> bool:
+    def __contains__(self, name: object) -> bool:
         with self._lock:
             return name in self._engines
 
@@ -315,7 +317,7 @@ class IndexRegistry:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _check_name(name) -> str:
+    def _check_name(name: object) -> str:
         if not isinstance(name, str) or not name.strip():
             raise InvalidParameterError(
                 f"index name must be a non-empty string, got {name!r}"

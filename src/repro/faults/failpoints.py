@@ -68,13 +68,12 @@ _metrics = HandleCache(
 #: Error-class shorthands accepted by :func:`arm` / :func:`make_error`.
 ERROR_CLASSES = ("io", "enospc", "crash")
 
-#: Canonical registry of every failpoint site in the library. The
-#: ``failpoint-sites`` checker (``repro lint``) enforces both directions
-#: of the contract: every ``failpoint("...")`` literal in the source
-#: tree names a registered site (so an armed fault test can never
-#: silently no-op against a renamed call site), and every registered
-#: site still has a call site (so the registry never advertises dead
-#: arms). Adding a new site means adding its call *and* its entry here.
+#: Canonical registry of every failpoint site in the library.
+#: :func:`arm` rejects any other name, and ``tests/test_invariants.py``
+#: holds the call sites to it both ways: every ``failpoint("...")``
+#: literal names a registered site, and every registered site still has
+#: a call. Either way an armed fault test can never silently no-op.
+#: Adding a new site means adding its call *and* its entry here.
 SITES = frozenset(
     {
         "compaction.merge",
@@ -244,8 +243,13 @@ def failpoint(name: str, **context: Any) -> Any:
 
 
 def arm(name: str, **config: Any) -> Failpoint:
-    """Arm (or re-arm, replacing) the site ``name``. See module docs
-    for the trigger/action keywords."""
+    """Arm (or re-arm, replacing) the site ``name``, which must be one
+    of :data:`SITES`. See module docs for the trigger/action keywords."""
+    if name not in SITES:
+        raise InvalidParameterError(
+            f"unknown failpoint site {name!r}; known sites: "
+            f"{', '.join(sorted(SITES))}"
+        )
     point = Failpoint(name, **config)
     with _lock:
         global _armed

@@ -639,7 +639,7 @@ class LiveTwinIndex(SubsequenceIndex):
     def __enter__(self) -> "LiveTwinIndex":
         return self
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, *exc_info: object) -> None:
         self.close()
 
     # ------------------------------------------------------------------
@@ -948,7 +948,7 @@ class LiveTwinIndex(SubsequenceIndex):
             parts = self._parts()
         return parts.knn(prepared, k, exclude=exclude, executor=executor)
 
-    def _prefix_knn(self, query, k: int, exclude) -> SearchResult:
+    def _prefix_knn(self, query: Any, k: int, exclude: tuple[int, int] | None) -> SearchResult:
         """Exact prefix-scan k-NN for a query shorter than ``l`` —
         self-contained (no window source needed), so it serves even a
         plane holding fewer than ``length`` readings."""
@@ -996,5 +996,5 @@ class LiveTwinIndex(SubsequenceIndex):
         )
 
     # ------------------------------------------------------------------
-    def _prepare(self, query) -> np.ndarray:
+    def _prepare(self, query: Any) -> np.ndarray:
         return prepare_values(self._source, query, expected=self._length)

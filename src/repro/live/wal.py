@@ -166,7 +166,7 @@ class WriteAheadLog:
         except OSError:
             return None
 
-    def _torn_write(self, spec, data: bytes) -> None:
+    def _torn_write(self, spec: Any, data: bytes) -> None:
         """Armed ``wal.append`` torn-write protocol: write the first
         ``torn_after_bytes`` of the record, then fail — with the payload's
         ``error`` class when given (a survivable partial write the

@@ -99,7 +99,7 @@ class PartSet:
     def _answer(self, trace: Any, part: Part, call: str, args: tuple, kwargs: dict) -> Any:
         """One part call in this process: span, failpoint, histogram."""
         with trace.span("execute", **{self.kind: part.label}):
-            # Two literals: the failpoint-sites lint audits site names.
+            # Two literals, so tests/test_invariants.py can audit site names.
             if self.kind == "shard":
                 failpoint("shard.search", shard=part.label)
             else:

@@ -33,6 +33,14 @@ class TestParser:
             with pytest.raises(SystemExit):
                 parser.parse_args(argv)
 
+    def test_lint_is_no_longer_a_command(self, capsys):
+        # The project invariants run as tier-1 tests
+        # (tests/test_invariants.py), not as a shipped subcommand.
+        with pytest.raises(SystemExit) as info:
+            cli.main(["lint"])
+        assert info.value.code == 2
+        assert "invalid choice: 'lint'" in capsys.readouterr().err
+
     def test_defaults(self):
         from repro.bench import experiments as exp
 

@@ -344,7 +344,9 @@ class TestSurface:
         assert build.windows == sum(s.size for s in live.segments)
         assert build.nodes > 0
 
-    def test_stats_snapshot(self):
+    def test_stats_snapshot(self, compaction_on_calling_thread):
+        # Deterministic compaction: a background merge finishing between
+        # stats() and segment_count would change the count under test.
         live = LiveTwinIndex(
             synthetic.random_walk(300, seed=11), length=16, **SMALL
         )

@@ -283,7 +283,8 @@ TestLivePlane = LivePlaneMachine.TestCase
 def test_fault_table_names_every_live_site():
     """A live-plane failpoint cannot land without the model arming it:
     the table covers the registry minus the two fan-out-only sites (the
-    ``failpoint-sites`` lint holds call sites to the registry)."""
+    ``failpoint-sites`` invariant in ``tests/test_invariants.py`` holds
+    call sites to the registry)."""
     assert set(SITES) == failpoints.SITES - {"shard.search", "fanout.task"}
     assert {site for site, _, _ in FAULTS} == set(SITES)
     for reach, _ in SITES.values():

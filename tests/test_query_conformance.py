@@ -338,16 +338,3 @@ class TestRawDomainMapping:
             query=raw, mode="search", epsilon=0.25, domain="raw"))
         via_index = planes["tsindex"].search(raw, 0.25)
         assert_results_equal(via_raw, via_index, "raw==index w/o global")
-
-
-class TestSinglePreparationImplementation:
-    def test_no_prepare_query_call_sites_outside_repro_query(self):
-        """AST-enforced acceptance criterion: the only ``prepare_query``
-        call sites in the library are :func:`repro.query.spec.prepare_values`
-        and the definition module ``core/windows.py`` — checked by the
-        project's own ``single-call-site`` linter (immune to the string
-        tricks and comments a grep would trip over)."""
-        from repro.lint import run_lint
-
-        report = run_lint(checks=["single-call-site"])
-        assert report.ok, report.format_text()
