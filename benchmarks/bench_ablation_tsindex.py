@@ -8,14 +8,13 @@ without a sweep.
   excursions; ``max`` grows least in the Chebyshev sense, the largest
   single-timestamp excursion (Eq. 2's distance). Both keep every
   invariant, so answers are identical and only tree shape differs;
-* bulk loading vs sequential insertion — build time and query time for
-  each ordering.
+* bulk loading vs sequential insertion — build time and query time.
 """
 
 import pytest
 
 from repro.bench.experiments import DEFAULT_LENGTH
-from repro.core.bulkload import BULK_ORDERINGS, bulk_load_source
+from repro.core.bulkload import bulk_load_source
 from repro.core.tsindex import TSIndex, TSIndexParams
 
 from conftest import default_epsilon, get_context, get_workload, run_workload
@@ -24,6 +23,7 @@ DATASET = "insect"
 NORMALIZATION = "global"
 
 CAPACITIES = ((5, 15), (10, 30), (20, 60), (50, 150))
+STRATEGIES = {"insert": TSIndex.from_source, "bulk": bulk_load_source}
 _INDEX_CACHE: dict = {}
 
 
@@ -75,39 +75,26 @@ def test_ablation_split_metric_query(benchmark, metric):
 
 
 @pytest.mark.benchmark(min_rounds=1, max_time=1.0, warmup=False)
-@pytest.mark.parametrize("strategy", ("insert",) + BULK_ORDERINGS)
+@pytest.mark.parametrize("strategy", STRATEGIES)
 def test_ablation_build_strategy_time(benchmark, strategy):
-    """Build time: sequential insertion vs bulk-load orderings."""
+    """Build time: sequential insertion vs bulk load."""
     source = _source()
     benchmark.group = "ablation-build-strategy"
-    if strategy == "insert":
-        built = benchmark.pedantic(
-            TSIndex.from_source, args=(source,), rounds=1, iterations=1
-        )
-    else:
-        built = benchmark.pedantic(
-            bulk_load_source,
-            args=(source,),
-            kwargs={"ordering": strategy},
-            rounds=1,
-            iterations=1,
-        )
+    built = benchmark.pedantic(
+        STRATEGIES[strategy], args=(source,), rounds=1, iterations=1
+    )
     benchmark.extra_info["nodes"] = built.node_count
     benchmark.extra_info["height"] = built.height
     _INDEX_CACHE[("strategy", strategy)] = built
 
 
 @pytest.mark.benchmark(max_time=0.6, min_rounds=2, warmup=False)
-@pytest.mark.parametrize("strategy", ("insert",) + BULK_ORDERINGS)
+@pytest.mark.parametrize("strategy", STRATEGIES)
 def test_ablation_build_strategy_query(benchmark, strategy):
     """Query time on the trees built by each strategy."""
     index = _INDEX_CACHE.get(("strategy", strategy))
     if index is None:
-        source = _source()
-        if strategy == "insert":
-            index = TSIndex.from_source(source)
-        else:
-            index = bulk_load_source(source, ordering=strategy)
+        index = STRATEGIES[strategy](_source())
         _INDEX_CACHE[("strategy", strategy)] = index
     workload = get_workload(DATASET, DEFAULT_LENGTH, NORMALIZATION)
     epsilon = default_epsilon(DATASET, NORMALIZATION)

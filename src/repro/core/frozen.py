@@ -11,15 +11,21 @@ structure-of-arrays *query plane*:
   float32 rounded *outward* (uppers up, lowers down), each held once,
   cut into a timestamp-major head and a node-major tail — see below;
 * ``children_offsets`` / ``children`` — a CSR adjacency: node ``i``'s
-  children are ``children[children_offsets[i]:children_offsets[i+1]]``;
+  children are ``children[children_offsets[i]:children_offsets[i+1]]``.
+  The layout is always BFS, root first — ``children`` is ``1 .. n-1``
+  and every node follows its parent — so each node's children and each
+  whole level are contiguous id ranges; the constructor rejects any
+  other layout;
 * ``leaf_offsets`` / ``positions`` — one contiguous array of all leaf
   window positions with per-node half-open spans (empty for internal
   nodes).
 
-Queries then run *level-synchronously*: the Eq. 2 bound of the entire
-frontier against the query (``U >= Q - ε`` and ``L <= Q + ε`` at every
-timestamp) is a two-phase pass of a few NumPy comparisons per level
-instead of one Python call per node, and
+Queries then run *level by level*: a table of each level's id range is
+built once, a level's frontier is a mask over that range, and the next
+level's frontier is that mask repeated by each node's child count. The
+Eq. 2 bound of the entire frontier against the query (``U >= Q - ε``
+and ``L <= Q + ε`` at every timestamp) is a two-phase pass of a few
+NumPy comparisons per level instead of one Python call per node, and
 :meth:`FrozenTSIndex.search_batch` extends the same idea to a
 ``(query, node)`` pair frontier so many queries share one traversal.
 
@@ -85,6 +91,7 @@ natively, so loading a frozen archive is pure array reads.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import heapq
 import itertools
 import time
@@ -140,7 +147,8 @@ _HEAD_STRIDE = 4
 
 #: A frontier covering at least ``1 / _SPAN_FACTOR`` of its id span
 #: takes its head pass over the zero-copy span view; a sparser one
-#: gathers its own columns (:meth:`FrozenTSIndex._frontier_keep`). The
+#: gathers its own columns (:meth:`FrozenTSIndex._level_keep`,
+#: :meth:`FrozenTSIndex._frontier_keep`). The
 #: view costs the span, the gather the ids: on a 9,091-id span the view
 #: pass takes 90–125 µs at any density, the ``np.take`` pass 582 µs at
 #: 1×, 232 at 2×, 162 at 5×, 102 at 8×, 71 at 12×, 37 at 20× (fancy
@@ -222,10 +230,11 @@ def _thresholds(
     )
 
 
+@functools.lru_cache(maxsize=64)
 def _tail_mask(length: int) -> np.ndarray:
     """Boolean mask over timestamps ``0 .. length``: the ones *not*
-    sampled into the head."""
-    return np.arange(length) % _HEAD_STRIDE != 0
+    sampled into the head (one read-only array per length)."""
+    return _read_only(np.arange(length) % _HEAD_STRIDE != 0)
 
 
 def _head_tail(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -314,7 +323,7 @@ class FrozenTSIndex:
         "_children",
         "_leaf_offsets",
         "_positions",
-        "_bfs_layout",
+        "_levels",
     )
 
     def __init__(
@@ -407,15 +416,7 @@ class FrozenTSIndex:
                 f"{int(leaf_offsets[-1])} vs {positions.size}"
             )
         # Content checks: a corrupted or hand-built archive must fail
-        # loudly here, not return silently wrong answers later (negative
-        # ids, for instance, would wrap around under fancy indexing).
-        if children.size and (
-            int(children.min()) < 1 or int(children.max()) >= n
-        ):
-            raise InvalidParameterError(
-                f"children ids must lie in [1, {n}), got range "
-                f"[{int(children.min())}, {int(children.max())}]"
-            )
+        # loudly here, not return silently wrong answers later.
         for name, offsets in (
             ("children_offsets", children_offsets),
             ("leaf_offsets", leaf_offsets),
@@ -433,6 +434,22 @@ class FrozenTSIndex:
                 f"positions must lie in [0, {source.count}), got range "
                 f"[{int(positions.min())}, {int(positions.max())}]"
             )
+        # The layout is BFS, root first: every node except the root is
+        # the child of exactly one earlier node, appended in visit order,
+        # so the adjacency is just 1 .. n-1, every node's children — and
+        # every level — is one contiguous id range, and the walk can
+        # step from level to level by child counts alone.
+        if not np.array_equal(children, np.arange(1, n)):
+            raise InvalidParameterError(
+                "children must be the BFS adjacency 1 .. n-1 (each node "
+                "a child of one earlier node, in visit order)"
+            )
+        if np.any(children_offsets[1:n] < np.arange(1, n)):
+            raise InvalidParameterError(
+                "every node must be the child of an earlier node"
+            )
+        if np.any(np.diff(children_offsets)[kinds == 1]):
+            raise InvalidParameterError("leaf nodes must have no children")
 
         # The whole point of freezing is immutability; every stored
         # handle is a read-only view, so accidental writes are loud —
@@ -450,15 +467,16 @@ class FrozenTSIndex:
         self._upper_tail = _read_only(upper_tail)
         self._lower_head = _read_only(lower_head)
         self._lower_tail = _read_only(lower_tail)
-        # In the canonical BFS layout every node except the root is the
-        # child of exactly one earlier node, appended in visit order, so
-        # the adjacency values are just 1..n-1 and each node's children
-        # (and each traversal frontier) occupy *contiguous* id ranges.
-        # That unlocks zero-copy envelope slices for dense frontiers;
-        # foreign layouts fall back to gathers.
-        self._bfs_layout = bool(
-            n == 0 or np.array_equal(children, np.arange(1, n))
-        )
+        # The level table: ``(start, stop, leaves)`` per depth, root
+        # first. A level's children are the next level, and the slots
+        # of the nodes before ``stop`` name the nodes up to the end of
+        # that next level.
+        levels = []
+        start, stop = 0, min(n, 1)
+        while start < stop:
+            levels.append((start, stop, int(np.count_nonzero(kinds[start:stop]))))
+            start, stop = stop, int(children_offsets[stop]) + 1
+        self._levels = tuple(levels)
 
     # ------------------------------------------------------------------
     # Construction
@@ -720,14 +738,7 @@ class FrozenTSIndex:
     @property
     def height(self) -> int:
         """Tree height in levels (a lone leaf root has height 1)."""
-        if self.node_count == 0:
-            return 0
-        height = 1
-        node = 0
-        while self._kinds[node] == 0:
-            node = int(self._children[self._children_offsets[node]])
-            height += 1
-        return height
+        return len(self._levels)
 
     def __repr__(self) -> str:
         return (
@@ -781,6 +792,23 @@ class FrozenTSIndex:
         inside &= np.take(self._lower_tail, ids, axis=0)[:, :width] <= hi_tail
         return inside.all(axis=1)
 
+    def _head_keep(
+        self, lo_head: np.ndarray, hi_head: np.ndarray, picked: slice | np.ndarray
+    ) -> np.ndarray:
+        """First phase of the bound check: which nodes — an id range
+        (zero-copy column views) or ascending ids (gathered columns) —
+        hold ``U >= lo`` and ``L <= hi`` at the head timestamps."""
+        rows = lo_head.size
+        if isinstance(picked, slice):
+            upper = self._upper_head[:rows, picked]
+            lower = self._lower_head[:rows, picked]
+        else:
+            upper = np.take(self._upper_head[:rows], picked, axis=1)
+            lower = np.take(self._lower_head[:rows], picked, axis=1)
+        inside = upper >= lo_head[:, None]
+        inside &= lower <= hi_head[:, None]
+        return inside.all(axis=0)
+
     def _frontier_keep(
         self,
         lo: tuple[np.ndarray, np.ndarray],
@@ -793,14 +821,14 @@ class FrozenTSIndex:
         a query's :func:`_thresholds` — two float32 compares and an
         ``&`` per element, no arithmetic temporaries, in two phases.
 
-        The head pass covers the whole frontier at the sampled
-        timestamps, which spread over the window (neighbouring
-        timestamps say nearly the same thing), so a pruned node —
-        usually almost every node — costs a quarter of its timestamps.
-        Under the BFS layout a frontier that is dense in id order is
-        covered by zero-copy column *views* of the head (the gap
-        columns are evaluated too, harmlessly); a sparse one gathers
-        its columns. The survivors are finished by :meth:`_tail_keep`.
+        The head pass (:meth:`_head_keep`) covers the whole frontier at
+        the sampled timestamps, which spread over the window
+        (neighbouring timestamps say nearly the same thing), so a pruned
+        node — usually almost every node — costs a quarter of its
+        timestamps. A frontier that is dense in id order is covered by
+        zero-copy column *views* of the head (the gap columns are
+        evaluated too, harmlessly); a sparse one gathers its columns.
+        The survivors are finished by :meth:`_tail_keep`.
 
         A prefix query of length ``m`` carries shorter parts, and both
         phases run over the matching leading slices.
@@ -808,24 +836,45 @@ class FrozenTSIndex:
         if ids.size == 0:
             return np.zeros(0, dtype=bool)
         (lo_head, lo_tail), (hi_head, hi_tail) = lo, hi
-        rows = lo_head.size
-        lo_head, hi_head = lo_head[:, None], hi_head[:, None]
         first = int(ids[0])
         span = int(ids[-1]) + 1 - first
-        if self._bfs_layout and span <= _SPAN_FACTOR * ids.size:
-            columns = slice(first, first + span)
-            inside = self._upper_head[:rows, columns] >= lo_head
-            inside &= self._lower_head[:rows, columns] <= hi_head
-            keep = inside.all(axis=0)
+        if span <= _SPAN_FACTOR * ids.size:
+            keep = self._head_keep(lo_head, hi_head, slice(first, first + span))
             if span != ids.size:
                 keep = keep[ids - first]
         else:
-            inside = np.take(self._upper_head[:rows], ids, axis=1) >= lo_head
-            inside &= np.take(self._lower_head[:rows], ids, axis=1) <= hi_head
-            keep = inside.all(axis=0)
+            keep = self._head_keep(lo_head, hi_head, ids)
         alive = np.flatnonzero(keep)
         keep[alive] = self._tail_keep(ids[alive], lo_tail, hi_tail)
         return keep
+
+    def _level_keep(
+        self,
+        lo: tuple[np.ndarray, np.ndarray],
+        hi: tuple[np.ndarray, np.ndarray],
+        visit: np.ndarray,
+        count: int,
+        base: int,
+    ) -> np.ndarray:
+        """:meth:`_frontier_keep` over one level, its frontier given as
+        a mask ``visit`` (``count`` nodes, at least one) over the
+        level's ids from ``base`` on: the offsets (into the level) of
+        the visited nodes that are kept. The head pass views the span
+        between the first and the last visited node, or gathers when
+        that span is sparse."""
+        (lo_head, lo_tail), (hi_head, hi_tail) = lo, hi
+        first = int(visit.argmax())
+        stop = visit.size - int(visit[::-1].argmax())
+        if stop - first <= _SPAN_FACTOR * count:
+            keep = self._head_keep(
+                lo_head, hi_head, slice(base + first, base + stop)
+            )
+            keep &= visit[first:stop]
+            alive = np.flatnonzero(keep) + first
+        else:
+            alive = np.flatnonzero(visit)
+            alive = alive[self._head_keep(lo_head, hi_head, alive + base)]
+        return alive[self._tail_keep(alive + base, lo_tail, hi_tail)]
 
     def _pair_keep(
         self,
@@ -852,14 +901,12 @@ class FrozenTSIndex:
 
     def _children_of(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Concatenated child ids of every (internal) node in ``ids``,
-        and how many each node contributed."""
+        and how many each node contributed. The adjacency is
+        ``arange(1, n)``: slot ``i`` names node ``i + 1``, so the slot
+        ranges *are* the ids, shifted."""
         starts = self._children_offsets[ids]
         counts = self._children_offsets[ids + 1] - starts
-        if self._bfs_layout:
-            # The adjacency is ``arange(1, n)``: slot ``i`` names node
-            # ``i + 1``, so the slot ranges *are* the ids, shifted.
-            return _concat_ranges(starts + 1, counts), counts
-        return self._children[_concat_ranges(starts, counts)], counts
+        return _concat_ranges(starts + 1, counts), counts
 
     def _leaf_positions(self, ids: np.ndarray) -> np.ndarray:
         """Concatenated stored positions of every leaf in ``ids``."""
@@ -872,23 +919,19 @@ class FrozenTSIndex:
             self._leaf_offsets[node]:self._leaf_offsets[node + 1]
         ]
 
-    def _child_block(self, node: int) -> tuple[np.ndarray, slice | np.ndarray]:
-        """Child ids of one internal node, and what picks their head
-        columns and tail rows: under the BFS layout the one id range
-        they occupy (zero-copy slices of both parts), otherwise the ids
-        themselves (gathers)."""
-        child_ids = self._children[
-            self._children_offsets[node]:self._children_offsets[node + 1]
-        ]
-        if self._bfs_layout:
-            return child_ids, slice(int(child_ids[0]), int(child_ids[-1]) + 1)
-        return child_ids, child_ids
+    def _child_block(self, node: int) -> tuple[np.ndarray, slice]:
+        """Child ids of one internal node, and the one id range they
+        occupy (it picks their head columns and tail rows as zero-copy
+        slices of both parts)."""
+        start = int(self._children_offsets[node])
+        stop = int(self._children_offsets[node + 1])
+        return self._children[start:stop], slice(start + 1, stop + 1)
 
     def _block_keep(
         self,
         lo: tuple[np.ndarray, np.ndarray],
         hi: tuple[np.ndarray, np.ndarray],
-        picked: slice | np.ndarray,
+        picked: slice,
     ) -> np.ndarray:
         """:meth:`_frontier_keep`'s predicate over one
         :meth:`_child_block`. A node's fan-out is small, so there is
@@ -919,7 +962,7 @@ class FrozenTSIndex:
         :meth:`TSIndex.search <repro.core.tsindex.TSIndex.search>`, but
         the traversal is level-synchronous: every level bounds the
         whole surviving frontier against the query in one two-phase
-        pass (:meth:`_frontier_keep`) instead of one Python call per
+        pass (:meth:`_level_keep`) instead of one Python call per
         node. The structural counters equal the pointer tree's unless a
         node's exact bound clears ``epsilon`` by less than the float32
         rounding step of the stored envelopes (it is then visited).
@@ -983,6 +1026,20 @@ class FrozenTSIndex:
     def _collect_candidates(
         self, query: np.ndarray, epsilon: float, stats: QueryStats
     ) -> np.ndarray:
+        """Algorithm 1's traversal, one level at a time: the unverified
+        positions of every leaf whose envelope, and every ancestor's, is
+        within ``ε`` of the (prepared) query, in id order. A query of
+        length ``m < l`` bounds against the envelopes' first ``m``
+        timestamps (:meth:`collect_varlength_candidates`).
+
+        The level table (``_levels``) names each level's id range, so a
+        level is a mask, not a list of ids: the nodes visited on the
+        next level are the alive mask repeated by each node's child
+        count (a leaf has none), and one two-phase pass
+        (:meth:`_level_keep`) bounds them. Every counter is that of
+        the node-by-node walk: a visited node counts once, a pruned one
+        once more, and an alive leaf is an accessed leaf.
+        """
         if self.node_count == 0:
             return np.empty(0, dtype=POSITION_DTYPE)
 
@@ -992,26 +1049,32 @@ class FrozenTSIndex:
             return np.empty(0, dtype=POSITION_DTYPE)
 
         lo, hi = map(_head_tail, _thresholds(query, epsilon))
-        collected: list[np.ndarray] = []
-        frontier = np.zeros(1, dtype=np.int64)
-        while frontier.size:
-            leaf_mask = self._kinds[frontier] == 1
-            leaves = frontier[leaf_mask]
-            if leaves.size:
-                stats.leaves_accessed += int(leaves.size)
-                collected.append(self._leaf_positions(leaves))
-            internal = frontier[~leaf_mask]
-            if internal.size == 0:
+        leaves: list[np.ndarray] = []
+        alive = np.zeros(1, dtype=np.intp)
+        levels = self._levels
+        for depth, (start, stop, leaf_count) in enumerate(levels):
+            if leaf_count:
+                ids = alive + start
+                if leaf_count < stop - start:
+                    ids = ids[self._kinds[ids] == 1]
+                stats.leaves_accessed += int(ids.size)
+                leaves.append(ids)
+            if depth + 1 == len(levels):
                 break
-            children, _ = self._children_of(internal)
-            keep = self._frontier_keep(lo, hi, children)
-            stats.nodes_visited += int(children.size)
-            stats.nodes_pruned += int(children.size - np.count_nonzero(keep))
-            frontier = children[keep]
+            mask = np.zeros(stop - start, dtype=bool)
+            mask[alive] = True
+            counts = np.diff(self._children_offsets[start : stop + 1])
+            visit = np.repeat(mask, counts)
+            visited = int(np.count_nonzero(visit))
+            if visited == 0:
+                break
+            alive = self._level_keep(lo, hi, visit, visited, stop)
+            stats.nodes_visited += visited
+            stats.nodes_pruned += visited - int(alive.size)
 
-        if not collected:
+        if not leaves:
             return np.empty(0, dtype=POSITION_DTYPE)
-        return np.concatenate(collected)
+        return self._leaf_positions(np.concatenate(leaves))
 
     # ------------------------------------------------------------------
     # Batched search: many queries share one traversal

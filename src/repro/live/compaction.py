@@ -79,6 +79,10 @@ def select_adjacent_pair(segments: Any) -> int:
     return best
 
 
+def _closed() -> None:
+    """The work function of a closed :class:`Compactor` (never run)."""
+
+
 class Compactor:
     """A lazily started, single-threaded driver for one work function.
 
@@ -261,3 +265,9 @@ class Compactor:
             concurrent.futures.wait([future])
         if pool is not None:
             pool.shutdown(wait=True)
+        # No run starts after shutdown. Dropping the work function
+        # breaks the reference cycle to the plane that owns this
+        # compactor, so a closed plane is freed — its segment mappings
+        # and buffers released — as soon as it is dropped, not at the
+        # next cyclic garbage collection.
+        self._work = _closed

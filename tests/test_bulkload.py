@@ -3,20 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.core.bulkload import BULK_ORDERINGS, bulk_load, bulk_load_source
+from repro.core import bulkload as bulkload_module
+from repro.core.bulkload import bulk_load, bulk_load_source
+from repro.core.mbts import MBTS
 from repro.core.tsindex import TSIndexParams
+from repro.core.windows import WindowSource
 from repro.exceptions import InvalidParameterError
 
 
 class TestBulkLoadCorrectness:
-    @pytest.mark.parametrize("ordering", BULK_ORDERINGS)
-    def test_matches_sweepline(
-        self, source_global, sweepline_global, ordering, query_of
-    ):
+    def test_matches_sweepline(self, source_global, sweepline_global, query_of):
         index = bulk_load_source(
             source_global,
             params=TSIndexParams(min_children=4, max_children=10),
-            ordering=ordering,
         )
         for position in (5, 700, 2000):
             query = query_of(position)
@@ -68,35 +67,108 @@ class TestBulkLoadStructure:
 
     def test_fill_fraction_bounds_leaf_size(self, source_global):
         params = TSIndexParams(min_children=4, max_children=20)
-        index = bulk_load_source(
-            source_global, params=params, ordering="position", fill_fraction=0.5
-        )
+        index = bulk_load_source(source_global, params=params, fill_fraction=0.5)
         for node, _depth in index.iter_nodes():
             if node.is_leaf:
                 assert len(node.positions) <= params.max_children
 
-    def test_mean_ordering_groups_similar_means(self, source_global):
-        index = bulk_load_source(source_global, ordering="mean")
-        means = source_global.means()
-        # Each leaf's mean spread should be below the global spread.
-        global_spread = means.max() - means.min()
-        leaf_spreads = []
+
+
+def position_runs(total, fill, minimum):
+    """The leaves of a position-order packing, written out: runs of
+    ``fill`` windows; a last run below ``minimum`` joins the one before
+    it, and the two are re-split evenly when both can reach
+    ``minimum``."""
+    runs = [list(range(start, min(start + fill, total)))
+            for start in range(0, total, fill)]
+    if len(runs) > 1 and len(runs[-1]) < minimum:
+        tail = runs[-2] + runs[-1]
+        del runs[-2:]
+        if len(tail) >= 2 * minimum:
+            half = max(minimum, len(tail) // 2)
+            runs += [tail[:half], tail[half:]]
+        else:
+            runs.append(tail)
+    return runs
+
+
+def position_order_node_count(leaves, fill):
+    """Nodes of a tree stacked over ``leaves`` nodes in runs of
+    ``fill``, a singleton last group joining the group before it."""
+    count = nodes = leaves
+    while nodes > 1:
+        nodes = -(-nodes // fill) - (nodes > fill and nodes % fill == 1)
+        count += nodes
+    return count
+
+
+class TestPacking:
+    """Leaves are position runs with exact envelopes; STR only reorders
+    the upper levels, so every internal envelope is still the union of
+    its children and the node count is position order's."""
+
+    @pytest.mark.parametrize("normalization", ["none", "global", "per_window"])
+    @pytest.mark.parametrize(
+        "windows, params",
+        [
+            (1, TSIndexParams(min_children=2, max_children=4)),
+            (3, TSIndexParams(min_children=2, max_children=4)),  # one full leaf
+            (23, TSIndexParams()),  # fill 22: 22 + 1 re-split 11 / 12
+            (30, TSIndexParams()),  # 22 + 8 re-split 15 / 15
+            (41, TSIndexParams()),  # a last leaf of 19 >= 10 stays
+            (18, TSIndexParams(min_children=10, max_children=20)),  # 15 + 3 kept whole
+            (1_000, TSIndexParams(min_children=2, max_children=4)),
+            (5_003, TSIndexParams(min_children=4, max_children=10)),
+            (20_000, TSIndexParams()),
+        ],
+    )
+    def test_invariants(self, normalization, windows, params):
+        rng = np.random.default_rng(windows)
+        values = np.cumsum(rng.normal(size=windows + 15))
+        source = WindowSource(values, 16, normalization)
+        index = bulk_load_source(source, params=params)
+        fill = max(params.min_children, round(params.max_children * 0.75))
+
+        leaves, internal = [], []
         for node, _depth in index.iter_nodes():
-            if node.is_leaf and len(node.positions) > 1:
-                leaf_means = means[np.asarray(node.positions)]
-                leaf_spreads.append(leaf_means.max() - leaf_means.min())
-        assert np.mean(leaf_spreads) < 0.5 * global_spread
+            (leaves if node.is_leaf else internal).append(node)
+        assert sorted(node.positions for node in leaves) == position_runs(
+            windows, fill, params.min_children
+        )
+        for leaf in leaves:
+            exact = MBTS.from_sequences(source.windows(leaf.positions))
+            assert np.array_equal(leaf.mbts.upper, exact.upper)
+            assert np.array_equal(leaf.mbts.lower, exact.lower)
+        for node in internal:
+            uppers = np.array([child.mbts.upper for child in node.children])
+            lowers = np.array([child.mbts.lower for child in node.children])
+            assert np.array_equal(node.mbts.upper, uppers.max(axis=0))
+            assert np.array_equal(node.mbts.lower, lowers.min(axis=0))
+        expected = position_order_node_count(len(leaves), fill)
+        assert index.node_count == index.build_stats.nodes == expected
+
+    def test_str_packing_visits_fewer_nodes(self, monkeypatch):
+        """What the STR sort is for: twin queries on the packed tree
+        visit fewer nodes than on the same leaves stacked in position
+        order — and get the same answers."""
+        rng = np.random.default_rng(3)
+        source = WindowSource(np.cumsum(rng.normal(size=40_000)), 32, "global")
+        packed = bulk_load_source(source).freeze()
+        monkeypatch.setattr(
+            bulkload_module, "_str_order", lambda keys, fill: np.arange(len(keys))
+        )
+        stacked = bulk_load_source(source).freeze()
+        assert stacked.node_count == packed.node_count
+        visited = np.zeros(2, dtype=np.int64)
+        for position in rng.integers(0, source.count, size=20).tolist():
+            query = source.window(position).copy()
+            results = [index.search(query, 0.3) for index in (packed, stacked)]
+            assert np.array_equal(results[0].positions, results[1].positions)
+            visited += [result.stats.nodes_visited for result in results]
+        assert visited[0] < 0.8 * visited[1]
 
 
 class TestBulkLoadValidation:
-    def test_unknown_ordering(self, source_global):
-        with pytest.raises(InvalidParameterError, match="ordering"):
-            bulk_load_source(source_global, ordering="random")
-
     def test_bad_fill_fraction(self, source_global):
         with pytest.raises(InvalidParameterError, match="fill_fraction"):
             bulk_load_source(source_global, fill_fraction=0.0)
-
-    def test_paa_segments_validated(self, source_global):
-        with pytest.raises(InvalidParameterError):
-            bulk_load_source(source_global, ordering="paa", paa_segments=0)

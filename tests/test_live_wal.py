@@ -9,9 +9,11 @@ serving silently wrong answers.
 """
 
 import errno
+import gc
 import hashlib
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -406,6 +408,21 @@ class TestRecovery:
             )
             live.close()  # must not raise
         assert live._wal._file is None
+
+    def test_a_closed_plane_is_freed_when_dropped(self, tmp_path):
+        # close() leaves no reference cycle behind, so a dropped plane
+        # releases its segments and buffers at once, not at the next
+        # cyclic garbage collection.
+        live, _ = make_durable(tmp_path / "live", seed=14)
+        assert live.seal_count >= 1
+        live.close()
+        gc.disable()
+        try:
+            dropped = weakref.ref(live)
+            del live
+            assert dropped() is None
+        finally:
+            gc.enable()
 
     def test_failed_journal_truncation_leaves_the_plane_appendable(
         self, tmp_path, monkeypatch

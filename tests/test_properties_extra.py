@@ -89,15 +89,14 @@ class TestBulkVsInsertProperty:
         hnp.arrays(np.float64, st.integers(80, 160), elements=finite_floats),
         st.integers(min_value=4, max_value=20),
         st.floats(min_value=0.0, max_value=10.0),
-        st.sampled_from(["position", "mean", "paa"]),
     )
-    def test_bulk_equals_insert_answers(self, values, length, epsilon, ordering):
+    def test_bulk_equals_insert_answers(self, values, length, epsilon):
         if np.ptp(values) == 0.0:
             values = values + np.arange(values.size) * 1e-3
         source = WindowSource(values, length, "none")
         params = TSIndexParams(min_children=2, max_children=4)
         inserted = TSIndex.from_source(source, params=params)
-        bulk = bulk_load_source(source, params=params, ordering=ordering)
+        bulk = bulk_load_source(source, params=params)
         query = np.array(source.window_block(0, 1)[0])
         assert np.array_equal(
             inserted.search(query, epsilon).positions,

@@ -179,16 +179,12 @@ def unblocked(lo, hi, upper_t, lower_t):
     return ((upper_t >= lo[:, None]) & (lower_t <= hi[:, None])).all(axis=0)
 
 
-def index_over(upper_t, lower_t, *, bfs=True):
+def index_over(upper_t, lower_t):
     """A frozen index whose node ``i`` carries column ``i`` of the
     ``(l, n)`` float64 envelopes: a root over ``n - 1`` empty leaves
-    (the kernel never looks at the structure beyond the BFS flag).
-    ``bfs=False`` permutes the adjacency, which turns the id-range
-    shortcuts off."""
+    (the kernel never looks at the structure)."""
     length, n = upper_t.shape
     children = np.arange(1, n, dtype=np.int64)
-    if not bfs:
-        children = children[::-1].copy()
     kinds = np.ones(n, dtype=np.int8)
     kinds[:1] = 0
     children_offsets = np.full(n + 1, n - 1, dtype=np.int64)
@@ -207,7 +203,6 @@ def index_over(upper_t, lower_t, *, bfs=True):
             "positions": np.empty(0, dtype=np.int64),
         },
     )
-    assert index._bfs_layout == (bfs or n <= 2)
     return index
 
 
@@ -292,26 +287,22 @@ class TestPruneKernel:
     @pytest.mark.parametrize("picked", [3, 200, 3000])
     def test_views_gathers_and_named_columns_agree(self, picked):
         """A frontier naming some columns gets the same answers for
-        them as the whole id range does, on either head pass, under the
-        BFS layout and without it."""
+        them as the whole id range does, on either head pass."""
         rng = np.random.default_rng(picked)
         upper_t, lower_t = random_envelopes(rng, 100, 6000)
         query = np.cumsum(rng.normal(size=100))
         ids = np.sort(rng.choice(6000, size=picked, replace=False))
         first, last = int(ids[0]), int(ids[-1]) + 1
-        for index in (
-            index_over(upper_t, lower_t),
-            index_over(upper_t, lower_t, bfs=False),
-        ):
-            for threshold in (1.0, 4.0, 1e300):
-                lo, hi, upper_t32, lower_t32 = kernel_inputs(
-                    query, upper_t, lower_t, threshold
-                )
-                expected = unblocked(lo, hi, upper_t32, lower_t32)
-                named = frontier_keep(index, lo, hi, ids)
-                span = frontier_keep(index, lo, hi, np.arange(first, last))
-                assert np.array_equal(named, expected[ids])
-                assert np.array_equal(span, expected[first:last])
+        index = index_over(upper_t, lower_t)
+        for threshold in (1.0, 4.0, 1e300):
+            lo, hi, upper_t32, lower_t32 = kernel_inputs(
+                query, upper_t, lower_t, threshold
+            )
+            expected = unblocked(lo, hi, upper_t32, lower_t32)
+            named = frontier_keep(index, lo, hi, ids)
+            span = frontier_keep(index, lo, hi, np.arange(first, last))
+            assert np.array_equal(named, expected[ids])
+            assert np.array_equal(span, expected[first:last])
 
     def test_empty_frontier(self):
         rng = np.random.default_rng(1)
@@ -332,14 +323,12 @@ class TestPruneKernel:
         columns = 240
         upper_t, lower_t = random_envelopes(rng, length, columns)
         upper32, lower32 = round_up_f32(upper_t), round_down_f32(lower_t)
-        bfs = index_over(upper_t, lower_t)
-        foreign = index_over(upper_t, lower_t, bfs=False)
+        index = index_over(upper_t, lower_t)
         frontiers = {
             "empty": np.empty(0, dtype=np.int64),
             "single": np.array([17]),
             "dense": np.arange(5, 200),
             "sparse": np.array([2, 90, 91, 239]),
-            "unordered": rng.permutation(columns)[:50],
         }
         head_differs = False
         for m in range(1, length + 1):
@@ -362,17 +351,13 @@ class TestPruneKernel:
                 assert case != 1 or expected.all()
                 assert case != 2 or not head_only.any()
                 for name, ids in frontiers.items():
-                    for index in (bfs, foreign):
-                        if name == "unordered" and index is bfs:
-                            continue  # BFS frontiers are ascending
-                        kept = frontier_keep(index, lo, hi, ids)
-                        assert np.array_equal(kept, expected[ids]), (m, name)
+                    kept = frontier_keep(index, lo, hi, ids)
+                    assert np.array_equal(kept, expected[ids]), (m, name)
                 # ``exists``' one-shot form of the same predicate, over a
-                # child block as an id range and as gathered ids.
+                # child block's id range.
                 parts = frozen_module._head_tail(lo), frozen_module._head_tail(hi)
-                for picked in (slice(5, 200), frontiers["sparse"]):
-                    kept = bfs._block_keep(*parts, picked)
-                    assert np.array_equal(kept, expected[picked]), m
+                kept = index._block_keep(*parts, slice(5, 200))
+                assert np.array_equal(kept, expected[5:200]), m
         # The tail phase is doing something wherever there is a tail.
         assert head_differs == (length > 1)
 
@@ -391,7 +376,7 @@ class TestNarrowBlockCounters:
             source, params=TSIndexParams(min_children=4, max_children=8)
         )
         frozen = tree.freeze()
-        assert frozen._bfs_layout and frozen.leaf_count > 1000
+        assert frozen.leaf_count > 1000
         return tree, frozen
 
     @pytest.fixture(autouse=True)

@@ -67,12 +67,9 @@ def test_default_capacity_tree_invariants(series_values):
     _check_tree(index)
 
 
-@pytest.mark.parametrize("ordering", ["position", "mean", "paa"])
-def test_bulk_loaded_tree_invariants(source_global, ordering):
+def test_bulk_loaded_tree_invariants(source_global):
     index = bulk_load_source(
-        source_global,
-        params=TSIndexParams(min_children=4, max_children=10),
-        ordering=ordering,
+        source_global, params=TSIndexParams(min_children=4, max_children=10)
     )
     # Bulk loading packs leaves at a fill factor; one tail leaf and the
     # top levels may be under the minimum, which is fine for queries.
