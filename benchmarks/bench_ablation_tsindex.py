@@ -8,7 +8,10 @@ without a sweep.
   excursions; ``max`` grows least in the Chebyshev sense, the largest
   single-timestamp excursion (Eq. 2's distance). Both keep every
   invariant, so answers are identical and only tree shape differs;
-* bulk loading vs sequential insertion — build time and query time.
+* bulk loading vs sequential insertion — build time and query time,
+  both up to a frozen index (a bulk load writes one directly; an
+  insertion build is frozen after), so both query rows run on the
+  frozen plane.
 """
 
 import pytest
@@ -23,7 +26,10 @@ DATASET = "insect"
 NORMALIZATION = "global"
 
 CAPACITIES = ((5, 15), (10, 30), (20, 60), (50, 150))
-STRATEGIES = {"insert": TSIndex.from_source, "bulk": bulk_load_source}
+STRATEGIES = {
+    "insert": lambda source: TSIndex.from_source(source).freeze(),
+    "bulk": bulk_load_source,
+}
 _INDEX_CACHE: dict = {}
 
 

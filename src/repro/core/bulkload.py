@@ -25,10 +25,11 @@ stacks parents whose children lie far apart in value, so those levels
 pruned almost nothing; STR groups children that are near in value, and
 the group sizes — hence the node count — stay those of position order.
 
-Every live segment (:mod:`repro.live.segments`) and every shard of a
-:class:`~repro.engine.sharding.ShardedTSIndex` is this module's
-product; twinbench's ``core.bulkload.build_s`` / ``windows_per_s`` and
-``core.frozen.freeze_ms`` measure the load and the freeze after it.
+The result is a :class:`~repro.core.frozen.FrozenTSIndex` whose arrays
+are written directly, in a BFS order composed top-down from each
+level's STR grouping; no node object is built (``thaw()`` it to
+insert). Every live segment (:mod:`repro.live.segments`) and every
+shard of a :class:`~repro.engine.sharding.ShardedTSIndex` is one.
 """
 
 from __future__ import annotations
@@ -39,18 +40,16 @@ import time
 import numpy as np
 import numpy.typing as npt
 
-from ..exceptions import InvalidParameterError
-from .mbts import MBTS
+from .frozen import FrozenTSIndex, _concat_ranges
 from .normalization import Normalization
 from .stats import BuildStats
-from .tsindex import TSIndex, TSIndexParams, _Node
+from .tsindex import TSIndexParams
 from .windows import WindowSource
 
 __all__ = ["bulk_load", "bulk_load_source"]
 
-#: Default leaf/internal fill as a fraction of ``max_children``; keeping
-#: headroom lets subsequent incremental inserts avoid immediate splits.
-DEFAULT_FILL_FRACTION = 0.75
+#: Leaf/internal fill as a fraction of ``max_children``.
+_FILL_FRACTION = 0.75
 
 #: PAA segments of the envelope-midline summary the upper levels are
 #: sorted by.
@@ -60,6 +59,8 @@ _SUMMARY_SEGMENTS = 4
 #: temporaries a per-window normalization copies).
 _LEAF_BLOCK = 64
 
+_Pair = tuple[np.ndarray, np.ndarray]
+
 
 def bulk_load(
     series: npt.ArrayLike,
@@ -67,46 +68,33 @@ def bulk_load(
     *,
     normalization: Normalization | str = Normalization.GLOBAL,
     params: TSIndexParams | None = None,
-    fill_fraction: float = DEFAULT_FILL_FRACTION,
-) -> TSIndex:
+) -> FrozenTSIndex:
     """Build a TS-Index bottom-up over all windows of ``series``."""
     source = WindowSource(series, length, normalization)
-    return bulk_load_source(source, params=params, fill_fraction=fill_fraction)
+    return bulk_load_source(source, params=params)
 
 
 def bulk_load_source(
-    source: WindowSource,
-    *,
-    params: TSIndexParams | None = None,
-    fill_fraction: float = DEFAULT_FILL_FRACTION,
-) -> TSIndex:
+    source: WindowSource, *, params: TSIndexParams | None = None
+) -> FrozenTSIndex:
     """Bulk load from a prepared :class:`WindowSource`."""
     params = params or TSIndexParams()
-    if not 0.0 < fill_fraction <= 1.0:
-        raise InvalidParameterError(
-            f"fill_fraction must be in (0, 1], got {fill_fraction}"
-        )
     fill = max(
         params.min_children,
-        min(params.max_children, int(round(params.max_children * fill_fraction))),
+        min(params.max_children, int(round(params.max_children * _FILL_FRACTION))),
     )
 
     started = time.perf_counter()
     runs = _leaf_runs(source.count, fill, params.min_children)
     uppers, lowers, keys = _leaf_envelopes(source, runs, fill)
-    nodes = [
-        _Node(mbts, positions=list(range(start, stop)))
-        for mbts, (start, stop) in zip(MBTS.rows(uppers, lowers), runs)
-    ]
-    root, height, count = _stack_levels(nodes, uppers, lowers, keys, fill)
+    levels, groupings = _stack_levels(uppers, lowers, keys, fill)
+    arrays = _bfs_arrays(levels, groupings, np.array(runs, dtype=np.int64))
     stats = BuildStats(
-        seconds=time.perf_counter() - started,
-        windows=source.count,
-        splits=0,
-        height=height,
-        nodes=count,
+        windows=source.count, height=len(levels), nodes=arrays["kinds"].size
     )
-    return TSIndex._from_prebuilt_root(source, root, params, stats)
+    index = FrozenTSIndex(source, params, stats, arrays)
+    stats.seconds = time.perf_counter() - started
+    return index
 
 
 def _leaf_runs(total: int, fill: int, minimum: int) -> list[tuple[int, int]]:
@@ -189,21 +177,20 @@ def _str_order(keys: np.ndarray, fill: int) -> np.ndarray:
 
 
 def _stack_levels(
-    nodes: list[_Node],
-    uppers: np.ndarray,
-    lowers: np.ndarray,
-    keys: np.ndarray,
-    fill: int,
-) -> tuple[_Node, int, int]:
-    """Stack parents over ``nodes`` (whose envelopes are the rows of
+    uppers: np.ndarray, lowers: np.ndarray, keys: np.ndarray, fill: int
+) -> tuple[list[_Pair], list[_Pair]]:
+    """Stack parents over the leaves (whose envelopes are the rows of
     ``uppers`` / ``lowers``, and summaries those of ``keys``) until one
-    root remains; returns the root, the height and the node count."""
-    height, count = 1, len(nodes)
-    while len(nodes) > 1:
-        order = np.arange(len(nodes))
-        if len(nodes) > fill:
+    root remains. Returns every level's ``(uppers, lowers)``, leaves
+    first, and per parent level its ``(order, bounds)``: parent ``j``'s
+    children are ``order[bounds[j]:bounds[j + 1]]`` of the level below."""
+    levels = [(uppers, lowers)]
+    groupings = []
+    while len(uppers) > 1:
+        order = np.arange(len(uppers))
+        if len(uppers) > fill:
             order = _str_order(keys, fill)
-        bounds = list(range(0, len(nodes), fill)) + [len(nodes)]
+        bounds = list(range(0, len(uppers), fill)) + [len(uppers)]
         # Never leave a singleton parent group unless it is the root.
         if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
             del bounds[-2]
@@ -211,10 +198,42 @@ def _stack_levels(
         uppers = np.array([uppers[group].max(axis=0) for group in groups])
         lowers = np.array([lowers[group].min(axis=0) for group in groups])
         keys = np.array([keys[group].mean(axis=0) for group in groups])
-        nodes = [
-            _Node(mbts, children=[nodes[i] for i in group.tolist()])
-            for mbts, group in zip(MBTS.rows(uppers, lowers), groups)
-        ]
-        height += 1
-        count += len(nodes)
-    return nodes[0], height, count
+        levels.append((uppers, lowers))
+        groupings.append((order, np.array(bounds, dtype=np.int64)))
+    return levels, groupings
+
+
+def _bfs_arrays(
+    levels: list[_Pair], groupings: list[_Pair], runs: np.ndarray
+) -> dict:
+    """The :data:`~repro.core.frozen.ARRAY_FIELDS` of the stacked
+    levels in BFS order, root first: walking down, a level's nodes are
+    its parents' child groups, taken in the parents' order. ``runs``
+    holds each leaf's ``[start, stop)`` positions."""
+    orders = [np.zeros(1, dtype=np.int64)]
+    fanouts = []
+    for order, bounds in reversed(groupings):
+        sizes = np.diff(bounds)[orders[-1]]
+        orders.append(order[_concat_ranges(bounds[orders[-1]], sizes)])
+        fanouts.append(sizes)
+    leaves = orders[-1]
+    n = sum(ids.size for ids in orders)
+    internal = n - leaves.size
+    envelopes = [np.empty((n, levels[0][0].shape[1])) for _ in range(2)]
+    start = 0
+    for ids, level in zip(orders, reversed(levels)):
+        for rows, matrix in zip(level, envelopes):
+            np.take(rows, ids, axis=0, out=matrix[start : start + ids.size])
+        start += ids.size
+    sizes = runs[leaves, 1] - runs[leaves, 0]
+    fanout = np.concatenate([*fanouts, np.zeros_like(sizes)])
+    leaf_sizes = np.concatenate([np.zeros(internal, dtype=np.int64), sizes])
+    return {
+        "uppers": envelopes[0],
+        "lowers": envelopes[1],
+        "kinds": (np.arange(n) >= internal).astype(np.int8),
+        "children_offsets": np.concatenate([[0], np.cumsum(fanout)]),
+        "children": np.arange(1, n, dtype=np.int64),
+        "leaf_offsets": np.concatenate([[0], np.cumsum(leaf_sizes)]),
+        "positions": _concat_ranges(runs[leaves, 0], sizes),
+    }

@@ -79,12 +79,13 @@ rather than pruned. ``knn`` / ``exists`` / ``search_batch`` /
 through its :meth:`~repro.core.tsindex.TSIndex.freeze` snapshot), and
 the same suites hold them to brute-force Chebyshev scans.
 
-Lifecycle: **build** the dynamic tree (sequential insertion or
-:mod:`~repro.core.bulkload`), **freeze** it once writes stop, then
-**serve** queries from the flat form (a frozen index is immutable; to
-add windows, build a new tree and freeze again). The serving layer
-(:class:`repro.engine.ShardedTSIndex`) freezes its shards at build time
-by default, and :mod:`repro.persistence` round-trips the arrays
+Lifecycle: either **insert** into the dynamic tree and **freeze** it
+once writes stop, or **bulk load** (:mod:`~repro.core.bulkload`), which
+writes these arrays directly; then **serve** queries from the flat form
+(a frozen index is immutable; to add windows, :meth:`~FrozenTSIndex.thaw`
+it or build anew). The serving layer's shards
+(:class:`repro.engine.ShardedTSIndex`) and the live plane's segments
+are bulk loads, and :mod:`repro.persistence` round-trips the arrays
 natively, so loading a frozen archive is pure array reads.
 """
 
@@ -125,7 +126,6 @@ from ..query.varlength import (
 )
 from .batch import BatchResult
 from .mbts import ENVELOPE_DTYPE, round_down_f32, round_up_f32
-from .normalization import Normalization
 from .stats import BuildStats, QueryStats, SearchResult
 from .verification import check_mode, verify
 from .windows import WindowSource
@@ -276,9 +276,9 @@ class FrozenTSIndex:
     surface (``search`` / ``knn`` / ``exists`` / ``search_batch``).
 
     Create one with :meth:`TSIndex.freeze()
-    <repro.core.tsindex.TSIndex.freeze>` (or the :meth:`build`
-    convenience); convert back with :meth:`thaw` when the tree must grow
-    again.
+    <repro.core.tsindex.TSIndex.freeze>` or
+    :func:`~repro.core.bulkload.bulk_load`; convert back with
+    :meth:`thaw` when the tree must grow again.
 
     Examples
     --------
@@ -345,10 +345,11 @@ class FrozenTSIndex:
         # contiguous float32 memmap that is zero-copy, which is what
         # makes mmap cold starts O(1) in the envelope size), or as whole
         # matrices — ``(n, l)`` ``uppers`` / ``lowers`` (``from_tree``,
-        # legacy npz archives, ``arrays``) or the ``(l, n)`` ``uppers_t`` /
-        # ``lowers_t`` that raw archives carried before this layout —
-        # which are re-laid-out here, once. Float64 input (a tree being
-        # frozen, an archive written before the envelopes were float32)
+        # the bulk loader, legacy npz archives, ``arrays``) or the
+        # ``(l, n)`` ``uppers_t`` / ``lowers_t`` that raw archives carried
+        # before this layout — which are re-laid-out here, once. Float64
+        # input (a tree being frozen or bulk loaded, an archive written
+        # before the envelopes were float32)
         # is rounded outward on the same occasion.
         # One bound at a time: the rounded whole matrix of the first is
         # released before the second's exists.
@@ -580,21 +581,9 @@ class FrozenTSIndex:
         loading a frozen archive is array reads, no re-insertion)."""
         return cls(source, params, build_stats, arrays)
 
-    @classmethod
-    def build(
-        cls,
-        series: npt.ArrayLike,
-        length: int,
-        *,
-        normalization: Normalization | str = Normalization.GLOBAL,
-        params: TSIndexParams | None = None,
-    ) -> "FrozenTSIndex":
-        """Build a dynamic TS-Index and freeze it in one call."""
-        from .tsindex import TSIndex
-
-        return TSIndex.build(
-            series, length, normalization=normalization, params=params
-        ).freeze()
+    def freeze(self) -> "FrozenTSIndex":
+        """This index (it is frozen already)."""
+        return self
 
     def thaw(self) -> TSIndex:
         """Reconstruct a dynamic :class:`~repro.core.tsindex.TSIndex`

@@ -73,20 +73,6 @@ class MBTS:
             )
         return cls(matrix.max(axis=0), matrix.min(axis=0))
 
-    @classmethod
-    def rows(cls, uppers: np.ndarray, lowers: np.ndarray) -> list["MBTS"]:
-        """One MBTS per row of two float64 ``(n, l)`` envelope matrices,
-        each holding views of its own row (checked once for the whole
-        matrices, not per row)."""
-        if np.any(lowers > uppers):
-            raise InvalidParameterError("MBTS requires lower <= upper everywhere")
-        envelopes = []
-        for upper, lower in zip(uppers, lowers):
-            mbts = cls.__new__(cls)
-            mbts.upper, mbts.lower = upper, lower
-            envelopes.append(mbts)
-        return envelopes
-
     def copy(self) -> "MBTS":
         """Deep copy (the arrays are duplicated)."""
         return MBTS(self.upper.copy(), self.lower.copy())

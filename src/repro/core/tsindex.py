@@ -10,8 +10,8 @@ Twin queries traverse top-down, pruning any subtree whose MBTS is more
 than ``ε`` away from the query (Lemma 1 / Algorithm 1).
 
 That is all the pointer tree implements (:mod:`repro.core.bulkload`
-builds one bottom-up). The library's extensions — k-NN, ``exists``,
-batches, prefix queries — live on the flat arrays of
+builds the flat form bottom-up instead). The library's extensions —
+k-NN, ``exists``, batches, prefix queries — live on the flat arrays of
 :class:`~repro.core.frozen.FrozenTSIndex`, which the tree reaches
 through a memoised :meth:`TSIndex.freeze`.
 """
@@ -258,7 +258,9 @@ class TSIndex:
         params: TSIndexParams,
         build_stats: BuildStats,
     ) -> "TSIndex":
-        """Internal hook used by the bulk loader."""
+        """Adopt a built ``root`` (used by
+        :meth:`FrozenTSIndex.thaw <repro.core.frozen.FrozenTSIndex.thaw>`
+        and the serializer's legacy pointer-tree readers)."""
         index = cls(source, params)
         index._root = root
         index._build_stats = build_stats

@@ -85,7 +85,7 @@ class IndexRegistry:
         """Build a query plane and register it under ``name``.
 
         The default ``method="sharded"`` builds a fan-out
-        :class:`ShardedTSIndex` (shards bulk-loaded and frozen into flat
+        :class:`ShardedTSIndex` (shards bulk-loaded into flat
         read-optimized arrays); any other registered plane name — paper
         method or extended plane — builds through
         :func:`~repro.indices.base.create_method` with

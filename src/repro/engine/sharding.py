@@ -21,7 +21,7 @@ the calling thread too, unless the caller passes a pool (see the
 ``executor`` arguments) — worth it for a deadline (``timeout=``) or a
 process pool, not for thread parallelism.
 
-Shard trees are **frozen** as soon as they are built (see
+Shard trees are bulk loaded straight into **frozen** form (see
 :class:`~repro.core.frozen.FrozenTSIndex`): each shard is a flat
 structure-of-arrays query plane with vectorized frontier traversal —
 byte-identical answers, much lower per-query latency, and a batched
@@ -213,15 +213,15 @@ class ShardedTSIndex(SubsequenceIndex):
         position order, levels stacked bottom-up), not built by the
         paper's insertion: the answers are the same, the packed leaves
         admit fewer candidates, and the build takes milliseconds, not
-        seconds. Shards build in sequence in the caller; freezing each
-        as it finishes keeps one pointer tree alive at a time.
+        seconds. Shards build in sequence in the caller, each written
+        straight into its frozen arrays.
         """
         if shards is None:
             shards = default_shard_count(source.count)
         spans = shard_spans(source.count, shards)
         params = params or TSIndexParams()
         trees = [
-            bulk_load_source(source.shard(start, stop), params=params).freeze()
+            bulk_load_source(source.shard(start, stop), params=params)
             for start, stop in spans
         ]
         return cls(source, [start for start, _ in spans], trees, params)

@@ -52,7 +52,7 @@ _metrics = HandleCache(
 #: Delta windows accumulated before the memtable is sealed into a
 #: frozen segment. The delta is scanned, so this bounds its share of a
 #: query: 0.17 ms at 4,096 windows, of a ≈ 3 ms live search (twinbench
-#: ``live_ingest``); the seal's bulk load + freeze is then ≈ 5 ms.
+#: ``live_ingest``); the seal's bulk load is then ≈ 5 ms.
 DEFAULT_SEAL_THRESHOLD = 4096
 
 #: Segment count above which background compaction kicks in.

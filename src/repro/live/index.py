@@ -104,7 +104,7 @@ _metrics = HandleCache(
         ),
         "seal_seconds": registry.histogram(
             "repro_live_seal_seconds",
-            "Delta seal duration (bulk load + freeze + archive + "
+            "Delta seal duration (bulk load + archive + "
             "manifest commit + WAL truncation), in seconds.",
         ),
         "seals": registry.counter(

@@ -60,12 +60,11 @@ class Segment:
 
     @classmethod
     def build(cls, source: WindowSource, start: int, params: TSIndexParams) -> "Segment":
-        """Bulk load, then freeze, every window of ``source`` — the
+        """Bulk load every window of ``source`` — the
         plane's windows from global position ``start`` on, in memory of
         its own (a ``detach``-ed span or a fresh ``assemble_source``), so
         a segment never pins the historical append buffer alive."""
-        tree = bulk_load_source(source, params=params)
-        return cls(start=start, index=tree.freeze())
+        return cls(start=start, index=bulk_load_source(source, params=params))
 
     def rebased(self, source: WindowSource, params: TSIndexParams) -> "Segment":
         """This segment — as loaded from its archive — over its own span

@@ -5,10 +5,10 @@ import pytest
 
 from repro.core import bulkload as bulkload_module
 from repro.core.bulkload import bulk_load, bulk_load_source
-from repro.core.mbts import MBTS
-from repro.core.tsindex import TSIndexParams
+from repro.core.mbts import MBTS, round_down_f32, round_up_f32
+from repro.core.tsindex import TSIndexParams, _Node
 from repro.core.windows import WindowSource
-from repro.exceptions import InvalidParameterError
+from repro.indices.sweepline import SweeplineSearch
 
 
 class TestBulkLoadCorrectness:
@@ -26,11 +26,8 @@ class TestBulkLoadCorrectness:
 
     def test_indexes_every_window_once(self, source_global):
         index = bulk_load_source(source_global)
-        positions = []
-        for node, _depth in index.iter_nodes():
-            if node.is_leaf:
-                positions.extend(node.positions)
-        assert sorted(positions) == list(range(source_global.count))
+        positions = index.arrays()["positions"]
+        assert sorted(positions.tolist()) == list(range(source_global.count))
 
     def test_from_raw_values(self, series_values):
         index = bulk_load(series_values[:600], 40, normalization="none")
@@ -65,12 +62,34 @@ class TestBulkLoadStructure:
         inserted = TSIndex.from_source(source_global)
         assert bulk.build_stats.seconds < inserted.build_stats.seconds
 
-    def test_fill_fraction_bounds_leaf_size(self, source_global):
-        params = TSIndexParams(min_children=4, max_children=20)
-        index = bulk_load_source(source_global, params=params, fill_fraction=0.5)
-        for node, _depth in index.iter_nodes():
-            if node.is_leaf:
-                assert len(node.positions) <= params.max_children
+    @pytest.mark.parametrize("max_children", [8, 9, 20])
+    def test_leaf_size_at_most_max_children(self, source_global, max_children):
+        params = TSIndexParams(min_children=4, max_children=max_children)
+        arrays = bulk_load_source(source_global, params=params).arrays()
+        sizes = np.diff(arrays["leaf_offsets"])[arrays["kinds"] == 1]
+        assert sizes.min() >= params.min_children
+        assert sizes.max() <= params.max_children
+
+    def test_builds_no_pointer_node(self, source_global, monkeypatch):
+        """The loader writes the frozen arrays: no ``_Node`` or ``MBTS``
+        is made on the way, and the result is its own frozen form."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the bulk loader built a pointer-tree object")
+
+        monkeypatch.setattr(_Node, "__init__", refuse)
+        monkeypatch.setattr(MBTS, "__init__", refuse)
+        params = TSIndexParams(min_children=4, max_children=10)
+        index = bulk_load_source(source_global, params=params)
+        assert index.freeze() is index
+        assert index.height > 2
+        sweepline = SweeplineSearch.from_source(source_global)
+        for position in (5, 700, 2000):
+            query = source_global.window(position).copy()
+            expected = sweepline.search(query, 0.5)
+            actual = index.search(query, 0.5)
+            assert np.array_equal(actual.positions, expected.positions)
+            assert np.array_equal(actual.distances, expected.distances)
 
 
 
@@ -129,22 +148,28 @@ class TestPacking:
         index = bulk_load_source(source, params=params)
         fill = max(params.min_children, round(params.max_children * 0.75))
 
-        leaves, internal = [], []
-        for node, _depth in index.iter_nodes():
-            (leaves if node.is_leaf else internal).append(node)
-        assert sorted(node.positions for node in leaves) == position_runs(
-            windows, fill, params.min_children
-        )
-        for leaf in leaves:
-            exact = MBTS.from_sequences(source.windows(leaf.positions))
-            assert np.array_equal(leaf.mbts.upper, exact.upper)
-            assert np.array_equal(leaf.mbts.lower, exact.lower)
-        for node in internal:
-            uppers = np.array([child.mbts.upper for child in node.children])
-            lowers = np.array([child.mbts.lower for child in node.children])
-            assert np.array_equal(node.mbts.upper, uppers.max(axis=0))
-            assert np.array_equal(node.mbts.lower, lowers.min(axis=0))
-        expected = position_order_node_count(len(leaves), fill)
+        arrays = index.arrays()
+        uppers, lowers = arrays["uppers"], arrays["lowers"]
+        kinds, leaf_offsets = arrays["kinds"], arrays["leaf_offsets"]
+        children_offsets = arrays["children_offsets"]
+        leaves = np.flatnonzero(kinds == 1)
+        spans = [
+            arrays["positions"][leaf_offsets[i]:leaf_offsets[i + 1]].tolist()
+            for i in leaves
+        ]
+        assert sorted(spans) == position_runs(windows, fill, params.min_children)
+        # Leaf envelopes are the exact ones, rounded outward to float32
+        # (max and min do not round, and rounding is monotone, so the
+        # union of rounded children is the rounded union).
+        for i, span in zip(leaves, spans):
+            exact = MBTS.from_sequences(source.windows(np.asarray(span)))
+            assert np.array_equal(uppers[i], round_up_f32(exact.upper))
+            assert np.array_equal(lowers[i], round_down_f32(exact.lower))
+        for i in np.flatnonzero(kinds == 0):
+            children = arrays["children"][children_offsets[i]:children_offsets[i + 1]]
+            assert np.array_equal(uppers[i], uppers[children].max(axis=0))
+            assert np.array_equal(lowers[i], lowers[children].min(axis=0))
+        expected = position_order_node_count(leaves.size, fill)
         assert index.node_count == index.build_stats.nodes == expected
 
     def test_str_packing_visits_fewer_nodes(self, monkeypatch):
@@ -153,11 +178,11 @@ class TestPacking:
         order — and get the same answers."""
         rng = np.random.default_rng(3)
         source = WindowSource(np.cumsum(rng.normal(size=40_000)), 32, "global")
-        packed = bulk_load_source(source).freeze()
+        packed = bulk_load_source(source)
         monkeypatch.setattr(
             bulkload_module, "_str_order", lambda keys, fill: np.arange(len(keys))
         )
-        stacked = bulk_load_source(source).freeze()
+        stacked = bulk_load_source(source)
         assert stacked.node_count == packed.node_count
         visited = np.zeros(2, dtype=np.int64)
         for position in rng.integers(0, source.count, size=20).tolist():
@@ -166,9 +191,3 @@ class TestPacking:
             assert np.array_equal(results[0].positions, results[1].positions)
             visited += [result.stats.nodes_visited for result in results]
         assert visited[0] < 0.8 * visited[1]
-
-
-class TestBulkLoadValidation:
-    def test_bad_fill_fraction(self, source_global):
-        with pytest.raises(InvalidParameterError, match="fill_fraction"):
-            bulk_load_source(source_global, fill_fraction=0.0)

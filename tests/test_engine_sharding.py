@@ -264,7 +264,7 @@ class TestShardShape:
         for (start, stop), tree in zip(sharded.spans, sharded.shards):
             packed = bulk_load_source(
                 sharded.source.shard(start, stop), params=PARAMS
-            ).freeze()
+            )
             expected, actual = packed.arrays(), tree.arrays()
             assert actual.keys() == expected.keys()
             for field, array in expected.items():

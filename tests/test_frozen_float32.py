@@ -144,7 +144,7 @@ class TestEnvelopeDtype:
     SERIES = np.cumsum(np.random.default_rng(17).normal(size=2500))
 
     def test_bulk_loaded(self):
-        _assert_float32(bulk_load(self.SERIES, 40).freeze())
+        _assert_float32(bulk_load(self.SERIES, 40))
 
     def test_insertion_built(self):
         _assert_float32(TSIndex.build(self.SERIES, 40).freeze())

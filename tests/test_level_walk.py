@@ -109,7 +109,7 @@ def test_level_walk_counts_like_a_node_walk(source, build):
 def test_sparse_frontiers_gather(source, monkeypatch):
     """Every level's head pass on the gather path."""
     monkeypatch.setattr(frozen_module, "_SPAN_FACTOR", 0)
-    index = bulk_load_source(source, params=PARAMS).freeze()
+    index = bulk_load_source(source, params=PARAMS)
     for query in queries(source, np.random.default_rng(6), count=3):
         for epsilon in (0.1, 0.5, 2.0):
             assert_walks_agree(index, query, epsilon)

@@ -372,12 +372,11 @@ class TestNarrowBlockCounters:
     def pair(self):
         series = np.cumsum(np.random.default_rng(21).normal(size=12_000))
         source = WindowSource(series, LENGTH, "global")
-        tree = bulk_load_source(
+        frozen = bulk_load_source(
             source, params=TSIndexParams(min_children=4, max_children=8)
         )
-        frozen = tree.freeze()
         assert frozen.leaf_count > 1000
-        return tree, frozen
+        return frozen.thaw(), frozen
 
     @pytest.fixture(autouse=True)
     def gathered_heads(self, monkeypatch):

@@ -70,7 +70,7 @@ def test_default_capacity_tree_invariants(series_values):
 def test_bulk_loaded_tree_invariants(source_global):
     index = bulk_load_source(
         source_global, params=TSIndexParams(min_children=4, max_children=10)
-    )
+    ).thaw()
     # Bulk loading packs leaves at a fill factor; one tail leaf and the
     # top levels may be under the minimum, which is fine for queries.
     _check_tree(index, check_min=False)
