@@ -5,6 +5,7 @@ build a dynamic TS-Index (the structure that accepts inserts), freeze
 it into the flat array-backed query plane, check the answers are
 byte-identical, run a batched workload through one shared traversal,
 and round-trip the flat arrays through an mmap-able archive directory.
+Every answer is checked: the script fails on any mismatch.
 
 Run:  python examples/frozen_serving.py
 """
@@ -41,6 +42,7 @@ def main() -> None:
         a.distances, b.distances
     )
     print(f"frozen == dynamic: {identical} ({len(b)} twins)")
+    assert identical
     print(f"nearest 5: {frozen.knn(query, 5).positions.tolist()}")
     print(f"any twin within 0.05? {frozen.exists(query, 0.05)}")
 
@@ -65,13 +67,18 @@ def main() -> None:
         save_index(frozen, path)
         restored = load_index(path)
         again = restored.search(query, epsilon)
-        print(
-            f"reloaded {restored!r}: answers match = "
-            f"{np.array_equal(again.positions, b.positions)}"
+        match = np.array_equal(again.positions, b.positions) and np.array_equal(
+            again.distances, b.distances
         )
+        print(f"reloaded {restored!r}: answers match = {match}")
+        assert match
+
 
     # --- thaw when the index must grow again --------------------------
     thawed = frozen.thaw()
+    c = thawed.search(query, epsilon)
+    assert np.array_equal(c.positions, b.positions)
+    assert np.array_equal(c.distances, b.distances)
     print(f"thawed back to {thawed!r} (accepts inserts again)")
 
 

@@ -41,6 +41,7 @@ def main() -> None:
             actual = restored.search(query, epsilon=0.2)
 
             assert np.array_equal(actual.positions, expected.positions)
+            assert np.array_equal(actual.distances, expected.distances)
             size_mb = sum(
                 entry.stat().st_size for entry in os.scandir(path)
             ) / (1024 * 1024)

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import time
 
 from ..core.stats import QueryStats
-from .timing import Timer
 from .workloads import QueryWorkload
 
 
@@ -75,31 +75,11 @@ def time_workload(
     harness uses ``{"verification": "per_candidate"}`` to reproduce the
     paper's cost model (candidates fetched one at a time, as from disk).
     """
-    search_options = search_options or {}
-    aggregate = QueryStats()
-    total_matches = 0
-    # As timeit does: a generational collection landing inside one
-    # method's pass — tens of ms over the node objects of every tree
-    # built so far — would be charged to that method.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        with Timer() as timer:
-            for query in workload:
-                result = method.search(query, epsilon, **search_options)
-                total_matches += len(result)
-                aggregate = aggregate.merge(result.stats)
-    finally:
-        if collecting:
-            gc.enable()
-    count = max(1, len(workload))
-    return MethodTiming(
-        method=getattr(method, "method_name", type(method).__name__.lower()),
-        avg_query_ms=timer.milliseconds / count,
-        total_matches=total_matches,
-        stats=aggregate,
-        build_seconds=method.build_stats.seconds,
+    name = getattr(method, "method_name", type(method).__name__.lower())
+    result = run_query_experiment(
+        name, {name: method}, workload, epsilon, search_options=search_options
     )
+    return result.timings[0]
 
 
 def run_query_experiment(
@@ -111,18 +91,50 @@ def run_query_experiment(
     *,
     search_options: dict | None = None,
 ) -> ExperimentResult:
-    """Time a workload against several built methods.
+    """Time a workload against several built methods, one query at a
+    time: each query runs through every method before the next starts.
+
+    On a shared machine, whole stretches of work run up to ~1.7x
+    slower, every method alike, for a few hundred ms at a time (measured
+    on a 2-core box) — longer than a smoke-scale cell spends on one
+    method. Timed method after method, one could read fast and the next
+    slow; interleaved per query, every method sees the same stretches
+    in the same share.
 
     ``methods`` maps display names to built method objects; the returned
     result preserves insertion order.
     """
-    timings = []
-    for name, method in methods.items():
-        timing = time_workload(
-            method, workload, epsilon, search_options=search_options
+    search_options = search_options or {}
+    seconds = dict.fromkeys(methods, 0.0)
+    matches = dict.fromkeys(methods, 0)
+    stats = {name: QueryStats() for name in methods}
+    # As timeit does: a generational collection landing inside one
+    # method's search — tens of ms over the node objects of every tree
+    # built so far — would be charged to that method.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for query in workload:
+            for name, method in methods.items():
+                started = time.perf_counter()
+                result = method.search(query, epsilon, **search_options)
+                seconds[name] += time.perf_counter() - started
+                matches[name] += len(result)
+                stats[name] = stats[name].merge(result.stats)
+    finally:
+        if collecting:
+            gc.enable()
+    count = max(1, len(workload))
+    timings = [
+        MethodTiming(
+            method=name,
+            avg_query_ms=1000.0 * seconds[name] / count,
+            total_matches=matches[name],
+            stats=stats[name],
+            build_seconds=method.build_stats.seconds,
         )
-        timing.method = name
-        timings.append(timing)
+        for name, method in methods.items()
+    ]
     return ExperimentResult(
         label=label, parameters=dict(parameters or {}), timings=timings
     )

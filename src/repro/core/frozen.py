@@ -60,13 +60,23 @@ timestamps side by side. So each bound is cut along the timestamps:
   236 / 481 µs from node-major rows.
 
 Same elements, same float32 values, one copy: ``arrays()`` / ``thaw()``
-assemble the whole ``(n, l)`` matrices back, bit for bit (the form
-legacy ``.npz`` archives hold); archives store the parts as they are (see
-:data:`RAW_ARRAY_FIELDS`), and which timestamps went where follows from
-the shapes. A prefix query of length ``m`` uses the timestamps below
-``m``, which are a leading slice of both parts. The constructor is the
-only code that cuts matrices, and ``_head_tail`` the only code that
-says how.
+assemble the whole ``(n, l)`` matrices back, bit for bit. Archives
+store the parts as they are (see :data:`RAW_ARRAY_FIELDS`), and which
+timestamps went where follows from the shapes. A prefix query of length
+``m`` uses the timestamps below ``m``, which are a leading slice of both
+parts. The constructor is the only code that cuts matrices, and
+``_head_tail`` the only code that says how.
+
+**One tree format.** :data:`ARRAY_FIELDS` — BFS, root first, CSR
+offsets — is how every TS-Index tree is held as arrays, pointer trees
+included: :func:`flatten` is the one walk from ``_Node`` objects to
+those arrays (float64 envelopes, the tree's own rows), :func:`unflatten`
+the one way back, and :func:`check_structure` the one test that arrays
+describe a tree. Freezing rounds and cuts what :func:`flatten` returns,
+pointer-tree archives store it as it is, and :meth:`FrozenTSIndex.thaw`
+and the pointer-tree archive reader both rebuild through
+:func:`unflatten`. Layouts of older archives are converted before they
+reach this module (:mod:`repro.persistence.serializer`).
 
 ``search`` returns **exactly** what the pointer tree's Algorithm 1
 traversal returns — same positions, same distances — enforced by the
@@ -96,7 +106,7 @@ import functools
 import heapq
 import itertools
 import time
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 import numpy as np
 import numpy.typing as npt
@@ -125,7 +135,7 @@ from ..query.varlength import (
     prefix_search_with_tail,
 )
 from .batch import BatchResult
-from .mbts import ENVELOPE_DTYPE, round_down_f32, round_up_f32
+from .mbts import ENVELOPE_DTYPE, MBTS, round_down_f32, round_up_f32
 from .stats import BuildStats, QueryStats, SearchResult
 from .verification import check_mode, verify
 from .windows import WindowSource
@@ -271,6 +281,149 @@ def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.cumsum(steps)
 
 
+def flatten(root: _Node | None, length: int) -> dict[str, np.ndarray]:
+    """The :data:`ARRAY_FIELDS` of a ``_Node`` tree (``None`` for no
+    nodes): a breadth-first walk, root = id 0, with the envelopes as the
+    tree's own float64 rows, bit for bit."""
+    if root is None:
+        return {
+            "uppers": np.empty((0, length), dtype=FLOAT_DTYPE),
+            "lowers": np.empty((0, length), dtype=FLOAT_DTYPE),
+            "kinds": np.empty(0, dtype=np.int8),
+            "children_offsets": np.zeros(1, dtype=np.int64),
+            "children": np.empty(0, dtype=np.int64),
+            "leaf_offsets": np.zeros(1, dtype=np.int64),
+            "positions": np.empty(0, dtype=POSITION_DTYPE),
+        }
+    order = [root]
+    head = 0
+    while head < len(order):
+        node = order[head]
+        head += 1
+        if not node.is_leaf:
+            order.extend(node.children)
+
+    # One array construction per matrix; ``np.array`` over the row list
+    # is four times faster here than ``np.stack``, which wraps every
+    # row first.
+    n = len(order)
+    kinds = np.fromiter(
+        (node.positions is not None for node in order), dtype=np.int8, count=n
+    )
+    members = [
+        node.children if node.positions is None else node.positions
+        for node in order
+    ]
+    counts = np.fromiter(map(len, members), dtype=np.int64, count=n)
+    children_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.where(kinds == 0, counts, 0), out=children_offsets[1:])
+    leaf_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.where(kinds == 1, counts, 0), out=leaf_offsets[1:])
+    return {
+        "uppers": np.array([node.mbts.upper for node in order]),
+        "lowers": np.array([node.mbts.lower for node in order]),
+        "kinds": kinds,
+        "children_offsets": children_offsets,
+        # The walk above appended every node's children in one run, so
+        # in id order the adjacency is simply 1 .. n-1.
+        "children": np.arange(1, n, dtype=np.int64),
+        "leaf_offsets": leaf_offsets,
+        "positions": np.fromiter(
+            itertools.chain.from_iterable(
+                itertools.compress(members, kinds.tolist())
+            ),
+            dtype=POSITION_DTYPE,
+            count=int(leaf_offsets[-1]),
+        ),
+    }
+
+
+def unflatten(arrays: Mapping[str, np.ndarray]) -> _Node | None:
+    """The ``_Node`` tree of :data:`ARRAY_FIELDS` arrays (``None`` for no
+    nodes) — the inverse of :func:`flatten`. Every envelope row becomes a
+    float64 :class:`~repro.core.mbts.MBTS` copy: a float64 row bit for
+    bit, a float32 one widened exactly."""
+    from .tsindex import _Node  # local: tsindex imports us
+
+    uppers, lowers = arrays["uppers"], arrays["lowers"]
+    positions = arrays["positions"]
+    kinds = arrays["kinds"].tolist()
+    leaf_offsets = arrays["leaf_offsets"].tolist()
+    children_offsets = arrays["children_offsets"].tolist()
+    children = arrays["children"].tolist()
+    nodes = [
+        _Node(
+            MBTS(uppers[i], lowers[i]),
+            positions=positions[leaf_offsets[i] : leaf_offsets[i + 1]].tolist(),
+        )
+        if kind
+        else _Node(MBTS(uppers[i], lowers[i]), children=[])
+        for i, kind in enumerate(kinds)
+    ]
+    for i, kind in enumerate(kinds):
+        if not kind:
+            nodes[i].children = [
+                nodes[j]
+                for j in children[children_offsets[i] : children_offsets[i + 1]]
+            ]
+    return nodes[0] if nodes else None
+
+
+def check_structure(arrays: Mapping[str, np.ndarray], count: int) -> None:
+    """Refuse tree arrays (any :data:`ARRAY_FIELDS` layout's ``kinds`` /
+    ``children_offsets`` / ``children`` / ``leaf_offsets`` /
+    ``positions``) that are not one BFS tree over windows ``0 ..
+    count``, with :class:`~repro.exceptions.InvalidParameterError`: a
+    corrupted or hand-built archive must fail loudly here, not return
+    silently wrong answers later."""
+    kinds = arrays["kinds"]
+    children_offsets = arrays["children_offsets"]
+    children = arrays["children"]
+    leaf_offsets = arrays["leaf_offsets"]
+    positions = arrays["positions"]
+    n = kinds.size
+    for name, offsets, members, what in (
+        ("children_offsets", children_offsets, children, "children"),
+        ("leaf_offsets", leaf_offsets, positions, "positions"),
+    ):
+        if offsets.shape != (n + 1,):
+            raise InvalidParameterError(
+                f"{name} must have {n + 1} entries, got {offsets.size}"
+            )
+        if int(offsets[-1]) != members.size:
+            raise InvalidParameterError(
+                f"{name}[-1] must equal len({what}), got "
+                f"{int(offsets[-1])} vs {members.size}"
+            )
+        if int(offsets[0]) != 0 or np.any(np.diff(offsets) < 0):
+            raise InvalidParameterError(
+                f"{name} must start at 0 and be non-decreasing"
+            )
+    if positions.size and (
+        int(positions.min()) < 0 or int(positions.max()) >= count
+    ):
+        raise InvalidParameterError(
+            f"positions must lie in [0, {count}), got range "
+            f"[{int(positions.min())}, {int(positions.max())}]"
+        )
+    # The layout is BFS, root first: every node except the root is the
+    # child of exactly one earlier node, appended in visit order, so the
+    # adjacency is just 1 .. n-1, every node's children — and every
+    # level — is one contiguous id range, and the walk can step from
+    # level to level by child counts alone.
+    if not np.array_equal(children, np.arange(1, n)):
+        raise InvalidParameterError(
+            "children must be the BFS adjacency 1 .. n-1 (each node "
+            "a child of one earlier node, in visit order)"
+        )
+    if np.any(children_offsets[1:n] < np.arange(1, n)):
+        raise InvalidParameterError(
+            "every node must be the child of an earlier node"
+        )
+    if np.any(np.diff(children_offsets)[kinds == 1]):
+        raise InvalidParameterError("leaf nodes must have no children")
+
+
 class FrozenTSIndex:
     """An immutable, array-backed TS-Index answering the read-only query
     surface (``search`` / ``knn`` / ``exists`` / ``search_batch``).
@@ -343,14 +496,10 @@ class FrozenTSIndex:
         # Envelopes arrive in the resident head/tail layout (raw
         # archives, ``raw_arrays``: adopted as they are — for a
         # contiguous float32 memmap that is zero-copy, which is what
-        # makes mmap cold starts O(1) in the envelope size), or as whole
-        # matrices — ``(n, l)`` ``uppers`` / ``lowers`` (``from_tree``,
-        # the bulk loader, legacy npz archives, ``arrays``) or the
-        # ``(l, n)`` ``uppers_t`` / ``lowers_t`` that raw archives carried
-        # before this layout — which are re-laid-out here, once. Float64
-        # input (a tree being frozen or bulk loaded, an archive written
-        # before the envelopes were float32)
-        # is rounded outward on the same occasion.
+        # makes mmap cold starts O(1) in the envelope size) or as whole
+        # ``(n, l)`` matrices (``flatten``, the bulk loader, ``.npz``
+        # and pointer-tree archives, ``arrays``), which are cut here,
+        # once. Float64 input is rounded outward on the same occasion.
         # One bound at a time: the rounded whole matrix of the first is
         # released before the second's exists.
         parts = []
@@ -359,26 +508,23 @@ class FrozenTSIndex:
                 head = rounded(arrays[f"{name}_head"])
                 tail = rounded(arrays[f"{name}_tail"])
             else:
-                if f"{name}_t" in arrays:
-                    matrix = arrays[f"{name}_t"].T
-                else:
-                    matrix = arrays[name]
-                head, tail = _head_tail(rounded(matrix))
+                head, tail = _head_tail(rounded(arrays[name]))
                 head = head.T
             head, tail = np.ascontiguousarray(head), np.ascontiguousarray(tail)
             parts += [head, tail]
         upper_head, upper_tail, lower_head, lower_tail = parts
-        kinds = np.ascontiguousarray(arrays["kinds"], dtype=np.int8)
-        children_offsets = np.ascontiguousarray(
-            arrays["children_offsets"], dtype=np.int64
-        )
-        children = np.ascontiguousarray(arrays["children"], dtype=np.int64)
-        leaf_offsets = np.ascontiguousarray(
-            arrays["leaf_offsets"], dtype=np.int64
-        )
-        positions = np.ascontiguousarray(
-            arrays["positions"], dtype=POSITION_DTYPE
-        )
+        structure = {
+            name: np.ascontiguousarray(arrays[name], dtype=dtype)
+            for name, dtype in (
+                ("kinds", np.int8),
+                ("children_offsets", np.int64),
+                ("children", np.int64),
+                ("leaf_offsets", np.int64),
+                ("positions", POSITION_DTYPE),
+            )
+        }
+        kinds = structure["kinds"]
+        children_offsets = structure["children_offsets"]
 
         n = kinds.size
         length = source.length
@@ -396,70 +542,16 @@ class FrozenTSIndex:
                 f"{upper_head.shape} + {upper_tail.shape} and "
                 f"{lower_head.shape} + {lower_tail.shape}"
             )
-        if children_offsets.shape != (n + 1,):
-            raise InvalidParameterError(
-                f"children_offsets must have {n + 1} entries, got "
-                f"{children_offsets.size}"
-            )
-        if int(children_offsets[-1]) != children.size:
-            raise InvalidParameterError(
-                "children_offsets[-1] must equal len(children), got "
-                f"{int(children_offsets[-1])} vs {children.size}"
-            )
-        if leaf_offsets.shape != (n + 1,):
-            raise InvalidParameterError(
-                f"leaf_offsets must have {n + 1} entries, got "
-                f"{leaf_offsets.size}"
-            )
-        if int(leaf_offsets[-1]) != positions.size:
-            raise InvalidParameterError(
-                "leaf_offsets[-1] must equal len(positions), got "
-                f"{int(leaf_offsets[-1])} vs {positions.size}"
-            )
-        # Content checks: a corrupted or hand-built archive must fail
-        # loudly here, not return silently wrong answers later.
-        for name, offsets in (
-            ("children_offsets", children_offsets),
-            ("leaf_offsets", leaf_offsets),
-        ):
-            if offsets.size and (
-                int(offsets[0]) != 0 or np.any(np.diff(offsets) < 0)
-            ):
-                raise InvalidParameterError(
-                    f"{name} must start at 0 and be non-decreasing"
-                )
-        if positions.size and (
-            int(positions.min()) < 0 or int(positions.max()) >= source.count
-        ):
-            raise InvalidParameterError(
-                f"positions must lie in [0, {source.count}), got range "
-                f"[{int(positions.min())}, {int(positions.max())}]"
-            )
-        # The layout is BFS, root first: every node except the root is
-        # the child of exactly one earlier node, appended in visit order,
-        # so the adjacency is just 1 .. n-1, every node's children — and
-        # every level — is one contiguous id range, and the walk can
-        # step from level to level by child counts alone.
-        if not np.array_equal(children, np.arange(1, n)):
-            raise InvalidParameterError(
-                "children must be the BFS adjacency 1 .. n-1 (each node "
-                "a child of one earlier node, in visit order)"
-            )
-        if np.any(children_offsets[1:n] < np.arange(1, n)):
-            raise InvalidParameterError(
-                "every node must be the child of an earlier node"
-            )
-        if np.any(np.diff(children_offsets)[kinds == 1]):
-            raise InvalidParameterError("leaf nodes must have no children")
+        check_structure(structure, source.count)
 
         # The whole point of freezing is immutability; every stored
         # handle is a read-only view, so accidental writes are loud —
         # without ever flipping the write flag on caller-owned arrays.
         self._kinds = _read_only(kinds)
         self._children_offsets = _read_only(children_offsets)
-        self._children = _read_only(children)
-        self._leaf_offsets = _read_only(leaf_offsets)
-        self._positions = _read_only(positions)
+        self._children = _read_only(structure["children"])
+        self._leaf_offsets = _read_only(structure["leaf_offsets"])
+        self._positions = _read_only(structure["positions"])
         # Each bound is held once, in two parts (see the module
         # docstring): the sweep over a frontier reads the head, one
         # contiguous row per sampled timestamp, and a node that
@@ -490,73 +582,13 @@ class FrozenTSIndex:
         params: TSIndexParams,
         build_stats: BuildStats,
     ) -> "FrozenTSIndex":
-        """Flatten a dynamic ``_Node`` tree (BFS order, root = id 0).
+        """Freeze a dynamic ``_Node`` tree: its :func:`flatten` arrays,
+        rounded and cut.
 
         ``build_stats`` is adopted, with ``windows`` / ``nodes`` /
         ``height`` set to what is flattened (``insert`` keeps none)."""
         started = time.perf_counter()
-        length = source.length
-        if root is None:
-            arrays = {
-                "uppers": np.empty((0, length), dtype=ENVELOPE_DTYPE),
-                "lowers": np.empty((0, length), dtype=ENVELOPE_DTYPE),
-                "kinds": np.empty(0, dtype=np.int8),
-                "children_offsets": np.zeros(1, dtype=np.int64),
-                "children": np.empty(0, dtype=np.int64),
-                "leaf_offsets": np.zeros(1, dtype=np.int64),
-                "positions": np.empty(0, dtype=POSITION_DTYPE),
-            }
-            return cls(source, params, build_stats, arrays)
-
-        order = [root]
-        head = 0
-        while head < len(order):
-            node = order[head]
-            head += 1
-            if not node.is_leaf:
-                order.extend(node.children)
-
-        # One array construction per matrix (the constructor rounds them
-        # to float32 and cuts them); ``np.array`` over the row list is
-        # four times faster here than ``np.stack``, which wraps every
-        # row first.
-        n = len(order)
-        uppers = np.array([node.mbts.upper for node in order])
-        lowers = np.array([node.mbts.lower for node in order])
-        kinds = np.fromiter(
-            (node.positions is not None for node in order),
-            dtype=np.int8,
-            count=n,
-        )
-        members = [
-            node.children if node.positions is None else node.positions
-            for node in order
-        ]
-        counts = np.fromiter(map(len, members), dtype=np.int64, count=n)
-        children_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.where(kinds == 0, counts, 0), out=children_offsets[1:])
-        leaf_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.where(kinds == 1, counts, 0), out=leaf_offsets[1:])
-        # The walk above appended every node's children in one run, so
-        # in id order the adjacency is simply 1 .. n-1.
-        children = np.arange(1, n, dtype=np.int64)
-        positions = np.fromiter(
-            itertools.chain.from_iterable(
-                itertools.compress(members, kinds.tolist())
-            ),
-            dtype=POSITION_DTYPE,
-            count=int(leaf_offsets[-1]),
-        )
-
-        arrays = {
-            "uppers": uppers,
-            "lowers": lowers,
-            "kinds": kinds,
-            "children_offsets": children_offsets,
-            "children": children,
-            "leaf_offsets": leaf_offsets,
-            "positions": positions,
-        }
+        arrays = flatten(root, source.length)
         frozen = cls(
             source,
             params,
@@ -564,8 +596,8 @@ class FrozenTSIndex:
             arrays,
             freeze_seconds=time.perf_counter() - started,
         )
-        build_stats.windows = int(positions.size)
-        build_stats.nodes = n
+        build_stats.windows = int(arrays["positions"].size)
+        build_stats.nodes = frozen.node_count
         build_stats.height = frozen.height
         return frozen
 
@@ -594,74 +626,28 @@ class FrozenTSIndex:
         float64 — covers of the exact envelopes, less than one float32
         step looser — so inserting keeps them valid, and freezing the
         result again reproduces these arrays bit for bit."""
-        from .mbts import MBTS
-        from .tsindex import TSIndex, _Node
+        from .tsindex import TSIndex  # local: tsindex imports us
 
-        n = self.node_count
-        if n == 0:
-            return TSIndex._from_prebuilt_root(
-                self._source,
-                None,
-                self._params,
-                dataclasses.replace(self._build_stats),
-            )
-        nodes: list[_Node] = []
-        uppers, lowers = self._envelope_matrices()
-        for i in range(n):
-            mbts = MBTS(uppers[i], lowers[i])
-            if self._kinds[i] == 1:
-                start, stop = self._leaf_offsets[i], self._leaf_offsets[i + 1]
-                nodes.append(
-                    _Node(mbts, positions=self._positions[start:stop].tolist())
-                )
-            else:
-                nodes.append(_Node(mbts, children=[]))
-        for i in range(n):
-            if self._kinds[i] == 0:
-                start, stop = (
-                    self._children_offsets[i],
-                    self._children_offsets[i + 1],
-                )
-                nodes[i].children = [
-                    nodes[j] for j in self._children[start:stop].tolist()
-                ]
         return TSIndex._from_prebuilt_root(
             self._source,
-            nodes[0],
+            unflatten(self.arrays()),
             self._params,
             dataclasses.replace(self._build_stats),
         )
 
-    def _envelope_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(n, l)`` upper and lower envelope matrices, assembled
-        from the resident parts (fresh read-only arrays)."""
-        rest = _tail_mask(self.length)
-        matrices = []
-        for head, tail in (
-            (self._upper_head, self._upper_tail),
-            (self._lower_head, self._lower_tail),
-        ):
-            matrix = np.empty((self.node_count, self.length), ENVELOPE_DTYPE)
-            matrix[:, ::_HEAD_STRIDE] = head.T
-            matrix[:, rest] = tail
-            matrices.append(_read_only(matrix))
-        return matrices[0], matrices[1]
-
     def arrays(self) -> dict:
         """The flat arrays, envelopes as whole ``(n, l)`` matrices
         (read-only; see :data:`ARRAY_FIELDS`). The matrices are
-        assembled per call — the ``thaw`` form and a layout-independent
-        digest, not a query path."""
-        uppers, lowers = self._envelope_matrices()
-        return {
-            "uppers": uppers,
-            "lowers": lowers,
-            "kinds": self._kinds,
-            "children_offsets": self._children_offsets,
-            "children": self._children,
-            "leaf_offsets": self._leaf_offsets,
-            "positions": self._positions,
-        }
+        assembled from the resident parts per call — the ``thaw`` form
+        and a layout-independent digest, not a query path."""
+        raw = self.raw_arrays()
+        matrices = {}
+        for name in ("uppers", "lowers"):
+            matrix = np.empty((self.node_count, self.length), ENVELOPE_DTYPE)
+            matrix[:, ::_HEAD_STRIDE] = raw.pop(f"{name}_head").T
+            matrix[:, _tail_mask(self.length)] = raw.pop(f"{name}_tail")
+            matrices[name] = _read_only(matrix)
+        return {**matrices, **raw}
 
     def raw_arrays(self) -> dict:
         """The flat arrays with the envelopes in their resident

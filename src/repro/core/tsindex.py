@@ -258,9 +258,11 @@ class TSIndex:
         params: TSIndexParams,
         build_stats: BuildStats,
     ) -> "TSIndex":
-        """Adopt a built ``root`` (used by
-        :meth:`FrozenTSIndex.thaw <repro.core.frozen.FrozenTSIndex.thaw>`
-        and the serializer's legacy pointer-tree readers)."""
+        """Adopt a built ``root``: the tree
+        :func:`~repro.core.frozen.unflatten` rebuilds from the tree
+        arrays, for :meth:`FrozenTSIndex.thaw
+        <repro.core.frozen.FrozenTSIndex.thaw>` and for loading a
+        pointer-tree archive."""
         index = cls(source, params)
         index._root = root
         index._build_stats = build_stats

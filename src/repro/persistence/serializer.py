@@ -24,17 +24,20 @@ it; it loads into private memory through the same ``_load_*`` functions,
 so migrating is ``save_index(load_index(old), new_dir)``.
 
 Loaded indices answer queries identically to the originals — enforced
-by round-trip tests. Frozen indexes (standalone or as shards) round-trip
-their flat arrays *natively*: loading is pure array reads — no node
-objects are rebuilt, no windows re-inserted — and envelopes are written
-as the outward-rounded float32 the frozen plane holds (each array file
-records its own dtype). Older archives keep loading because the loader
-hands over whichever envelope members it finds and
-:class:`~repro.core.frozen.FrozenTSIndex` converts them on the way in,
-once, into private memory: whole timestamp-major ``uppers_t`` /
-``lowers_t`` (older raw archives) and node-major ``uppers`` / ``lowers``
-(``.npz``) are re-laid-out and float64 envelopes rounded outward, which
-yields exactly the arrays freezing the same tree yields today.
+by round-trip tests. A TS-Index tree, pointer or frozen, standalone or a
+shard, is stored in one format: the BFS, root-first, CSR arrays of
+:data:`~repro.core.frozen.ARRAY_FIELDS`. A pointer tree stores them as
+:func:`~repro.core.frozen.flatten` returns them, float64 envelopes
+included, and loads back through :func:`~repro.core.frozen.unflatten`
+bit for bit. A frozen index stores its arrays natively, envelopes as the
+outward-rounded float32 head and tail parts it holds (each array file
+records its own dtype), so loading one is pure array reads — no node
+objects rebuilt, no windows re-inserted. Every layout older archives
+hold is converted to that format in one place, :func:`_upgrade`, and
+:class:`~repro.core.frozen.FrozenTSIndex` rounds and cuts whole or
+float64 envelopes once, into private memory; either way the result is
+exactly the arrays building the same tree gives today.
+
 Standalone frozen dumps of per-window sources also embed the source's
 rolling window statistics (``win_means`` / ``win_stds``): those are
 block-computed over the *monolithic* series, so an archive of a
@@ -48,15 +51,21 @@ import dataclasses
 import json
 import os
 import time
+from typing import TYPE_CHECKING, Any, Mapping, NoReturn
 
 import numpy as np
 
 from .._util import POSITION_DTYPE
-from ..core.frozen import ARRAY_FIELDS, RAW_ARRAY_FIELDS, FrozenTSIndex
-from ..core.mbts import MBTS
+from ..core.frozen import (
+    RAW_ARRAY_FIELDS,
+    FrozenTSIndex,
+    check_structure,
+    flatten,
+    unflatten,
+)
 from ..core.normalization import Normalization
 from ..core.stats import BuildStats
-from ..core.tsindex import TSIndex, TSIndexParams, _Node
+from ..core.tsindex import TSIndex, TSIndexParams
 from ..core.windows import WindowSource, assemble_source
 from ..exceptions import InvalidParameterError, SerializationError
 from ..indices.isax import ISAXIndex, ISAXParams, _ISAXNode
@@ -64,6 +73,19 @@ from ..indices.kvindex import KVIndex, KVIndexParams
 from ..indices.sax import SAXAlphabet
 from ..indices.sweepline import SweeplineSearch
 from ..obs.metrics import HandleCache
+
+if TYPE_CHECKING:  # runtime import would be circular; engine imports us
+    from ..engine.sharding import ShardedTSIndex
+
+    #: Everything :func:`save_index` writes and :func:`load_index` returns.
+    Index = (
+        TSIndex
+        | FrozenTSIndex
+        | ShardedTSIndex
+        | KVIndex
+        | ISAXIndex
+        | SweeplineSearch
+    )
 
 #: Format marker written into every archive.
 FORMAT_VERSION = 1
@@ -85,7 +107,7 @@ _load_metrics = HandleCache(
 )
 
 
-def _payload_for(index) -> dict:
+def _payload_for(index: Index) -> dict[str, Any]:
     from ..engine.sharding import ShardedTSIndex  # lazy: engine imports us
 
     if isinstance(index, ShardedTSIndex):
@@ -105,7 +127,13 @@ def _payload_for(index) -> dict:
     )
 
 
-def save_index(index, path, *, format: str = "raw", fsync: bool = True) -> None:
+def save_index(
+    index: Index,
+    path: str | os.PathLike[str],
+    *,
+    format: str = "raw",
+    fsync: bool = True,
+) -> None:
     """Serialize ``index`` to the archive *directory* ``path`` (created
     if absent, committed atomically; ``fsync=False`` skips the
     durability syncs for throwaway archives such as test fixtures).
@@ -139,10 +167,10 @@ class _RawArchive:
     def _file(self, key: str) -> str:
         return os.path.join(self._path, f"{key}.npy")
 
-    def __contains__(self, key) -> bool:
+    def __contains__(self, key: str) -> bool:
         return os.path.exists(self._file(key))
 
-    def __getitem__(self, key) -> np.ndarray:
+    def __getitem__(self, key: str) -> np.ndarray:
         try:
             return np.load(
                 self._file(key), mmap_mode=self._mmap_mode, allow_pickle=False
@@ -154,7 +182,22 @@ class _RawArchive:
             ) from exc
 
 
-def _write_raw(path: str, payload: dict, *, fsync: bool = True) -> None:
+#: An open archive's arrays by name: a raw directory or a legacy
+#: ``.npz`` file's members.
+_Members = _RawArchive | dict[str, np.ndarray]
+
+
+class _Meta(dict[str, Any]):
+    """An archive's metadata (every JSON object in it): a key the
+    loader needs and the archive lacks is a malformed archive."""
+
+    def __missing__(self, key: str) -> NoReturn:
+        raise SerializationError(f"archive metadata has no {key!r} entry")
+
+
+def _write_raw(
+    path: str, payload: dict[str, Any], *, fsync: bool = True
+) -> None:
     """Write ``payload`` as an atomically committed raw archive
     directory: metadata is removed first (readers of a half-rewritten
     directory fail loudly, not silently stale), each array is written
@@ -209,7 +252,7 @@ def _write_raw(path: str, payload: dict, *, fsync: bool = True) -> None:
         fsync_directory(path)
 
 
-def load_index(path, *, mmap: bool = True):
+def load_index(path: str | os.PathLike[str], *, mmap: bool = True) -> Index:
     """Restore an index previously written by :func:`save_index`.
 
     A directory is opened as a raw archive (``mmap=True`` maps the
@@ -229,7 +272,7 @@ def load_index(path, *, mmap: bool = True):
         meta_file = os.path.join(path, RAW_META_NAME)
         try:
             with open(meta_file, "r", encoding="utf-8") as handle:
-                meta = json.load(handle)
+                meta = json.load(handle, object_hook=_Meta)
         except (OSError, json.JSONDecodeError) as exc:
             raise SerializationError(
                 f"archive {path!r} has no valid metadata "
@@ -245,7 +288,7 @@ def load_index(path, *, mmap: bool = True):
                 f"cannot read archive {path!r}: {exc}"
             ) from exc
         try:
-            meta = json.loads(str(data["meta"][()]))
+            meta = json.loads(str(data["meta"][()]), object_hook=_Meta)
         except (KeyError, json.JSONDecodeError) as exc:
             raise SerializationError(
                 f"archive {path!r} has no valid metadata"
@@ -276,7 +319,9 @@ def load_index(path, *, mmap: bool = True):
 # ----------------------------------------------------------------------
 # Shared pieces
 # ----------------------------------------------------------------------
-def _meta_for(index, method: str, extra: dict | None = None) -> str:
+def _meta_for(
+    index: Index, method: str, extra: dict[str, Any] | None = None
+) -> str:
     source = index.source
     meta = {
         "format": FORMAT_VERSION,
@@ -291,7 +336,7 @@ def _meta_for(index, method: str, extra: dict | None = None) -> str:
     return json.dumps(meta)
 
 
-def _source_from(meta: dict, data: dict) -> WindowSource:
+def _source_from(meta: _Meta, data: _Members) -> WindowSource:
     from ..core.series import TimeSeries
 
     name = meta.get("series_name", "")
@@ -315,14 +360,14 @@ def _source_from(meta: dict, data: dict) -> WindowSource:
     return WindowSource(series, length, normalization)
 
 
-def _build_stats_from(meta: dict) -> BuildStats:
+def _build_stats_from(meta: Mapping[str, Any]) -> BuildStats:
     return BuildStats(**meta.get("build_stats", {}))
 
 
 # ----------------------------------------------------------------------
-# TS-Index: pre-order flattening with explicit child ranges
+# TS-Index: one tree format (repro.core.frozen), older layouts upgraded
 # ----------------------------------------------------------------------
-def _tsindex_params_meta(params: TSIndexParams) -> dict:
+def _tsindex_params_meta(params: TSIndexParams) -> dict[str, Any]:
     return {
         "min_children": params.min_children,
         "max_children": params.max_children,
@@ -330,138 +375,94 @@ def _tsindex_params_meta(params: TSIndexParams) -> dict:
     }
 
 
-def _flatten_tree(root: _Node) -> dict:
-    """Flatten one TS-Index tree into plain arrays (no meta, no series).
-
-    Breadth-first so children of one node are contiguous; shared by the
-    monolithic and the sharded dump paths.
-    """
-    uppers, lowers = [], []
-    kinds, child_starts, child_counts = [], [], []
-    position_offsets, position_data = [], []
-    order: list[_Node] = []
-
-    def visit(node: _Node) -> int:
-        my_id = len(order)
-        order.append(node)
-        uppers.append(node.mbts.upper)
-        lowers.append(node.mbts.lower)
-        kinds.append(1 if node.is_leaf else 0)
-        child_starts.append(0)
-        child_counts.append(0)
-        position_offsets.append(len(position_data))
-        if node.is_leaf:
-            position_data.extend(node.positions)
-        return my_id
-
-    queue = [root]
-    visit(root)
-    head = 0
-    while head < len(queue):
-        node = queue[head]
-        node_id = head
-        head += 1
-        if not node.is_leaf:
-            child_starts[node_id] = len(order)
-            child_counts[node_id] = len(node.children)
-            for child in node.children:
-                visit(child)
-                queue.append(child)
-
-    return {
-        "uppers": np.asarray(uppers),
-        "lowers": np.asarray(lowers),
-        "kinds": np.asarray(kinds, dtype=np.int8),
-        "child_starts": np.asarray(child_starts, dtype=np.int64),
-        "child_counts": np.asarray(child_counts, dtype=np.int64),
-        "position_offsets": np.asarray(
-            position_offsets + [len(position_data)], dtype=np.int64
-        ),
-        "positions": np.asarray(position_data, dtype=POSITION_DTYPE),
-    }
-
-
-def _tree_from_arrays(data: dict, *, prefix: str = "") -> _Node | None:
-    """Rebuild a TS-Index node tree from :func:`_flatten_tree` arrays."""
-    kinds = data[f"{prefix}kinds"]
-    uppers = data[f"{prefix}uppers"]
-    lowers = data[f"{prefix}lowers"]
-    child_starts = data[f"{prefix}child_starts"]
-    child_counts = data[f"{prefix}child_counts"]
-    offsets = data[f"{prefix}position_offsets"]
-    positions = data[f"{prefix}positions"]
-
-    nodes: list[_Node] = []
-    for i in range(kinds.size):
-        mbts = MBTS(uppers[i], lowers[i])
-        if kinds[i] == 1:
-            nodes.append(_Node(mbts, positions=[]))
-        else:
-            nodes.append(_Node(mbts, children=[]))
-    for i in range(kinds.size):
-        if kinds[i] == 1:
-            start = int(offsets[i])
-            count_here = _leaf_span(i, kinds, offsets, positions.size)
-            nodes[i].positions = [int(p) for p in positions[start : start + count_here]]
-        else:
-            first = int(child_starts[i])
-            nodes[i].children = [
-                nodes[j] for j in range(first, first + int(child_counts[i]))
-            ]
-    return nodes[0] if nodes else None
-
-
-def _dump_tsindex(index: TSIndex) -> dict:
+def _dump_tsindex(index: TSIndex) -> dict[str, Any]:
     if index._root is None:
         raise SerializationError("cannot serialize an empty TS-Index")
-    payload = {
+    payload: dict[str, Any] = {
         "meta": _meta_for(
             index, "tsindex", {"params": _tsindex_params_meta(index.params)}
         ),
         "series": index.source.series.values,
     }
-    payload.update(_flatten_tree(index._root))
+    payload.update(flatten(index._root, index.length))
     return payload
 
 
-def _frozen_members(data: dict, prefix: str = "") -> dict:
-    """The flat arrays of one frozen tree, under the names the archive
-    holds them by: the resident layout (raw archives — those mmaps are
-    adopted as they are, zero-copy), the ``(n, l)`` matrices (``.npz``)
-    or the ``(l, n)`` ``uppers_t`` / ``lowers_t`` of raw archives
-    written before the head/tail layout. Which it is, and what to do
-    about it, is :class:`FrozenTSIndex`'s business."""
-    fields = dict.fromkeys(
-        RAW_ARRAY_FIELDS + ARRAY_FIELDS + ("uppers_t", "lowers_t")
-    )
-    return {
-        field: data[prefix + field]
-        for field in fields
-        if prefix + field in data
-    }
+def _upgrade(data: _Members, prefix: str = "") -> dict[str, np.ndarray]:
+    """The arrays of the tree stored under ``prefix``, in the one format
+    :mod:`repro.core.frozen` reads: :data:`RAW_ARRAY_FIELDS` or
+    :data:`ARRAY_FIELDS`. Members already in that format are handed
+    over untouched (mmaps stay zero-copy). Every earlier layout is
+    converted here, and nowhere else:
+
+    * ``uppers_t`` / ``lowers_t`` — the whole ``(l, n)`` timestamp-major
+      envelopes of raw frozen archives written before the head/tail
+      layout — are transposed;
+    * ``child_starts`` / ``child_counts`` / ``position_offsets`` — how
+      pointer-tree archives (and the shards of sharded archives) held
+      the same BFS order before they were written with
+      :func:`~repro.core.frozen.flatten` — become the CSR offsets.
+      ``child_starts`` are redundant there; ones that disagree with the
+      starts the counts imply are refused.
+
+    A missing member raises :class:`SerializationError` naming it.
+    """
+
+    def member(name: str) -> np.ndarray:
+        if prefix + name not in data:
+            raise SerializationError(f"archive has no {prefix + name!r} member")
+        return data[prefix + name]
+
+    if prefix + "uppers_head" in data:
+        return {name: member(name) for name in RAW_ARRAY_FIELDS}
+    if prefix + "uppers_t" in data:
+        arrays = {"uppers": member("uppers_t").T, "lowers": member("lowers_t").T}
+    else:
+        arrays = {"uppers": member("uppers"), "lowers": member("lowers")}
+    if prefix + "child_starts" in data:
+        counts = member("child_counts")
+        offsets = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        starts = member("child_starts")
+        inner = counts > 0
+        if starts.shape != counts.shape or np.any(
+            starts[inner] != offsets[:-1][inner] + 1
+        ):
+            raise SerializationError(
+                f"archive member {prefix}child_starts disagrees with the "
+                f"breadth-first starts its {prefix}child_counts imply"
+            )
+        arrays["children_offsets"] = offsets
+        arrays["children"] = np.arange(1, int(offsets[-1]) + 1, dtype=np.int64)
+        arrays["leaf_offsets"] = member("position_offsets")
+    else:
+        for name in ("children_offsets", "children", "leaf_offsets"):
+            arrays[name] = member(name)
+    arrays["kinds"] = member("kinds")
+    arrays["positions"] = member("positions")
+    return arrays
 
 
-def _load_tsindex(meta: dict, data: dict) -> TSIndex | FrozenTSIndex:
+def _load_tsindex(meta: _Meta, data: _Members) -> TSIndex | FrozenTSIndex:
     source = _source_from(meta, data)
     params = TSIndexParams(**meta["params"])
+    build_stats = _build_stats_from(meta)
+    arrays = _upgrade(data)
     if meta.get("frozen"):
         # Frozen archives hold the flat arrays natively; loading is
         # pure array reads — no node objects, no re-insertion.
-        return FrozenTSIndex.from_arrays(
-            source, params, _build_stats_from(meta), _frozen_members(data)
-        )
-    root = _tree_from_arrays(data)
-    index = TSIndex._from_prebuilt_root(
-        source, root, params, _build_stats_from(meta)
+        return FrozenTSIndex.from_arrays(source, params, build_stats, arrays)
+    check_structure(arrays, source.count)
+    return TSIndex._from_prebuilt_root(
+        source, unflatten(arrays), params, build_stats
     )
-    return index
 
 
-def _dump_frozen(index: FrozenTSIndex) -> dict:
+def _dump_frozen(index: FrozenTSIndex) -> dict[str, Any]:
     """Frozen indexes serialize their flat arrays verbatim, envelopes
     in their resident layout, so neither save nor load ever re-lays
     them out."""
-    payload = {
+    payload: dict[str, Any] = {
         "meta": _meta_for(
             index,
             "tsindex",
@@ -477,17 +478,10 @@ def _dump_frozen(index: FrozenTSIndex) -> dict:
     return payload
 
 
-def _leaf_span(i: int, kinds, offsets, total: int) -> int:
-    """Positions stored by leaf ``i``: up to the next node's offset."""
-    start = int(offsets[i])
-    stop = int(offsets[i + 1]) if i + 1 < offsets.size else total
-    return stop - start
-
-
 # ----------------------------------------------------------------------
 # KV-Index: bins flattened to (bin, start, stop) triples
 # ----------------------------------------------------------------------
-def _dump_kvindex(index: KVIndex) -> dict:
+def _dump_kvindex(index: KVIndex) -> dict[str, Any]:
     triples = []
     for bin_id in range(index.num_bins):
         for start, stop in index.bin_intervals(bin_id):
@@ -500,7 +494,7 @@ def _dump_kvindex(index: KVIndex) -> dict:
     }
 
 
-def _load_kvindex(meta: dict, data: dict) -> KVIndex:
+def _load_kvindex(meta: _Meta, data: _Members) -> KVIndex:
     source = _source_from(meta, data)
     index = KVIndex(source, KVIndexParams(num_bins=int(meta["num_bins"])))
     index._edges = np.asarray(data["edges"], dtype=float)
@@ -515,7 +509,7 @@ def _load_kvindex(meta: dict, data: dict) -> KVIndex:
 # ----------------------------------------------------------------------
 # iSAX: nodes flattened breadth-first
 # ----------------------------------------------------------------------
-def _dump_isax(index: ISAXIndex) -> dict:
+def _dump_isax(index: ISAXIndex) -> dict[str, Any]:
     words, bits, kinds = [], [], []
     split_segments, child_zero, child_one = [], [], []
     root_keys: list[int] = []
@@ -584,7 +578,7 @@ def _dump_isax(index: ISAXIndex) -> dict:
     }
 
 
-def _load_isax(meta: dict, data: dict) -> ISAXIndex:
+def _load_isax(meta: _Meta, data: _Members) -> ISAXIndex:
     source = _source_from(meta, data)
     params = ISAXParams(**meta["params"])
     alphabet = SAXAlphabet(data["alphabet"], 1 << params.max_bits)
@@ -628,7 +622,7 @@ def _load_isax(meta: dict, data: dict) -> ISAXIndex:
 # ----------------------------------------------------------------------
 # Sharded TS-Index: per-shard trees flattened under prefixed keys
 # ----------------------------------------------------------------------
-def _dump_sharded(engine) -> dict:
+def _dump_sharded(engine: ShardedTSIndex) -> dict[str, Any]:
     """One archive holding the full series plus every shard tree.
 
     Shard window sources are zero-copy views of the monolithic source,
@@ -636,7 +630,7 @@ def _dump_sharded(engine) -> dict:
     prefixed ``s{i}_`` and its span recorded in the metadata.
     """
     shard_meta = []
-    payload: dict = {"series": engine.source.series.values}
+    payload: dict[str, Any] = {"series": engine.source.series.values}
     for i, ((start, stop), tree) in enumerate(zip(engine.spans, engine.shards)):
         for key, value in tree.raw_arrays().items():
             payload[f"s{i}_{key}"] = value
@@ -644,7 +638,7 @@ def _dump_sharded(engine) -> dict:
             {
                 "start": start,
                 "stop": stop,
-                "frozen": True,
+                "frozen": True,  # older readers choose the layout by it
                 "build_stats": dataclasses.asdict(tree.build_stats),
             }
         )
@@ -656,7 +650,7 @@ def _dump_sharded(engine) -> dict:
     return payload
 
 
-def _load_sharded(meta: dict, data: dict):
+def _load_sharded(meta: _Meta, data: _Members) -> ShardedTSIndex:
     from ..engine.sharding import ShardedTSIndex  # lazy: engine imports us
 
     source = _source_from(meta, data)
@@ -665,26 +659,14 @@ def _load_sharded(meta: dict, data: dict):
     trees: list[FrozenTSIndex] = []
     for i, shard in enumerate(meta["shards"]):
         start, stop = int(shard["start"]), int(shard["stop"])
-        shard_source = source.shard(start, stop)
-        build_stats = BuildStats(**shard.get("build_stats", {}))
-        if shard.get("frozen"):
-            trees.append(
-                FrozenTSIndex.from_arrays(
-                    shard_source,
-                    params,
-                    build_stats,
-                    _frozen_members(data, prefix=f"s{i}_"),
-                )
+        trees.append(
+            FrozenTSIndex.from_arrays(
+                source.shard(start, stop),
+                params,
+                _build_stats_from(shard),
+                _upgrade(data, prefix=f"s{i}_"),
             )
-        else:
-            # An archive written when shards could stay pointer trees:
-            # rebuild the tree, then freeze it as a build does today.
-            root = _tree_from_arrays(data, prefix=f"s{i}_")
-            trees.append(
-                TSIndex._from_prebuilt_root(
-                    shard_source, root, params, build_stats
-                ).freeze()
-            )
+        )
         starts.append(start)
     return ShardedTSIndex._from_prebuilt(source, starts, trees, params)
 
@@ -692,12 +674,12 @@ def _load_sharded(meta: dict, data: dict):
 # ----------------------------------------------------------------------
 # Sweepline: only the series and regime are needed
 # ----------------------------------------------------------------------
-def _dump_sweepline(index: SweeplineSearch) -> dict:
+def _dump_sweepline(index: SweeplineSearch) -> dict[str, Any]:
     return {
         "meta": _meta_for(index, "sweepline"),
         "series": index.source.series.values,
     }
 
 
-def _load_sweepline(meta: dict, data: dict) -> SweeplineSearch:
+def _load_sweepline(meta: _Meta, data: _Members) -> SweeplineSearch:
     return SweeplineSearch.from_source(_source_from(meta, data))

@@ -28,13 +28,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import frozen as frozen_module
 from repro.core.bulkload import bulk_load
-from repro.core.frozen import FrozenTSIndex
+from repro.core.frozen import FrozenTSIndex, flatten
 from repro.core.mbts import round_down_f32, round_up_f32
 from repro.core.tsindex import TSIndex, TSIndexParams
 from repro.engine import ShardedTSIndex
 from repro.indices.sweepline import SweeplineSearch
 from repro.live import LiveTwinIndex
-from repro.persistence.serializer import _flatten_tree
 
 _ORACLE_FILE = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -119,7 +118,7 @@ class TestOutwardRounding:
         # the ``(n, l)`` matrices the plane has exposed since its
         # envelopes became float32: the tree's exact rows, in BFS
         # order, rounded outward — bit for bit.
-        exact = _flatten_tree(dynamic._root)
+        exact = flatten(dynamic._root, dynamic.length)
         for assembled in (frozen.arrays(), again.arrays()):
             for field, rounded in (
                 ("uppers", round_up_f32(exact["uppers"])),

@@ -31,9 +31,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.frozen import flatten
 from repro.core.mbts import MBTS
 from repro.core.tsindex import TSIndex, TSIndexParams, _farthest_pair, _Node
 from repro.core.windows import WindowSource
+from repro.persistence import load_index, save_index
 
 
 def tree_digest(index: TSIndex) -> str:
@@ -114,7 +116,7 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_insertion_built_tree_matches_golden_digest(name):
+def test_insertion_built_tree_matches_golden_digest(name, tmp_path):
     series, length, normalization, params = CASES[name]
     digest, splits, nodes, height = GOLDEN[name]
     index = TSIndex.build(series, length, normalization=normalization, params=params)
@@ -122,6 +124,15 @@ def test_insertion_built_tree_matches_golden_digest(name):
         splits, nodes, height,
     )
     assert tree_digest(index) == digest
+    # A pointer-tree archive gives the float64 envelopes back bit for
+    # bit, so the round-tripped tree holds the digest too.
+    save_index(index, tmp_path / "tree", fsync=False)
+    restored = load_index(tmp_path / "tree")
+    assert tree_digest(restored) == digest
+    exact = flatten(index._root, length)
+    for field, array in flatten(restored._root, length).items():
+        assert array.dtype == exact[field].dtype
+        assert array.tobytes() == exact[field].tobytes(), field
 
 
 def test_constant_series_takes_the_identical_entries_split():

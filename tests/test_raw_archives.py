@@ -12,19 +12,26 @@ itself adopts the on-disk arrays as read-only memory maps instead of
 copying them.
 """
 
+import json
 import mmap
 import os
 import pathlib
+import shutil
 
 import numpy as np
 import pytest
 
-from repro.core.frozen import ARRAY_FIELDS, RAW_ARRAY_FIELDS, FrozenTSIndex
+from repro.core.frozen import (
+    ARRAY_FIELDS,
+    RAW_ARRAY_FIELDS,
+    FrozenTSIndex,
+    flatten,
+)
 from repro.core.stats import QueryStats
 from repro.core.tsindex import TSIndex, TSIndexParams
 from repro.engine import ShardedTSIndex
 from repro.euclidean.mass import chebyshev_distance_profile
-from repro.exceptions import SerializationError
+from repro.exceptions import InvalidParameterError, SerializationError
 from repro.persistence import load_index, save_index
 
 LENGTH = 50
@@ -283,13 +290,11 @@ class TestLegacyCompatibility:
         ``.npz``). Loading rounds them outward and re-lays them out
         once — into private memory; the other arrays stay mapped — and
         gives the very arrays freezing the same tree gives today."""
-        from repro.persistence.serializer import _flatten_tree
-
         dynamic = TSIndex.build(
             series_values, LENGTH, normalization=any_normalization
         )
         original = dynamic.freeze()
-        exact = _flatten_tree(dynamic._root)  # float64, same BFS order
+        exact = flatten(dynamic._root, dynamic.length)  # float64, same BFS order
         assert exact["uppers"].dtype == np.float64
         path = tmp_path / f"legacy.{container}"
         if container == "raw":
@@ -373,6 +378,36 @@ class TestLegacyCompatibility:
                 assert np.array_equal(a.distances, b.distances)
                 assert a.stats == b.stats
 
+    def test_pointer_archive_of_the_previous_layout_loads(self):
+        """``tests/data/pointer_tsindex.raw`` was written by the last
+        commit whose pointer-tree archives held the tree as
+        ``child_starts`` / ``child_counts`` / ``position_offsets``, from
+        the frozen fixtures' recipe. It loads to the tree a fresh build
+        makes: the same float64 envelopes, kinds and positions bit for
+        bit, the same frozen arrays, the same answers and counters."""
+        restored = load_index(DATA / "pointer_tsindex.raw")
+        assert type(restored) is TSIndex
+        series = np.cumsum(np.random.default_rng(18).normal(size=700))
+        fresh = TSIndex.build(
+            series, 24, normalization="global",
+            params=TSIndexParams(min_children=4, max_children=10),
+        )
+        ours, theirs = flatten(restored._root, 24), flatten(fresh._root, 24)
+        assert ours["uppers"].dtype == ours["lowers"].dtype == np.float64
+        for field in ARRAY_FIELDS:
+            assert ours[field].dtype == theirs[field].dtype, field
+            assert ours[field].tobytes() == theirs[field].tobytes(), field
+        for field, array in fresh.freeze().raw_arrays().items():
+            assert restored.freeze().raw_arrays()[field].dtype == array.dtype
+            assert np.array_equal(restored.freeze().raw_arrays()[field], array)
+        source = fresh.source
+        for position in (5, 123, 600):
+            query = np.array(source.window_block(position, position + 1)[0])
+            a, b = fresh.search(query, 0.4), restored.search(query, 0.4)
+            assert np.array_equal(a.positions, b.positions)
+            assert np.array_equal(a.distances, b.distances)
+            assert a.stats == b.stats
+
     def test_one_resident_copy_of_the_envelopes(self, series_values):
         """The resident arrays hold every envelope element exactly once
         — ``2·n·l`` float32 values — beside the structure arrays: a
@@ -411,6 +446,55 @@ class TestLegacyCompatibility:
         a, b = original.search(query, 0.5), restored.search(query, 0.5)
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.distances, b.distances)
+
+
+def _drop_positions(path):
+    positions = np.load(path / "positions.npy")
+    np.save(path / "positions.npy", positions[:-5])
+
+
+def _drop_params(path):
+    meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
+    del meta["params"]
+    (path / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+
+
+def _shift_child_starts(path):
+    starts = np.load(path / "child_starts.npy")
+    starts[0] += 1
+    np.save(path / "child_starts.npy", starts)
+
+
+class TestMalformedArchives:
+    """A damaged archive fails with a typed error, never silently and
+    never with a bare ``KeyError``. Over a 577-window index, l = 24."""
+
+    @pytest.mark.parametrize(
+        "kind, damage, error, match",
+        [
+            ("pointer", _drop_positions, InvalidParameterError, "leaf_offsets"),
+            (
+                "frozen",
+                lambda path: os.unlink(path / "kinds.npy"),
+                SerializationError,
+                "'kinds'",
+            ),
+            ("pointer", _drop_params, SerializationError, "'params'"),
+            ("frozen", _drop_params, SerializationError, "'params'"),
+            ("legacy", _shift_child_starts, SerializationError, "child_starts"),
+        ],
+    )
+    def test_damage_is_refused(self, tmp_path, kind, damage, error, match):
+        path = tmp_path / f"{kind}.raw"
+        if kind == "legacy":
+            shutil.copytree(DATA / "pointer_tsindex.raw", path)
+        else:
+            series = np.cumsum(np.random.default_rng(3).normal(size=600))
+            index = TSIndex.build(series, 24, normalization="global")
+            save_index(index if kind == "pointer" else index.freeze(), path)
+        damage(path)
+        with pytest.raises(error, match=match):
+            load_index(path)
 
 
 class TestLoadMetric:
