@@ -85,7 +85,7 @@ def main() -> None:
     from repro import QueryEngine
 
     with QueryEngine() as serving:
-        serving.add_live("traffic", live)
+        serving.add("traffic", live)
         served = serving.query("traffic", latest, epsilon=12.0)
         direct = live.search(latest, epsilon=12.0)
         assert np.array_equal(served.positions, direct.positions)

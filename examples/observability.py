@@ -6,7 +6,7 @@ cache hits, live ingestion with sealing — against a `QueryEngine` and
 a durable `LiveTwinIndex`, then:
 
 * prints the engine's per-mode query counts and cache hit rate from
-  `engine.stats()`;
+  `engine.stats()`, asserting the counts match the calls it made;
 * prints a per-stage trace of the last query (prepare → plan →
   execute per shard → merge);
 * dumps the metrics registry in the Prometheus text exposition format
@@ -59,7 +59,7 @@ def main() -> None:
                 normalization="none",
                 seal_threshold=512,
             ) as live:
-                engine.add_live("stream", live)
+                engine.add("stream", live)
                 for start in range(2_000, 6_000, 400):
                     engine.append(
                         "stream", series[start : start + 400]
@@ -72,6 +72,11 @@ def main() -> None:
                 stats = engine.stats().as_dict()
                 print("\nengine stats:")
                 print(f"  queries by mode: {stats['queries_by_mode']}")
+                # 10 history twin queries, one repeat (a cache hit) and
+                # one on the stream are the 12 searches.
+                calls = {"search": 12, "knn": 1, "exists": 1,
+                         "count": 0, "batch": 0}
+                assert stats["queries_by_mode"] == calls, stats
                 print(
                     "  cache hit rate: "
                     f"{stats['cache']['hit_rate']:.0%}"

@@ -7,7 +7,9 @@ workload from many threads, and inspect the cache hit rate. Every call
 routes through the unified query pipeline (:mod:`repro.query`), so the
 same front door also serves the paper's baselines — the final section
 registers a sweepline plane and k-NN-queries it through the planner's
-central synthesis (sweepline itself has no k-NN kernel).
+central synthesis (sweepline itself has no k-NN kernel). The script
+asserts both equalities (positions and distances), so it doubles as an
+end-to-end check.
 
 Run:  python examples/sharded_serving.py
 """
@@ -42,10 +44,9 @@ def main() -> None:
         query = engine.source.window(2500)
         sharded = serving.query("archive", query, epsilon)
         straight = mono.search(query, epsilon)
-        identical = np.array_equal(sharded.positions, straight.positions) and \
-            np.array_equal(sharded.distances, straight.distances)
-        print(f"\nsharded == monolithic: {identical} "
-              f"({len(sharded)} twins)")
+        assert np.array_equal(sharded.positions, straight.positions)
+        assert np.array_equal(sharded.distances, straight.distances)
+        print(f"\nsharded == monolithic: True ({len(sharded)} twins)")
 
         # --- a repeated workload from concurrent callers ----------------
         rng = np.random.default_rng(11)
@@ -79,11 +80,10 @@ def main() -> None:
         )
         nearest_tree = serving.knn("archive", query, 5)
         nearest_scan = serving.knn("baseline", query, 5)
-        agree = np.array_equal(
-            nearest_tree.positions, nearest_scan.positions
-        )
-        print(f"\nsweepline served through the engine: "
-              f"knn(synthesized) == knn(tree): {agree}")
+        assert np.array_equal(nearest_tree.positions, nearest_scan.positions)
+        assert np.array_equal(nearest_tree.distances, nearest_scan.distances)
+        print("\nsweepline served through the engine: "
+              "knn(synthesized) == knn(tree): True")
         print(f"count without materializing: "
               f"{serving.count('baseline', query, epsilon)} twins, "
               f"exists: {serving.exists('baseline', query, epsilon)}")

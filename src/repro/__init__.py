@@ -41,8 +41,8 @@ library into a query-serving engine: :class:`~repro.engine.ShardedTSIndex`
 partitions a series into per-shard TS-Indexes (frozen shards, fan-out
 queries, results exactly equal to a monolithic index),
 :class:`~repro.engine.QueryCache` memoizes repeated queries, and
-:class:`~repro.engine.QueryEngine` composes both with a named-index
-registry behind a thread pool for concurrent callers:
+:class:`~repro.engine.QueryEngine` owns named planes and serves them,
+through the cache, to concurrent callers:
 
 >>> from repro import QueryEngine
 >>> with QueryEngine() as serving:
@@ -59,7 +59,7 @@ ingestion plane — :class:`~repro.live.LiveTwinIndex` appends readings
 frozen segments, compacts them in the background, and answers
 ``search`` / ``knn`` / ``exists`` byte-identically to a from-scratch
 index over the full series. Serve one through the engine with
-:meth:`QueryEngine.add_live <repro.engine.QueryEngine.add_live>` /
+:meth:`QueryEngine.add <repro.engine.QueryEngine.add>` /
 :meth:`QueryEngine.append <repro.engine.QueryEngine.append>`.
 """
 
@@ -88,7 +88,6 @@ from .data import load_dataset, load_series
 from .engine import (
     CacheStats,
     EngineStats,
-    IndexRegistry,
     QueryCache,
     QueryEngine,
     ShardedTSIndex,
@@ -147,7 +146,6 @@ __all__ = [
     "ISAXParams",
     "IncompatibleQueryError",
     "IndexNotBuiltError",
-    "IndexRegistry",
     "InvalidParameterError",
     "KVIndex",
     "KVIndexParams",

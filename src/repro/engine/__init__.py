@@ -11,12 +11,13 @@ subsystem turns that into a query-serving engine:
   with exact result merging;
 * :class:`QueryCache` — a thread-safe LRU over (query digest, ε,
   options) with hit/miss/eviction counters;
-* :class:`IndexRegistry` — a named-index owner with build / evict /
-  persist (via :mod:`repro.persistence`) and per-index stats;
-* :class:`QueryEngine` — the front door composing all three, safe for
-  concurrent callers; each call works in the calling thread (its
-  thread pool serves ``timeout=`` deadlines, ``executor="process"``
-  sends shard work to worker processes).
+* :class:`QueryEngine` — the front door, safe for concurrent callers:
+  it owns the named planes (build / add / evict / persist via
+  :mod:`repro.persistence`, per-index stats) and serves every query
+  mode through one path — plan, execute, cache, count; each call works
+  in the calling thread (its thread pool serves ``timeout=``
+  deadlines, ``executor="process"`` sends shard work to worker
+  processes).
 
 Sharded execution is *exactly* equivalent to a monolithic index — the
 shard window sources are zero-copy views of the monolithic one (see
@@ -26,13 +27,11 @@ equivalence property tests.
 
 from .cache import CacheStats, QueryCache, query_key
 from .executor import EngineStats, QueryEngine
-from .registry import IndexRegistry
 from .sharding import ShardedTSIndex, default_shard_count, shard_spans
 
 __all__ = [
     "CacheStats",
     "EngineStats",
-    "IndexRegistry",
     "QueryCache",
     "QueryEngine",
     "ShardedTSIndex",

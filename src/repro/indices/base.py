@@ -22,7 +22,11 @@ instead of a hard-coded ``if/elif`` chain.
 from __future__ import annotations
 
 import abc
+from typing import Any, Iterable
 
+import numpy.typing as npt
+
+from ..core.batch import BatchResult
 from ..core.normalization import Normalization
 from ..core.stats import BuildStats, SearchResult
 from ..core.windows import WindowSource
@@ -54,11 +58,11 @@ class SubsequenceIndex(abc.ABC):
 
     @classmethod
     @abc.abstractmethod
-    def from_source(cls, source: WindowSource, **kwargs) -> "SubsequenceIndex":
+    def from_source(cls, source: WindowSource, **kwargs: Any) -> "SubsequenceIndex":
         """Build (or wrap) the method over a prepared window source."""
 
     @abc.abstractmethod
-    def search(self, query, epsilon: float) -> SearchResult:
+    def search(self, query: npt.ArrayLike, epsilon: float) -> SearchResult:
         """All twins of ``query`` within Chebyshev ``epsilon``."""
 
     @property
@@ -75,7 +79,9 @@ class SubsequenceIndex(abc.ABC):
     # Pipeline-backed defaults (planes with native kernels override and
     # declare the capability; see repro.query.planner)
     # ------------------------------------------------------------------
-    def knn(self, query, k: int, *, exclude=None) -> SearchResult:
+    def knn(
+        self, query: npt.ArrayLike, k: int, *, exclude: tuple[int, int] | None = None
+    ) -> SearchResult:
         """The ``k`` nearest windows by Chebyshev distance, ranked by
         the library-wide ``(distance, position)`` tie-break (default:
         exact blockwise scan via the planner)."""
@@ -85,7 +91,7 @@ class SubsequenceIndex(abc.ABC):
             self, QuerySpec(query=query, mode="knn", k=k, exclude=exclude)
         )
 
-    def exists(self, query, epsilon: float) -> bool:
+    def exists(self, query: npt.ArrayLike, epsilon: float) -> bool:
         """Whether any twin exists (default: search-backed)."""
         from ..query import QuerySpec, execute
 
@@ -93,7 +99,9 @@ class SubsequenceIndex(abc.ABC):
             self, QuerySpec(query=query, mode="exists", epsilon=epsilon)
         )
 
-    def search_batch(self, queries, epsilon: float, **search_options):
+    def search_batch(
+        self, queries: Iterable[npt.ArrayLike], epsilon: float, **search_options: Any
+    ) -> BatchResult:
         """Run a whole workload; per-query results plus aggregates
         (default: a planner loop sharing one merge/stats kernel)."""
         from ..query import QuerySpec, execute
@@ -108,7 +116,7 @@ class SubsequenceIndex(abc.ABC):
             ),
         )
 
-    def count(self, query, epsilon: float) -> int:
+    def count(self, query: npt.ArrayLike, epsilon: float) -> int:
         """Number of twins (default: via the planner — the plane's
         native non-materializing count where declared, its own pruned
         search otherwise)."""
@@ -119,7 +127,7 @@ class SubsequenceIndex(abc.ABC):
         )
 
     def search_varlength(
-        self, query, epsilon: float, **search_options
+        self, query: npt.ArrayLike, epsilon: float, **search_options: Any
     ) -> SearchResult:
         """All twins of a query of length ``m <= l``, tail positions
         included (default: the planner's synthesized prefix scan;
@@ -165,12 +173,12 @@ def extended_methods() -> tuple[str, ...]:
 
 def create_method(
     name: str,
-    series,
+    series: npt.ArrayLike,
     length: int,
     *,
-    normalization=Normalization.GLOBAL,
-    **kwargs,
-):
+    normalization: Normalization | str = Normalization.GLOBAL,
+    **kwargs: Any,
+) -> SubsequenceIndex:
     """Build the named method over all ``length``-windows of ``series``.
 
     ``kwargs`` are forwarded to the method's ``from_source``. This is the
@@ -181,7 +189,9 @@ def create_method(
     return create_method_from_source(name, source, **kwargs)
 
 
-def create_method_from_source(name: str, source: WindowSource, **kwargs):
+def create_method_from_source(
+    name: str, source: WindowSource, **kwargs: Any
+) -> SubsequenceIndex:
     """Like :func:`create_method` but reusing a prepared source.
 
     Resolution goes through the plane registry

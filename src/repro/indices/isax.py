@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from typing import Iterator
 
 import numpy as np
+import numpy.typing as npt
 
 from .._util import (
     POSITION_DTYPE,
@@ -53,7 +55,7 @@ class ISAXParams:
     base_bits: int = 1
     max_bits: int = 8
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         check_positive_int(self.segments, name="segments")
         check_positive_int(self.leaf_capacity, name="leaf_capacity")
         check_positive_int(self.base_bits, name="base_bits")
@@ -146,10 +148,10 @@ class ISAXIndex(SubsequenceIndex):
     @classmethod
     def build(
         cls,
-        series,
+        series: npt.ArrayLike,
         length: int,
         *,
-        normalization=Normalization.GLOBAL,
+        normalization: Normalization | str = Normalization.GLOBAL,
         params: ISAXParams | None = None,
         alphabet: SAXAlphabet | None = None,
     ) -> "ISAXIndex":
@@ -324,7 +326,7 @@ class ISAXIndex(SubsequenceIndex):
                 stack.extend(node.children.values())
         return count
 
-    def iter_nodes(self):
+    def iter_nodes(self) -> Iterator[_ISAXNode]:
         """Yield every node (diagnostics, memory accounting, tests)."""
         stack = list(self._root_children.values())
         while stack:
@@ -343,7 +345,7 @@ class ISAXIndex(SubsequenceIndex):
     # Query (Section 4.2 filter + shared verification)
     # ------------------------------------------------------------------
     def search(
-        self, query, epsilon: float, *, verification: str = "bulk"
+        self, query: npt.ArrayLike, epsilon: float, *, verification: str = "bulk"
     ) -> SearchResult:
         """Traverse, pruning nodes whose per-segment mean range is more
         than ``ε`` from the query's PAA mean in any segment.
@@ -392,7 +394,7 @@ class ISAXIndex(SubsequenceIndex):
             mode=verification, stats=stats,
         )
 
-    def search_approximate(self, query, epsilon: float) -> SearchResult:
+    def search_approximate(self, query: npt.ArrayLike, epsilon: float) -> SearchResult:
         """Twins from the query's *own* leaf only (approximate search).
 
         The classic iSAX approximate query: descend by the query's SAX

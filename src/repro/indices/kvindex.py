@@ -20,6 +20,7 @@ import dataclasses
 import time
 
 import numpy as np
+import numpy.typing as npt
 
 from .._util import (
     POSITION_DTYPE,
@@ -49,7 +50,7 @@ class KVIndexParams:
 
     num_bins: int = 256
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         check_positive_int(self.num_bins, name="num_bins")
 
 
@@ -102,10 +103,10 @@ class KVIndex(SubsequenceIndex):
     @classmethod
     def build(
         cls,
-        series,
+        series: npt.ArrayLike,
         length: int,
         *,
-        normalization=Normalization.GLOBAL,
+        normalization: Normalization | str = Normalization.GLOBAL,
         params: KVIndexParams | None = None,
     ) -> "KVIndex":
         """Build over all ``length``-windows of ``series``."""
@@ -204,7 +205,7 @@ class KVIndex(SubsequenceIndex):
     # Query
     # ------------------------------------------------------------------
     def search(
-        self, query, epsilon: float, *, verification: str = "bulk"
+        self, query: npt.ArrayLike, epsilon: float, *, verification: str = "bulk"
     ) -> SearchResult:
         """Mean-range filter, then exact verification (Section 4.1).
 
@@ -235,7 +236,7 @@ class KVIndex(SubsequenceIndex):
         )
 
     def candidate_intervals(
-        self, query, epsilon: float
+        self, query: npt.ArrayLike, epsilon: float
     ) -> list[tuple[int, int]]:
         """The filter step alone — merged candidate position intervals.
 
@@ -248,7 +249,7 @@ class KVIndex(SubsequenceIndex):
         )
         return self._merged_intervals(first, last)
 
-    def _overlapping_bins(self, query_mean: float, epsilon: float):
+    def _overlapping_bins(self, query_mean: float, epsilon: float) -> tuple[int, int]:
         """Bin id range (half-open) overlapping ``[μ_q - ε, μ_q + ε]``.
 
         Bin ``i`` covers ``[e_i, e_{i+1})`` except the last bin, which
@@ -268,7 +269,7 @@ class KVIndex(SubsequenceIndex):
         last = min(max(last, first + 1), self.num_bins)
         return first, last
 
-    def _merged_intervals(self, first: int, last: int):
+    def _merged_intervals(self, first: int, last: int) -> list[tuple[int, int]]:
         """Union of the intervals of bins ``[first, last)``, merged so the
         verifier touches each candidate window exactly once."""
         collected: list[tuple[int, int]] = []

@@ -14,6 +14,7 @@ convention in both forms, so index and query agree exactly.
 from __future__ import annotations
 
 import numpy as np
+import numpy.typing as npt
 
 from .._util import FLOAT_DTYPE, as_float_array, check_positive_int
 from ..core.normalization import Normalization
@@ -39,7 +40,7 @@ def segment_bounds(length: int, segments: int) -> np.ndarray:
     return bounds
 
 
-def paa_transform(sequence, segments: int) -> np.ndarray:
+def paa_transform(sequence: npt.ArrayLike, segments: int) -> np.ndarray:
     """PAA of a single sequence: ``segments`` per-segment means."""
     sequence = as_float_array(sequence, name="sequence")
     bounds = segment_bounds(sequence.size, segments)

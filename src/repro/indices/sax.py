@@ -20,6 +20,7 @@ Two alphabet flavours match the paper's two data regimes:
 from __future__ import annotations
 
 import numpy as np
+import numpy.typing as npt
 from scipy import stats as scipy_stats
 
 from .._util import as_float_array, check_positive_int
@@ -44,7 +45,7 @@ class SAXAlphabet:
 
     __slots__ = ("_full", "_max_cardinality")
 
-    def __init__(self, full_breakpoints, max_cardinality: int):
+    def __init__(self, full_breakpoints: npt.ArrayLike, max_cardinality: int):
         max_cardinality = _check_power_of_two(
             max_cardinality, name="max_cardinality"
         )
@@ -72,7 +73,7 @@ class SAXAlphabet:
         return cls(scipy_stats.norm.ppf(quantiles), max_cardinality)
 
     @classmethod
-    def empirical(cls, samples, max_cardinality: int = 256) -> "SAXAlphabet":
+    def empirical(cls, samples: npt.ArrayLike, max_cardinality: int = 256) -> "SAXAlphabet":
         """Quantile breakpoints estimated from observed values (the raw
         data regime of Figure 7). Dyadic quantiles nest by construction,
         preserving the iSAX bit-prefix property."""
@@ -111,7 +112,7 @@ class SAXAlphabet:
     # ------------------------------------------------------------------
     # Quantization
     # ------------------------------------------------------------------
-    def symbols(self, values, cardinality: int | None = None) -> np.ndarray:
+    def symbols(self, values: npt.ArrayLike, cardinality: int | None = None) -> np.ndarray:
         """Map values to symbols in ``[0, cardinality)``.
 
         A value equal to a breakpoint belongs to the upper bin; the
@@ -122,7 +123,7 @@ class SAXAlphabet:
         values = np.asarray(values, dtype=float)
         return np.searchsorted(breakpoints, values, side="right").astype(np.int64)
 
-    def coarsen(self, symbols, from_bits: int, to_bits: int) -> np.ndarray:
+    def coarsen(self, symbols: npt.ArrayLike, from_bits: int, to_bits: int) -> np.ndarray:
         """Project symbols from ``2^from_bits`` down to ``2^to_bits``
         cardinality (the iSAX bit-prefix projection)."""
         if to_bits > from_bits:
@@ -144,7 +145,9 @@ class SAXAlphabet:
         high = np.inf if symbol == cardinality - 1 else float(breakpoints[symbol])
         return low, high
 
-    def word_ranges(self, word, bits) -> tuple[np.ndarray, np.ndarray]:
+    def word_ranges(
+        self, word: npt.ArrayLike, bits: npt.ArrayLike
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Per-segment ``(low, high)`` bounds of a (possibly
         mixed-cardinality) iSAX word.
 
@@ -169,7 +172,10 @@ class SAXAlphabet:
 
 
 def sax_word(
-    sequence, segments: int, alphabet: SAXAlphabet, cardinality: int | None = None
+    sequence: npt.ArrayLike,
+    segments: int,
+    alphabet: SAXAlphabet,
+    cardinality: int | None = None,
 ) -> np.ndarray:
     """SAX word of one sequence: PAA then quantization."""
     from .paa import paa_transform

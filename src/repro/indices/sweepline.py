@@ -20,8 +20,10 @@ own search) natively, and the prefix hook
 from __future__ import annotations
 
 import time
+from typing import Any
 
 import numpy as np
+import numpy.typing as npt
 
 from .._util import POSITION_DTYPE, check_non_negative, check_positive_int
 from ..core.distance import chebyshev_distance_reordered, reorder_by_magnitude
@@ -78,13 +80,17 @@ class SweeplineSearch(SubsequenceIndex):
 
     @classmethod
     def build(
-        cls, series, length: int, *, normalization=Normalization.GLOBAL
+        cls,
+        series: npt.ArrayLike,
+        length: int,
+        *,
+        normalization: Normalization | str = Normalization.GLOBAL,
     ) -> "SweeplineSearch":
         """Prepare a sweepline scan over all ``length``-windows."""
         return cls.from_source(WindowSource(series, length, normalization))
 
     @classmethod
-    def from_source(cls, source: WindowSource, **kwargs) -> "SweeplineSearch":
+    def from_source(cls, source: WindowSource, **kwargs: Any) -> "SweeplineSearch":
         """Wrap a prepared window source (no build work is needed)."""
         if kwargs:
             raise TypeError(f"unexpected options: {sorted(kwargs)}")
@@ -113,7 +119,7 @@ class SweeplineSearch(SubsequenceIndex):
 
     # ------------------------------------------------------------------
     def search(
-        self, query, epsilon: float, *, verification: str = "bulk"
+        self, query: npt.ArrayLike, epsilon: float, *, verification: str = "bulk"
     ) -> SearchResult:
         """Verify every window position against ``query`` at ``ε``.
 
@@ -133,7 +139,9 @@ class SweeplineSearch(SubsequenceIndex):
             self._source, query, positions, epsilon, mode=verification
         )
 
-    def knn(self, query, k: int, *, exclude=None) -> SearchResult:
+    def knn(
+        self, query: npt.ArrayLike, k: int, *, exclude: tuple[int, int] | None = None
+    ) -> SearchResult:
         """The ``k`` nearest windows: the exact scan, ranked by the
         library-wide ``(distance, position)`` tie-break (queries shorter
         than ``l`` take the pipeline's prefix scan)."""
@@ -142,11 +150,11 @@ class SweeplineSearch(SubsequenceIndex):
         k = check_positive_int(k, name="k")
         return scan_knn(self._source, query, k, normalize_exclude(exclude))
 
-    def count(self, query, epsilon: float) -> int:
+    def count(self, query: npt.ArrayLike, epsilon: float) -> int:
         """Number of twins (the length of :meth:`search`)."""
         return len(self.search(query, epsilon))
 
-    def exists(self, query, epsilon: float) -> bool:
+    def exists(self, query: npt.ArrayLike, epsilon: float) -> bool:
         """Whether any twin exists (:meth:`search` is non-empty)."""
         return len(self.search(query, epsilon)) > 0
 
@@ -158,7 +166,7 @@ class SweeplineSearch(SubsequenceIndex):
         part as it serves a tree."""
         return np.arange(self._source.count, dtype=POSITION_DTYPE)
 
-    def search_pure_python(self, query, epsilon: float) -> SearchResult:
+    def search_pure_python(self, query: npt.ArrayLike, epsilon: float) -> SearchResult:
         """Reference implementation: a per-window Python loop using
         reordering early abandoning (Section 3.2), kept as an executable
         specification of the vectorized paths."""

@@ -29,7 +29,7 @@ Modules: ``index`` (the plane: config, lock, lifecycle, queries),
 contract is held by ``tests/test_live_state_machine.py``.
 
 Serve a live plane through :class:`repro.engine.QueryEngine` via
-:meth:`IndexRegistry.add_live <repro.engine.IndexRegistry.add_live>`
+:meth:`QueryEngine.add <repro.engine.QueryEngine.add>`
 and :meth:`QueryEngine.append <repro.engine.QueryEngine.append>`
 (cached results are keyed on the plane's mutation generation, so an
 append can never serve a stale result), or from the command line with

@@ -517,7 +517,7 @@ class LiveTwinIndex(SubsequenceIndex):
 
     def stats(self) -> dict:
         """One structural stats snapshot (for ``live stats`` and the
-        engine registry)."""
+        engine's index rows)."""
         with self._lock:
             return {
                 "windows": self._ingest.window_count,

@@ -43,6 +43,12 @@ settings.load_profile("ci")
 LENGTH = 50
 
 
+def index_row(engine, name):
+    """The ``EngineStats.indexes`` row of the plane ``engine`` serves
+    under ``name``."""
+    return {row["name"]: row for row in engine.stats().indexes}[name]
+
+
 @pytest.fixture(scope="session")
 def series_values() -> np.ndarray:
     """A 3,000-point insect-like surrogate (raw values)."""

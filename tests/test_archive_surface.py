@@ -9,7 +9,7 @@ import pytest
 
 import repro
 from repro import cli
-from repro.engine import IndexRegistry
+from repro.engine import QueryEngine
 from repro.exceptions import InvalidParameterError
 from repro.live import LiveTwinIndex
 from repro.live import store
@@ -62,7 +62,7 @@ def test_one_container_and_no_way_to_ask_for_another(tmp_path, series_values):
 
     # No other layer carries a format.
     for function in (
-        IndexRegistry.save,
+        QueryEngine.save,
         LiveTwinIndex.__init__,
         LiveTwinIndex.from_source,
         LiveTwinIndex.recover,

@@ -10,7 +10,6 @@ import repro.core.series
 import repro.core.tsindex
 import repro.engine.cache
 import repro.engine.executor
-import repro.engine.registry
 import repro.engine.sharding
 import repro.indices.isax
 import repro.indices.kvindex
@@ -25,7 +24,6 @@ MODULES = [
     repro.core.tsindex,
     repro.engine.cache,
     repro.engine.executor,
-    repro.engine.registry,
     repro.engine.sharding,
     repro.indices.isax,
     repro.indices.kvindex,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.tsindex import TSIndex, TSIndexParams
-from repro.engine import IndexRegistry, QueryEngine
+from repro.engine import QueryEngine
 from repro.exceptions import IndexNotBuiltError
 
 PARAMS = TSIndexParams(min_children=4, max_children=10)
@@ -38,7 +38,7 @@ class TestServing:
         assert np.array_equal(expected.distances, actual.distances)
 
     def test_repeat_query_served_from_cache(self, engine):
-        query = engine.registry.get("demo").source.window(100)
+        query = engine.get("demo").source.window(100)
         first = engine.query("demo", query, 0.3)
         second = engine.query("demo", query, 0.3)
         assert second is first  # the cached object itself
@@ -46,14 +46,14 @@ class TestServing:
         assert cache.hits == 1 and cache.misses == 1
 
     def test_use_cache_false_bypasses(self, engine):
-        query = engine.registry.get("demo").source.window(100)
+        query = engine.get("demo").source.window(100)
         first = engine.query("demo", query, 0.3, use_cache=False)
         second = engine.query("demo", query, 0.3, use_cache=False)
         assert second is not first
         assert engine.cache.stats().lookups == 0
 
     def test_distinct_epsilons_not_conflated(self, engine):
-        query = engine.registry.get("demo").source.window(100)
+        query = engine.get("demo").source.window(100)
         wide = engine.query("demo", query, 1.0)
         narrow = engine.query("demo", query, 0.01)
         assert len(narrow) <= len(wide)
@@ -71,7 +71,7 @@ class TestServing:
         assert np.array_equal(expected.distances, actual.distances)
 
     def test_batch_matches_singles_and_caches(self, engine):
-        source = engine.registry.get("demo").source
+        source = engine.get("demo").source
         queries = [source.window(p) for p in (3, 400, 900, 3)]  # repeat!
         batch = engine.batch("demo", queries, 0.4)
         assert len(batch) == 4
@@ -83,7 +83,7 @@ class TestServing:
         assert batch.total_matches == sum(len(r) for r in batch)
 
     def test_concurrent_callers(self, engine):
-        source = engine.registry.get("demo").source
+        source = engine.get("demo").source
         queries = [source.window(p) for p in range(0, 1000, 53)]
 
         def call(query):
@@ -92,13 +92,13 @@ class TestServing:
         with concurrent.futures.ThreadPoolExecutor(8) as pool:
             results = list(pool.map(call, queries))
         for query, result in zip(queries, results):
-            expected = engine.registry.get("demo").search(query, 0.35)
+            expected = engine.get("demo").search(query, 0.35)
             assert np.array_equal(expected.positions, result.positions)
 
 
 class TestLifecycleAndStats:
     def test_stats_aggregation(self, engine):
-        source = engine.registry.get("demo").source
+        source = engine.get("demo").source
         engine.query("demo", source.window(1), 0.3)
         engine.query("demo", source.window(1), 0.3)  # hit
         engine.query("demo", source.window(2), 0.3)
@@ -117,7 +117,7 @@ class TestLifecycleAndStats:
         count by ~1e-9 and report a billion QPS."""
         import time as time_module
 
-        source = engine.registry.get("demo").source
+        source = engine.get("demo").source
         engine.query("demo", source.window(1), 0.3)
         real_time = time_module.time
         monkeypatch.setattr(time_module, "time", lambda: real_time() - 3600)
@@ -127,7 +127,7 @@ class TestLifecycleAndStats:
     def test_rebuild_overwrite_invalidates_cache(self, engine):
         """A rebuilt name must never serve the old index's results."""
         other = np.cumsum(np.random.default_rng(99).normal(size=1500))
-        query = engine.registry.get("demo").source.window(77)
+        query = engine.get("demo").source.window(77)
         stale = engine.query("demo", query, 0.3)
         engine.build(
             "demo", other, LENGTH,
@@ -135,22 +135,22 @@ class TestLifecycleAndStats:
         )
         fresh = engine.query("demo", query, 0.3)
         assert fresh is not stale
-        expected = engine.registry.get("demo").search(query, 0.3)
+        expected = engine.get("demo").search(query, 0.3)
         assert np.array_equal(expected.positions, fresh.positions)
 
     def test_load_overwrite_invalidates_cache(self, engine, series, tmp_path):
-        query = engine.registry.get("demo").source.window(77)
+        query = engine.get("demo").source.window(77)
         stale = engine.query("demo", query, 0.3)
         path = tmp_path / "demo.rts"
-        engine.registry.save("demo", path)
+        engine.save("demo", path)
         restored = engine.load("demo", path, overwrite=True)
-        assert engine.registry.get("demo") is restored
+        assert engine.get("demo") is restored
         fresh = engine.query("demo", query, 0.3)
         assert fresh is not stale  # recomputed, not served stale
         assert np.array_equal(stale.positions, fresh.positions)
 
     def test_query_and_batch_share_cache_entries(self, engine):
-        source = engine.registry.get("demo").source
+        source = engine.get("demo").source
         query = source.window(123)
         engine.batch("demo", [query], 0.3)
         hit = engine.query("demo", query, 0.3)
@@ -159,10 +159,10 @@ class TestLifecycleAndStats:
         assert len(hit) >= 1
 
     def test_evict_clears_cache(self, engine, series):
-        query = engine.registry.get("demo").source.window(10)
+        query = engine.get("demo").source.window(10)
         stale = engine.query("demo", query, 0.3)
         engine.evict("demo")
-        assert engine.registry.names() == []
+        assert engine.names() == []
         engine.build(
             "demo", series, LENGTH,
             normalization="global", shards=2, params=PARAMS,
@@ -170,17 +170,6 @@ class TestLifecycleAndStats:
         fresh = engine.query("demo", query, 0.3)
         assert fresh is not stale  # never serve the old index's result
         assert np.array_equal(fresh.positions, stale.positions)
-
-    def test_shared_registry(self, series):
-        registry = IndexRegistry()
-        registry.build(
-            "shared", series, LENGTH,
-            normalization="none", shards=2, params=PARAMS,
-        )
-        with QueryEngine(registry) as engine:
-            assert engine.registry is registry
-            result = engine.query("shared", series[50:50 + LENGTH], 0.2)
-            assert 50 in result.positions
 
     def test_close_idempotent(self, series):
         engine = QueryEngine(cache_capacity=4)
@@ -193,8 +182,7 @@ class TestLifecycleAndStats:
                 "x", series, LENGTH,
                 normalization="none", shards=2, params=PARAMS,
             )
-            registry = engine.registry
-        # Pool is gone, but the registry and its index survive.
-        index = registry.get("x")
+        # Pool is gone, but the engine's planes survive.
+        index = engine.get("x")
         result = index.search(series[100:100 + LENGTH], 0.1)
         assert 100 in result.positions

@@ -165,7 +165,7 @@ class TestDeadline:
         assert bounded.degraded is None
 
     def test_slow_shard_is_named_or_served_around(self, engine, series):
-        index = engine.registry.get("demo")
+        index = engine.get("demo")
         query = series[400:400 + LENGTH]
         full = engine.query("demo", query, 0.4, use_cache=False)
         original = index._shards

@@ -1,4 +1,4 @@
-"""Engine integration for live planes: registry, cache staleness,
+"""Engine integration for live planes: registration, cache staleness,
 serving, CLI.
 
 The load-bearing regression here is cache staleness: a result cached
@@ -13,9 +13,11 @@ import pytest
 
 from repro.core.tsindex import TSIndexParams
 from repro.data import synthetic
-from repro.engine import IndexRegistry, QueryEngine
+from repro.engine import QueryEngine
 from repro.exceptions import InvalidParameterError
 from repro.live import LiveTwinIndex
+
+from conftest import index_row
 
 PARAMS = TSIndexParams(min_children=4, max_children=10)
 
@@ -27,78 +29,72 @@ def make_live(seed=0, n=400, length=32):
     )
 
 
+@pytest.fixture()
+def engine():
+    with QueryEngine(metrics=False) as engine:
+        yield engine
+
+
 class TestRegistry:
-    def test_add_live_and_get(self):
-        registry = IndexRegistry()
+    def test_add_live_and_get(self, engine):
         live = make_live()
-        registry.add_live("stream", live)
-        assert registry.get("stream") is live
-        assert "stream" in registry
+        engine.add("stream", live)
+        assert engine.get("stream") is live
+        assert "stream" in engine.names()
         with pytest.raises(InvalidParameterError, match="already exists"):
-            registry.add_live("stream", make_live(seed=1))
+            engine.add("stream", make_live(seed=1))
 
-    def test_add_live_type_checked(self):
-        registry = IndexRegistry()
-        with pytest.raises(InvalidParameterError, match="LiveTwinIndex"):
-            registry.add_live("stream", object())
-
-    def test_add_accepts_live(self):
-        # The generalized registry takes any SubsequenceIndex; a live
-        # plane registered through plain add() still gets its mutation
-        # counter folded into the cache generation.
-        registry = IndexRegistry()
+    def test_add_accepts_live(self, engine):
+        # The engine takes any SubsequenceIndex; a live plane registered
+        # through add() gets its mutation counter folded into the cache
+        # generation.
         live = make_live()
-        registry.add("stream", live)
-        assert registry.get("stream") is live
-        _, before = registry.get_with_generation("stream")
+        engine.add("stream", live)
+        assert engine.get("stream") is live
+        _, before = engine._resolve("stream")
         live.append(np.ones(4))
-        _, after = registry.get_with_generation("stream")
+        _, after = engine._resolve("stream")
         assert before != after
 
-    def test_generation_tracks_mutations(self):
-        registry = IndexRegistry()
+    def test_generation_tracks_mutations(self, engine):
         live = make_live()
-        registry.add_live("stream", live)
-        _, first = registry.get_with_generation("stream")
-        _, again = registry.get_with_generation("stream")
+        engine.add("stream", live)
+        _, first = engine._resolve("stream")
+        _, again = engine._resolve("stream")
         assert first == again
         live.append([1.0, 2.0])
-        _, moved = registry.get_with_generation("stream")
+        _, moved = engine._resolve("stream")
         assert moved != first
 
-    def test_stats_live_row(self):
-        registry = IndexRegistry()
-        registry.add_live("stream", make_live())
-        row = registry.stats("stream")
+    def test_stats_live_row(self, engine):
+        engine.add("stream", make_live())
+        row = index_row(engine, "stream")
         assert row["kind"] == "live"
         assert row["name"] == "stream"
         assert row["segments"] >= 1
-        assert row["windows"] == registry.get("stream").window_count
+        assert row["windows"] == engine.get("stream").window_count
         assert row["built_at"] > 0
 
-    def test_stats_sharded_row_has_kind(self):
-        registry = IndexRegistry()
-        registry.build(
+    def test_stats_sharded_row_has_kind(self, engine):
+        engine.build(
             "static",
             synthetic.random_walk(2000, seed=3),
             50,
             shards=2,
             normalization="none",
         )
-        assert registry.stats("static")["kind"] == "sharded"
+        assert index_row(engine, "static")["kind"] == "sharded"
 
-    def test_save_live_rejected(self, tmp_path):
-        registry = IndexRegistry()
-        registry.add_live("stream", make_live())
+    def test_save_live_rejected(self, engine, tmp_path):
+        engine.add("stream", make_live())
         with pytest.raises(InvalidParameterError, match="write-ahead"):
-            registry.save("stream", tmp_path / "x.rts")
+            engine.save("stream", tmp_path / "x.rts")
 
-    def test_evict_live(self):
-        registry = IndexRegistry()
+    def test_evict_live(self, engine):
         live = make_live()
-        registry.add_live("stream", live)
-        assert registry.evict("stream") is live
-        assert "stream" not in registry
+        engine.add("stream", live)
+        assert engine.evict("stream") is live
+        assert "stream" not in engine.names()
 
 
 class TestEngineServing:
@@ -107,7 +103,7 @@ class TestEngineServing:
         # unreachable after the append.
         live = make_live(seed=4)
         with QueryEngine(cache_capacity=32) as engine:
-            engine.add_live("stream", live)
+            engine.add("stream", live)
             query = np.array(live.values[10:42])
             first = engine.query("stream", query, epsilon=0.1)
             assert engine.query("stream", query, epsilon=0.1) is first
@@ -124,7 +120,7 @@ class TestEngineServing:
             engine.build(
                 "static", series, 50, shards=2, normalization="none"
             )
-            engine.add_live("stream", make_live(seed=6))
+            engine.add("stream", make_live(seed=6))
             static_query = np.array(series[100:150])
             cached = engine.query("static", static_query, epsilon=0.2)
             engine.append("stream", [1.0, 2.0, 3.0])
@@ -145,7 +141,7 @@ class TestEngineServing:
     def test_knn_and_batch_through_engine(self):
         live = make_live(seed=8)
         with QueryEngine() as engine:
-            engine.add_live("stream", live)
+            engine.add("stream", live)
             query = np.array(live.values[60:92])
             ranked = engine.knn("stream", query, 4)
             assert ranked.distances[0] == 0.0
@@ -157,7 +153,7 @@ class TestEngineServing:
 
     def test_live_rows_in_engine_stats(self):
         with QueryEngine() as engine:
-            engine.add_live("stream", make_live(seed=9))
+            engine.add("stream", make_live(seed=9))
             engine.query(
                 "stream", np.zeros(32), epsilon=0.5, use_cache=False
             )
@@ -169,10 +165,10 @@ class TestEngineServing:
     def test_add_live_overwrite_clears_cache(self):
         with QueryEngine() as engine:
             live = make_live(seed=10)
-            engine.add_live("stream", live)
+            engine.add("stream", live)
             query = np.array(live.values[10:42])
             engine.query("stream", query, epsilon=0.1)
-            engine.add_live("stream", make_live(seed=11), overwrite=True)
+            engine.add("stream", make_live(seed=11), overwrite=True)
             assert len(engine.cache) == 0
 
     def test_concurrent_ingest_and_queries(self):

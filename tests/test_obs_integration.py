@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro import LiveTwinIndex, QueryEngine, cli
+from repro import IndexNotBuiltError, LiveTwinIndex, QueryEngine, cli
 from repro.obs import (
     MetricsRegistry,
     default_registry,
@@ -21,6 +21,16 @@ from repro.obs import (
 def series():
     rng = np.random.default_rng(7)
     return np.cumsum(rng.normal(size=4000))
+
+
+#: One call per serving entry point, by the mode it records.
+SERVE = {
+    "search": lambda engine, name, query: engine.query(name, query, 0.4),
+    "knn": lambda engine, name, query: engine.knn(name, query, 3),
+    "exists": lambda engine, name, query: engine.exists(name, query, 0.4),
+    "count": lambda engine, name, query: engine.count(name, query, 0.4),
+    "batch": lambda engine, name, query: engine.batch(name, [query, query], 0.4),
+}
 
 
 @pytest.fixture
@@ -88,6 +98,38 @@ class TestEngineInstrumentation:
         assert by_mode["knn"] == 1
         assert by_mode["exists"] == 1
         assert by_mode["count"] == 1
+
+    @pytest.mark.parametrize("mode", list(SERVE))
+    def test_counters_agree_and_unknown_names_count_nowhere(self, series, mode):
+        with QueryEngine(metrics=MetricsRegistry("t")) as engine:
+            engine.build(
+                "demo", series, length=50, shards=2, normalization="none"
+            )
+            query = series[100:150]
+            for i in range(5):
+                with pytest.raises(IndexNotBuiltError):
+                    SERVE[mode](engine, f"nope{i}", query)
+            registry = engine.metrics()
+            queries = registry.get("repro_engine_queries_total")
+            per_index = registry.get("repro_engine_index_queries_total")
+            latency = registry.get("repro_engine_query_seconds")
+            assert engine.stats().queries == 0
+            assert all(leaf.value == 0 for _, leaf in queries.samples())
+            assert all(leaf.count == 0 for _, leaf in latency.samples())
+            assert per_index.samples() == []  # no label child per bad name
+
+            for _ in range(3):
+                SERVE[mode](engine, "demo", query)
+            stats = engine.stats()
+        # Batch members count as searches; everything else as its mode.
+        counted = {"search": 6} if mode == "batch" else {mode: 3}
+        assert {m: n for m, n in stats.queries_by_mode.items() if n} == counted
+        for label, leaf in queries.samples():
+            assert leaf.value == stats.queries_by_mode[label[0]], label
+        assert [(label, leaf.value) for label, leaf in per_index.samples()] == [
+            (("demo",), stats.queries)
+        ]
+        assert latency.labels(mode=mode).count == 3
 
     def test_traces_record_pipeline_stages(self, series):
         with QueryEngine(metrics=False) as engine:
@@ -176,7 +218,7 @@ class TestConcurrentInstrumentation:
                 normalization="none",
                 seal_threshold=64,
             )
-            engine.add_live("stream", live)
+            engine.add("stream", live)
             errors = []
 
             def query_worker(offset):

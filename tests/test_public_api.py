@@ -36,7 +36,6 @@ class TestTopLevelExports:
             "repro.engine",
             "repro.engine.sharding",
             "repro.engine.cache",
-            "repro.engine.registry",
             "repro.engine.executor",
             "repro.query",
             "repro.query.spec",

@@ -25,13 +25,14 @@ import numpy as np
 import pytest
 
 from repro import QueryEngine, QuerySpec
-from repro.engine import IndexRegistry
 from repro.indices import (
     available_methods,
     create_method,
     extended_methods,
 )
 from repro.query import capabilities_of, execute, plan
+
+from conftest import index_row
 
 LENGTH = 16
 EPSILONS = (0.0, 0.35, 1.2)
@@ -262,8 +263,8 @@ class TestPlannerSurface:
 class TestEngineBuildsEveryPlane:
     @pytest.mark.parametrize("name", ALL_PLANES)
     def test_build_by_method_name(self, name):
-        registry = IndexRegistry()
-        plane = registry.build(
+        engine = QueryEngine(metrics=False)
+        plane = engine.build(
             f"built-{name}", SERIES, LENGTH,
             method=name, normalization="none",
             **BUILD_OPTIONS.get(name, {}),
@@ -274,9 +275,10 @@ class TestEngineBuildsEveryPlane:
             assert np.array_equal(
                 result.positions, np.flatnonzero(oracle <= EPSILONS[1])
             )
-            row = registry.stats(f"built-{name}")
+            row = index_row(engine, f"built-{name}")
             assert row["name"] == f"built-{name}"
         finally:
+            engine.close()
             if name == "live":
                 plane.close()
 
@@ -284,9 +286,10 @@ class TestEngineBuildsEveryPlane:
     def test_sharded_only_options_rejected_elsewhere(self, option):
         from repro.exceptions import InvalidParameterError
 
-        registry = IndexRegistry()
-        with pytest.raises(InvalidParameterError, match="sharded"):
-            registry.build(
+        with QueryEngine(metrics=False) as engine, pytest.raises(
+            InvalidParameterError, match="sharded"
+        ):
+            engine.build(
                 "x", SERIES, LENGTH, method="tsindex",
                 normalization="none", **option,
             )

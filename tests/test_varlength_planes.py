@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro import QueryEngine
-from repro.engine import IndexRegistry
 from repro.exceptions import UnsupportedNormalizationError
 from repro.indices import create_method
 from repro.query import (
@@ -28,6 +27,8 @@ from repro.query import (
     plan,
     scan_prefix_search,
 )
+
+from conftest import index_row
 
 LENGTH = 16
 EPSILONS = (0.0, 0.3, 1.1)
@@ -264,7 +265,7 @@ class TestChunkBoundaryCoverage:
             assert live.exists(query, 0.0) is True
             assert live.count(query, 0.0) == len(result)
             with QueryEngine(cache_capacity=8) as serving:
-                serving.add_live("young", live)
+                serving.add("young", live)
                 served = serving.knn("young", query, 2)
                 assert np.array_equal(served.positions, nearest.positions)
                 # Raw-domain arrival (the CLI --query-file path) must
@@ -421,7 +422,7 @@ class TestEngineCacheIsolation:
                 "iso", SERIES, LENGTH, method="tsindex",
                 normalization="none",
             )
-            plane = serving.registry.get("iso")
+            plane = serving.get("iso")
             values = plane.source.values
             long_query = np.array(values[52 : 52 + LENGTH])
             short_query = np.array(long_query[: LENGTH // 2])
@@ -448,7 +449,7 @@ class TestEngineCacheIsolation:
         live = LiveTwinIndex(SERIES[:300], LENGTH, seal_threshold=96)
         try:
             with QueryEngine(cache_capacity=32) as serving:
-                serving.add_live("live", live)
+                serving.add("live", live)
                 query = np.array(SERIES[292:300])  # the current tail
                 before = serving.query("live", query, 0.0)
                 assert 292 in before.positions
@@ -462,14 +463,14 @@ class TestEngineCacheIsolation:
 
 class TestRegistryStats:
     def test_rows_report_varlength_capability(self):
-        registry = IndexRegistry()
-        registry.build(
-            "caps", SERIES, LENGTH, method="frozen", normalization="none"
-        )
-        row = registry.stats("caps")
-        assert CAP_VARLENGTH in row["capabilities"]
-        registry.build(
-            "scan-only", SERIES, LENGTH, method="sweepline",
-            normalization="none",
-        )
-        assert CAP_VARLENGTH not in registry.stats("scan-only")["capabilities"]
+        with QueryEngine(metrics=False) as engine:
+            engine.build(
+                "caps", SERIES, LENGTH, method="frozen", normalization="none"
+            )
+            row = index_row(engine, "caps")
+            assert CAP_VARLENGTH in row["capabilities"]
+            engine.build(
+                "scan-only", SERIES, LENGTH, method="sweepline",
+                normalization="none",
+            )
+            assert CAP_VARLENGTH not in index_row(engine, "scan-only")["capabilities"]
