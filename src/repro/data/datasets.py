@@ -114,7 +114,7 @@ def dataset_spec(name: str) -> DatasetSpec:
         ) from exc
 
 
-def load_dataset(name: str, *, scale: float = 1.0, seed=None) -> TimeSeries:
+def load_dataset(name: str, *, scale: float = 1.0, seed: int | None = None) -> TimeSeries:
     """Materialize the named surrogate series.
 
     Parameters

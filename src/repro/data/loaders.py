@@ -11,12 +11,15 @@ from __future__ import annotations
 import os
 
 import numpy as np
+import numpy.typing as npt
 
 from ..core.series import TimeSeries
 from ..exceptions import InvalidParameterError
 
 
-def load_series(path, *, column: int = 0, name: str | None = None) -> TimeSeries:
+def load_series(
+    path: str | os.PathLike[str], *, column: int = 0, name: str | None = None
+) -> TimeSeries:
     """Load a series from ``path`` (``.npy``, ``.csv``, ``.txt``/other).
 
     ``column`` selects the CSV column (ignored for 1-D inputs). The
@@ -48,7 +51,7 @@ def load_series(path, *, column: int = 0, name: str | None = None) -> TimeSeries
     return TimeSeries(values, name=label)
 
 
-def save_series(series, path) -> None:
+def save_series(series: npt.ArrayLike, path: str | os.PathLike[str]) -> None:
     """Save a series to ``path`` (format chosen by extension, as in
     :func:`load_series`)."""
     path = os.fspath(path)

@@ -22,23 +22,25 @@ pruning quality matters.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from .._util import FLOAT_DTYPE, check_positive_int
 from ..exceptions import InvalidParameterError
 
 
-def _rng(seed) -> np.random.Generator:
+def _rng(seed: int | None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def random_walk(n: int, *, seed=0, step_std: float = 1.0) -> np.ndarray:
+def random_walk(n: int, *, seed: int | None = 0, step_std: float = 1.0) -> np.ndarray:
     """Gaussian random walk of ``n`` points."""
     n = check_positive_int(n, name="n")
     return np.cumsum(_rng(seed).normal(0.0, step_std, size=n)).astype(FLOAT_DTYPE)
 
 
-def ar1(n: int, *, seed=0, phi: float = 0.9, sigma: float = 1.0) -> np.ndarray:
+def ar1(n: int, *, seed: int | None = 0, phi: float = 0.9, sigma: float = 1.0) -> np.ndarray:
     """Stationary AR(1): ``x_t = phi·x_{t-1} + N(0, sigma)``.
 
     Implemented with an exact vectorized recursion (scaled cumulative
@@ -59,9 +61,9 @@ def ar1(n: int, *, seed=0, phi: float = 0.9, sigma: float = 1.0) -> np.ndarray:
 def noisy_sines(
     n: int,
     *,
-    seed=0,
-    frequencies=(0.01, 0.037),
-    amplitudes=(1.0, 0.5),
+    seed: int | None = 0,
+    frequencies: Sequence[float] = (0.01, 0.037),
+    amplitudes: Sequence[float] = (1.0, 0.5),
     noise_std: float = 0.1,
 ) -> np.ndarray:
     """Sum of sinusoids plus white noise — a simple periodic testbed."""
@@ -82,10 +84,10 @@ def noisy_sines(
 def regime_switching(
     n: int,
     *,
-    seed=0,
+    seed: int | None = 0,
     mean_regime_length: int = 400,
     level_std: float = 2.0,
-    noise_scales=(0.2, 1.0, 0.5),
+    noise_scales: Sequence[float] = (0.2, 1.0, 0.5),
 ) -> np.ndarray:
     """Piecewise AR(1) whose level and noise scale jump between regimes.
 
@@ -113,7 +115,7 @@ def regime_switching(
     return values
 
 
-def insect_like(n: int = 64_436, *, seed=42) -> np.ndarray:
+def insect_like(n: int = 64_436, *, seed: int | None = 42) -> np.ndarray:
     """Insect Movement surrogate (default length matches the paper).
 
     Regime-switching AR base with per-regime oscillatory texture
@@ -181,7 +183,7 @@ def insect_like(n: int = 64_436, *, seed=42) -> np.ndarray:
     return (values + drift + bursts).astype(FLOAT_DTYPE)
 
 
-def eeg_like(n: int = 1_801_999, *, seed=7) -> np.ndarray:
+def eeg_like(n: int = 1_801_999, *, seed: int | None = 7) -> np.ndarray:
     """EEG surrogate (default length matches the paper's one-hour 500 Hz
     recording).
 

@@ -512,9 +512,9 @@ class QueryEngine:
     ) -> SearchResult:
         """One twin query against the named plane.
 
-        ``timeout`` bounds each fan-out part (shard/segment) on planes
-        declaring :data:`~repro.query.capabilities.CAP_FANOUT_TIMEOUT`
-        (the planner drops it elsewhere); parts missing the deadline
+        ``timeout`` bounds each fan-out part (shard/segment) on the
+        planes served as parts — sharded and live (the planner drops it
+        elsewhere); parts missing the deadline
         fail fast with :class:`~repro.exceptions.ShardTimeoutError`
         unless ``degraded=True``, which instead serves the parts that
         answered and marks the result's ``degraded`` record. Degraded

@@ -2,9 +2,12 @@
 
 A :class:`ShardedTSIndex` splits the position range of a series into
 contiguous spans, bulk-loads one TS-Index per span and answers
-queries by fanning out across the shards and merging
-(the loop itself is :class:`repro.query.parts.PartSet`, shared with the
-live plane; this class contributes validation and the parts).
+queries by fanning out across the shards and merging. It is a
+:class:`~repro.query.parts.PartitionedPlane`: its one ``_take``
+validates and prepares a query and hands the planner the shards as a
+:class:`~repro.query.parts.PartSet` (the fan-out loop shared with the
+live plane); the planner serves every mode on them, and the query
+methods are the shared planned calls.
 Consecutive shards cover value chunks that overlap by ``length - 1``
 points, so every window of the series belongs to exactly one shard and
 no window is lost at a boundary. Shard window sources are zero-copy
@@ -26,7 +29,8 @@ Shard trees are bulk loaded straight into **frozen** form (see
 structure-of-arrays query plane with vectorized frontier traversal —
 byte-identical answers, much lower per-query latency, and a batched
 ``search_batch`` path in which all queries share one traversal per
-shard.
+shard (chosen automatically: no executor, more than one full-length
+query, :data:`BATCHED_MIN_WINDOWS` windows or more).
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ from __future__ import annotations
 import concurrent.futures
 import os
 from typing import Any
+
+import numpy as np
 
 from .._util import (
     available_cpu_count,
@@ -45,18 +51,14 @@ from ..core.batch import BatchResult
 from ..core.bulkload import bulk_load_source
 from ..core.frozen import FrozenTSIndex
 from ..core.normalization import Normalization
-from ..core.stats import BuildStats, SearchResult
+from ..core.stats import BuildStats
 from ..core.tsindex import TSIndexParams
 from ..core.windows import WindowSource, assemble_source
 from ..exceptions import InvalidParameterError
-from ..indices.base import SubsequenceIndex
 from ..indices.sweepline import SweeplineSearch
 from ..query.capabilities import (
-    CAP_BATCHED_KERNEL,
     CAP_COUNT,
-    CAP_EXECUTOR,
     CAP_EXISTS,
-    CAP_FANOUT_TIMEOUT,
     CAP_KNN,
     CAP_SEARCH,
     CAP_SEARCH_BATCH,
@@ -64,9 +66,9 @@ from ..query.capabilities import (
     CAP_VERIFICATION,
 )
 from ..query.merge import batch_result, merge_offset_search
-from ..query.parts import Part, PartSet
+from ..query.parts import Part, PartitionedPlane, PartSet
 from ..query.registration import register_plane
-from ..query.spec import normalize_exclude, prepare_values
+from ..query.spec import check_varlength_query, prepare_values
 from ..query.varlength import is_prefix_query
 
 #: A shard smaller than this many windows is pointless overhead; the
@@ -122,13 +124,15 @@ def shard_spans(window_count: int, shards: int) -> list[tuple[int, int]]:
     aliases=("shardedtsindex", "engine"),
     summary="partitioned TS-Index with fan-out serving (repro.engine)",
 )
-class ShardedTSIndex(SubsequenceIndex):
+class ShardedTSIndex(PartitionedPlane):
     """A TS-Index partitioned into per-span shard trees.
 
     Answers the same query surface as :class:`~repro.core.tsindex.TSIndex`
-    (``search``, ``knn``, plus a batch entry point) with results merged
-    across shards and positions re-offset to the global frame. Results
-    are exactly those a monolithic index would return.
+    (``search``, ``knn``, ``exists``, ``count``, a batch entry point)
+    with results merged across shards and positions re-offset to the
+    global frame: each shard runs Algorithm 1 over its span, and the
+    spans are disjoint and ascending, so the merge needs no sort.
+    Results are exactly those a monolithic index would return.
 
     Examples
     --------
@@ -145,8 +149,7 @@ class ShardedTSIndex(SubsequenceIndex):
 
     method_name = "sharded"
 
-    #: Native kernels the query planner may call directly (including
-    #: ``executor=`` fan-out and the ``batched=`` shared traversal).
+    #: Modes the planner serves on the shards themselves.
     capabilities = frozenset(
         {
             CAP_SEARCH,
@@ -154,9 +157,6 @@ class ShardedTSIndex(SubsequenceIndex):
             CAP_EXISTS,
             CAP_COUNT,
             CAP_SEARCH_BATCH,
-            CAP_BATCHED_KERNEL,
-            CAP_EXECUTOR,
-            CAP_FANOUT_TIMEOUT,
             CAP_VARLENGTH,
             CAP_VERIFICATION,
         }
@@ -255,35 +255,6 @@ class ShardedTSIndex(SubsequenceIndex):
         in-memory engine). The archive must hold exactly this index."""
         self._archive_path = os.fspath(path)
 
-    def _parts(self, executor: Any = None, prefix: int | None = None) -> PartSet:
-        """The shards as the shared fan-out plane sees them: labelled by
-        shard number, reopened by workers as the archive's ``i``-th
-        shard. Built per call (a tuple per shard), so it always shows
-        the current :meth:`attach_archive` path — which a process pool
-        needs. A ``prefix`` query length adds the series tail (the
-        ``l - m`` starts past the last indexed window) as one more
-        part, labelled ``"tail"``: a sweepline over its ``m``-windows,
-        with no archive (a process pool leaves it to this thread)."""
-        path = self._archive_path
-        if path is None and is_process_executor(executor):
-            raise InvalidParameterError(
-                "process fan-out needs an on-disk archive to reopen in "
-                "each worker; save this engine with save_index() and "
-                "reopen it with load_index(), or "
-                "serve it through QueryEngine(executor='process') "
-                "(which spools unarchived engines automatically)"
-            )
-        parts = [
-            Part(start, tree, shard, None if path is None else (path, shard))
-            for shard, (start, tree) in enumerate(zip(self._starts, self._shards))
-        ]
-        if prefix is not None:
-            tail = assemble_source(
-                self._source.values[self.size :], prefix, Normalization.NONE
-            )
-            parts.append(Part(self.size, SweeplineSearch.from_source(tail), "tail", None))
-        return PartSet(parts, "shard")
-
     # ------------------------------------------------------------------
     # Metadata
     # ------------------------------------------------------------------
@@ -363,135 +334,42 @@ class ShardedTSIndex(SubsequenceIndex):
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def search(
-        self,
-        query: Any,
-        epsilon: float,
-        *,
-        verification: str = "bulk",
-        executor: concurrent.futures.Executor | None = None,
-        timeout: float | None = None,
-        degraded: bool = False,
-    ) -> SearchResult:
-        """All twins of ``query`` within Chebyshev ``ε``, shard-merged.
-
-        Each shard runs Algorithm 1 over its span; shard-local positions
-        are re-offset by the span start and concatenated (spans are
-        disjoint and ascending, so the merged result is sorted without a
-        final sort). With ``executor`` the per-shard searches run
-        concurrently; structural counters are merged in shard order
-        either way, so stats are deterministic. Queries shorter than
-        ``l`` dispatch to :meth:`search_varlength`.
-
-        ``timeout`` bounds the pooled fan-out, in seconds. On expiry
-        the default fails fast with a typed
-        :class:`~repro.exceptions.ShardTimeoutError` naming the shards
-        that did not answer; ``degraded=True`` instead merges the shards
-        that did and records exactly which on ``result.degraded``.
-        """
-        if is_prefix_query(query, self._source.length):
-            return self.search_varlength(
-                query, epsilon, verification=verification, executor=executor
+    def _take(self, query: Any, executor: Any = None) -> tuple[np.ndarray, PartSet]:
+        """``query`` prepared, and the shards as the shared fan-out plane
+        sees them: labelled by shard number, reopened by workers as the
+        archive's ``i``-th shard. Built per call (a tuple per shard), so
+        they always show the current :meth:`attach_archive` path — which
+        a process pool on ``executor`` needs. A query of length
+        ``m < l`` adds the series tail (the ``l - m`` starts past the
+        last indexed window) as one more part, labelled ``"tail"``: a
+        sweepline over its ``m``-windows, with no archive (a process
+        pool leaves it to this thread). Each shard verifies prefix
+        candidates against its own value chunk: chunks overlap by
+        ``l - 1 >= m - 1`` values, so every ``m``-window of a shard's
+        window span lies inside its chunk."""
+        path = self._archive_path
+        if path is None and is_process_executor(executor):
+            raise InvalidParameterError(
+                "process fan-out needs an on-disk archive to reopen in "
+                "each worker; save this engine with save_index() and "
+                "reopen it with load_index(), or "
+                "serve it through QueryEngine(executor='process') "
+                "(which spools unarchived engines automatically)"
             )
-        epsilon = check_non_negative(epsilon, name="epsilon")
-        query = prepare_values(self._source, query)
-        return self._parts(executor).search(
-            query,
-            epsilon,
-            verification=verification,
-            executor=executor,
-            timeout=timeout,
-            degraded=degraded,
-        )
-
-    def search_varlength(
-        self,
-        query: Any,
-        epsilon: float,
-        *,
-        verification: str = "bulk",
-        executor: concurrent.futures.Executor | None = None,
-    ) -> SearchResult:
-        """All twins of a query of length ``m <= l``, shard-merged.
-
-        Each shard runs the prefix-bounded traversal over its own tree
-        and verifies its candidates against its zero-copy value chunk
-        (chunks overlap by ``l - 1 >= m - 1`` values, so every
-        ``m``-window of a shard's *window span* lies inside its chunk);
-        the series tail — the ``l - m`` starts past the last indexed
-        window — is one more part, a sweepline over its ``m``-windows.
-        The parts partition the position range, so the shared offset
-        merge yields exactly the monolithic prefix-scan answer, byte for
-        byte.
-        ``m == l`` delegates to :meth:`search`.
-        """
-        epsilon = check_non_negative(epsilon, name="epsilon")
-        query = prepare_values(self._source, query, varlength=True)
-        if query.size == self.length:
-            return self.search(
-                query, epsilon, verification=verification, executor=executor
-            )
-        return self._parts(executor, prefix=query.size).prefix_search(
-            query, epsilon, verification=verification, executor=executor
-        )
-
-    def count(
-        self,
-        query: Any,
-        epsilon: float,
-        *,
-        executor: concurrent.futures.Executor | None = None,
-    ) -> int:
-        """Number of twins — summed per shard, so the global result
-        arrays are never materialized or merged (shorter queries derive
-        from :meth:`search_varlength`)."""
-        if is_prefix_query(query, self._source.length):
-            return len(
-                self.search_varlength(query, epsilon, executor=executor)
-            )
-        epsilon = check_non_negative(epsilon, name="epsilon")
-        query = prepare_values(self._source, query)
-        return self._parts(executor).count(query, epsilon, executor=executor)
-
-    def exists(self, query: Any, epsilon: float) -> bool:
-        """Whether any twin exists — probes shards in span order and
-        stops at the first hit (each shard's own ``exists`` early-exits
-        internally too; shorter queries derive from
-        :meth:`search_varlength`)."""
-        if is_prefix_query(query, self._source.length):
-            return len(self.search_varlength(query, epsilon)) > 0
-        epsilon = check_non_negative(epsilon, name="epsilon")
-        query = prepare_values(self._source, query)
-        return self._parts().exists(query, epsilon)
-
-    def knn(
-        self,
-        query: Any,
-        k: int,
-        *,
-        exclude: tuple[int, int] | None = None,
-        executor: concurrent.futures.Executor | None = None,
-    ) -> SearchResult:
-        """The ``k`` globally nearest windows, merged across shards.
-
-        Each shard answers a local k-NN (with the exclusion zone
-        translated into its frame); the union is re-ranked by
-        ``(distance, position)`` and truncated to ``k``. Queries
-        shorter than ``l`` dispatch to the pipeline's exact prefix scan.
-        """
-        if is_prefix_query(query, self._source.length):
-            from ..query import QuerySpec, execute
-
-            return execute(
-                self,
-                QuerySpec(query=query, mode="knn", k=k, exclude=exclude),
-                executor=executor,
-            )
-        k = check_positive_int(k, name="k")
-        query = prepare_values(self._source, query)
-        return self._parts(executor).knn(
-            query, k, exclude=normalize_exclude(exclude), executor=executor
-        )
+        source = self._source
+        prefix = is_prefix_query(query, source.length)
+        if prefix:
+            query = check_varlength_query(query, source.length, source.normalization)
+        else:
+            query = prepare_values(source, query, expected=source.length)
+        parts = [
+            Part(start, tree, shard, None if path is None else (path, shard))
+            for shard, (start, tree) in enumerate(zip(self._starts, self._shards))
+        ]
+        if prefix:
+            tail = assemble_source(source.values[self.size :], query.size, Normalization.NONE)
+            parts.append(Part(self.size, SweeplineSearch.from_source(tail), "tail", None))
+        return query, PartSet(parts, "shard", source.values)
 
     def search_batch(
         self,
@@ -499,65 +377,30 @@ class ShardedTSIndex(SubsequenceIndex):
         epsilon: float,
         *,
         executor: concurrent.futures.Executor | None = None,
-        batched: bool | None = None,
         **search_options: Any,
     ) -> BatchResult:
-        """Run every query of ``queries`` at ``epsilon``.
+        """Run every query of ``queries`` at ``epsilon``, in input order.
 
-        With ``executor`` the *queries* fan out across the pool (each
-        query then walks its shards serially — the profitable split for
-        workloads of many small queries, and it avoids nested-pool
-        deadlock); without one the batch runs serially. When no
-        executor is supplied and the index is large enough
+        When no executor is supplied, the workload holds more than one
+        query, all of full length, and the index is large enough
         (:data:`BATCHED_MIN_WINDOWS`; on smaller trees the shared
-        traversal's fixed setup costs more than it saves), each
-        shard answers the whole workload with one batched traversal
+        traversal's fixed setup costs more than it saves), each shard
+        answers the whole workload with one batched traversal
         (:meth:`FrozenTSIndex.search_batch
         <repro.core.frozen.FrozenTSIndex.search_batch>`) — identical
-        results, fewer NumPy dispatches. ``batched=False`` forces the
-        per-query loop; ``batched=True`` forces the shared traversal and
-        raises if it cannot run (an executor was passed).
-        Result order always matches the input order. Workloads holding
-        any query shorter than ``l`` dispatch to the pipeline's
-        per-query loop (mixed lengths supported).
+        results, fewer NumPy dispatches. Every other workload is the
+        planner's per-query loop (see
+        :meth:`PartitionedPlane.search_batch
+        <repro.query.parts.PartitionedPlane.search_batch>`).
         """
-        epsilon = check_non_negative(epsilon, name="epsilon")
         queries = list(queries)
-        if any(
-            is_prefix_query(query, self._source.length)
-            for query in queries
+        if (
+            executor is None
+            and len(queries) > 1
+            and self.size >= BATCHED_MIN_WINDOWS
+            and not any(is_prefix_query(query, self.length) for query in queries)
         ):
-            if batched:
-                raise InvalidParameterError(
-                    "batched=True runs the fixed-length shared traversal "
-                    "and cannot serve variable-length queries; drop "
-                    "batched= or pass full-length queries only"
-                )
-            from ..query import QuerySpec, execute
-
-            return execute(
-                self,
-                QuerySpec(
-                    query=queries,
-                    mode="batch",
-                    epsilon=epsilon,
-                    options=dict(search_options),
-                ),
-                executor=executor,
-            )
-
-        if batched is None:
-            batched = (
-                executor is None
-                and len(queries) > 1
-                and self.size >= BATCHED_MIN_WINDOWS
-            )
-        elif batched and executor is not None:
-            raise InvalidParameterError(
-                "batched=True runs each shard's whole workload in "
-                "one traversal and cannot fan out on an executor"
-            )
-        if batched and queries:
+            epsilon = check_non_negative(epsilon, name="epsilon")
             per_shard = [
                 tree.search_batch(queries, epsilon, **search_options)
                 for tree in self._shards
@@ -569,6 +412,4 @@ class ShardedTSIndex(SubsequenceIndex):
                 for i in range(len(queries))
             ]
             return batch_result(results, epsilon)
-        return PartSet.search_batch(
-            self.search, queries, epsilon, executor=executor, **search_options
-        )
+        return super().search_batch(queries, epsilon, executor=executor, **search_options)

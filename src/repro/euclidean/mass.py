@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+import numpy.typing as npt
 from scipy.signal import fftconvolve
 
 from .._util import FLOAT_DTYPE, as_float_array, check_non_negative
@@ -38,7 +39,7 @@ def _sliding_dot(values: np.ndarray, query: np.ndarray) -> np.ndarray:
     return fftconvolve(values, query[::-1], mode="valid")
 
 
-def euclidean_distance_profile(source: WindowSource, query) -> np.ndarray:
+def euclidean_distance_profile(source: WindowSource, query: npt.ArrayLike) -> np.ndarray:
     """Euclidean distance from ``query`` to every window of ``source``.
 
     Respects the source's normalization regime: raw/global profiles use
@@ -79,7 +80,7 @@ def euclidean_distance_profile(source: WindowSource, query) -> np.ndarray:
     return np.sqrt(np.maximum(squared, 0.0))
 
 
-def chebyshev_distance_profile(source: WindowSource, query) -> np.ndarray:
+def chebyshev_distance_profile(source: WindowSource, query: npt.ArrayLike) -> np.ndarray:
     """Exact Chebyshev distance to every window (O(n·l), vectorized in
     chunks). The ground-truth counterpart of the Euclidean profile —
     the same blockwise kernel the query planner's exact-scan synthesis
@@ -91,7 +92,7 @@ def chebyshev_distance_profile(source: WindowSource, query) -> np.ndarray:
 
 
 def euclidean_threshold_search(
-    source: WindowSource, query, radius: float
+    source: WindowSource, query: npt.ArrayLike, radius: float
 ) -> np.ndarray:
     """Positions whose Euclidean distance to ``query`` is ≤ ``radius``."""
     radius = check_non_negative(radius, name="radius")
@@ -119,7 +120,7 @@ class TwinVsEuclidean:
 
 
 def twin_vs_euclidean_comparison(
-    source: WindowSource, query, epsilon: float
+    source: WindowSource, query: npt.ArrayLike, epsilon: float
 ) -> TwinVsEuclidean:
     """Run the intro experiment for one query.
 
@@ -148,7 +149,7 @@ def twin_vs_euclidean_comparison(
     )
 
 
-def spike_discrepancy(query, window, *, top: int = 3) -> dict:
+def spike_discrepancy(query: npt.ArrayLike, window: npt.ArrayLike, *, top: int = 3) -> dict:
     """Figure 1 diagnostic: where a Euclidean match deviates most from
     the query. Returns the ``top`` timestamps with the largest absolute
     difference plus the Chebyshev and Euclidean distances."""

@@ -1,6 +1,6 @@
 """LiveTwinIndex — the live plane itself: configuration, lock, lifecycle
 (append → seal → compact → recover, as :mod:`repro.live` describes it)
-and the six query methods.
+and what a query takes from it.
 
 The **delta** — the windows appended since the last seal — is the
 unindexed tail of the ingest buffer, not a tree: an append is a journal
@@ -11,13 +11,16 @@ does (:meth:`Segment.build <repro.live.segments.Segment.build>`).
 Compaction has one path, the :class:`~repro.live.compaction.Compactor`
 thread that a seal over ``max_segments`` schedules.
 
-Every query takes its parts under the plane lock — the segments, the
-delta's sweepline, a prefix query's tail — and answers them outside it
-through :class:`repro.query.parts.PartSet`, the loop the sharded engine
-shares, merging with the library's ``(distance, position)``
-tie-breaks: results are **byte-identical to a from-scratch TSIndex over
-the full series** — held across append / seal / compact / crash /
-recover, under every injected fault, by the state machine in
+The plane is a :class:`~repro.query.parts.PartitionedPlane`: its one
+``_take`` prepares a query and takes its parts under the plane lock —
+the segments, the delta's sweepline, a prefix query's tail — and the
+planner answers them outside it through
+:class:`repro.query.parts.PartSet`, the loop the sharded engine shares,
+merging with the library's ``(distance, position)`` tie-breaks (a
+prefix k-NN is the exact scan over the readings, served even before the
+first full window): results are **byte-identical to a from-scratch
+TSIndex over the full series** — held across append / seal / compact /
+crash / recover, under every injected fault, by the state machine in
 ``tests/test_live_state_machine.py``. The raw and per-window regimes
 are supported (per-window scaling depends only on each window's own
 values, and the rolling statistics are prefix-stable under appends);
@@ -36,10 +39,9 @@ from typing import Any
 
 import numpy as np
 
-from .._util import check_non_negative, check_positive_int
-from ..core.batch import BatchResult
+from .._util import check_positive_int
 from ..core.normalization import Normalization
-from ..core.stats import BuildStats, SearchResult
+from ..core.stats import BuildStats
 from ..core.tsindex import TSIndexParams
 from ..core.windows import WindowSource, assemble_source
 from ..exceptions import (
@@ -49,29 +51,22 @@ from ..exceptions import (
     wrap_os_errors,
 )
 from ..faults.failpoints import failpoint
-from ..indices.base import SubsequenceIndex
 from ..indices.sweepline import SweeplineSearch
 from ..obs.logsetup import get_logger
 from ..obs.metrics import HandleCache
 from ..query.capabilities import (
     CAP_COUNT,
-    CAP_EXECUTOR,
     CAP_EXISTS,
-    CAP_FANOUT_TIMEOUT,
     CAP_KNN,
     CAP_SEARCH,
     CAP_SEARCH_BATCH,
     CAP_VARLENGTH,
     CAP_VERIFICATION,
 )
-from ..query.parts import Part, PartSet
+from ..query.parts import Part, PartitionedPlane, PartSet
 from ..query.registration import register_plane
-from ..query.spec import (
-    check_varlength_query,
-    normalize_exclude,
-    prepare_values,
-)
-from ..query.varlength import is_prefix_query, scan_prefix_knn
+from ..query.spec import check_varlength_query, prepare_values
+from ..query.varlength import is_prefix_query
 from .compaction import (
     DEFAULT_MAX_SEGMENTS,
     DEFAULT_SEAL_THRESHOLD,
@@ -136,7 +131,7 @@ _metrics = HandleCache(
     aliases=("livetwinindex",),
     summary="LSM-style durable ingestion plane (repro.live)",
 )
-class LiveTwinIndex(SubsequenceIndex):
+class LiveTwinIndex(PartitionedPlane):
     """An appendable twin-search index with an LSM segment lifecycle.
 
     Build an in-memory plane with the constructor (or
@@ -168,7 +163,7 @@ class LiveTwinIndex(SubsequenceIndex):
 
     method_name = "live"
 
-    #: Native kernels the query planner may call directly.
+    #: Modes the planner serves on the plane's parts.
     capabilities = frozenset(
         {
             CAP_SEARCH,
@@ -176,8 +171,6 @@ class LiveTwinIndex(SubsequenceIndex):
             CAP_EXISTS,
             CAP_COUNT,
             CAP_SEARCH_BATCH,
-            CAP_EXECUTOR,
-            CAP_FANOUT_TIMEOUT,
             CAP_VARLENGTH,
             CAP_VERIFICATION,
         }
@@ -803,198 +796,48 @@ class LiveTwinIndex(SubsequenceIndex):
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _parts(self, prefix: int | None = None) -> PartSet:  # lint: holds(_lock) called with the plane lock held
-        """What a query takes from under the lock: every span as a part,
-        labelled by span start — the sealed segments, then the delta as
-        a sweepline over its shard of the monolithic source (immutable
-        once taken: the ingest buffer only ever writes past it), and, for
-        a ``prefix`` query of length ``m < l``, the series tail as a
-        sweepline over the ``m``-windows no ``l``-window covers. The set
-        is answered once the lock is released. A durable segment names
-        the archive a worker process reopens (bitwise equal to the
-        in-memory segment: it embeds the rolling statistics); the scan
-        parts and an in-memory plane's segments name none, so a process
-        pool leaves them to the calling thread."""
-        parts = [
-            Part(
-                segment.start,
-                segment.index,
-                segment.start,
-                None
-                if self._store is None or segment.file is None
-                else (self._store.path(segment.file), None),
-            )
-            for segment in self._segments
-        ]
-        if self._delta_count:
-            start = self._delta_start
-            delta = self._source.shard(start, start + self._delta_count)
-            parts.append(Part(start, SweeplineSearch.from_source(delta), start, None))
-        if prefix is not None:
-            start = max(0, self._ingest.size - self._length + 1)
-            tail = assemble_source(
-                self._ingest.values[start:], prefix, Normalization.NONE, name="live-tail"
-            )
-            parts.append(Part(start, SweeplineSearch.from_source(tail), start, None))
-        return PartSet(parts, "segment")
-
-    def search(
-        self,
-        query: Any,
-        epsilon: float,
-        *,
-        verification: str = "bulk",
-        executor: Any = None,
-        timeout: float | None = None,
-        degraded: bool = False,
-    ) -> SearchResult:
-        """All twins of ``query`` within Chebyshev ``ε`` over everything
-        appended so far — byte-identical to a from-scratch
-        :class:`~repro.core.tsindex.TSIndex` over the full series.
-
-        The parts — segments and the delta's scan — are taken under the
-        plane's lock and answered outside it, in parallel on
-        ``executor`` when one is given. Queries shorter than ``l``
-        dispatch to :meth:`search_varlength`.
-
-        ``timeout`` bounds the pooled fan-out, in seconds, the delta's
-        scan included. On expiry the default is a typed
-        :class:`~repro.exceptions.ShardTimeoutError`; ``degraded=True``
-        instead serves the parts that answered, recording exactly which
-        did on ``result.degraded``.
-        """
-        if is_prefix_query(query, self._length):
-            return self.search_varlength(query, epsilon, verification=verification, executor=executor)
-        epsilon = check_non_negative(epsilon, name="epsilon")
-        with self._lock:
-            if self._source is None:
-                return SearchResult.empty()
-            prepared = self._prepare(query)
-            parts = self._parts()
-        return parts.search(
-            prepared, epsilon, verification=verification, executor=executor,
-            timeout=timeout, degraded=degraded,
-        )
-
-    def search_varlength(
-        self,
-        query: Any,
-        epsilon: float,
-        *,
-        verification: str = "bulk",
-        executor: Any = None,
-    ) -> SearchResult:
-        """All twins of a query of length ``m <= l`` over everything
-        appended so far — including positions in the un-indexed series
-        tail (and, before ``length`` readings have even arrived, over
-        the raw readings themselves).
-
-        Segments run the prefix-bounded traversal and the delta the
-        scan, each over its own span (their value chunks overlap by
-        ``l - 1 >= m - 1`` readings, so every ``m``-window of a part's
-        window span lies inside its chunk); the tail — the last
-        ``l - m`` starts — is one more scan part. Parts merge through
-        the shared offset kernel, byte-identical to a prefix scan over
-        the full series. ``m == l`` delegates to :meth:`search`; the
-        per-window regime rejects shorter queries with a typed error.
-        """
-        epsilon = check_non_negative(epsilon, name="epsilon")
-        query = check_varlength_query(query, self._length, self._normalization)
-        m = query.size
-        if m == self._length:
-            return self.search(query, epsilon, verification=verification, executor=executor)
-        with self._lock:
-            if self._ingest.size < m:
-                return SearchResult.empty()
-            parts = self._parts(prefix=m)
-        return parts.prefix_search(query, epsilon, verification=verification, executor=executor)
-
-    def count(self, query: Any, epsilon: float, *, executor: Any = None) -> int:
-        """Number of twins — summed per part (segments + delta), so the
-        merged result arrays are never materialized (shorter queries
-        derive from :meth:`search_varlength`)."""
-        if is_prefix_query(query, self._length):
-            return len(self.search_varlength(query, epsilon, executor=executor))
-        epsilon = check_non_negative(epsilon, name="epsilon")
-        with self._lock:
-            if self._source is None:
-                return 0
-            prepared = self._prepare(query)
-            parts = self._parts()
-        return parts.count(prepared, epsilon, executor=executor)
-
-    def knn(
-        self,
-        query: Any,
-        k: int,
-        *,
-        exclude: tuple[int, int] | None = None,
-        executor: Any = None,
-    ) -> SearchResult:
-        """The ``k`` globally nearest windows, merged across segments
-        and delta by ``(distance, position)`` — the library-wide k-NN
-        tie-break, so the answer equals the monolithic one exactly.
-        Queries shorter than ``l`` run the exact prefix scan — served
-        even before ``length`` readings have arrived (over the raw
-        readings themselves)."""
-        if is_prefix_query(query, self._length):
-            return self._prefix_knn(query, k, exclude)
-        k = check_positive_int(k, name="k")
-        exclude = normalize_exclude(exclude)
-        with self._lock:
-            if self._source is None:
-                return SearchResult.empty()
-            prepared = self._prepare(query)
-            parts = self._parts()
-        return parts.knn(prepared, k, exclude=exclude, executor=executor)
-
-    def _prefix_knn(self, query: Any, k: int, exclude: tuple[int, int] | None) -> SearchResult:
-        """Exact prefix-scan k-NN for a query shorter than ``l`` —
-        self-contained (no window source needed), so it serves even a
-        plane holding fewer than ``length`` readings."""
-        k = check_positive_int(k, name="k")
-        exclude = normalize_exclude(exclude)
-        query = check_varlength_query(query, self._length, self._normalization)
+    def _take(self, query: Any, executor: Any = None) -> tuple[np.ndarray, PartSet] | None:
+        """What a query takes from under the lock: the query prepared,
+        and every span as a part, labelled by span start — the sealed
+        segments, then the delta as a sweepline over its shard of the
+        monolithic source (immutable once taken: the ingest buffer only
+        ever writes past it), and, for a query of length ``m < l``, the
+        series tail as a sweepline over the ``m``-windows no
+        ``l``-window covers. The set is answered once the lock is
+        released. A durable segment names the archive a worker process
+        reopens (bitwise equal to the in-memory segment: it embeds the
+        rolling statistics); the scan parts and an in-memory plane's
+        segments name none, so a process pool on ``executor`` leaves
+        them to the calling thread. ``None`` before the first full
+        window (a prefix query: before ``m`` readings)."""
         with self._lock:
             values = self._ingest.values
-        if values.size < query.size:
-            return SearchResult.empty()
-        snapshot = assemble_source(
-            values, min(self._length, values.size), Normalization.NONE, name="live"
-        )
-        return scan_prefix_knn(snapshot, query, k, exclude=exclude)
-
-    def exists(self, query: Any, epsilon: float) -> bool:
-        """Whether the pattern has occurred anywhere so far (early
-        exit: the parts are probed in span order, segments then the
-        delta, stopping at the first hit; shorter queries derive from
-        :meth:`search_varlength`)."""
-        if is_prefix_query(query, self._length):
-            return len(self.search_varlength(query, epsilon)) > 0
-        epsilon = check_non_negative(epsilon, name="epsilon")
-        with self._lock:
-            if self._source is None:
-                return False
-            prepared = self._prepare(query)
-            parts = self._parts()
-        return parts.exists(prepared, epsilon)
-
-    def search_batch(
-        self,
-        queries: Any,
-        epsilon: float,
-        *,
-        executor: Any = None,
-        **search_options: Any,
-    ) -> BatchResult:
-        """Run every query of ``queries`` at ``epsilon`` (queries fan
-        out across ``executor`` when one is given); result order matches
-        the input order."""
-        epsilon = check_non_negative(epsilon, name="epsilon")
-        return PartSet.search_batch(
-            self.search, list(queries), epsilon, executor=executor, **search_options
-        )
-
-    # ------------------------------------------------------------------
-    def _prepare(self, query: Any) -> np.ndarray:
-        return prepare_values(self._source, query, expected=self._length)
+            prefix = is_prefix_query(query, self._length)
+            if prefix:
+                query = check_varlength_query(query, self._length, self._normalization)
+                if values.size < query.size:
+                    return None
+            elif self._source is None:
+                return None
+            else:
+                query = prepare_values(self._source, query, expected=self._length)
+            parts = [
+                Part(
+                    segment.start,
+                    segment.index,
+                    segment.start,
+                    None
+                    if self._store is None or segment.file is None
+                    else (self._store.path(segment.file), None),
+                )
+                for segment in self._segments
+            ]
+            if self._delta_count:
+                start = self._delta_start
+                delta = self._source.shard(start, start + self._delta_count)
+                parts.append(Part(start, SweeplineSearch.from_source(delta), start, None))
+            if prefix:
+                start = max(0, values.size - self._length + 1)
+                tail = assemble_source(values[start:], query.size, Normalization.NONE, name="live-tail")
+                parts.append(Part(start, SweeplineSearch.from_source(tail), start, None))
+        return query, PartSet(parts, "segment", values)

@@ -15,8 +15,10 @@ preparation, capability dispatch, result merging and stats aggregation:
   :func:`aggregate_stats` — the shared merge kernels every composite
   plane reuses (:mod:`repro.query.merge`);
 * :class:`~repro.query.parts.PartSet` — the one fan-out loop over
-  index parts that the composite planes (sharded, live) delegate to
-  (:mod:`repro.query.parts`; internal, not re-exported);
+  index parts, and :class:`~repro.query.parts.PartitionedPlane`, the
+  query surface of the planes served as parts (sharded, live), which
+  hand the planner their parts (:mod:`repro.query.parts`; internal,
+  not re-exported);
 * :func:`register_plane` — decorator-based plane registration backing
   :func:`repro.indices.base.create_method` (:mod:`repro.query.registration`).
 """
@@ -25,9 +27,7 @@ from .._util import map_with_executor
 from .capabilities import (
     ALL_CAPABILITIES,
     BASE_CAPABILITIES,
-    CAP_BATCHED_KERNEL,
     CAP_COUNT,
-    CAP_EXECUTOR,
     CAP_EXISTS,
     CAP_KNN,
     CAP_SEARCH,
@@ -74,9 +74,7 @@ from .varlength import (
 __all__ = [
     "ALL_CAPABILITIES",
     "BASE_CAPABILITIES",
-    "CAP_BATCHED_KERNEL",
     "CAP_COUNT",
-    "CAP_EXECUTOR",
     "CAP_EXISTS",
     "CAP_KNN",
     "CAP_SEARCH",

@@ -7,6 +7,11 @@ through a ``capabilities`` frozenset of these strings; the planner
 synthesizes the rest centrally — so a plane only ever has to implement
 ``search`` to be fully servable.
 
+Whether a plane is served as parts — fanned out on an executor, bounded
+by ``timeout=`` / ``degraded=`` — is not a capability: the planner
+learns it from the plane's ``_take`` method (see
+:class:`repro.query.parts.PartitionedPlane`).
+
 This module is import-leaf (no intra-package imports) so planes in any
 layer — :mod:`repro.core`, :mod:`repro.indices`, :mod:`repro.engine`,
 :mod:`repro.live` — can declare capabilities without import cycles.
@@ -34,15 +39,6 @@ CAP_COUNT = "count"
 #: Native ``search_batch(queries, epsilon)`` whole-workload entry point.
 CAP_SEARCH_BATCH = "search_batch"
 
-#: The plane's batch kernel accepts the ``batched=`` toggle selecting
-#: the shared-traversal path (see
-#: :meth:`repro.engine.sharding.ShardedTSIndex.search_batch`).
-CAP_BATCHED_KERNEL = "batched"
-
-#: Query methods accept an ``executor=`` for internal fan-out (sharded
-#: and live planes fan out over shards/segments).
-CAP_EXECUTOR = "executor"
-
 #: ``search`` accepts the ``verification=`` strategy option.
 CAP_VERIFICATION = "verification"
 
@@ -52,13 +48,6 @@ CAP_VERIFICATION = "verification"
 #: length with a prefix scan kernel.
 CAP_VARLENGTH = "varlength"
 
-#: ``search`` accepts ``timeout=`` (a per-part fan-out deadline) and
-#: ``degraded=`` (serve the parts that answered instead of failing
-#: fast with :class:`~repro.exceptions.ShardTimeoutError`). Only
-#: fan-out planes — sharded and live — can bound their parts this way;
-#: the planner drops the options everywhere else.
-CAP_FANOUT_TIMEOUT = "fanout_timeout"
-
 #: Every capability name, for validation and documentation.
 ALL_CAPABILITIES = frozenset(
     {
@@ -67,11 +56,8 @@ ALL_CAPABILITIES = frozenset(
         CAP_EXISTS,
         CAP_COUNT,
         CAP_SEARCH_BATCH,
-        CAP_BATCHED_KERNEL,
-        CAP_EXECUTOR,
         CAP_VERIFICATION,
         CAP_VARLENGTH,
-        CAP_FANOUT_TIMEOUT,
     }
 )
 

@@ -1,4 +1,5 @@
-"""The one fan-out plane: an ordered set of index parts, six query modes.
+"""The one fan-out plane: an ordered set of index parts, and the query
+surface of every plane served as parts.
 
 Filter-and-refine cost and exactness do not depend on how the windows
 are partitioned, so the sharded engine (static shards) and the live
@@ -12,6 +13,12 @@ scans rather than indexes — the live delta, a prefix query's ``l - m``
 tail starts — is a :class:`~repro.indices.sweepline.SweeplineSearch`
 over it, answered like a tree.
 
+A plane served this way is a :class:`PartitionedPlane`: it brings one
+method, ``_take``, which validates and prepares a query and hands back
+the :class:`PartSet` it runs on. :mod:`repro.query.planner` serves every
+mode from that pair, and the public query methods — defined here, once
+for both planes — are each one planned call.
+
 Every part call of every mode opens one ``execute`` span, fires the
 plane's part failpoint and is timed into ``repro_shard_search_seconds``;
 on a process pool a worker replays the same call from an
@@ -21,18 +28,24 @@ an archive to reopen (a part without one answers in the calling thread).
 
 from __future__ import annotations
 
+import abc
 import dataclasses
 import functools
 from collections.abc import Callable, Sequence
 from typing import Any, NamedTuple
 
-from .._util import FanOutResult, call_task, fan_out, is_process_executor, map_with_executor
+import numpy as np
+
+from .._util import FanOutResult, call_task, fan_out, is_process_executor
 from ..core.batch import BatchResult
 from ..core.stats import DegradedReport, SearchResult
 from ..faults.failpoints import failpoint
+from ..indices.base import SubsequenceIndex
 from ..obs.metrics import HandleCache
 from ..obs.trace import current_trace
-from .merge import batch_result, merge_knn, merge_offset_search
+from .merge import merge_knn, merge_offset_search
+from .planner import execute
+from .spec import QuerySpec
 from .varlength import prefix_search_part
 
 #: Per-part call latency and merge latency (process default registry).
@@ -95,6 +108,9 @@ class PartSet:
 
     parts: Sequence[Part]
     kind: str
+    #: The series the parts cover, in the index value domain — what a
+    #: prefix k-NN scans whole (see :mod:`repro.query.planner`).
+    values: np.ndarray | None = None
 
     def _answer(self, trace: Any, part: Part, call: str, args: tuple, kwargs: dict) -> Any:
         """One part call in this process: span, failpoint, histogram."""
@@ -227,25 +243,116 @@ class PartSet:
             self._answer(trace, part, "exists", (query, epsilon), {}) for part in self.parts
         )
 
-    @staticmethod
+
+class PartitionedPlane(SubsequenceIndex):
+    """A plane served as parts: the sharded engine and the live plane.
+
+    A subclass brings :meth:`_take`; the planner serves every mode from
+    the ``(query, parts)`` pair it hands back, and never calls the
+    methods below — each is one planned call, so a direct call and a
+    :class:`~repro.engine.executor.QueryEngine` call run the same path.
+    ``executor`` fans a query's parts out on a pool; ``timeout`` bounds
+    that fan-out, in seconds: past it the default raises
+    :class:`~repro.exceptions.ShardTimeoutError` naming the parts that
+    did not answer, ``degraded=True`` merges the ones that did and
+    records which on ``result.degraded``. Queries shorter than ``l``
+    take the prefix path (a prefix query takes no deadline).
+    """
+
+    @abc.abstractmethod
+    def _take(self, query: Any, executor: Any = None) -> tuple[np.ndarray, PartSet] | None:
+        """``query`` validated and prepared (``expected=`` the window
+        length), and the :class:`PartSet` it runs on — the series tail
+        a scan part when the query is shorter than ``l``. ``None`` when
+        nothing is indexed for it yet. ``executor`` is the pool the
+        parts will fan out on."""
+
+    def search(
+        self,
+        query: Any,
+        epsilon: float,
+        *,
+        verification: str = "bulk",
+        executor: Any = None,
+        timeout: float | None = None,
+        degraded: bool = False,
+    ) -> SearchResult:
+        """All twins of ``query`` within Chebyshev ``ε``, merged across
+        the parts by position — byte-identical to one index over the
+        whole series, structural counters merged in part order."""
+        options = {"verification": verification, "timeout": timeout, "degraded": degraded}
+        return execute(
+            self,
+            QuerySpec(query=query, mode="search", epsilon=epsilon, options=options),
+            executor=executor,
+        )
+
+    def search_varlength(
+        self,
+        query: Any,
+        epsilon: float,
+        *,
+        verification: str = "bulk",
+        executor: Any = None,
+    ) -> SearchResult:
+        """All twins of a query of length ``m <= l``: each part runs the
+        prefix-bounded traversal over its own span, and the series tail
+        — the ``l - m`` starts past the last full window — is one more
+        scan part. ``m == l`` is :meth:`search`."""
+        return execute(
+            self,
+            QuerySpec(
+                query=query, mode="search", epsilon=epsilon,
+                options={"verification": verification},
+            ),
+            executor=executor,
+        )
+
+    def count(self, query: Any, epsilon: float, *, executor: Any = None) -> int:
+        """Number of twins — summed per part, so no result arrays are
+        merged (a shorter query counts its prefix search)."""
+        return execute(
+            self, QuerySpec(query=query, mode="count", epsilon=epsilon), executor=executor
+        )
+
+    def knn(
+        self,
+        query: Any,
+        k: int,
+        *,
+        exclude: tuple[int, int] | None = None,
+        executor: Any = None,
+    ) -> SearchResult:
+        """The ``k`` nearest windows: a local k-NN per part, re-ranked
+        by ``(distance, position)``. A shorter query is the exact
+        prefix scan over the series."""
+        return execute(
+            self, QuerySpec(query=query, mode="knn", k=k, exclude=exclude), executor=executor
+        )
+
+    def exists(self, query: Any, epsilon: float) -> bool:
+        """Whether any twin exists — the parts probed in span order in
+        the calling thread, stopping at the first hit (a shorter query
+        asks its prefix search)."""
+        return execute(self, QuerySpec(query=query, mode="exists", epsilon=epsilon))
+
     def search_batch(
-        search: Callable[..., SearchResult],
-        queries: Sequence,
+        self,
+        queries: Any,
         epsilon: float,
         *,
         executor: Any = None,
-        **options: Any,
+        **search_options: Any,
     ) -> BatchResult:
-        """Every query through the plane's own ``search`` (a fresh part
-        snapshot per query), in input order. On a thread pool the
-        *queries* fan out and each walks its parts serially (no nested
-        pool to deadlock); query closures cannot cross a process
-        boundary, so on a process pool the loop runs here and each
-        query's *parts* fan out. Identical results either way."""
-        if is_process_executor(executor):
-            results = [search(query, epsilon, executor=executor, **options) for query in queries]
-        else:
-            results = map_with_executor(
-                executor, lambda query: search(query, epsilon, **options), queries
-            )
-        return batch_result(results, epsilon)
+        """Every query of ``queries`` at ``epsilon``, in input order. On
+        a thread pool the queries fan out, each walking its parts in
+        turn; on a process pool the loop runs here and each query's
+        parts fan out. Mixed lengths are served."""
+        return execute(
+            self,
+            QuerySpec(
+                query=list(queries), mode="batch", epsilon=epsilon,
+                options=dict(search_options),
+            ),
+            executor=executor,
+        )

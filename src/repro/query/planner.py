@@ -11,9 +11,14 @@ One pipeline answers every query mode on every plane:
    batch loop) — so a plane that only implements
    ``search`` (KV-Index, iSAX) is still fully servable
    through :class:`~repro.engine.executor.QueryEngine`;
-3. :meth:`QueryPlan.execute` runs it, optionally fanning work out on an
-   executor (natively where the plane supports ``executor=``, at the
-   planner level for synthesized batches).
+3. :meth:`QueryPlan.execute` runs it. A plane served as parts (the
+   sharded and live planes, :class:`~repro.query.parts.PartitionedPlane`)
+   hands the planner its parts through its one ``_take`` method, and
+   the planner answers every mode on that
+   :class:`~repro.query.parts.PartSet` — it never calls such a plane's
+   public query methods, which are themselves planned calls. Only those
+   parts fan out on an executor; synthesized batches fan out at the
+   planner level.
 
 The synthesized kernels answer from the plane's own
 :class:`~repro.core.windows.WindowSource`, so their results agree
@@ -31,19 +36,19 @@ import numpy as np
 from .._util import (
     FLOAT_DTYPE,
     POSITION_DTYPE,
+    is_process_executor,
     iter_chunks,
     map_with_executor,
 )
+from ..core.normalization import Normalization
 from ..core.stats import QueryStats, SearchResult
+from ..core.windows import assemble_source
 from ..exceptions import IndexNotBuiltError, UnsupportedCapabilityError
 from ..obs.metrics import HandleCache
 from ..obs.trace import current_trace
 from .capabilities import (
-    CAP_BATCHED_KERNEL,
     CAP_COUNT,
-    CAP_EXECUTOR,
     CAP_EXISTS,
-    CAP_FANOUT_TIMEOUT,
     CAP_KNN,
     CAP_SEARCH_BATCH,
     CAP_VARLENGTH,
@@ -174,8 +179,10 @@ class QueryPlan:
     native: bool
     #: Per-call options surviving capability filtering.
     options: dict
-    #: Whether the plane itself accepts ``executor=`` fan-out.
-    fan_out: bool
+    #: Whether the plane hands the planner its parts (a
+    #: :class:`~repro.query.parts.PartitionedPlane`: sharded, live) —
+    #: the only planes whose work fans out on an executor.
+    partitioned: bool
     #: Whether (any of) the spec's queries are shorter than the plane's
     #: window length — executed through the prefix kernels.
     varlength: bool = False
@@ -184,7 +191,7 @@ class QueryPlan:
         """One diagnostic line (for logs and tests)."""
         return (
             f"mode={self.spec.mode} plane={type(self.index).__name__} "
-            f"native={self.native} fan_out={self.fan_out} "
+            f"native={self.native} partitioned={self.partitioned} "
             f"varlength={self.varlength} options={sorted(self.options)}"
         )
 
@@ -211,12 +218,6 @@ class QueryPlan:
                 return list(self.spec.prepare(source).queries)
         return self.spec.query_list()
 
-    def _call_options(self, executor: Any) -> dict:
-        options = dict(self.options)
-        if executor is not None and self.fan_out:
-            options["executor"] = executor
-        return options
-
     def _source_or_raise(self) -> Any:
         """The plane's window source (needed to synthesize a kernel);
         typed failure for planes that truly cannot serve the mode."""
@@ -230,120 +231,98 @@ class QueryPlan:
             )
         return source
 
-    def _varlength_search(self, query: Any, executor: Any = None) -> SearchResult:
-        """One variable-length search: the plane's native prefix kernel
-        where declared, the synthesized prefix scan otherwise."""
-        if CAP_VARLENGTH in self.capabilities:
-            options = dict(self.options)
-            if executor is not None and self.fan_out:
-                options["executor"] = executor
-            return self.index.search_varlength(
-                query, self.spec.epsilon, **options
-            )
-        return scan_prefix_search(
-            self._source_or_raise(), query, self.spec.epsilon, **self.options
-        )
+    def _search(self, query: Any) -> SearchResult:
+        """One ``search`` with no fan-out of its own: on a partitioned
+        plane's parts, walked in turn; for a query shorter than ``l``,
+        the plane's native prefix kernel where declared, the synthesized
+        prefix scan otherwise; else the plane's own ``search``."""
+        if self.partitioned:
+            return self._on_parts(query, None)
+        epsilon = self.spec.epsilon
+        if self.varlength and is_prefix_query(query, _plane_length(self.index)):
+            if CAP_VARLENGTH in self.capabilities:
+                return self.index.search_varlength(query, epsilon, **self.options)
+            return scan_prefix_search(self._source_or_raise(), query, epsilon, **self.options)
+        return self.index.search(query, epsilon, **self.options)
 
-    def _execute_varlength(self, executor: Any) -> Any:
-        """Run a plan whose quer(ies) are shorter than the plane's
-        window length. ``search`` uses the native prefix kernel (or the
-        synthesized scan); ``exists``/``count`` derive from that same
-        search, so they reuse the plane's own pruned traversal; ``knn``
-        is an exact prefix scan ranked by the library-wide
-        ``(distance, position)`` tie-break; batches dispatch per query,
-        so mixed-length workloads serve full-length members natively.
-        """
+    def _on_parts(self, query: Any, executor: Any) -> Any:
+        """One query of any mode on a partitioned plane: take its parts,
+        then answer on them. A query shorter than ``l`` runs the parts'
+        prefix search — ``exists`` / ``count`` derive from it — or, for
+        ``knn``, the exact prefix scan over the series the parts cover."""
         spec = self.spec
-        length = _plane_length(self.index)
-        if spec.mode == "batch":
-            queries = self._queries()
-            options = dict(self.options)
-
-            def one(query: Any) -> SearchResult:
-                if is_prefix_query(query, length):
-                    return self._varlength_search(query)
-                return self.index.search(query, spec.epsilon, **options)
-
-            results = map_with_executor(executor, one, queries)
-            return batch_result(results, spec.epsilon)
-
-        query = self._queries()[0]
-        if spec.mode == "search":
-            return self._varlength_search(query, executor=executor)
+        taken = self.index._take(query, executor)
+        if taken is None:  # nothing indexed for this query yet
+            if spec.mode == "count":
+                return 0
+            return False if spec.mode == "exists" else SearchResult.empty()
+        query, parts = taken
+        if query.size < self.index.length:
+            if spec.mode == "knn":
+                series = assemble_source(parts.values, query.size, Normalization.NONE)
+                return scan_prefix_knn(series, query, spec.k, exclude=spec.exclude)
+            found = parts.prefix_search(query, spec.epsilon, executor=executor, **self.options)
+            if spec.mode == "exists":
+                return len(found) > 0
+            return len(found) if spec.mode == "count" else found
         if spec.mode == "knn":
-            try:
-                source = self._source_or_raise()
-            except IndexNotBuiltError:
-                # A mutable plane before its first full window (live):
-                # its own knn serves the prefix scan from the raw
-                # readings without touching the unavailable source.
-                return self.index.knn(query, spec.k, exclude=spec.exclude)
-            return scan_prefix_knn(
-                source, query, spec.k, exclude=spec.exclude
-            )
-        result = self._varlength_search(query, executor=executor)
+            return parts.knn(query, spec.k, exclude=spec.exclude, executor=executor)
+        if spec.mode == "count":
+            return parts.count(query, spec.epsilon, executor=executor)
         if spec.mode == "exists":
-            return len(result) > 0
-        return len(result)  # mode == "count"
+            return parts.exists(query, spec.epsilon)
+        return parts.search(query, spec.epsilon, executor=executor, **self.options)
+
+    def _batch(self, executor: Any) -> Any:
+        """A workload: the plane's own batch kernel where it has one
+        (full-length queries, not a partitioned plane), else one
+        :meth:`_search` per query. Those fan out *at the planner level*
+        on ``executor``, so even planes with no concurrency support
+        serve parallel workloads — except a partitioned plane on a
+        process pool: query closures cannot cross a process boundary,
+        so the loop runs here and each query's parts fan out."""
+        spec = self.spec
+        queries = self._queries()
+        if self.native and not (self.varlength or self.partitioned):
+            return self.index.search_batch(queries, spec.epsilon, **self.options)
+        if self.partitioned and is_process_executor(executor):
+            results = [self._on_parts(query, executor) for query in queries]
+        else:
+            results = map_with_executor(executor, self._search, queries)
+        return batch_result(results, spec.epsilon)
 
     def execute(self, executor: Any = None) -> Any:
         """Run the plan; returns the mode's natural result type
         (:class:`SearchResult`, :class:`~repro.core.batch.BatchResult`,
-        ``bool`` or ``int``)."""
+        ``bool`` or ``int``). Only a partitioned plane's parts fan out
+        on ``executor`` (and any plane's synthesized batch)."""
         spec = self.spec
-        if self.varlength:
-            return self._execute_varlength(executor)
         if spec.mode == "batch":
-            queries = self._queries()
-            if self.native:
-                return self.index.search_batch(
-                    queries, spec.epsilon, **self._call_options(executor)
-                )
-            options = dict(self.options)
-
-            def one(query: Any) -> SearchResult:
-                return self.index.search(query, spec.epsilon, **options)
-
-            # Synthesized batches fan out *at the planner level*, so
-            # even planes with no concurrency support serve parallel
-            # workloads.
-            results = map_with_executor(executor, one, queries)
-            return batch_result(results, spec.epsilon)
-
+            return self._batch(executor)
         query = self._queries()[0]
+        if self.partitioned:
+            return self._on_parts(query, executor)
         if spec.mode == "search":
-            return self.index.search(
-                query, spec.epsilon, **self._call_options(executor)
-            )
+            return self._search(query)
         if spec.mode == "knn":
-            if self.native:
-                options = self._call_options(executor)
-                return self.index.knn(
-                    query, spec.k, exclude=spec.exclude, **options
+            if self.varlength:
+                # Exact prefix scan, ranked by ``(distance, position)``.
+                return scan_prefix_knn(
+                    self._source_or_raise(), query, spec.k, exclude=spec.exclude
                 )
-            return scan_knn(
-                self.index.source, query, spec.k, exclude=spec.exclude
-            )
-        if spec.mode == "exists":
             if self.native:
+                return self.index.knn(query, spec.k, exclude=spec.exclude)
+            return scan_knn(self.index.source, query, spec.k, exclude=spec.exclude)
+        if self.native and not self.varlength:
+            if spec.mode == "exists":
                 return self.index.exists(query, spec.epsilon)
-            return (
-                len(self.index.search(query, spec.epsilon, **self.options))
-                > 0
-            )
-        # mode == "count"
-        if self.native:
-            if executor is not None and self.fan_out:
-                # Composite planes (sharded, live) sum per-part counts;
-                # the parts fan out exactly like a search would.
-                return self.index.count(
-                    query, spec.epsilon, executor=executor
-                )
             return self.index.count(query, spec.epsilon)
-        # Search-backed synthesis: the plane's own (pruned) traversal
-        # beats an exhaustive scan on every indexed plane; callers who
-        # need bounded memory on huge result sets use scan_count.
-        return len(self.index.search(query, spec.epsilon, **self.options))
+        # Search-backed synthesis (and the prefix path's exists/count):
+        # the plane's own (pruned) traversal beats an exhaustive scan on
+        # every indexed plane; callers who need bounded memory on huge
+        # result sets use scan_count.
+        found = len(self._search(query))
+        return found > 0 if spec.mode == "exists" else found
 
 
 #: Capability a mode needs to run natively.
@@ -364,10 +343,12 @@ def plan(index: Any, spec: QuerySpec) -> QueryPlan:
     ``exists``/``count``) runs on the plane's native prefix kernel when
     it declares :data:`~repro.query.capabilities.CAP_VARLENGTH`, the
     synthesized prefix scan otherwise; ``knn`` is always the exact
-    prefix scan; batches dispatch per query. Targets that are not query
-    planes at all (no ``search`` kernel) fail with the typed
-    :class:`~repro.exceptions.UnsupportedCapabilityError` instead of an
-    ``AttributeError`` deep inside a kernel.
+    prefix scan; batches dispatch per query. A plane that hands over
+    its parts (``_take``, see :class:`~repro.query.parts.PartitionedPlane`)
+    is served on them, and only it keeps ``timeout`` / ``degraded``.
+    Targets that are not query planes at all (no ``search`` kernel)
+    fail with the typed :class:`~repro.exceptions.UnsupportedCapabilityError`
+    instead of an ``AttributeError`` deep inside a kernel.
     """
     if not callable(getattr(index, "search", None)):
         raise UnsupportedCapabilityError(
@@ -377,35 +358,29 @@ def plan(index: Any, spec: QuerySpec) -> QueryPlan:
     caps = capabilities_of(index)
     required = _MODE_CAPABILITY[spec.mode]
     native = required is None or required in caps
+    partitioned = callable(getattr(index, "_take", None))
     options = dict(spec.options)
     if CAP_VERIFICATION not in caps:
         options.pop("verification", None)
-    if CAP_BATCHED_KERNEL not in caps:
-        options.pop("batched", None)
-    if CAP_FANOUT_TIMEOUT not in caps:
-        # Only fan-out planes can bound their parts with a deadline or
-        # answer degraded; everywhere else the options are meaningless.
-        options.pop("timeout", None)
-        options.pop("degraded", None)
     varlength = False
     length = _plane_length(index)
     if length is not None:
         varlength = any(
             is_prefix_query(query, length) for query in spec.query_list()
         )
-    if varlength:
-        # The prefix kernels serve search (and the search-derived
-        # modes); nothing batched-kernel-shaped applies (and the prefix
-        # kernels take no fan-out deadline), and ``native`` now reports
-        # whether the *prefix* kernel is the plane's own.
-        options.pop("batched", None)
+    if varlength or not partitioned:
+        # Only a partitioned plane bounds its parts with a deadline or
+        # answers degraded, and its prefix path takes no deadline.
         options.pop("timeout", None)
         options.pop("degraded", None)
+    if varlength:
+        # ``native`` reports whether the *prefix* kernel is the plane's
+        # own.
         native = CAP_VARLENGTH in caps and spec.mode != "knn"
-    if spec.mode in ("knn", "exists", "count") and not varlength:
-        # These modes take no kernel options — ``verification``/
-        # ``batched`` parameterize the search kernels only, and no
-        # plane's native knn accepts them either.
+    elif spec.mode in ("knn", "exists", "count"):
+        # These modes take no kernel options — ``verification``
+        # parameterizes the search kernels only, and no plane's native
+        # knn accepts it either.
         options = {}
     plans_total, varlength_total = _metrics()
     plans_total.labels(mode=spec.mode, native=str(native).lower()).inc()
@@ -417,7 +392,7 @@ def plan(index: Any, spec: QuerySpec) -> QueryPlan:
         capabilities=caps,
         native=native,
         options=options,
-        fan_out=CAP_EXECUTOR in caps,
+        partitioned=partitioned,
         varlength=varlength,
     )
 

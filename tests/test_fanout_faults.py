@@ -15,7 +15,6 @@ from repro.exceptions import ShardTimeoutError
 from repro.faults import failpoints
 from repro.live import LiveTwinIndex
 from repro.query import QuerySpec, plan
-from repro.query.capabilities import CAP_FANOUT_TIMEOUT
 
 
 @pytest.fixture(autouse=True)
@@ -119,9 +118,6 @@ def sharded():
 
 
 class TestShardedPlane:
-    def test_declares_fanout_timeout_capability(self, sharded):
-        assert CAP_FANOUT_TIMEOUT in sharded.capabilities
-
     def test_shard_search_failpoint_attributed(self, sharded, pool):
         failpoints.arm("shard.search", error="io", on_hit=2)
         query = np.array(sharded.source.window_block(100, 101)[0])
@@ -196,8 +192,9 @@ class TestLivePlane:
     def test_live_declares_capability_and_serves_timeout(self, tmp_path, pool):
         series = np.cumsum(np.random.default_rng(6).normal(size=600))
         live = LiveTwinIndex(series, length=32, seal_threshold=128)
-        assert CAP_FANOUT_TIMEOUT in live.capabilities
         query = np.array(series[50:82])
+        spec = QuerySpec(query=query, mode="search", epsilon=0.3, options={"timeout": 30.0})
+        assert plan(live, spec).options["timeout"] == 30.0
         result = live.search(query, 0.3, executor=pool, timeout=30.0)
         assert result.degraded is None
         want = live.search(query, 0.3)

@@ -509,31 +509,21 @@ class TestShardedFrozen:
                     stats=False,
                 )
 
-    def test_batched_path_matches_per_query(self, engines):
+    def test_batched_path_matches_per_query(self, engines, monkeypatch):
+        from repro.engine import sharding
+
         _, frozen_engine = engines
         rng = np.random.default_rng(43)
         queries = _queries(frozen_engine.source, rng, count=8)
-        # batched=True forces the shared-traversal path (the auto gate
-        # only engages it on large indexes).
-        batched = frozen_engine.search_batch(queries, 0.4, batched=True)
-        looped = frozen_engine.search_batch(queries, 0.4, batched=False)
+        looped = frozen_engine.search_batch(queries, 0.4)
+        # The shared traversal engages automatically only on large
+        # indexes; lower the gate so it runs on this fixture.
+        monkeypatch.setattr(sharding, "BATCHED_MIN_WINDOWS", 0)
+        batched = frozen_engine.search_batch(queries, 0.4)
         assert len(batched) == len(looped)
         for fast, slow in zip(batched.results, looped.results):
             _assert_result_equal(fast, slow)
         assert batched.stats.as_dict() == looped.stats.as_dict()
-
-    def test_batched_true_fails_loudly_when_unusable(self, engines):
-        import concurrent.futures
-
-        from repro.exceptions import InvalidParameterError
-
-        _, frozen_engine = engines
-        queries = [np.array(frozen_engine.source.window_block(5, 6)[0])]
-        with concurrent.futures.ThreadPoolExecutor(2) as pool:
-            with pytest.raises(InvalidParameterError):
-                frozen_engine.search_batch(
-                    queries, 0.4, batched=True, executor=pool
-                )
 
 
 class TestFactoryAndCLI:

@@ -618,7 +618,10 @@ class TestWallClock:
 # A method's self / cls is exempt, and an __init__ with an annotated
 # parameter needs no return annotation.
 # ----------------------------------------------------------------------
-TYPED_PACKAGES = ("core", "engine", "live", "query", "obs", "faults", "persistence", "indices")
+TYPED_PACKAGES = (
+    "core", "engine", "live", "query", "obs", "faults", "persistence", "indices", "data",
+    "euclidean",
+)
 
 
 def untyped_defs(files):

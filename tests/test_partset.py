@@ -1,4 +1,4 @@
-"""``PartSet`` — the one fan-out loop both composite planes delegate to.
+"""``PartSet`` — the one fan-out loop both composite planes hand the planner.
 
 Two halves. The failure semantics (fail-fast, first failure cancels,
 deadline, degraded report, part attribution in notes, spans and
@@ -23,6 +23,7 @@ from repro.exceptions import ShardTimeoutError
 from repro.faults import failpoints
 from repro.indices.sweepline import SweeplineSearch
 from repro.obs.trace import QueryTrace, activate_trace, deactivate_trace
+from repro.query import QuerySpec, plan
 from repro.query.parts import Part, PartSet, local_exclude
 
 
@@ -210,13 +211,21 @@ class TestFailureSemantics:
             assert not procpool._processes
 
     def test_batch_keeps_input_order_on_a_pool(self, pool):
-        def search(query, epsilon, **options):
-            time.sleep(0.05 * (3 - int(query[0])))
-            return _result([int(query[0])])
+        class Plane:
+            """Hands the planner one part per query, slower the earlier
+            the query."""
 
-        batch = PartSet.search_batch(
-            search, [np.full(2, i) for i in range(3)], 0.5, executor=pool
-        )
+            length = 2
+
+            def search(self, query, epsilon):
+                raise AssertionError("the planner answers on the parts")
+
+            def _take(self, query, executor=None):
+                i = int(query[0])
+                return query, _fakes(FakeIndex([i], delay=0.05 * (3 - i)))
+
+        spec = QuerySpec(query=[np.full(2, i) for i in range(3)], mode="batch", epsilon=0.5)
+        batch = plan(Plane(), spec).execute(executor=pool)
         assert [r.positions.tolist() for r in batch.results] == [[0], [1], [2]]
         assert batch.epsilon == 0.5 and batch.stats.matches == 3
 

@@ -277,9 +277,7 @@ class TestChunkBoundaryCoverage:
         finally:
             live.close()
 
-    def test_batched_true_rejected_for_short_queries(self):
-        from repro.exceptions import InvalidParameterError
-
+    def test_mixed_length_batch_served(self):
         plane = create_method(
             "sharded", SERIES, LENGTH, normalization="none", shards=3
         )
@@ -287,11 +285,6 @@ class TestChunkBoundaryCoverage:
             np.array(SERIES[52 : 52 + LENGTH]),
             np.array(SERIES[52 : 52 + LENGTH // 2]),
         ]
-        # batched=True promises the fixed-length shared traversal and
-        # raises when it cannot run — short queries included.
-        with pytest.raises(InvalidParameterError, match="variable-length"):
-            plane.search_batch(queries, 0.3, batched=True)
-        # The default path serves the mixed workload.
         batch = plane.search_batch(queries, 0.3)
         assert len(batch) == 2
 
