@@ -13,13 +13,20 @@ discords (the arrhythmias). It also shows the live variant:
 appending new readings and asking "has this beat shape occurred
 before?" with `exists`.
 
+Self-checking: the profile's distances and neighbours are asserted
+equal to a brute-force profile built from the exact scan k-NN
+(`repro.query.planner.scan_knn`), and every `exists` answer to
+`count > 0`.
+
 Run:  python examples/anomaly_discords.py
 """
 
 import numpy as np
 
+from repro.core.windows import WindowSource
 from repro.extensions.profile import chebyshev_matrix_profile
 from repro.live import LiveTwinIndex
+from repro.query.planner import scan_knn
 
 
 def ecg_like(beats: int = 40, beat_length: int = 80, seed: int = 4):
@@ -59,6 +66,13 @@ def main() -> None:
     )
     print(f"computed Chebyshev matrix profile over {len(profile)} windows "
           f"(exclusion zone ±{profile.exclusion})")
+    source = WindowSource(series, beat_length, "none")
+    for position in range(source.count):
+        zone = (max(0, position - profile.exclusion), position + profile.exclusion + 1)
+        nearest = scan_knn(source, source.window(position), 1, exclude=zone)
+        assert profile.distances[position] == nearest.distances[0], position
+        assert profile.neighbors[position] == nearest.positions[0], position
+    print("profile == the brute-force scan profile, distances and neighbours")
 
     position, neighbor, distance = profile.motif()
     print(f"\nmotif (most repeated beat): windows {position} and "
@@ -84,11 +98,14 @@ def main() -> None:
     print("\nlive monitor (epsilon = 1.0):")
     for label, beat in (("familiar beat", normal_again), ("novel shape", novel_shape)):
         seen = stream.exists(beat, epsilon=1.0)
+        assert seen == (stream.count(beat, epsilon=1.0) > 0)
         print(f"  {label:14s}: {'seen before' if seen else 'NEVER SEEN -> alert'}")
         stream.append(beat)
     print("after appending, both shapes are indexed:")
     for label, beat in (("familiar beat", normal_again), ("novel shape", novel_shape)):
-        print(f"  {label:14s}: exists now = {stream.exists(beat, epsilon=1e-9)}")
+        seen = stream.exists(beat, epsilon=1e-9)
+        assert seen == (stream.count(beat, epsilon=1e-9) > 0)
+        print(f"  {label:14s}: exists now = {seen}")
     stream.close()
 
 

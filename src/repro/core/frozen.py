@@ -87,7 +87,10 @@ bound clears ``ε`` by less than the float32 rounding step is visited
 rather than pruned. ``knn`` / ``exists`` / ``search_batch`` /
 ``search_varlength`` exist here only (the pointer tree answers them
 through its :meth:`~repro.core.tsindex.TSIndex.freeze` snapshot), and
-the same suites hold them to brute-force Chebyshev scans.
+the same suites hold them to brute-force Chebyshev scans. All but
+``search_batch`` ride that one level walk: ``exists`` is whether
+``search`` finds a twin, and ``knn`` a ``search`` at a seeded radius
+(the ``k``-th distance under a greedy descent's leaves), ranked.
 
 Lifecycle: either **insert** into the dynamic tree and **freeze** it
 once writes stop, or **bulk load** (:mod:`~repro.core.bulkload`), which
@@ -103,7 +106,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import heapq
 import itertools
 import time
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
@@ -128,7 +130,7 @@ from ..query.capabilities import (
     CAP_VERIFICATION,
 )
 from ..query.registration import register_plane
-from ..query.spec import prepare_values
+from ..query.spec import normalize_exclude, prepare_values
 from ..query.varlength import (
     is_prefix_query,
     merge_exists_stats,
@@ -174,6 +176,18 @@ _HEAD_STRIDE = 4
 #: and below the break-even; what it guards against is a handful of
 #: ids spanning a level far wider than these.
 _SPAN_FACTOR = 5
+
+#: Children kept per level by :meth:`FrozenTSIndex._seed_leaves`, the
+#: descent that seeds :meth:`FrozenTSIndex.knn`'s radius: wider reads
+#: more windows for a tighter radius, and the best width grows with the
+#: index. Twinbench seed 1 on a 2-core box, 100 queries × 2, widths
+#: interleaved per query, median ms for k = 10 / k = 1 beside a ±50
+#: exclusion zone, on a 30,000-window engine_mix shard: 4 → 1.69 / 1.35, 8 → 1.43 / 1.27,
+#: 12 → 1.51 / 1.34, 16 → 1.64 / 1.42, 32 → 2.03 / 1.87; on the
+#: 200,000-window twin_sparse index: 4 → 15.5 / 9.2, 8 → 7.1 / 5.2,
+#: 12 → 6.1 / 4.3, 16 → 5.3 / 4.2, 32 → 5.0 / 4.2. 16 is within 15 %
+#: of the best on both. Answers do not depend on it.
+_SEED_WIDTH = 16
 
 #: Widening of the query thresholds, in float64 spacings of
 #: ``|q| + ε``. The verifier admits a window when ``fl(|q - w|) <= ε``,
@@ -724,16 +738,18 @@ class FrozenTSIndex:
     # ------------------------------------------------------------------
     # Vectorized primitives over the flat arrays
     # ------------------------------------------------------------------
-    def _node_bound(self, query: np.ndarray, node: int) -> np.ndarray:
-        """(Clamped) Eq. 2 bound of ``query`` — or of every row of a
-        ``(q, m)`` query matrix — against one node's stored envelope,
-        in float64 (the float32 values are promoted).
+    def _node_bound(self, query: np.ndarray, ids: int | np.ndarray) -> np.ndarray:
+        """(Clamped) Eq. 2 bound in float64 (the float32 values are
+        promoted) of ``query`` — or of every row of a ``(q, m)`` query
+        matrix — against one node's stored envelope, or of one query
+        against each node of an id array.
 
         The stored envelope covers the exact one and float64
         subtraction rounds monotonically, so for every window ``w``
         under the node this is ``<= fl(|q - w|)`` at each timestamp —
         a lower bound of the very number the verifier computes, with
-        no guard needed (the root check and the k-NN queue rely on it).
+        no guard needed (the root check relies on it; the k-NN seed
+        only ranks by it).
 
         Evaluated over the query's own ``m`` timestamps, so a shorter
         (prefix) query bounds against the envelope prefix — leading
@@ -744,13 +760,13 @@ class FrozenTSIndex:
         return np.maximum(
             _part_bound(
                 head,
-                self._upper_head[:rows, node],
-                self._lower_head[:rows, node],
+                self._upper_head[:rows, ids].T,
+                self._lower_head[:rows, ids].T,
             ),
             _part_bound(
                 tail,
-                self._upper_tail[node, :width],
-                self._lower_tail[node, :width],
+                self._upper_tail[ids, :width],
+                self._lower_tail[ids, :width],
             ),
         )
 
@@ -888,38 +904,6 @@ class FrozenTSIndex:
         starts = self._leaf_offsets[ids]
         counts = self._leaf_offsets[ids + 1] - starts
         return self._positions[_concat_ranges(starts, counts)]
-
-    def _leaf_span(self, node: int) -> np.ndarray:
-        return self._positions[
-            self._leaf_offsets[node]:self._leaf_offsets[node + 1]
-        ]
-
-    def _child_block(self, node: int) -> tuple[np.ndarray, slice]:
-        """Child ids of one internal node, and the one id range they
-        occupy (it picks their head columns and tail rows as zero-copy
-        slices of both parts)."""
-        start = int(self._children_offsets[node])
-        stop = int(self._children_offsets[node + 1])
-        return self._children[start:stop], slice(start + 1, stop + 1)
-
-    def _block_keep(
-        self,
-        lo: tuple[np.ndarray, np.ndarray],
-        hi: tuple[np.ndarray, np.ndarray],
-        picked: slice,
-    ) -> np.ndarray:
-        """:meth:`_frontier_keep`'s predicate over one
-        :meth:`_child_block`. A node's fan-out is small, so there is
-        nothing to abandon early: both parts are compared in full, and
-        as views that is half the dispatches of the two-phase pass."""
-        (lo_head, lo_tail), (hi_head, hi_tail) = lo, hi
-        inside = self._upper_head[: lo_head.size, picked] >= lo_head[:, None]
-        inside &= self._lower_head[: lo_head.size, picked] <= hi_head[:, None]
-        keep = inside.all(axis=0)
-        inside = self._upper_tail[picked, : lo_tail.size] >= lo_tail
-        inside &= self._lower_tail[picked, : lo_tail.size] <= hi_tail
-        keep &= inside.all(axis=1)
-        return keep
 
     # ------------------------------------------------------------------
     # Threshold search (Algorithm 1, level-synchronous)
@@ -1196,194 +1180,90 @@ class FrozenTSIndex:
         return batch_result(results, epsilon)
 
     # ------------------------------------------------------------------
-    # k-NN (best-first over the flat arrays)
+    # k-NN and existence: both ride the threshold walk
     # ------------------------------------------------------------------
     def knn(
         self, query: npt.ArrayLike, k: int, *, exclude: tuple[int, int] | None = None
     ) -> SearchResult:
-        """The ``k`` windows nearest to ``query`` in Chebyshev distance.
+        """The ``k`` windows nearest to ``query`` in Chebyshev distance,
+        ties at the k-th distance broken by smallest position (the rank
+        :class:`repro.engine.ShardedTSIndex`'s shard merge uses too).
 
-        Best-first over the flat arrays: nodes are expanded in order of
-        their Eq. 2 lower bound (one vectorized reduction per expanded
-        node), and expansion stops once the bound exceeds the current
-        k-th best exact distance — the standard optimal R-tree NN
-        argument carries over because Eq. 2 lower-bounds the exact
-        distance of every window under the node (Lemma 1).
+        A :meth:`search` walk at a seeded radius ``ε₀``: the ``k``-th
+        smallest exact distance among the eligible windows under the
+        :meth:`_seed_leaves`. ``ε₀`` is the distance of ``k`` real
+        windows, so every true neighbour, and every window tied with the
+        ``k``-th, is a twin at ``ε₀``; the twins are ranked by
+        ``(distance, position)`` and the first ``k`` kept. When the seed
+        leaves hold fewer than ``k`` eligible windows (``k`` near the
+        size, or ``exclude`` covering them), the answer is the planner's
+        exact scan, :func:`~repro.query.planner.scan_knn`. The counters
+        are the seed's (its leaves and windows) plus the walk's.
 
-        Ties at the k-th distance are broken by smallest position, so
-        the answer is a deterministic function of the data — and agrees
-        exactly with :class:`repro.engine.ShardedTSIndex`'s shard merge,
-        which ranks by ``(distance, position)``.
-
-        ``exclude`` removes the half-open position range ``[a, b)`` from
-        consideration — the *exclusion zone* used by matrix-profile
-        style self joins to skip trivial matches of a query with its own
-        overlapping windows.
-
+        ``exclude`` removes the half-open position range ``[a, b)`` —
+        the *exclusion zone* matrix-profile style self joins use to skip
+        a query's trivial matches with its own overlapping windows.
         Queries shorter than ``l`` dispatch to the pipeline's exact
         prefix scan (ranked by the same tie-break, tail included).
         """
         if is_prefix_query(query, self._source.length):
             from ..query import QuerySpec, execute
 
-            return execute(
-                self,
-                QuerySpec(query=query, mode="knn", k=k, exclude=exclude),
-            )
+            spec = QuerySpec(query=query, mode="knn", k=k, exclude=exclude)
+            return execute(self, spec)
         k = check_positive_int(k, name="k")
-        query = self._prepare_query(query)
-        if exclude is not None:
-            exclude_start, exclude_stop = int(exclude[0]), int(exclude[1])
-            if exclude_start > exclude_stop:
-                raise InvalidParameterError(
-                    f"exclude range must satisfy start <= stop, got {exclude}"
-                )
+        prepared = self._prepare_query(query)
+        exclude = normalize_exclude(exclude)
         stats = QueryStats()
         if self.node_count == 0:
             return SearchResult.empty(stats)
 
-        frontier: list[tuple[float, int]] = [
-            (float(self._node_bound(query, 0)), 0)
-        ]
-        head, tail = _head_tail(query)
-        # Max-heap of the best k ((distance, position) both negated, so
-        # ties at the k-th distance resolve to the smallest positions).
-        best: list[tuple[float, int]] = []
+        def eligible(positions: np.ndarray) -> np.ndarray:
+            if exclude is None:
+                return positions
+            return positions[(positions < exclude[0]) | (positions >= exclude[1])]
 
-        def kth() -> float:
-            return -best[0][0] if len(best) == k else np.inf
+        leaves = self._seed_leaves(prepared)
+        seed = eligible(self._leaf_positions(leaves))
+        if seed.size < k:
+            from ..query.planner import scan_knn  # lazy: planner imports core
 
-        while frontier:
-            bound, node = heapq.heappop(frontier)
-            if bound > kth():
-                stats.nodes_pruned += 1
-                continue
-            stats.nodes_visited += 1
-            if self._kinds[node] == 1:
-                stats.leaves_accessed += 1
-                positions = self._leaf_span(node)
-                if exclude is not None:
-                    keep = (positions < exclude_start) | (
-                        positions >= exclude_stop
-                    )
-                    positions = positions[keep]
-                    if positions.size == 0:
-                        continue
-                block = self._source.windows(positions)
-                profile = np.max(np.abs(block - query), axis=1)
-                stats.candidates += positions.size
-                stats.verified += positions.size
-                for distance, position in zip(
-                    profile.tolist(), positions.tolist()
-                ):
-                    entry = (-float(distance), -int(position))
-                    if len(best) < k:
-                        heapq.heappush(best, entry)
-                    elif entry > best[0]:
-                        heapq.heapreplace(best, entry)
-            else:
-                # A node's fan-out is small, so every child is bounded in
-                # full (in float64, see :meth:`_node_bound`) — the bound
-                # is needed as the queue priority anyway.
-                child_ids, picked = self._child_block(node)
-                bounds = np.maximum(
-                    _part_bound(
-                        head,
-                        self._upper_head[:, picked].T,
-                        self._lower_head[:, picked].T,
-                    ),
-                    _part_bound(
-                        tail, self._upper_tail[picked], self._lower_tail[picked]
-                    ),
-                )
-                keep = bounds <= kth()
-                stats.nodes_pruned += int(
-                    child_ids.size - np.count_nonzero(keep)
-                )
-                for child_bound, child in zip(
-                    bounds[keep].tolist(), child_ids[keep].tolist()
-                ):
-                    heapq.heappush(frontier, (child_bound, child))
+            return scan_knn(self._source, query, k, exclude=exclude)
+        stats.leaves_accessed = int(leaves.size)
+        stats.candidates = stats.verified = int(seed.size)
+        # The verifier's own arithmetic, so the k windows the radius
+        # comes from verify within it.
+        distances = np.max(np.abs(self._source.windows(seed) - prepared), axis=1)
+        epsilon = float(np.partition(distances, k - 1)[k - 1])
+        candidates = eligible(self._collect_candidates(prepared, epsilon, stats))
+        found = verify(self._source, prepared, candidates, epsilon, stats=stats)
+        order = np.lexsort((found.positions, found.distances))[:k]
+        stats.matches = int(order.size)
+        return SearchResult(found.positions[order], found.distances[order], stats)
 
-        ranked = sorted(
-            (-negated, -negated_position)
-            for negated, negated_position in best
-        )
-        stats.matches = len(ranked)
-        return SearchResult(
-            positions=np.asarray([p for _, p in ranked], dtype=POSITION_DTYPE),
-            distances=np.asarray([d for d, _ in ranked], dtype=FLOAT_DTYPE),
-            stats=stats,
-        )
+    def _seed_leaves(self, query: np.ndarray) -> np.ndarray:
+        """The leaves a greedy descent toward ``query`` reaches: from
+        the root down, the :data:`_SEED_WIDTH` children of smallest
+        :meth:`_node_bound` are kept per level."""
+        ids = np.zeros(1, dtype=np.int64)
+        leaves: list[np.ndarray] = []
+        while ids.size:
+            is_leaf = self._kinds[ids] == 1
+            leaves.append(ids[is_leaf])
+            ids = self._children_of(ids[~is_leaf])[0]
+            if ids.size > _SEED_WIDTH:
+                ids = ids[np.argsort(self._node_bound(query, ids), kind="stable")[:_SEED_WIDTH]]
+        return np.concatenate(leaves)
 
-    # ------------------------------------------------------------------
-    # Existence (early-exit decision procedure)
-    # ------------------------------------------------------------------
     def exists(
         self, query: npt.ArrayLike, epsilon: float, *, stats: QueryStats | None = None
     ) -> bool:
-        """Whether *any* twin exists, with early exit (extension).
-
-        Unlike :meth:`search`, qualifying leaves are verified as soon as
-        they are reached and the traversal stops at the first twin —
-        the cheapest possible decision procedure for questions like
-        "has this pattern occurred before?".
-
-        Pass a :class:`QueryStats` to receive the traversal counters
-        (nodes visited/pruned, leaves accessed, candidates verified;
-        ``matches`` is 1 when a twin was found). Queries shorter than
-        ``l`` derive from :meth:`search_varlength` (its counters land in
-        ``stats`` too).
-        """
-        if is_prefix_query(query, self._source.length):
-            result = self.search_varlength(query, epsilon)
-            merge_exists_stats(stats, result)
-            return len(result) > 0
-        epsilon = check_non_negative(epsilon, name="epsilon")
-        query = self._prepare_query(query)
-        stats = stats if stats is not None else QueryStats()
-        if self.node_count == 0:
-            return False
-
-        stats.nodes_visited += 1
-        if self._node_bound(query, 0) > epsilon:
-            stats.nodes_pruned += 1
-            return False
-        if self._kinds[0] == 1:
-            return self._leaf_has_twin(0, query, epsilon, stats)
-
-        lo, hi = map(_head_tail, _thresholds(query, epsilon))
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            child_ids, picked = self._child_block(node)
-            keep = self._block_keep(lo, hi, picked)
-            stats.nodes_visited += int(child_ids.size)
-            for survives, child in zip(keep.tolist(), child_ids.tolist()):
-                if not survives:
-                    stats.nodes_pruned += 1
-                    continue
-                if self._kinds[child] == 1:
-                    if self._leaf_has_twin(child, query, epsilon, stats):
-                        return True
-                else:
-                    stack.append(child)
-        return False
-
-    def _leaf_has_twin(
-        self, node: int, query: np.ndarray, epsilon: float, stats: QueryStats
-    ) -> bool:
-        stats.leaves_accessed += 1
-        positions = self._leaf_span(node)
-        block = self._source.windows(positions)
-        stats.candidates += int(positions.size)
-        stats.verified += int(positions.size)
-        found = bool(
-            np.any(np.max(np.abs(block - query), axis=1) <= epsilon)
-        )
-        if found:
-            stats.matches += 1
-        return found
+        """Whether *any* twin exists (extension): whether :meth:`search`
+        returns one, queries shorter than ``l`` included. Pass a
+        :class:`QueryStats` to receive that search's counters."""
+        result = self.search(query, epsilon)
+        merge_exists_stats(stats, result)
+        return len(result) > 0
 
     # ------------------------------------------------------------------
     def _prepare_query(self, query: npt.ArrayLike) -> np.ndarray:

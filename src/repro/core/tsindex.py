@@ -12,8 +12,9 @@ than ``ε`` away from the query (Lemma 1 / Algorithm 1).
 That is all the pointer tree implements (:mod:`repro.core.bulkload`
 builds the flat form bottom-up instead). The library's extensions —
 k-NN, ``exists``, batches, prefix queries — live on the flat arrays of
-:class:`~repro.core.frozen.FrozenTSIndex`, which the tree reaches
-through a memoised :meth:`TSIndex.freeze`.
+:class:`~repro.core.frozen.FrozenTSIndex` (all but batches as its one
+level walk), which the tree reaches through a memoised
+:meth:`TSIndex.freeze`.
 """
 
 from __future__ import annotations
@@ -169,8 +170,9 @@ class TSIndex:
     :class:`~repro.core.windows.WindowSource`), then answer threshold
     queries with :meth:`search` (Algorithm 1 over the node pointers).
 
-    :meth:`knn`, :meth:`exists`, :meth:`search_batch` and
-    :meth:`search_varlength` run on the flat form: each takes the
+    :meth:`knn` (a flat-form search at a seeded radius), :meth:`exists`
+    (whether the flat-form search finds a twin), :meth:`search_batch`
+    and :meth:`search_varlength` run on the flat form: each takes the
     :meth:`freeze` snapshot, which is built on first use, kept until
     the next :meth:`insert` and shared with every :meth:`freeze`
     caller. Alternating inserts with those four therefore re-flattens
@@ -693,10 +695,10 @@ class TSIndex:
     def exists(
         self, query: npt.ArrayLike, epsilon: float, *, stats: QueryStats | None = None
     ) -> bool:
-        """Whether *any* twin exists, stopping at the first
-        (:meth:`FrozenTSIndex.exists
+        """Whether *any* twin exists: whether the flat form's search
+        finds one (:meth:`FrozenTSIndex.exists
         <repro.core.frozen.FrozenTSIndex.exists>`; ``stats`` receives
-        its traversal counters)."""
+        that search's counters)."""
         return self.freeze().exists(query, epsilon, stats=stats)
 
     def knn(

@@ -570,7 +570,9 @@ class QueryEngine:
 
     def exists(self, name: str, query: Any, epsilon: float) -> bool:
         """Whether the named plane holds any twin of ``query`` within
-        ``epsilon`` (early-exit on planes with a native ``exists``)."""
+        ``epsilon`` (the plane's native ``exists`` where it has one, a
+        search otherwise; partitioned planes stop at the first part
+        with a twin)."""
         return self._call(
             name, QuerySpec(query=query, mode="exists", epsilon=epsilon)
         )

@@ -29,7 +29,8 @@ CAP_SEARCH = "search"
 #: ``(distance, position)`` tie-break.
 CAP_KNN = "knn"
 
-#: Native ``exists(query, epsilon)`` (early-exit membership probe).
+#: Native ``exists(query, epsilon)`` membership probe (the flat
+#: TS-Index answers it as whether its own ``search`` finds a twin).
 CAP_EXISTS = "exists"
 
 #: Native ``count(query, epsilon)`` that beats re-running ``search``

@@ -130,8 +130,9 @@ def prefix_search_part(
 
 
 def merge_exists_stats(stats: QueryStats | None, result: SearchResult) -> None:
-    """Accumulate a search's counters into a caller-provided ``stats``
-    (the ``exists(..., stats=)`` affordance on the prefix path)."""
+    """Accumulate a search's counters into a caller-provided ``stats``,
+    if any: the ``exists(..., stats=)`` affordance of a plane whose
+    ``exists`` is whether ``search`` finds a twin."""
     if stats is None:
         return
     merged = stats.merge(result.stats)
@@ -173,7 +174,7 @@ def scan_prefix_knn(
     """Exact k-NN over every ``m``-window (tail included), ranked by the
     library-wide ``(distance, position)`` tie-break — the one
     variable-length k-NN kernel (every plane serves it; prefix pruning
-    buys nothing without a best-first bound over unindexed tails)."""
+    buys nothing without a bound over the unindexed tails)."""
     from .planner import scan_knn  # lazy: planner imports this module
 
     query = prepare_values(source, query, varlength=True)

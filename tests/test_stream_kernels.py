@@ -5,8 +5,7 @@
   and distances must be *bitwise* equal;
 * the filter kernel (:meth:`FrozenTSIndex._frontier_keep`: a head pass
   over the frontier — span view or gather — then the survivors' tail
-  rows; and ``_block_keep``, its one-shot form over a node's children)
-  against the unblocked ``(U >= lo) & (L <= hi)`` over every timestamp,
+  rows) against the unblocked ``(U >= lo) & (L <= hi)`` over every timestamp,
   which in turn keeps every node the exact float64 bound
   ``np.maximum(q - U, L - q).max(0) <= ε`` keeps;
 * frozen-vs-pointer counters on a bulk-loaded tree, with every frontier
@@ -353,11 +352,6 @@ class TestPruneKernel:
                 for name, ids in frontiers.items():
                     kept = frontier_keep(index, lo, hi, ids)
                     assert np.array_equal(kept, expected[ids]), (m, name)
-                # ``exists``' one-shot form of the same predicate, over a
-                # child block's id range.
-                parts = frozen_module._head_tail(lo), frozen_module._head_tail(hi)
-                kept = index._block_keep(*parts, slice(5, 200))
-                assert np.array_equal(kept, expected[5:200]), m
         # The tail phase is doing something wherever there is a tail.
         assert head_differs == (length > 1)
 
