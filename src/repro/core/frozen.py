@@ -139,7 +139,7 @@ from ..query.varlength import (
 from .batch import BatchResult
 from .mbts import ENVELOPE_DTYPE, MBTS, round_down_f32, round_up_f32
 from .stats import BuildStats, QueryStats, SearchResult
-from .verification import check_mode, verify
+from .verification import check_mode, exact_distances, guarded_bounds, verify
 from .windows import WindowSource
 
 if TYPE_CHECKING:  # runtime import would be circular; tsindex imports us
@@ -189,17 +189,6 @@ _SPAN_FACTOR = 5
 #: of the best on both. Answers do not depend on it.
 _SEED_WIDTH = 16
 
-#: Widening of the query thresholds, in float64 spacings of
-#: ``|q| + ε``. The verifier admits a window when ``fl(|q - w|) <= ε``,
-#: which real arithmetic reads as ``w >= q - ε - ulp(ε)/2``; the
-#: threshold ``fl(q - ε)`` may itself sit half a spacing *above*
-#: ``q - ε``, and subtracting the guard rounds once more. Both halves
-#: and that rounding fit inside two spacings of ``|q| + ε``; four is the
-#: margin. Without it an exact twin can be pruned: ``q = ε = 1`` and a
-#: reading ``w = -1e-17`` verify (``fl(1 + 1e-17) = 1``) against a bare
-#: threshold ``fl(q - ε) = 0 > w``.
-_GUARD_SPACINGS = 4.0
-
 #: Names of the flat arrays a frozen index is made of (the serializer
 #: round-trips exactly this set).
 ARRAY_FIELDS = (
@@ -244,14 +233,11 @@ def _thresholds(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-timestamp float32 bounds ``(lo, hi)`` such that an envelope
     ``(U, L)`` can hold a twin of ``query`` at ``epsilon`` only if
-    ``U >= lo`` and ``L <= hi`` everywhere: ``q ∓ ε`` computed in
-    float64, widened by :data:`_GUARD_SPACINGS` and rounded outward.
+    ``U >= lo`` and ``L <= hi`` everywhere: the refine kernel's
+    :func:`~repro.core.verification.guarded_bounds`, rounded outward.
     Works elementwise, so a ``(q, l)`` query matrix gives matrices."""
-    guard = _GUARD_SPACINGS * np.spacing(np.abs(query) + epsilon)
-    return (
-        round_down_f32(query - epsilon - guard),
-        round_up_f32(query + epsilon + guard),
-    )
+    lo, hi = guarded_bounds(query, epsilon)
+    return round_down_f32(lo), round_up_f32(hi)
 
 
 @functools.lru_cache(maxsize=64)
@@ -1231,9 +1217,9 @@ class FrozenTSIndex:
             return scan_knn(self._source, query, k, exclude=exclude)
         stats.leaves_accessed = int(leaves.size)
         stats.candidates = stats.verified = int(seed.size)
-        # The verifier's own arithmetic, so the k windows the radius
+        # The verifier's own exact pass, so the k windows the radius
         # comes from verify within it.
-        distances = np.max(np.abs(self._source.windows(seed) - prepared), axis=1)
+        distances = exact_distances(self._source, prepared, seed)
         epsilon = float(np.partition(distances, k - 1)[k - 1])
         candidates = eligible(self._collect_candidates(prepared, epsilon, stats))
         found = verify(self._source, prepared, candidates, epsilon, stats=stats)

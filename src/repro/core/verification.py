@@ -5,16 +5,20 @@ the exact Chebyshev distance of each candidate to the query and keeps the
 twins. Two interchangeable strategies are provided:
 
 * :func:`verify_positions` — *streaming reordering early abandoning*,
-  the vectorized form of the UCR-suite check the paper adopts.
-  Timestamps are visited by decreasing query magnitude; for each one the
-  kernel reads the 1-D column ``values[alive + t]`` straight from the
-  source's value buffer, folds ``|x - q_t|`` into a running maximum and
-  compacts the still-alive candidates, so the window matrix of the
-  candidates it rejects is never built. At :data:`GATHER_BELOW`
-  survivors the outstanding timestamps are finished in one small gather.
-  Every candidate set goes through it: a tree's leaves, KV-Index's
-  interval runs (expanded to positions) and the sweepline's every
-  position alike.
+  the vectorized form of the UCR-suite check the paper adopts, in two
+  steps. First a walk that only compares: timestamps are visited by
+  decreasing query magnitude, and for each one the kernel reads the 1-D
+  column ``values[alive + t]`` straight from the source's value buffer
+  and keeps the candidates inside ``[lo_t, hi_t]``, the query's
+  :func:`guarded_bounds` (``q_t ∓ ε`` widened by a few float64 spacings,
+  so the walk can keep extra candidates but never drops a twin). The
+  window matrix of the candidates it rejects is never built. Once the
+  survivors times the outstanding timestamps fit in
+  :data:`GATHER_BUDGET` elements, the walk stops and
+  :func:`exact_distances` computes the survivors' distances over every
+  timestamp in one bounded gather; ``distance <= ε`` decides. Every
+  candidate set goes through it: a tree's leaves, KV-Index's interval
+  runs (expanded to positions) and the sweepline's every position alike.
 * :func:`verify_positions_per_candidate` — one check per candidate, the
   paper's cost model.
 
@@ -45,10 +49,29 @@ from .windows import WindowSource
 #: are 1-D (``chunk * 8`` bytes each).
 STREAM_CHUNK = 1 << 16
 
-#: Survivor count at which the streaming kernel stops walking single
-#: timestamps and gathers the outstanding ones (below it, a NumPy
-#: dispatch per timestamp costs more than the elements it saves).
-GATHER_BELOW = 256
+#: Elements (survivors × outstanding timestamps) at or below which the
+#: streaming kernel stops walking single timestamps and finishes with
+#: :func:`exact_distances`, which also gathers in pieces of at most this
+#: many elements (below it, a NumPy dispatch per timestamp costs more
+#: than the elements it saves). Twinbench seed 1, 200,000 windows,
+#: 200 queries, verification only, budgets interleaved per query, best
+#: of 5 on a 2-core box, median ms twin_dense / twin_sparse: 4k →
+#: 0.81 / 0.164, 8k → 0.70 / 0.135, 16k → 0.66 / 0.129, 32k →
+#: 0.64 / 0.145, 64k → 0.66 / 0.187. It is a budget of elements, not
+#: of survivors: a query with hundreds of twins never gets below a
+#: fixed survivor count, and would walk every timestamp.
+GATHER_BUDGET = 1 << 14
+
+#: Widening of the query thresholds, in float64 spacings of
+#: ``|q| + ε``. The verifier admits a window when ``fl(|q - w|) <= ε``,
+#: which real arithmetic reads as ``w >= q - ε - ulp(ε)/2``; the
+#: threshold ``fl(q - ε)`` may itself sit half a spacing *above*
+#: ``q - ε``, and subtracting the guard rounds once more. Both halves
+#: and that rounding fit inside two spacings of ``|q| + ε``; four is the
+#: margin. Without it an exact twin can be dropped: ``q = ε = 1`` and a
+#: reading ``w = -1e-17`` verify (``fl(1 + 1e-17) = 1``) against a bare
+#: threshold ``fl(q - ε) = 0 > w``.
+_GUARD_SPACINGS = 4.0
 
 #: Verification strategies accepted by every method's ``search``:
 #: ``bulk`` — the streaming early-abandoning kernel (the default);
@@ -77,10 +100,10 @@ def _admit(
     stats: QueryStats | None,
 ) -> tuple[np.ndarray, float, QueryStats]:
     """Shared preamble of the position verifiers: validate ``ε`` and the
-    query length, sort the candidates, range-check them against the
+    query length, range-check the candidates (in any order) against the
     ``m``-windows of the value buffer, and count them."""
     epsilon = check_non_negative(epsilon, name="epsilon")
-    positions = np.sort(as_position_array(positions))
+    positions = as_position_array(positions)
     if query.size != source.length and (
         query.size > source.length or source._means is not None
     ):
@@ -89,15 +112,28 @@ def _admit(
             f"{source!r}"
         )
     count = source.values.size - query.size + 1
-    if positions.size and (positions[0] < 0 or positions[-1] >= count):
-        raise InvalidParameterError(
-            f"positions must lie in [0, {count}); got range "
-            f"[{positions[0]}, {positions[-1]}]"
-        )
+    if positions.size:
+        first, last = int(positions.min()), int(positions.max())
+        if first < 0 or last >= count:
+            raise InvalidParameterError(
+                f"positions must lie in [0, {count}); got range "
+                f"[{first}, {last}]"
+            )
     stats = stats if stats is not None else QueryStats()
     stats.candidates += int(positions.size)
     stats.verified += int(positions.size)
     return positions, epsilon, stats
+
+
+def guarded_bounds(
+    query: np.ndarray, epsilon: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 thresholds ``(lo, hi)``: every value ``w`` the verifier
+    admits at a timestamp (``fl(|w - q_t|) <= ε``) lies in
+    ``[lo_t, hi_t]`` — ``q ∓ ε`` widened by :data:`_GUARD_SPACINGS`.
+    Works elementwise, so a ``(q, l)`` query matrix gives matrices."""
+    guard = _GUARD_SPACINGS * np.spacing(np.abs(query) + epsilon)
+    return query - epsilon - guard, query + epsilon + guard
 
 
 def verify_positions(
@@ -117,62 +153,80 @@ def verify_positions(
     """
     positions, epsilon, stats = _admit(source, query, positions, epsilon, stats)
     order = reorder_by_magnitude(query)
+    lo, hi = guarded_bounds(query[order], epsilon)
+    walk = list(zip(order.tolist(), lo.tolist(), hi.tolist()))
     matched_positions: list[np.ndarray] = []
     matched_distances: list[np.ndarray] = []
     for start, stop in iter_chunks(positions.size, chunk_size):
-        alive, distances = _stream(
-            source, query, order, positions[start:stop], epsilon
-        )
-        if alive.size:
-            matched_positions.append(alive)
-            matched_distances.append(distances)
+        alive = _stream(source, walk, positions[start:stop])
+        distances = exact_distances(source, query, alive)
+        keep = distances <= epsilon
+        if keep.any():
+            matched_positions.append(alive[keep])
+            matched_distances.append(distances[keep])
     return _collect(matched_positions, matched_distances, stats)
 
 
 def _stream(
     source: WindowSource,
-    query: np.ndarray,
-    order: np.ndarray,
+    walk: list[tuple[int, float, float]],
     alive: np.ndarray,
-    epsilon: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The twins among the (range-checked) positions ``alive`` and their
-    distances, by streaming early abandoning over ``order``."""
+) -> np.ndarray:
+    """The (range-checked) positions ``alive`` whose values stay inside
+    ``[lo, hi]`` at each ``(timestamp, lo, hi)`` of ``walk``, visited in
+    order until the survivors times the outstanding timestamps fit in
+    :data:`GATHER_BUDGET`. A superset of the twins among ``alive``."""
     values = source.values
-    running = np.zeros(alive.size)
     scaled = source._means is not None
     if scaled:
         means = source._means[alive]
         stds = source._stds[alive]
-    for step, timestamp in enumerate(order.tolist()):
-        if alive.size <= GATHER_BELOW:
-            rest = order[step:]
-            block = values[alive[:, None] + rest]
-            if scaled:
-                block -= means[:, None]
-                block /= stds[:, None]
-            block -= query[rest]
-            np.abs(block, out=block)
-            np.maximum(running, block.max(axis=1), out=running)
-            keep = running <= epsilon
-            return alive[keep], running[keep]
+    outstanding = len(walk)
+    for timestamp, lo, hi in walk:
+        if alive.size * outstanding <= GATHER_BUDGET:
+            break
+        outstanding -= 1
         # values[timestamp:][alive] is values[alive + timestamp] without
         # the index temporary.
         column = values[timestamp:][alive]
         if scaled:
             column -= means
             column /= stds
-        column -= query[timestamp]
-        np.abs(column, out=column)
-        np.maximum(running, column, out=running)
-        keep = running <= epsilon
-        if not keep.all():
-            alive = alive[keep]
-            running = running[keep]
-            if scaled:
-                means = means[keep]
-                stds = stds[keep]
-    return alive, running
+        keep = column >= lo
+        keep &= column <= hi
+        # compress: cheaper than boolean indexing on a 1-D array
+        alive = alive.compress(keep)
+        if scaled:
+            means = means.compress(keep)
+            stds = stds.compress(keep)
+    return alive
+
+
+def exact_distances(
+    source: WindowSource, query: np.ndarray, positions: np.ndarray
+) -> np.ndarray:
+    """The exact Chebyshev distance of the ``m``-window at each of
+    ``positions`` (in range, any order) to ``query`` — ``|x - q|``, or
+    ``|(x - μ) / σ - q|`` under per-window normalisation — gathered in
+    pieces of at most :data:`GATHER_BUDGET` elements. ``max`` is exact,
+    so no order of the timestamps could give another distance."""
+    m = query.size
+    view = (
+        source._view
+        if m == source.length
+        else np.lib.stride_tricks.sliding_window_view(source.values, m)
+    )
+    distances = np.empty(positions.size)
+    for start, stop in iter_chunks(positions.size, max(1, GATHER_BUDGET // m)):
+        piece = positions[start:stop]
+        block = view[piece]
+        if source._means is not None:
+            block -= source._means[piece, None]
+            block /= source._stds[piece, None]
+        block -= query
+        np.abs(block, out=block)
+        block.max(axis=1, out=distances[start:stop])
+    return distances
 
 
 def verify_positions_per_candidate(
@@ -192,6 +246,7 @@ def verify_positions_per_candidate(
     Results are identical to :func:`verify_positions`.
     """
     positions, epsilon, stats = _admit(source, query, positions, epsilon, stats)
+    positions = np.sort(positions)
     values = source.values
     scaled = source._means is not None
     matched: list[int] = []

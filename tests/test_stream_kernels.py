@@ -22,7 +22,8 @@ from repro.core.mbts import round_down_f32, round_up_f32
 from repro.core.stats import BuildStats
 from repro.core.tsindex import TSIndexParams
 from repro.core.verification import (
-    GATHER_BELOW,
+    GATHER_BUDGET,
+    STREAM_CHUNK,
     VERIFICATION_MODES,
     verify,
     verify_positions,
@@ -34,6 +35,10 @@ from repro.query.varlength import scan_prefix_search
 from conftest import LENGTH
 
 REGIMES = ("none", "global", "per_window")
+
+#: A window length that divides the refine kernel's budget.
+CUT_LENGTH = 64
+assert GATHER_BUDGET % CUT_LENGTH == 0
 
 
 def brute_force(source, query, positions, epsilon):
@@ -62,15 +67,46 @@ def assert_matches_brute_force(source, query, positions, epsilon):
         assert result.stats.matches == expected_positions.size
 
 
+def exactly_epsilon_case(source_of, series_values, case):
+    """``(source, query)`` for the exactly-ε checks: a regime's source
+    and one of its windows, the raw series offset by 1e6 (the guard is
+    spacings of ``|q| + ε``, large there), or a cancellation: ``q = 1``
+    against a reading of ``-1e-17`` in window 900 verifies at ``ε = 1``
+    (``fl(1 + 1e-17) = 1``) but lies below a bare ``fl(q - ε) = 0``."""
+    if case == "offset":
+        source = WindowSource(series_values + 1e6, LENGTH, "none")
+    elif case == "cancellation":
+        values = np.zeros(series_values.size)
+        values[905] = -1e-17
+        query = np.zeros(LENGTH)
+        query[5] = 1.0
+        return WindowSource(values, LENGTH, "none"), query
+    else:
+        source = source_of(case)
+    return source, source.window(10).copy()
+
+
 class TestRefineKernel:
     @pytest.mark.parametrize("regime", REGIMES)
     @pytest.mark.parametrize(
-        "count", [1, GATHER_BELOW - 1, GATHER_BELOW, GATHER_BELOW + 1, None]
+        # candidates × m at GATHER_BUDGET - m, GATHER_BUDGET and
+        # GATHER_BUDGET + m (finished at once, or after a walk), every
+        # window, and every window repeated past one STREAM_CHUNK (at
+        # the largest ε all are twins: the exact pass runs in pieces)
+        "count",
+        [
+            1,
+            GATHER_BUDGET // CUT_LENGTH - 1,
+            GATHER_BUDGET // CUT_LENGTH,
+            GATHER_BUDGET // CUT_LENGTH + 1,
+            None,
+            STREAM_CHUNK + 1,
+        ],
     )
     def test_both_sides_of_the_cut_over(self, source_of, regime, count):
-        source = source_of(regime)
+        source = source_of(regime, CUT_LENGTH)
         query = source.window(700).copy()
-        positions = np.arange(source.count)[:count]
+        positions = np.resize(np.arange(source.count), count or source.count)
         distances = brute_force(source, query, positions, np.inf)[1]
         for epsilon in (0.0, float(np.median(distances)), float(distances.max())):
             assert_matches_brute_force(source, query, positions, epsilon)
@@ -83,27 +119,31 @@ class TestRefineKernel:
         assert 1234 in result.positions
         assert np.all(result.distances == 0.0)
 
-    @pytest.mark.parametrize("regime", REGIMES)
-    def test_distance_exactly_epsilon_is_a_twin(self, source_of, regime):
-        source = source_of(regime)
-        query = source.window(10).copy()
+    @pytest.mark.parametrize("case", REGIMES + ("offset", "cancellation"))
+    def test_distance_exactly_epsilon_is_a_twin(
+        self, source_of, series_values, case
+    ):
+        source, query = exactly_epsilon_case(source_of, series_values, case)
         positions = np.arange(source.count)
         distances = brute_force(source, query, positions, np.inf)[1]
         for target in (5, 900, source.count - 1):
             epsilon = float(distances[target])
-            result = verify(source, query, positions, epsilon)
-            assert target in result.positions
-            below = verify(
-                source, query, positions, float(np.nextafter(epsilon, 0.0))
-            )
-            assert target not in below.positions
+            below = float(np.nextafter(epsilon, 0.0))
+            # Every window, then the target alone in numbers that make
+            # the walk compare it at every timestamp.
+            for candidates in (positions, np.full(GATHER_BUDGET + 1, target)):
+                result = verify(source, query, candidates, epsilon)
+                assert target in result.positions
+                assert target not in verify(
+                    source, query, candidates, below
+                ).positions
 
     @pytest.mark.parametrize("regime", REGIMES)
     def test_unsorted_and_duplicated_candidates(self, source_of, regime):
         source = source_of(regime)
         rng = np.random.default_rng(3)
         query = source.window(2000).copy()
-        positions = rng.integers(0, source.count, size=4 * GATHER_BELOW)
+        positions = rng.integers(0, source.count, size=1024)
         positions = np.concatenate((positions, positions[:50], [2000, 2000]))
         distances = brute_force(source, query, positions, np.inf)[1]
         assert_matches_brute_force(
@@ -114,7 +154,7 @@ class TestRefineKernel:
         query = source_global.window(300).copy()
         positions = np.arange(source_global.count)
         expected = brute_force(source_global, query, positions, 0.8)
-        for chunk_size in (1, 7, GATHER_BELOW + 1):
+        for chunk_size in (1, 7, 257):
             result = verify_positions(
                 source_global, query, positions, 0.8, chunk_size=chunk_size
             )
