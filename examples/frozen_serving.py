@@ -3,8 +3,9 @@
 Demonstrates :class:`repro.core.frozen.FrozenTSIndex` end to end —
 build a dynamic TS-Index (the structure that accepts inserts), freeze
 it into the flat array-backed query plane, check the answers are
-byte-identical, run a batched workload through one shared traversal,
-and round-trip the flat arrays through an mmap-able archive directory.
+byte-identical, run a batched workload through one shared level walk
+(each member checked against a lone ``search`` of its query), and
+round-trip the flat arrays through an mmap-able archive directory.
 Every answer is checked: the script fails on any mismatch.
 
 Run:  python examples/frozen_serving.py
@@ -46,7 +47,7 @@ def main() -> None:
     print(f"nearest 5: {frozen.knn(query, 5).positions.tolist()}")
     print(f"any twin within 0.05? {frozen.exists(query, 0.05)}")
 
-    # --- a batched workload shares one traversal ----------------------
+    # --- a batched workload shares one level walk ---------------------
     rng = np.random.default_rng(3)
     workload = [
         frozen.source.window(int(p))
@@ -60,6 +61,13 @@ def main() -> None:
         f"({batch.total_matches} twins, "
         f"{len(workload) / elapsed:.0f} q/s)"
     )
+    for member, alone in zip(
+        batch.results, (frozen.search(q, epsilon) for q in workload)
+    ):
+        assert np.array_equal(member.positions, alone.positions)
+        assert np.array_equal(member.distances, alone.distances)
+        assert member.stats.as_dict() == alone.stats.as_dict()
+    print("batch == per-query search: True (positions, distances, counters)")
 
     # --- persistence: the flat arrays round-trip natively -------------
     with tempfile.TemporaryDirectory() as tmp:

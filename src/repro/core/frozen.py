@@ -25,9 +25,10 @@ built once, a level's frontier is a mask over that range, and the next
 level's frontier is that mask repeated by each node's child count. The
 Eq. 2 bound of the entire frontier against the query (``U >= Q - ε``
 and ``L <= Q + ε`` at every timestamp) is a two-phase pass of a few
-NumPy comparisons per level instead of one Python call per node, and
-:meth:`FrozenTSIndex.search_batch` extends the same idea to a
-``(query, node)`` pair frontier so many queries share one traversal.
+NumPy comparisons per level instead of one Python call per node. The
+walk also takes a matrix of queries, so :meth:`FrozenTSIndex.search_batch`
+shares its per-level setup across a workload, each query keeping its
+own frontier.
 
 The filter only has to be *conservative*: verification reads the
 float64 source, so a node kept needlessly costs time, never an answer.
@@ -87,10 +88,11 @@ bound clears ``ε`` by less than the float32 rounding step is visited
 rather than pruned. ``knn`` / ``exists`` / ``search_batch`` /
 ``search_varlength`` exist here only (the pointer tree answers them
 through its :meth:`~repro.core.tsindex.TSIndex.freeze` snapshot), and
-the same suites hold them to brute-force Chebyshev scans. All but
-``search_batch`` ride that one level walk: ``exists`` is whether
-``search`` finds a twin, and ``knn`` a ``search`` at a seeded radius
-(the ``k``-th distance under a greedy descent's leaves), ranked.
+the same suites hold them to brute-force Chebyshev scans. All of them
+ride that one level walk: ``search_batch`` walks its queries together,
+``exists`` is whether ``search`` finds a twin, and ``knn`` a ``search``
+at a seeded radius (the ``k``-th distance under a greedy descent's
+leaves), ranked.
 
 Lifecycle: either **insert** into the dynamic tree and **freeze** it
 once writes stop, or **bulk load** (:mod:`~repro.core.bulkload`), which
@@ -145,11 +147,6 @@ from .windows import WindowSource
 if TYPE_CHECKING:  # runtime import would be circular; tsindex imports us
     from .tsindex import TSIndex, TSIndexParams, _Node
 
-#: Largest (query, node) pair count a batched level evaluates through
-#: the gathered pair kernel; bigger levels switch to per-query passes
-#: over contiguous envelope spans (less copying, same results).
-_PAIR_KERNEL_LIMIT = 4096
-
 #: Every ``_HEAD_STRIDE``-th timestamp (0, 4, 8, ...) of an envelope is
 #: held in the timestamp-major *head*; the others, ascending, in the
 #: node-major *tail* (see the module docstring). Not a setting: strides
@@ -159,8 +156,7 @@ _HEAD_STRIDE = 4
 
 #: A frontier covering at least ``1 / _SPAN_FACTOR`` of its id span
 #: takes its head pass over the zero-copy span view; a sparser one
-#: gathers its own columns (:meth:`FrozenTSIndex._level_keep`,
-#: :meth:`FrozenTSIndex._frontier_keep`). The
+#: gathers its own columns (:meth:`FrozenTSIndex._level_keep`). The
 #: view costs the span, the gather the ids: on a 9,091-id span the view
 #: pass takes 90–125 µs at any density, the ``np.take`` pass 582 µs at
 #: 1×, 232 at 2×, 162 at 5×, 102 at 8×, 71 at 12×, 37 at 20× (fancy
@@ -449,7 +445,7 @@ class FrozenTSIndex:
     method_name = "frozen"
 
     #: Native kernels the query planner may call directly (the whole
-    #: read-only surface, including the batched traversal).
+    #: read-only surface, including the batched level walk).
     capabilities = frozenset(
         {
             CAP_SEARCH,
@@ -786,45 +782,6 @@ class FrozenTSIndex:
         inside &= lower <= hi_head[:, None]
         return inside.all(axis=0)
 
-    def _frontier_keep(
-        self,
-        lo: tuple[np.ndarray, np.ndarray],
-        hi: tuple[np.ndarray, np.ndarray],
-        ids: np.ndarray,
-    ) -> np.ndarray:
-        """Keep mask for a whole (ascending) frontier of node ids: a
-        node is kept when ``U >= lo`` and ``L <= hi`` at every
-        timestamp, ``lo`` / ``hi`` being the :func:`_head_tail` parts of
-        a query's :func:`_thresholds` — two float32 compares and an
-        ``&`` per element, no arithmetic temporaries, in two phases.
-
-        The head pass (:meth:`_head_keep`) covers the whole frontier at
-        the sampled timestamps, which spread over the window
-        (neighbouring timestamps say nearly the same thing), so a pruned
-        node — usually almost every node — costs a quarter of its
-        timestamps. A frontier that is dense in id order is covered by
-        zero-copy column *views* of the head (the gap columns are
-        evaluated too, harmlessly); a sparse one gathers its columns.
-        The survivors are finished by :meth:`_tail_keep`.
-
-        A prefix query of length ``m`` carries shorter parts, and both
-        phases run over the matching leading slices.
-        """
-        if ids.size == 0:
-            return np.zeros(0, dtype=bool)
-        (lo_head, lo_tail), (hi_head, hi_tail) = lo, hi
-        first = int(ids[0])
-        span = int(ids[-1]) + 1 - first
-        if span <= _SPAN_FACTOR * ids.size:
-            keep = self._head_keep(lo_head, hi_head, slice(first, first + span))
-            if span != ids.size:
-                keep = keep[ids - first]
-        else:
-            keep = self._head_keep(lo_head, hi_head, ids)
-        alive = np.flatnonzero(keep)
-        keep[alive] = self._tail_keep(ids[alive], lo_tail, hi_tail)
-        return keep
-
     def _level_keep(
         self,
         lo: tuple[np.ndarray, np.ndarray],
@@ -833,12 +790,25 @@ class FrozenTSIndex:
         count: int,
         base: int,
     ) -> np.ndarray:
-        """:meth:`_frontier_keep` over one level, its frontier given as
-        a mask ``visit`` (``count`` nodes, at least one) over the
-        level's ids from ``base`` on: the offsets (into the level) of
-        the visited nodes that are kept. The head pass views the span
-        between the first and the last visited node, or gathers when
-        that span is sparse."""
+        """The bound check of one level's frontier, given as a mask
+        ``visit`` (``count`` nodes, at least one) over the level's ids
+        from ``base`` on: the offsets (into the level) of the visited
+        nodes that hold ``U >= lo`` and ``L <= hi`` at every timestamp,
+        ``lo`` / ``hi`` being the :func:`_head_tail` parts of one
+        query's :func:`_thresholds` — two float32 compares and an ``&``
+        per element, no arithmetic temporaries, in two phases.
+
+        The head pass (:meth:`_head_keep`) covers the whole frontier at
+        the sampled timestamps, which spread over the window
+        (neighbouring timestamps say nearly the same thing), so a pruned
+        node — usually almost every node — costs a quarter of its
+        timestamps. It views the span between the first and the last
+        visited node (the gap columns are evaluated too, harmlessly), or
+        gathers the visited columns when that span is sparse
+        (:data:`_SPAN_FACTOR`). The survivors are finished by
+        :meth:`_tail_keep`. A prefix query of length ``m`` carries
+        shorter parts, and both phases run over the matching leading
+        slices."""
         (lo_head, lo_tail), (hi_head, hi_tail) = lo, hi
         first = int(visit.argmax())
         stop = visit.size - int(visit[::-1].argmax())
@@ -852,29 +822,6 @@ class FrozenTSIndex:
             alive = np.flatnonzero(visit)
             alive = alive[self._head_keep(lo_head, hi_head, alive + base)]
         return alive[self._tail_keep(alive + base, lo_tail, hi_tail)]
-
-    def _pair_keep(
-        self,
-        lo: tuple[np.ndarray, np.ndarray],
-        hi: tuple[np.ndarray, np.ndarray],
-        q_idx: np.ndarray,
-        node_idx: np.ndarray,
-    ) -> np.ndarray:
-        """Keep mask for ``(query, node)`` pairs — the batched frontier
-        bound, in the same two phases as :meth:`_frontier_keep`, both
-        gathered. ``lo`` / ``hi`` hold the batch's thresholds as a
-        timestamp-major ``(h, q)`` head and a query-major ``(q, l - h)``
-        tail, mirroring the envelope parts."""
-        (lo_head, lo_tail), (hi_head, hi_tail) = lo, hi
-        inside = self._upper_head[:, node_idx] >= lo_head[:, q_idx]
-        inside &= self._lower_head[:, node_idx] <= hi_head[:, q_idx]
-        keep = inside.all(axis=0)
-        alive = np.flatnonzero(keep)
-        queries = q_idx[alive]
-        keep[alive] = self._tail_keep(
-            node_idx[alive], lo_tail[queries], hi_tail[queries]
-        )
-        return keep
 
     def _children_of(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Concatenated child ids of every (internal) node in ``ids``,
@@ -920,7 +867,7 @@ class FrozenTSIndex:
         check_mode(verification)
         query = self._prepare_query(query)
         stats = QueryStats()
-        candidates = self._collect_candidates(query, epsilon, stats)
+        (candidates,) = self._collect_candidates(query, epsilon, [stats])
         return verify(
             self._source, query, candidates, epsilon,
             mode=verification, stats=stats,
@@ -963,66 +910,87 @@ class FrozenTSIndex:
         """Unverified candidate positions for a (prepared) prefix query
         — the fan-out hook composite planes call per shard/segment.
 
-        The frontier kernels already evaluate bounds over the query's
-        own length, so this is the fixed-length collection verbatim.
+        The level walk already evaluates bounds over the query's own
+        length, so this is the fixed-length collection verbatim.
         """
-        return self._collect_candidates(query, epsilon, stats)
+        return self._collect_candidates(query, epsilon, [stats])[0]
 
     def _collect_candidates(
-        self, query: np.ndarray, epsilon: float, stats: QueryStats
-    ) -> np.ndarray:
-        """Algorithm 1's traversal, one level at a time: the unverified
-        positions of every leaf whose envelope, and every ancestor's, is
-        within ``ε`` of the (prepared) query, in id order. A query of
-        length ``m < l`` bounds against the envelopes' first ``m``
-        timestamps (:meth:`collect_varlength_candidates`).
+        self, queries: np.ndarray, epsilon: float, stats: list[QueryStats]
+    ) -> list[np.ndarray]:
+        """Algorithm 1's traversal, one level at a time, for a prepared
+        query or every row of a ``(q, m)`` matrix of them: per row (a
+        lone query is one), the unverified positions of every leaf whose
+        envelope, and every ancestor's, is within ``ε`` of that query,
+        in id order, with the row's counters added to ``stats[row]``. A
+        query of length ``m < l`` bounds against the envelopes' first
+        ``m`` timestamps (:meth:`collect_varlength_candidates`).
 
         The level table (``_levels``) names each level's id range, so a
-        level is a mask, not a list of ids: the nodes visited on the
-        next level are the alive mask repeated by each node's child
+        level is a mask, not a list of ids: the nodes a row visits on
+        the next level are its alive mask repeated by each node's child
         count (a leaf has none), and one two-phase pass
-        (:meth:`_level_keep`) bounds them. Every counter is that of
-        the node-by-node walk: a visited node counts once, a pruned one
-        once more, and an alive leaf is an accessed leaf.
+        (:meth:`_level_keep`) bounds them. The root bound, the
+        thresholds and each level's child counts are computed once for
+        all rows; each row then steps on its own offsets, so its
+        candidates and counters are those of a walk of that query
+        alone — and those of the node-by-node walk: a visited node
+        counts once, a pruned one once more, and an alive leaf is an
+        accessed leaf.
         """
         if self.node_count == 0:
-            return np.empty(0, dtype=POSITION_DTYPE)
+            return [np.empty(0, dtype=POSITION_DTYPE) for _ in stats]
 
-        stats.nodes_visited += 1
-        if self._node_bound(query, 0) > epsilon:
-            stats.nodes_pruned += 1
-            return np.empty(0, dtype=POSITION_DTYPE)
-
-        lo, hi = map(_head_tail, _thresholds(query, epsilon))
-        leaves: list[np.ndarray] = []
-        alive = np.zeros(1, dtype=np.intp)
+        lo, hi = _thresholds(queries, epsilon)
+        dead = self._node_bound(queries, 0) > epsilon
+        if queries.ndim == 1:
+            # A lone query stays unstacked: ≈ 30 µs a search cheaper
+            # than a one-row matrix (200,000 windows, interleaved).
+            lo, hi, dead = [lo], [hi], [dead]
+        walking = []
+        for row, pruned in enumerate(dead):
+            stats[row].nodes_visited += 1
+            if pruned:
+                stats[row].nodes_pruned += 1
+            else:
+                bounds = _head_tail(lo[row]), _head_tail(hi[row])
+                walking.append((row, bounds, np.zeros(1, dtype=np.intp)))
+        leaves: list[list[np.ndarray]] = [[] for _ in stats]
         levels = self._levels
         for depth, (start, stop, leaf_count) in enumerate(levels):
             if leaf_count:
-                ids = alive + start
-                if leaf_count < stop - start:
-                    ids = ids[self._kinds[ids] == 1]
-                stats.leaves_accessed += int(ids.size)
-                leaves.append(ids)
+                for row, _, alive in walking:
+                    ids = alive + start
+                    if leaf_count < stop - start:
+                        ids = ids[self._kinds[ids] == 1]
+                    stats[row].leaves_accessed += int(ids.size)
+                    leaves[row].append(ids)
             if depth + 1 == len(levels):
                 break
-            mask = np.zeros(stop - start, dtype=bool)
-            mask[alive] = True
             counts = np.diff(self._children_offsets[start : stop + 1])
-            visit = np.repeat(mask, counts)
-            visited = int(np.count_nonzero(visit))
-            if visited == 0:
-                break
-            alive = self._level_keep(lo, hi, visit, visited, stop)
-            stats.nodes_visited += visited
-            stats.nodes_pruned += visited - int(alive.size)
+            stepped = []
+            for row, bounds, alive in walking:
+                mask = np.zeros(stop - start, dtype=bool)
+                mask[alive] = True
+                visit = np.repeat(mask, counts)
+                visited = int(np.count_nonzero(visit))
+                if visited == 0:
+                    continue
+                alive = self._level_keep(*bounds, visit, visited, stop)
+                stats[row].nodes_visited += visited
+                stats[row].nodes_pruned += visited - int(alive.size)
+                stepped.append((row, bounds, alive))
+            walking = stepped
 
-        if not leaves:
-            return np.empty(0, dtype=POSITION_DTYPE)
-        return self._leaf_positions(np.concatenate(leaves))
+        return [
+            self._leaf_positions(np.concatenate(ids))
+            if ids
+            else np.empty(0, dtype=POSITION_DTYPE)
+            for ids in leaves
+        ]
 
     # ------------------------------------------------------------------
-    # Batched search: many queries share one traversal
+    # Batched search: many queries share one level walk
     # ------------------------------------------------------------------
     def search_batch(
         self,
@@ -1033,15 +1001,15 @@ class FrozenTSIndex:
     ) -> BatchResult:
         """Run every query of ``queries`` at ``epsilon`` in one pass.
 
-        The traversal keeps a frontier of alive ``(query, node)`` pairs
-        and bounds all of them per level with one broadcast reduction —
-        the ``(q, frontier, l)`` evaluation — so the per-level NumPy
-        dispatch cost is shared by the whole workload instead of paid
-        per query. Each returned :class:`SearchResult` (positions,
-        distances *and* structural counters) is exactly what
-        :meth:`search` returns for that query alone. Workloads holding
-        any query shorter than ``l`` dispatch to the pipeline's
-        per-query loop (the shared pair traversal assumes one length).
+        The queries share one level walk (:meth:`_collect_candidates`
+        over the stacked queries): the root bound, the thresholds and
+        each level's child counts are computed once for the whole
+        workload, and each query then steps through the levels on its
+        own offsets and is verified on its own. Each returned
+        :class:`SearchResult` (positions, distances *and* structural
+        counters) is exactly what :meth:`search` returns for that query
+        alone. Workloads holding any query shorter than ``l`` dispatch
+        to the pipeline's per-query loop.
         """
         epsilon = check_non_negative(epsilon, name="epsilon")
         check_mode(verification)
@@ -1062,104 +1030,15 @@ class FrozenTSIndex:
                 ),
             )
         prepared = [self._prepare_query(query) for query in queries]
-        nq = len(prepared)
-        candidates: list[list[np.ndarray]] = [[] for _ in range(nq)]
-        visited = np.zeros(nq, dtype=np.int64)
-        pruned = np.zeros(nq, dtype=np.int64)
-        leaves_seen = np.zeros(nq, dtype=np.int64)
-
-        if nq and self.node_count:
-            matrix = np.stack(prepared)
-            (lo_head, lo_tail), (hi_head, hi_tail) = map(
-                _head_tail, _thresholds(matrix, epsilon)
-            )
-            # The pair kernel gathers threshold columns beside envelope
-            # columns, so its head thresholds are timestamp-major too.
-            pair_lo = np.ascontiguousarray(lo_head.T), lo_tail
-            pair_hi = np.ascontiguousarray(hi_head.T), hi_tail
-            visited += 1
-            dead = self._node_bound(matrix, 0) > epsilon
-            pruned += dead
-            alive = np.flatnonzero(~dead).astype(np.int64)
-            leaf_q: list[np.ndarray] = []
-            leaf_nodes: list[np.ndarray] = []
-            q_idx = alive
-            node_idx = np.zeros(alive.size, dtype=np.int64)
-            while q_idx.size:
-                leaf_mask = self._kinds[node_idx] == 1
-                if leaf_mask.any():
-                    leaf_q.append(q_idx[leaf_mask])
-                    leaf_nodes.append(node_idx[leaf_mask])
-                internal = ~leaf_mask
-                q_idx = q_idx[internal]
-                node_idx = node_idx[internal]
-                if q_idx.size == 0:
-                    break
-                child_nodes, counts = self._children_of(node_idx)
-                child_q = np.repeat(q_idx, counts)
-                # Two evaluation shapes for the level's (query, node)
-                # pairs: small pair sets amortize best through one
-                # gathered pair kernel; large ones (dense frontiers)
-                # are cheaper per query over contiguous envelope spans.
-                if child_q.size <= _PAIR_KERNEL_LIMIT:
-                    keep = self._pair_keep(
-                        pair_lo, pair_hi, child_q, child_nodes
-                    )
-                else:
-                    keep = np.empty(child_q.size, dtype=bool)
-                    bounds_of = np.searchsorted(
-                        child_q, np.arange(nq + 1)
-                    )
-                    for qi in range(nq):
-                        segment = slice(
-                            int(bounds_of[qi]), int(bounds_of[qi + 1])
-                        )
-                        if segment.stop > segment.start:
-                            keep[segment] = self._frontier_keep(
-                                (lo_head[qi], lo_tail[qi]),
-                                (hi_head[qi], hi_tail[qi]),
-                                child_nodes[segment],
-                            )
-                visited += np.bincount(child_q, minlength=nq)
-                if not keep.all():
-                    pruned += np.bincount(child_q[~keep], minlength=nq)
-                    child_q = child_q[keep]
-                    child_nodes = child_nodes[keep]
-                q_idx, node_idx = child_q, child_nodes
-
-            if leaf_q:
-                all_q = np.concatenate(leaf_q)
-                all_leaves = np.concatenate(leaf_nodes)
-                leaves_seen += np.bincount(all_q, minlength=nq)
-                grouping = np.argsort(all_q, kind="stable")
-                all_q = all_q[grouping]
-                all_leaves = all_leaves[grouping]
-                splits = np.searchsorted(all_q, np.arange(nq + 1))
-                for qi in range(nq):
-                    chunk = all_leaves[splits[qi]:splits[qi + 1]]
-                    if chunk.size:
-                        candidates[qi].append(self._leaf_positions(chunk))
-
-        per_query_stats = [
-            QueryStats(
-                nodes_visited=int(visited[qi]),
-                nodes_pruned=int(pruned[qi]),
-                leaves_accessed=int(leaves_seen[qi]),
-            )
-            for qi in range(nq)
-        ]
-        per_query_candidates = [
-            np.concatenate(candidates[qi])
-            if candidates[qi]
-            else np.empty(0, dtype=POSITION_DTYPE)
-            for qi in range(nq)
-        ]
+        stats = [QueryStats() for _ in prepared]
+        matrix = np.array(prepared, dtype=FLOAT_DTYPE).reshape(-1, self.length)
+        candidates = self._collect_candidates(matrix, epsilon, stats)
         results = [
             verify(
-                self._source, prepared[qi], per_query_candidates[qi],
-                epsilon, mode=verification, stats=per_query_stats[qi],
+                self._source, query, found, epsilon,
+                mode=verification, stats=query_stats,
             )
-            for qi in range(nq)
+            for query, found, query_stats in zip(prepared, candidates, stats)
         ]
         from ..query.merge import batch_result
 
@@ -1221,7 +1100,8 @@ class FrozenTSIndex:
         # comes from verify within it.
         distances = exact_distances(self._source, prepared, seed)
         epsilon = float(np.partition(distances, k - 1)[k - 1])
-        candidates = eligible(self._collect_candidates(prepared, epsilon, stats))
+        (walked,) = self._collect_candidates(prepared, epsilon, [stats])
+        candidates = eligible(walked)
         found = verify(self._source, prepared, candidates, epsilon, stats=stats)
         order = np.lexsort((found.positions, found.distances))[:k]
         stats.matches = int(order.size)

@@ -666,7 +666,7 @@ class TSIndex:
         """Run a whole workload; per-query results plus aggregates
         (:meth:`FrozenTSIndex.search_batch
         <repro.core.frozen.FrozenTSIndex.search_batch>`: one shared
-        traversal for all queries)."""
+        level walk for all queries)."""
         return self.freeze().search_batch(queries, epsilon, **search_options)
 
     def search_varlength(

@@ -28,9 +28,9 @@ Shard trees are bulk loaded straight into **frozen** form (see
 :class:`~repro.core.frozen.FrozenTSIndex`): each shard is a flat
 structure-of-arrays query plane with vectorized frontier traversal —
 byte-identical answers, much lower per-query latency, and a batched
-``search_batch`` path in which all queries share one traversal per
-shard (chosen automatically: no executor, more than one full-length
-query, :data:`BATCHED_MIN_WINDOWS` windows or more).
+``search_batch`` path in which all queries share one level walk per
+shard (chosen automatically: no executor, more than one query, all of
+full length, and no option but ``verification``).
 """
 
 from __future__ import annotations
@@ -74,13 +74,6 @@ from ..query.varlength import is_prefix_query
 #: A shard smaller than this many windows is pointless overhead; the
 #: automatic shard count keeps every shard at least this large.
 MIN_SHARD_WINDOWS = 256
-
-#: Below this many total windows, frozen per-shard *batched* traversal
-#: is slower than the plain per-query loop (its fixed per-level setup
-#: outweighs the shared work on small trees — compare twinbench's
-#: ``core.frozen.batch_ms_per_query`` with ``core.frozen.search_ms_p50``),
-#: so ``search_batch`` only auto-selects it for larger indexes.
-BATCHED_MIN_WINDOWS = 50_000
 
 
 def default_shard_count(window_count: int) -> int:
@@ -382,22 +375,21 @@ class ShardedTSIndex(PartitionedPlane):
         """Run every query of ``queries`` at ``epsilon``, in input order.
 
         When no executor is supplied, the workload holds more than one
-        query, all of full length, and the index is large enough
-        (:data:`BATCHED_MIN_WINDOWS`; on smaller trees the shared
-        traversal's fixed setup costs more than it saves), each shard
-        answers the whole workload with one batched traversal
-        (:meth:`FrozenTSIndex.search_batch
+        query, all of full length, and ``search_options`` holds nothing
+        but ``verification``, each shard answers the whole workload with
+        one level walk (:meth:`FrozenTSIndex.search_batch
         <repro.core.frozen.FrozenTSIndex.search_batch>`) — identical
-        results, fewer NumPy dispatches. Every other workload is the
-        planner's per-query loop (see
-        :meth:`PartitionedPlane.search_batch
-        <repro.query.parts.PartitionedPlane.search_batch>`).
+        results, fewer NumPy dispatches. Every other workload, a
+        deadline or a degraded answer included, is the planner's
+        per-query loop (see :meth:`PartitionedPlane.search_batch
+        <repro.query.parts.PartitionedPlane.search_batch>`), which gives
+        those options their meaning.
         """
         queries = list(queries)
         if (
             executor is None
             and len(queries) > 1
-            and self.size >= BATCHED_MIN_WINDOWS
+            and set(search_options) <= {"verification"}
             and not any(is_prefix_query(query, self.length) for query in queries)
         ):
             epsilon = check_non_negative(epsilon, name="epsilon")

@@ -266,15 +266,33 @@ class TestEquivalence:
         )
 
     def test_search_batch_matches_single(self, pair):
+        """Per query, a batch answers what ``search`` answers alone —
+        positions, distances and counters — at width 9 and width 1, for
+        a batch mixing a query the root prunes with live queries and a
+        duplicate, and on an index with no nodes."""
         dynamic, frozen = pair
         rng = np.random.default_rng(13)
         queries = _queries(dynamic.source, rng, count=9)
+        far = np.zeros(LENGTH)
+        far[0] = 1e3
+        mixed = [queries[0], far, queries[4], queries[0]]
+        empty = TSIndex(dynamic.source, PARAMS).freeze()
         for epsilon in (0.0, 0.3, 1.0):
-            batch = frozen.search_batch(queries, epsilon)
-            assert len(batch) == len(queries)
-            for query, result in zip(queries, batch.results):
-                _assert_result_equal(result, frozen.search(query, epsilon))
-                _assert_result_equal(result, dynamic.search(query, epsilon))
+            assert frozen.search(far, epsilon).stats.nodes_visited == 1
+            for index, workload in (
+                (frozen, queries),
+                (frozen, queries[:1]),
+                (frozen, mixed),
+                (empty, mixed),
+            ):
+                batch = index.search_batch(workload, epsilon)
+                assert len(batch) == len(workload)
+                for query, result in zip(workload, batch.results):
+                    _assert_result_equal(result, index.search(query, epsilon))
+                    if index is frozen:
+                        _assert_result_equal(
+                            result, dynamic.search(query, epsilon)
+                        )
 
     def test_search_batch_empty_workload(self, pair):
         _, frozen = pair
@@ -499,21 +517,39 @@ class TestShardedFrozen:
                     stats=False,
                 )
 
-    def test_batched_path_matches_per_query(self, engines, monkeypatch):
-        from repro.engine import sharding
+    def test_batched_path_matches_per_query(self, engines):
+        from repro.query.parts import PartitionedPlane
 
         _, frozen_engine = engines
         rng = np.random.default_rng(43)
         queries = _queries(frozen_engine.source, rng, count=8)
-        looped = frozen_engine.search_batch(queries, 0.4)
-        # The shared traversal engages automatically only on large
-        # indexes; lower the gate so it runs on this fixture.
-        monkeypatch.setattr(sharding, "BATCHED_MIN_WINDOWS", 0)
+        looped = PartitionedPlane.search_batch(frozen_engine, queries, 0.4)
         batched = frozen_engine.search_batch(queries, 0.4)
         assert len(batched) == len(looped)
         for fast, slow in zip(batched.results, looped.results):
             _assert_result_equal(fast, slow)
         assert batched.stats.as_dict() == looped.stats.as_dict()
+
+    @pytest.mark.parametrize(
+        "options", [{"timeout": 5.0}, {"degraded": True}], ids=["timeout", "degraded"]
+    )
+    def test_deadline_options_take_the_planner_loop(self, engines, options):
+        """A deadline option is the planner's to honour: with no
+        executor, the sharded batch answers it through the planner loop
+        rather than handing it to the per-shard walk."""
+        from repro.query.parts import PartitionedPlane
+
+        _, frozen_engine = engines
+        rng = np.random.default_rng(44)
+        queries = _queries(frozen_engine.source, rng, count=6)
+        looped = PartitionedPlane.search_batch(
+            frozen_engine, queries, 0.4, **options
+        )
+        batched = frozen_engine.search_batch(queries, 0.4, **options)
+        assert len(batched) == len(looped) == len(queries)
+        for fast, slow in zip(batched.results, looped.results):
+            _assert_result_equal(fast, slow)
+            assert fast.degraded is None
 
 
 class TestFactoryAndCLI:

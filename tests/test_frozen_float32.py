@@ -227,7 +227,12 @@ def assert_twin_paths_survive(index, query, epsilon, twin_positions):
     lo, hi = map(
         frozen_module._head_tail, frozen_module._thresholds(query, epsilon)
     )
-    keep = index._frontier_keep(lo, hi, np.arange(index.node_count))
+    keep = np.zeros(index.node_count, dtype=bool)
+    keep[
+        index._level_keep(
+            lo, hi, np.ones(index.node_count, dtype=bool), index.node_count, 0
+        )
+    ] = True
     arrays = index.arrays()
     leaf_of = np.repeat(
         np.arange(index.node_count), np.diff(arrays["leaf_offsets"])

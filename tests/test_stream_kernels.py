@@ -3,7 +3,7 @@
 * the refine kernel (:func:`repro.core.verification.verify_positions`)
   against a brute-force max-abs scan over gathered windows — positions
   and distances must be *bitwise* equal;
-* the filter kernel (:meth:`FrozenTSIndex._frontier_keep`: a head pass
+* the filter kernel (:meth:`FrozenTSIndex._level_keep`: a head pass
   over the frontier — span view or gather — then the survivors' tail
   rows) against the unblocked ``(U >= lo) & (L <= hi)`` over every timestamp,
   which in turn keeps every node the exact float64 bound
@@ -246,13 +246,26 @@ def index_over(upper_t, lower_t):
 
 
 def frontier_keep(index, lo, hi, ids):
-    """The kernel as ``search`` calls it: thresholds split into their
-    head and tail parts, ids as an int64 array."""
-    return index._frontier_keep(
+    """The kernel as the level walk calls it — thresholds split into
+    their head and tail parts, the frontier a mask over the ids from 0
+    on — as a keep mask over the (ascending) ``ids``. The walk never
+    calls it on an empty frontier (``test_empty_frontier``), so neither
+    does this."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size == 0:
+        return np.zeros(0, dtype=bool)
+    visit = np.zeros(index.node_count, dtype=bool)
+    visit[ids] = True
+    kept = index._level_keep(
         frozen_module._head_tail(lo),
         frozen_module._head_tail(hi),
-        np.asarray(ids, dtype=np.int64),
+        visit,
+        ids.size,
+        0,
     )
+    keep = np.zeros(index.node_count, dtype=bool)
+    keep[kept] = True
+    return keep[ids]
 
 
 @pytest.fixture(
@@ -343,12 +356,32 @@ class TestPruneKernel:
             assert np.array_equal(named, expected[ids])
             assert np.array_equal(span, expected[first:last])
 
-    def test_empty_frontier(self):
-        rng = np.random.default_rng(1)
-        index = index_over(*random_envelopes(rng, 100, 40))
-        lo, hi = frozen_module._thresholds(np.zeros(100), 1.0)
-        kept = frontier_keep(index, lo, hi, [])
-        assert kept.dtype == bool and kept.size == 0
+    def test_empty_frontier(self, monkeypatch):
+        """The walk never hands the kernel an empty frontier: a root
+        pruned, a level pruned whole, leaves with no children below and
+        a batch mixing them all reach ``_level_keep`` only with at
+        least one visited node, counted right."""
+        series = np.cumsum(np.random.default_rng(1).normal(size=3000))
+        source = WindowSource(series, LENGTH, "global")
+        index = bulk_load_source(
+            source, params=TSIndexParams(min_children=2, max_children=4)
+        )
+        calls = []
+        level_keep = FrozenTSIndex._level_keep
+
+        def counted(self, lo, hi, visit, count, base):
+            calls.append(count)
+            assert count == np.count_nonzero(visit) >= 1
+            return level_keep(self, lo, hi, visit, count, base)
+
+        monkeypatch.setattr(FrozenTSIndex, "_level_keep", counted)
+        window = source.window(700).copy()
+        queries = [window, window + 1e6, window + 0.5, window[::-1].copy()]
+        for epsilon in (0.0, 0.05, 1.0):
+            for query in queries:
+                index.search(query, epsilon)
+            index.search_batch(queries, epsilon)
+        assert calls
 
     @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 7, 100])
     def test_two_phase_keep_equals_unblocked(self, length):
