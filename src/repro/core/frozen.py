@@ -12,10 +12,10 @@ structure-of-arrays *query plane*:
   cut into a timestamp-major head and a node-major tail — see below;
 * ``children_offsets`` / ``children`` — a CSR adjacency: node ``i``'s
   children are ``children[children_offsets[i]:children_offsets[i+1]]``.
-  The layout is always BFS, root first — ``children`` is ``1 .. n-1``
-  and every node follows its parent — so each node's children and each
-  whole level are contiguous id ranges; the constructor rejects any
-  other layout;
+  The layout is always BFS, roots first — ``children`` is ``r .. n-1``
+  for ``r`` roots and every node follows its parent — so each node's
+  children and each whole level are contiguous id ranges; the
+  constructor rejects any other layout;
 * ``leaf_offsets`` / ``positions`` — one contiguous array of all leaf
   window positions with per-node half-open spans (empty for internal
   nodes).
@@ -94,6 +94,18 @@ ride that one level walk: ``search_batch`` walks its queries together,
 at a seeded radius (the ``k``-th distance under a greedy descent's
 leaves), ranked.
 
+**Forests.** The first ``r = n - len(children)`` nodes are roots, and
+every tree built or loaded has ``r = 1`` (``0`` when empty). :func:`join`
+lays several trees out as one *forest*: its level ``d`` is each tree's
+level ``d``, in tree order, so the adjacency is still ``r .. n-1`` and
+the level walk, its counters and every mode run on it unchanged — the
+root check bounds all ``r`` roots, each counted as a tree's root is.
+One walk and one verification then answer for all the trees, with one
+fixed cost instead of one per tree; the live plane joins its sealed
+segments this way (:class:`repro.live.LiveTwinIndex`). A forest lives
+in memory only: archives hold one tree, and :meth:`~FrozenTSIndex.thaw`
+refuses a forest.
+
 Lifecycle: either **insert** into the dynamic tree and **freeze** it
 once writes stop, or **bulk load** (:mod:`~repro.core.bulkload`), which
 writes these arrays directly; then **serve** queries from the flat form
@@ -110,7 +122,7 @@ import dataclasses
 import functools
 import itertools
 import time
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -368,10 +380,11 @@ def unflatten(arrays: Mapping[str, np.ndarray]) -> _Node | None:
 def check_structure(arrays: Mapping[str, np.ndarray], count: int) -> None:
     """Refuse tree arrays (any :data:`ARRAY_FIELDS` layout's ``kinds`` /
     ``children_offsets`` / ``children`` / ``leaf_offsets`` /
-    ``positions``) that are not one BFS tree over windows ``0 ..
-    count``, with :class:`~repro.exceptions.InvalidParameterError`: a
-    corrupted or hand-built archive must fail loudly here, not return
-    silently wrong answers later."""
+    ``positions``) that are not one BFS tree — or a BFS forest, as
+    :func:`join` lays one out — over windows ``0 .. count``, with
+    :class:`~repro.exceptions.InvalidParameterError`: a corrupted or
+    hand-built archive must fail loudly here, not return silently wrong
+    answers later."""
     kinds = arrays["kinds"]
     children_offsets = arrays["children_offsets"]
     children = arrays["children"]
@@ -402,19 +415,20 @@ def check_structure(arrays: Mapping[str, np.ndarray], count: int) -> None:
             f"positions must lie in [0, {count}), got range "
             f"[{int(positions.min())}, {int(positions.max())}]"
         )
-    # The layout is BFS, root first: every node except the root is the
-    # child of exactly one earlier node, appended in visit order, so the
-    # adjacency is just 1 .. n-1, every node's children — and every
-    # level — is one contiguous id range, and the walk can step from
-    # level to level by child counts alone.
-    if not np.array_equal(children, np.arange(1, n)):
+    # The layout is BFS, roots first: every node except the ``r`` roots
+    # is the child of exactly one earlier node, appended in visit order,
+    # so the adjacency is just r .. n-1, every node's children — and
+    # every level — is one contiguous id range, and the walk can step
+    # from level to level by child counts alone.
+    roots = n - children.size
+    if roots < 0 or not np.array_equal(children, np.arange(roots, n)):
         raise InvalidParameterError(
-            "children must be the BFS adjacency 1 .. n-1 (each node "
-            "a child of one earlier node, in visit order)"
+            "children must be the BFS adjacency r .. n-1 after r roots "
+            "(each node a child of one earlier node, in visit order)"
         )
-    if np.any(children_offsets[1:n] < np.arange(1, n)):
+    if np.any(children_offsets[roots:n] < np.arange(1, n - roots + 1)):
         raise InvalidParameterError(
-            "every node must be the child of an earlier node"
+            "every node must be a root or the child of an earlier node"
         )
     if np.any(np.diff(children_offsets)[kinds == 1]):
         raise InvalidParameterError("leaf nodes must have no children")
@@ -556,15 +570,16 @@ class FrozenTSIndex:
         self._upper_tail = _read_only(upper_tail)
         self._lower_head = _read_only(lower_head)
         self._lower_tail = _read_only(lower_tail)
-        # The level table: ``(start, stop, leaves)`` per depth, root
-        # first. A level's children are the next level, and the slots
-        # of the nodes before ``stop`` name the nodes up to the end of
-        # that next level.
+        # The level table: ``(start, stop, leaves)`` per depth, the
+        # roots first. A level's children are the next level, and the
+        # slots of the nodes before ``stop`` name the nodes up to the
+        # end of that next level.
+        roots = self._roots
         levels = []
-        start, stop = 0, min(n, 1)
+        start, stop = 0, roots
         while start < stop:
             levels.append((start, stop, int(np.count_nonzero(kinds[start:stop]))))
-            start, stop = stop, int(children_offsets[stop]) + 1
+            start, stop = stop, int(children_offsets[stop]) + roots
         self._levels = tuple(levels)
 
     # ------------------------------------------------------------------
@@ -621,9 +636,16 @@ class FrozenTSIndex:
         Its node envelopes are the stored float32 ones widened to
         float64 — covers of the exact envelopes, less than one float32
         step looser — so inserting keeps them valid, and freezing the
-        result again reproduces these arrays bit for bit."""
+        result again reproduces these arrays bit for bit. A forest
+        (:func:`join`) has no one tree to rebuild and raises
+        :class:`~repro.exceptions.InvalidParameterError`."""
         from .tsindex import TSIndex  # local: tsindex imports us
 
+        if self._roots > 1:
+            raise InvalidParameterError(
+                f"cannot thaw a forest of {self._roots} trees into one "
+                "TSIndex; thaw the trees it was joined from"
+            )
         return TSIndex._from_prebuilt_root(
             self._source,
             unflatten(self.arrays()),
@@ -708,8 +730,15 @@ class FrozenTSIndex:
 
     @property
     def height(self) -> int:
-        """Tree height in levels (a lone leaf root has height 1)."""
+        """Tree height in levels (a lone leaf root has height 1; a
+        forest's is its tallest tree's)."""
         return len(self._levels)
+
+    @property
+    def _roots(self) -> int:
+        """How many of the first nodes are roots: 1 for a tree (0 when
+        empty), one per tree for a :func:`join` forest."""
+        return self._kinds.size - self._children.size
 
     def __repr__(self) -> str:
         return (
@@ -720,11 +749,11 @@ class FrozenTSIndex:
     # ------------------------------------------------------------------
     # Vectorized primitives over the flat arrays
     # ------------------------------------------------------------------
-    def _node_bound(self, query: np.ndarray, ids: int | np.ndarray) -> np.ndarray:
+    def _node_bound(self, query: np.ndarray, ids: slice | np.ndarray) -> np.ndarray:
         """(Clamped) Eq. 2 bound in float64 (the float32 values are
-        promoted) of ``query`` — or of every row of a ``(q, m)`` query
-        matrix — against one node's stored envelope, or of one query
-        against each node of an id array.
+        promoted) of ``query`` against each node of ``ids`` (an id array
+        or a contiguous range); a ``(q, 1, m)`` query stack gives one
+        row of bounds per query.
 
         The stored envelope covers the exact one and float64
         subtraction rounds monotonically, so for every window ``w``
@@ -826,11 +855,11 @@ class FrozenTSIndex:
     def _children_of(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Concatenated child ids of every (internal) node in ``ids``,
         and how many each node contributed. The adjacency is
-        ``arange(1, n)``: slot ``i`` names node ``i + 1``, so the slot
-        ranges *are* the ids, shifted."""
+        ``arange(r, n)`` after the ``r`` roots: slot ``i`` names node
+        ``i + r``, so the slot ranges *are* the ids, shifted."""
         starts = self._children_offsets[ids]
         counts = self._children_offsets[ids + 1] - starts
-        return _concat_ranges(starts + 1, counts), counts
+        return _concat_ranges(starts + self._roots, counts), counts
 
     def _leaf_positions(self, ids: np.ndarray) -> np.ndarray:
         """Concatenated stored positions of every leaf in ``ids``."""
@@ -930,7 +959,7 @@ class FrozenTSIndex:
         level is a mask, not a list of ids: the nodes a row visits on
         the next level are its alive mask repeated by each node's child
         count (a leaf has none), and one two-phase pass
-        (:meth:`_level_keep`) bounds them. The root bound, the
+        (:meth:`_level_keep`) bounds them. The root bounds, the
         thresholds and each level's child counts are computed once for
         all rows; each row then steps on its own offsets, so its
         candidates and counters are those of a walk of that query
@@ -941,20 +970,22 @@ class FrozenTSIndex:
         if self.node_count == 0:
             return [np.empty(0, dtype=POSITION_DTYPE) for _ in stats]
 
+        roots = self._roots
         lo, hi = _thresholds(queries, epsilon)
-        dead = self._node_bound(queries, 0) > epsilon
+        # The float64 root check, one bound per query and root.
+        near = self._node_bound(queries[..., None, :], slice(0, roots)) <= epsilon
         if queries.ndim == 1:
             # A lone query stays unstacked: ≈ 30 µs a search cheaper
             # than a one-row matrix (200,000 windows, interleaved).
-            lo, hi, dead = [lo], [hi], [dead]
+            lo, hi, near = [lo], [hi], [near]
         walking = []
-        for row, pruned in enumerate(dead):
-            stats[row].nodes_visited += 1
-            if pruned:
-                stats[row].nodes_pruned += 1
-            else:
+        for row, kept in enumerate(near):
+            alive = np.flatnonzero(kept)
+            stats[row].nodes_visited += roots
+            stats[row].nodes_pruned += roots - alive.size
+            if alive.size:
                 bounds = _head_tail(lo[row]), _head_tail(hi[row])
-                walking.append((row, bounds, np.zeros(1, dtype=np.intp)))
+                walking.append((row, bounds, alive))
         leaves: list[list[np.ndarray]] = [[] for _ in stats]
         levels = self._levels
         for depth, (start, stop, leaf_count) in enumerate(levels):
@@ -1002,7 +1033,7 @@ class FrozenTSIndex:
         """Run every query of ``queries`` at ``epsilon`` in one pass.
 
         The queries share one level walk (:meth:`_collect_candidates`
-        over the stacked queries): the root bound, the thresholds and
+        over the stacked queries): the root bounds, the thresholds and
         each level's child counts are computed once for the whole
         workload, and each query then steps through the levels on its
         own offsets and is verified on its own. Each returned
@@ -1109,9 +1140,9 @@ class FrozenTSIndex:
 
     def _seed_leaves(self, query: np.ndarray) -> np.ndarray:
         """The leaves a greedy descent toward ``query`` reaches: from
-        the root down, the :data:`_SEED_WIDTH` children of smallest
+        the roots down, the :data:`_SEED_WIDTH` children of smallest
         :meth:`_node_bound` are kept per level."""
-        ids = np.zeros(1, dtype=np.int64)
+        ids = np.arange(self._roots, dtype=np.int64)
         leaves: list[np.ndarray] = []
         while ids.size:
             is_leaf = self._kinds[ids] == 1
@@ -1136,6 +1167,76 @@ class FrozenTSIndex:
         return prepare_values(
             self._source, query, expected=self._source.length
         )
+
+
+def join(
+    trees: Sequence[FrozenTSIndex], starts: Sequence[int], source: WindowSource
+) -> FrozenTSIndex:
+    """One forest over ``trees`` (at least one), tree ``i``'s windows
+    shifted to start at position ``starts[i]`` of ``source`` — the one
+    source the forest verifies against, whose windows there must equal
+    the tree's own (as a live plane's segments equal their spans of the
+    plane's monolithic source).
+
+    Forest level ``d`` is each tree's level ``d``, in tree order, so
+    the children of a level's nodes, in order, are the next level and
+    the adjacency stays ``r .. n-1`` for ``r`` roots: every query mode
+    walks it unchanged (see the module docstring). Each tree contributes
+    one contiguous span of every array per level, so the forest is
+    ``trees × levels`` slice copies — its own memory, as much as the
+    trees' arrays together; the trees stay untouched."""
+    started = time.perf_counter()
+    spans = [
+        (tree, shift, *tree._levels[level][:2])
+        for level in range(max(tree.height for tree in trees))
+        for tree, shift in zip(trees, starts)
+        if level < tree.height
+    ]
+    kinds = np.concatenate([tree._kinds[a:b] for tree, _, a, b in spans])
+
+    def offsets(name: str) -> np.ndarray:
+        joined = np.zeros(kinds.size + 1, dtype=np.int64)
+        counts = [np.diff(getattr(tree, name)[a : b + 1]) for tree, _, a, b in spans]
+        np.cumsum(np.concatenate(counts), out=joined[1:])
+        return joined
+
+    arrays = {
+        "kinds": kinds,
+        "children_offsets": offsets("_children_offsets"),
+        "children": np.arange(sum(tree._roots for tree in trees), kinds.size),
+        "leaf_offsets": offsets("_leaf_offsets"),
+        "positions": np.concatenate(
+            [
+                tree._positions[tree._leaf_offsets[a] : tree._leaf_offsets[b]] + shift
+                for tree, shift, a, b in spans
+            ]
+        ),
+    }
+    for name, head, tail in (
+        ("uppers", "_upper_head", "_upper_tail"),
+        ("lowers", "_lower_head", "_lower_tail"),
+    ):
+        arrays[f"{name}_head"] = np.concatenate(
+            [getattr(tree, head)[:, a:b] for tree, _, a, b in spans], axis=1
+        )
+        arrays[f"{name}_tail"] = np.concatenate(
+            [getattr(tree, tail)[a:b] for tree, _, a, b in spans]
+        )
+    stats = [tree.build_stats for tree in trees]
+    build_stats = BuildStats(
+        seconds=max(stat.seconds for stat in stats),
+        windows=sum(stat.windows for stat in stats),
+        splits=sum(stat.splits for stat in stats),
+        height=max(tree.height for tree in trees),
+        nodes=kinds.size,
+    )
+    return FrozenTSIndex(
+        source,
+        trees[0].params,
+        build_stats,
+        arrays,
+        freeze_seconds=time.perf_counter() - started,
+    )
 
 
 @register_plane(

@@ -152,6 +152,9 @@ def verify_positions(
     :class:`SearchResult` with positions sorted ascending.
     """
     positions, epsilon, stats = _admit(source, query, positions, epsilon, stats)
+    if not positions.size:
+        # A part whose roots were all pruned: no walk list to set up.
+        return SearchResult.empty(stats)
     order = reorder_by_magnitude(query)
     lo, hi = guarded_bounds(query[order], epsilon)
     walk = list(zip(order.tolist(), lo.tolist(), hi.tolist()))

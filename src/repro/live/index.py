@@ -13,8 +13,9 @@ thread that a seal over ``max_segments`` schedules.
 
 The plane is a :class:`~repro.query.parts.PartitionedPlane`: its one
 ``_take`` prepares a query and takes its parts under the plane lock —
-the segments, the delta's sweepline, a prefix query's tail — and the
-planner answers them outside it through
+the sealed segments (one forest of them when the query has no executor
+to spread them over), the delta's sweepline, a prefix query's tail — and
+the planner answers them outside it through
 :class:`repro.query.parts.PartSet`, the loop the sharded engine shares,
 merging with the library's ``(distance, position)`` tie-breaks (a
 prefix k-NN is the exact scan over the readings, served even before the
@@ -40,6 +41,7 @@ from typing import Any
 import numpy as np
 
 from .._util import check_positive_int
+from ..core.frozen import FrozenTSIndex, join
 from ..core.normalization import Normalization
 from ..core.stats import BuildStats
 from ..core.tsindex import TSIndexParams
@@ -215,6 +217,10 @@ class LiveTwinIndex(PartitionedPlane):
             self._normalization,
         )
         self._segments: list[Segment] = []  # lint: guarded-by(_lock)
+        #: The sealed segments joined as one forest, over the monolithic
+        #: source's span ``[0, _delta_start)`` (see :meth:`_take`);
+        #: ``None`` until a query needs it after ``_segments`` changed.
+        self._forest: FrozenTSIndex | None = None  # lint: guarded-by(_lock)
         #: The delta: windows ``[_delta_start, _delta_start +
         #: _delta_count)`` of ``_source``, which end at ``_source.count``.
         self._delta_start = 0  # lint: guarded-by(_lock)
@@ -691,6 +697,7 @@ class LiveTwinIndex(PartitionedPlane):
             if self._store is not None:
                 segment.file = self._store.save_segment(segment)
             self._segments.append(segment)
+            self._forest = None
             self._delta_start = stop
             self._delta_count -= stop - start
             self._seals += 1
@@ -759,6 +766,7 @@ class LiveTwinIndex(PartitionedPlane):
                 ):
                     continue
                 self._segments[position : position + 2] = [merged]
+                self._forest = None
                 self._compactions += 1
                 metrics["compactions"].inc()
                 _log.info(
@@ -804,12 +812,26 @@ class LiveTwinIndex(PartitionedPlane):
         ever writes past it), and, for a query of length ``m < l``, the
         series tail as a sweepline over the ``m``-windows no
         ``l``-window covers. The set is answered once the lock is
-        released. A durable segment names the archive a worker process
-        reopens (bitwise equal to the in-memory segment: it embeds the
-        rolling statistics); the scan parts and an in-memory plane's
-        segments name none, so a process pool on ``executor`` leaves
-        them to the calling thread. ``None`` before the first full
-        window (a prefix query: before ``m`` readings)."""
+        released. ``None`` before the first full window (a prefix
+        query: before ``m`` readings).
+
+        With no ``executor`` the sealed segments are **one** part, their
+        :func:`~repro.core.frozen.join` forest over the monolithic
+        source's span ``[0, frontier)``, labelled ``0``: one level walk
+        and one verification for all of them, instead of one ``search``
+        per segment, each with its own fixed cost. It is joined here at
+        the first query after the segments change (seal, compaction,
+        recovery) and kept until they change again, when it is released.
+        It copies the segments' arrays (as many bytes again) and its
+        source shard aliases the ingest buffer and rolling statistics of
+        the join, so a buffer that an append has since outgrown stays
+        alive until the forest goes. On an ``executor`` each segment
+        stays a part of its own, as the pool's unit of work: a durable
+        segment names the archive a worker process reopens (bitwise
+        equal to the in-memory segment: it embeds the rolling
+        statistics); the scan parts and an in-memory plane's segments
+        name none, so a process pool leaves them to the calling
+        thread."""
         with self._lock:
             values = self._ingest.values
             prefix = is_prefix_query(query, self._length)
@@ -821,17 +843,26 @@ class LiveTwinIndex(PartitionedPlane):
                 return None
             else:
                 query = prepare_values(self._source, query, expected=self._length)
-            parts = [
-                Part(
-                    segment.start,
-                    segment.index,
-                    segment.start,
-                    None
-                    if self._store is None or segment.file is None
-                    else (self._store.path(segment.file), None),
-                )
-                for segment in self._segments
-            ]
+            if executor is None and self._segments:
+                if self._forest is None:
+                    self._forest = join(
+                        [segment.index for segment in self._segments],
+                        [segment.start for segment in self._segments],
+                        self._source.shard(0, self._delta_start),
+                    )
+                parts = [Part(0, self._forest, 0, None)]
+            else:
+                parts = [
+                    Part(
+                        segment.start,
+                        segment.index,
+                        segment.start,
+                        None
+                        if self._store is None or segment.file is None
+                        else (self._store.path(segment.file), None),
+                    )
+                    for segment in self._segments
+                ]
             if self._delta_count:
                 start = self._delta_start
                 delta = self._source.shard(start, start + self._delta_count)

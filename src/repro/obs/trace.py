@@ -14,13 +14,13 @@ keeps the last N completed traces in a bounded ring buffer.
 
 Propagation uses a :mod:`contextvars` context variable: the engine
 activates the trace around plan/execute, and downstream layers (the
-planner's prepare stage, sharded fan-out, live segment scans) pick it
-up with :func:`current_trace`. ``concurrent.futures`` worker threads do
-**not** inherit context variables, so fan-out call sites capture the
-trace object in the closure they submit — see
-:meth:`ShardedTSIndex.search <repro.engine.sharding.ShardedTSIndex>`.
-Member queries of a ``batch`` fan-out run entirely on pool threads and
-are not traced individually; the batch itself gets one trace.
+planner's prepare stage, the part fan-out of the sharded and live
+planes) pick it up with :func:`current_trace`. ``concurrent.futures``
+worker threads do **not** inherit context variables, so the fan-out
+captures the trace object in the closure it submits — see
+:meth:`PartSet._run <repro.query.parts.PartSet>`. The member queries of
+an engine ``batch`` run in the calling thread inside the batch's one
+trace, so their per-part ``execute`` spans land in it.
 
 Examples
 --------

@@ -405,7 +405,9 @@ def _upgrade(data: _Members, prefix: str = "") -> dict[str, np.ndarray]:
       ``child_starts`` are redundant there; ones that disagree with the
       starts the counts imply are refused.
 
-    A missing member raises :class:`SerializationError` naming it.
+    A missing member raises :class:`SerializationError` naming it, and
+    so do arrays that are not one tree: a
+    :func:`~repro.core.frozen.join` forest lives in memory only.
     """
 
     def member(name: str) -> np.ndarray:
@@ -414,7 +416,9 @@ def _upgrade(data: _Members, prefix: str = "") -> dict[str, np.ndarray]:
         return data[prefix + name]
 
     if prefix + "uppers_head" in data:
-        return {name: member(name) for name in RAW_ARRAY_FIELDS}
+        arrays = {name: member(name) for name in RAW_ARRAY_FIELDS}
+        _one_tree(arrays, prefix)
+        return arrays
     if prefix + "uppers_t" in data:
         arrays = {"uppers": member("uppers_t").T, "lowers": member("lowers_t").T}
     else:
@@ -440,7 +444,20 @@ def _upgrade(data: _Members, prefix: str = "") -> dict[str, np.ndarray]:
             arrays[name] = member(name)
     arrays["kinds"] = member("kinds")
     arrays["positions"] = member("positions")
+    _one_tree(arrays, prefix)
     return arrays
+
+
+def _one_tree(arrays: Mapping[str, np.ndarray], prefix: str = "") -> None:
+    """Refuse tree arrays with other than one root (none when empty):
+    archives hold trees, never a :func:`~repro.core.frozen.join`
+    forest."""
+    roots = arrays["kinds"].size - arrays["children"].size
+    if roots != min(arrays["kinds"].size, 1):
+        raise SerializationError(
+            f"archive tree {prefix or '<root>'} has {roots} roots; "
+            "archives hold exactly one tree (forests live in memory only)"
+        )
 
 
 def _load_tsindex(meta: _Meta, data: _Members) -> TSIndex | FrozenTSIndex:
@@ -461,7 +478,8 @@ def _load_tsindex(meta: _Meta, data: _Members) -> TSIndex | FrozenTSIndex:
 def _dump_frozen(index: FrozenTSIndex) -> dict[str, Any]:
     """Frozen indexes serialize their flat arrays verbatim, envelopes
     in their resident layout, so neither save nor load ever re-lays
-    them out."""
+    them out. A :func:`~repro.core.frozen.join` forest is refused."""
+    _one_tree(index.raw_arrays())
     payload: dict[str, Any] = {
         "meta": _meta_for(
             index,

@@ -97,9 +97,10 @@ class TestCallingThread:
     def test_live_plane_traces_one_execute_span_per_segment(
         self, engine, series, mode
     ):
-        """The live plane opened spans for full-length search only. The
-        delta's scan (and a prefix query's tail) is a part like a
-        segment, labelled by its span start too."""
+        """The live plane opened spans for full-length search only. One
+        ``execute`` span per part: on the calling thread the sealed
+        segments' forest, the delta's scan and a prefix query's tail,
+        each labelled by its span start."""
         from repro.live import LiveTwinIndex
 
         live = LiveTwinIndex(series[:1200], length=LENGTH, seal_threshold=300)
@@ -119,7 +120,7 @@ class TestCallingThread:
             if span.name == "execute" and span.meta and "segment" in span.meta
         ]
         assert len(live.segments) >= 3 and live.delta_windows > 0
-        expected = [segment.start for segment in live.segments] + [live.segments[-1].stop]
+        expected = [0, live.segments[-1].stop]
         if mode == "prefix":
             expected.append(live.window_count)
         assert sorted(segments) == expected

@@ -218,26 +218,35 @@ class TestLivePlane:
     @pytest.mark.parametrize("mode", ["count", "knn", "prefix", "exists"])
     def test_every_mode_fires_segment_search_and_names_the_segment(self, mode):
         """Only full-length ``search`` used to reach the failpoint; the
-        other modes fired nothing and attributed nothing."""
+        other modes fired nothing and attributed nothing. On the calling
+        thread the sealed segments are one part, their forest, so the
+        second part is the delta; on an executor each segment is a part
+        of its own, so the second is segment 1 (one worker keeps the
+        hits in part order)."""
         series = np.cumsum(np.random.default_rng(7).normal(size=600))
         live = LiveTwinIndex(series, length=32, seal_threshold=128)
-        second = live.segments[1].start
-        failpoints.arm("segment.search", error="io", on_hit=2)
+        assert len(live.segments) >= 2 and live.delta_windows > 0
         query = series[50:82] + 1e3  # no twin: exists must probe on
-        with pytest.raises(OSError) as info:
-            if mode == "count":
-                live.count(query, 0.3)
-            elif mode == "knn":
-                live.knn(query, 3)
-            elif mode == "exists":
-                live.exists(query, 0.3)
-            else:
-                live.search(query[:20], 0.3)
-        if mode != "exists":  # exists probes in the caller, outside fan_out
-            assert any(
-                f"segment {second}" in note
-                for note in getattr(info.value, "__notes__", [])
-            )
+        with concurrent.futures.ThreadPoolExecutor(1) as serial:
+            runs = [(None, live.segments[-1].stop)]  # the delta's span start
+            if mode != "exists":  # exists takes no executor
+                runs.append((serial, live.segments[1].start))
+            for executor, second in runs:
+                failpoints.arm("segment.search", error="io", on_hit=2)
+                with pytest.raises(OSError) as info:
+                    if mode == "count":
+                        live.count(query, 0.3, executor=executor)
+                    elif mode == "knn":
+                        live.knn(query, 3, executor=executor)
+                    elif mode == "exists":
+                        live.exists(query, 0.3)
+                    else:
+                        live.search(query[:20], 0.3, executor=executor)
+                if mode != "exists":  # exists probes in the caller, outside fan_out
+                    assert any(
+                        f"segment {second}" in note
+                        for note in getattr(info.value, "__notes__", [])
+                    )
         live.close()
 
 

@@ -22,7 +22,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.frozen import ARRAY_FIELDS, FrozenTSIndex, _concat_ranges
+from repro.core.bulkload import bulk_load_source
+from repro.core.frozen import (
+    ARRAY_FIELDS,
+    FrozenTSIndex,
+    _concat_ranges,
+    check_structure,
+    join,
+)
 from repro.core.normalization import Normalization
 from repro.core.stats import QueryStats
 from repro.core.tsindex import TSIndex, TSIndexParams
@@ -30,6 +37,7 @@ from repro.core.windows import WindowSource
 from repro.data import synthetic
 from repro.engine import ShardedTSIndex
 from repro.euclidean.mass import chebyshev_distance_profile
+from repro.exceptions import InvalidParameterError, SerializationError
 from repro.indices import create_method
 from repro.persistence import load_index, save_index
 from repro.query.planner import scan_knn
@@ -316,6 +324,113 @@ class TestEquivalence:
             frozen.knn(query, 0)
         with pytest.raises(InvalidParameterError):
             frozen.knn(query, 3, exclude=(10, 5))
+
+
+class TestForest:
+    """``join``: several trees laid out as one BFS forest over one
+    source, answering as the trees do together."""
+
+    #: Unequal spans, so the trees have unequal heights (one is a lone
+    #: leaf) and the forest's levels hold some trees and not others.
+    CUTS = (0, 400, 408, 700, 871)
+
+    @pytest.fixture(scope="class", params=REGIMES, ids=[regime.value for regime in REGIMES])
+    def grove(self, request, values):
+        """(source, trees, forest) over the windows of ``values``."""
+        source = WindowSource(values, LENGTH, request.param)
+        cuts = self.CUTS
+        assert cuts[-1] == source.count
+        trees = [
+            bulk_load_source(source.detach(a, b), params=PARAMS)
+            for a, b in zip(cuts, cuts[1:])
+        ]
+        assert len({tree.height for tree in trees}) > 1
+        return source, trees, join(trees, cuts[:-1], source)
+
+    def test_layout(self, grove):
+        source, trees, forest = grove
+        arrays = forest.arrays()
+        roots = len(trees)
+        assert forest.node_count == sum(tree.node_count for tree in trees)
+        assert forest.height == max(tree.height for tree in trees)
+        assert arrays["children"].tolist() == list(range(roots, forest.node_count))
+        assert sorted(arrays["positions"].tolist()) == list(range(source.count))
+        check_structure(arrays, source.count)
+        # Forest level 0 is every tree's root, in tree order.
+        for row, tree in enumerate(trees):
+            assert np.array_equal(arrays["uppers"][row], tree.arrays()["uppers"][0])
+
+    def test_check_structure_rejects_a_non_bfs_forest(self, grove):
+        source, trees, forest = grove
+
+        def rejected(field, mutate):
+            arrays = {key: np.array(value) for key, value in forest.arrays().items()}
+            mutate(arrays[field])
+            with pytest.raises(InvalidParameterError):
+                check_structure(arrays, source.count)
+
+        roots = len(trees)
+        rejected("children", lambda a: a.__setitem__(slice(0, 2), a[1::-1]))
+        rejected("children", lambda a: a.__setitem__(0, 0))
+        # The first non-root node made a child of a later node.
+        rejected("children_offsets", lambda a: a.__setitem__(slice(0, roots + 1), 0))
+
+    def test_search_is_the_trees_together(self, grove):
+        """Positions, distances and every counter: the forest walk is
+        the union of the trees' walks, root checks included."""
+        source, trees, forest = grove
+        rng = np.random.default_rng(5)
+        for query in _queries(source, rng):
+            for epsilon in EPSILONS:
+                got = forest.search(query, epsilon)
+                parts = [tree.search(query, epsilon) for tree in trees]
+                total = QueryStats()
+                for part in parts:
+                    total = total.merge(part.stats)
+                shifted = [part.positions + a for part, a in zip(parts, self.CUTS)]
+                assert np.array_equal(got.positions, np.concatenate(shifted))
+                assert np.array_equal(
+                    got.distances, np.concatenate([part.distances for part in parts])
+                )
+                assert got.stats.as_dict() == total.as_dict()
+
+    def test_search_batch_walks_every_root_per_query(self, grove):
+        source, _, forest = grove
+        queries = _queries(source, np.random.default_rng(7))
+        batch = forest.search_batch(queries, 0.3)
+        for query, result in zip(queries, batch.results):
+            _assert_result_equal(result, forest.search(query, 0.3))
+
+    @pytest.mark.parametrize("k", [1, 5, 40])
+    def test_knn_is_the_exact_scan(self, grove, k):
+        """The greedy seed descends from every root; a child slot read
+        as the wrong node would seed duplicate windows and shrink the
+        radius below the k-th true distance."""
+        source, _, forest = grove
+        rng = np.random.default_rng(6)
+        for query in _queries(source, rng):
+            for exclude in (None, (300, 420)):
+                _assert_result_equal(
+                    forest.knn(query, k, exclude=exclude),
+                    scan_knn(source, query, k, exclude=exclude),
+                    stats=False,
+                )
+
+    def test_thaw_refuses_a_forest(self, grove):
+        with pytest.raises(InvalidParameterError):
+            grove[2].thaw()
+
+    def test_archives_refuse_a_forest(self, grove, tmp_path):
+        source, _, forest = grove
+        with pytest.raises(SerializationError):
+            save_index(forest, tmp_path / "forest")
+        # A hand-built one: a tree's archive with the forest's arrays.
+        path = tmp_path / "tree"
+        save_index(bulk_load_source(source, params=PARAMS), path, fsync=False)
+        for name, array in forest.raw_arrays().items():
+            np.save(path / f"{name}.npy", array)
+        with pytest.raises(SerializationError):
+            load_index(path)
 
 
 class TestThaw:

@@ -355,3 +355,64 @@ class TestSurface:
         assert snapshot["segments"] == live.segment_count
         assert snapshot["durable"] is False
         assert len(snapshot["segment_stats"]) == live.segment_count
+
+
+class TestForestUnderConcurrentIngest:
+    def test_every_answer_is_a_snapshot_while_seals_and_compactions_swap_the_forest(self):
+        """The sealed forest is replaced on every seal and compaction
+        while queries read it from other threads. More probe threads
+        than cores and a short switch interval: each answer must be the
+        oracle's twins over the windows of one moment between the
+        call's start and its end — a forest left stale by a seal would
+        drop the windows sealed since, one joined twice would repeat
+        them."""
+        import sys
+        import threading
+
+        length, epsilon = 16, 1.5
+        series = np.cumsum(np.random.default_rng(21).normal(size=6000))
+        live = LiveTwinIndex(series[:200], length, seal_threshold=64, max_segments=3)
+        windows = np.lib.stride_tricks.sliding_window_view(series, length)
+        errors: list[BaseException] = []
+        answered: list[int] = []
+        done = threading.Event()
+
+        def feeder():
+            for start in range(200, series.size, 5):
+                live.append(series[start : start + 5])
+            done.set()
+
+        def prober(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                while not done.is_set():
+                    before = live.window_count
+                    query = windows[int(rng.integers(0, before))]
+                    got = live.search(query, epsilon)
+                    after = live.window_count
+                    distances = np.abs(windows[:after] - query).max(axis=1)
+                    want = np.flatnonzero(distances <= epsilon)
+                    seen = want[: got.positions.size]
+                    assert np.array_equal(got.positions, seen)
+                    assert np.array_equal(got.distances, distances[seen])
+                    assert seen.size >= np.count_nonzero(want < before)
+                    answered.append(after)
+            except BaseException as exc:  # reported below, from the test thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=feeder)]
+            threads += [threading.Thread(target=prober, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            live.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[0]
+        assert live.seal_count > 50 and live.compaction_count > 0
+        assert len(set(answered)) > 20

@@ -72,10 +72,10 @@ TORN = {
 #: the 1st..nth hit. An append that seals twice writes and commits
 #: seal, merge, seal, merge: four ``segment.write`` and four
 #: ``manifest.commit`` hits. A search hits ``segment.search`` once per
-#: part: up to ``MAX_SEGMENTS`` segments, then the delta's scan. Rarer
+#: part: the sealed segments' one forest, then the delta's scan. Rarer
 #: reaches are left out rather than diluting the draw: a three-seal
 #: backlog (5-6 hits), a recovery whose journal replays a full threshold
-#: and seals, a search over a chain compaction has not yet merged.
+#: and seals.
 SITES = {
     "wal.append": (("append",), 1),
     "wal.fsync": (("append",), 1),
@@ -85,7 +85,7 @@ SITES = {
     "wal.rewrite": (("append", "seal", "reopen"), 2),
     "compaction.merge": (("append", "seal", "compact"), 2),
     "segment.read": (("reopen",), 2),
-    "segment.search": (("query",), 3),
+    "segment.search": (("query",), 2),
 }
 FAULTS = tuple(
     (site, config, on_hit)

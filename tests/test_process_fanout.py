@@ -161,12 +161,17 @@ class TestLiveProcessEquivalence:
         )
 
     def test_knn_matches_serial(self, live_durable, procpool):
+        """Equal answers. The counters differ by design: the calling
+        thread seeds and walks the sealed segments' one forest, the pool
+        each segment; counter identity between the two paths is held
+        by this class's search, count and prefix tests."""
         query = _window(live_durable, 0.5)
         position = int(0.5 * (live_durable.window_count - 1))
         exclude = (position - 10, position + 10)
         serial = live_durable.knn(query, 5, exclude=exclude)
         pooled = live_durable.knn(query, 5, exclude=exclude, executor=procpool)
-        _assert_same_result(serial, pooled)
+        assert np.array_equal(serial.positions, pooled.positions)
+        assert np.array_equal(serial.distances, pooled.distances)
 
     def test_count_matches_serial(self, live_durable, procpool):
         query = _window(live_durable, 0.01)

@@ -19,7 +19,7 @@ from repro.core.bulkload import bulk_load_source
 from repro.core import frozen as frozen_module
 from repro.core.frozen import FrozenTSIndex
 from repro.core.mbts import round_down_f32, round_up_f32
-from repro.core.stats import BuildStats
+from repro.core.stats import BuildStats, QueryStats
 from repro.core.tsindex import TSIndexParams
 from repro.core.verification import (
     GATHER_BUDGET,
@@ -149,6 +149,23 @@ class TestRefineKernel:
         assert_matches_brute_force(
             source, query, positions, float(np.quantile(distances, 0.3))
         )
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_no_candidates(self, source_of, regime):
+        """A part whose roots are all pruned verifies nothing: the
+        result is empty, the counters unchanged, and the admission
+        checks still run."""
+        source = source_of(regime)
+        query = source.window(10).copy()
+        stats = QueryStats(nodes_visited=3, nodes_pruned=3)
+        before = stats.as_dict()
+        result = verify_positions(source, query, np.empty(0, dtype=np.int64), 0.5, stats=stats)
+        assert len(result) == 0 and result.distances.size == 0
+        assert result.stats is stats and stats.as_dict() == before
+        with pytest.raises(InvalidParameterError):
+            verify_positions(source, query, [], -1.0)
+        with pytest.raises(InvalidParameterError):
+            verify_positions(source, np.zeros(LENGTH + 1), [], 0.5)
 
     def test_small_chunks_change_nothing(self, source_global):
         query = source_global.window(300).copy()
