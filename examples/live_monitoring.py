@@ -4,9 +4,9 @@ Demonstrates the :mod:`repro.live` ingestion plane end to end — create
 a durable :class:`~repro.live.LiveTwinIndex`, stream a synthetic
 traffic series (daily periodicity + noise) in small batches while
 alternating twin queries, watch the delta (the scanned, unindexed tail
-of the append buffer) seal into bulk-loaded frozen segments and compact
-in the background, then simulate a crash and recover from the
-write-ahead log.
+of the append buffer) seal into bulk-loaded frozen segments — never
+merged; every query walks them as one forest — then simulate a crash
+and recover from the write-ahead log.
 
 Run:  python examples/live_monitoring.py
 """
@@ -44,7 +44,6 @@ def main() -> None:
         series[:warmup],
         length=length,
         seal_threshold=4_096,
-        max_segments=4,
     )
     print(f"initialized {live!r}\n  durable under {directory}")
 
@@ -65,9 +64,9 @@ def main() -> None:
             )
     print(
         f"streamed {live.series_length} readings: "
-        f"{live.seal_count} seals, {live.compaction_count} compactions, "
-        f"{live.segment_count} segments resident"
+        f"{live.seal_count} seals, {live.segment_count} segments resident"
     )
+    assert live.segment_count == live.seal_count  # one segment per seal
 
     # --- most similar historical days to the latest one -----------------
     latest = np.array(live.values[-length:])
@@ -99,9 +98,7 @@ def main() -> None:
 
     # --- crash and recover ----------------------------------------------
     # Drop the plane as a crash would: everything journaled or sealed
-    # must come back. (A bare ``del`` is not a crash: the plane's
-    # compaction thread would go on committing to the directory the
-    # recovered plane now owns.)
+    # must come back, every sealed segment from its own archive.
     readings_before = live.series_length
     answer_before = live.search(latest, epsilon=12.0)
     live.abandon()
@@ -109,6 +106,7 @@ def main() -> None:
     recovered = LiveTwinIndex.recover(directory)
     answer_after = recovered.search(latest, epsilon=12.0)
     assert recovered.series_length == readings_before
+    assert recovered.segment_count == live.segment_count
     assert np.array_equal(answer_before.positions, answer_after.positions)
     print(
         f"recovered {recovered!r} from the WAL — "

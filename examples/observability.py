@@ -25,7 +25,7 @@ from repro import LiveTwinIndex, QueryEngine, configure_logging
 from repro.obs import to_json, to_prometheus
 
 # The library is silent by default (NullHandler); one call turns on
-# structured INFO logs — watch for the seal/compaction lines below.
+# structured INFO logs — watch for the seal lines below.
 configure_logging("INFO")
 
 

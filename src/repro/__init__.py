@@ -56,7 +56,7 @@ Growing series are first-class too: :mod:`repro.live` is an LSM-style
 ingestion plane — :class:`~repro.live.LiveTwinIndex` appends readings
 (durably, through a write-ahead log when created with
 :meth:`~repro.live.LiveTwinIndex.create`), seals the mutable delta into
-frozen segments, compacts them in the background, and answers
+frozen segments, walks them as one forest, and answers
 ``search`` / ``knn`` / ``exists`` byte-identically to a from-scratch
 index over the full series. Serve one through the engine with
 :meth:`QueryEngine.add <repro.engine.QueryEngine.add>` /

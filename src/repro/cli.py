@@ -404,13 +404,6 @@ def build_live_parser() -> argparse.ArgumentParser:
         default=None,
         help="delta windows per sealed segment (default: library default)",
     )
-    init.add_argument(
-        "--max-segments",
-        type=int,
-        default=None,
-        help="segment count that triggers compaction (default: library "
-        "default)",
-    )
     seed_source = init.add_mutually_exclusive_group()
     seed_source.add_argument(
         "--input", help="CSV/text file with initial readings (optional)"
@@ -504,8 +497,6 @@ def _run_live(argv) -> int:
         options = {}
         if args.seal_threshold is not None:
             options["seal_threshold"] = args.seal_threshold
-        if args.max_segments is not None:
-            options["max_segments"] = args.max_segments
         with LiveTwinIndex.create(
             args.path,
             initial,

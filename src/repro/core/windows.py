@@ -306,8 +306,8 @@ def assemble_source(
     Unlike the constructor, the rolling statistics are *not* recomputed
     from ``values`` — the caller supplies the exact arrays its windows
     must be scaled by. This is the bitwise-exactness carrier used by
-    :meth:`WindowSource.detach` and by :mod:`repro.live`'s segment
-    compaction: statistics computed over the full series are carried
+    :meth:`WindowSource.detach`, and so by :mod:`repro.live`'s segment
+    seals: statistics computed over the full series are carried
     into a chunk-sized source, so chunk windows remain byte-identical to
     the monolithic ones (recomputing over the chunk would perturb the
     cumulative sums by float rounding). Under ``NONE``/``GLOBAL`` pass

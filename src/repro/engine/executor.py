@@ -768,8 +768,8 @@ def _spec_key(
 
 def _index_row(name: str, index: SubsequenceIndex, built_at: float) -> dict:
     """One plane's structural stats row (shape, shards/segments, build
-    cost). Live planes report their LSM shape (segments, delta, seals,
-    compactions) instead of shard rows; other non-sharded planes report
+    cost). Live planes report their LSM shape (segments, delta, seals)
+    instead of shard rows; other non-sharded planes report
     a generic row keyed by their plane kind. Every row carries the
     plane's declared ``capabilities`` (sorted), so operators can see at
     a glance which kernels — including variable-length ``search`` — a

@@ -9,7 +9,7 @@ sites cost one empty-dict check.
 
 What the faults are *for* — the live plane's crash contract — is held by
 one executed model, ``tests/test_live_state_machine.py``: a Hypothesis
-state machine over append / seal / compact / reopen / query whose fault
+state machine over append / seal / reopen / query whose fault
 table arms every live-plane site below (a tier-1 test asserts the table
 covers this registry), with byte-exactness against a from-scratch
 oracle after every step.
@@ -30,12 +30,11 @@ site                where it fires
 ``segment.write``   before a sealed segment archive is written
 ``segment.read``    before a segment archive is loaded during recovery
 ``live.seal``       at the start of a seal (delta freeze + archive)
-``compaction.merge``  in the background merge loop, before each merge
 ``shard.search``    before every per-shard call of ``ShardedTSIndex``, in
                     every query mode (``repro.query.parts.PartSet``)
-``segment.search``  before every per-segment call of ``LiveTwinIndex``, in
-                    every query mode (same site in ``PartSet``; the
-                    delta answers under the plane lock and fires none)
+``segment.search``  before every per-part call of ``LiveTwinIndex`` — the
+                    sealed forest, the delta's scan, a prefix query's
+                    tail — in every query mode (same site in ``PartSet``)
 ``fanout.task``     before every fan-out part (shared helper): in the
                     calling thread, a pool thread or a worker process
 ==================  =====================================================

@@ -14,8 +14,8 @@ Arming::
     with failpoints.armed("wal.append", error="enospc", on_hit=3):
         ...           # the 3rd append raises ENOSPC (wrapped in StorageError)
 
-    failpoints.arm("compaction.merge", error=RuntimeError("merge refused"),
-                   times=2)             # first two merges fail, then clean
+    failpoints.arm("segment.search", error=RuntimeError("part refused"),
+                   times=2)             # first two part calls fail, then clean
     failpoints.arm("segment.write", error="io", probability=0.25, seed=9)
     failpoints.arm("live.seal", crash=True)          # SimulatedCrashError
     failpoints.arm("wal.append",
@@ -76,7 +76,6 @@ ERROR_CLASSES = ("io", "enospc", "crash")
 #: Adding a new site means adding its call *and* its entry here.
 SITES = frozenset(
     {
-        "compaction.merge",
         "fanout.task",
         "live.seal",
         "manifest.commit",

@@ -1,27 +1,27 @@
 """LiveTwinIndex — the live plane itself: configuration, lock, lifecycle
-(append → seal → compact → recover, as :mod:`repro.live` describes it)
-and what a query takes from it.
+(append → seal → recover, as :mod:`repro.live` describes it) and what a
+query takes from it.
 
 The **delta** — the windows appended since the last seal — is the
 unindexed tail of the ingest buffer, not a tree: an append is a journal
 write, a buffer extend and a counter; a query scans it with the paper's
 sweepline (:class:`~repro.indices.sweepline.SweeplineSearch`, the right
-plan for a few thousand windows); a seal bulk-loads it, as compaction
-does (:meth:`Segment.build <repro.live.segments.Segment.build>`).
-Compaction has one path, the :class:`~repro.live.compaction.Compactor`
-thread that a seal over ``max_segments`` schedules.
+plan for a few thousand windows); a seal bulk-loads it into a segment
+(:meth:`Segment.build <repro.live.segments.Segment.build>`). Segments
+are never merged: the segment count grows with ingest, and a query walks
+every sealed segment as one :func:`~repro.core.frozen.join` forest,
+whose per-level bound check prunes as well over many trees as over few.
 
 The plane is a :class:`~repro.query.parts.PartitionedPlane`: its one
-``_take`` prepares a query and takes its parts under the plane lock —
-the sealed segments (one forest of them when the query has no executor
-to spread them over), the delta's sweepline, a prefix query's tail — and
-the planner answers them outside it through
+``_take`` prepares a query and snapshots its parts under the plane lock
+— the sealed segments' forest, the delta's sweepline, a prefix query's
+tail — and the planner answers them outside it through
 :class:`repro.query.parts.PartSet`, the loop the sharded engine shares,
 merging with the library's ``(distance, position)`` tie-breaks (a
 prefix k-NN is the exact scan over the readings, served even before the
 first full window): results are **byte-identical to a from-scratch
-TSIndex over the full series** — held across append / seal / compact /
-crash / recover, under every injected fault, by the state machine in
+TSIndex over the full series** — held across append / seal / crash /
+recover, under every injected fault, by the state machine in
 ``tests/test_live_state_machine.py``. The raw and per-window regimes
 are supported (per-window scaling depends only on each window's own
 values, and the rolling statistics are prefix-stable under appends);
@@ -69,14 +69,8 @@ from ..query.parts import Part, PartitionedPlane, PartSet
 from ..query.registration import register_plane
 from ..query.spec import check_varlength_query, prepare_values
 from ..query.varlength import is_prefix_query
-from .compaction import (
-    DEFAULT_MAX_SEGMENTS,
-    DEFAULT_SEAL_THRESHOLD,
-    Compactor,
-    select_adjacent_pair,
-)
 from .ingest import IngestBuffer, coerce_readings
-from .segments import Segment, merge_segments
+from .segments import DEFAULT_SEAL_THRESHOLD, Segment
 from .store import LiveStore, Manifest
 from .wal import WriteAheadLog
 
@@ -112,14 +106,6 @@ _metrics = HandleCache(
             "Threshold seals that raised; the delta stays in memory "
             "and the next append retries.",
         ),
-        "compaction_seconds": registry.histogram(
-            "repro_live_compaction_seconds",
-            "Adjacent-segment merge duration, in seconds.",
-        ),
-        "compactions": registry.counter(
-            "repro_live_compactions_total",
-            "Segment compactions committed.",
-        ),
         "recoveries": registry.counter(
             "repro_live_recoveries_total",
             "Live-plane recoveries completed.",
@@ -139,9 +125,11 @@ class LiveTwinIndex(PartitionedPlane):
     Build an in-memory plane with the constructor (or
     :meth:`from_source`), a durable one with :meth:`create`, and reopen
     a durable one with :meth:`recover`. All public methods are safe to
-    call from multiple threads; a query holds the plane lock only to
-    take its parts, so it never blocks an append or compaction (which
-    runs on the plane's one background thread, see :meth:`compact`).
+    call from multiple threads. A query holds the plane lock only to
+    prepare itself and snapshot its parts; it joins the sealed forest
+    (after a seal) and searches outside the lock, so an append waits
+    for a snapshot at most, never for a join or a search. Sealed
+    segments are never merged, and the plane runs no background thread.
 
     Windows appended since the last seal are scanned, not indexed, and
     ``seal_threshold`` bounds that scan: ``seal_threshold=None`` is a
@@ -186,7 +174,6 @@ class LiveTwinIndex(PartitionedPlane):
         normalization: Any = Normalization.NONE,
         params: TSIndexParams | None = None,
         seal_threshold: int | None = DEFAULT_SEAL_THRESHOLD,
-        max_segments: int = DEFAULT_MAX_SEGMENTS,
         _store: LiveStore | None = None,
         _sealed: tuple[Segment, ...] = (),
     ):
@@ -204,9 +191,6 @@ class LiveTwinIndex(PartitionedPlane):
             if seal_threshold is None
             else check_positive_int(seal_threshold, name="seal_threshold")
         )
-        self._max_segments = check_positive_int(
-            max_segments, name="max_segments"
-        )
         #: The durable directory (``None``: an in-memory plane). Set
         #: once; its journal and manifest change only under the lock.
         self._store = _store
@@ -216,10 +200,11 @@ class LiveTwinIndex(PartitionedPlane):
             self._length,
             self._normalization,
         )
-        self._segments: list[Segment] = []  # lint: guarded-by(_lock)
+        #: Replaced, never mutated, so a query's snapshot stays valid.
+        self._segments: tuple[Segment, ...] = ()  # lint: guarded-by(_lock)
         #: The sealed segments joined as one forest, over the monolithic
         #: source's span ``[0, _delta_start)`` (see :meth:`_take`);
-        #: ``None`` until a query needs it after ``_segments`` changed.
+        #: ``None`` until a query installs it after ``_segments`` changed.
         self._forest: FrozenTSIndex | None = None  # lint: guarded-by(_lock)
         #: The delta: windows ``[_delta_start, _delta_start +
         #: _delta_count)`` of ``_source``, which end at ``_source.count``.
@@ -230,16 +215,14 @@ class LiveTwinIndex(PartitionedPlane):
         self._seals = 0  # lint: guarded-by(_lock)
         self._seal_failures = 0  # lint: guarded-by(_lock)
         self._last_seal_error: Exception | None = None  # lint: guarded-by(_lock)
-        self._compactions = 0  # lint: guarded-by(_lock)
         self._closed = False  # lint: guarded-by(_lock)
         self._quarantined: tuple[str, ...] = ()  # lint: guarded-by(_lock)
-        self._compactor = Compactor(self._compact_loop)
         with self._lock:
             if _sealed:
                 # The chain a recovery loaded, each segment re-sourced
                 # against the recovered monolith.
                 self._source = self._ingest.source()
-                self._segments.extend(
+                self._segments = tuple(
                     segment.rebased(self._source, self._params) for segment in _sealed
                 )
                 self._delta_start = _sealed[-1].stop
@@ -255,18 +238,16 @@ class LiveTwinIndex(PartitionedPlane):
         *,
         params: TSIndexParams | None = None,
         seal_threshold: int | None = DEFAULT_SEAL_THRESHOLD,
-        max_segments: int = DEFAULT_MAX_SEGMENTS,
     ) -> "LiveTwinIndex":
         """Build an in-memory live plane preloaded with a prepared
         source's series (the :func:`~repro.indices.base.create_method`
-        entry point); the preload seals and compacts as appends do."""
+        entry point); the preload seals as appends do."""
         return cls(
             source.series.values,
             source.length,
             normalization=source.normalization,
             params=params,
             seal_threshold=seal_threshold,
-            max_segments=max_segments,
         )
 
     @classmethod
@@ -279,7 +260,6 @@ class LiveTwinIndex(PartitionedPlane):
         normalization: Any = Normalization.NONE,
         params: TSIndexParams | None = None,
         seal_threshold: int | None = DEFAULT_SEAL_THRESHOLD,
-        max_segments: int = DEFAULT_MAX_SEGMENTS,
         fsync: bool = False,
         archive_format: str = "raw",
     ) -> "LiveTwinIndex":
@@ -287,10 +267,10 @@ class LiveTwinIndex(PartitionedPlane):
 
         Every subsequent :meth:`append` is journaled to the write-ahead
         log before it is buffered; sealed segments are archived as
-        uncompressed mmap-able directories (they recover in O(metadata)
-        and support process fan-out with a single page-cache copy) and
-        committed to the manifest; a compaction's merged archive
-        replaces its inputs in the same way.
+        uncompressed mmap-able directories (they recover in
+        O(metadata)) and committed to the manifest: one archive per
+        seal, never merged, so recovery opens as many archives as the
+        plane sealed.
         ``fsync=True`` additionally fsyncs each journal write
         (crash-safe against power loss, at a heavy per-append cost;
         the default survives process crashes).
@@ -308,7 +288,6 @@ class LiveTwinIndex(PartitionedPlane):
             normalization=normalization,
             params=params,
             seal_threshold=seal_threshold,
-            max_segments=max_segments,
             _store=LiveStore.create(path, values, fsync=fsync),
         )
         with index._lock:
@@ -345,8 +324,9 @@ class LiveTwinIndex(PartitionedPlane):
         :meth:`LiveStore.open <repro.live.store.LiveStore.open>`) and
         recovers the longest intact prefix, byte-identical to a
         from-scratch index over those readings; manifest damage stays
-        loud in both modes. A chain a crash left over ``max_segments``
-        is merged after the next seal, or by :meth:`compact`.
+        loud in both modes. A manifest an older version wrote may carry
+        ``max_segments``: it is ignored, and the chain recovers as it
+        is, however many segments it holds.
         """
         store, found = LiveStore.open(path, fsync=fsync, strict=strict)
         try:
@@ -357,7 +337,6 @@ class LiveTwinIndex(PartitionedPlane):
                 normalization=config.normalization,
                 params=config.params,
                 seal_threshold=config.seal_threshold,
-                max_segments=config.max_segments,
                 _store=store,
                 _sealed=found.sealed,
             )
@@ -444,7 +423,7 @@ class LiveTwinIndex(PartitionedPlane):
     def segments(self) -> tuple[Segment, ...]:
         """The sealed segments, ascending by span (snapshot)."""
         with self._lock:
-            return tuple(self._segments)
+            return self._segments
 
     @property
     def segment_count(self) -> int:
@@ -472,12 +451,6 @@ class LiveTwinIndex(PartitionedPlane):
             return self._seals
 
     @property
-    def compaction_count(self) -> int:
-        """Segment merges performed (this process)."""
-        with self._lock:
-            return self._compactions
-
-    @property
     def directory(self) -> str | None:
         """The durability directory (``None`` for in-memory planes)."""
         return None if self._store is None else self._store.directory
@@ -502,8 +475,7 @@ class LiveTwinIndex(PartitionedPlane):
         the maximum, as in :attr:`ShardedTSIndex.build_stats
         <repro.engine.sharding.ShardedTSIndex.build_stats>` — except
         ``seconds``: shards build one after another and that one sums
-        them; this one reports the slowest part — a bulk load, whether
-        a seal or a compaction made the segment."""
+        them; this one reports the slowest seal's bulk load."""
         merged = BuildStats()
         for segment in self.segments:
             stats = segment.index.build_stats
@@ -533,12 +505,15 @@ class LiveTwinIndex(PartitionedPlane):
                     if self._last_seal_error
                     else None
                 ),
-                "compactions": self._compactions,
+                # Segments are never merged. This row and "compaction"
+                # below stay, at 0, only because benchmarks/twinbench
+                # (frozen by BENCHMARK.json) reads them.
+                "compactions": 0,
                 "mutations": self._mutations,
                 "durable": self.durable,
                 "directory": self.directory,
                 "quarantined_files": list(self._quarantined),
-                "compaction": self._compactor.stats(),
+                "compaction": {"retries": 0},
                 "segment_stats": [
                     segment.stats_row() for segment in self._segments
                 ],
@@ -562,10 +537,9 @@ class LiveTwinIndex(PartitionedPlane):
 
         The journal write (durable planes) happens *before* any
         in-memory mutation, so a crash mid-append loses at most the
-        un-journaled batch. May seal the delta and schedule background
-        compaction on the way out; once the batch is journaled the
-        append has succeeded, so a seal that fails is accounted like a
-        failed compaction (log, ``stats()["seal_failures"]``) and
+        un-journaled batch. May seal the delta on the way out; once the
+        batch is journaled the append has succeeded, so a seal that
+        fails is accounted (log, ``stats()["seal_failures"]``) and
         retried by the next append, not raised.
         """
         readings = coerce_readings(readings, allow_empty=False)
@@ -593,46 +567,29 @@ class LiveTwinIndex(PartitionedPlane):
             self._seal_locked(self._delta_start + self._delta_count)
             return True
 
-    def compact(self, timeout: float | None = None) -> None:
-        """Schedule a compaction and wait for it: on return at most
-        ``max_segments`` segments remain, unless a merge failed past its
-        retries (``stats()["compaction"]``) or ``timeout`` seconds
-        expired first (:class:`TimeoutError`)."""
-        self._compactor.schedule()
-        self._compactor.wait(timeout)
-
     def wait_for_compaction(self, timeout: float | None = None) -> None:
-        """Block until any in-flight background compaction finishes."""
-        self._compactor.wait(timeout)
+        """Return at once: segments are never merged, so there is no
+        compaction to wait for. Kept only because benchmarks/twinbench
+        (frozen by BENCHMARK.json) calls it."""
 
     def close(self) -> None:
-        """Seal nothing, stop background work, close the journal
-        (idempotent). The plane refuses further appends and seals;
-        reopen durable planes with :meth:`recover`. A failed compaction
-        does not raise here (it stays in ``stats()["compaction"]``)."""
+        """Seal nothing and close the journal (idempotent). The plane
+        refuses further appends and seals; reopen durable planes with
+        :meth:`recover`."""
         with self._lock:
             if self._closed:
                 return
-            # _closed makes the compaction loop bail before its next
-            # splice/manifest commit: once shutdown has begun, the
-            # background thread changes nothing durable.
             self._closed = True
-        try:
-            self._compactor.close()
-        finally:
-            with self._lock:
-                if self._store is not None:
-                    self._store.close()
+            if self._store is not None:
+                self._store.close()
 
     def abandon(self) -> None:
         """Drop the plane as a crash would. :meth:`close` already
-        flushes and seals nothing and lets no in-flight compaction
-        commit, so this *is* :meth:`close`; the name is what a fault
-        test says after a
-        :class:`~repro.exceptions.SimulatedCrashError`, raised or
-        recorded by the compactor it killed (the state machine in
-        ``tests/test_live_state_machine.py`` does): the only way back is
-        :meth:`recover`, exactly as after a real kill."""
+        flushes and seals nothing, so this *is* :meth:`close`; the name
+        is what a fault test says after a
+        :class:`~repro.exceptions.SimulatedCrashError` (the state
+        machine in ``tests/test_live_state_machine.py`` does): the only
+        way back is :meth:`recover`, exactly as after a real kill."""
         self.close()
 
     def __enter__(self) -> "LiveTwinIndex":
@@ -696,7 +653,7 @@ class LiveTwinIndex(PartitionedPlane):
             )
             if self._store is not None:
                 segment.file = self._store.save_segment(segment)
-            self._segments.append(segment)
+            self._segments = (*self._segments, segment)
             self._forest = None
             self._delta_start = stop
             self._delta_count -= stop - start
@@ -712,78 +669,12 @@ class LiveTwinIndex(PartitionedPlane):
             "sealed segment [%d, %d) (%d windows, %d segments total)",
             start, stop, stop - start, len(self._segments),
         )
-        if len(self._segments) > self._max_segments:
-            _log.debug(
-                "scheduling background compaction (%d segments > max %d)",
-                len(self._segments), self._max_segments,
-            )
-            self._compactor.schedule()
 
     def _check_open(self) -> None:  # lint: holds(_lock) called with the plane lock held
         if self._closed:
             raise InvalidParameterError(
                 "live index is closed; reopen with LiveTwinIndex.recover()"
             )
-
-    def _compact_loop(self) -> None:
-        """The :class:`~repro.live.compaction.Compactor`'s work: merge
-        adjacent segments until at most ``max_segments`` remain. The
-        expensive merge runs without the lock (its inputs are
-        immutable); only the list splice and manifest commit are
-        locked."""
-        while True:
-            with self._lock:
-                if self._closed or len(self._segments) <= self._max_segments:
-                    return
-                pair = select_adjacent_pair(self._segments)
-                first, second = (
-                    self._segments[pair],
-                    self._segments[pair + 1],
-                )
-            metrics = _metrics()
-            with metrics["compaction_seconds"].time():
-                merged = merge_segments(first, second, self._params)
-            if self._store is not None:
-                merged.file = self._store.save_segment(merged)
-            with self._lock:
-                if self._closed:
-                    return
-                # Appends only ever add segments at the tail and this
-                # loop is the only remover, so the pair is still
-                # adjacent — located by identity for robustness.
-                position = next(
-                    (
-                        i
-                        for i, segment in enumerate(self._segments)
-                        if segment is first
-                    ),
-                    None,
-                )
-                if (
-                    position is None
-                    or position + 1 >= len(self._segments)
-                    or self._segments[position + 1] is not second
-                ):
-                    continue
-                self._segments[position : position + 2] = [merged]
-                self._forest = None
-                self._compactions += 1
-                metrics["compactions"].inc()
-                _log.info(
-                    "compacted segments [%d, %d) + [%d, %d) -> [%d, %d) "
-                    "(%d segments remain)",
-                    first.start, first.stop, second.start, second.stop,
-                    merged.start, merged.stop, len(self._segments),
-                )
-                if self._store is not None:
-                    self._store.commit(
-                        self._manifest(),
-                        stale=[
-                            file
-                            for file in (first.file, second.file)
-                            if file and file != merged.file
-                        ],
-                    )
 
     def _manifest(self) -> Manifest:  # lint: holds(_lock) called with the plane lock held
         """The plane as its directory's catalog should describe it."""
@@ -792,7 +683,6 @@ class LiveTwinIndex(PartitionedPlane):
             normalization=self._normalization,
             params=self._params,
             seal_threshold=self._seal_threshold,
-            max_segments=self._max_segments,
             fsync=self._store.fsync,
             wal_offset=self._delta_start,
             segments=tuple(
@@ -805,33 +695,30 @@ class LiveTwinIndex(PartitionedPlane):
     # Queries
     # ------------------------------------------------------------------
     def _take(self, query: Any, executor: Any = None) -> tuple[np.ndarray, PartSet] | None:
-        """What a query takes from under the lock: the query prepared,
-        and every span as a part, labelled by span start — the sealed
-        segments, then the delta as a sweepline over its shard of the
-        monolithic source (immutable once taken: the ingest buffer only
-        ever writes past it), and, for a query of length ``m < l``, the
-        series tail as a sweepline over the ``m``-windows no
-        ``l``-window covers. The set is answered once the lock is
-        released. ``None`` before the first full window (a prefix
-        query: before ``m`` readings).
-
-        With no ``executor`` the sealed segments are **one** part, their
+        """What a query takes from the plane: the query prepared, and
+        every span as a part — the sealed segments as **one** part, their
         :func:`~repro.core.frozen.join` forest over the monolithic
-        source's span ``[0, frontier)``, labelled ``0``: one level walk
-        and one verification for all of them, instead of one ``search``
-        per segment, each with its own fixed cost. It is joined here at
-        the first query after the segments change (seal, compaction,
-        recovery) and kept until they change again, when it is released.
-        It copies the segments' arrays (as many bytes again) and its
+        source's span ``[0, frontier)``, labelled ``0``; the delta as a
+        sweepline over its shard of the monolithic source (immutable
+        once taken: the ingest buffer only ever writes past it),
+        labelled by its start; and, for a query of length ``m < l``, the
+        series tail as a sweepline over the ``m``-windows no
+        ``l``-window covers. ``None`` before the first full window (a
+        prefix query: before ``m`` readings). Every executor gets the
+        same parts: none names an archive, so a process pool leaves
+        them all to the calling thread.
+
+        One locked read snapshots the segment tuple, its forest if one
+        is installed, and the delta, so the parts always cover one
+        moment's windows. The first query after the segments change (a
+        seal, or recovery) joins the forest *after* releasing the lock,
+        from that snapshot, and installs it only if no seal has replaced
+        the tuple meanwhile; concurrent first queries may each join. The
+        forest copies the segments' arrays (as many bytes again) and its
         source shard aliases the ingest buffer and rolling statistics of
-        the join, so a buffer that an append has since outgrown stays
-        alive until the forest goes. On an ``executor`` each segment
-        stays a part of its own, as the pool's unit of work: a durable
-        segment names the archive a worker process reopens (bitwise
-        equal to the in-memory segment: it embeds the rolling
-        statistics); the scan parts and an in-memory plane's segments
-        name none, so a process pool leaves them to the calling
-        thread."""
+        the snapshot, so a buffer that an append has since outgrown
+        stays alive until the forest is replaced. ``executor`` is
+        unused."""
         with self._lock:
             values = self._ingest.values
             prefix = is_prefix_query(query, self._length)
@@ -843,26 +730,10 @@ class LiveTwinIndex(PartitionedPlane):
                 return None
             else:
                 query = prepare_values(self._source, query, expected=self._length)
-            if executor is None and self._segments:
-                if self._forest is None:
-                    self._forest = join(
-                        [segment.index for segment in self._segments],
-                        [segment.start for segment in self._segments],
-                        self._source.shard(0, self._delta_start),
-                    )
-                parts = [Part(0, self._forest, 0, None)]
-            else:
-                parts = [
-                    Part(
-                        segment.start,
-                        segment.index,
-                        segment.start,
-                        None
-                        if self._store is None or segment.file is None
-                        else (self._store.path(segment.file), None),
-                    )
-                    for segment in self._segments
-                ]
+            segments, forest = self._segments, self._forest
+            if segments and forest is None:
+                sealed = self._source.shard(0, self._delta_start)
+            parts = []
             if self._delta_count:
                 start = self._delta_start
                 delta = self._source.shard(start, start + self._delta_count)
@@ -871,4 +742,15 @@ class LiveTwinIndex(PartitionedPlane):
                 start = max(0, values.size - self._length + 1)
                 tail = assemble_source(values[start:], query.size, Normalization.NONE, name="live-tail")
                 parts.append(Part(start, SweeplineSearch.from_source(tail), start, None))
+        if segments:
+            if forest is None:
+                forest = join(
+                    [segment.index for segment in segments],
+                    [segment.start for segment in segments],
+                    sealed,
+                )
+                with self._lock:
+                    if self._segments is segments:
+                        self._forest = forest
+            parts.insert(0, Part(0, forest, 0, None))
         return query, PartSet(parts, "segment", values)

@@ -14,24 +14,26 @@ bitwise identical to the corresponding windows of a from-scratch index
 over the whole grown series.
 
 Every segment is bulk loaded (:meth:`Segment.build`): a seal builds one
-over the delta's windows; :func:`merge_segments`, the compaction
-primitive, over the concatenated chunk of two adjacent segments (minus
-the duplicated ``l - 1`` overlap values). Tree shape never shows in an
-answer: twins are exact post-verification, window values carry bitwise.
+over the delta's windows, and segments are never merged — a query walks
+them all as one :func:`~repro.core.frozen.join` forest. Tree shape never
+shows in an answer: twins are exact post-verification, window values
+carry bitwise.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
 from ..core.bulkload import bulk_load_source
 from ..core.frozen import FrozenTSIndex
-from ..core.normalization import Normalization
 from ..core.tsindex import TSIndexParams
-from ..core.windows import WindowSource, assemble_source
-from ..exceptions import InvalidParameterError
+from ..core.windows import WindowSource
+
+#: Delta windows accumulated before the delta is sealed into a segment.
+#: The delta is scanned, so this bounds its share of a query: 0.17 ms at
+#: 4,096 windows, of a ≈ 3 ms live search (twinbench ``live_ingest``);
+#: the seal's bulk load is then ≈ 5 ms.
+DEFAULT_SEAL_THRESHOLD = 4096
 
 
 @dataclasses.dataclass
@@ -86,7 +88,7 @@ class Segment:
 
     def stats_row(self) -> dict:
         """One diagnostics row (for ``live stats`` and the registry);
-        ``build_seconds`` is the bulk load, of a seal or a compaction."""
+        ``build_seconds`` is the seal's bulk load."""
         build = self.index.build_stats
         return {
             "span": f"[{self.start}, {self.stop})",
@@ -100,39 +102,3 @@ class Segment:
     def __repr__(self) -> str:
         return f"Segment(span=[{self.start}, {self.stop}), file={self.file!r})"
 
-
-def merge_segments(
-    first: Segment, second: Segment, params: TSIndexParams
-) -> Segment:
-    """Compact two *adjacent* segments into one.
-
-    Self-contained: reads only the two segments' own sources (never the
-    live plane's mutable state), so it is safe to run on a background
-    thread while appends proceed.
-    """
-    if first.stop != second.start:
-        raise InvalidParameterError(
-            f"can only merge adjacent segments, got [{first.start}, "
-            f"{first.stop}) and [{second.start}, {second.stop})"
-        )
-    src_a: WindowSource = first.index.source
-    src_b: WindowSource = second.index.source
-    length = src_a.length
-    # src_a covers values [start_a, stop_a + l - 1); src_b covers
-    # [stop_a, stop_b + l - 1). Dropping src_b's first l - 1 values
-    # (the shared overlap) yields the contiguous chunk.
-    values = np.concatenate([src_a.values, src_b.values[length - 1:]])
-    if src_a.normalization is Normalization.PER_WINDOW:
-        means = np.concatenate([src_a._means, src_b._means])
-        stds = np.concatenate([src_a._stds, src_b._stds])
-    else:
-        means = stds = None
-    merged_source = assemble_source(
-        values,
-        length,
-        src_a.normalization,
-        means=means,
-        stds=stds,
-        name=f"live[{first.start}:{second.stop + length - 1}]",
-    )
-    return Segment.build(merged_source, first.start, params)

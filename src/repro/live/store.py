@@ -17,9 +17,9 @@ step is atomic, so a crash between any two leaves a directory
 an orphan and is swept; a journal that starts before the manifest's
 frontier merely repeats sealed readings, which are cross-checked.
 
-A store holds no lock: the plane calls :meth:`LiveStore.commit` under
-its own, and :meth:`LiveStore.save_segment` writes a file nothing names
-yet, so compaction calls it outside.
+A store holds no lock: the plane calls :meth:`LiveStore.commit` and
+:meth:`LiveStore.save_segment` (which writes a file nothing names yet)
+under its own.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ from ..exceptions import (
 from ..faults.failpoints import failpoint
 from ..obs.logsetup import get_logger
 from ..obs.metrics import HandleCache
-from .compaction import DEFAULT_MAX_SEGMENTS, DEFAULT_SEAL_THRESHOLD
-from .segments import Segment
+from .segments import DEFAULT_SEAL_THRESHOLD, Segment
 from .wal import WriteAheadLog, fsync_directory
 
 _log = get_logger("repro.live")
@@ -70,8 +69,7 @@ MANIFEST_FORMAT = 1
 #: Segment archive names: ``seg-<start>-<stop>`` plus the suffix written
 #: (a directory, see :mod:`repro.persistence.serializer`) or the legacy
 #: single-file one an older live directory may still hold — loaded
-#: through its manifest entry, swept when orphaned, rewritten by
-#: compaction.
+#: through its manifest entry and swept when orphaned.
 SEGMENT_PREFIX = "seg-"
 SEGMENT_SUFFIXES = (".rts", ".npz")
 
@@ -91,7 +89,7 @@ def save_manifest(directory: Any, manifest: dict) -> None:
     """Atomically write ``manifest`` (tmp file + fsync + rename + dir
     fsync, so a crash leaves either the old or the new manifest, never
     a torn one — and the rename itself is durable). Manifest writes
-    happen only at init/seal/compaction, so the extra fsyncs are off
+    happen only at init, seal and recovery, so the extra fsyncs are off
     the append hot path."""
     path = manifest_path(directory)
     tmp = path + ".tmp"
@@ -168,13 +166,13 @@ class Manifest:
     """A live directory's catalog: the plane's configuration, the sealed
     frontier, the segment chain as ``(start, stop, file)``.
     :meth:`write` and :meth:`read` are the one spelling of its JSON keys
-    (retired ones, such as ``archive_format``, are ignored)."""
+    (retired ones — ``archive_format``, and ``max_segments`` from when
+    segments were merged — are read past and never written)."""
 
     length: int
     normalization: Normalization
     params: TSIndexParams
     seal_threshold: int | None
-    max_segments: int
     fsync: bool
     wal_offset: int | None
     segments: tuple[tuple[int, int, str], ...]
@@ -189,7 +187,6 @@ class Manifest:
                 "normalization": self.normalization.value,
                 "params": dataclasses.asdict(self.params),
                 "seal_threshold": self.seal_threshold,
-                "max_segments": self.max_segments,
                 "fsync": self.fsync,
                 "wal_offset": self.wal_offset,
                 "segments": [
@@ -212,7 +209,6 @@ class Manifest:
                 normalization=Normalization.coerce(raw["normalization"]),
                 params=TSIndexParams(**raw["params"]),
                 seal_threshold=None if seal_threshold is None else int(seal_threshold),
-                max_segments=int(raw.get("max_segments", DEFAULT_MAX_SEGMENTS)),
                 fsync=bool(raw.get("fsync", False)),
                 wal_offset=None if wal_offset is None else int(wal_offset),
                 segments=tuple(
@@ -440,8 +436,8 @@ class LiveStore:
 
     def orphans(self, manifest: Manifest) -> list[str]:
         """Archives in the directory that ``manifest`` does not name:
-        written by a seal or merge that crashed before its commit, or
-        superseded by a compaction that crashed before its unlink."""
+        written by a seal that crashed before its commit, or left by an
+        older version's segment merge that crashed before its unlink."""
         referenced = {file for _, _, file in manifest.segments}
         return [
             name
@@ -454,8 +450,7 @@ class LiveStore:
 
 def _remove_archive(path: str) -> None:
     """Best-effort removal of a segment archive — a directory, or a
-    legacy single file (stale-file cleanup must never fail a recovery
-    or compaction commit)."""
+    legacy single file (stale-file cleanup must never fail a recovery)."""
     try:
         if os.path.isdir(path):
             shutil.rmtree(path)

@@ -6,7 +6,7 @@ root logger carries a :class:`logging.NullHandler` (installed by
 so the library stays silent unless the application configures logging.
 
 Applications that want to see the library's events — segment seals,
-compactions, WAL recovery, cache invalidation — call
+WAL recovery, cache invalidation — call
 :func:`configure_logging`:
 
 >>> import repro.obs
@@ -16,8 +16,8 @@ Events and levels:
 
 * ``WARNING`` — live-plane recovery dropped a truncated or corrupt WAL
   tail (data past the last intact record is discarded);
-* ``INFO`` — segment seal, compaction, WAL recovery summary;
-* ``DEBUG`` — cache invalidation, compaction scheduling.
+* ``INFO`` — segment seal, WAL recovery summary;
+* ``DEBUG`` — cache invalidation.
 """
 
 from __future__ import annotations

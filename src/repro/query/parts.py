@@ -73,10 +73,10 @@ class Part(NamedTuple):
     index: Any
     #: Names the part in spans, error notes and degraded reports.
     label: Any
-    #: ``(archive path, shard number or None)`` for a worker process to
-    #: reopen; ``None`` when the part exists only in memory (a process
-    #: pool then leaves it to the calling thread).
-    archive: tuple[str, int | None] | None
+    #: ``(archive path, shard number)`` for a worker process to reopen
+    #: (a sharded plane's shard); ``None`` when the part exists only in
+    #: memory (a process pool then leaves it to the calling thread).
+    archive: tuple[str, int] | None
 
 
 def call_part(index: Any, call: str, args: tuple, kwargs: dict) -> Any:
@@ -137,8 +137,8 @@ class PartSet:
         On a process pool the parts with an archive go to the workers as
         :class:`~repro.engine.procpool.ArchiveTask` values, after the
         others have answered here, one after another: a scan part, or
-        every segment of an in-memory plane (then this is the serial
-        loop, byte-identical)."""
+        every part of the live plane (then this is the serial loop,
+        byte-identical)."""
         # Captured here: pool threads do not inherit the trace context.
         trace = current_trace()
 

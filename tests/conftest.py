@@ -7,7 +7,6 @@ session-scoped prebuilt indices reused by the read-only query tests.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import pathlib
 import shutil
@@ -16,7 +15,6 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-import repro.live.index as live_index
 from repro.core.normalization import Normalization
 from repro.core.tsindex import TSIndex, TSIndexParams
 from repro.core.windows import WindowSource
@@ -24,7 +22,6 @@ from repro.data import synthetic
 from repro.indices.isax import ISAXIndex, ISAXParams
 from repro.indices.kvindex import KVIndex, KVIndexParams
 from repro.indices.sweepline import SweeplineSearch
-from repro.live.compaction import Compactor
 
 # Hypothesis budgets. ``ci`` (the default) is derandomized and has no
 # per-example deadline — this box's timings swing 2× between runs — and
@@ -184,57 +181,6 @@ def save_legacy_npz():
             np.savez_compressed(handle, **payload)
 
     return factory
-
-
-class _Deferred(concurrent.futures.Executor):
-    """An executor that holds what it is given until :meth:`run_pending`
-    runs it on the calling thread."""
-
-    def __init__(self):
-        self._calls = []
-
-    def submit(self, fn, /, *args, **kwargs):
-        future = concurrent.futures.Future()
-        self._calls.append((future, fn, args, kwargs))
-        return future
-
-    def run_pending(self):
-        while self._calls:
-            future, fn, args, kwargs = self._calls.pop(0)
-            future.set_running_or_notify_cancel()
-            try:
-                future.set_result(fn(*args, **kwargs))
-            except Exception as exc:  # stored for result(), as a pool does
-                future.set_exception(exc)
-
-    def shutdown(self, wait=True, *, cancel_futures=False):
-        self.run_pending()
-
-
-class CallingThreadCompactor(Compactor):
-    """The production :class:`~repro.live.compaction.Compactor` with its
-    thread replaced by the caller's: :meth:`schedule` does its own
-    bookkeeping, then runs the run it submitted — the unchanged
-    ``Compactor._run``, failpoint, retries, backoff and crash accounting
-    included — before it returns. A crash is therefore not raised but
-    recorded (``compactor.crashed``), as on the thread."""
-
-    def __init__(self, work, **options):
-        super().__init__(work, **options)
-        self._pool = self._calls = _Deferred()
-
-    def schedule(self):
-        super().schedule()
-        self._calls.run_pending()
-
-
-@pytest.fixture
-def compaction_on_calling_thread(monkeypatch):
-    """Every live plane built while this fixture is active compacts with
-    a :class:`CallingThreadCompactor`: the plane's only compaction path,
-    made deterministic — a merge scheduled by an append, seal or
-    ``compact()`` has finished when that call returns."""
-    monkeypatch.setattr(live_index, "Compactor", CallingThreadCompactor)
 
 
 @pytest.fixture(scope="session")

@@ -108,7 +108,7 @@ def test_the_live_directory_is_spelled_in_one_module(tmp_path, series_values):
     manifest = json.loads((tmp_path / "live" / store.MANIFEST_NAME).read_text())
     assert set(manifest) == {
         "format", "length", "normalization", "params", "seal_threshold",
-        "max_segments", "fsync", "wal_offset", "segments",
+        "fsync", "wal_offset", "segments",
     }  # fmt: skip
     assert all(set(entry) == {"start", "stop", "file"} for entry in manifest["segments"])
     assert store.Manifest.read(tmp_path / "live").segments == tuple(

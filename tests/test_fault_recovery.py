@@ -21,9 +21,6 @@ from repro.live.wal import MANIFEST_NAME
 LENGTH = 16
 SEAL = 48
 
-pytestmark = pytest.mark.usefixtures("compaction_on_calling_thread")
-
-
 @pytest.fixture(autouse=True)
 def _clean_registry():
     failpoints.reset()

@@ -4,17 +4,20 @@
 for how it was made) is what every durable plane created before the raw
 archive directory became the only container looks like. Nothing writes
 that shape any more, so this module is what keeps it readable: it must
-recover exactly, keep serving while new ``.rts`` segments land beside
-the old files, and turn raw segment by segment as compaction rewrites
-it.
+recover exactly and keep serving while new ``.rts`` segments land beside
+the old files, which nothing rewrites (segments are never merged). Its
+manifest also carries ``max_segments``, a field from when segments were
+merged: recovery reads past it, whatever chain it would have bounded.
 """
 
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
+from repro import bulk_load
 from repro.core.tsindex import TSIndex, TSIndexParams
 from repro.live import LiveTwinIndex
 from repro.live.wal import MANIFEST_NAME
@@ -119,20 +122,51 @@ def test_new_seals_land_as_directories_beside_the_files(legacy_dir):
         _assert_exact(again, 400)
 
 
-def test_compaction_rewrites_the_files_as_directories(legacy_dir):
+def _digest(answers: list) -> str:
+    """sha256 over the bytes of every answer's positions and distances
+    (and of every count and existence flag)."""
+    digest = hashlib.sha256()
+    for answer in _without_stats(answers):
+        if isinstance(answer, tuple):
+            for values, dtype in zip(answer, (np.int64, np.float64)):
+                digest.update(np.asarray(values, dtype=dtype).tobytes())
+        else:
+            digest.update(repr(answer).encode())
+    return digest.hexdigest()
+
+
+def test_the_committed_manifest_recovers_byte_identically(legacy_dir):
+    """The committed directory as it is: its manifest names
+    ``max_segments``, which recovery ignores and the rewritten manifest
+    drops, and every mode answers to the byte like a from-scratch bulk
+    load of the same readings."""
+    assert json.loads((legacy_dir / MANIFEST_NAME).read_text())["max_segments"] == 8
+    scratch = bulk_load(SERIES[:FED], LENGTH, normalization="none", params=PARAMS)
+    with LiveTwinIndex.recover(legacy_dir) as live:
+        assert _digest(_answers(live, FED)) == _digest(_answers(scratch, FED))
+        assert "max_segments" not in json.loads((legacy_dir / MANIFEST_NAME).read_text())
+
+
+def test_a_chain_over_the_retired_max_segments_recovers_as_it_is(legacy_dir):
+    """A crash used to be able to leave more segments than
+    ``max_segments`` for a later merge. Nothing merges now: such a chain
+    recovers as it is, and seals keep adding to it."""
     manifest = json.loads((legacy_dir / MANIFEST_NAME).read_text())
     manifest["max_segments"] = 1
     (legacy_dir / MANIFEST_NAME).write_text(json.dumps(manifest))
     with LiveTwinIndex.recover(legacy_dir) as live:
-        assert live.segment_count == 4  # recovery itself rewrites nothing
-        live.compact()
-        assert live.segment_count == 1
-        assert _segment_names(legacy_dir) == ["seg-000000000000-000000000256.rts"]
+        assert live.segment_count == 4
         _assert_exact(live, FED)
-        before = _answers(live, FED)
+        for start in range(FED, 450, 30):
+            live.append(SERIES[start : start + 30])
+        assert live.segment_count == 6
+        _assert_exact(live, 450)
+        before = _answers(live, 450)
+    names = _segment_names(legacy_dir)
+    assert sum(name.endswith(".npz") for name in names) == 4
     with LiveTwinIndex.recover(legacy_dir) as again:
-        assert again.segment_count == 1
-        assert _answers(again, FED) == before
+        assert _segment_names(legacy_dir) == names
+        assert _answers(again, 450) == before
 
 
 def test_unreferenced_legacy_file_is_swept(legacy_dir):

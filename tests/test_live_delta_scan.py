@@ -1,8 +1,8 @@
 """The live delta is a scanned span of the ingest buffer, not a tree.
 
 Five things hold that up: an append never inserts into a ``TSIndex``
-(nor does a seal, a compaction or a recovery); a seal makes the segment
-compaction would have made over the same windows; the scan alone — a
+(nor does a seal or a recovery); a seal makes the segment a bulk load
+of the same windows makes, whatever threshold cut them; the scan alone — a
 plane that never seals — answers all six modes like a from-scratch
 ``TSIndex``, k-NN ties and exclusion zones included; a source taken
 from the ingest buffer never changes afterwards; and so a search scans
@@ -19,7 +19,7 @@ from repro.core import verification
 from repro.core.bulkload import bulk_load_source
 from repro.core.normalization import Normalization, std_block_size
 from repro.core.tsindex import TSIndex, TSIndexParams
-from repro.live import LiveTwinIndex, merge_segments
+from repro.live import LiveTwinIndex
 from repro.live.ingest import IngestBuffer
 
 LENGTH = 12
@@ -69,11 +69,10 @@ def test_appends_seals_and_recovery_never_insert(tmp_path, monkeypatch, normaliz
 
     monkeypatch.setattr(TSIndex, "_insert_position", insert)
     options = dict(length=LENGTH, normalization=normalization, params=PARAMS, seal_threshold=64)
-    live = LiveTwinIndex.create(tmp_path / "live", stream[:50], max_segments=2, **options)
+    live = LiveTwinIndex.create(tmp_path / "live", stream[:50], **options)
     for lo in range(50, 400, 35):
         live.append(stream[lo : lo + 35])
-    live.compact()
-    assert live.seal_count >= 2 and live.compaction_count >= 1
+    assert live.seal_count >= 2
     assert live.delta_windows > 0
     positions = (3, 150, live.window_count - 1)
     _assert_six_modes(live, oracle, positions, epsilon=1.5)
@@ -97,18 +96,16 @@ def _assert_same_tree(segment, expected) -> None:
 @pytest.mark.parametrize("normalization", REGIMES)
 def test_a_sealed_segment_is_the_bulk_load_of_its_span(normalization):
     stream = _walk(140, seed=8)
-    options = dict(length=LENGTH, normalization=normalization, params=PARAMS, max_segments=8)
-    live = LiveTwinIndex(stream, seal_threshold=40, **options)
-    assert [(s.start, s.stop) for s in live.segments] == [(0, 40), (40, 80), (80, 120)]
-    for segment in live.segments:
-        span = live.source.detach(segment.start, segment.stop)
-        _assert_same_tree(segment, bulk_load_source(span, params=PARAMS))
-    # ... which is what compaction builds: two seals of 20, merged,
-    # are one seal of 40.
-    halves = LiveTwinIndex(stream, seal_threshold=20, **options)
-    merged = merge_segments(halves.segments[0], halves.segments[1], PARAMS)
-    assert (merged.start, merged.stop) == (0, 40)
-    _assert_same_tree(merged, live.segments[0].index)
+    options = dict(length=LENGTH, normalization=normalization, params=PARAMS)
+    for threshold, spans in (
+        (40, [(0, 40), (40, 80), (80, 120)]),
+        (20, [(start, start + 20) for start in range(0, 120, 20)]),
+    ):
+        live = LiveTwinIndex(stream, seal_threshold=threshold, **options)
+        assert [(s.start, s.stop) for s in live.segments] == spans
+        for segment in live.segments:
+            span = live.source.detach(segment.start, segment.stop)
+            _assert_same_tree(segment, bulk_load_source(span, params=PARAMS))
 
 
 @pytest.mark.parametrize("normalization", REGIMES)

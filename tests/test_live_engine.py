@@ -25,7 +25,7 @@ PARAMS = TSIndexParams(min_children=4, max_children=10)
 def make_live(seed=0, n=400, length=32):
     return LiveTwinIndex(
         synthetic.random_walk(n, seed=seed), length,
-        params=PARAMS, seal_threshold=64, max_segments=2,
+        params=PARAMS, seal_threshold=64,
     )
 
 

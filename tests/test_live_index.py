@@ -3,7 +3,7 @@
 The load-bearing suite is :class:`TestRandomizedEquivalence`: randomized
 append/query interleavings whose answers must be **byte-identical** to a
 from-scratch TSIndex over the full series — positions, distances and
-k-NN tie-breaks — across seals and compactions, in both the raw and the
+k-NN tie-breaks — across seals, in both the raw and the
 per-window regimes.
 """
 
@@ -19,19 +19,12 @@ from repro.exceptions import (
     UnsupportedNormalizationError,
 )
 from repro.indices.base import SubsequenceIndex, create_method
-from repro.live import (
-    DEFAULT_MAX_SEGMENTS,
-    DEFAULT_SEAL_THRESHOLD,
-    LiveTwinIndex,
-    Segment,
-    merge_segments,
-    select_adjacent_pair,
-)
+from repro.live import DEFAULT_SEAL_THRESHOLD, LiveTwinIndex, Segment
 
 PARAMS = TSIndexParams(min_children=2, max_children=4)
 
-#: Small thresholds so every test exercises seals and compactions.
-SMALL = dict(params=PARAMS, seal_threshold=12, max_segments=2)
+#: A small threshold so every test exercises seals.
+SMALL = dict(params=PARAMS, seal_threshold=12)
 
 
 def reference(live: LiveTwinIndex) -> TSIndex:
@@ -107,7 +100,6 @@ class TestConstruction:
 
     def test_defaults_exported(self):
         assert DEFAULT_SEAL_THRESHOLD > 0
-        assert DEFAULT_MAX_SEGMENTS > 0
 
 
 class TestRandomizedEquivalence:
@@ -145,9 +137,7 @@ class TestRandomizedEquivalence:
                 len(ref.search(probe, 0.5)) > 0
             )
         # The interleaving must have exercised the whole lifecycle.
-        live.compact()
         assert live.seal_count >= 1
-        assert live.compaction_count >= 1
 
     @pytest.mark.parametrize("normalization", ["none", "per_window"])
     def test_batch_matches_per_query(self, normalization):
@@ -238,6 +228,11 @@ class TestSealAndCompaction:
         ref = reference(live)
         query = np.array(ref.source.window_block(9, 10)[0])
         assert_results_equal(live.search(query, 0.5), ref.search(query, 0.5))
+        live.close()
+        with pytest.raises(InvalidParameterError, match="closed"):
+            live.append([1.0])
+        with pytest.raises(InvalidParameterError, match="closed"):
+            live.seal()
 
     def test_segment_overlap_is_l_minus_1(self):
         live = LiveTwinIndex(
@@ -248,54 +243,6 @@ class TestSealAndCompaction:
             a = first.index.source.series.values
             b = second.index.source.series.values
             assert np.array_equal(a[-15:], b[:15])
-
-    def test_compaction_bounds_segment_count(self):
-        live = LiveTwinIndex(
-            synthetic.random_walk(700, seed=4), length=16, **SMALL
-        )
-        live.compact()  # the seals scheduled it; this waits for it
-        assert live.segment_count <= 2
-        assert live.compaction_count >= 1
-        ref = reference(live)
-        query = np.array(ref.source.window_block(77, 78)[0])
-        assert_results_equal(live.search(query, 0.6), ref.search(query, 0.6))
-        live.close()
-
-    def test_background_compaction_converges(self):
-        live = LiveTwinIndex(
-            length=16, params=PARAMS, seal_threshold=12, max_segments=2
-        )
-        rng = np.random.default_rng(5)
-        for _ in range(40):
-            live.append(rng.normal(size=11))
-        live.compact()  # the seals scheduled it; this waits for it
-        assert live.segment_count <= 2
-        assert live.compaction_count >= 1
-        ref = reference(live)
-        query = np.array(ref.source.window_block(77, 78)[0])
-        assert_results_equal(live.search(query, 0.6), ref.search(query, 0.6))
-        live.close()
-        with pytest.raises(InvalidParameterError, match="closed"):
-            live.append([1.0])
-        with pytest.raises(InvalidParameterError, match="closed"):
-            live.seal()
-
-    def test_merge_segments_requires_adjacency(self):
-        live = LiveTwinIndex(
-            synthetic.random_walk(400, seed=6), length=16, **SMALL
-        )
-        segments = live.segments
-        assert len(segments) >= 2
-        with pytest.raises(InvalidParameterError, match="adjacent"):
-            merge_segments(segments[1], segments[0], PARAMS)
-
-    def test_select_adjacent_pair_prefers_smallest(self):
-        class Stub:
-            def __init__(self, size):
-                self.size = size
-
-        assert select_adjacent_pair([Stub(10), Stub(2), Stub(3), Stub(50)]) == 1
-        assert select_adjacent_pair([Stub(1), Stub(1)]) == 0
 
     def test_segment_repr_and_stats_row(self):
         live = LiveTwinIndex(
@@ -344,9 +291,7 @@ class TestSurface:
         assert build.windows == sum(s.size for s in live.segments)
         assert build.nodes > 0
 
-    def test_stats_snapshot(self, compaction_on_calling_thread):
-        # Deterministic compaction: a background merge finishing between
-        # stats() and segment_count would change the count under test.
+    def test_stats_snapshot(self):
         live = LiveTwinIndex(
             synthetic.random_walk(300, seed=11), length=16, **SMALL
         )
@@ -359,8 +304,8 @@ class TestSurface:
 
 class TestForestUnderConcurrentIngest:
     def test_every_answer_is_a_snapshot_while_seals_and_compactions_swap_the_forest(self):
-        """The sealed forest is replaced on every seal and compaction
-        while queries read it from other threads. More probe threads
+        """The sealed forest is replaced on every seal while queries
+        join and install it from other threads. More probe threads
         than cores and a short switch interval: each answer must be the
         oracle's twins over the windows of one moment between the
         call's start and its end — a forest left stale by a seal would
@@ -371,7 +316,7 @@ class TestForestUnderConcurrentIngest:
 
         length, epsilon = 16, 1.5
         series = np.cumsum(np.random.default_rng(21).normal(size=6000))
-        live = LiveTwinIndex(series[:200], length, seal_threshold=64, max_segments=3)
+        live = LiveTwinIndex(series[:200], length, seal_threshold=64)
         windows = np.lib.stride_tricks.sliding_window_view(series, length)
         errors: list[BaseException] = []
         answered: list[int] = []
@@ -414,5 +359,35 @@ class TestForestUnderConcurrentIngest:
             live.close()
         assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors[0]
-        assert live.seal_count > 50 and live.compaction_count > 0
+        assert live.seal_count > 50 and live.segment_count == live.seal_count
         assert len(set(answered)) > 20
+
+    def test_a_seal_during_a_join_leaves_its_forest_uninstalled(self, monkeypatch):
+        """The forest is joined outside the plane lock, from the segments
+        and delta one locked read took. A seal that lands meanwhile
+        neither changes that query's answer nor lets its (now stale)
+        forest be installed for the next query. Every window is a twin
+        at this ε, so a window missed or counted twice shows."""
+        import repro.live.index as live_index
+
+        length, everything = 16, 1e9
+        series = np.cumsum(np.random.default_rng(22).normal(size=600))
+        live = LiveTwinIndex(series[:300], length, seal_threshold=64)
+        query = series[40 : 40 + length]
+        real_join = live_index.join
+        joins = []
+
+        def join_while_sealing(*args):
+            joins.append(len(args[0]))
+            if len(joins) == 1:
+                live.append(series[300:400])  # seals, from inside the join
+            return real_join(*args)
+
+        monkeypatch.setattr(live_index, "join", join_while_sealing)
+        before = live.window_count
+        assert np.array_equal(live.search(query, everything).positions, np.arange(before))
+        assert live.segment_count > joins[0]
+        after = live.window_count
+        assert np.array_equal(live.search(query, everything).positions, np.arange(after))
+        assert joins == [joins[0], live.segment_count]
+        live.close()

@@ -1,8 +1,8 @@
 """One model of the durable live plane, executed.
 
 A Hypothesis state machine drives a small durable ``LiveTwinIndex``
-through append / seal / compact / reopen / query, each step optionally
-under one armed failpoint, and holds it to the plane's whole contract:
+through append / seal / reopen / query, each step optionally under one
+armed failpoint, and holds it to the plane's whole contract:
 
 * every acked reading survives, and ``values`` is a bitwise prefix of
   acked + the batch in flight when a crash landed;
@@ -12,10 +12,8 @@ under one armed failpoint, and holds it to the plane's whole contract:
   on positions and distances — filter-and-refine answers do not depend
   on how the windows are partitioned, so that is a complete invariant.
 
-Compaction runs where production runs it, in the plane's ``Compactor``
-(failpoint, retries, backoff, crash accounting), only on the calling
-thread (:class:`conftest.CallingThreadCompactor`), so every step is
-deterministic; a compactor a fault killed counts as a kill of the step.
+The plane runs no thread of its own (segments are never merged), so
+every step is deterministic.
 
 Budgets come from the Hypothesis profile (``tests/conftest.py``): ``ci``
 by default, ``--hypothesis-profile soak`` for the long run.
@@ -26,7 +24,6 @@ import shutil
 import tempfile
 
 import numpy as np
-import pytest
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -36,18 +33,14 @@ from hypothesis.stateful import (
     rule,
 )
 
-import repro.live.index as live_index
 from repro.core.tsindex import TSIndex, TSIndexParams
 from repro.exceptions import SimulatedCrashError, StorageError
 from repro.faults import failpoints
 from repro.live import LiveTwinIndex
 
-from conftest import CallingThreadCompactor
-
 LENGTH = 6
 PARAMS = TSIndexParams(min_children=2, max_children=4)
 SEAL_THRESHOLD = 8
-MAX_SEGMENTS = 2
 
 #: What an armed site does when it fires.
 ACTIONS = (
@@ -66,24 +59,21 @@ TORN = {
     "manifest.commit": ({"payload": {"truncate_tmp_to": 5}},),
 }
 #: The fault table: every live-plane failpoint site, the rules whose
-#: code path reaches it (an append may seal, every seal over
-#: ``MAX_SEGMENTS`` runs the compactor, and so does every compact), and
-#: how many times one such step commonly hits it — a fault is armed for
-#: the 1st..nth hit. An append that seals twice writes and commits
-#: seal, merge, seal, merge: four ``segment.write`` and four
-#: ``manifest.commit`` hits. A search hits ``segment.search`` once per
-#: part: the sealed segments' one forest, then the delta's scan. Rarer
-#: reaches are left out rather than diluting the draw: a three-seal
-#: backlog (5-6 hits), a recovery whose journal replays a full threshold
-#: and seals.
+#: code path reaches it (an append may seal), and how many times one
+#: such step commonly hits it — a fault is armed for the 1st..nth hit.
+#: An append that seals twice writes and commits two segments: two
+#: ``segment.write`` and two ``manifest.commit`` hits. A search hits
+#: ``segment.search`` once per part: the sealed segments' one forest,
+#: then the delta's scan. Rarer reaches are left out rather than
+#: diluting the draw: a three-seal backlog, a recovery whose journal
+#: replays a full threshold and seals.
 SITES = {
     "wal.append": (("append",), 1),
     "wal.fsync": (("append",), 1),
     "live.seal": (("append", "seal"), 2),
-    "segment.write": (("append", "seal", "compact"), 4),
-    "manifest.commit": (("append", "seal", "compact", "reopen"), 4),
+    "segment.write": (("append", "seal"), 2),
+    "manifest.commit": (("append", "seal", "reopen"), 2),
     "wal.rewrite": (("append", "seal", "reopen"), 2),
-    "compaction.merge": (("append", "seal", "compact"), 2),
     "segment.read": (("reopen",), 2),
     "segment.search": (("query",), 2),
 }
@@ -119,10 +109,6 @@ class LivePlaneMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         failpoints.reset()
-        # Set here, not by a fixture, so a pasted shrunk sequence runs
-        # the same compactor the test did.
-        self.seam = pytest.MonkeyPatch()
-        self.seam.setattr(live_index, "Compactor", CallingThreadCompactor)
         self.directory = tempfile.mkdtemp(prefix="repro-live-machine-")
         self.live = None
         self.acked = np.empty(0)
@@ -132,15 +118,9 @@ class LivePlaneMachine(RuleBasedStateMachine):
         failpoints.reset()
         if self.live is not None:
             self.live.close()
-        self.seam.undo()
         shutil.rmtree(self.directory, ignore_errors=True)
 
     # -- helpers -------------------------------------------------------
-    def adopt(self, live):
-        # Retries of a failed merge back off; keep them short.
-        live._compactor._backoff = 0.001
-        self.live = live
-
     def ack(self, values):
         self.acked = np.array(values)
         self.oracle = None
@@ -149,10 +129,9 @@ class LivePlaneMachine(RuleBasedStateMachine):
         """Run ``operation`` with ``fault`` armed and say how it ended:
         ``"done"``; ``"refused"`` — a typed ``StorageError``, the one
         survivable way not to complete; or ``"killed"`` — a
-        ``SimulatedCrashError``, raised or recorded by the compactor it
-        killed, after which the plane is recovered and must hold the
-        durability contract for ``in_flight``. Anything else fails the
-        run."""
+        ``SimulatedCrashError``, after which the plane is recovered and
+        must hold the durability contract for ``in_flight``. Anything
+        else fails the run."""
         armed = contextlib.nullcontext()
         if fault is not None:
             site, config, on_hit = fault
@@ -160,14 +139,12 @@ class LivePlaneMachine(RuleBasedStateMachine):
         try:
             with armed:
                 operation()
-            if self.live._compactor.crashed:
-                raise SimulatedCrashError("the compactor was killed")
             return "done"
         except StorageError:
             return "refused"
         except SimulatedCrashError:
             self.live.abandon()
-            self.adopt(LiveTwinIndex.recover(self.directory))
+            self.live = LiveTwinIndex.recover(self.directory)
             survived = np.asarray(self.live.values)
             stream = np.concatenate([self.acked, in_flight])
             assert survived.size >= self.acked.size, "acked readings lost"
@@ -185,16 +162,13 @@ class LivePlaneMachine(RuleBasedStateMachine):
         first=st.none() | batches,
     )
     def create(self, regime, first):
-        self.adopt(
-            LiveTwinIndex.create(
-                self.directory,
-                first,
-                length=LENGTH,
-                normalization=regime,
-                params=PARAMS,
-                seal_threshold=SEAL_THRESHOLD,
-                max_segments=MAX_SEGMENTS,
-            )
+        self.live = LiveTwinIndex.create(
+            self.directory,
+            first,
+            length=LENGTH,
+            normalization=regime,
+            params=PARAMS,
+            seal_threshold=SEAL_THRESHOLD,
         )
         self.ack(self.live.values)
 
@@ -212,18 +186,12 @@ class LivePlaneMachine(RuleBasedStateMachine):
         if self.under(fault, lambda: self.live.seal()) == "refused":
             self.append_must_succeed(np.array([1.0]))
 
-    @rule(fault=faults("compact"))
-    def compact(self, fault):
-        # A merge fault is retried or recorded by the compactor, never
-        # raised to the caller.
-        assert self.under(fault, self.live.compact) != "refused"
-
     @rule(how=st.sampled_from(["close", "abandon"]), fault=faults("reopen"))
     def reopen(self, how, fault):
         getattr(self.live, how)()
 
         def recover():
-            self.adopt(LiveTwinIndex.recover(self.directory))
+            self.live = LiveTwinIndex.recover(self.directory)
 
         # A recovery that dies must leave a recoverable directory.
         if self.under(fault, recover) == "refused":

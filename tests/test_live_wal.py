@@ -35,9 +35,7 @@ from repro.live.wal import (
 )
 
 PARAMS = TSIndexParams(min_children=2, max_children=4)
-SMALL = dict(params=PARAMS, seal_threshold=12, max_segments=2)
-
-pytestmark = pytest.mark.usefixtures("compaction_on_calling_thread")
+SMALL = dict(params=PARAMS, seal_threshold=12)
 
 
 def make_durable(path, *, seed=0, normalization="none", appends=12):
@@ -181,12 +179,17 @@ class TestRecovery:
         live, rng = make_durable(
             tmp_path / "live", seed=1, normalization=normalization
         )
-        assert live.seal_count >= 1 and live.compaction_count >= 1
+        assert live.segment_count >= 3
         query = np.array(live.values[20:36])
         before = live.search(query, 0.9)
+        spans = [(s.start, s.stop, s.file) for s in live.segments]
         live.close()
 
         recovered = LiveTwinIndex.recover(tmp_path / "live")
+        # Every sealed segment recovers as it was, one archive each.
+        assert [(s.start, s.stop, s.file) for s in recovered.segments] == spans
+        files = {name for name in os.listdir(tmp_path / "live") if name.startswith("seg-")}
+        assert files == {file for _, _, file in spans}
         after = recovered.search(query, 0.9)
         assert np.array_equal(before.positions, after.positions)
         assert np.array_equal(before.distances, after.distances)
@@ -205,7 +208,6 @@ class TestRecovery:
             length=16,
             params=PARAMS,
             seal_threshold=500,  # the torn append must not seal
-            max_segments=2,
         )
         live.append(rng.normal(size=20))
         durable_readings = live.series_length
@@ -356,8 +358,9 @@ class TestRecovery:
 
     def test_recover_sweeps_orphan_archives(self, tmp_path):
         # A crash between writing an archive and committing it to the
-        # manifest (or between a compaction's manifest commit and its
-        # unlink step) leaves unreferenced seg-* archives; recovery
+        # manifest (or, in an older version, between a segment merge's
+        # manifest commit and its unlink step) leaves unreferenced
+        # seg-* archives; recovery
         # must clean them up instead of leaking them forever — the
         # directories it writes and the single files it used to write.
         path = tmp_path / "live"
@@ -384,30 +387,6 @@ class TestRecovery:
         save_manifest(path, manifest)
         with pytest.raises(SerializationError, match="wal_offset"):
             LiveTwinIndex.recover(path)
-
-    def test_close_never_raises_compaction_errors(self, tmp_path):
-        # A failed background merge must not poison shutdown: close()
-        # completes cleanly, the error surfaces through stats, and the
-        # journal handle is released.
-        from repro.faults import failpoints
-
-        path = tmp_path / "live"
-        live, _ = make_durable(path, seed=13, appends=2)
-        with failpoints.armed(
-            "compaction.merge", error=RuntimeError("simulated merge failure")
-        ):
-            live._compactor.close()
-            live._compactor = type(live._compactor)(
-                live._compact_loop, max_retries=1, backoff=0.001
-            )
-            live._compactor.schedule()
-            live._compactor.wait(timeout=10.0)
-            assert live._compactor.failure_count == 1
-            assert "simulated merge failure" in (
-                live.stats()["compaction"]["last_error"] or ""
-            )
-            live.close()  # must not raise
-        assert live._wal._file is None
 
     def test_a_closed_plane_is_freed_when_dropped(self, tmp_path):
         # close() leaves no reference cycle behind, so a dropped plane
@@ -459,17 +438,4 @@ class TestRecovery:
         recovered = LiveTwinIndex.recover(path)
         assert np.array_equal(recovered.values, np.arange(43.0))
         assert_matches_reference(recovered)
-        recovered.close()
-
-    def test_compaction_persists_across_recovery(self, tmp_path):
-        path = tmp_path / "live"
-        live, _ = make_durable(path, seed=10, appends=30)
-        assert live.compaction_count >= 1
-        segment_spans = [(s.start, s.stop) for s in live.segments]
-        live.close()
-        recovered = LiveTwinIndex.recover(path)
-        assert [(s.start, s.stop) for s in recovered.segments] == segment_spans
-        # stale pre-compaction archives were unlinked
-        files = {name for name in os.listdir(path) if name.startswith("seg-")}
-        assert files == {s.file for s in recovered.segments}
         recovered.close()

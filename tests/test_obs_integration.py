@@ -380,8 +380,8 @@ class TestExportersOnLiveWorkload:
         self, series, tmp_path, fresh_default_registry
     ):
         """The issue's minimum catalog: QPS, per-mode latency, cache
-        hit rate, ingest lag, WAL fsync latency, seal/compaction
-        counts all expose through one scrape."""
+        hit rate, ingest lag, WAL fsync latency, seal counts all expose
+        through one scrape."""
         with QueryEngine() as engine:
             engine.build(
                 "demo", series, length=50, shards=2, normalization="none"
@@ -404,6 +404,5 @@ class TestExportersOnLiveWorkload:
             "repro_live_ingest_lag_readings",
             "repro_live_wal_fsync_seconds_bucket",
             "repro_live_seals_total",
-            "repro_live_compactions_total",
         ):
             assert required in text, required

@@ -10,12 +10,13 @@ methods (those are themselves planned calls, so reaching them from the
 planner would recurse): with the methods patched to raise, the engine
 still answers, equal to an unpatched twin plane.
 
-And the live plane's sealed segments, joined as one forest on the
-calling thread, answer every mode as the segments do one part each on a
-pool, and as one tree over the whole series does.
+And the live plane's sealed segments, joined as one forest on every
+executor, answer every mode alike on the calling thread, a thread pool
+and a process pool, and as one tree over the whole series does — with
+segments of unequal height, and with dozens of them.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -145,26 +146,85 @@ def test_planner_serves_the_parts_not_the_public_methods(build, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# The sealed forest: one part for every segment on the calling thread
+# The sealed forest: one part for every segment, on every executor
 # ----------------------------------------------------------------------
-#: Small nodes, so a compacted segment stands taller than a fresh one.
+#: Small nodes, so a segment sealed over more windows stands taller.
 FOREST_PARAMS = TSIndexParams(min_children=4, max_children=10)
+
+#: Windows per forced seal: unequal, so the segments differ in height.
+SEAL_SIZES = (600, 40, 300, 9, 150)
+
+
+@pytest.fixture(scope="module")
+def executors():
+    """The three paths a query can take: the calling thread, a 2-thread
+    pool and a 2-process pool."""
+    with ThreadPoolExecutor(2) as threads, ProcessPoolExecutor(2) as processes:
+        yield {"calling": None, "threads": threads, "processes": processes}
+
+
+def _sealed_by_hand(normalization):
+    """Forced seals of :data:`SEAL_SIZES` windows, then a delta."""
+    live = LiveTwinIndex(
+        SERIES[: LENGTH - 1], LENGTH, normalization=normalization,
+        params=FOREST_PARAMS, seal_threshold=None,
+    )
+    for size in SEAL_SIZES:
+        live.append(SERIES[live.series_length : live.series_length + size])
+        assert live.seal()
+    live.append(SERIES[live.series_length :])
+    return live
+
+
+def _sealed_often(normalization):
+    """Over 40 threshold seals, then a delta."""
+    live = LiveTwinIndex(
+        SERIES, LENGTH, normalization=normalization, params=FOREST_PARAMS, seal_threshold=40,
+    )
+    assert live.segment_count >= 40
+    return live
 
 
 @pytest.fixture(scope="module", params=["none", "per_window"])
 def forest_plane(request):
-    """A live plane whose segments were compacted and freshly sealed,
-    so they differ in height, beside a non-empty delta, and a thread
-    pool that keeps its segments parts of their own."""
-    live = LiveTwinIndex(
-        SERIES, LENGTH, normalization=request.param, params=FOREST_PARAMS,
-        seal_threshold=150, max_segments=4,
-    )
-    live.wait_for_compaction()
-    heights = {segment.index.height for segment in live.segments}
-    assert len(heights) > 1 and live.delta_windows > 0
-    with ThreadPoolExecutor(2) as pool:
-        yield live, pool, bulk_load(SERIES, LENGTH, normalization=request.param)
+    """Segments of unequal height beside a non-empty delta, and a
+    from-scratch bulk load of the same series."""
+    live = _sealed_by_hand(request.param)
+    assert live.delta_windows > 0
+    yield live, bulk_load(SERIES, LENGTH, normalization=request.param)
+    live.close()
+
+
+@pytest.fixture(scope="module", params=["none", "per_window"])
+def many_plane(request):
+    """Over 40 segments beside a non-empty delta, and a from-scratch
+    bulk load of the same series."""
+    live = _sealed_often(request.param)
+    assert live.delta_windows > 0
+    yield live, bulk_load(SERIES, LENGTH, normalization=request.param)
+    live.close()
+
+
+def test_unequal_seals_make_unequal_heights():
+    live = _sealed_by_hand("none")
+    assert [segment.size for segment in live.segments] == list(SEAL_SIZES)
+    assert len({segment.index.height for segment in live.segments}) > 1
+    live.close()
+
+
+@pytest.mark.parametrize("regime", ["none", "per_window"])
+def test_the_calling_thread_takes_one_forest(executors, regime):
+    """The sealed segments are one part, their forest, beside the delta
+    — on every executor (the parts name no archive, so a process pool
+    leaves them all to the calling thread)."""
+    live = _sealed_by_hand(regime)
+    for executor in executors.values():
+        _, parts = live._take(QUERY, executor)
+        forest, delta = parts.parts
+        assert forest.start == 0 and forest.index.size == live.segments[-1].stop
+        assert forest.index.node_count == sum(s.index.node_count for s in live.segments)
+        assert delta.start == live.segments[-1].stop
+        assert forest.archive is None and delta.archive is None
     live.close()
 
 
@@ -175,45 +235,54 @@ def _forest_queries():
         yield position, window + rng.normal(scale=0.05, size=LENGTH)
 
 
-def test_the_calling_thread_takes_one_forest(forest_plane):
-    live, pool, _ = forest_plane
-    _, parts = live._take(QUERY)
-    forest, delta = parts.parts
-    assert forest.start == 0 and forest.index.size == live.segments[-1].stop
-    assert forest.index.node_count == sum(s.index.node_count for s in live.segments)
-    assert delta.start == live.segments[-1].stop
-    _, pooled = live._take(QUERY, pool)
-    assert [part.start for part in pooled.parts] == [
-        segment.start for segment in live.segments
-    ] + [delta.start]
-
-
 def _same_answer(got, want):
     assert np.array_equal(got.positions, want.positions)
     assert np.array_equal(got.distances, want.distances)
 
 
-@pytest.mark.parametrize("epsilon", [0.3, 1.5])
-def test_forest_answers_like_the_segments_and_one_tree(forest_plane, epsilon):
-    """Every mode on the calling thread (the forest) equals the pool
-    (one part per segment) and a from-scratch bulk load: positions and
-    distances always, counters too where the forest walks the union of
-    the segments' walks (search, prefix search). k-NN seeds once
-    instead of once per segment, so its counters differ by design."""
-    live, pool, tree = forest_plane
-    for position, query in _forest_queries():
+def _assert_every_mode(live, tree, executors, epsilon):
+    """Every mode — search, count, prefix search, k-NN with an exclusion
+    zone, exists and a batch — answers alike on every executor, counters
+    included, and like a from-scratch bulk load on positions and
+    distances (one tree walks other nodes than the forest, so its
+    counters differ)."""
+    queries = list(_forest_queries())
+    for position, query in queries:
         found = live.search(query, epsilon)
-        _same(found, live.search(query, epsilon, executor=pool))
+        assert len(found) > 0 or epsilon < 1
         _same_answer(found, tree.search(query, epsilon))
-        assert live.count(query, epsilon) == len(found)
-        assert live.count(query, epsilon, executor=pool) == len(found)
-        assert live.exists(query, epsilon) == (len(found) > 0)
         exclude = (position - 10, position + 10)
         nearest = live.knn(query, 5, exclude=exclude)
-        _same_answer(nearest, live.knn(query, 5, exclude=exclude, executor=pool))
         _same_answer(nearest, tree.knn(query, 5, exclude=exclude))
+        assert live.exists(query, epsilon) == (len(found) > 0)
+        short = None
         if live.normalization.value == "none":  # per-window refuses prefixes
             short = query[:20]
-            found = live.search(short, epsilon)
-            _same(found, live.search(short, epsilon, executor=pool))
-            _same_answer(found, tree.search_varlength(short, epsilon))
+            _same_answer(live.search(short, epsilon), tree.search_varlength(short, epsilon))
+        for executor in executors.values():
+            _same(live.search(query, epsilon, executor=executor), found)
+            assert live.count(query, epsilon, executor=executor) == len(found)
+            _same(live.knn(query, 5, exclude=exclude, executor=executor), nearest)
+            if short is not None:
+                _same(
+                    live.search(short, epsilon, executor=executor),
+                    live.search(short, epsilon),
+                )
+    batch = [query for _, query in queries]
+    want = live.search_batch(batch, epsilon)
+    for got, one, scratch in zip(want.results, batch, tree.search_batch(batch, epsilon).results):
+        _same(got, live.search(one, epsilon))
+        _same_answer(got, scratch)
+    for executor in executors.values():
+        for got, expected in zip(live.search_batch(batch, epsilon, executor=executor).results, want.results):
+            _same(got, expected)
+
+
+@pytest.mark.parametrize("epsilon", [0.3, 1.5])
+def test_forest_answers_like_the_segments_and_one_tree(forest_plane, executors, epsilon):
+    _assert_every_mode(*forest_plane, executors, epsilon)
+
+
+@pytest.mark.parametrize("epsilon", [0.3, 1.5])
+def test_many_segments_answer_like_one_tree(many_plane, executors, epsilon):
+    _assert_every_mode(*many_plane, executors, epsilon)

@@ -125,7 +125,8 @@ def live_durable(tmp_path_factory, series_values, request, legacy_live_copy):
     """A durable plane with sealed segments and a delta: written here
     (segment archive directories), or — ``npz`` — recovered from the
     committed directory of an older version, whose segments are single
-    compressed files that workers open by path just the same."""
+    compressed files. Either way its parts (the sealed forest, the
+    delta) name no archive, so a process pool answers them here."""
     root = tmp_path_factory.mktemp("live")
     if request.param == "npz":
         plane = LiveTwinIndex.recover(legacy_live_copy(root / "plane-npz"))
@@ -137,7 +138,6 @@ def live_durable(tmp_path_factory, series_values, request, legacy_live_copy):
             length=LENGTH,
             normalization="none",
             seal_threshold=400,
-            max_segments=64,
         )
         plane.append(series_values[2000:])
     assert plane.segment_count >= 4 and plane.delta_windows > 0
@@ -161,17 +161,13 @@ class TestLiveProcessEquivalence:
         )
 
     def test_knn_matches_serial(self, live_durable, procpool):
-        """Equal answers. The counters differ by design: the calling
-        thread seeds and walks the sealed segments' one forest, the pool
-        each segment; counter identity between the two paths is held
-        by this class's search, count and prefix tests."""
         query = _window(live_durable, 0.5)
         position = int(0.5 * (live_durable.window_count - 1))
         exclude = (position - 10, position + 10)
-        serial = live_durable.knn(query, 5, exclude=exclude)
-        pooled = live_durable.knn(query, 5, exclude=exclude, executor=procpool)
-        assert np.array_equal(serial.positions, pooled.positions)
-        assert np.array_equal(serial.distances, pooled.distances)
+        _assert_same_result(
+            live_durable.knn(query, 5, exclude=exclude),
+            live_durable.knn(query, 5, exclude=exclude, executor=procpool),
+        )
 
     def test_count_matches_serial(self, live_durable, procpool):
         query = _window(live_durable, 0.01)
@@ -229,12 +225,12 @@ def counting_pool():
 
 
 class TestScanPartsBesideThePool:
-    """A scan part (the live delta, a prefix query's tail) has no
-    archive and answers in the calling thread; every archived part
-    still goes to the workers — a silent fall-back to the serial loop
-    would submit nothing."""
+    """A part without an archive (the live plane's sealed forest and
+    delta, a prefix query's tail) answers in the calling thread; every
+    archived part (a saved engine's shards) still goes to the workers —
+    a silent fall-back to the serial loop would submit nothing."""
 
-    def test_live_segments_go_to_the_pool_beside_the_delta(
+    def test_live_forest_and_delta_answer_beside_the_pool(
         self, live_durable, counting_pool
     ):
         query = _window(live_durable, 0.25)
@@ -244,7 +240,7 @@ class TestScanPartsBesideThePool:
         ):
             counting_pool.submitted = 0
             _assert_same_result(call(probe, epsilon), call(probe, epsilon, executor=counting_pool))
-            assert counting_pool.submitted == live_durable.segment_count
+            assert counting_pool.submitted == 0
 
     def test_sharded_prefix_query_ships_shards_and_scans_the_tail_here(
         self, tmp_path, series_values, counting_pool

@@ -207,12 +207,11 @@ class TestSearchEquivalenceProperty:
             params=ISAXParams(segments=min(4, length), leaf_capacity=8),
         )
         # The live ingestion plane, segmented small so the invariant
-        # also covers delta + sealed-segment + compaction fan-out.
+        # also covers the sealed forest beside the delta.
         live = LiveTwinIndex.from_source(
             source,
             params=TSIndexParams(min_children=2, max_children=4),
             seal_threshold=16,
-            max_segments=2,
         )
         position = rnd.randrange(source.count)
         query = np.array(source.window_block(position, position + 1)[0])

@@ -48,7 +48,6 @@ class TestTopLevelExports:
             "repro.live",
             "repro.live.index",
             "repro.live.segments",
-            "repro.live.compaction",
             "repro.live.wal",
             "repro.live.store",
             "repro.live.ingest",
