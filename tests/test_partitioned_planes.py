@@ -190,6 +190,8 @@ def forest_plane(request):
     """Segments of unequal height beside a non-empty delta, and a
     from-scratch bulk load of the same series."""
     live = _sealed_by_hand(request.param)
+    assert [segment.size for segment in live.segments] == list(SEAL_SIZES)
+    assert len({segment.index.height for segment in live.segments}) > 1
     assert live.delta_windows > 0
     yield live, bulk_load(SERIES, LENGTH, normalization=request.param)
     live.close()
@@ -205,19 +207,11 @@ def many_plane(request):
     live.close()
 
 
-def test_unequal_seals_make_unequal_heights():
-    live = _sealed_by_hand("none")
-    assert [segment.size for segment in live.segments] == list(SEAL_SIZES)
-    assert len({segment.index.height for segment in live.segments}) > 1
-    live.close()
-
-
-@pytest.mark.parametrize("regime", ["none", "per_window"])
-def test_the_calling_thread_takes_one_forest(executors, regime):
+def test_the_calling_thread_takes_one_forest(forest_plane, executors):
     """The sealed segments are one part, their forest, beside the delta
     — on every executor (the parts name no archive, so a process pool
     leaves them all to the calling thread)."""
-    live = _sealed_by_hand(regime)
+    live, _ = forest_plane
     for executor in executors.values():
         _, parts = live._take(QUERY, executor)
         forest, delta = parts.parts
@@ -225,7 +219,6 @@ def test_the_calling_thread_takes_one_forest(executors, regime):
         assert forest.index.node_count == sum(s.index.node_count for s in live.segments)
         assert delta.start == live.segments[-1].stop
         assert forest.archive is None and delta.archive is None
-    live.close()
 
 
 def _forest_queries():
@@ -249,7 +242,6 @@ def _assert_every_mode(live, tree, executors, epsilon):
     queries = list(_forest_queries())
     for position, query in queries:
         found = live.search(query, epsilon)
-        assert len(found) > 0 or epsilon < 1
         _same_answer(found, tree.search(query, epsilon))
         exclude = (position - 10, position + 10)
         nearest = live.knn(query, 5, exclude=exclude)
