@@ -267,10 +267,10 @@ class LiveTwinIndex(PartitionedPlane):
 
         Every subsequent :meth:`append` is journaled to the write-ahead
         log before it is buffered; sealed segments are archived as
-        uncompressed mmap-able directories (they recover in
-        O(metadata)) and committed to the manifest: one archive per
-        seal, never merged, so recovery opens as many archives as the
-        plane sealed.
+        uncompressed array directories and committed to the manifest:
+        one archive per seal, never merged, so recovery reads as many
+        archives as the plane sealed (into memory, so the plane holds
+        no archive open).
         ``fsync=True`` additionally fsyncs each journal write
         (crash-safe against power loss, at a heavy per-append cost;
         the default survives process crashes).

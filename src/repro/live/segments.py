@@ -73,8 +73,8 @@ class Segment:
         of the recovered monolithic ``source``: prefix-stable rolling
         statistics make the re-derived chunk source bitwise equal to
         the pre-crash one, ``from_arrays`` re-validates the flat
-        structure, and the loaded envelopes (mmap views, for raw
-        archives) are adopted without a re-layout copy."""
+        structure, and the loaded envelopes are adopted without a
+        re-layout copy."""
         return Segment(
             start=self.start,
             index=FrozenTSIndex.from_arrays(

@@ -307,7 +307,10 @@ class LiveStore:
             try:
                 with wrap_os_errors("segment read", file):
                     failpoint("segment.read", file=file)
-                    archive = load_index(os.path.join(path, file))
+                    # Read into memory, not mapped: every mapped array
+                    # holds a file descriptor, and segments are never
+                    # merged, so a plane would hold about nine per seal.
+                    archive = load_index(os.path.join(path, file), mmap=False)
                 if not isinstance(archive, FrozenTSIndex):
                     raise SerializationError(
                         f"{file}: not a frozen segment archive "

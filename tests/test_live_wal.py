@@ -388,6 +388,21 @@ class TestRecovery:
         with pytest.raises(SerializationError, match="wal_offset"):
             LiveTwinIndex.recover(path)
 
+    def test_a_recovered_plane_keeps_no_archive_mapped(self, tmp_path):
+        # Segments are never merged, so a plane may recover hundreds of
+        # archives; a raw archive's memory-mapped arrays each hold a
+        # file descriptor, so the recovered segments must own copies.
+        live, _ = make_durable(tmp_path / "live", seed=15, appends=40)
+        assert live.segment_count >= 10
+        live.close()
+        with LiveTwinIndex.recover(tmp_path / "live") as recovered:
+            for segment in recovered.segments:
+                for array in segment.index.raw_arrays().values():
+                    while array is not None:
+                        assert not isinstance(array, np.memmap)
+                        array = array.base if isinstance(array, np.ndarray) else None
+            assert_matches_reference(recovered)
+
     def test_a_closed_plane_is_freed_when_dropped(self, tmp_path):
         # close() leaves no reference cycle behind, so a dropped plane
         # releases its segments and buffers at once, not at the next
