@@ -233,7 +233,6 @@ def _bfs_arrays(
         "lowers": envelopes[1],
         "kinds": (np.arange(n) >= internal).astype(np.int8),
         "children_offsets": np.concatenate([[0], np.cumsum(fanout)]),
-        "children": np.arange(1, n, dtype=np.int64),
         "leaf_offsets": np.concatenate([[0], np.cumsum(leaf_sizes)]),
         "positions": _concat_ranges(runs[leaves, 0], sizes),
     }

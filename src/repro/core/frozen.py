@@ -10,12 +10,13 @@ structure-of-arrays *query plane*:
   matrices (rows are node MBTS bounds, in BFS order, root first), as
   float32 rounded *outward* (uppers up, lowers down), each held once,
   cut into a timestamp-major head and a node-major tail — see below;
-* ``children_offsets`` / ``children`` — a CSR adjacency: node ``i``'s
-  children are ``children[children_offsets[i]:children_offsets[i+1]]``.
-  The layout is always BFS, roots first — ``children`` is ``r .. n-1``
-  for ``r`` roots and every node follows its parent — so each node's
-  children and each whole level are contiguous id ranges; the
-  constructor rejects any other layout;
+* ``children_offsets`` — a CSR adjacency whose member array is left
+  implicit: the layout is always BFS, root first, and every node
+  follows its parent, so child slot ``j`` is node ``j + 1`` and node
+  ``i``'s children are the ids ``children_offsets[i] + 1`` up to
+  ``children_offsets[i + 1] + 1``. Each node's children and each whole
+  level are contiguous id ranges; the constructor rejects any other
+  layout;
 * ``leaf_offsets`` / ``positions`` — one contiguous array of all leaf
   window positions with per-node half-open spans (empty for internal
   nodes).
@@ -76,8 +77,9 @@ the one way back, and :func:`check_structure` the one test that arrays
 describe a tree. Freezing rounds and cuts what :func:`flatten` returns,
 pointer-tree archives store it as it is, and :meth:`FrozenTSIndex.thaw`
 and the pointer-tree archive reader both rebuild through
-:func:`unflatten`. Layouts of older archives are converted before they
-reach this module (:mod:`repro.persistence.serializer`).
+:func:`unflatten`. Layouts of older archives, including their stored
+``children`` list, are converted before they reach this module
+(:mod:`repro.persistence.serializer`).
 
 ``search`` returns **exactly** what the pointer tree's Algorithm 1
 traversal returns — same positions, same distances — enforced by the
@@ -94,17 +96,11 @@ ride that one level walk: ``search_batch`` walks its queries together,
 at a seeded radius (the ``k``-th distance under a greedy descent's
 leaves), ranked.
 
-**Forests.** The first ``r = n - len(children)`` nodes are roots, and
-every tree built or loaded has ``r = 1`` (``0`` when empty). :func:`join`
-lays several trees out as one *forest*: its level ``d`` is each tree's
-level ``d``, in tree order, so the adjacency is still ``r .. n-1`` and
-the level walk, its counters and every mode run on it unchanged — the
-root check bounds all ``r`` roots, each counted as a tree's root is.
-One walk and one verification then answer for all the trees, with one
-fixed cost instead of one per tree; the live plane joins its sealed
-segments this way (:class:`repro.live.LiveTwinIndex`). A forest lives
-in memory only: archives hold one tree, and :meth:`~FrozenTSIndex.thaw`
-refuses a forest.
+**Joined trees.** :func:`join` lays several trees out as one: a
+synthetic root whose envelope covers the trees' roots, over each tree's
+level ``d`` at level ``d + 1``, in tree order. One walk and one
+verification then answer for all the trees; the live plane joins its
+sealed segments this way (:class:`repro.live.LiveTwinIndex`).
 
 Lifecycle: either **insert** into the dynamic tree and **freeze** it
 once writes stop, or **bulk load** (:mod:`~repro.core.bulkload`), which
@@ -204,7 +200,6 @@ ARRAY_FIELDS = (
     "lowers",
     "kinds",
     "children_offsets",
-    "children",
     "leaf_offsets",
     "positions",
 )
@@ -222,7 +217,6 @@ RAW_ARRAY_FIELDS = (
     "lowers_tail",
     "kinds",
     "children_offsets",
-    "children",
     "leaf_offsets",
     "positions",
 )
@@ -264,6 +258,16 @@ def _head_tail(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[..., ::_HEAD_STRIDE], values[..., _tail_mask(values.shape[-1])]
 
 
+def _whole(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """The whole ``(n, l)`` rows of a ``(h, n)`` head and an
+    ``(n, l - h)`` tail, bit for bit."""
+    length = head.shape[0] + tail.shape[1]
+    matrix = np.empty((tail.shape[0], length), ENVELOPE_DTYPE)
+    matrix[:, ::_HEAD_STRIDE] = head.T
+    matrix[:, _tail_mask(length)] = tail
+    return matrix
+
+
 def _part_bound(
     query: np.ndarray, upper: np.ndarray, lower: np.ndarray
 ) -> np.ndarray:
@@ -299,7 +303,6 @@ def flatten(root: _Node | None, length: int) -> dict[str, np.ndarray]:
             "lowers": np.empty((0, length), dtype=FLOAT_DTYPE),
             "kinds": np.empty(0, dtype=np.int8),
             "children_offsets": np.zeros(1, dtype=np.int64),
-            "children": np.empty(0, dtype=np.int64),
             "leaf_offsets": np.zeros(1, dtype=np.int64),
             "positions": np.empty(0, dtype=POSITION_DTYPE),
         }
@@ -331,10 +334,9 @@ def flatten(root: _Node | None, length: int) -> dict[str, np.ndarray]:
         "uppers": np.array([node.mbts.upper for node in order]),
         "lowers": np.array([node.mbts.lower for node in order]),
         "kinds": kinds,
-        "children_offsets": children_offsets,
         # The walk above appended every node's children in one run, so
-        # in id order the adjacency is simply 1 .. n-1.
-        "children": np.arange(1, n, dtype=np.int64),
+        # child slot ``j`` is node ``j + 1``.
+        "children_offsets": children_offsets,
         "leaf_offsets": leaf_offsets,
         "positions": np.fromiter(
             itertools.chain.from_iterable(
@@ -358,7 +360,6 @@ def unflatten(arrays: Mapping[str, np.ndarray]) -> _Node | None:
     kinds = arrays["kinds"].tolist()
     leaf_offsets = arrays["leaf_offsets"].tolist()
     children_offsets = arrays["children_offsets"].tolist()
-    children = arrays["children"].tolist()
     nodes = [
         _Node(
             MBTS(uppers[i], lowers[i]),
@@ -370,39 +371,37 @@ def unflatten(arrays: Mapping[str, np.ndarray]) -> _Node | None:
     ]
     for i, kind in enumerate(kinds):
         if not kind:
-            nodes[i].children = [
-                nodes[j]
-                for j in children[children_offsets[i] : children_offsets[i + 1]]
+            nodes[i].children = nodes[
+                children_offsets[i] + 1 : children_offsets[i + 1] + 1
             ]
     return nodes[0] if nodes else None
 
 
 def check_structure(arrays: Mapping[str, np.ndarray], count: int) -> None:
     """Refuse tree arrays (any :data:`ARRAY_FIELDS` layout's ``kinds`` /
-    ``children_offsets`` / ``children`` / ``leaf_offsets`` /
-    ``positions``) that are not one BFS tree — or a BFS forest, as
-    :func:`join` lays one out — over windows ``0 .. count``, with
+    ``children_offsets`` / ``leaf_offsets`` / ``positions``) that are
+    not one BFS tree over windows ``0 .. count``, with
     :class:`~repro.exceptions.InvalidParameterError`: a corrupted or
     hand-built archive must fail loudly here, not return silently wrong
     answers later."""
     kinds = arrays["kinds"]
     children_offsets = arrays["children_offsets"]
-    children = arrays["children"]
     leaf_offsets = arrays["leaf_offsets"]
     positions = arrays["positions"]
     n = kinds.size
+    # One root: every other node takes one child slot.
     for name, offsets, members, what in (
-        ("children_offsets", children_offsets, children, "children"),
-        ("leaf_offsets", leaf_offsets, positions, "positions"),
+        ("children_offsets", children_offsets, max(n - 1, 0), "the non-root nodes"),
+        ("leaf_offsets", leaf_offsets, positions.size, "len(positions)"),
     ):
         if offsets.shape != (n + 1,):
             raise InvalidParameterError(
                 f"{name} must have {n + 1} entries, got {offsets.size}"
             )
-        if int(offsets[-1]) != members.size:
+        if int(offsets[-1]) != members:
             raise InvalidParameterError(
-                f"{name}[-1] must equal len({what}), got "
-                f"{int(offsets[-1])} vs {members.size}"
+                f"{name}[-1] must count {what}, got "
+                f"{int(offsets[-1])} vs {members}"
             )
         if int(offsets[0]) != 0 or np.any(np.diff(offsets) < 0):
             raise InvalidParameterError(
@@ -415,20 +414,14 @@ def check_structure(arrays: Mapping[str, np.ndarray], count: int) -> None:
             f"positions must lie in [0, {count}), got range "
             f"[{int(positions.min())}, {int(positions.max())}]"
         )
-    # The layout is BFS, roots first: every node except the ``r`` roots
-    # is the child of exactly one earlier node, appended in visit order,
-    # so the adjacency is just r .. n-1, every node's children — and
-    # every level — is one contiguous id range, and the walk can step
-    # from level to level by child counts alone.
-    roots = n - children.size
-    if roots < 0 or not np.array_equal(children, np.arange(roots, n)):
+    # The layout is BFS, root first: child slot ``j`` is node ``j + 1``,
+    # so node ``j`` must sit in a slot of an earlier node — the nodes
+    # before it hold at least ``j`` slots. Every node's children, and
+    # every level, is then one contiguous id range, and the walk can
+    # step from level to level by child counts alone.
+    if np.any(children_offsets[1:n] < np.arange(1, n)):
         raise InvalidParameterError(
-            "children must be the BFS adjacency r .. n-1 after r roots "
-            "(each node a child of one earlier node, in visit order)"
-        )
-    if np.any(children_offsets[roots:n] < np.arange(1, n - roots + 1)):
-        raise InvalidParameterError(
-            "every node must be a root or the child of an earlier node"
+            "every node but the root must be the child of an earlier node"
         )
     if np.any(np.diff(children_offsets)[kinds == 1]):
         raise InvalidParameterError("leaf nodes must have no children")
@@ -483,10 +476,10 @@ class FrozenTSIndex:
         "_lower_tail",
         "_kinds",
         "_children_offsets",
-        "_children",
         "_leaf_offsets",
         "_positions",
         "_levels",
+        "_root_rows",
     )
 
     def __init__(
@@ -528,7 +521,6 @@ class FrozenTSIndex:
             for name, dtype in (
                 ("kinds", np.int8),
                 ("children_offsets", np.int64),
-                ("children", np.int64),
                 ("leaf_offsets", np.int64),
                 ("positions", POSITION_DTYPE),
             )
@@ -559,7 +551,6 @@ class FrozenTSIndex:
         # without ever flipping the write flag on caller-owned arrays.
         self._kinds = _read_only(kinds)
         self._children_offsets = _read_only(children_offsets)
-        self._children = _read_only(structure["children"])
         self._leaf_offsets = _read_only(structure["leaf_offsets"])
         self._positions = _read_only(structure["positions"])
         # Each bound is held once, in two parts (see the module
@@ -571,16 +562,23 @@ class FrozenTSIndex:
         self._lower_head = _read_only(lower_head)
         self._lower_tail = _read_only(lower_tail)
         # The level table: ``(start, stop, leaves)`` per depth, the
-        # roots first. A level's children are the next level, and the
+        # root first. A level's children are the next level, and the
         # slots of the nodes before ``stop`` name the nodes up to the
         # end of that next level.
-        roots = self._roots
         levels = []
-        start, stop = 0, roots
+        start, stop = 0, min(n, 1)
         while start < stop:
             levels.append((start, stop, int(np.count_nonzero(kinds[start:stop]))))
-            start, stop = stop, int(children_offsets[stop]) + roots
+            start, stop = stop, int(children_offsets[stop]) + 1
         self._levels = tuple(levels)
+        # The root's whole ``(1, l)`` rows (none when empty), copied
+        # once: the float64 root check reads them on every query, where
+        # reading them from the head and tail parts cost ≈ 10–15 µs more
+        # (twinbench live_ingest seed 1's data, 2-core box).
+        self._root_rows = tuple(
+            _read_only(_whole(head[:, :1], tail[:1]))
+            for head, tail in ((upper_head, upper_tail), (lower_head, lower_tail))
+        )
 
     # ------------------------------------------------------------------
     # Construction
@@ -636,16 +634,9 @@ class FrozenTSIndex:
         Its node envelopes are the stored float32 ones widened to
         float64 — covers of the exact envelopes, less than one float32
         step looser — so inserting keeps them valid, and freezing the
-        result again reproduces these arrays bit for bit. A forest
-        (:func:`join`) has no one tree to rebuild and raises
-        :class:`~repro.exceptions.InvalidParameterError`."""
+        result again reproduces these arrays bit for bit."""
         from .tsindex import TSIndex  # local: tsindex imports us
 
-        if self._roots > 1:
-            raise InvalidParameterError(
-                f"cannot thaw a forest of {self._roots} trees into one "
-                "TSIndex; thaw the trees it was joined from"
-            )
         return TSIndex._from_prebuilt_root(
             self._source,
             unflatten(self.arrays()),
@@ -659,12 +650,10 @@ class FrozenTSIndex:
         assembled from the resident parts per call — the ``thaw`` form
         and a layout-independent digest, not a query path."""
         raw = self.raw_arrays()
-        matrices = {}
-        for name in ("uppers", "lowers"):
-            matrix = np.empty((self.node_count, self.length), ENVELOPE_DTYPE)
-            matrix[:, ::_HEAD_STRIDE] = raw.pop(f"{name}_head").T
-            matrix[:, _tail_mask(self.length)] = raw.pop(f"{name}_tail")
-            matrices[name] = _read_only(matrix)
+        matrices = {
+            name: _read_only(_whole(raw.pop(f"{name}_head"), raw.pop(f"{name}_tail")))
+            for name in ("uppers", "lowers")
+        }
         return {**matrices, **raw}
 
     def raw_arrays(self) -> dict:
@@ -680,7 +669,6 @@ class FrozenTSIndex:
             "lowers_tail": self._lower_tail,
             "kinds": self._kinds,
             "children_offsets": self._children_offsets,
-            "children": self._children,
             "leaf_offsets": self._leaf_offsets,
             "positions": self._positions,
         }
@@ -731,14 +719,8 @@ class FrozenTSIndex:
     @property
     def height(self) -> int:
         """Tree height in levels (a lone leaf root has height 1; a
-        forest's is its tallest tree's)."""
+        :func:`join` of trees is one taller than its tallest tree)."""
         return len(self._levels)
-
-    @property
-    def _roots(self) -> int:
-        """How many of the first nodes are roots: 1 for a tree (0 when
-        empty), one per tree for a :func:`join` forest."""
-        return self._kinds.size - self._children.size
 
     def __repr__(self) -> str:
         return (
@@ -752,20 +734,9 @@ class FrozenTSIndex:
     def _node_bound(self, query: np.ndarray, ids: slice | np.ndarray) -> np.ndarray:
         """(Clamped) Eq. 2 bound in float64 (the float32 values are
         promoted) of ``query`` against each node of ``ids`` (an id array
-        or a contiguous range); a ``(q, 1, m)`` query stack gives one
-        row of bounds per query.
-
-        The stored envelope covers the exact one and float64
-        subtraction rounds monotonically, so for every window ``w``
-        under the node this is ``<= fl(|q - w|)`` at each timestamp —
-        a lower bound of the very number the verifier computes, with
-        no guard needed (the root check relies on it; the k-NN seed
-        only ranks by it).
-
-        Evaluated over the query's own ``m`` timestamps, so a shorter
-        (prefix) query bounds against the envelope prefix — leading
-        slices of the node's head column and tail row.
-        """
+        or a contiguous range), over the query's own ``m`` timestamps:
+        leading slices of the node's head column and tail row. The k-NN
+        seed ranks by it."""
         head, tail = _head_tail(query)
         rows, width = head.shape[-1], tail.shape[-1]
         return np.maximum(
@@ -854,12 +825,11 @@ class FrozenTSIndex:
 
     def _children_of(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Concatenated child ids of every (internal) node in ``ids``,
-        and how many each node contributed. The adjacency is
-        ``arange(r, n)`` after the ``r`` roots: slot ``i`` names node
-        ``i + r``, so the slot ranges *are* the ids, shifted."""
+        and how many each node contributed. Slot ``j`` is node
+        ``j + 1``, so the slot ranges *are* the ids, shifted."""
         starts = self._children_offsets[ids]
         counts = self._children_offsets[ids + 1] - starts
-        return _concat_ranges(starts + self._roots, counts), counts
+        return _concat_ranges(starts + 1, counts), counts
 
     def _leaf_positions(self, ids: np.ndarray) -> np.ndarray:
         """Concatenated stored positions of every leaf in ``ids``."""
@@ -970,10 +940,16 @@ class FrozenTSIndex:
         if self.node_count == 0:
             return [np.empty(0, dtype=POSITION_DTYPE) for _ in stats]
 
-        roots = self._roots
         lo, hi = _thresholds(queries, epsilon)
-        # The float64 root check, one bound per query and root.
-        near = self._node_bound(queries[..., None, :], slice(0, roots)) <= epsilon
+        # The float64 root check, one bound per query, over the root's
+        # whole rows (a prefix query reads their leading slices). The
+        # stored envelope covers the exact one and float64 subtraction
+        # rounds monotonically, so for every window ``w`` the bound is
+        # ``<= fl(|q - w|)`` at each timestamp — a lower bound of the
+        # very number the verifier computes, with no guard needed.
+        width = queries.shape[-1]
+        upper, lower = (rows[:, :width] for rows in self._root_rows)
+        near = _part_bound(queries[..., None, :], upper, lower) <= epsilon
         if queries.ndim == 1:
             # A lone query stays unstacked: ≈ 30 µs a search cheaper
             # than a one-row matrix (200,000 windows, interleaved).
@@ -981,8 +957,8 @@ class FrozenTSIndex:
         walking = []
         for row, kept in enumerate(near):
             alive = np.flatnonzero(kept)
-            stats[row].nodes_visited += roots
-            stats[row].nodes_pruned += roots - alive.size
+            stats[row].nodes_visited += 1
+            stats[row].nodes_pruned += 1 - alive.size
             if alive.size:
                 bounds = _head_tail(lo[row]), _head_tail(hi[row])
                 walking.append((row, bounds, alive))
@@ -1140,9 +1116,9 @@ class FrozenTSIndex:
 
     def _seed_leaves(self, query: np.ndarray) -> np.ndarray:
         """The leaves a greedy descent toward ``query`` reaches: from
-        the roots down, the :data:`_SEED_WIDTH` children of smallest
+        the root down, the :data:`_SEED_WIDTH` children of smallest
         :meth:`_node_bound` are kept per level."""
-        ids = np.arange(self._roots, dtype=np.int64)
+        ids = np.zeros(1, dtype=np.int64)
         leaves: list[np.ndarray] = []
         while ids.size:
             is_leaf = self._kinds[ids] == 1
@@ -1172,17 +1148,19 @@ class FrozenTSIndex:
 def join(
     trees: Sequence[FrozenTSIndex], starts: Sequence[int], source: WindowSource
 ) -> FrozenTSIndex:
-    """One forest over ``trees`` (at least one), tree ``i``'s windows
-    shifted to start at position ``starts[i]`` of ``source`` — the one
-    source the forest verifies against, whose windows there must equal
-    the tree's own (as a live plane's segments equal their spans of the
-    plane's monolithic source).
+    """One tree over ``trees`` (at least one, not all empty), tree
+    ``i``'s windows shifted to start at position ``starts[i]`` of
+    ``source`` — the one source it verifies against, whose windows there
+    must equal the tree's own (as a live plane's segments equal their
+    spans of the plane's monolithic source).
 
-    Forest level ``d`` is each tree's level ``d``, in tree order, so
-    the children of a level's nodes, in order, are the next level and
-    the adjacency stays ``r .. n-1`` for ``r`` roots: every query mode
-    walks it unchanged (see the module docstring). Each tree contributes
-    one contiguous span of every array per level, so the forest is
+    A synthetic root is prepended. Its children are the trees' roots, in
+    tree order, and its envelope is their elementwise max / min: of rows
+    already rounded outward, so it covers every window. Level ``d + 1``
+    is each tree's level ``d``, in tree order, so the children of a
+    level's nodes, in order, are the next level, and the result is an
+    ordinary BFS tree. Below the root each tree contributes one
+    contiguous span of every array per level, so the result is
     ``trees × levels`` slice copies — its own memory, as much as the
     trees' arrays together; the trees stay untouched."""
     started = time.perf_counter()
@@ -1192,19 +1170,22 @@ def join(
         for tree, shift in zip(trees, starts)
         if level < tree.height
     ]
-    kinds = np.concatenate([tree._kinds[a:b] for tree, _, a, b in spans])
+    # The first ``roots`` spans are the trees' roots.
+    roots = sum(tree.node_count > 0 for tree in trees)
+    kinds = np.concatenate(
+        [np.zeros(1, dtype=np.int8), *(tree._kinds[a:b] for tree, _, a, b in spans)]
+    )
 
-    def offsets(name: str) -> np.ndarray:
+    def offsets(name: str, root: int) -> np.ndarray:
         joined = np.zeros(kinds.size + 1, dtype=np.int64)
         counts = [np.diff(getattr(tree, name)[a : b + 1]) for tree, _, a, b in spans]
-        np.cumsum(np.concatenate(counts), out=joined[1:])
+        np.cumsum(np.concatenate([[root], *counts]), out=joined[1:])
         return joined
 
     arrays = {
         "kinds": kinds,
-        "children_offsets": offsets("_children_offsets"),
-        "children": np.arange(sum(tree._roots for tree in trees), kinds.size),
-        "leaf_offsets": offsets("_leaf_offsets"),
+        "children_offsets": offsets("_children_offsets", roots),
+        "leaf_offsets": offsets("_leaf_offsets", 0),
         "positions": np.concatenate(
             [
                 tree._positions[tree._leaf_offsets[a] : tree._leaf_offsets[b]] + shift
@@ -1212,22 +1193,22 @@ def join(
             ]
         ),
     }
-    for name, head, tail in (
-        ("uppers", "_upper_head", "_upper_tail"),
-        ("lowers", "_lower_head", "_lower_tail"),
+    for name, head, tail, cover in (
+        ("uppers", "_upper_head", "_upper_tail", np.max),
+        ("lowers", "_lower_head", "_lower_tail", np.min),
     ):
+        heads = [getattr(tree, head)[:, a:b] for tree, _, a, b in spans]
+        tails = [getattr(tree, tail)[a:b] for tree, _, a, b in spans]
         arrays[f"{name}_head"] = np.concatenate(
-            [getattr(tree, head)[:, a:b] for tree, _, a, b in spans], axis=1
+            [cover(heads[:roots], axis=0), *heads], axis=1
         )
-        arrays[f"{name}_tail"] = np.concatenate(
-            [getattr(tree, tail)[a:b] for tree, _, a, b in spans]
-        )
+        arrays[f"{name}_tail"] = np.concatenate([cover(tails[:roots], axis=0), *tails])
     stats = [tree.build_stats for tree in trees]
     build_stats = BuildStats(
         seconds=max(stat.seconds for stat in stats),
         windows=sum(stat.windows for stat in stats),
         splits=sum(stat.splits for stat in stats),
-        height=max(tree.height for tree in trees),
+        height=max(tree.height for tree in trees) + 1,
         nodes=kinds.size,
     )
     return FrozenTSIndex(

@@ -236,9 +236,15 @@ def failpoint(name: str, **context: Any) -> Any:
         return None
     _metrics().labels(site=name).inc()
     error = point._build_error()
-    if error is not None:
+    if error is None:
+        return point.payload
+    try:
         raise error
-    return point.payload
+    finally:
+        # The error's traceback holds this frame, and through its
+        # callers whatever they hold: drop the frame's own reference,
+        # or the two form a cycle only the cyclic GC frees.
+        del error
 
 
 def arm(name: str, **config: Any) -> Failpoint:

@@ -214,7 +214,7 @@ class LiveTwinIndex(PartitionedPlane):
         self._mutations = 0  # lint: guarded-by(_lock)
         self._seals = 0  # lint: guarded-by(_lock)
         self._seal_failures = 0  # lint: guarded-by(_lock)
-        self._last_seal_error: Exception | None = None  # lint: guarded-by(_lock)
+        self._last_seal_error: str | None = None  # lint: guarded-by(_lock)
         self._closed = False  # lint: guarded-by(_lock)
         self._quarantined: tuple[str, ...] = ()  # lint: guarded-by(_lock)
         with self._lock:
@@ -500,11 +500,7 @@ class LiveTwinIndex(PartitionedPlane):
                 "seal_threshold": self._seal_threshold,
                 "seals": self._seals,
                 "seal_failures": self._seal_failures,
-                "last_seal_error": (
-                    repr(self._last_seal_error)
-                    if self._last_seal_error
-                    else None
-                ),
+                "last_seal_error": self._last_seal_error,
                 # Segments are never merged. This row and "compaction"
                 # below stay, at 0, only because benchmarks/twinbench
                 # (frozen by BENCHMARK.json) reads them.
@@ -629,11 +625,16 @@ class LiveTwinIndex(PartitionedPlane):
                 self._seal_locked(self._delta_start + threshold)
             except Exception as exc:
                 self._seal_failures += 1
-                self._last_seal_error = exc
+                # Its repr, not the exception, is kept and logged: the
+                # traceback's frames hold this plane, so a kept
+                # exception (or a log record holding it) would leave a
+                # dropped plane to the cyclic GC.
+                self._last_seal_error = repr(exc)
                 _metrics()["seal_failures"].inc()
                 _log.error(
                     "seal failed with %d windows in the delta (the "
-                    "next append retries): %r", self._delta_count, exc,
+                    "next append retries): %s",
+                    self._delta_count, self._last_seal_error,
                 )
                 break
         return added

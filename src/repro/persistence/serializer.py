@@ -24,9 +24,13 @@ it; it loads into private memory through the same ``_load_*`` functions,
 so migrating is ``save_index(load_index(old), new_dir)``.
 
 Loaded indices answer queries identically to the originals — enforced
-by round-trip tests. A TS-Index tree, pointer or frozen, standalone or a
-shard, is stored in one format: the BFS, root-first, CSR arrays of
-:data:`~repro.core.frozen.ARRAY_FIELDS`. A pointer tree stores them as
+by round-trip tests. A TS-Index tree, pointer or frozen, standalone, a
+shard or a :func:`~repro.core.frozen.join` of trees, is stored in one
+format: the BFS, root-first, CSR arrays of
+:data:`~repro.core.frozen.ARRAY_FIELDS`, whose child ids are implicit:
+no ``children`` member list is written (older archives' one is checked
+and dropped on load), so readers that still expect one cannot load
+these archives. A pointer tree stores them as
 :func:`~repro.core.frozen.flatten` returns them, float64 envelopes
 included, and loads back through :func:`~repro.core.frozen.unflatten`
 bit for bit. A frozen index stores its arrays natively, envelopes as the
@@ -403,11 +407,12 @@ def _upgrade(data: _Members, prefix: str = "") -> dict[str, np.ndarray]:
       the same BFS order before they were written with
       :func:`~repro.core.frozen.flatten` — become the CSR offsets.
       ``child_starts`` are redundant there; ones that disagree with the
-      starts the counts imply are refused.
+      starts the counts imply are refused;
+    * ``children`` — the CSR member list archives held before it became
+      implicit — is dropped. It is redundant too: one that is not the
+      BFS adjacency ``1 .. n-1`` is refused.
 
-    A missing member raises :class:`SerializationError` naming it, and
-    so do arrays that are not one tree: a
-    :func:`~repro.core.frozen.join` forest lives in memory only.
+    A missing member raises :class:`SerializationError` naming it.
     """
 
     def member(name: str) -> np.ndarray:
@@ -415,10 +420,15 @@ def _upgrade(data: _Members, prefix: str = "") -> dict[str, np.ndarray]:
             raise SerializationError(f"archive has no {prefix + name!r} member")
         return data[prefix + name]
 
+    if prefix + "children" in data and not np.array_equal(
+        member("children"), np.arange(1, member("kinds").size)
+    ):
+        raise SerializationError(
+            f"archive member {prefix}children is not the breadth-first "
+            "adjacency 1 .. n-1 of one tree"
+        )
     if prefix + "uppers_head" in data:
-        arrays = {name: member(name) for name in RAW_ARRAY_FIELDS}
-        _one_tree(arrays, prefix)
-        return arrays
+        return {name: member(name) for name in RAW_ARRAY_FIELDS}
     if prefix + "uppers_t" in data:
         arrays = {"uppers": member("uppers_t").T, "lowers": member("lowers_t").T}
     else:
@@ -437,27 +447,13 @@ def _upgrade(data: _Members, prefix: str = "") -> dict[str, np.ndarray]:
                 f"breadth-first starts its {prefix}child_counts imply"
             )
         arrays["children_offsets"] = offsets
-        arrays["children"] = np.arange(1, int(offsets[-1]) + 1, dtype=np.int64)
         arrays["leaf_offsets"] = member("position_offsets")
     else:
-        for name in ("children_offsets", "children", "leaf_offsets"):
+        for name in ("children_offsets", "leaf_offsets"):
             arrays[name] = member(name)
     arrays["kinds"] = member("kinds")
     arrays["positions"] = member("positions")
-    _one_tree(arrays, prefix)
     return arrays
-
-
-def _one_tree(arrays: Mapping[str, np.ndarray], prefix: str = "") -> None:
-    """Refuse tree arrays with other than one root (none when empty):
-    archives hold trees, never a :func:`~repro.core.frozen.join`
-    forest."""
-    roots = arrays["kinds"].size - arrays["children"].size
-    if roots != min(arrays["kinds"].size, 1):
-        raise SerializationError(
-            f"archive tree {prefix or '<root>'} has {roots} roots; "
-            "archives hold exactly one tree (forests live in memory only)"
-        )
 
 
 def _load_tsindex(meta: _Meta, data: _Members) -> TSIndex | FrozenTSIndex:
@@ -478,8 +474,7 @@ def _load_tsindex(meta: _Meta, data: _Members) -> TSIndex | FrozenTSIndex:
 def _dump_frozen(index: FrozenTSIndex) -> dict[str, Any]:
     """Frozen indexes serialize their flat arrays verbatim, envelopes
     in their resident layout, so neither save nor load ever re-lays
-    them out. A :func:`~repro.core.frozen.join` forest is refused."""
-    _one_tree(index.raw_arrays())
+    them out."""
     payload: dict[str, Any] = {
         "meta": _meta_for(
             index,

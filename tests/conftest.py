@@ -157,10 +157,10 @@ def save_legacy_npz():
     """Factory: write ``index`` as the single compressed ``.npz`` file
     :func:`repro.persistence.save_index` produced while that was a
     write format — the same members, with frozen envelopes as whole
-    node-major ``(n, l)`` ``uppers`` / ``lowers`` matrices — so the
-    read-only legacy branch of ``load_index`` is exercised by files the
-    library can no longer write. ``overrides`` replace members (e.g.
-    float64 envelopes)."""
+    node-major ``(n, l)`` ``uppers`` / ``lowers`` matrices and the
+    ``children`` list ``1 .. n-1`` — so the read-only legacy branch of
+    ``load_index`` is exercised by files the library can no longer
+    write. ``overrides`` replace members (e.g. float64 envelopes)."""
     from repro.core.frozen import RAW_ARRAY_FIELDS, FrozenTSIndex
     from repro.persistence.serializer import _payload_for
 
@@ -176,6 +176,7 @@ def save_legacy_npz():
                 del payload[prefix + field]
             for field, array in tree.arrays().items():
                 payload[prefix + field] = array
+            payload[prefix + "children"] = np.arange(1, tree.node_count)
         payload.update(overrides)
         with open(path, "wb") as handle:  # a handle keeps the name as given
             np.savez_compressed(handle, **payload)

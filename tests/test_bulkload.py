@@ -166,7 +166,7 @@ class TestPacking:
             assert np.array_equal(uppers[i], round_up_f32(exact.upper))
             assert np.array_equal(lowers[i], round_down_f32(exact.lower))
         for i in np.flatnonzero(kinds == 0):
-            children = arrays["children"][children_offsets[i]:children_offsets[i + 1]]
+            children = np.arange(children_offsets[i], children_offsets[i + 1]) + 1
             assert np.array_equal(uppers[i], uppers[children].max(axis=0))
             assert np.array_equal(lowers[i], lowers[children].min(axis=0))
         expected = position_order_node_count(leaves.size, fill)

@@ -37,7 +37,7 @@ from repro.core.windows import WindowSource
 from repro.data import synthetic
 from repro.engine import ShardedTSIndex
 from repro.euclidean.mass import chebyshev_distance_profile
-from repro.exceptions import InvalidParameterError, SerializationError
+from repro.exceptions import InvalidParameterError
 from repro.indices import create_method
 from repro.persistence import load_index, save_index
 from repro.query.planner import scan_knn
@@ -102,9 +102,9 @@ class TestStructure:
         n = frozen.node_count
         assert arrays["uppers"].shape == (n, LENGTH)
         assert arrays["lowers"].shape == (n, LENGTH)
-        # CSR adjacency covers every non-root node exactly once.
+        # The CSR offsets hold one child slot per non-root node.
         assert arrays["children_offsets"].shape == (n + 1,)
-        assert sorted(arrays["children"].tolist()) == list(range(1, n))
+        assert arrays["children_offsets"][-1] == n - 1
         # Every indexed window position appears exactly once in a leaf.
         assert sorted(arrays["positions"].tolist()) == list(range(frozen.size))
 
@@ -159,8 +159,8 @@ class TestStructure:
                     dynamic.source, dynamic.params, BuildStats(), arrays
                 )
 
-        corrupt("children", lambda a: a.__setitem__(3, -1))
-        corrupt("children", lambda a: a.__setitem__(3, frozen.node_count))
+        corrupt("children_offsets", lambda a: a.__setitem__(-1, frozen.node_count))
+        corrupt("children_offsets", lambda a: a.__setitem__(1, 0))
         corrupt("children_offsets", lambda a: a.__setitem__(0, 2))
         corrupt("leaf_offsets", lambda a: a.__setitem__(1, -1))
         corrupt("positions", lambda a: a.__setitem__(0, frozen.size))
@@ -176,7 +176,6 @@ class TestStructure:
             "lowers": np.empty((0, LENGTH)),
             "kinds": np.empty(0, dtype=np.int8),
             "children_offsets": np.zeros(1, dtype=np.int64),
-            "children": np.empty(0, dtype=np.int64),
             "leaf_offsets": np.zeros(1, dtype=np.int64),
             "positions": np.arange(20, dtype=np.int64),
         }
@@ -327,11 +326,11 @@ class TestEquivalence:
 
 
 class TestForest:
-    """``join``: several trees laid out as one BFS forest over one
-    source, answering as the trees do together."""
+    """``join``: several trees laid out as one tree under a synthetic
+    root, over one source, answering as the trees do together."""
 
     #: Unequal spans, so the trees have unequal heights (one is a lone
-    #: leaf) and the forest's levels hold some trees and not others.
+    #: leaf) and the joined levels hold some trees and not others.
     CUTS = (0, 400, 408, 700, 871)
 
     @pytest.fixture(scope="class", params=REGIMES, ids=[regime.value for regime in REGIMES])
@@ -350,18 +349,29 @@ class TestForest:
     def test_layout(self, grove):
         source, trees, forest = grove
         arrays = forest.arrays()
-        roots = len(trees)
-        assert forest.node_count == sum(tree.node_count for tree in trees)
-        assert forest.height == max(tree.height for tree in trees)
-        assert arrays["children"].tolist() == list(range(roots, forest.node_count))
+        assert forest.node_count == sum(tree.node_count for tree in trees) + 1
+        assert forest.height == max(tree.height for tree in trees) + 1
+        assert forest.build_stats.nodes == forest.node_count
+        assert forest.build_stats.height == forest.height
         assert sorted(arrays["positions"].tolist()) == list(range(source.count))
         check_structure(arrays, source.count)
-        # Forest level 0 is every tree's root, in tree order.
-        for row, tree in enumerate(trees):
-            assert np.array_equal(arrays["uppers"][row], tree.arrays()["uppers"][0])
+        # Level 1 is every tree's root, in tree order, under a synthetic
+        # root whose envelope is their elementwise max / min.
+        assert arrays["kinds"][0] == 0
+        assert arrays["children_offsets"][:2].tolist() == [0, len(trees)]
+        roots = [tree.arrays() for tree in trees]
+        for row, tree in enumerate(roots, start=1):
+            assert np.array_equal(arrays["uppers"][row], tree["uppers"][0])
+            assert np.array_equal(arrays["lowers"][row], tree["lowers"][0])
+        assert np.array_equal(
+            arrays["uppers"][0], np.max([tree["uppers"][0] for tree in roots], axis=0)
+        )
+        assert np.array_equal(
+            arrays["lowers"][0], np.min([tree["lowers"][0] for tree in roots], axis=0)
+        )
 
     def test_check_structure_rejects_a_non_bfs_forest(self, grove):
-        source, trees, forest = grove
+        source, _, forest = grove
 
         def rejected(field, mutate):
             arrays = {key: np.array(value) for key, value in forest.arrays().items()}
@@ -369,22 +379,36 @@ class TestForest:
             with pytest.raises(InvalidParameterError):
                 check_structure(arrays, source.count)
 
-        roots = len(trees)
-        rejected("children", lambda a: a.__setitem__(slice(0, 2), a[1::-1]))
-        rejected("children", lambda a: a.__setitem__(0, 0))
-        # The first non-root node made a child of a later node.
-        rejected("children_offsets", lambda a: a.__setitem__(slice(0, roots + 1), 0))
+        # The tree roots left without a parent: the root's slots dropped.
+        rejected("children_offsets", lambda a: a.__setitem__(1, 0))
+        # A second root: one child slot fewer than non-root nodes.
+        rejected("children_offsets", lambda a: a.__setitem__(slice(1, None), a[1:] - 1))
 
     def test_search_is_the_trees_together(self, grove):
-        """Positions, distances and every counter: the forest walk is
-        the union of the trees' walks, root checks included."""
+        """Positions, distances and every counter: the joined walk is
+        the union of the trees' walks, plus the synthetic root — one
+        more node visited, or, when that root prunes, the root alone
+        (its bound is at most every tree root's, so each tree prunes
+        its root then too)."""
         source, trees, forest = grove
         rng = np.random.default_rng(5)
-        for query in _queries(source, rng):
+        root_pruned = 0
+        for query in [*_queries(source, rng), np.full(LENGTH, 1e3)]:
             for epsilon in EPSILONS:
                 got = forest.search(query, epsilon)
                 parts = [tree.search(query, epsilon) for tree in trees]
-                total = QueryStats()
+                if got.stats.nodes_visited == 1:
+                    root_pruned += 1
+                    assert all(
+                        part.stats.nodes_visited == part.stats.nodes_pruned == 1
+                        for part in parts
+                    )
+                    assert len(got) == 0
+                    assert got.stats.as_dict() == QueryStats(
+                        nodes_visited=1, nodes_pruned=1
+                    ).as_dict()
+                    continue
+                total = QueryStats(nodes_visited=1)
                 for part in parts:
                     total = total.merge(part.stats)
                 shifted = [part.positions + a for part, a in zip(parts, self.CUTS)]
@@ -393,6 +417,7 @@ class TestForest:
                     got.distances, np.concatenate([part.distances for part in parts])
                 )
                 assert got.stats.as_dict() == total.as_dict()
+        assert root_pruned
 
     def test_search_batch_walks_every_root_per_query(self, grove):
         source, _, forest = grove
@@ -403,9 +428,10 @@ class TestForest:
 
     @pytest.mark.parametrize("k", [1, 5, 40])
     def test_knn_is_the_exact_scan(self, grove, k):
-        """The greedy seed descends from every root; a child slot read
-        as the wrong node would seed duplicate windows and shrink the
-        radius below the k-th true distance."""
+        """The greedy seed descends from the synthetic root through
+        every tree root; a child slot read as the wrong node would seed
+        duplicate windows and shrink the radius below the k-th true
+        distance."""
         source, _, forest = grove
         rng = np.random.default_rng(6)
         for query in _queries(source, rng):
@@ -416,21 +442,44 @@ class TestForest:
                     stats=False,
                 )
 
-    def test_thaw_refuses_a_forest(self, grove):
-        with pytest.raises(InvalidParameterError):
-            grove[2].thaw()
-
-    def test_archives_refuse_a_forest(self, grove, tmp_path):
+    def test_a_forest_saves_loads_and_thaws(self, grove, tmp_path):
+        """A joined forest is an ordinary tree: it archives, loads back
+        to the same arrays, and thaws;
+        the loaded index answers all six modes as the forest does,
+        counters included, and the thawed one with the same answers."""
         source, _, forest = grove
-        with pytest.raises(SerializationError):
-            save_index(forest, tmp_path / "forest")
-        # A hand-built one: a tree's archive with the forest's arrays.
-        path = tmp_path / "tree"
-        save_index(bulk_load_source(source, params=PARAMS), path, fsync=False)
-        for name, array in forest.raw_arrays().items():
-            np.save(path / f"{name}.npy", array)
-        with pytest.raises(SerializationError):
-            load_index(path)
+        path = tmp_path / "forest"
+        save_index(forest, path, fsync=False)
+        loaded = load_index(path)
+        for field, array in forest.raw_arrays().items():
+            assert np.array_equal(loaded.raw_arrays()[field], array), field
+        thawed = loaded.thaw()
+        assert isinstance(thawed, TSIndex)
+        assert thawed.node_count == forest.node_count
+        prefix = source.normalization is not Normalization.PER_WINDOW
+        queries = _queries(source, np.random.default_rng(8), count=6)
+        for query in queries:
+            for epsilon in (0.0, 0.3, 1.0):
+                want = forest.search(query, epsilon)
+                _assert_result_equal(loaded.search(query, epsilon), want)
+                _assert_result_equal(thawed.search(query, epsilon), want, stats=False)
+                for index in (loaded, thawed):
+                    assert index.count(query, epsilon) == len(want)
+                    assert index.exists(query, epsilon) == (len(want) > 0)
+                if prefix:
+                    short = forest.search_varlength(query[:12], epsilon)
+                    _assert_result_equal(loaded.search_varlength(query[:12], epsilon), short)
+                    _assert_result_equal(
+                        thawed.search_varlength(query[:12], epsilon), short
+                    )
+            for exclude in (None, (300, 420)):
+                want = forest.knn(query, 5, exclude=exclude)
+                _assert_result_equal(loaded.knn(query, 5, exclude=exclude), want)
+                _assert_result_equal(thawed.knn(query, 5, exclude=exclude), want)
+        want = forest.search_batch(queries, 0.3).results
+        for index in (loaded, thawed):
+            for got, expected in zip(index.search_batch(queries, 0.3).results, want):
+                _assert_result_equal(got, expected)
 
 
 class TestThaw:

@@ -217,7 +217,7 @@ def parents_of(index: FrozenTSIndex) -> np.ndarray:
     arrays = index.arrays()
     parents = np.full(index.node_count, -1, dtype=np.int64)
     counts = np.diff(arrays["children_offsets"])
-    parents[arrays["children"]] = np.repeat(np.arange(index.node_count), counts)
+    parents[1:] = np.repeat(np.arange(index.node_count), counts)
     return parents
 
 

@@ -41,11 +41,14 @@ from repro.persistence import load_index, save_index
 def tree_digest(index: TSIndex) -> str:
     """Over the structure arrays and the whole envelope matrices in
     their ``(l, n)`` transposes under the names ``uppers_t`` /
-    ``lowers_t`` — the form the digests were recorded in, which a
-    frozen index's own layout of the same values does not move."""
+    ``lowers_t``, with the child list ``1 .. n-1`` the arrays then
+    stored (it is implicit now) — the form the digests were recorded
+    in, which a frozen index's own layout of the same values does not
+    move."""
     arrays = index.freeze().arrays()
     arrays["uppers_t"] = arrays.pop("uppers").T
     arrays["lowers_t"] = arrays.pop("lowers").T
+    arrays["children"] = np.arange(1, index.node_count, dtype=np.int64)
     digest = hashlib.sha256()
     for name, array in sorted(arrays.items()):
         array = np.ascontiguousarray(array)

@@ -21,7 +21,8 @@ from repro.core.frozen import FrozenTSIndex
 from repro.core.stats import BuildStats, QueryStats
 from repro.core.tsindex import TSIndex, TSIndexParams
 from repro.core.windows import WindowSource
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, SerializationError
+from repro.persistence import load_index, save_index
 
 REGIMES = ("none", "global", "per_window")
 LENGTH = 24
@@ -53,7 +54,8 @@ def reference_walk(index, query, epsilon):
             counters["leaves_accessed"] += 1
             found.extend(positions[leaf_offsets[node]:leaf_offsets[node + 1]])
             continue
-        for child in arrays["children"][offsets[node]:offsets[node + 1]]:
+        # Child slot ``j`` is node ``j + 1`` (BFS, root first).
+        for child in range(offsets[node] + 1, offsets[node + 1] + 1):
             counters["nodes_visited"] += 1
             if (uppers[child] >= lo).all() and (lowers[child] <= hi).all():
                 queue.append(child)
@@ -136,7 +138,6 @@ def from_structure(source, kinds, child_counts, leaf_sizes, rng):
             "lowers": centre + shift - width,
             "kinds": np.asarray(kinds, dtype=np.int8),
             "children_offsets": children_offsets,
-            "children": np.arange(1, n, dtype=np.int64),
             "leaf_offsets": leaf_offsets,
             "positions": rng.integers(0, source.count, size=int(leaf_offsets[-1])),
         },
@@ -203,7 +204,7 @@ def test_empty_tree(source):
 
 
 class TestLayoutValidation:
-    """The level walk reads levels off the BFS adjacency, so the
+    """The level walk reads levels off the BFS layout, so the
     constructor refuses anything else."""
 
     def arrays(self, source, **overrides):
@@ -221,10 +222,20 @@ class TestLayoutValidation:
         )
         assert index._levels == ((0, 1, 0), (1, 2, 0), (2, 4, 2))
 
-    def test_permuted_adjacency(self, source):
-        arrays = self.arrays(source, children=np.array([1, 3, 2]))
-        with pytest.raises(InvalidParameterError, match="BFS"):
-            FrozenTSIndex.from_arrays(source, PARAMS, BuildStats(), arrays)
+    def test_permuted_adjacency(self, source, tmp_path):
+        # No adjacency list is held, so none can be permuted in memory;
+        # an archive from before it became implicit still stores one,
+        # and loading refuses any but 1 .. n-1.
+        index = FrozenTSIndex.from_arrays(
+            source, PARAMS, BuildStats(), self.arrays(source)
+        )
+        path = tmp_path / "tree"
+        save_index(index, path, fsync=False)
+        np.save(path / "children.npy", np.array([1, 2, 3]))
+        assert load_index(path).raw_arrays().keys() == index.raw_arrays().keys()
+        np.save(path / "children.npy", np.array([1, 3, 2]))
+        with pytest.raises(SerializationError, match="breadth-first"):
+            load_index(path)
 
     def test_child_before_parent(self, source):
         # Node 1 names itself (slot 0) as its child; the root has none.

@@ -21,8 +21,8 @@ import pytest
 from repro.core.tsindex import TSIndex, TSIndexParams
 from repro.exceptions import (
     InvalidParameterError,
-    ReproError,
     SerializationError,
+    SimulatedCrashError,
     StorageError,
 )
 from repro.faults import failpoints
@@ -30,7 +30,6 @@ from repro.live import LiveTwinIndex, WriteAheadLog
 from repro.live.wal import (
     MANIFEST_NAME,
     load_manifest,
-    manifest_path,
     save_manifest,
 )
 
@@ -253,11 +252,11 @@ class TestRecovery:
         live, _ = make_durable(path, seed=5)
         segment_file = live.segments[0].file
         live.close()
-        children_file = path / segment_file / "children.npy"
-        # Out-of-range child ids: from_arrays' structural validation
-        # (PR 2) must reject the archive instead of wrapping around
-        # under fancy indexing.
-        np.save(children_file, np.full_like(np.load(children_file), 10**6))
+        offsets_file = path / segment_file / "children_offsets.npy"
+        # Out-of-range child slots: from_arrays' structural validation
+        # must reject the archive instead of wrapping around under fancy
+        # indexing.
+        np.save(offsets_file, np.full_like(np.load(offsets_file), 10**6))
         with pytest.raises((SerializationError, InvalidParameterError)):
             LiveTwinIndex.recover(path)
 
@@ -412,6 +411,52 @@ class TestRecovery:
         live.close()
         gc.disable()
         try:
+            dropped = weakref.ref(live)
+            del live
+            assert dropped() is None
+        finally:
+            gc.enable()
+
+    def test_a_plane_with_a_failed_seal_is_freed_when_dropped(self, tmp_path):
+        # A recorded seal failure is kept as its repr: the exception's
+        # traceback frames hold the plane, which would leave a dropped
+        # plane to the next cyclic garbage collection.
+        live = LiveTwinIndex.create(tmp_path / "live", length=16, **SMALL)
+        live.append(np.arange(20.0))
+        with failpoints.armed("segment.write", error="io", times=1):
+            live.append(np.arange(20.0))
+        stats = live.stats()
+        assert stats["seal_failures"] == 1
+        assert "segment write failed" in stats["last_seal_error"]
+        live.close()
+        gc.disable()
+        try:
+            dropped = weakref.ref(live)
+            del live
+            assert dropped() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize(
+        "site, config",
+        [("live.seal", {"crash": True}), ("segment.search", {"error": "io"})],
+        ids=["crash-in-a-seal", "error-in-a-query"],
+    )
+    def test_a_plane_an_injected_fault_raised_out_of_is_freed(
+        self, tmp_path, site, config
+    ):
+        # The failpoint that raised no longer holds its error in a
+        # local, so the error's traceback forms no cycle with the
+        # frames that hold the plane.
+        gc.disable()
+        try:
+            live = LiveTwinIndex.create(tmp_path / "live", length=16, **SMALL)
+            live.append(np.arange(20.0))
+            with failpoints.armed(site, **config):
+                with pytest.raises((SimulatedCrashError, OSError)):
+                    live.append(np.arange(20.0))
+                    live.search(np.arange(16.0), 1.0)
+            live.abandon()
             dropped = weakref.ref(live)
             del live
             assert dropped() is None

@@ -216,7 +216,8 @@ def test_the_calling_thread_takes_one_forest(forest_plane, executors):
         _, parts = live._take(QUERY, executor)
         forest, delta = parts.parts
         assert forest.start == 0 and forest.index.size == live.segments[-1].stop
-        assert forest.index.node_count == sum(s.index.node_count for s in live.segments)
+        # One tree: the segments' trees under one synthetic root.
+        assert forest.index.node_count == sum(s.index.node_count for s in live.segments) + 1
         assert delta.start == live.segments[-1].stop
         assert forest.archive is None and delta.archive is None
 

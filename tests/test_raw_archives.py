@@ -497,6 +497,52 @@ class TestMalformedArchives:
             load_index(path)
 
 
+class TestChildrenMember:
+    """Child ids are implicit (slot ``j`` is node ``j + 1``): no archive
+    is written with a ``children`` member, and one an older archive
+    stores is checked and dropped on load (a permuted one:
+    ``tests/test_level_walk.py::TestLayoutValidation``)."""
+
+    def test_fresh_archives_hold_no_children_member(self, tmp_path, series_values):
+        from repro.live import LiveTwinIndex
+
+        frozen = _frozen(series_values, "global")
+        save_index(frozen, tmp_path / "frozen", fsync=False)
+        engine = ShardedTSIndex.build(series_values, LENGTH, shards=2)
+        save_index(engine, tmp_path / "sharded", fsync=False)
+        live = LiveTwinIndex.create(tmp_path / "live", length=16, seal_threshold=64)
+        live.append(series_values[:300])
+        assert live.seal_count >= 2
+        live.close()
+        members = {
+            name
+            for _, _, files in os.walk(tmp_path)
+            for name in files
+            if name.endswith(".npy")
+        }
+        assert {"kinds.npy", "s1_kinds.npy", "children_offsets.npy"} <= members
+        assert not [name for name in members if name.endswith("children.npy")]
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda children: children + 1,  # two roots: a forest's 2 .. n
+            lambda children: children[:-1],
+        ],
+        ids=["two-roots", "short"],
+    )
+    def test_a_stored_children_member_must_be_the_bfs_adjacency(
+        self, tmp_path, damage
+    ):
+        path = tmp_path / "legacy.raw"
+        shutil.copytree(DATA / "frozen_timestamp_major.raw", path)
+        children = np.load(path / "children.npy")
+        assert np.array_equal(children, np.arange(1, children.size + 1))
+        np.save(path / "children.npy", damage(children))
+        with pytest.raises(SerializationError, match="children"):
+            load_index(path)
+
+
 class TestLoadMetric:
     def test_archive_load_histogram_observes(
         self, tmp_path, series_values, save_legacy_npz

@@ -240,7 +240,6 @@ def index_over(upper_t, lower_t):
     ``(l, n)`` float64 envelopes: a root over ``n - 1`` empty leaves
     (the kernel never looks at the structure)."""
     length, n = upper_t.shape
-    children = np.arange(1, n, dtype=np.int64)
     kinds = np.ones(n, dtype=np.int8)
     kinds[:1] = 0
     children_offsets = np.full(n + 1, n - 1, dtype=np.int64)
@@ -254,7 +253,6 @@ def index_over(upper_t, lower_t):
             "lowers": lower_t.T,
             "kinds": kinds,
             "children_offsets": children_offsets,
-            "children": children,
             "leaf_offsets": np.zeros(n + 1, dtype=np.int64),
             "positions": np.empty(0, dtype=np.int64),
         },
