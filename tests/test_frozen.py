@@ -482,6 +482,58 @@ class TestForest:
                 _assert_result_equal(got, expected)
 
 
+    @staticmethod
+    def _side_by_side(forest: FrozenTSIndex, raw: bool) -> dict:
+        """``forest``'s arrays without the synthetic root: the trees'
+        roots side by side, a forest of several roots (``raw``: the
+        envelopes as head / tail parts, else as whole matrices)."""
+        arrays = dict(forest.raw_arrays() if raw else forest.arrays())
+        roots = int(arrays["children_offsets"][1])
+        # Node rows lose row 0; head parts are timestamp-major, so they
+        # lose column 0. The root holds no positions and no leaf slots.
+        side = {
+            name: array[:, 1:] if name.endswith("_head") else array[1:]
+            for name, array in arrays.items()
+            if name != "positions"
+        }
+        side["children_offsets"] = side["children_offsets"] - roots
+        side["positions"] = arrays["positions"]
+        return side
+
+    def test_archives_refuse_a_forest(self, grove, tmp_path):
+        """One root or none: a hand-built archive holding several trees
+        side by side — a tree's archive with the forest's arrays bar the
+        synthetic root — is refused on load."""
+        source, _, forest = grove
+        path = tmp_path / "tree"
+        save_index(bulk_load_source(source, params=PARAMS), path, fsync=False)
+        for name, array in self._side_by_side(forest, raw=True).items():
+            np.save(path / f"{name}.npy", array)
+        with pytest.raises(InvalidParameterError, match="non-root"):
+            load_index(path)
+
+    def test_thaw_refuses_a_forest(self, grove, tmp_path):
+        """Thawing builds node objects from one root down; several trees
+        side by side never get that far. No frozen index takes their
+        arrays, and a dynamic archive holding them — loading one thaws
+        its arrays — is refused on load."""
+        source, _, forest = grove
+        with pytest.raises(InvalidParameterError, match="non-root"):
+            FrozenTSIndex(
+                source,
+                forest.params,
+                forest.build_stats,
+                self._side_by_side(forest, raw=True),
+            )
+        path = tmp_path / "tree"
+        save_index(bulk_load_source(source, params=PARAMS).thaw(), path, fsync=False)
+        for name, array in self._side_by_side(forest, raw=False).items():
+            assert (path / f"{name}.npy").exists(), name
+            np.save(path / f"{name}.npy", array)
+        with pytest.raises(InvalidParameterError, match="non-root"):
+            load_index(path)
+
+
 class TestThaw:
     def test_thaw_round_trip(self, pair):
         dynamic, frozen = pair
