@@ -7,11 +7,12 @@ neighbour (outside its own neighbourhood) is *far* has no twin anywhere
 — it is a **discord**, the signature of an arrhythmic beat.
 
 This example builds an ECG-like series of repeating heartbeats, injects
-two arrhythmic beats, computes the exact Chebyshev matrix profile with
-TS-Index 1-NN self joins, and reads off motifs (normal beats) and
-discords (the arrhythmias). It also shows the live variant:
-appending new readings and asking "has this beat shape occurred
-before?" with `exists`.
+two arrhythmic beats, computes the exact Chebyshev matrix profile as
+one TS-Index 1-NN query per window (`knn(window, 1, exclude=zone)`,
+where the zone is the window's own ±l/2 neighbourhood), and reads off
+motifs (normal beats) and discords (the arrhythmias). It also shows
+the live variant: appending new readings and asking "has this beat
+shape occurred before?" with `exists`.
 
 Self-checking: the profile's distances and neighbours are asserted
 equal to a brute-force profile built from the exact scan k-NN
@@ -23,8 +24,7 @@ Run:  python examples/anomaly_discords.py
 
 import numpy as np
 
-from repro.core.windows import WindowSource
-from repro.extensions.profile import chebyshev_matrix_profile
+import repro
 from repro.live import LiveTwinIndex
 from repro.query.planner import scan_knn
 
@@ -61,31 +61,47 @@ def main() -> None:
     print(f"ECG-like series: {series.size} samples, "
           f"arrhythmias injected at {anomalies}")
 
-    profile = chebyshev_matrix_profile(
-        series, beat_length, normalization="none"
-    )
-    print(f"computed Chebyshev matrix profile over {len(profile)} windows "
-          f"(exclusion zone ±{profile.exclusion})")
-    source = WindowSource(series, beat_length, "none")
+    # The matrix profile: for every window, the nearest neighbour outside
+    # its own neighbourhood (the Matrix Profile exclusion zone, ±l/2).
+    index = repro.bulk_load(series, beat_length, normalization="none")
+    source = index.source
+    exclusion = beat_length // 2
+    distances = np.empty(source.count)
+    neighbors = np.empty(source.count, dtype=np.int64)
     for position in range(source.count):
-        zone = (max(0, position - profile.exclusion), position + profile.exclusion + 1)
-        nearest = scan_knn(source, source.window(position), 1, exclude=zone)
-        assert profile.distances[position] == nearest.distances[0], position
-        assert profile.neighbors[position] == nearest.positions[0], position
+        window = source.window(position)
+        zone = (max(0, position - exclusion), position + exclusion + 1)
+        nearest = index.knn(window, 1, exclude=zone)
+        distances[position] = nearest.distances[0]
+        neighbors[position] = nearest.positions[0]
+        truth = scan_knn(source, window, 1, exclude=zone)
+        assert distances[position] == truth.distances[0], position
+        assert neighbors[position] == truth.positions[0], position
+    print(f"computed Chebyshev matrix profile over {source.count} windows "
+          f"(exclusion zone ±{exclusion})")
     print("profile == the brute-force scan profile, distances and neighbours")
 
-    position, neighbor, distance = profile.motif()
-    print(f"\nmotif (most repeated beat): windows {position} and "
-          f"{neighbor} at distance {distance:.3f}")
+    motif = int(np.argmin(distances))
+    print(f"\nmotif (most repeated beat): windows {motif} and "
+          f"{neighbors[motif]} at distance {distances[motif]:.3f}")
+
+    # Discords: the profile's maxima, each at least a window away from
+    # every discord already chosen.
+    discords: list[int] = []
+    for position in np.argsort(-distances):
+        if all(abs(position - chosen) >= beat_length for chosen in discords):
+            discords.append(int(position))
+            if len(discords) == 3:
+                break
 
     print("\ntop discords (least repeatable windows):")
     recovered = set()
-    for rank, (discord, score) in enumerate(profile.discords(3), start=1):
+    for rank, discord in enumerate(discords, start=1):
         nearest_truth = min(anomalies, key=lambda a: abs(a - discord))
         is_hit = abs(discord - nearest_truth) < beat_length
         if is_hit:
             recovered.add(nearest_truth)
-        print(f"  #{rank}: window {discord:5d}  profile distance {score:.2f}"
+        print(f"  #{rank}: window {discord:5d}  profile distance {distances[discord]:.2f}"
               f"  -> {'ARRHYTHMIA at ' + str(nearest_truth) if is_hit else 'normal variation'}")
     print(f"recovered {len(recovered)}/{len(anomalies)} injected arrhythmias "
           f"in the top discords")

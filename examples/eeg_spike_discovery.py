@@ -13,6 +13,10 @@ surrogate, indexes every window, queries with one occurrence and:
 1. recovers all four occurrences (and nothing else) by twin search;
 2. shows the equivalent Euclidean query burying them in false hits.
 
+Self-checking: at eps = 0.4 the twins group into exactly the four
+planted discharges, one event each, and the Euclidean radius misses no
+twin.
+
 Run:  python examples/eeg_spike_discovery.py
 """
 
@@ -72,6 +76,8 @@ def main() -> None:
         print(f"  eps={epsilon}: {len(result):3d} twin windows -> "
               f"{len(events)} events {events}  "
               f"[{recovered}/{len(starts)} planted discharges]")
+        if epsilon == 0.4:
+            assert events == list(starts), events
 
     # Why not Euclidean? On ordinary background activity (where clinical
     # review spends most of its time) the no-false-negative radius
@@ -85,6 +91,7 @@ def main() -> None:
           f"{comparison.euclidean_count:6d}")
     print(f"  excess factor: {comparison.excess_factor:.0f}x "
           f"(false negatives: {comparison.missed_twins})")
+    assert comparison.missed_twins == 0
 
 
 if __name__ == "__main__":

@@ -69,8 +69,6 @@ from .core import (
     MBTS,
     BatchResult,
     BuildStats,
-    CollectionIndex,
-    CollectionMatch,
     FrozenTSIndex,
     Normalization,
     QueryStats,
@@ -81,7 +79,6 @@ from .core import (
     WindowSource,
     chebyshev_distance,
     euclidean_distance,
-    search_batch,
 )
 from .core.bulkload import bulk_load, bulk_load_source
 from .data import load_dataset, load_series
@@ -138,8 +135,6 @@ __all__ = [
     "BatchResult",
     "BuildStats",
     "CacheStats",
-    "CollectionIndex",
-    "CollectionMatch",
     "EngineStats",
     "FrozenTSIndex",
     "ISAXIndex",
@@ -185,7 +180,6 @@ __all__ = [
     "json_snapshot",
     "load_dataset",
     "load_series",
-    "search_batch",
     "to_json",
     "to_prometheus",
     "twin_search",

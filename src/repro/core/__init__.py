@@ -9,8 +9,7 @@ kernels, the Minimum Bounding Time Series geometry, and the shared
 filter/verification machinery (Section 3.2).
 """
 
-from .batch import BatchResult, search_batch
-from .collection import CollectionIndex, CollectionMatch
+from .batch import BatchResult
 from .distance import (
     chebyshev_distance,
     chebyshev_distance_early_abandon,
@@ -45,8 +44,6 @@ __all__ = [
     "MBTS",
     "BatchResult",
     "BuildStats",
-    "CollectionIndex",
-    "CollectionMatch",
     "FrozenTSIndex",
     "MatchGroup",
     "Normalization",
@@ -69,7 +66,6 @@ __all__ = [
     "mbts_of",
     "pairwise_chebyshev",
     "rolling_mean",
-    "search_batch",
     "rolling_std",
     "sequence_mbts_distance",
     "verify",

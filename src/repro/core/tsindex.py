@@ -10,11 +10,10 @@ Twin queries traverse top-down, pruning any subtree whose MBTS is more
 than ``ε`` away from the query (Lemma 1 / Algorithm 1).
 
 That is all the pointer tree implements (:mod:`repro.core.bulkload`
-builds the flat form bottom-up instead). The library's extensions —
+builds the flat form bottom-up instead). The other query modes —
 k-NN, ``exists``, batches, prefix queries — live on the flat arrays of
-:class:`~repro.core.frozen.FrozenTSIndex` (all but batches as its one
-level walk), which the tree reaches through a memoised
-:meth:`TSIndex.freeze`.
+:class:`~repro.core.frozen.FrozenTSIndex` (all on its one level walk),
+which the tree reaches through a memoised :meth:`TSIndex.freeze`.
 """
 
 from __future__ import annotations
@@ -658,7 +657,7 @@ class TSIndex:
         return len(self.search(query, epsilon))
 
     # ------------------------------------------------------------------
-    # Extensions: answered by the frozen snapshot
+    # Other query modes: answered by the frozen snapshot
     # ------------------------------------------------------------------
     def search_batch(
         self, queries: Iterable[npt.ArrayLike], epsilon: float, **search_options: Any

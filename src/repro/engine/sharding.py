@@ -234,7 +234,7 @@ class ShardedTSIndex(PartitionedPlane):
     # Archive identity (process fan-out)
     # ------------------------------------------------------------------
     @property
-    def archive_path(self) -> str:
+    def archive_path(self) -> str | None:
         """The on-disk archive this engine was loaded from (or spooled
         to), ``None`` for purely in-memory engines. Process fan-out
         needs it: workers reopen the archive by path instead of

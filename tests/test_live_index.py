@@ -303,14 +303,16 @@ class TestSurface:
 
 
 class TestForestUnderConcurrentIngest:
-    def test_every_answer_is_a_snapshot_while_seals_and_compactions_swap_the_forest(self):
+    def test_every_answer_is_a_snapshot_while_seals_swap_the_forest(self):
         """The sealed forest is replaced on every seal while queries
         join and install it from other threads. More probe threads
         than cores and a short switch interval: each answer must be the
         oracle's twins over the windows of one moment between the
         call's start and its end — a forest left stale by a seal would
         drop the windows sealed since, one joined twice would repeat
-        them."""
+        them. After each append the feeder waits (at most 5 s) for an
+        answer that saw it, so the probers see many window counts
+        however the threads are scheduled."""
         import sys
         import threading
 
@@ -320,11 +322,17 @@ class TestForestUnderConcurrentIngest:
         windows = np.lib.stride_tricks.sliding_window_view(series, length)
         errors: list[BaseException] = []
         answered: list[int] = []
+        recorded = threading.Condition()
         done = threading.Event()
 
         def feeder():
             for start in range(200, series.size, 5):
                 live.append(series[start : start + 5])
+                count = live.window_count
+                with recorded:
+                    recorded.wait_for(
+                        lambda: errors or answered[-1:] == [count], timeout=5
+                    )
             done.set()
 
         def prober(seed):
@@ -341,7 +349,9 @@ class TestForestUnderConcurrentIngest:
                     assert np.array_equal(got.positions, seen)
                     assert np.array_equal(got.distances, distances[seen])
                     assert seen.size >= np.count_nonzero(want < before)
-                    answered.append(after)
+                    with recorded:
+                        answered.append(after)
+                        recorded.notify_all()
             except BaseException as exc:  # reported below, from the test thread
                 errors.append(exc)
 

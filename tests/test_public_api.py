@@ -23,12 +23,12 @@ class TestTopLevelExports:
             "repro.core",
             "repro.core.tsindex",
             "repro.core.bulkload",
+            "repro.core.batch",
+            "repro.core.events",
             "repro.indices",
             "repro.indices.isax",
             "repro.euclidean",
             "repro.euclidean.mass",
-            "repro.extensions",
-            "repro.extensions.profile",
             "repro.data",
             "repro.bench",
             "repro.bench.experiments",
@@ -67,7 +67,7 @@ class TestTopLevelExports:
 
     def test_subpackage_all_resolve(self):
         for module_name in ("repro.core", "repro.indices", "repro.data",
-                            "repro.bench", "repro.extensions", "repro.engine",
+                            "repro.bench", "repro.engine",
                             "repro.query", "repro.obs", "repro.faults"):
             module = importlib.import_module(module_name)
             for name in module.__all__:
