@@ -6,8 +6,8 @@ sharded answers match a monolithic TS-Index exactly, serve a repeated
 workload from many threads, and inspect the cache hit rate. Every call
 routes through the unified query pipeline (:mod:`repro.query`), so the
 same front door also serves the paper's baselines — the final section
-registers a sweepline plane and k-NN-queries it through the planner's
-central synthesis (sweepline itself has no k-NN kernel). The script
+registers a sweepline plane and k-NN-queries it, an exact scan
+(sweepline has no tree to walk). The script
 asserts both equalities (positions and distances), so it doubles as an
 end-to-end check.
 
@@ -71,9 +71,8 @@ def main() -> None:
               f"lookups (hit rate {stats.cache.hit_rate:.0%})")
 
         # --- the unified pipeline serves every plane ---------------------
-        # A paper baseline registers through the same front door; modes
-        # it lacks natively (k-NN, count) are synthesized by the planner
-        # and agree exactly with the tree's native kernels.
+        # A paper baseline registers through the same front door; its
+        # k-NN is the exact scan, and it agrees exactly with the tree's.
         serving.build(
             "baseline", series, length, method="sweepline",
             normalization="global",
@@ -83,8 +82,8 @@ def main() -> None:
         assert np.array_equal(nearest_tree.positions, nearest_scan.positions)
         assert np.array_equal(nearest_tree.distances, nearest_scan.distances)
         print("\nsweepline served through the engine: "
-              "knn(synthesized) == knn(tree): True")
-        print(f"count without materializing: "
+              "knn(scan) == knn(tree): True")
+        print(f"count: "
               f"{serving.count('baseline', query, epsilon)} twins, "
               f"exists: {serving.exists('baseline', query, epsilon)}")
 

@@ -1,7 +1,7 @@
 """Variable-length twin queries: one engine, every query length.
 
-Demonstrates query length ``m <= l`` as a first-class capability of
-the unified query plane — a mixed-length workload served by a sharded
+Demonstrates queries of any length ``m <= l`` on the unified query
+plane — a mixed-length workload served by a sharded
 engine through :class:`~repro.engine.QueryEngine`, answers checked
 against the brute-force prefix scan (tail positions at the end of the
 series included), k-NN/exists/count on prefixes, and a live ingestion

@@ -1,5 +1,5 @@
-"""Command-line front end: the paper's experiments, the serving engine,
-the live plane and metrics export.
+"""Command-line front end: the paper's experiments, the serving engine
+and the live plane.
 
 Reproduce the paper's evaluation (Section 6: the intro experiment,
 Figures 4-8, Tables 1-2) — one *run* step that measures and writes a
@@ -34,13 +34,11 @@ appendable index with WAL recovery::
         --epsilon 0.5
     python -m repro.cli live stats --path ./traffic
 
-Inspect the observability plane (:mod:`repro.obs`) — the `stats`
-subcommands also take ``--json`` for machine-readable snapshots::
+The `stats` subcommands also take ``--json`` for machine-readable
+snapshots::
 
     python -m repro.cli engine stats --index idx.rts --json
     python -m repro.cli live stats --path ./traffic --json
-    python -m repro.cli obs export --format prometheus
-    python -m repro.cli obs export --format json
 """
 
 from __future__ import annotations
@@ -64,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-twin",
         description="Run and render the paper's experiments, or drive "
-        "the sharded query engine, the live plane and metrics.",
+        "the sharded query engine and the live plane.",
         epilog="query planes: paper methods "
         f"{', '.join(available_methods())}; "
         f"extended planes {', '.join(extended_methods())}.",
@@ -537,47 +535,6 @@ def _run_live(argv) -> int:
     return 0
 
 
-def build_obs_parser() -> argparse.ArgumentParser:
-    """Parser for the ``obs export`` subcommand."""
-    parser = argparse.ArgumentParser(
-        prog="repro-twin obs",
-        description="Export the process-default metrics registry "
-        "(Prometheus text exposition or a JSON snapshot).",
-    )
-    commands = parser.add_subparsers(dest="obs_command", required=True)
-
-    export = commands.add_parser(
-        "export", help="dump the default metrics registry"
-    )
-    export.add_argument(
-        "--format",
-        choices=("prometheus", "json"),
-        default="prometheus",
-        help="exposition format (default: prometheus)",
-    )
-    return parser
-
-
-def run_obs(argv) -> int:
-    """Execute one ``obs`` subcommand; returns an exit code.
-
-    A fresh process has an empty default registry, so this is mostly
-    useful after in-process work (or from tools embedding the CLI); it
-    exists so every surface of :mod:`repro.obs` is scriptable.
-    """
-    from .obs import default_registry, to_json, to_prometheus
-
-    args = build_obs_parser().parse_args(argv)
-    registry = default_registry()
-    if args.format == "json":
-        print(to_json(registry))
-    else:
-        # Prometheus exposition of an empty registry is the empty
-        # string; print() still terminates the output with a newline.
-        sys.stdout.write(to_prometheus(registry))
-    return 0
-
-
 def run_engine(argv) -> int:
     """Execute one ``engine`` subcommand; returns an exit code.
 
@@ -637,7 +594,6 @@ def _run_engine(argv) -> int:
 SUBSYSTEMS = {
     "engine": run_engine,
     "live": run_live,
-    "obs": run_obs,
 }
 COMMANDS = ("run", "evaluate") + tuple(SUBSYSTEMS)
 

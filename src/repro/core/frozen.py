@@ -130,15 +130,6 @@ from .._util import (
     check_positive_int,
 )
 from ..exceptions import InvalidParameterError
-from ..query.capabilities import (
-    CAP_COUNT,
-    CAP_EXISTS,
-    CAP_KNN,
-    CAP_SEARCH,
-    CAP_SEARCH_BATCH,
-    CAP_VARLENGTH,
-    CAP_VERIFICATION,
-)
 from ..query.registration import register_plane
 from ..query.spec import normalize_exclude, prepare_values
 from ..query.varlength import (
@@ -450,20 +441,6 @@ class FrozenTSIndex:
     """
 
     method_name = "frozen"
-
-    #: Native kernels the query planner may call directly (the whole
-    #: read-only surface, including the batched level walk).
-    capabilities = frozenset(
-        {
-            CAP_SEARCH,
-            CAP_KNN,
-            CAP_EXISTS,
-            CAP_COUNT,
-            CAP_SEARCH_BATCH,
-            CAP_VARLENGTH,
-            CAP_VERIFICATION,
-        }
-    )
 
     __slots__ = (
         "_source",

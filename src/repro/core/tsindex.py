@@ -33,14 +33,6 @@ from .._util import (
     check_positive_int,
 )
 from ..exceptions import InvalidParameterError
-from ..query.capabilities import (
-    CAP_COUNT,
-    CAP_EXISTS,
-    CAP_KNN,
-    CAP_SEARCH,
-    CAP_VARLENGTH,
-    CAP_VERIFICATION,
-)
 from ..query.registration import register_plane
 from ..query.spec import prepare_values
 from ..query.varlength import is_prefix_query
@@ -192,18 +184,6 @@ class TSIndex:
     """
 
     method_name = "tsindex"
-
-    #: Native kernels the query planner may call directly.
-    capabilities = frozenset(
-        {
-            CAP_SEARCH,
-            CAP_KNN,
-            CAP_EXISTS,
-            CAP_COUNT,
-            CAP_VARLENGTH,
-            CAP_VERIFICATION,
-        }
-    )
 
     def __init__(self, source: WindowSource, params: TSIndexParams | None = None):
         self._source = source

@@ -31,13 +31,13 @@ Every call is safe from many threads at once and takes one path:
 ``query`` / ``knn`` / ``exists`` / ``count`` and each ``batch`` member
 build a :class:`~repro.query.QuerySpec`, and one serving function
 resolves the plane and its generation, plans the spec against the
-plane's capabilities (:mod:`repro.query`), executes it on the plane's
-native kernels or the planner's synthesized fallbacks, and records the
-counters. Every registered plane — the paper's sweepline / KV-Index /
-iSAX baselines included — is therefore fully servable, with results
-byte-identical to the plane's direct call. Per-query structural
-counters stay exact and deterministic; the engine aggregates them
-across calls into :class:`EngineStats`.
+plane (:mod:`repro.query`), executes it on the plane's parts or its own
+method for the mode, and records the counters. Every registered plane —
+the paper's sweepline / KV-Index / iSAX baselines included — is
+therefore fully servable, with results byte-identical to the plane's
+direct call. Per-query structural counters stay exact and
+deterministic; the engine aggregates them across calls into
+:class:`EngineStats`.
 
 Growing series serve through the same front door: register a
 :class:`~repro.live.LiveTwinIndex` with :meth:`QueryEngine.add` and
@@ -76,7 +76,6 @@ from ..obs.trace import (
     deactivate_trace,
 )
 from ..query import QueryPlan, QuerySpec, batch_result, plan
-from ..query.capabilities import capabilities_of
 from ..query.spec import MODES
 from .cache import CacheStats, QueryCache, query_key
 from .sharding import ShardedTSIndex
@@ -521,14 +520,13 @@ class QueryEngine:
         results are never cached — a later complete answer must not be
         shadowed by a partial one.
 
-        Options the plane does not understand are dropped by the
-        planner, so the same call serves a sweepline and a sharded
+        ``timeout`` and ``degraded`` are dropped by the planner on the
+        other planes, so the same call serves a sweepline and a sharded
         engine alike. Queries of any length ``m <= l`` are served —
-        shorter ones run on the plane's variable-length prefix kernels
-        (or the planner's prefix scan), and the cache key's query
-        digest covers the value bytes *and shape*, so results for one
-        length are never served to another. Cache hits return the
-        previously computed
+        shorter ones run on the plane's ``search_varlength`` — and the
+        cache key's query digest covers the value bytes *and shape*, so
+        results for one length are never served to another. Cache hits
+        return the previously computed
         :class:`~repro.core.stats.SearchResult` object itself; misses
         visit the shards one after another in the calling thread (on
         the engine pool only with ``timeout=``, on the worker
@@ -562,24 +560,24 @@ class QueryEngine:
     def knn(self, name: str, query: Any, k: int, *, exclude: Any = None) -> SearchResult:
         """k-NN twin query against the named plane (never cached: the
         result depends on ``k`` and ``exclude``, and k-NN traffic rarely
-        repeats exactly). Planes without a native k-NN kernel are
-        served by the planner's exact scan."""
+        repeats exactly). Planes without a tree of their own answer
+        with the exact scan."""
         return self._call(
             name, QuerySpec(query=query, mode="knn", k=k, exclude=exclude)
         )
 
     def exists(self, name: str, query: Any, epsilon: float) -> bool:
         """Whether the named plane holds any twin of ``query`` within
-        ``epsilon`` (the plane's native ``exists`` where it has one, a
-        search otherwise; partitioned planes stop at the first part
-        with a twin)."""
+        ``epsilon`` (whether its search finds one; partitioned planes
+        stop at the first part with a twin)."""
         return self._call(
             name, QuerySpec(query=query, mode="exists", epsilon=epsilon)
         )
 
     def count(self, name: str, query: Any, epsilon: float) -> int:
-        """Number of twins in the named plane (non-materializing where
-        the plane or the planner supports it)."""
+        """Number of twins in the named plane (summed per part, without
+        merging result arrays, on a partitioned plane; the length of
+        the search elsewhere)."""
         return self._call(
             name, QuerySpec(query=query, mode="count", epsilon=epsilon)
         )
@@ -752,7 +750,7 @@ def _spec_key(
     spec: QuerySpec, executed: QueryPlan, name: str, generation: object
 ) -> tuple:
     """The cache key for one planned spec: query digest + effective
-    (capability-filtered) options + plane name and generation. The
+    (mode-filtered) options + plane name and generation. The
     arrival domain is part of the key — the same raw values mean a
     different query after raw→index mapping."""
     return query_key(
@@ -770,14 +768,9 @@ def _index_row(name: str, index: SubsequenceIndex, built_at: float) -> dict:
     """One plane's structural stats row (shape, shards/segments, build
     cost). Live planes report their LSM shape (segments, delta, seals)
     instead of shard rows; other non-sharded planes report
-    a generic row keyed by their plane kind. Every row carries the
-    plane's declared ``capabilities`` (sorted), so operators can see at
-    a glance which kernels — including variable-length ``search`` — a
-    registered plane serves natively."""
-    capabilities = sorted(capabilities_of(index))
+    a generic row keyed by their plane kind."""
     if getattr(index, "method_name", "") == "live":
-        return {"name": name, "kind": "live", "built_at": built_at,
-                "capabilities": capabilities, **index.stats()}
+        return {"name": name, "kind": "live", "built_at": built_at, **index.stats()}
     build = index.build_stats
     if not isinstance(index, ShardedTSIndex):
         # A generic plane (paper method or frozen snapshot).
@@ -791,7 +784,6 @@ def _index_row(name: str, index: SubsequenceIndex, built_at: float) -> dict:
             "splits": build.splits,
             "build_seconds": round(build.seconds, 4),
             "built_at": built_at,
-            "capabilities": capabilities,
         }
     return {
         "name": name,
@@ -804,6 +796,5 @@ def _index_row(name: str, index: SubsequenceIndex, built_at: float) -> dict:
         "splits": build.splits,
         "build_seconds": round(build.seconds, 4),
         "built_at": built_at,
-        "capabilities": capabilities,
         "shard_stats": index.shard_stats(),
     }

@@ -27,15 +27,12 @@ process pool, not for thread parallelism.
 Shard trees are bulk loaded straight into **frozen** form (see
 :class:`~repro.core.frozen.FrozenTSIndex`): each shard is a flat
 structure-of-arrays query plane with vectorized frontier traversal —
-byte-identical answers, much lower per-query latency, and a batched
-``search_batch`` path in which all queries share one level walk per
-shard (chosen automatically: no executor, more than one query, all of
-full length, and no option but ``verification``).
+byte-identical answers, much lower per-query latency. A batch is the
+planner's per-query loop, each query walking the shards in turn.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 from typing import Any
 
@@ -43,11 +40,9 @@ import numpy as np
 
 from .._util import (
     available_cpu_count,
-    check_non_negative,
     check_positive_int,
     is_process_executor,
 )
-from ..core.batch import BatchResult
 from ..core.bulkload import bulk_load_source
 from ..core.frozen import FrozenTSIndex
 from ..core.normalization import Normalization
@@ -56,16 +51,6 @@ from ..core.tsindex import TSIndexParams
 from ..core.windows import WindowSource, assemble_source
 from ..exceptions import InvalidParameterError
 from ..indices.sweepline import SweeplineSearch
-from ..query.capabilities import (
-    CAP_COUNT,
-    CAP_EXISTS,
-    CAP_KNN,
-    CAP_SEARCH,
-    CAP_SEARCH_BATCH,
-    CAP_VARLENGTH,
-    CAP_VERIFICATION,
-)
-from ..query.merge import batch_result, merge_offset_search
 from ..query.parts import Part, PartitionedPlane, PartSet
 from ..query.registration import register_plane
 from ..query.spec import check_varlength_query, prepare_values
@@ -141,19 +126,6 @@ class ShardedTSIndex(PartitionedPlane):
     """
 
     method_name = "sharded"
-
-    #: Modes the planner serves on the shards themselves.
-    capabilities = frozenset(
-        {
-            CAP_SEARCH,
-            CAP_KNN,
-            CAP_EXISTS,
-            CAP_COUNT,
-            CAP_SEARCH_BATCH,
-            CAP_VARLENGTH,
-            CAP_VERIFICATION,
-        }
-    )
 
     def __init__(
         self,
@@ -363,45 +335,3 @@ class ShardedTSIndex(PartitionedPlane):
             tail = assemble_source(source.values[self.size :], query.size, Normalization.NONE)
             parts.append(Part(self.size, SweeplineSearch.from_source(tail), "tail", None))
         return query, PartSet(parts, "shard", source.values)
-
-    def search_batch(
-        self,
-        queries: Any,
-        epsilon: float,
-        *,
-        executor: concurrent.futures.Executor | None = None,
-        **search_options: Any,
-    ) -> BatchResult:
-        """Run every query of ``queries`` at ``epsilon``, in input order.
-
-        When no executor is supplied, the workload holds more than one
-        query, all of full length, and ``search_options`` holds nothing
-        but ``verification``, each shard answers the whole workload with
-        one level walk (:meth:`FrozenTSIndex.search_batch
-        <repro.core.frozen.FrozenTSIndex.search_batch>`) — identical
-        results, fewer NumPy dispatches. Every other workload, a
-        deadline or a degraded answer included, is the planner's
-        per-query loop (see :meth:`PartitionedPlane.search_batch
-        <repro.query.parts.PartitionedPlane.search_batch>`), which gives
-        those options their meaning.
-        """
-        queries = list(queries)
-        if (
-            executor is None
-            and len(queries) > 1
-            and set(search_options) <= {"verification"}
-            and not any(is_prefix_query(query, self.length) for query in queries)
-        ):
-            epsilon = check_non_negative(epsilon, name="epsilon")
-            per_shard = [
-                tree.search_batch(queries, epsilon, **search_options)
-                for tree in self._shards
-            ]
-            results = [
-                merge_offset_search(
-                    zip(self._starts, (batch.results[i] for batch in per_shard))
-                )
-                for i in range(len(queries))
-            ]
-            return batch_result(results, epsilon)
-        return super().search_batch(queries, epsilon, executor=executor, **search_options)

@@ -83,8 +83,8 @@ def euclidean_distance_profile(source: WindowSource, query: npt.ArrayLike) -> np
 def chebyshev_distance_profile(source: WindowSource, query: npt.ArrayLike) -> np.ndarray:
     """Exact Chebyshev distance to every window (O(n·l), vectorized in
     chunks). The ground-truth counterpart of the Euclidean profile —
-    the same blockwise kernel the query planner's exact-scan synthesis
-    uses (:func:`repro.query.planner.scan_distances`)."""
+    the same blockwise kernel the exact-scan k-NN uses
+    (:func:`repro.query.planner.scan_distances`)."""
     from ..query.planner import scan_distances
 
     query = prepare_values(source, query)

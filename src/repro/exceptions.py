@@ -57,10 +57,8 @@ class UnsupportedCapabilityError(ReproError, TypeError):
     """A query was planned against an object that cannot serve it.
 
     Raised by the query planner when the target is not a servable plane
-    (no ``search`` kernel / no window source to synthesize from) — the
-    typed replacement for the raw ``AttributeError`` that used to leak
-    out of capability-shaped holes such as variable-length search on a
-    non-tree plane.
+    (it has no ``search`` kernel) — the typed replacement for the raw
+    ``AttributeError`` a kernel call would raise deep inside.
     """
 
 

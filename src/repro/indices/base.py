@@ -6,13 +6,14 @@ surface — build over a :class:`~repro.core.windows.WindowSource`, answer
 — so the benchmark harness, the equivalence tests and the CLI can treat
 them uniformly by name.
 
-Beyond the paper surface, :class:`SubsequenceIndex` now carries
-**default implementations of every other query mode** — ``knn``,
-``exists``, ``search_batch`` and ``count`` — routed
-through the plane-agnostic pipeline in :mod:`repro.query`: planes
-declare what they support natively (``capabilities``) and the planner
-synthesizes the rest, so even a search-only method is fully servable by
-:class:`~repro.engine.executor.QueryEngine`.
+Beyond the paper surface, :class:`SubsequenceIndex` carries **default
+implementations of every other query mode**: ``knn`` is the exact scan
+(:func:`~repro.query.planner.scan_knn`), ``search_varlength`` the prefix
+scan, ``search_batch`` a loop over the queries, and ``exists`` /
+``count`` the length of a search — so even a search-only method is
+fully servable by :class:`~repro.engine.executor.QueryEngine`. A plane
+with a faster kernel overrides the method; the planner
+(:mod:`repro.query.planner`) calls whatever the plane has.
 
 Planes self-register with the :func:`repro.query.register_plane`
 decorator; :func:`create_method` resolves names through that registry
@@ -26,11 +27,15 @@ from typing import Any, Iterable
 
 import numpy.typing as npt
 
+from .._util import check_non_negative, check_positive_int
 from ..core.batch import BatchResult
 from ..core.normalization import Normalization
 from ..core.stats import BuildStats, SearchResult
 from ..core.windows import WindowSource
-from ..query.capabilities import BASE_CAPABILITIES
+from ..query.merge import batch_result
+from ..query.planner import scan_knn
+from ..query.spec import normalize_exclude
+from ..query.varlength import is_prefix_query, scan_prefix_knn, scan_prefix_search
 
 #: Canonical paper-method names, in the order the paper's figures list
 #: them. Extended planes (frozen, sharded, live) are listed by
@@ -42,19 +47,12 @@ class SubsequenceIndex(abc.ABC):
     """Abstract twin-search method over the windows of one series.
 
     Subclasses must bring ``search``; every other query mode has a
-    pipeline-backed default here. A subclass with a faster native
-    kernel overrides the method *and* adds the matching capability
-    name to :attr:`capabilities` so the planner (and the engine) call
-    it directly.
+    default here. A subclass with a faster kernel overrides the method,
+    and the planner (and the engine) call it.
     """
 
     #: Registry name; subclasses override.
     method_name: str = ""
-
-    #: Natively implemented kernels (see :mod:`repro.query.capabilities`).
-    #: The default — search only — means every other mode is synthesized
-    #: by the planner.
-    capabilities: frozenset = BASE_CAPABILITIES
 
     @classmethod
     @abc.abstractmethod
@@ -76,75 +74,53 @@ class SubsequenceIndex(abc.ABC):
         """Counters recorded while building."""
 
     # ------------------------------------------------------------------
-    # Pipeline-backed defaults (planes with native kernels override and
-    # declare the capability; see repro.query.planner)
+    # Defaults (planes with a faster kernel override them)
     # ------------------------------------------------------------------
     def knn(
         self, query: npt.ArrayLike, k: int, *, exclude: tuple[int, int] | None = None
     ) -> SearchResult:
         """The ``k`` nearest windows by Chebyshev distance, ranked by
         the library-wide ``(distance, position)`` tie-break (default:
-        exact blockwise scan via the planner)."""
-        from ..query import QuerySpec, execute
-
-        return execute(
-            self, QuerySpec(query=query, mode="knn", k=k, exclude=exclude)
-        )
+        the exact blockwise scan; a query shorter than ``l`` scans
+        every ``m``-window, tail included)."""
+        k = check_positive_int(k, name="k")
+        exclude = normalize_exclude(exclude)
+        if is_prefix_query(query, self.source.length):
+            return scan_prefix_knn(self.source, query, k, exclude=exclude)
+        return scan_knn(self.source, query, k, exclude=exclude)
 
     def exists(self, query: npt.ArrayLike, epsilon: float) -> bool:
-        """Whether any twin exists (default: search-backed)."""
-        from ..query import QuerySpec, execute
-
-        return execute(
-            self, QuerySpec(query=query, mode="exists", epsilon=epsilon)
-        )
+        """Whether any twin exists (default: whether :meth:`count` is
+        non-zero)."""
+        return self.count(query, epsilon) > 0
 
     def search_batch(
         self, queries: Iterable[npt.ArrayLike], epsilon: float, **search_options: Any
     ) -> BatchResult:
         """Run a whole workload; per-query results plus aggregates
-        (default: a planner loop sharing one merge/stats kernel)."""
-        from ..query import QuerySpec, execute
-
-        return execute(
-            self,
-            QuerySpec(
-                query=list(queries),
-                mode="batch",
-                epsilon=epsilon,
-                options=dict(search_options),
-            ),
-        )
+        (default: one :meth:`search_varlength` per query, in order)."""
+        epsilon = check_non_negative(epsilon, name="epsilon")
+        results = [
+            self.search_varlength(query, epsilon, **search_options)
+            for query in queries
+        ]
+        return batch_result(results, epsilon)
 
     def count(self, query: npt.ArrayLike, epsilon: float) -> int:
-        """Number of twins (default: via the planner — the plane's
-        native non-materializing count where declared, its own pruned
-        search otherwise)."""
-        from ..query import QuerySpec, execute
-
-        return execute(
-            self, QuerySpec(query=query, mode="count", epsilon=epsilon)
-        )
+        """Number of twins (default: the length of the plane's own
+        search, :meth:`search_varlength` for a shorter query)."""
+        return len(self.search_varlength(query, epsilon))
 
     def search_varlength(
         self, query: npt.ArrayLike, epsilon: float, **search_options: Any
     ) -> SearchResult:
         """All twins of a query of length ``m <= l``, tail positions
-        included (default: the planner's synthesized prefix scan;
-        planes declaring ``CAP_VARLENGTH`` override with native
-        prefix-pruned kernels). ``m == l`` behaves exactly like
-        :meth:`search`."""
-        from ..query import QuerySpec, execute
-
-        return execute(
-            self,
-            QuerySpec(
-                query=query,
-                mode="search",
-                epsilon=epsilon,
-                options=dict(search_options),
-            ),
-        )
+        included (default: the prefix scan,
+        :func:`~repro.query.varlength.scan_prefix_search`). ``m == l``
+        is :meth:`search`."""
+        if not is_prefix_query(query, self.source.length):
+            return self.search(query, epsilon, **search_options)
+        return scan_prefix_search(self.source, query, epsilon, **search_options)
 
 
 def available_methods(*, extended: bool = False) -> tuple[str, ...]:

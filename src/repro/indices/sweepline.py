@@ -12,9 +12,10 @@ It is also the library's one **scan part**: a composite plane hands
 :class:`~repro.query.parts.PartSet` a sweepline over each span it scans
 rather than indexes — the live plane's delta, and the ``l - m`` tail
 starts of a prefix query — and the span then answers every mode like an
-indexed part: ``knn`` (the exact scan), ``count`` and ``exists`` (its
-own search) natively, and the prefix hook
-:meth:`collect_varlength_candidates` with every position.
+indexed part: ``knn`` is the exact scan and ``count`` / ``exists`` its
+own search (the :class:`~repro.indices.base.SubsequenceIndex`
+defaults), and the prefix hook :meth:`collect_varlength_candidates`
+returns every position.
 """
 
 from __future__ import annotations
@@ -25,22 +26,14 @@ from typing import Any
 import numpy as np
 import numpy.typing as npt
 
-from .._util import POSITION_DTYPE, check_non_negative, check_positive_int
+from .._util import POSITION_DTYPE, check_non_negative
 from ..core.distance import chebyshev_distance_reordered, reorder_by_magnitude
 from ..core.normalization import Normalization
 from ..core.stats import BuildStats, QueryStats, SearchResult
 from ..core.verification import verify
 from ..core.windows import WindowSource
-from ..query.capabilities import (
-    CAP_COUNT,
-    CAP_EXISTS,
-    CAP_KNN,
-    CAP_SEARCH,
-    CAP_VERIFICATION,
-)
-from ..query.planner import scan_knn
 from ..query.registration import register_plane
-from ..query.spec import normalize_exclude, prepare_values
+from ..query.spec import prepare_values
 from ..query.varlength import is_prefix_query
 from .base import SubsequenceIndex
 
@@ -65,12 +58,6 @@ class SweeplineSearch(SubsequenceIndex):
     """
 
     method_name = "sweepline"
-
-    #: Native kernels the query planner (and a part fan-out) calls
-    #: directly: every mode is the scan itself.
-    capabilities = frozenset(
-        {CAP_SEARCH, CAP_KNN, CAP_EXISTS, CAP_COUNT, CAP_VERIFICATION}
-    )
 
     def __init__(self, source: WindowSource):
         self._source = source
@@ -138,25 +125,6 @@ class SweeplineSearch(SubsequenceIndex):
         return verify(
             self._source, query, positions, epsilon, mode=verification
         )
-
-    def knn(
-        self, query: npt.ArrayLike, k: int, *, exclude: tuple[int, int] | None = None
-    ) -> SearchResult:
-        """The ``k`` nearest windows: the exact scan, ranked by the
-        library-wide ``(distance, position)`` tie-break (queries shorter
-        than ``l`` take the pipeline's prefix scan)."""
-        if is_prefix_query(query, self._source.length):
-            return super().knn(query, k, exclude=exclude)
-        k = check_positive_int(k, name="k")
-        return scan_knn(self._source, query, k, normalize_exclude(exclude))
-
-    def count(self, query: npt.ArrayLike, epsilon: float) -> int:
-        """Number of twins (the length of :meth:`search`)."""
-        return len(self.search(query, epsilon))
-
-    def exists(self, query: npt.ArrayLike, epsilon: float) -> bool:
-        """Whether any twin exists (:meth:`search` is non-empty)."""
-        return len(self.search(query, epsilon)) > 0
 
     def collect_varlength_candidates(
         self, query: np.ndarray, epsilon: float, stats: QueryStats

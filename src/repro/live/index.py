@@ -56,15 +56,6 @@ from ..faults.failpoints import failpoint
 from ..indices.sweepline import SweeplineSearch
 from ..obs.logsetup import get_logger
 from ..obs.metrics import HandleCache
-from ..query.capabilities import (
-    CAP_COUNT,
-    CAP_EXISTS,
-    CAP_KNN,
-    CAP_SEARCH,
-    CAP_SEARCH_BATCH,
-    CAP_VARLENGTH,
-    CAP_VERIFICATION,
-)
 from ..query.parts import Part, PartitionedPlane, PartSet
 from ..query.registration import register_plane
 from ..query.spec import check_varlength_query, prepare_values
@@ -152,19 +143,6 @@ class LiveTwinIndex(PartitionedPlane):
     """
 
     method_name = "live"
-
-    #: Modes the planner serves on the plane's parts.
-    capabilities = frozenset(
-        {
-            CAP_SEARCH,
-            CAP_KNN,
-            CAP_EXISTS,
-            CAP_COUNT,
-            CAP_SEARCH_BATCH,
-            CAP_VARLENGTH,
-            CAP_VERIFICATION,
-        }
-    )
 
     def __init__(
         self,

@@ -4,13 +4,14 @@ One ``QuerySpec → plan → execute → merge`` path serves every index
 plane in the library — the four paper methods (sweepline, KV-Index,
 iSAX, TS-Index), the frozen flat plane, the sharded engine and the live
 ingestion plane — through exactly one implementation of query
-preparation, capability dispatch, result merging and stats aggregation:
+preparation, dispatch, result merging and stats aggregation:
 
 * :class:`QuerySpec` / :meth:`QuerySpec.prepare` — validation plus
   raw→index domain mapping (:mod:`repro.query.spec`);
-* :func:`plan` / :func:`execute` — capability negotiation and central
-  synthesis of ``knn`` / ``exists`` / ``search_batch`` / ``count`` for
-  planes that only bring ``search`` (:mod:`repro.query.planner`);
+* :func:`plan` / :func:`execute` — one dispatch rule: a partitioned
+  plane is answered on its parts, any other plane by its own method
+  for the mode, ``exists`` / ``count`` by the length of its search
+  (:mod:`repro.query.planner`);
 * :func:`merge_offset_search` / :func:`merge_knn` /
   :func:`aggregate_stats` — the shared merge kernels every composite
   plane reuses (:mod:`repro.query.merge`);
@@ -24,18 +25,6 @@ preparation, capability dispatch, result merging and stats aggregation:
 """
 
 from .._util import map_with_executor
-from .capabilities import (
-    ALL_CAPABILITIES,
-    BASE_CAPABILITIES,
-    CAP_COUNT,
-    CAP_EXISTS,
-    CAP_KNN,
-    CAP_SEARCH,
-    CAP_SEARCH_BATCH,
-    CAP_VARLENGTH,
-    CAP_VERIFICATION,
-    capabilities_of,
-)
 from .merge import (
     aggregate_stats,
     batch_result,
@@ -46,7 +35,6 @@ from .planner import (
     QueryPlan,
     execute,
     plan,
-    scan_count,
     scan_knn,
 )
 from .registration import (
@@ -72,22 +60,12 @@ from .varlength import (
 )
 
 __all__ = [
-    "ALL_CAPABILITIES",
-    "BASE_CAPABILITIES",
-    "CAP_COUNT",
-    "CAP_EXISTS",
-    "CAP_KNN",
-    "CAP_SEARCH",
-    "CAP_SEARCH_BATCH",
-    "CAP_VARLENGTH",
-    "CAP_VERIFICATION",
     "PlaneInfo",
     "PreparedQuery",
     "QueryPlan",
     "QuerySpec",
     "aggregate_stats",
     "batch_result",
-    "capabilities_of",
     "check_varlength_query",
     "execute",
     "map_raw_to_index_domain",
@@ -103,7 +81,6 @@ __all__ = [
     "query_extent",
     "register_plane",
     "resolve_plane",
-    "scan_count",
     "scan_knn",
     "scan_prefix_search",
     "tail_positions",

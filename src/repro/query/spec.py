@@ -211,8 +211,8 @@ class QuerySpec:
     of them); ``mode`` selects the semantics; ``epsilon``/``k``/
     ``exclude`` parameterize it; ``domain`` says which value domain the
     values arrive in; ``options`` carries per-call kernel options (e.g.
-    ``verification``) that the planner filters against the target
-    plane's capabilities.
+    ``verification``), which the planner drops for the modes and planes
+    that take none.
 
     Validation happens eagerly at construction — a ``QuerySpec`` that
     exists is well-formed, whatever plane it later runs on.

@@ -18,7 +18,7 @@ time-aligned *prefix* of two twins is itself a pair of twins
   starts that have no full ``l``-window and are absent from the index).
 
 Everything here answers from the plane's prepared value buffer, so the
-results of a native prefix traversal, the synthesized
+results of a tree's prefix traversal, the prefix scan
 :func:`scan_prefix_search`, and a composite plane's per-part fan-out
 agree bitwise (positions and distances) — the conformance suite in
 ``tests/test_varlength_planes.py`` enforces it across all seven planes.
@@ -151,12 +151,12 @@ def scan_prefix_search(
     """Brute-force prefix scan: every ``m``-window (tail included)
     exactly verified against the query.
 
-    This is the planner's synthesized variable-length ``search`` for
-    planes without a native prefix kernel (sweepline, KV-Index, iSAX),
-    and the oracle the cross-plane conformance suite compares every
-    plane against. ``query`` arrives in the index value domain; the
+    This is the variable-length ``search`` of planes without a tree
+    (sweepline, KV-Index, iSAX: the ``SubsequenceIndex`` default), and
+    the oracle the cross-plane conformance suite compares every plane
+    against. ``query`` arrives in the index value domain; the
     preparation applies the same validation (``m <= l``, typed
-    per-window rejection) as the native kernels.
+    per-window rejection) as the tree kernels.
     """
     epsilon = check_non_negative(epsilon, name="epsilon")
     query = prepare_values(source, query, varlength=True)

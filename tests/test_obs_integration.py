@@ -341,30 +341,6 @@ class TestWarningOnTornWAL:
 
 
 class TestCLISurface:
-    def test_obs_command_accepted_by_parser(self):
-        assert "obs" in cli.COMMANDS
-        args = cli.build_parser().parse_args(["obs"])
-        assert args.command == "obs"
-
-    def test_obs_export_prometheus(
-        self, series, fresh_default_registry, capsys
-    ):
-        with QueryEngine() as engine:
-            engine.build(
-                "demo", series, length=50, shards=2, normalization="none"
-            )
-            engine.query("demo", series[100:150], epsilon=0.4)
-        assert cli.main(["obs", "export", "--format", "prometheus"]) == 0
-        out = capsys.readouterr().out
-        assert "# TYPE repro_engine_queries_total counter" in out
-        assert 'repro_engine_queries_total{mode="search"} 1' in out
-
-    def test_obs_export_json(self, fresh_default_registry, capsys):
-        fresh_default_registry.counter("x_total", "X.").inc(3)
-        assert cli.main(["obs", "export", "--format", "json"]) == 0
-        snapshot = json.loads(capsys.readouterr().out)
-        assert snapshot["metrics"][0]["name"] == "x_total"
-
     def test_live_stats_json(self, series, tmp_path, capsys):
         path = str(tmp_path / "live")
         cli.main(["live", "init", "--path", path, "--length", "50"])

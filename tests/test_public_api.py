@@ -42,7 +42,6 @@ class TestTopLevelExports:
             "repro.query.planner",
             "repro.query.merge",
             "repro.query.parts",
-            "repro.query.capabilities",
             "repro.query.registration",
             "repro.query.varlength",
             "repro.live",

@@ -9,7 +9,9 @@ direct call. This module is that promise as a parametrized suite:
 
 * ``search`` / ``knn`` / ``exists`` / ``search_batch`` agreement with a
   seeded exhaustive-scan reference on every plane, including the
-  planner-synthesized modes of the search-only baselines;
+  default (scan and loop) modes of the search-only baselines;
+* a planned call of every mode, full length and shorter, equals the
+  plane's own method call — positions, distances and counters;
 * ``(distance, position)`` k-NN tie-breaks on a series with planted
   duplicate windows;
 * stats-counter invariants (``matches == len(result)``, aggregation is
@@ -25,12 +27,15 @@ import numpy as np
 import pytest
 
 from repro import QueryEngine, QuerySpec
+from repro.core.batch import BatchResult
+from repro.core.stats import SearchResult
 from repro.indices import (
     available_methods,
     create_method,
     extended_methods,
 )
-from repro.query import capabilities_of, execute, plan
+from repro.obs import default_registry
+from repro.query import execute, plan
 
 from conftest import index_row
 
@@ -89,7 +94,7 @@ def planes():
             name, SERIES, LENGTH, normalization="none",
             **BUILD_OPTIONS.get(name, {}),
         )
-        for name in ALL_PLANES
+        for name in available_methods(extended=True)
     }
     yield built
     built["live"].close()
@@ -175,19 +180,13 @@ class TestEngineAgreesWithDirectCall:
             assert_results_equal(one, other, name)
 
     def test_count_matches_search_length(self, engine, planes, name):
-        """The satellite regression: counts equal ``len(search(...))``
-        on every plane, through the engine and directly — and the
-        standalone non-materializing scan counter agrees too."""
-        from repro.query import scan_count
-
+        """Counts equal ``len(search(...))`` on every plane, through the
+        engine and directly."""
         for epsilon in EPSILONS:
             for query in QUERIES:
                 expected = len(planes[name].search(query, epsilon))
                 assert planes[name].count(query, epsilon) == expected
                 assert engine.count(name, query, epsilon) == expected
-                assert scan_count(
-                    planes[name].source, query, epsilon
-                ) == expected
 
 
 @pytest.mark.parametrize("name", ALL_PLANES)
@@ -225,21 +224,6 @@ class TestTieBreaksAndStats:
 
 @pytest.mark.parametrize("name", ALL_PLANES)
 class TestPlannerSurface:
-    def test_plan_marks_native_modes_from_capabilities(self, planes, name):
-        plane = planes[name]
-        caps = capabilities_of(plane)
-        for mode, kwargs in (
-            ("knn", {"k": 3}),
-            ("exists", {"epsilon": 0.5}),
-            ("batch", {"epsilon": 0.5}),
-            ("count", {"epsilon": 0.5}),
-        ):
-            query = QUERIES[0] if mode != "batch" else QUERIES[:2]
-            planned = plan(plane, QuerySpec(query=query, mode=mode, **kwargs))
-            required = mode if mode != "batch" else "search_batch"
-            assert planned.native == (required in caps)
-            assert "search" in caps
-
     def test_search_only_options_dropped_for_knn(self, planes, name):
         # A knn spec carrying a search-kernel option must behave the
         # same on every plane: the planner drops it (native knn kernels
@@ -258,6 +242,62 @@ class TestPlannerSurface:
             fanned = execute(planes[name], spec, executor=pool)
         for one, other in zip(serial.results, fanned.results):
             assert_results_equal(one, other, name)
+
+
+def own_call(plane, mode: str, queries: list):
+    """The plane's own method for ``mode`` — for a single query shorter
+    than ``l``, ``search`` is ``search_varlength``."""
+    query = queries[0]
+    if mode == "batch":
+        return plane.search_batch(queries, EPSILONS[1])
+    if mode == "knn":
+        return plane.knn(query, 5)
+    if mode == "search" and query.size < LENGTH:
+        return plane.search_varlength(query, EPSILONS[1])
+    return getattr(plane, mode)(query, EPSILONS[1])
+
+
+def assert_same_answer(planned, own, label: str) -> None:
+    """Equal answers: positions, distances and counters of every
+    result, or the same ``bool`` / ``int``."""
+    if isinstance(own, BatchResult):
+        assert isinstance(planned, BatchResult), label
+        assert len(planned) == len(own), label
+        for one, other in zip(planned.results, own.results):
+            assert_same_answer(one, other, label)
+        assert planned.stats == own.stats, label
+    elif isinstance(own, SearchResult):
+        assert isinstance(planned, SearchResult), label
+        assert_results_equal(planned, own, label)
+        assert planned.stats == own.stats, label
+    else:
+        assert type(planned) is type(own), label
+        assert planned == own, label
+
+
+class TestRouteEquality:
+    """What a plane answers through the planner is what its own method
+    answers: the planner calls the plane's method for the mode (or
+    serves a partitioned plane on its parts, which is what that plane's
+    methods do too)."""
+
+    @pytest.mark.parametrize("short", [False, True], ids=["m=l", "m<l"])
+    @pytest.mark.parametrize("mode", ["search", "knn", "exists", "count", "batch"])
+    @pytest.mark.parametrize("name", available_methods(extended=True))
+    def test_planned_call_equals_own_call(self, planes, name, mode, short):
+        plane = planes[name]
+        width = LENGTH // 2 if short else LENGTH
+        queries = [np.array(query[:width]) for query in QUERIES]
+        if mode == "batch":
+            spec = QuerySpec(query=queries, mode=mode, epsilon=EPSILONS[1])
+        elif mode == "knn":
+            spec = QuerySpec(query=queries[0], mode=mode, k=5)
+        else:
+            spec = QuerySpec(query=queries[0], mode=mode, epsilon=EPSILONS[1])
+        assert plan(plane, spec).varlength is short
+        label = f"{name} {mode} m={width}"
+        assert_same_answer(execute(plane, spec), own_call(plane, mode, queries), label)
+        assert default_registry().get("repro_planner_plans_total").label_names == ("mode",)
 
 
 class TestEngineBuildsEveryPlane:

@@ -1,5 +1,4 @@
-"""Variable-length queries as a plane capability: seven planes, one
-answer.
+"""Variable-length queries on every plane: seven planes, one answer.
 
 The seeded property suite behind the tentpole promise: for every
 registered plane (sweepline, KV-Index, iSAX, TS-Index, frozen, sharded,
@@ -7,7 +6,7 @@ live) and every tested query length ``m <= l``, engine-served
 ``search`` / ``knn`` / ``exists`` / ``count`` results are byte-identical
 to the brute-force prefix scan — tail positions at series, shard and
 segment boundaries included — in both the raw and global regimes, with
-``m == l`` collapsing exactly onto the native fixed-length path
+``m == l`` collapsing exactly onto the fixed-length search
 (positions, distances *and* QueryStats). Per-window stays rejected with
 the typed error, and the engine cache never serves one length's result
 to another.
@@ -19,16 +18,7 @@ import pytest
 from repro import QueryEngine
 from repro.exceptions import UnsupportedNormalizationError
 from repro.indices import create_method
-from repro.query import (
-    CAP_VARLENGTH,
-    QuerySpec,
-    capabilities_of,
-    execute,
-    plan,
-    scan_prefix_search,
-)
-
-from conftest import index_row
+from repro.query import QuerySpec, execute, scan_prefix_search
 
 LENGTH = 16
 EPSILONS = (0.0, 0.3, 1.1)
@@ -36,10 +26,6 @@ QUERY_LENGTHS = (LENGTH // 4, LENGTH // 2, LENGTH - 1, LENGTH)
 
 ALL_PLANES = ("sweepline", "kvindex", "isax", "tsindex", "frozen",
               "sharded", "live")
-
-#: Planes with a native prefix kernel (the rest are served by the
-#: planner's synthesized prefix scan).
-NATIVE_VARLENGTH = ("tsindex", "frozen", "sharded", "live")
 
 BUILD_OPTIONS = {
     "sharded": {"shards": 3},
@@ -371,27 +357,6 @@ class TestPlannerAndSpecSurface:
         )
         assert 52 in result.positions
 
-    def test_plan_flags_varlength_and_native_kernels(self, regime_planes):
-        regime, planes = regime_planes
-        short = np.zeros(LENGTH // 2)
-        full = np.zeros(LENGTH)
-        for name, plane in planes.items():
-            planned = plan(
-                plane, QuerySpec(query=short, mode="search", epsilon=0.5)
-            )
-            assert planned.varlength
-            assert planned.native == (
-                CAP_VARLENGTH in capabilities_of(plane)
-            )
-            assert (name in NATIVE_VARLENGTH) == planned.native
-            # knn is always the synthesized prefix scan.
-            knn_plan = plan(plane, QuerySpec(query=short, mode="knn", k=3))
-            assert knn_plan.varlength and not knn_plan.native
-            fixed = plan(
-                plane, QuerySpec(query=full, mode="search", epsilon=0.5)
-            )
-            assert not fixed.varlength
-
     def test_scan_prefix_search_is_the_oracle(self, regime_planes):
         regime, planes = regime_planes
         source = planes["sweepline"].source
@@ -452,18 +417,3 @@ class TestEngineCacheIsolation:
                 assert len(after) > len(before)
         finally:
             live.close()
-
-
-class TestRegistryStats:
-    def test_rows_report_varlength_capability(self):
-        with QueryEngine(metrics=False) as engine:
-            engine.build(
-                "caps", SERIES, LENGTH, method="frozen", normalization="none"
-            )
-            row = index_row(engine, "caps")
-            assert CAP_VARLENGTH in row["capabilities"]
-            engine.build(
-                "scan-only", SERIES, LENGTH, method="sweepline",
-                normalization="none",
-            )
-            assert CAP_VARLENGTH not in index_row(engine, "scan-only")["capabilities"]
