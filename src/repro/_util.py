@@ -178,7 +178,9 @@ def fan_out(
 
     * With no executor (or a single item) the parts run one after
       another in the calling thread — the engine's default, since
-      threads sharing the GIL never beat it on this work.
+      threads sharing the GIL never beat it on this work. There a
+      sharded plane hands over one part, its shards' forest, and the
+      live plane its sealed forest, delta and tail.
     * Every part fires the ``fanout.task`` failpoint before it runs,
       in the caller, a pool thread or a worker process alike.
     * On the first worker exception, the remaining pending futures are

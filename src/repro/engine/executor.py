@@ -14,12 +14,13 @@
   the same factory;
 * one :class:`~repro.engine.cache.QueryCache` turning repeated queries
   into O(1) hits, and
-* one thread per call: a query visits its shards (or live segments)
-  and a batch its queries in the calling thread, because per-shard
-  work is a chain of small NumPy calls that each drop and retake the
-  GIL — two threads do not overlap on it, they hand the lock back and
-  forth (measured on 2 cores: 25 ms serial against 67 ms pooled per
-  k-NN, 38 573 voluntary context switches per 20 calls). The engine's
+* one thread per call: a query walks a sharded plane's joined forest
+  (or a live plane's parts) and a batch its queries in the calling
+  thread, because that work is a chain of small NumPy calls that each
+  drop and retake the GIL — two threads do not overlap on it, they
+  hand the lock back and forth (measured on 2 cores: 25 ms serial
+  against 67 ms pooled per k-NN, 38 573 voluntary context switches per
+  20 calls, when the calling thread still walked every shard). The engine's
   :class:`~concurrent.futures.ThreadPoolExecutor` serves the one thing
   a loop cannot — a per-part deadline (``timeout=``) — and with
   ``executor="process"`` shard work goes to a
@@ -594,8 +595,9 @@ class QueryEngine:
         """A whole workload against the named plane.
 
         A plain loop over the queries in the calling thread, each
-        walking its shards in turn (pool threads sharing the GIL made
-        a batch of 8 slower, 17.7 against 14.6 ms); each member is a
+        walking the plane's forest (pool threads sharing the GIL made
+        a batch of 8 slower, 17.7 against 14.6 ms, when each query
+        still walked every shard); each member is a
         ``search`` — it consults the shared cache, so repeated
         workloads are mostly hits, and it counts as one. Under the
         process executor each query fans its *shards* across the

@@ -1,13 +1,16 @@
 """Sharded TS-Index: partitioned build and fan-out query execution.
 
 A :class:`ShardedTSIndex` splits the position range of a series into
-contiguous spans, bulk-loads one TS-Index per span and answers
-queries by fanning out across the shards and merging. It is a
+contiguous spans and bulk-loads one TS-Index per span. It is a
 :class:`~repro.query.parts.PartitionedPlane`: its one ``_take``
-validates and prepares a query and hands the planner the shards as a
+validates and prepares a query and hands the planner its parts as a
 :class:`~repro.query.parts.PartSet` (the fan-out loop shared with the
 live plane); the planner serves every mode on them, and the query
-methods are the shared planned calls.
+methods are the shared planned calls. On the calling thread the one
+part is the shards' forest (:func:`~repro.core.frozen.join`: the shard
+trees under a synthetic root), so a query walks the levels and verifies
+once, as on one tree; on a pool the parts are the shards, fanned out
+and merged.
 Consecutive shards cover value chunks that overlap by ``length - 1``
 points, so every window of the series belongs to exactly one shard and
 no window is lost at a boundary. Shard window sources are zero-copy
@@ -19,21 +22,21 @@ property tests).
 
 Shards build one after another in the calling thread; a bulk load
 packs a few hundred nodes per shard in milliseconds, so there is
-nothing for a build pool to overlap. Queries run the per-shard work in
-the calling thread too, unless the caller passes a pool (see the
-``executor`` arguments) — worth it for a deadline (``timeout=``) or a
-process pool, not for thread parallelism.
+nothing for a build pool to overlap; the forest joins at the first
+query, not at build. Queries run in the calling thread too, unless the
+caller passes a pool (see the ``executor`` arguments) — worth it for a
+deadline (``timeout=``) or a process pool, not for thread parallelism.
 
 Shard trees are bulk loaded straight into **frozen** form (see
-:class:`~repro.core.frozen.FrozenTSIndex`): each shard is a flat
-structure-of-arrays query plane with vectorized frontier traversal —
-byte-identical answers, much lower per-query latency. A batch is the
-planner's per-query loop, each query walking the shards in turn.
+:class:`~repro.core.frozen.FrozenTSIndex`), and the plane takes frozen
+shards only, which is what the join reads. A batch is the planner's
+per-query loop.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from typing import Any
 
 import numpy as np
@@ -44,7 +47,7 @@ from .._util import (
     is_process_executor,
 )
 from ..core.bulkload import bulk_load_source
-from ..core.frozen import FrozenTSIndex
+from ..core.frozen import FrozenTSIndex, join
 from ..core.normalization import Normalization
 from ..core.stats import BuildStats
 from ..core.tsindex import TSIndexParams
@@ -107,10 +110,12 @@ class ShardedTSIndex(PartitionedPlane):
 
     Answers the same query surface as :class:`~repro.core.tsindex.TSIndex`
     (``search``, ``knn``, ``exists``, ``count``, a batch entry point)
-    with results merged across shards and positions re-offset to the
-    global frame: each shard runs Algorithm 1 over its span, and the
-    spans are disjoint and ascending, so the merge needs no sort.
-    Results are exactly those a monolithic index would return.
+    in the global position frame. On the calling thread Algorithm 1
+    runs once, over the shards' forest; on a pool each shard runs it
+    over its span, and the spans are disjoint and ascending, so the
+    merge needs no sort. Results are exactly those a monolithic index
+    would return; the structural counters are those of the trees
+    walked (the forest's synthetic root is one more visited node).
 
     Examples
     --------
@@ -134,11 +139,20 @@ class ShardedTSIndex(PartitionedPlane):
         shards: list[FrozenTSIndex],
         params: TSIndexParams,
     ):
+        for number, tree in enumerate(shards):
+            if not isinstance(tree, FrozenTSIndex):
+                raise InvalidParameterError(
+                    f"shard {number} is a {type(tree).__name__}, not a "
+                    "FrozenTSIndex; freeze it first"
+                )
         self._source = source
         self._starts = starts
         self._shards = shards
         self._params = params
         self._archive_path: str | None = None
+        #: See :meth:`_joined`; ``None`` until the first query joins it.
+        self._forest: FrozenTSIndex | None = None  # lint: guarded-by(_forest_lock)
+        self._forest_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Construction
@@ -299,16 +313,29 @@ class ShardedTSIndex(PartitionedPlane):
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def _joined(self) -> FrozenTSIndex:
+        """The shards as one tree: :func:`~repro.core.frozen.join` under
+        a synthetic root, against the monolithic source. Joined at the
+        first call and kept — shards never change after build — under a
+        lock, so concurrent first queries join once. A second resident
+        copy of the shards' arrays."""
+        with self._forest_lock:
+            if self._forest is None:
+                self._forest = join(self._shards, self._starts, self._source)
+            return self._forest
+
     def _take(self, query: Any, executor: Any = None) -> tuple[np.ndarray, PartSet]:
-        """``query`` prepared, and the shards as the shared fan-out plane
-        sees them: labelled by shard number, reopened by workers as the
-        archive's ``i``-th shard. Built per call (a tuple per shard), so
-        they always show the current :meth:`attach_archive` path — which
-        a process pool on ``executor`` needs. A query of length
+        """``query`` prepared, and the parts it runs on. On the calling
+        thread (no ``executor``) that is one part, the shards' joined
+        forest, labelled ``"forest"``: one level walk and one
+        verification instead of one per shard. On a pool it is the
+        shards, labelled by shard number and reopened by process workers
+        as the archive's ``i``-th shard — built per call, so they always
+        show the current :meth:`attach_archive` path. A query of length
         ``m < l`` adds the series tail (the ``l - m`` starts past the
         last indexed window) as one more part, labelled ``"tail"``: a
         sweepline over its ``m``-windows, with no archive (a process
-        pool leaves it to this thread). Each shard verifies prefix
+        pool leaves it to this thread). A shard verifies prefix
         candidates against its own value chunk: chunks overlap by
         ``l - 1 >= m - 1`` values, so every ``m``-window of a shard's
         window span lies inside its chunk."""
@@ -327,10 +354,13 @@ class ShardedTSIndex(PartitionedPlane):
             query = check_varlength_query(query, source.length, source.normalization)
         else:
             query = prepare_values(source, query, expected=source.length)
-        parts = [
-            Part(start, tree, shard, None if path is None else (path, shard))
-            for shard, (start, tree) in enumerate(zip(self._starts, self._shards))
-        ]
+        if executor is None:
+            parts = [Part(0, self._joined(), "forest", None)]
+        else:
+            parts = [
+                Part(start, tree, shard, None if path is None else (path, shard))
+                for shard, (start, tree) in enumerate(zip(self._starts, self._shards))
+            ]
         if prefix:
             tail = assemble_source(source.values[self.size :], query.size, Normalization.NONE)
             parts.append(Part(self.size, SweeplineSearch.from_source(tail), "tail", None))

@@ -29,8 +29,9 @@ shard or a :func:`~repro.core.frozen.join` of trees, is stored in one
 format: the BFS, root-first, CSR arrays of
 :data:`~repro.core.frozen.ARRAY_FIELDS`, whose child ids are implicit:
 no ``children`` member list is written (older archives' one is checked
-and dropped on load), so readers that still expect one cannot load
-these archives. A pointer tree stores them as
+and dropped on load). That layout is format version 2: readers of
+version 1, which expect the list, refuse it by its version, as this one
+refuses any version newer than its own. A pointer tree stores them as
 :func:`~repro.core.frozen.flatten` returns them, float64 envelopes
 included, and loads back through :func:`~repro.core.frozen.unflatten`
 bit for bit. A frozen index stores its arrays natively, envelopes as the
@@ -91,8 +92,10 @@ if TYPE_CHECKING:  # runtime import would be circular; engine imports us
         | SweeplineSearch
     )
 
-#: Format marker written into every archive.
-FORMAT_VERSION = 1
+#: Format marker written into every archive: 2 since tree archives hold
+#: no ``children`` member. Version-1 archives load through
+#: :func:`_upgrade`; a newer version is refused by name.
+FORMAT_VERSION = 2
 
 #: The on-disk containers :func:`save_index` can write.
 ARCHIVE_FORMATS = ("raw",)
@@ -297,10 +300,15 @@ def load_index(path: str | os.PathLike[str], *, mmap: bool = True) -> Index:
             raise SerializationError(
                 f"archive {path!r} has no valid metadata"
             ) from exc
-    if meta.get("format") != FORMAT_VERSION:
+    version = meta.get("format")
+    if isinstance(version, int) and version > FORMAT_VERSION:
         raise SerializationError(
-            f"unsupported archive format {meta.get('format')!r}"
+            f"archive {path!r} is format {version}, written by a newer "
+            f"version of this library (this one reads formats 1 to "
+            f"{FORMAT_VERSION})"
         )
+    if version not in (1, FORMAT_VERSION):
+        raise SerializationError(f"unsupported archive format {version!r}")
     method = meta.get("method")
     loaders = {
         "tsindex": _load_tsindex,
@@ -396,8 +404,8 @@ def _upgrade(data: _Members, prefix: str = "") -> dict[str, np.ndarray]:
     """The arrays of the tree stored under ``prefix``, in the one format
     :mod:`repro.core.frozen` reads: :data:`RAW_ARRAY_FIELDS` or
     :data:`ARRAY_FIELDS`. Members already in that format are handed
-    over untouched (mmaps stay zero-copy). Every earlier layout is
-    converted here, and nowhere else:
+    over untouched (mmaps stay zero-copy). Every earlier layout — all
+    held by version-1 archives — is converted here, and nowhere else:
 
     * ``uppers_t`` / ``lowers_t`` — the whole ``(l, n)`` timestamp-major
       envelopes of raw frozen archives written before the head/tail

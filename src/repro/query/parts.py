@@ -19,8 +19,11 @@ the :class:`PartSet` it runs on. :mod:`repro.query.planner` serves every
 mode from that pair, and the public query methods — defined here, once
 for both planes — are each one planned call.
 
-Every part call of every mode opens one ``execute`` span, fires the
-plane's part failpoint and is timed into ``repro_shard_search_seconds``;
+Which parts a query gets is the plane's choice: on the calling thread
+a sharded plane hands over one, its shards' joined forest (labelled
+``"forest"``), and on a pool its shards. Every part call of every mode
+opens one ``execute`` span, fires the plane's part failpoint and is
+timed into ``repro_shard_search_seconds``;
 on a process pool a worker replays the same call from an
 :class:`~repro.engine.procpool.ArchiveTask` instead, for every part with
 an archive to reopen (a part without one answers in the calling thread).

@@ -7,6 +7,7 @@ session-scoped prebuilt indices reused by the read-only query tests.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
 import shutil
@@ -15,7 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro.core.frozen import join
 from repro.core.normalization import Normalization
+from repro.core.stats import QueryStats
 from repro.core.tsindex import TSIndex, TSIndexParams
 from repro.core.windows import WindowSource
 from repro.data import synthetic
@@ -44,6 +47,31 @@ def index_row(engine, name):
     """The ``EngineStats.indexes`` row of the plane ``engine`` serves
     under ``name``."""
     return {row["name"]: row for row in engine.stats().indexes}[name]
+
+
+def shard_forest(plane):
+    """The one tree a sharded plane's calling-thread queries walk: its
+    shards joined under a synthetic root, against the plane's source."""
+    return join(plane.shards, [start for start, _ in plane.spans], plane.source)
+
+
+def summed_stats(results) -> QueryStats:
+    """The counters of ``results`` summed in order — what a pooled
+    sharded query merges from its per-shard answers."""
+    total = QueryStats()
+    for result in results:
+        total = total.merge(result.stats)
+    return total
+
+
+def assert_root_moved(forest: QueryStats, shards: QueryStats) -> None:
+    """A search's counters on the shards' forest against their per-shard
+    sum: the synthetic root is one more visited node when it is kept,
+    and all the forest visits when it prunes."""
+    if forest.nodes_visited == 1:
+        assert forest == QueryStats(nodes_visited=1, nodes_pruned=1)
+    else:
+        assert forest == dataclasses.replace(shards, nodes_visited=shards.nodes_visited + 1)
 
 
 @pytest.fixture(scope="session")
@@ -166,6 +194,9 @@ def save_legacy_npz():
 
     def factory(index, path, **overrides) -> None:
         payload = _payload_for(index)
+        meta = json.loads(payload["meta"])
+        meta["format"] = 1  # the layout below is a version-1 one
+        payload["meta"] = json.dumps(meta)
         if isinstance(index, FrozenTSIndex):
             trees = {"": index}
         else:

@@ -8,6 +8,9 @@ is no float tolerance anywhere in these assertions.
 """
 
 import concurrent.futures
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,8 +20,12 @@ from repro.core.normalization import Normalization
 from repro.core.tsindex import TSIndex, TSIndexParams
 from repro.core.windows import WindowSource
 from repro.data import synthetic
-from repro.engine import ShardedTSIndex, default_shard_count, shard_spans
+from repro.engine import QueryEngine, ShardedTSIndex, default_shard_count, shard_spans
+from repro.engine import sharding
 from repro.exceptions import InvalidParameterError
+from repro.persistence import load_index, save_index
+
+from conftest import assert_root_moved, shard_forest, summed_stats
 
 #: Small capacities force deep trees: many leaves per bulk-loaded shard,
 #: and many splits in the monolithic insertion build compared against.
@@ -132,6 +139,10 @@ class TestSearchEquivalence:
         assert np.array_equal(expected.distances, actual.distances)
 
     def test_parallel_execution_equals_serial(self):
+        """The same twins on the calling thread, which walks the shards'
+        joined forest, and on a pool, one part per shard. Each path's
+        counters are its own walk's: the forest's, and the per-shard
+        sum, to which the forest's synthetic root adds one node."""
         series = _series(7)
         sharded = ShardedTSIndex.build(
             series, 40, normalization="global", shards=4, params=PARAMS
@@ -142,7 +153,11 @@ class TestSearchEquivalence:
             parallel = sharded.search(query, 0.5, executor=pool)
         assert np.array_equal(serial.positions, parallel.positions)
         assert np.array_equal(serial.distances, parallel.distances)
-        assert serial.stats.as_dict() == parallel.stats.as_dict()
+        assert serial.stats == shard_forest(sharded).search(query, 0.5).stats
+        assert parallel.stats == summed_stats(
+            shard.search(query, 0.5) for shard in sharded.shards
+        )
+        assert_root_moved(serial.stats, parallel.stats)
 
     def test_every_window_findable_at_epsilon_zero(self):
         """No window is lost at a shard boundary (overlap length-1)."""
@@ -413,3 +428,97 @@ class TestMetadata:
         assert isinstance(engine, ShardedTSIndex)
         assert engine.shard_count == 2
         assert 123 in engine.search(series[123:163], 0.0).positions
+
+
+class TestForest:
+    """Calling-thread queries walk one tree: the shards joined under a
+    synthetic root at the first such query, then kept. Pooled queries
+    walk the shards."""
+
+    @pytest.fixture
+    def joins(self, monkeypatch):
+        """Every ``join`` the plane runs, each taking ``delay`` seconds
+        longer (room for a concurrent first query to arrive)."""
+        calls = []
+        real = sharding.join
+
+        def counting(*args):
+            calls.append(args)
+            time.sleep(counting.delay)
+            return real(*args)
+
+        counting.delay = 0.0
+        monkeypatch.setattr(sharding, "join", counting)
+        return counting, calls
+
+    @staticmethod
+    def _plane():
+        return ShardedTSIndex.build(
+            _series(23), 40, normalization="none", shards=3, params=PARAMS
+        )
+
+    def test_cached_forest_is_the_join_of_the_shards(self):
+        plane = self._plane()
+        plane.search(plane.source.window(100), 0.5)
+        cached = plane._joined().raw_arrays()
+        joined = shard_forest(plane).raw_arrays()
+        assert cached.keys() == joined.keys()
+        for name, array in joined.items():
+            assert cached[name].dtype == array.dtype, name
+            assert np.array_equal(cached[name], array), name
+        assert plane._joined().source is plane.source
+
+    def test_joined_once_across_every_mode_and_never_in_build(self, joins, tmp_path):
+        _, calls = joins
+        plane = self._plane()
+        save_index(plane, tmp_path / "plane", fsync=False)
+        loaded = load_index(tmp_path / "plane")
+        with QueryEngine() as engine:
+            served = engine.build("demo", _series(23), 40, shards=3, normalization="none")
+            assert calls == []
+            query = served.source.window(100)
+            engine.query("demo", query, 0.5, use_cache=False, timeout=30.0)
+            assert calls == []  # a deadline runs on the pool, per shard
+            engine.query("demo", query, 0.5, use_cache=False)
+            engine.query("demo", query[:20], 0.5, use_cache=False)
+            engine.count("demo", query, 0.5)
+            engine.exists("demo", query, 0.5)
+            engine.knn("demo", query, 5)
+            engine.batch("demo", [query, query + 0.01], 0.5, use_cache=False)
+        assert len(calls) == 1
+        for index in (plane, loaded):
+            index.search(query, 0.5)
+            index.search(query[:20], 0.5)
+            index.count(query, 0.5)
+            index.exists(query, 0.5)
+            index.knn(query, 5)
+            index.search_batch([query, query + 0.01], 0.5)
+        assert len(calls) == 3
+
+    def test_concurrent_first_queries_join_once(self, joins):
+        """Four threads (more than this suite's two cores) ask at once,
+        with the interpreter switching threads every microsecond and the
+        join slowed: one join, four identical answers."""
+        counting, calls = joins
+        counting.delay = 0.2
+        plane = self._plane()
+        query = plane.source.window(500)
+        expected = self._plane().search(query, 0.8)
+        barrier = threading.Barrier(4, timeout=10.0)
+
+        def first(_):
+            barrier.wait()
+            return plane.search(query, 0.8)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(4) as pool:
+                answers = list(pool.map(first, range(4), timeout=30.0))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == 2  # the plane's, and the reference plane's
+        for answer in answers:
+            assert np.array_equal(answer.positions, expected.positions)
+            assert np.array_equal(answer.distances, expected.distances)
+            assert answer.stats == expected.stats

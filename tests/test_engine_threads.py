@@ -1,9 +1,11 @@
 """Where :class:`QueryEngine` does its work.
 
 Threads sharing the GIL never beat a loop on shard work, so the engine
-runs every call in the calling thread and keeps its pool for the one
-thing a loop cannot do — abandon a slow shard at a deadline. Checked
-through the engine's front door, not only through ``fan_out``.
+runs every call in the calling thread — where a sharded plane walks one
+part, its shards' joined forest — and keeps its pool for the one thing
+a loop cannot do: abandon a slow shard at a deadline, one part per
+shard. Checked through the engine's front door, not only through
+``fan_out``.
 """
 
 from __future__ import annotations
@@ -71,17 +73,24 @@ class TestCallingThread:
         assert _engine_threads() == []
 
     def test_query_trace_holds_one_execute_span_per_shard(self, engine, series):
-        engine.query("demo", series[400:400 + LENGTH], 0.4, use_cache=False)
-        (trace,) = engine.traces()
-        spans = _shard_spans(trace)
+        """On the calling thread the plane's one part is its shards'
+        forest: one ``execute`` span, labelled ``"forest"``. A call with
+        a deadline runs on the pool, one span per shard."""
+        query = series[400:400 + LENGTH]
+        engine.query("demo", query, 0.4, use_cache=False)
+        engine.query("demo", query, 0.4, use_cache=False, timeout=30.0)
+        calling, pooled = engine.traces()
+        assert [span.meta["shard"] for span in _shard_spans(calling)] == ["forest"]
+        spans = _shard_spans(pooled)
         assert sorted(span.meta["shard"] for span in spans) == list(range(SHARDS))
 
     @pytest.mark.parametrize("mode", ["prefix", "count", "knn"])
     def test_every_fanned_mode_traces_one_execute_span_per_shard(
         self, engine, series, mode
     ):
-        """count and knn used to open no span below the engine's; a
-        prefix query's tail is one more part, with a span of its own."""
+        """count and knn used to open no span below the engine's. On the
+        calling thread every mode's shard part is the forest, with one
+        span; a prefix query's tail is one more part, with its own."""
         query = series[400:400 + LENGTH]
         if mode == "prefix":
             engine.query("demo", query[:30], 0.4, use_cache=False)
@@ -91,7 +100,7 @@ class TestCallingThread:
             engine.knn("demo", query, 5)
         (trace,) = engine.traces()
         labels = [span.meta["shard"] for span in _shard_spans(trace)]
-        assert labels == list(range(SHARDS)) + (["tail"] if mode == "prefix" else [])
+        assert labels == ["forest"] + (["tail"] if mode == "prefix" else [])
 
     @pytest.mark.parametrize("mode", ["search", "prefix", "count", "knn"])
     def test_live_plane_traces_one_execute_span_per_segment(
@@ -132,15 +141,20 @@ class TestCallingThread:
         engine.batch("demo", queries, 0.4, use_cache=False)
         (trace,) = engine.traces()
         assert trace.mode == "batch"
-        assert len(_shard_spans(trace)) == len(queries) * SHARDS
+        assert [span.meta["shard"] for span in _shard_spans(trace)] == ["forest"] * len(queries)
 
     def test_fanout_task_failpoint_reaches_the_default_path(self, engine, series):
-        failpoints.arm("fanout.task", error=RuntimeError("injected"), on_hit=2)
-        with pytest.raises(RuntimeError, match="injected") as info:
-            engine.query("demo", series[400:400 + LENGTH], 0.4, use_cache=False)
-        assert any(
-            "shard 1" in note for note in getattr(info.value, "__notes__", [])
-        )
+        """The calling thread's one shard part is the forest; a prefix
+        query's second part is its tail."""
+        query = series[400:400 + LENGTH]
+        for probe, hit, label in ((query, 1, "'forest'"), (query[:30], 2, "'tail'")):
+            failpoints.reset()
+            failpoints.arm("fanout.task", error=RuntimeError("injected"), on_hit=hit)
+            with pytest.raises(RuntimeError, match="injected") as info:
+                engine.query("demo", probe, 0.4, use_cache=False)
+            assert any(
+                f"shard {label}" in note for note in getattr(info.value, "__notes__", [])
+            )
         assert _engine_threads() == []
 
 

@@ -161,20 +161,29 @@ class TestShardedPlane:
         self, sharded, mode
     ):
         """count / knn / prefix search used to skip the failpoint and
-        report failures as "part 1"."""
-        failpoints.arm("shard.search", error="io", on_hit=2)
+        report failures as "part 1". On a pool every shard is a part, so
+        the second hit is shard 1 (one worker keeps the hits in shard
+        order); on the calling thread the one shard part is the forest."""
         query = np.array(sharded.source.window_block(100, 101)[0])
-        with pytest.raises(OSError) as info:
+
+        def run(executor):
             if mode == "count":
-                sharded.count(query, 0.3)
+                sharded.count(query, 0.3, executor=executor)
             elif mode == "knn":
-                sharded.knn(query, 3)
+                sharded.knn(query, 3, executor=executor)
             else:
-                sharded.search(query[:20], 0.3)
-        assert any(
-            "shard 1" in note
-            for note in getattr(info.value, "__notes__", [])
-        )
+                sharded.search(query[:20], 0.3, executor=executor)
+
+        with concurrent.futures.ThreadPoolExecutor(1) as serial:
+            for executor, hit, label in ((serial, 2, "1"), (None, 1, "'forest'")):
+                failpoints.reset()
+                failpoints.arm("shard.search", error="io", on_hit=hit)
+                with pytest.raises(OSError) as info:
+                    run(executor)
+                assert any(
+                    f"shard {label}" in note
+                    for note in getattr(info.value, "__notes__", [])
+                )
 
     def test_exists_fires_shard_search(self, sharded):
         failpoints.arm("shard.search", error="io")

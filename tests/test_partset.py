@@ -5,7 +5,9 @@ deadline, degraded report, part attribution in notes, spans and
 failpoints) run over hand-made fake parts, so nothing real has to be
 monkeypatched to be slow or broken. Exactness runs over real trees —
 pointer and frozen parts mixed, the last span a sweepline scan part as
-the live delta is — against one brute-force Chebyshev scan.
+the live delta is — against one brute-force Chebyshev scan. The sharded
+plane holds frozen shards only (its calling-thread part joins them into
+one tree), so it is built over frozen copies of the same trees.
 """
 
 import concurrent.futures
@@ -19,7 +21,7 @@ from repro.core.stats import QueryStats, SearchResult
 from repro.core.tsindex import TSIndex, TSIndexParams
 from repro.core.windows import WindowSource, assemble_source
 from repro.engine import ShardedTSIndex
-from repro.exceptions import ShardTimeoutError
+from repro.exceptions import InvalidParameterError, ShardTimeoutError
 from repro.faults import failpoints
 from repro.indices.sweepline import SweeplineSearch
 from repro.obs.trace import QueryTrace, activate_trace, deactivate_trace
@@ -275,12 +277,17 @@ def _same(result, expected):
     assert np.array_equal(result.distances, distances)
 
 
+def test_the_sharded_plane_refuses_a_pointer_shard(source, trees):
+    with pytest.raises(InvalidParameterError, match="shard 0 is a TSIndex"):
+        ShardedTSIndex(source, [a for a, _ in SPANS], trees, PARAMS)
+
+
 @pytest.mark.parametrize("m", [LENGTH, 11], ids=["m=l", "m<l"])
 class TestExactness:
     """``PartSet`` direct — the last span a sweepline scan part, as the
     live delta is, and a prefix query's tail another — and through
-    ``ShardedTSIndex`` over the same mixed trees, which adds validation
-    and the prefix dispatch."""
+    ``ShardedTSIndex`` over frozen copies of the same trees, which adds
+    validation, the prefix dispatch and the calling thread's forest."""
 
     def _query(self, source, m, at=200):
         return np.array(source.values[at : at + m]) + 0.01
@@ -306,7 +313,9 @@ class TestExactness:
         _same(merged, expected)
 
     def test_six_modes_through_the_sharded_plane(self, source, trees, m, pool):
-        plane = ShardedTSIndex(source, [a for a, _ in SPANS], trees, PARAMS)
+        plane = ShardedTSIndex(
+            source, [a for a, _ in SPANS], [tree.freeze() for tree in trees], PARAMS
+        )
         query, epsilon = self._query(source, m), self._epsilon(source, m)
         windows = source.count if m == LENGTH else None
         expected = brute(source.values, query, epsilon, windows=windows)

@@ -4,9 +4,13 @@ the archive-task worker protocol, and timeout/degraded semantics.
 Process workers never receive index objects — they receive
 :class:`~repro.engine.procpool.ArchiveTask` records and open the
 archive by path (mmap for raw archives), so these tests gate the whole
-chain: results (positions, distances, knn tie-breaks) and the
-structural :class:`~repro.core.stats.QueryStats` counters must be
-byte-identical to the serial in-memory answer.
+chain: results (positions, distances, knn tie-breaks) must be
+byte-identical to the serial in-memory answer. A live plane's parts are
+the same on every executor, so its structural
+:class:`~repro.core.stats.QueryStats` counters are too. A sharded
+plane's are not: on the calling thread it walks its shards' joined
+forest, on a pool every shard, so each side's counters are held to a
+direct walk of its own parts.
 """
 
 import concurrent.futures
@@ -25,8 +29,16 @@ from repro.exceptions import (
     ShardTimeoutError,
 )
 from repro.faults import failpoints
+from repro.core.normalization import Normalization
+from repro.core.stats import QueryStats
+from repro.core.windows import assemble_source
+from repro.indices.sweepline import SweeplineSearch
 from repro.live import LiveTwinIndex
 from repro.persistence import load_index, save_index
+from repro.query.parts import local_exclude
+from repro.query.varlength import prefix_search_part
+
+from conftest import shard_forest, summed_stats
 
 LENGTH = 50
 
@@ -49,10 +61,50 @@ def sharded_raw(tmp_path_factory, series_values):
     return load_index(path)
 
 
-def _assert_same_result(a, b):
+def _assert_same_answer(a, b):
     assert np.array_equal(a.positions, b.positions)
     assert np.array_equal(a.distances, b.distances)
+
+
+def _assert_same_result(a, b):
+    _assert_same_answer(a, b)
     assert a.stats == b.stats
+
+
+def _assert_sharded_paths(engine, serial, pooled, run, extra=QueryStats(), knn=False):
+    """``serial`` (the calling thread) and ``pooled`` (a pool) give the
+    same answer, each with its own walk's counters: ``run(index, start)``
+    on the shards' forest, and summed over the shards — plus ``extra``,
+    the parts both share (a prefix query's tail). A k-NN merge counts
+    the matches it keeps, not the shards'."""
+    _assert_same_answer(serial, pooled)
+    assert serial.stats == run(shard_forest(engine), 0).stats.merge(extra)
+    shards = zip(engine.spans, engine.shards)
+    expected = summed_stats(run(shard, a) for (a, _), shard in shards).merge(extra)
+    if knn:
+        expected.matches = len(pooled)
+    assert pooled.stats == expected
+
+
+def _searching(query, epsilon):
+    return lambda index, start: index.search(query, epsilon)
+
+
+def _knn(query, k, exclude=None):
+    def run(index, start):
+        return index.knn(
+            query, k=min(k, index.size), exclude=local_exclude(exclude, start, index.size)
+        )
+
+    return run
+
+
+def _prefix(engine, query, epsilon):
+    """The ``run`` and ``extra`` of a prefix query: every tree verifies
+    its own prefix candidates, and the series tail is one scan part."""
+    tail = assemble_source(engine.source.values[engine.size :], query.size, Normalization.NONE)
+    extra = prefix_search_part(SweeplineSearch.from_source(tail), query, epsilon).stats
+    return (lambda index, start: prefix_search_part(index, query, epsilon)), extra
 
 
 class TestShardedProcessEquivalence:
@@ -60,7 +112,7 @@ class TestShardedProcessEquivalence:
         query = query_of(123)
         serial = sharded_raw.search(query, 0.5)
         pooled = sharded_raw.search(query, 0.5, executor=procpool)
-        _assert_same_result(serial, pooled)
+        _assert_sharded_paths(sharded_raw, serial, pooled, _searching(query, 0.5))
 
     def test_knn_tie_breaks_match(self, sharded_raw, procpool, query_of):
         query = query_of(321)
@@ -68,7 +120,7 @@ class TestShardedProcessEquivalence:
         pooled = sharded_raw.knn(
             query, 7, exclude=(300, 340), executor=procpool
         )
-        _assert_same_result(serial, pooled)
+        _assert_sharded_paths(sharded_raw, serial, pooled, _knn(query, 7, (300, 340)), knn=True)
 
     def test_count_matches_serial(self, sharded_raw, procpool, query_of):
         query = query_of(55)
@@ -80,8 +132,8 @@ class TestShardedProcessEquivalence:
         queries = [query_of(10), query_of(900)]
         serial = sharded_raw.search_batch(queries, 0.5)
         pooled = sharded_raw.search_batch(queries, 0.5, executor=procpool)
-        for a, b in zip(serial.results, pooled.results):
-            _assert_same_result(a, b)
+        for query, a, b in zip(queries, serial.results, pooled.results):
+            _assert_sharded_paths(sharded_raw, a, b, _searching(query, 0.5))
 
     def test_varlength_matches_serial(
         self, tmp_path, series_values, procpool
@@ -97,7 +149,7 @@ class TestShardedProcessEquivalence:
         query = np.array(series_values[100 : 100 + LENGTH // 2])
         serial = loaded.search_varlength(query, 0.3)
         pooled = loaded.search_varlength(query, 0.3, executor=procpool)
-        _assert_same_result(serial, pooled)
+        _assert_sharded_paths(loaded, serial, pooled, *_prefix(loaded, query, 0.3))
 
     def test_unarchived_engine_rejects_process_pool(
         self, series_values, procpool, query_of
@@ -114,10 +166,69 @@ class TestShardedProcessEquivalence:
         save_index(engine, path)
         engine.attach_archive(path)
         query = query_of(42)
-        _assert_same_result(
+        _assert_sharded_paths(
+            engine,
             engine.search(query, 0.5),
             engine.search(query, 0.5, executor=procpool),
+            _searching(query, 0.5),
         )
+
+
+@pytest.fixture(scope="module")
+def sharded_none(tmp_path_factory, series_values):
+    """A 3-shard engine over raw values (prefix queries need them),
+    restored from its archive."""
+    path = tmp_path_factory.mktemp("modes") / "engine.raw"
+    save_index(ShardedTSIndex.build(series_values, LENGTH, normalization="none", shards=3), path)
+    return load_index(path)
+
+
+def _brute(values, query, epsilon=np.inf):
+    """Every ``len(query)``-window of ``values`` within ``epsilon``."""
+    view = np.lib.stride_tricks.sliding_window_view(values, query.size)
+    distances = np.max(np.abs(view - query), axis=1)
+    keep = np.flatnonzero(distances <= epsilon)
+    return keep, distances[keep]
+
+
+class TestSixModesOnEveryExecutor:
+    """search, prefix search, count, exists, k-NN and batch on the
+    calling thread (the shards' forest), a thread pool and a process
+    pool (one part per shard), against a brute-force Chebyshev scan."""
+
+    @pytest.mark.parametrize("kind", ["calling", "thread", "process"])
+    def test_matches_brute_force(self, sharded_none, procpool, kind):
+        from repro.query import QuerySpec, execute
+
+        values = sharded_none.source.values
+        query = np.array(values[700 : 700 + LENGTH]) + 0.01
+        epsilon = float(np.sort(_brute(values, query)[1])[12])
+        with concurrent.futures.ThreadPoolExecutor(2) as threads:
+            executor = {"calling": None, "thread": threads, "process": procpool}[kind]
+
+            def run(mode, probe, **fields):
+                spec = QuerySpec(query=probe, mode=mode, **fields)
+                return execute(sharded_none, spec, executor=executor)
+
+            for probe in (query, query[:20]):
+                expected = _brute(values, probe, epsilon)
+                assert len(expected[0]) >= 12
+                for found in (
+                    run("search", probe, epsilon=epsilon),
+                    *run("batch", [probe, probe], epsilon=epsilon).results,
+                ):
+                    assert np.array_equal(found.positions, expected[0])
+                    assert np.array_equal(found.distances, expected[1])
+                assert run("count", probe, epsilon=epsilon) == len(expected[0])
+                assert run("exists", probe, epsilon=epsilon)
+                assert not run("exists", probe + 1e6, epsilon=epsilon)
+                positions, distances = _brute(values, probe)
+                for k, (lo, hi) in ((7, (0, 0)), (5, (690, 720))):
+                    keep = (positions < lo) | (positions >= hi)
+                    order = np.lexsort((positions[keep], distances[keep]))[:k]
+                    nearest = run("knn", probe, k=k, exclude=(lo, hi) if hi else None)
+                    assert np.array_equal(nearest.positions, positions[keep][order])
+                    assert np.array_equal(nearest.distances, distances[keep][order])
 
 
 @pytest.fixture(scope="module", params=["npz", "raw"])
@@ -253,7 +364,8 @@ class TestScanPartsBesideThePool:
         query = np.array(series_values[-LENGTH // 2 :])  # its twin is in the tail
         serial = engine.search_varlength(query, 0.3)
         assert serial.positions[-1] >= engine.size
-        _assert_same_result(serial, engine.search_varlength(query, 0.3, executor=counting_pool))
+        pooled = engine.search_varlength(query, 0.3, executor=counting_pool)
+        _assert_sharded_paths(engine, serial, pooled, *_prefix(engine, query, 0.3))
         assert counting_pool.submitted == engine.shard_count
 
 
@@ -263,11 +375,15 @@ class TestEngineProcessExecutor:
             QueryEngine(executor="greenlet")
 
     def test_process_engine_matches_thread_engine(self, series_values):
+        """The thread engine serves these calls on the calling thread
+        (the shards' forest), the process engine on its workers (one
+        part per shard)."""
         query = np.array(series_values[300 : 300 + LENGTH])
+        batch = [query, query + 0.01]
         answers = {}
         for kind in ("thread", "process"):
             with QueryEngine(executor=kind, max_workers=2) as engine:
-                engine.build(
+                plane = engine.build(
                     "demo",
                     series_values,
                     LENGTH,
@@ -279,15 +395,15 @@ class TestEngineProcessExecutor:
                     engine.knn("demo", query, 5),
                     engine.exists("demo", query, 0.5),
                     engine.count("demo", query, 0.5),
-                    engine.batch("demo", [query, query + 0.01], 0.5),
+                    engine.batch("demo", batch, 0.5),
                 )
         (rt, kt, et, ct, bt) = answers["thread"]
         (rp, kp, ep, cp, bp) = answers["process"]
-        _assert_same_result(rt, rp)
-        _assert_same_result(kt, kp)
+        _assert_sharded_paths(plane, rt, rp, _searching(query, 0.5))
+        _assert_sharded_paths(plane, kt, kp, _knn(query, 5), knn=True)
         assert et == ep and ct == cp
-        for a, b in zip(bt.results, bp.results):
-            _assert_same_result(a, b)
+        for member, a, b in zip(batch, bt.results, bp.results):
+            _assert_sharded_paths(plane, a, b, _searching(member, 0.5))
 
     def test_spool_lifecycle(self, series_values):
         engine = QueryEngine(executor="process", max_workers=2)

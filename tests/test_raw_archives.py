@@ -543,6 +543,38 @@ class TestChildrenMember:
             load_index(path)
 
 
+class TestFormatVersion:
+    """Archives say which layout they hold: format 2 since tree archives
+    hold no ``children`` member. Version 1 — every ``tests/data``
+    fixture — still loads; a newer version is refused by name, not read
+    as corruption."""
+
+    def test_saved_archives_are_version_2_and_version_1_loads(
+        self, tmp_path, series_values
+    ):
+        path = tmp_path / "frozen"
+        save_index(_frozen(series_values, "global"), path, fsync=False)
+        assert json.loads((path / "meta.json").read_text(encoding="utf-8"))["format"] == 2
+        for fixture in ("frozen_timestamp_major.raw", "pointer_tsindex.raw"):
+            meta = json.loads((DATA / fixture / "meta.json").read_text(encoding="utf-8"))
+            assert meta["format"] == 1
+            assert load_index(DATA / fixture).size == meta["build_stats"]["windows"]
+
+    @pytest.mark.parametrize("kind", ["frozen", "sharded"])
+    def test_a_newer_version_is_refused_by_name(self, tmp_path, series_values, kind):
+        path = tmp_path / kind
+        if kind == "frozen":
+            index = _frozen(series_values, "global")
+        else:
+            index = ShardedTSIndex.build(series_values, LENGTH, shards=2)
+        save_index(index, path, fsync=False)
+        meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
+        meta["format"] = 3
+        (path / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(SerializationError, match="format 3, written by a newer version"):
+            load_index(path)
+
+
 class TestLoadMetric:
     def test_archive_load_histogram_observes(
         self, tmp_path, series_values, save_legacy_npz
