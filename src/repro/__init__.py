@@ -95,7 +95,6 @@ from .exceptions import (
     InvalidParameterError,
     ReproError,
     SerializationError,
-    ShardTimeoutError,
     SimulatedCrashError,
     StorageError,
     UnsupportedNormalizationError,
@@ -155,7 +154,6 @@ __all__ = [
     "ReproError",
     "SearchResult",
     "SerializationError",
-    "ShardTimeoutError",
     "ShardedTSIndex",
     "SimulatedCrashError",
     "StorageError",

@@ -8,15 +8,13 @@ stay consistent across indices.
 from __future__ import annotations
 
 import concurrent.futures
-import dataclasses
 import os
 from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from .exceptions import InvalidParameterError, ShardTimeoutError
+from .exceptions import InvalidParameterError
 from .faults.failpoints import failpoint
-from .obs.metrics import HandleCache
 
 #: dtype used for all internal series buffers. float64 keeps the distance
 #: arithmetic exact enough that equality-with-threshold tests are stable.
@@ -120,41 +118,6 @@ def _process_task(part, label, task):
     return task()
 
 
-_fanout_metrics = HandleCache(
-    lambda registry: {
-        "timeouts": registry.counter(
-            "repro_fanout_timeouts_total",
-            "Fan-out queries whose per-part deadline expired before "
-            "every part answered.",
-        ),
-        "degraded": registry.counter(
-            "repro_degraded_queries_total",
-            "Fan-out queries served degraded: partial results from the "
-            "parts that answered within the deadline.",
-        ),
-    }
-)
-
-
-@dataclasses.dataclass(frozen=True)
-class FanOutResult:
-    """Outcome of one :func:`fan_out` call.
-
-    ``results`` is aligned with the input items (``None`` where a part
-    did not answer); ``answered``/``missing`` hold the part labels that
-    did and did not complete. ``missing`` is non-empty only in degraded
-    mode — every other path either returns complete results or raises.
-    """
-
-    results: list
-    answered: tuple
-    missing: tuple = ()
-
-    @property
-    def degraded(self) -> bool:
-        return bool(self.missing)
-
-
 def _annotate(exc: BaseException, part: str, label) -> None:
     """Attach the failing part's identity to an in-flight exception."""
     note = f"raised while fanning out over {part} {label!r}"
@@ -170,9 +133,7 @@ def fan_out(
     *,
     labels: Sequence | None = None,
     part: str = "part",
-    timeout: float | None = None,
-    degraded: bool = False,
-) -> FanOutResult:
+) -> list:
     """``[fn(item) for item in items]`` fanned out on ``executor``, with
     typed failure semantics.
 
@@ -186,16 +147,10 @@ def fan_out(
     * On the first worker exception, the remaining pending futures are
       cancelled (not leaked) and the original exception propagates with
       the failing part's label attached as a note.
-    * With ``timeout=`` (seconds, pooled path only — the serial path has
-      no concurrency to bound), parts still unanswered at the deadline
-      are cancelled. The default is fail-fast: a typed
-      :class:`~repro.exceptions.ShardTimeoutError` naming exactly which
-      parts answered and which did not. With ``degraded=True`` the
-      partial results are returned instead, with the missing parts
-      recorded on the :class:`FanOutResult`.
 
-    Result order always matches the input order. ``labels`` (default:
-    indices) name the parts in errors, notes, and degraded reports.
+    Every part runs to completion: the result list always matches the
+    input order. ``labels`` (default: indices) name the parts in errors
+    and notes.
     """
     if labels is None:
         labels = range(len(items))
@@ -215,7 +170,7 @@ def fan_out(
             except BaseException as exc:
                 _annotate(exc, part, label)
                 raise
-        return FanOutResult(results, tuple(labels))
+        return results
 
     if is_process_executor(executor):
         futures = [
@@ -232,55 +187,16 @@ def fan_out(
             for label, item in zip(labels, items)
         ]
     concurrent.futures.wait(
-        futures,
-        timeout=timeout,
-        return_when=concurrent.futures.FIRST_EXCEPTION,
+        futures, return_when=concurrent.futures.FIRST_EXCEPTION
     )
-    failed = next(
-        (
-            pair
-            for pair in zip(labels, futures)
-            if pair[1].done()
-            and not pair[1].cancelled()
-            and pair[1].exception() is not None
-        ),
-        None,
-    )
-    if failed is not None:
-        label, future = failed
-        for other in futures:
-            if not other.done():
+    for label, future in zip(labels, futures):
+        if future.done() and future.exception() is not None:
+            for other in futures:
                 other.cancel()
-        exc = future.exception()
-        _annotate(exc, part, label)
-        raise exc
-    pending = [future for future in futures if not future.done()]
-    if pending:
-        for future in pending:
-            future.cancel()
-        answered, missing, results = [], [], []
-        for label, future in zip(labels, futures):
-            if future.done() and not future.cancelled():
-                answered.append(label)
-                results.append(future.result())
-            else:
-                missing.append(label)
-                results.append(None)
-        handles = _fanout_metrics()
-        handles["timeouts"].inc()
-        if not degraded:
-            raise ShardTimeoutError(
-                f"fan-out timed out after {timeout}s: "
-                f"{len(missing)}/{len(items)} {part}s unanswered "
-                f"(missing {part}s: {missing})",
-                answered=answered,
-                missing=missing,
-            )
-        handles["degraded"].inc()
-        return FanOutResult(results, tuple(answered), tuple(missing))
-    return FanOutResult(
-        [future.result() for future in futures], tuple(labels)
-    )
+            exc = future.exception()
+            _annotate(exc, part, label)
+            raise exc
+    return [future.result() for future in futures]
 
 
 def map_with_executor(executor, fn, items: Sequence) -> list:
@@ -288,9 +204,8 @@ def map_with_executor(executor, fn, items: Sequence) -> list:
     one is given and there is more than one item — the query-level
     batch loop (index *parts* fan out through
     :class:`repro.query.parts.PartSet`). Result order always matches
-    the input order. A thin wrapper over :func:`fan_out` with the
-    fail-fast, no-deadline semantics every non-query fan-out wants."""
-    return fan_out(executor, fn, items).results
+    the input order; :func:`fan_out` with its default labels."""
+    return fan_out(executor, fn, items)
 
 
 def iter_chunks(total: int, chunk_size: int) -> Iterator[tuple[int, int]]:

@@ -10,7 +10,7 @@ the data and parameters.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Iterator, TypedDict
+from typing import Iterator
 
 import numpy as np
 
@@ -68,16 +68,6 @@ class QueryStats:
         return data
 
 
-class DegradedReport(TypedDict):
-    """Which parts of a fan-out query answered before its deadline (a
-    plain ``dict`` at run time). Labels are shard numbers on the
-    sharded plane, span starts on the live one."""
-
-    answered: list[Any]
-    missing: list[Any]
-    timeout: float | None
-
-
 @dataclasses.dataclass
 class SearchResult:
     """The answer to one twin subsequence query.
@@ -85,18 +75,11 @@ class SearchResult:
     ``positions`` holds the 0-based start offsets of every twin, sorted
     ascending; ``distances`` holds the corresponding exact Chebyshev
     distances (aligned with ``positions``).
-
-    ``degraded`` is ``None`` on every complete answer. A fan-out query
-    served in opt-in degraded mode (some shards/segments missed the
-    deadline) carries a :class:`DegradedReport` naming exactly which
-    parts answered and which did not — the result is then exact over
-    the answering parts only.
     """
 
     positions: np.ndarray
     distances: np.ndarray
     stats: QueryStats = dataclasses.field(default_factory=QueryStats)
-    degraded: DegradedReport | None = None
 
     def __post_init__(self) -> None:
         self.positions = np.asarray(self.positions, dtype=POSITION_DTYPE)

@@ -14,10 +14,9 @@ subsystem turns that into a query-serving engine:
 * :class:`QueryEngine` — the front door, safe for concurrent callers:
   it owns the named planes (build / add / evict / persist via
   :mod:`repro.persistence`, per-index stats) and serves every query
-  mode through one path — plan, execute, cache, count; each call works
-  in the calling thread (its thread pool serves ``timeout=``
-  deadlines, ``executor="process"`` sends shard work to worker
-  processes).
+  mode through one path — plan, execute, cache, count; each call runs
+  to completion in the calling thread (``executor="process"`` sends
+  shard work to worker processes).
 
 Sharded execution is *exactly* equivalent to a monolithic index — the
 shard window sources are zero-copy views of the monolithic one (see

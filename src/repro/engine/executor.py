@@ -20,10 +20,9 @@
   drop and retake the GIL — two threads do not overlap on it, they
   hand the lock back and forth (measured on 2 cores: 25 ms serial
   against 67 ms pooled per k-NN, 38 573 voluntary context switches per
-  20 calls, when the calling thread still walked every shard). The engine's
-  :class:`~concurrent.futures.ThreadPoolExecutor` serves the one thing
-  a loop cannot — a per-part deadline (``timeout=``) — and with
-  ``executor="process"`` shard work goes to a
+  20 calls, when the calling thread still walked every shard). The
+  engine keeps no thread pool; with ``executor="process"`` shard work
+  goes to a
   :class:`~concurrent.futures.ProcessPoolExecutor` whose workers open
   each plane's raw (mmap) archive by path, sidestepping the GIL with
   byte-identical results.
@@ -119,6 +118,12 @@ class EngineStats:
 class QueryEngine:
     """Concurrent, cached twin-query serving over named query planes.
 
+    ``executor="thread"`` (the default) serves every call in the
+    calling thread; the engine starts no thread of its own.
+    ``executor="process"`` sends shard work to a process pool of
+    ``max_workers`` workers (default: the usable CPUs); ``max_workers``
+    sets that pool's size and nothing else.
+
     Examples
     --------
     >>> import numpy as np
@@ -163,9 +168,6 @@ class QueryEngine:
         self._queries_by_mode = {mode: 0 for mode in MODES}  # lint: guarded-by(_lock)
         self._query_stats = QueryStats()  # lint: guarded-by(_lock)
         self._cache = QueryCache(cache_capacity)
-        self._pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-engine"
-        )
         self._executor_kind = executor
         self._fanout_pool = None
         self._fanout_workers = 0
@@ -248,9 +250,8 @@ class QueryEngine:
         return self._cache
 
     def close(self) -> None:
-        """Shut the fan-out pools down and remove the process spool
+        """Shut the process pool down and remove its spool
         (idempotent); registered planes stay usable."""
-        self._pool.shutdown(wait=True)
         if self._fanout_pool is not None:
             self._fanout_pool.shutdown(wait=True)
         with self._spool_lock:
@@ -452,22 +453,19 @@ class QueryEngine:
     @property
     def executor_kind(self) -> str:
         """``"thread"`` or ``"process"`` — where shard/segment work
-        goes when it leaves the calling thread: the thread pool (calls
-        with a ``timeout=`` only) or the worker processes (every
-        call)."""
+        runs: the calling thread, or the worker processes."""
         return self._executor_kind
 
-    def _fanout(self, index: SubsequenceIndex, *, deadline: bool = False) -> object:
+    def _fanout(self, index: SubsequenceIndex) -> object:
         """The executor a plan's fan-out runs on; ``None`` means the
         calling thread. The process pool when configured (spooling
         in-memory sharded planes to raw archives first, so workers can
-        open them by path); otherwise the thread pool only for a call
-        that carries a ``deadline`` — a loop cannot abandon a slow
-        part, and that is all threads buy under the GIL."""
-        if self._fanout_pool is not None:
-            self._ensure_process_servable(index)
-            return self._fanout_pool
-        return self._pool if deadline else None
+        open them by path); otherwise the calling thread — threads
+        sharing the GIL do not beat a loop on this work."""
+        if self._fanout_pool is None:
+            return None
+        self._ensure_process_servable(index)
+        return self._fanout_pool
 
     def _ensure_process_servable(self, index: SubsequenceIndex) -> None:
         """Give an unarchived sharded plane an on-disk identity for
@@ -507,30 +505,18 @@ class QueryEngine:
         verification: str = "bulk",
         domain: str = "index",
         use_cache: bool = True,
-        timeout: float | None = None,
-        degraded: bool = False,
     ) -> SearchResult:
-        """One twin query against the named plane.
+        """One twin query against the named plane; it runs to
+        completion and is exact.
 
-        ``timeout`` bounds each fan-out part (shard/segment) on the
-        planes served as parts — sharded and live (the planner drops it
-        elsewhere); parts missing the deadline
-        fail fast with :class:`~repro.exceptions.ShardTimeoutError`
-        unless ``degraded=True``, which instead serves the parts that
-        answered and marks the result's ``degraded`` record. Degraded
-        results are never cached — a later complete answer must not be
-        shadowed by a partial one.
-
-        ``timeout`` and ``degraded`` are dropped by the planner on the
-        other planes, so the same call serves a sweepline and a sharded
-        engine alike. Queries of any length ``m <= l`` are served —
+        The same call serves a sweepline and a sharded engine alike.
+        Queries of any length ``m <= l`` are served —
         shorter ones run on the plane's ``search_varlength`` — and the
         cache key's query digest covers the value bytes *and shape*, so
         results for one length are never served to another. Cache hits
         return the previously computed
         :class:`~repro.core.stats.SearchResult` object itself; misses
-        visit the shards one after another in the calling thread (on
-        the engine pool only with ``timeout=``, on the worker
+        walk the plane in the calling thread (its shards on the worker
         processes under ``executor="process"``) and populate the
         cache. Treat results as immutable (the library never mutates
         them). Keys derive from the spec's *effective* parameters plus
@@ -539,24 +525,14 @@ class QueryEngine:
         under a key the rebuilt index never reads — the new index can
         never serve the old one's results.
         """
-        options: dict[str, Any] = {"verification": verification}
-        if timeout is not None:
-            options["timeout"] = timeout
-        if degraded:
-            options["degraded"] = True
-            # A degraded answer is partial by design; caching it
-            # would serve the hole to later complete-answer calls.
-            use_cache = False
         spec = QuerySpec(
             query=query,
             mode="search",
             epsilon=epsilon,
             domain=domain,
-            options=options,
+            options={"verification": verification},
         )
-        return self._call(
-            name, spec, use_cache=use_cache, deadline=timeout is not None
-        )
+        return self._call(name, spec, use_cache=use_cache)
 
     def knn(self, name: str, query: Any, k: int, *, exclude: Any = None) -> SearchResult:
         """k-NN twin query against the named plane (never cached: the
@@ -623,16 +599,10 @@ class QueryEngine:
             with trace.span("merge"):
                 return batch_result(results, epsilon)
 
-    def _call(
-        self, name: str, spec: QuerySpec, *, use_cache: bool = False,
-        deadline: bool = False,
-    ) -> Any:
+    def _call(self, name: str, spec: QuerySpec, *, use_cache: bool = False) -> Any:
         """One instrumented call serving one spec."""
         with self._instrumented(spec.mode, name) as (entry, trace):
-            return self._serve(
-                name, entry, spec, trace=trace, use_cache=use_cache,
-                deadline=deadline,
-            )
+            return self._serve(name, entry, spec, trace=trace, use_cache=use_cache)
 
     @contextlib.contextmanager
     def _instrumented(
@@ -664,7 +634,6 @@ class QueryEngine:
         *,
         trace: Any = NULL_TRACE,
         use_cache: bool = False,
-        deadline: bool = False,
     ) -> Any:
         """The one serving path: count the query, plan ``spec`` against
         the resolved plane, execute it on :meth:`_fanout`, record its
@@ -684,9 +653,7 @@ class QueryEngine:
 
         def execute() -> Any:
             with trace.span("execute"):
-                result = executed.execute(
-                    executor=self._fanout(index, deadline=deadline)
-                )
+                result = executed.execute(executor=self._fanout(index))
             if isinstance(result, SearchResult):
                 with self._lock:
                     self._query_stats = self._query_stats.merge(result.stats)

@@ -24,8 +24,8 @@ Shards build one after another in the calling thread; a bulk load
 packs a few hundred nodes per shard in milliseconds, so there is
 nothing for a build pool to overlap; the forest joins at the first
 query, not at build. Queries run in the calling thread too, unless the
-caller passes a pool (see the ``executor`` arguments) — worth it for a
-deadline (``timeout=``) or a process pool, not for thread parallelism.
+caller passes a pool (see the ``executor`` arguments); whether a pool,
+threads or processes, beats the calling thread's forest is not settled.
 
 Shard trees are bulk loaded straight into **frozen** form (see
 :class:`~repro.core.frozen.FrozenTSIndex`), and the plane takes frozen

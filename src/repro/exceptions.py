@@ -16,7 +16,6 @@ __all__ = [
     "InvalidParameterError",
     "ReproError",
     "SerializationError",
-    "ShardTimeoutError",
     "SimulatedCrashError",
     "StorageError",
     "UnsupportedCapabilityError",
@@ -83,22 +82,6 @@ class StorageError(ReproError):
 
 class SerializationError(StorageError):
     """An index could not be saved to or restored from disk."""
-
-
-class ShardTimeoutError(ReproError, TimeoutError):
-    """A fan-out query hit its per-shard deadline before every part
-    answered.
-
-    The fail-fast default for ``timeout=``-bounded queries. ``answered``
-    and ``missing`` name exactly which parts completed and which did
-    not, so callers can decide whether to retry, widen the deadline, or
-    re-issue in degraded mode.
-    """
-
-    def __init__(self, message: str, *, answered=(), missing=()):
-        super().__init__(message)
-        self.answered = tuple(answered)
-        self.missing = tuple(missing)
 
 
 class SimulatedCrashError(BaseException):

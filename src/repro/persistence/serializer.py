@@ -97,6 +97,17 @@ if TYPE_CHECKING:  # runtime import would be circular; engine imports us
 #: :func:`_upgrade`; a newer version is refused by name.
 FORMAT_VERSION = 2
 
+#: Tree members only version-1 archives hold: :func:`_upgrade` converts
+#: them there and refuses them by name in a version-2 archive.
+_LEGACY_MEMBERS = (
+    "children",
+    "uppers_t",
+    "lowers_t",
+    "child_starts",
+    "child_counts",
+    "position_offsets",
+)
+
 #: The on-disk containers :func:`save_index` can write.
 ARCHIVE_FORMATS = ("raw",)
 
@@ -400,12 +411,15 @@ def _dump_tsindex(index: TSIndex) -> dict[str, Any]:
     return payload
 
 
-def _upgrade(data: _Members, prefix: str = "") -> dict[str, np.ndarray]:
-    """The arrays of the tree stored under ``prefix``, in the one format
-    :mod:`repro.core.frozen` reads: :data:`RAW_ARRAY_FIELDS` or
-    :data:`ARRAY_FIELDS`. Members already in that format are handed
-    over untouched (mmaps stay zero-copy). Every earlier layout — all
-    held by version-1 archives — is converted here, and nowhere else:
+def _upgrade(data: _Members, version: int, prefix: str = "") -> dict[str, np.ndarray]:
+    """The arrays of the tree stored under ``prefix`` in a format-``version``
+    archive, in the one format :mod:`repro.core.frozen` reads:
+    :data:`RAW_ARRAY_FIELDS` or :data:`ARRAY_FIELDS`. Members already in
+    that format are handed over untouched (mmaps stay zero-copy). A
+    version-2 archive holds exactly those members; one that also holds
+    a version-1 member is refused by the member's name. Every earlier
+    layout — all held by version-1 archives — is converted here, and
+    nowhere else:
 
     * ``uppers_t`` / ``lowers_t`` — the whole ``(l, n)`` timestamp-major
       envelopes of raw frozen archives written before the head/tail
@@ -428,6 +442,12 @@ def _upgrade(data: _Members, prefix: str = "") -> dict[str, np.ndarray]:
             raise SerializationError(f"archive has no {prefix + name!r} member")
         return data[prefix + name]
 
+    if version == FORMAT_VERSION:
+        stray = [prefix + name for name in _LEGACY_MEMBERS if prefix + name in data]
+        if stray:
+            raise SerializationError(
+                f"format-{version} archive holds format-1 member(s) {stray}"
+            )
     if prefix + "children" in data and not np.array_equal(
         member("children"), np.arange(1, member("kinds").size)
     ):
@@ -468,7 +488,7 @@ def _load_tsindex(meta: _Meta, data: _Members) -> TSIndex | FrozenTSIndex:
     source = _source_from(meta, data)
     params = TSIndexParams(**meta["params"])
     build_stats = _build_stats_from(meta)
-    arrays = _upgrade(data)
+    arrays = _upgrade(data, meta["format"])
     if meta.get("frozen"):
         # Frozen archives hold the flat arrays natively; loading is
         # pure array reads — no node objects, no re-insertion.
@@ -685,7 +705,7 @@ def _load_sharded(meta: _Meta, data: _Members) -> ShardedTSIndex:
                 source.shard(start, stop),
                 params,
                 _build_stats_from(shard),
-                _upgrade(data, prefix=f"s{i}_"),
+                _upgrade(data, meta["format"], prefix=f"s{i}_"),
             )
         )
         starts.append(start)

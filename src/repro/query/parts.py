@@ -39,9 +39,9 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .._util import FanOutResult, call_task, fan_out, is_process_executor
+from .._util import call_task, fan_out, is_process_executor
 from ..core.batch import BatchResult
-from ..core.stats import DegradedReport, SearchResult
+from ..core.stats import SearchResult
 from ..faults.failpoints import failpoint
 from ..indices.base import SubsequenceIndex
 from ..obs.metrics import HandleCache
@@ -74,7 +74,7 @@ class Part(NamedTuple):
     #: The part's index — a tree, or a sweepline over a scanned span; it
     #: answers in part-local positions.
     index: Any
-    #: Names the part in spans, error notes and degraded reports.
+    #: Names the part in spans and error notes.
     label: Any
     #: ``(archive path, shard number)`` for a worker process to reopen
     #: (a sharded plane's shard); ``None`` when the part exists only in
@@ -132,11 +132,9 @@ class PartSet:
         args: tuple,
         kwargs: Callable[[Part], dict],
         executor: Any,
-        timeout: float | None = None,
-        degraded: bool = False,
-    ) -> FanOutResult:
-        """``call(*args, **kwargs(part))`` on every part, with
-        :func:`~repro._util.fan_out`'s failure and deadline semantics.
+    ) -> list:
+        """``call(*args, **kwargs(part))`` on every part, in part order,
+        with :func:`~repro._util.fan_out`'s failure semantics.
         On a process pool the parts with an archive go to the workers as
         :class:`~repro.engine.procpool.ArchiveTask` values, after the
         others have answered here, one after another: a scan part, or
@@ -151,33 +149,23 @@ class PartSet:
         def labels(parts: Sequence[Part]) -> list:
             return [part.label for part in parts]
 
-        deadline = {"part": self.kind, "timeout": timeout, "degraded": degraded}
         if not is_process_executor(executor):
-            return fan_out(executor, one, self.parts, labels=labels(self.parts), **deadline)
+            return fan_out(executor, one, self.parts, labels=labels(self.parts), part=self.kind)
         from ..engine.procpool import ArchiveTask  # lazy: only process fan-out
 
         here = [part for part in self.parts if part.archive is None]
         shipped = [part for part in self.parts if part.archive is not None]
-        answers = iter(fan_out(None, one, here, labels=labels(here), part=self.kind).results)
+        answers = iter(fan_out(None, one, here, labels=labels(here), part=self.kind))
         tasks = [
             ArchiveTask(part.archive[0], call, shard=part.archive[1], args=args, kwargs=kwargs(part))
             for part in shipped
         ]
-        outcome = fan_out(executor, call_task, tasks, labels=labels(shipped), **deadline)
-        remote = iter(outcome.results)
-        return FanOutResult(
-            [next(answers if part.archive is None else remote) for part in self.parts],
-            tuple(label for label in labels(self.parts) if label not in outcome.missing),
-            outcome.missing,
-        )
+        remote = iter(fan_out(executor, call_task, tasks, labels=labels(shipped), part=self.kind))
+        return [next(answers if part.archive is None else remote) for part in self.parts]
 
-    def _pairs(self, outcome: FanOutResult) -> list:
-        """``(start, result)`` of every part that answered."""
-        return [
-            (part.start, result)
-            for part, result in zip(self.parts, outcome.results)
-            if result is not None
-        ]
+    def _pairs(self, results: list) -> list:
+        """``(start, result)`` of every part."""
+        return [(part.start, result) for part, result in zip(self.parts, results)]
 
     def search(
         self,
@@ -186,38 +174,25 @@ class PartSet:
         *,
         verification: str = "bulk",
         executor: Any = None,
-        timeout: float | None = None,
-        degraded: bool = False,
         call: str = "search",
     ) -> SearchResult:
-        """All twins of a full-length query. ``timeout`` bounds the
-        pooled fan-out: past it the default raises
-        :class:`~repro.exceptions.ShardTimeoutError`, ``degraded=True``
-        merges what answered and says which on ``result.degraded``."""
-        outcome = self._run(
-            call, (query, epsilon), lambda part: {"verification": verification},
-            executor, timeout, degraded,
+        """All twins of a full-length query."""
+        results = self._run(
+            call, (query, epsilon), lambda part: {"verification": verification}, executor
         )
         # Parts ascend by span, so the offset merge is globally
         # position-sorted without a sort.
         with current_trace().span("merge"), _metrics()[1].time():
-            merged = merge_offset_search(self._pairs(outcome))
-        if outcome.degraded:
-            merged.degraded = DegradedReport(
-                answered=list(outcome.answered),
-                missing=list(outcome.missing),
-                timeout=timeout,
-            )
-        return merged
+            return merge_offset_search(self._pairs(results))
 
     #: All twins of a query shorter than ``l``, each part verifying its
     #: own prefix candidates (the plane adds the series tail as a scan
-    #: part). Prefix queries take no deadline — the planes pass none.
+    #: part).
     prefix_search = functools.partialmethod(search, call="prefix_search_part")
 
     def count(self, query: Any, epsilon: float, *, executor: Any = None) -> int:
         """Number of twins, summed per part — no result arrays merged."""
-        return sum(self._run("count", (query, epsilon), lambda part: {}, executor).results)
+        return sum(self._run("count", (query, epsilon), lambda part: {}, executor))
 
     def knn(
         self,
@@ -234,9 +209,9 @@ class PartSet:
             size = part.index.size
             return {"k": min(k, size), "exclude": local_exclude(exclude, part.start, size)}
 
-        outcome = self._run("knn", (query,), kwargs, executor)
+        results = self._run("knn", (query,), kwargs, executor)
         with current_trace().span("merge"), _metrics()[1].time():
-            return merge_knn(self._pairs(outcome), k)
+            return merge_knn(self._pairs(results), k)
 
     def exists(self, query: Any, epsilon: float) -> bool:
         """Whether any part holds a twin — probed in span order in the
@@ -254,12 +229,9 @@ class PartitionedPlane(SubsequenceIndex):
     the ``(query, parts)`` pair it hands back, and never calls the
     methods below — each is one planned call, so a direct call and a
     :class:`~repro.engine.executor.QueryEngine` call run the same path.
-    ``executor`` fans a query's parts out on a pool; ``timeout`` bounds
-    that fan-out, in seconds: past it the default raises
-    :class:`~repro.exceptions.ShardTimeoutError` naming the parts that
-    did not answer, ``degraded=True`` merges the ones that did and
-    records which on ``result.degraded``. Queries shorter than ``l``
-    take the prefix path (a prefix query takes no deadline).
+    ``executor`` fans a query's parts out on a pool; every part runs to
+    completion, and the first part to raise fails the query. Queries
+    shorter than ``l`` take the prefix path.
     """
 
     @abc.abstractmethod
@@ -277,16 +249,16 @@ class PartitionedPlane(SubsequenceIndex):
         *,
         verification: str = "bulk",
         executor: Any = None,
-        timeout: float | None = None,
-        degraded: bool = False,
     ) -> SearchResult:
         """All twins of ``query`` within Chebyshev ``ε``, merged across
         the parts by position — byte-identical to one index over the
         whole series, structural counters merged in part order."""
-        options = {"verification": verification, "timeout": timeout, "degraded": degraded}
         return execute(
             self,
-            QuerySpec(query=query, mode="search", epsilon=epsilon, options=options),
+            QuerySpec(
+                query=query, mode="search", epsilon=epsilon,
+                options={"verification": verification},
+            ),
             executor=executor,
         )
 
@@ -301,15 +273,9 @@ class PartitionedPlane(SubsequenceIndex):
         """All twins of a query of length ``m <= l``: each part runs the
         prefix-bounded traversal over its own span, and the series tail
         — the ``l - m`` starts past the last full window — is one more
-        scan part. ``m == l`` is :meth:`search`."""
-        return execute(
-            self,
-            QuerySpec(
-                query=query, mode="search", epsilon=epsilon,
-                options={"verification": verification},
-            ),
-            executor=executor,
-        )
+        scan part. ``m == l`` is :meth:`search`, and so is this call:
+        the planner routes a shorter query to the prefix path."""
+        return self.search(query, epsilon, verification=verification, executor=executor)
 
     def count(self, query: Any, epsilon: float, *, executor: Any = None) -> int:
         """Number of twins — summed per part, so no result arrays are

@@ -272,13 +272,13 @@ def plan(index: Any, spec: QuerySpec) -> QueryPlan:
     """Plan ``spec`` against ``index``.
 
     A plane that hands over its parts (``_take``, see
-    :class:`~repro.query.parts.PartitionedPlane`) is served on them,
-    and only it keeps ``timeout`` / ``degraded``. Any other plane's
-    full-length ``search`` / ``knn`` / ``batch`` is its own ``search``
-    / ``knn`` / ``search_batch``; a query shorter than the plane's
-    window length is its ``search_varlength`` (a batch holding one
-    runs per query), except a prefix ``knn``, which is the exact prefix
-    scan; ``exists`` / ``count`` are the length of the search. Targets
+    :class:`~repro.query.parts.PartitionedPlane`) is served on them.
+    Any other plane's full-length ``search`` / ``knn`` / ``batch`` is
+    its own ``search`` / ``knn`` / ``search_batch``; a query shorter
+    than the plane's window length is its ``search_varlength`` (a
+    batch holding one runs per query), except a prefix ``knn``, which
+    is the exact prefix scan; ``exists`` / ``count`` are the length of
+    the search. Targets
     that are not query planes at all (no ``search`` kernel) fail with
     the typed :class:`~repro.exceptions.UnsupportedCapabilityError`
     instead of an ``AttributeError`` deep inside a kernel.
@@ -296,11 +296,6 @@ def plan(index: Any, spec: QuerySpec) -> QueryPlan:
         varlength = any(
             is_prefix_query(query, length) for query in spec.query_list()
         )
-    if varlength or not partitioned:
-        # Only a partitioned plane bounds its parts with a deadline or
-        # answers degraded, and its prefix path takes no deadline.
-        options.pop("timeout", None)
-        options.pop("degraded", None)
     if not varlength and spec.mode in ("knn", "exists", "count"):
         # These modes take no kernel options — ``verification``
         # parameterizes the search kernels only, and no plane's knn

@@ -25,6 +25,7 @@ from repro.data import synthetic
 from repro.indices.isax import ISAXIndex, ISAXParams
 from repro.indices.kvindex import KVIndex, KVIndexParams
 from repro.indices.sweepline import SweeplineSearch
+from repro.obs import MetricsRegistry, default_registry, set_default_registry
 
 # Hypothesis budgets. ``ci`` (the default) is derandomized and has no
 # per-example deadline — this box's timings swing 2× between runs — and
@@ -37,6 +38,19 @@ settings.register_profile(
     "soak", max_examples=2000, stateful_step_count=40, deadline=None
 )
 settings.load_profile("ci")
+
+
+@pytest.fixture
+def fresh_default_registry():
+    """Swap in an isolated process-default registry for the test."""
+    original = default_registry()
+    replacement = MetricsRegistry("repro")
+    set_default_registry(replacement)
+    try:
+        yield replacement
+    finally:
+        set_default_registry(original)
+
 
 #: Window length used across the suite (paper default is 100; 50 keeps
 #: the suite fast without changing any behaviour under test).

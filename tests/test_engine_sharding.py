@@ -477,8 +477,9 @@ class TestForest:
             served = engine.build("demo", _series(23), 40, shards=3, normalization="none")
             assert calls == []
             query = served.source.window(100)
-            engine.query("demo", query, 0.5, use_cache=False, timeout=30.0)
-            assert calls == []  # a deadline runs on the pool, per shard
+            with concurrent.futures.ThreadPoolExecutor(2) as pool:
+                served.search(query, 0.5, executor=pool)
+            assert calls == []  # a caller's pool runs per shard
             engine.query("demo", query, 0.5, use_cache=False)
             engine.query("demo", query[:20], 0.5, use_cache=False)
             engine.count("demo", query, 0.5)

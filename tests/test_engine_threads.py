@@ -2,23 +2,22 @@
 
 Threads sharing the GIL never beat a loop on shard work, so the engine
 runs every call in the calling thread — where a sharded plane walks one
-part, its shards' joined forest — and keeps its pool for the one thing
-a loop cannot do: abandon a slow shard at a deadline, one part per
-shard. Checked through the engine's front door, not only through
-``fan_out``.
+part, its shards' joined forest — and keeps no thread pool at all. A
+caller that wants one part per shard passes its own pool to the plane.
+Checked through the engine's front door, not only through ``fan_out``.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import threading
-import time
 
 import numpy as np
 import pytest
 
 from repro.engine import QueryEngine
-from repro.exceptions import ShardTimeoutError
 from repro.faults import failpoints
+from repro.obs.trace import QueryTrace, activate_trace, deactivate_trace
 
 LENGTH = 50
 SHARDS = 3
@@ -59,28 +58,49 @@ def _shard_spans(trace) -> list:
 
 
 class TestCallingThread:
-    def test_no_pool_thread_after_every_mode(self, engine, series):
+    def test_no_pool_thread_after_every_mode(self, series, monkeypatch):
+        """No ``repro-engine`` thread ever exists: constructing the
+        engine, querying it in every mode and closing it start no
+        thread at all."""
+        started = []
+        start = threading.Thread.start
+
+        def record(thread):
+            started.append(thread.name)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", record)
         query = series[400:400 + LENGTH]
-        engine.query("demo", query, 0.4, use_cache=False)
-        engine.query("demo", query[:30], 0.4, use_cache=False)
-        engine.knn("demo", query, 5)
-        engine.count("demo", query, 0.4)
-        engine.exists("demo", query, 0.4)
-        engine.batch(
-            "demo", [series[s:s + LENGTH] for s in (10, 500, 900)], 0.4,
-            use_cache=False,
-        )
+        with QueryEngine(max_workers=SHARDS) as engine:
+            engine.build("demo", series, LENGTH, shards=SHARDS, normalization="none")
+            engine.query("demo", query, 0.4, use_cache=False)
+            engine.query("demo", query[:30], 0.4, use_cache=False)
+            engine.knn("demo", query, 5)
+            engine.count("demo", query, 0.4)
+            engine.exists("demo", query, 0.4)
+            engine.batch(
+                "demo", [series[s:s + LENGTH] for s in (10, 500, 900)], 0.4,
+                use_cache=False,
+            )
+        assert started == []
         assert _engine_threads() == []
 
     def test_query_trace_holds_one_execute_span_per_shard(self, engine, series):
         """On the calling thread the plane's one part is its shards'
-        forest: one ``execute`` span, labelled ``"forest"``. A call with
-        a deadline runs on the pool, one span per shard."""
+        forest: one ``execute`` span, labelled ``"forest"``. The plane
+        called with a caller's pool runs one part, and one span, per
+        shard."""
         query = series[400:400 + LENGTH]
         engine.query("demo", query, 0.4, use_cache=False)
-        engine.query("demo", query, 0.4, use_cache=False, timeout=30.0)
-        calling, pooled = engine.traces()
+        (calling,) = engine.traces()
         assert [span.meta["shard"] for span in _shard_spans(calling)] == ["forest"]
+        pooled = QueryTrace("search")
+        token = activate_trace(pooled)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(2) as pool:
+                engine.get("demo").search(query, 0.4, executor=pool)
+        finally:
+            deactivate_trace(token)
         spans = _shard_spans(pooled)
         assert sorted(span.meta["shard"] for span in spans) == list(range(SHARDS))
 
@@ -156,49 +176,3 @@ class TestCallingThread:
                 f"shard {label}" in note for note in getattr(info.value, "__notes__", [])
             )
         assert _engine_threads() == []
-
-
-class _SlowShard:
-    """Answers like ``shard``, ``delay`` seconds late."""
-
-    def __init__(self, shard, delay: float):
-        self._shard, self._delay = shard, delay
-
-    def search(self, *args, **kwargs):
-        time.sleep(self._delay)
-        return self._shard.search(*args, **kwargs)
-
-
-class TestDeadline:
-    def test_timeout_runs_on_the_pool(self, engine, series):
-        query = series[400:400 + LENGTH]
-        plain = engine.query("demo", query, 0.4, use_cache=False)
-        bounded = engine.query("demo", query, 0.4, use_cache=False, timeout=30.0)
-        assert _engine_threads() != []
-        assert np.array_equal(plain.positions, bounded.positions)
-        assert np.array_equal(plain.distances, bounded.distances)
-        assert bounded.degraded is None
-
-    def test_slow_shard_is_named_or_served_around(self, engine, series):
-        index = engine.get("demo")
-        query = series[400:400 + LENGTH]
-        full = engine.query("demo", query, 0.4, use_cache=False)
-        original = index._shards
-        index._shards = [original[0], _SlowShard(original[1], 3.0), original[2]]
-        try:
-            with pytest.raises(ShardTimeoutError) as info:
-                engine.query("demo", query, 0.4, use_cache=False, timeout=0.3)
-            assert list(info.value.missing) == [1]
-            assert list(info.value.answered) == [0, 2]
-            partial = engine.query(
-                "demo", query, 0.4, timeout=0.3, degraded=True
-            )
-        finally:
-            index._shards = original
-        assert partial.degraded["missing"] == [1]
-        assert partial.degraded["answered"] == [0, 2]
-        # Exact over the shards that answered.
-        (_, _), (lo, hi), (_, _) = index.spans
-        keep = (full.positions < lo) | (full.positions >= hi)
-        assert np.array_equal(partial.positions, full.positions[keep])
-        assert np.array_equal(partial.distances, full.distances[keep])

@@ -1,20 +1,17 @@
-"""Fan-out failure semantics: cancellation, attribution, per-part
-deadlines, and the opt-in degraded mode across both fan-out planes."""
+"""Fan-out failure semantics across both fan-out planes: every part
+runs to completion, and the first failure cancels the rest and names
+its part."""
 
 import concurrent.futures
 import threading
-import time
 
 import numpy as np
 import pytest
 
-from repro._util import FanOutResult, fan_out, map_with_executor
-from repro.core.tsindex import TSIndex
-from repro.engine import QueryEngine, ShardedTSIndex
-from repro.exceptions import ShardTimeoutError
+from repro._util import fan_out, map_with_executor
+from repro.engine import ShardedTSIndex
 from repro.faults import failpoints
 from repro.live import LiveTwinIndex
-from repro.query import QuerySpec, plan
 
 
 @pytest.fixture(autouse=True)
@@ -32,10 +29,15 @@ def pool():
 
 class TestFanOut:
     def test_results_in_input_order(self, pool):
-        out = fan_out(pool, lambda x: x * 2, [3, 1, 2])
-        assert out.results == [6, 2, 4]
-        assert out.answered == (0, 1, 2)
-        assert not out.degraded
+        assert fan_out(pool, lambda x: x * 2, [3, 1, 2]) == [6, 2, 4]
+
+    def test_every_part_runs_to_completion(self, pool):
+        def slow_first(x):
+            if x == 0:
+                threading.Event().wait(0.2)
+            return x
+
+        assert fan_out(pool, slow_first, [0, 1, 2]) == [0, 1, 2]
 
     def test_serial_path_annotates_failures(self):
         def boom(x):
@@ -71,37 +73,6 @@ class TestFanOut:
             for note in getattr(info.value, "__notes__", [])
         )
 
-    def test_timeout_fail_fast_names_parts(self, pool):
-        def maybe_slow(x):
-            if x == "slow":
-                time.sleep(5.0)
-            return x
-
-        with pytest.raises(ShardTimeoutError) as info:
-            fan_out(
-                pool, maybe_slow, ["fast", "slow"],
-                labels=["fast", "slow"], part="shard", timeout=0.2,
-            )
-        assert tuple(info.value.answered) == ("fast",)
-        assert tuple(info.value.missing) == ("slow",)
-        assert isinstance(info.value, TimeoutError)
-
-    def test_degraded_returns_partial_with_holes(self, pool):
-        def maybe_slow(x):
-            if x == 1:
-                time.sleep(5.0)
-            return x * 10
-
-        out = fan_out(
-            pool, maybe_slow, [0, 1, 2], part="shard",
-            timeout=0.3, degraded=True,
-        )
-        assert isinstance(out, FanOutResult)
-        assert out.degraded
-        assert out.results[0] == 0 and out.results[2] == 20
-        assert out.results[1] is None
-        assert 1 in out.missing
-
     def test_map_with_executor_unwraps_results(self, pool):
         assert map_with_executor(pool, lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
 
@@ -127,34 +98,6 @@ class TestShardedPlane:
             "shard" in note
             for note in getattr(info.value, "__notes__", [])
         )
-
-    def test_degraded_search_reports_missing_shards(self, sharded, pool):
-        query = np.array(sharded.source.window_block(100, 101)[0])
-        slow = sharded._shards[1]
-
-        class SlowShard:
-            def search(self, *args, **kwargs):
-                time.sleep(5.0)
-                return slow.search(*args, **kwargs)
-
-        original = sharded._shards
-        sharded._shards = [original[0], SlowShard()]
-        try:
-            with pytest.raises(ShardTimeoutError):
-                sharded.search(query, 0.3, executor=pool, timeout=0.3)
-            result = sharded.search(
-                query, 0.3, executor=pool, timeout=0.3, degraded=True
-            )
-        finally:
-            sharded._shards = original
-        assert result.degraded is not None
-        assert result.degraded["missing"] == [1]
-        assert result.degraded["answered"] == [0]
-        # The degraded answer is exact over the answering shard.
-        full = sharded.search(query, 0.3)
-        span = sharded._starts[1]
-        want = full.positions[full.positions < span]
-        assert np.array_equal(result.positions, want)
 
     @pytest.mark.parametrize("mode", ["count", "knn", "prefix"])
     def test_every_mode_fires_shard_search_and_names_the_shard(
@@ -191,25 +134,29 @@ class TestShardedPlane:
         with pytest.raises(OSError):
             sharded.exists(query, 0.3)
 
-    def test_complete_search_has_no_degraded_record(self, sharded, pool):
+    def test_a_pooled_search_waits_for_every_shard(self, sharded, pool):
+        """No part is given up on: a slow shard is waited for, and the
+        pooled answer is the calling thread's."""
         query = np.array(sharded.source.window_block(100, 101)[0])
-        result = sharded.search(query, 0.3, executor=pool, timeout=30.0)
-        assert result.degraded is None
+        slow = sharded._shards[1]
+
+        class SlowShard:
+            def search(self, *args, **kwargs):
+                threading.Event().wait(0.2)
+                return slow.search(*args, **kwargs)
+
+        original = sharded._shards
+        sharded._shards = [original[0], SlowShard()]
+        try:
+            result = sharded.search(query, 0.3, executor=pool)
+        finally:
+            sharded._shards = original
+        full = sharded.search(query, 0.3)
+        assert np.array_equal(result.positions, full.positions)
+        assert np.array_equal(result.distances, full.distances)
 
 
 class TestLivePlane:
-    def test_live_declares_capability_and_serves_timeout(self, tmp_path, pool):
-        series = np.cumsum(np.random.default_rng(6).normal(size=600))
-        live = LiveTwinIndex(series, length=32, seal_threshold=128)
-        query = np.array(series[50:82])
-        spec = QuerySpec(query=query, mode="search", epsilon=0.3, options={"timeout": 30.0})
-        assert plan(live, spec).options["timeout"] == 30.0
-        result = live.search(query, 0.3, executor=pool, timeout=30.0)
-        assert result.degraded is None
-        want = live.search(query, 0.3)
-        assert np.array_equal(result.positions, want.positions)
-        live.close()
-
     def test_segment_search_failpoint_attributed(self, tmp_path, pool):
         series = np.cumsum(np.random.default_rng(7).normal(size=600))
         live = LiveTwinIndex(series, length=32, seal_threshold=128)
@@ -222,7 +169,6 @@ class TestLivePlane:
             for note in getattr(info.value, "__notes__", [])
         )
         live.close()
-
 
     @pytest.mark.parametrize("mode", ["count", "knn", "prefix", "exists"])
     def test_every_mode_fires_segment_search_and_names_the_segment(self, mode):
@@ -255,64 +201,3 @@ class TestLivePlane:
                         for note in getattr(info.value, "__notes__", [])
                     )
         live.close()
-
-
-class TestPlannerFiltering:
-    def test_non_fanout_plane_drops_timeout_options(self):
-        series = np.cumsum(np.random.default_rng(8).normal(size=500))
-        index = TSIndex.build(series, 50, normalization="none")
-        spec = QuerySpec(
-            query=series[100:150], mode="search", epsilon=0.3,
-            options={"timeout": 0.5, "degraded": True},
-        )
-        planned = plan(index, spec)
-        assert "timeout" not in planned.options
-        assert "degraded" not in planned.options
-        planned.execute()  # must not crash on unexpected kwargs
-
-    def test_fanout_plane_keeps_timeout_options(self, sharded):
-        query = np.array(sharded.source.window_block(100, 101)[0])
-        spec = QuerySpec(
-            query=query, mode="search", epsilon=0.3,
-            options={"timeout": 30.0, "degraded": True},
-        )
-        planned = plan(sharded, spec)
-        assert planned.options["timeout"] == 30.0
-        assert planned.options["degraded"] is True
-        result = planned.execute()
-        assert result.degraded is None  # nothing actually timed out
-
-    def test_varlength_path_drops_timeout_options(self, sharded):
-        short = np.array(sharded.source.window_block(100, 101)[0][:20])
-        spec = QuerySpec(
-            query=short, mode="search", epsilon=0.3,
-            options={"timeout": 30.0, "degraded": True},
-        )
-        planned = plan(sharded, spec)
-        assert planned.varlength
-        assert "timeout" not in planned.options
-        planned.execute()
-
-
-class TestEngineWiring:
-    def test_query_accepts_timeout(self, sharded):
-        query = np.array(sharded.source.window_block(100, 101)[0])
-        with QueryEngine() as engine:
-            engine.add("plane", sharded)
-            result = engine.query("plane", query, 0.3, timeout=30.0)
-            assert result.degraded is None
-
-    def test_degraded_queries_never_cached(self, sharded):
-        query = np.array(sharded.source.window_block(100, 101)[0])
-        with QueryEngine() as engine:
-            engine.add("plane", sharded)
-            first = engine.query("plane", query, 0.3, degraded=True,
-                                 timeout=30.0)
-            second = engine.query("plane", query, 0.3, degraded=True,
-                                  timeout=30.0)
-            assert engine.cache.stats().size == 0
-            assert first is not second
-            # The same query without degraded mode is cached as usual.
-            third = engine.query("plane", query, 0.3)
-            fourth = engine.query("plane", query, 0.3)
-            assert fourth is third

@@ -180,7 +180,7 @@ def assert_six_modes_exact(live, stream):
 
 
 class TestSealFailure:
-    def test_one_failed_seal_does_not_wedge_the_plane(self, tmp_path):
+    def test_one_failed_seal_does_not_wedge_the_plane(self, tmp_path, fresh_default_registry):
         """An I/O error writing a sealed segment's archive, mid-batch:
         the readings are journaled and indexable, so the append
         succeeds and indexes the whole batch; the failure is counted,
@@ -198,6 +198,7 @@ class TestSealFailure:
         assert (live.seal_count, live.delta_windows) == (1, 37 + 57)
         stats = live.stats()
         assert stats["seal_failures"] == 1
+        assert fresh_default_registry.get("repro_live_seal_failures_total").value == 1
         assert "segment write failed" in stats["last_seal_error"]
         assert_six_modes_exact(live, stream)
 
@@ -314,7 +315,7 @@ class TestQuarantine:
         with pytest.raises(StorageError):
             LiveTwinIndex.recover(path)
 
-    def test_quarantine_moves_aside_and_serves_remainder(self, tmp_path):
+    def test_quarantine_moves_aside_and_serves_remainder(self, tmp_path, fresh_default_registry):
         path = tmp_path / "live"
         live, fed = make_plane(path, readings=400)
         live.close()
@@ -327,6 +328,8 @@ class TestQuarantine:
         qdir = tmp_path / "live" / "quarantine"
         assert (qdir / target).exists()
         assert target in recovered.stats()["quarantined_files"]
+        moved = fresh_default_registry.get("repro_segments_quarantined_total")
+        assert moved.value == len(os.listdir(qdir)) >= 1
         # The remainder serves, and accepts fresh appends.
         survivors = np.asarray(recovered.values)
         assert survivors.size < fed.size

@@ -174,12 +174,14 @@ class TestScoping:
 
 
 class TestAccounting:
-    def test_site_stats_count_hits_and_fires(self):
+    def test_site_stats_count_hits_and_fires(self, fresh_default_registry):
         point = failpoints.arm(SITE, error="io", on_hit=2)
         assert failpoints.failpoint(SITE) is None
         with pytest.raises(OSError):
             failpoints.failpoint(SITE)
         assert point.stats() == {"hits": 2, "fired": 1}
+        injected = fresh_default_registry.get("repro_faults_injected_total")
+        assert injected.labels(site=SITE).value == 1
         stats = failpoints.site_stats()[SITE]
         assert stats["hits"] == 2 and stats["fired"] == 1
         assert stats["lifetime_hits"] >= 2

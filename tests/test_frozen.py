@@ -746,27 +746,6 @@ class TestShardedFrozen:
             _assert_result_equal(fast, slow)
         assert batched.stats.as_dict() == looped.stats.as_dict()
 
-    @pytest.mark.parametrize(
-        "options", [{"timeout": 5.0}, {"degraded": True}], ids=["timeout", "degraded"]
-    )
-    def test_deadline_options_take_the_planner_loop(self, engines, options):
-        """A deadline option is the planner's to honour: with no
-        executor, the sharded batch answers it through the planner loop
-        rather than handing it to the per-shard walk."""
-        from repro.query.parts import PartitionedPlane
-
-        _, frozen_engine = engines
-        rng = np.random.default_rng(44)
-        queries = _queries(frozen_engine.source, rng, count=6)
-        looped = PartitionedPlane.search_batch(
-            frozen_engine, queries, 0.4, **options
-        )
-        batched = frozen_engine.search_batch(queries, 0.4, **options)
-        assert len(batched) == len(looped) == len(queries)
-        for fast, slow in zip(batched.results, looped.results):
-            _assert_result_equal(fast, slow)
-            assert fast.degraded is None
-
 
 class TestFactoryAndCLI:
     def test_factory_builds_frozen(self, values):

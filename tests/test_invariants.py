@@ -613,6 +613,88 @@ class TestWallClock:
 
 
 # ----------------------------------------------------------------------
+# unread-metric: every repro_* metric registered under src/ is read by a
+# file under tests/, examples/ or benchmarks/, so a metric that outlives
+# the event it counts, or counts it wrongly, does not go unseen.
+# ----------------------------------------------------------------------
+def registered_metrics(files):
+    """``(file, line, pattern)`` per ``repro_*`` metric registered in
+    ``files``: the regex of a literal name, or of an f-string name with
+    ``\\w+`` for each field."""
+    for file in files:
+        for kind in ("counter", "gauge", "histogram"):
+            for node in calls(file, kind):
+                name = node.args[0] if node.args else None
+                if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                    pattern = re.escape(name.value)
+                elif isinstance(name, ast.JoinedStr):
+                    pattern = "".join(
+                        re.escape(part.value) if isinstance(part, ast.Constant) else r"\w+"
+                        for part in name.values
+                    )
+                else:
+                    continue
+                if pattern.startswith("repro_"):
+                    yield file, node.lineno, pattern
+
+
+def unread_metrics(files, readers):
+    out = []
+    for file, line, pattern in registered_metrics(files):
+        # A histogram is also read through its exposition series.
+        regex = re.compile(rf"\b{pattern}(_bucket|_sum|_count)?\b")
+        if not any(regex.search(text) for text in readers):
+            out += file.finding(
+                line, "unread-metric",
+                f"metric {pattern} is read by no file under tests/, "
+                "examples/ or benchmarks/",
+            )
+    return out
+
+
+class TestUnreadMetric:
+    def test_real_tree(self, repro_tree):
+        readers = [
+            path.read_text()
+            for folder in ("tests", "examples", "benchmarks")
+            for path in sorted((REPO / folder).rglob("*.py"))
+            if path.resolve() != pathlib.Path(__file__).resolve()
+        ]
+        assert unread_metrics(repro_tree, readers) == []
+
+    def test_unread_metric_flagged(self):
+        code = 'seals = registry.counter("repro_seals_total", "Seals.")\n'
+        found = unread_metrics(sources({"live/index.py": code}), ["other = 1\n"])
+        assert len(found) == 1
+        assert found[0].startswith("live/index.py:1:") and "repro_seals_total" in found[0]
+
+    def test_read_metric_clean(self):
+        code = 'seals = registry.histogram("repro_seals_seconds", "Seals.")\n'
+        reader = 'assert registry.get("repro_seals_seconds") is not None\n'
+        assert unread_metrics(sources({"a.py": code}), [reader]) == []
+
+    def test_a_longer_name_does_not_read_a_shorter_one(self):
+        code = 'seals = registry.counter("repro_seals", "Seals.")\n'
+        reader = 'registry.get("repro_seals_total")\n'
+        assert len(unread_metrics(sources({"a.py": code}), [reader])) == 1
+
+    def test_fstring_name_read_by_any_filling(self):
+        code = 'for s in ("hits",):\n    registry.gauge(f"repro_cache_{s}", "Cache.")\n'
+        assert unread_metrics(sources({"a.py": code}), ['get("repro_cache_hits")']) == []
+        found = unread_metrics(sources({"a.py": code}), ['get("repro_other")'])
+        assert len(found) == 1 and found[0].startswith("a.py:2:")
+
+    def test_histogram_read_through_its_exposition_series(self):
+        code = 'registry.histogram("repro_seal_seconds", "Seals.")\n'
+        reader = 'assert "repro_seal_seconds_bucket" in text\n'
+        assert unread_metrics(sources({"a.py": code}), [reader]) == []
+
+    def test_other_names_unchecked(self):
+        code = 'registry.counter("queue_depth", "Not ours.")\nregistry.gauge(name)\n'
+        assert unread_metrics(sources({"a.py": code}), []) == []
+
+
+# ----------------------------------------------------------------------
 # untyped-defs: the AST form of mypy's disallow_untyped_defs +
 # disallow_incomplete_defs over the packages where the invariants live.
 # A method's self / cls is exempt, and an __init__ with an annotated
@@ -820,7 +902,7 @@ class TestPublicApi:
 # ----------------------------------------------------------------------
 INVARIANTS = {
     "failpoint-sites", "crash-safety", "lock-discipline", "single-call-site", "cpu-count",
-    "wall-clock", "untyped-defs",
+    "wall-clock", "untyped-defs", "unread-metric",
 }
 
 

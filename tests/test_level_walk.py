@@ -10,6 +10,7 @@ on the candidates (in id order) and on ``nodes_visited``,
 queries, on bulk-loaded, inserted, unbalanced and degenerate trees.
 """
 
+import json
 from collections import deque
 
 import numpy as np
@@ -231,6 +232,9 @@ class TestLayoutValidation:
         )
         path = tmp_path / "tree"
         save_index(index, path, fsync=False)
+        meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
+        meta["format"] = 1  # the member below is a version-1 one
+        (path / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
         np.save(path / "children.npy", np.array([1, 2, 3]))
         assert load_index(path).raw_arrays().keys() == index.raw_arrays().keys()
         np.save(path / "children.npy", np.array([1, 3, 2]))

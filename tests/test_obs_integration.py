@@ -9,12 +9,7 @@ import numpy as np
 import pytest
 
 from repro import IndexNotBuiltError, LiveTwinIndex, QueryEngine, cli
-from repro.obs import (
-    MetricsRegistry,
-    default_registry,
-    set_default_registry,
-    to_prometheus,
-)
+from repro.obs import MetricsRegistry, to_prometheus
 
 
 @pytest.fixture
@@ -31,18 +26,6 @@ SERVE = {
     "count": lambda engine, name, query: engine.count(name, query, 0.4),
     "batch": lambda engine, name, query: engine.batch(name, [query, query], 0.4),
 }
-
-
-@pytest.fixture
-def fresh_default_registry():
-    """Swap in an isolated process-default registry for the test."""
-    original = default_registry()
-    replacement = MetricsRegistry("repro")
-    set_default_registry(replacement)
-    try:
-        yield replacement
-    finally:
-        set_default_registry(original)
 
 
 class TestEngineInstrumentation:

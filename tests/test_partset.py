@@ -1,8 +1,8 @@
 """``PartSet`` — the one fan-out loop both composite planes hand the planner.
 
-Two halves. The failure semantics (fail-fast, first failure cancels,
-deadline, degraded report, part attribution in notes, spans and
-failpoints) run over hand-made fake parts, so nothing real has to be
+Two halves. The failure semantics (every part runs to completion,
+first failure cancels, part attribution in notes, spans, histograms
+and failpoints) run over hand-made fake parts, so nothing real has to be
 monkeypatched to be slow or broken. Exactness runs over real trees —
 pointer and frozen parts mixed, the last span a sweepline scan part as
 the live delta is — against one brute-force Chebyshev scan. The sharded
@@ -21,7 +21,7 @@ from repro.core.stats import QueryStats, SearchResult
 from repro.core.tsindex import TSIndex, TSIndexParams
 from repro.core.windows import WindowSource, assemble_source
 from repro.engine import ShardedTSIndex
-from repro.exceptions import InvalidParameterError, ShardTimeoutError
+from repro.exceptions import InvalidParameterError
 from repro.faults import failpoints
 from repro.indices.sweepline import SweeplineSearch
 from repro.obs.trace import QueryTrace, activate_trace, deactivate_trace
@@ -103,7 +103,6 @@ class TestFailureSemantics:
         assert merged.positions.tolist() == [1, 3, 20, 32]
         # The empty part merges its counters and nothing else.
         assert merged.stats.matches == 4
-        assert merged.degraded is None
 
     def test_search_options_reach_every_part(self):
         first, second = FakeIndex([0]), FakeIndex([0])
@@ -146,35 +145,16 @@ class TestFailureSemantics:
         assert third.calls == []
         assert "shard 0" in _notes(info.value)
 
-    def test_deadline_fails_fast_naming_parts(self, pool):
+    def test_a_slow_part_is_waited_for(self, pool):
         parts = _fakes(
-            FakeIndex([1]), FakeIndex([2], delay=3.0), FakeIndex([3]),
+            FakeIndex([1]), FakeIndex([2], delay=0.2), FakeIndex([3]),
             labels=["a", "slow", "c"],
         )
-        with pytest.raises(ShardTimeoutError) as info:
-            parts.search(QUERY, 0.1, executor=pool, timeout=0.3)
-        assert list(info.value.answered) == ["a", "c"]
-        assert list(info.value.missing) == ["slow"]
-
-    def test_degraded_serves_answered_parts(self, pool):
-        parts = _fakes(
-            FakeIndex([1]), FakeIndex([2], delay=3.0), FakeIndex([3]), FakeIndex([5]),
-            kind="segment", labels=[0, 10, 20, 30],
-        )
-        merged = parts.search(QUERY, 0.1, executor=pool, timeout=0.3, degraded=True)
-        assert merged.positions.tolist() == [1, 23, 35]
-        # A plain dict (the fault suites index it), typed as DegradedReport.
-        assert merged.degraded == {
-            "answered": [0, 20, 30], "missing": [10], "timeout": 0.3,
-        }
-
-    def test_complete_answer_under_a_deadline_is_not_degraded(self, pool):
-        parts = _fakes(FakeIndex([1]), FakeIndex([2]))
-        merged = parts.search(QUERY, 0.1, executor=pool, timeout=30.0, degraded=True)
-        assert merged.degraded is None
+        merged = parts.search(QUERY, 0.1, executor=pool)
+        assert merged.positions.tolist() == [1, 12, 23]
 
     @pytest.mark.parametrize("kind", ["shard", "segment"])
-    def test_every_mode_fires_the_part_failpoint_and_spans(self, kind):
+    def test_every_mode_fires_the_part_failpoint_and_spans(self, kind, fresh_default_registry):
         parts = _fakes(FakeIndex([1]), FakeIndex(), kind=kind, labels=["x", "y"])
         site = f"{kind}.search"
         failpoints.arm(site, error=RuntimeError("never"), on_hit=10**6)
@@ -191,6 +171,10 @@ class TestFailureSemantics:
         executes = [span.meta for span in trace.spans if span.name == "execute"]
         assert executes == [{kind: "x"}, {kind: "y"}] * 3 + [{kind: "x"}]
         assert sum(span.name == "merge" for span in trace.spans) == 2
+        # One observation per part call, one per merge.
+        registry = fresh_default_registry
+        assert registry.get("repro_shard_search_seconds").snapshot()[2] == 7
+        assert registry.get("repro_shard_merge_seconds").snapshot()[2] == 2
 
     def test_knn_translates_k_and_the_exclusion_zone_per_part(self):
         small, large = FakeIndex(size=3), FakeIndex(size=10)

@@ -1,5 +1,5 @@
 """Process-pool fan-out: byte-identity with the thread/serial paths,
-the archive-task worker protocol, and timeout/degraded semantics.
+the archive-task worker protocol, and fail-fast semantics.
 
 Process workers never receive index objects — they receive
 :class:`~repro.engine.procpool.ArchiveTask` records and open the
@@ -24,10 +24,7 @@ import pytest
 from repro._util import call_task, fan_out
 from repro.engine import QueryEngine, ShardedTSIndex
 from repro.engine.procpool import ALLOWED_CALLS, ArchiveTask, open_archive
-from repro.exceptions import (
-    InvalidParameterError,
-    ShardTimeoutError,
-)
+from repro.exceptions import InvalidParameterError
 from repro.faults import failpoints
 from repro.core.normalization import Normalization
 from repro.core.stats import QueryStats
@@ -481,31 +478,11 @@ class SleepyTask:
 
 class TestProcessFanOutSemantics:
     def test_closure_falls_back_to_serial(self, procpool):
-        out = fan_out(procpool, lambda x: x * 2, [3, 1])
-        assert out.results == [6, 2]
+        assert fan_out(procpool, lambda x: x * 2, [3, 1]) == [6, 2]
 
-    def test_timeout_raises_typed_error(self, procpool):
-        with pytest.raises(ShardTimeoutError):
-            fan_out(
-                procpool,
-                call_task,
-                [SleepyTask(0.0, 1), SleepyTask(30.0, 2)],
-                part="shard",
-                timeout=0.5,
-            )
-
-    def test_degraded_serves_answered_parts(self, procpool):
-        out = fan_out(
-            procpool,
-            call_task,
-            [SleepyTask(0.0, 10), SleepyTask(30.0, 20)],
-            part="shard",
-            timeout=1.0,
-            degraded=True,
-        )
-        assert out.degraded
-        assert out.results[0] == 10 and out.results[1] is None
-        assert 1 in out.missing
+    def test_every_task_runs_to_completion(self, procpool):
+        tasks = [SleepyTask(0.3, 10), SleepyTask(0.0, 20)]
+        assert fan_out(procpool, call_task, tasks, part="shard") == [10, 20]
 
     def test_worker_failpoint_fires_in_child(self):
         """Armed failpoints are inherited by freshly forked workers:

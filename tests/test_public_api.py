@@ -76,8 +76,6 @@ class TestTopLevelExports:
         # The fault-tolerance taxonomy is part of the public surface.
         assert issubclass(repro.StorageError, repro.ReproError)
         assert issubclass(repro.SerializationError, repro.StorageError)
-        assert issubclass(repro.ShardTimeoutError, repro.ReproError)
-        assert issubclass(repro.ShardTimeoutError, TimeoutError)
         assert issubclass(repro.SimulatedCrashError, BaseException)
         assert not issubclass(repro.SimulatedCrashError, Exception)
 

@@ -37,6 +37,13 @@ from repro.persistence import load_index, save_index
 LENGTH = 50
 
 
+def _set_format(path, version) -> None:
+    """Rewrite the format marker of the raw archive at ``path``."""
+    meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
+    meta["format"] = version
+    (path / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+
+
 def _frozen(series_values, normalization) -> FrozenTSIndex:
     return TSIndex.build(
         series_values, LENGTH, normalization=normalization
@@ -299,6 +306,7 @@ class TestLegacyCompatibility:
         path = tmp_path / f"legacy.{container}"
         if container == "raw":
             save_index(original, path, fsync=False)
+            _set_format(path, 1)  # the members below are version-1 ones
             for file in ENVELOPE_FILES:
                 os.unlink(path / f"{file}.npy")
             np.save(path / "uppers_t.npy", np.ascontiguousarray(exact["uppers"].T))
@@ -568,11 +576,36 @@ class TestFormatVersion:
         else:
             index = ShardedTSIndex.build(series_values, LENGTH, shards=2)
         save_index(index, path, fsync=False)
-        meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
-        meta["format"] = 3
-        (path / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        _set_format(path, 3)
         with pytest.raises(SerializationError, match="format 3, written by a newer version"):
             load_index(path)
+
+    @pytest.mark.parametrize(
+        "kind, member", [("frozen", "uppers_t"), ("frozen", "children"), ("sharded", "s1_children")]
+    )
+    def test_a_version_2_archive_refuses_a_version_1_member(
+        self, tmp_path, series_values, kind, member
+    ):
+        """The version, not the members present, picks the layout: a
+        version-2 archive holding a version-1 member is refused by the
+        member's name, not loaded as version 1. The same members load
+        under ``format: 1``."""
+        path = tmp_path / kind
+        if kind == "frozen":
+            index = _frozen(series_values, "global")
+            children = np.arange(1, index.node_count)
+        else:
+            index = ShardedTSIndex.build(series_values, LENGTH, shards=2)
+            children = np.arange(1, index.shards[1].node_count)
+        save_index(index, path, fsync=False)
+        if member == "uppers_t":
+            np.save(path / "uppers_t.npy", np.ascontiguousarray(index.arrays()["uppers"].T))
+        else:
+            np.save(path / f"{member}.npy", children)
+        with pytest.raises(SerializationError, match=repr(member)):
+            load_index(path)
+        _set_format(path, 1)
+        assert load_index(path).size == index.size
 
 
 class TestLoadMetric:
