@@ -16,7 +16,11 @@ which walks the shards joined into one tree (their forest). Every
 (executor, workers) point is gated before it is timed: positions and
 distances byte-identical to the calling thread's, and structural query
 stats equal to a direct per-shard walk, summed — a pool walks the
-shards, not the forest. Results are written as JSON
+shards, not the forest. Every pool is open before timing starts, and
+each repetition times every arm (the calling thread included) once, in
+an order rotated by one arm per repetition, keeping each arm's best:
+drift of the machine, and the state a pool leaves the process in, land
+on all arms alike instead of on whichever arm ran last. Results are written as JSON
 (``BENCH_scaling.json`` by default; git-ignored, never committed) in
 the ``repro.bench/1`` envelope. This is the one runner kept outside
 twinbench: no twinbench workload yet sits on the ``executor="process"``
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import os
 import shutil
 import sys
@@ -77,7 +82,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     )
     parser.add_argument(
         "--repeats", type=int, default=3,
-        help="timing repetitions; best is kept (default: 3)",
+        help="timing repetitions, each running every arm once in a "
+        "rotated order; each arm's best is kept (default: 3)",
     )
     parser.add_argument(
         "--neighbors", type=int, default=10,
@@ -108,15 +114,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     if args.shards is None:
         args.shards = max(4, max(args.workers))
     return args
-
-
-def _best_of(repeats: int, run) -> float:
-    best = np.inf
-    for _ in range(repeats):
-        started = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - started)
-    return best
 
 
 def _pick_epsilon(engine, queries, positions, length, neighbors: int) -> float:
@@ -192,23 +189,15 @@ def main(argv=None) -> int:
 
         calling_results = _run_workload(engine, queries, epsilon)
         shard_stats = _shard_stats(engine, queries, epsilon)
-        calling_seconds = _best_of(
-            args.repeats, lambda: _run_workload(engine, queries, epsilon)
-        )
-        print(
-            f"calling thread (forest): "
-            f"{1e3 * calling_seconds / len(queries):.2f}ms/q "
-            f"({len(queries) / calling_seconds:.1f} qps)"
-        )
-
-        curve = []
         pools = {
             "thread": concurrent.futures.ThreadPoolExecutor,
             "process": concurrent.futures.ProcessPoolExecutor,
         }
-        for executor_kind, make_pool in pools.items():
-            for workers in args.workers:
-                with make_pool(max_workers=workers) as pool:
+        arms = [("calling", 0, None)]
+        with contextlib.ExitStack() as stack:
+            for executor_kind, make_pool in pools.items():
+                for workers in args.workers:
+                    pool = stack.enter_context(make_pool(max_workers=workers))
                     # Warm-up run: fork + archive open for process
                     # workers, thread spin-up for the thread pool —
                     # and the equality gate in the same pass.
@@ -218,23 +207,37 @@ def main(argv=None) -> int:
                         _run_workload(engine, queries, epsilon, pool),
                         f"{executor_kind}x{workers}",
                     )
-                    seconds = _best_of(
-                        args.repeats,
-                        lambda: _run_workload(engine, queries, epsilon, pool),
-                    )
-                row = {
-                    "executor": executor_kind,
-                    "workers": workers,
-                    "seconds": round(seconds, 4),
-                    "ms_per_query": round(1e3 * seconds / len(queries), 4),
-                    "qps": round(len(queries) / seconds, 1),
-                    "speedup_vs_calling_thread": round(calling_seconds / seconds, 2),
-                }
-                curve.append(row)
-                print(
-                    f"{executor_kind} x{workers}: {row['ms_per_query']}ms/q "
-                    f"({row['speedup_vs_calling_thread']}x vs calling thread)"
-                )
+                    arms.append((executor_kind, workers, pool))
+            best = {(kind, workers): np.inf for kind, workers, _ in arms}
+            for repeat in range(args.repeats):
+                shift = repeat % len(arms)
+                for kind, workers, pool in arms[shift:] + arms[:shift]:
+                    started = time.perf_counter()
+                    _run_workload(engine, queries, epsilon, pool)
+                    seconds = time.perf_counter() - started
+                    best[kind, workers] = min(best[kind, workers], seconds)
+
+        calling_seconds = best.pop(("calling", 0))
+        print(
+            f"calling thread (forest): "
+            f"{1e3 * calling_seconds / len(queries):.2f}ms/q "
+            f"({len(queries) / calling_seconds:.1f} qps)"
+        )
+        curve = []
+        for (executor_kind, workers), seconds in best.items():
+            row = {
+                "executor": executor_kind,
+                "workers": workers,
+                "seconds": round(seconds, 4),
+                "ms_per_query": round(1e3 * seconds / len(queries), 4),
+                "qps": round(len(queries) / seconds, 1),
+                "speedup_vs_calling_thread": round(calling_seconds / seconds, 2),
+            }
+            curve.append(row)
+            print(
+                f"{executor_kind} x{workers}: {row['ms_per_query']}ms/q "
+                f"({row['speedup_vs_calling_thread']}x vs calling thread)"
+            )
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 

@@ -199,15 +199,6 @@ def fan_out(
     return [future.result() for future in futures]
 
 
-def map_with_executor(executor, fn, items: Sequence) -> list:
-    """``[fn(item) for item in items]``, fanned out on ``executor`` when
-    one is given and there is more than one item — the query-level
-    batch loop (index *parts* fan out through
-    :class:`repro.query.parts.PartSet`). Result order always matches
-    the input order; :func:`fan_out` with its default labels."""
-    return fan_out(executor, fn, items)
-
-
 def iter_chunks(total: int, chunk_size: int) -> Iterator[tuple[int, int]]:
     """Yield ``(start, stop)`` pairs covering ``range(total)`` in chunks."""
     if chunk_size < 1:

@@ -9,13 +9,24 @@ The resulting tree answers queries with the exact same machinery (and
 the same correctness guarantees — Lemma 1 only needs nodes' MBTS to
 cover their subtrees, which holds by construction).
 
-**Leaves** are runs of ``fill`` windows in position order: neighbouring
+**Leaves** are runs of ``fill`` windows in position order
+(:attr:`~repro.core.tsindex.TSIndexParams.bulk_fill`): neighbouring
 windows overlap in ``l - 1`` points, so a run's envelope is tight for a
 smooth series. (Sorting windows by mean or by a PAA word instead cost
 10–12× the candidates per query.) A leaf envelope is the max / min over
-its windows, computed for a block of leaves at a time over a
-``(leaves, fill, l)`` view of the windows; max and min do not round, so
-the envelopes are those of :meth:`MBTS.from_sequences`, bit for bit.
+its windows, and for a run ``[s, s + fill)`` its entry at timestamp
+``t`` is the max / min of the ``fill`` values from ``s + t`` on: entry
+``s + t`` of the series' width-``fill`` *sliding extrema*
+(:func:`sliding_extrema`, O(n) by van Herk / Gil-Werman block prefixes
+and suffixes). So the sliding extrema are computed once, the full runs'
+rows are read from them, and the tree keeps them instead of those rows
+(the run layout of :class:`~repro.core.frozen.FrozenTSIndex`). Max and
+min do not round, so the envelopes are those of
+:meth:`MBTS.from_sequences`, bit for bit. Two kinds of leaf are reduced
+over their windows instead: the one or two irregular last runs, and,
+under per-window normalization (each window scaled on its own, so no
+series-wide extrema exist), every leaf, a block of
+:data:`_LEAF_BLOCK` leaves at a time over a ``(leaves, fill, l)`` view.
 
 **Upper levels** are packed by a sort-tile-recursive (STR) sort: while
 a level holds more than ``fill`` nodes it is ordered by a 4-segment PAA
@@ -40,6 +51,7 @@ import time
 import numpy as np
 import numpy.typing as npt
 
+from .._util import FLOAT_DTYPE
 from .frozen import FrozenTSIndex, _concat_ranges
 from .normalization import Normalization
 from .stats import BuildStats
@@ -48,15 +60,12 @@ from .windows import WindowSource
 
 __all__ = ["bulk_load", "bulk_load_source"]
 
-#: Leaf/internal fill as a fraction of ``max_children``.
-_FILL_FRACTION = 0.75
-
 #: PAA segments of the envelope-midline summary the upper levels are
 #: sorted by.
 _SUMMARY_SEGMENTS = 4
 
-#: Leaves whose envelopes are reduced in one block (bounds the
-#: temporaries a per-window normalization copies).
+#: Leaves whose envelopes are reduced in one block under per-window
+#: normalization (bounds the temporaries it copies).
 _LEAF_BLOCK = 64
 
 _Pair = tuple[np.ndarray, np.ndarray]
@@ -79,22 +88,48 @@ def bulk_load_source(
 ) -> FrozenTSIndex:
     """Bulk load from a prepared :class:`WindowSource`."""
     params = params or TSIndexParams()
-    fill = max(
-        params.min_children,
-        min(params.max_children, int(round(params.max_children * _FILL_FRACTION))),
-    )
+    fill = params.bulk_fill
 
     started = time.perf_counter()
-    runs = _leaf_runs(source.count, fill, params.min_children)
-    uppers, lowers, keys = _leaf_envelopes(source, runs, fill)
-    levels, groupings = _stack_levels(uppers, lowers, keys, fill)
-    arrays = _bfs_arrays(levels, groupings, np.array(runs, dtype=np.int64))
+    runs = np.array(_leaf_runs(source.count, fill, params.min_children), dtype=np.int64)
+    slides = None
+    if source.normalization is not Normalization.PER_WINDOW:
+        slides = sliding_extrema(source.values, fill)
+    uppers, lowers = _leaf_envelopes(source, runs, fill, slides)
+    levels, groupings = _stack_levels(uppers, lowers, _summaries(uppers, lowers), fill)
+    arrays = _bfs_arrays(levels, groupings, runs, slides)
     stats = BuildStats(
         windows=source.count, height=len(levels), nodes=arrays["kinds"].size
     )
     index = FrozenTSIndex(source, params, stats, arrays)
     stats.seconds = time.perf_counter() - started
     return index
+
+
+def sliding_extrema(values: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(max, min)`` of every ``width`` consecutive entries of
+    ``values``: ``values.size - width + 1`` entries each (none when
+    ``values`` is shorter), in O(n) by the van Herk / Gil-Werman scheme.
+    The values are cut into blocks of ``width``; a window covers the
+    end of one block and the start of the next, so its extremum is that
+    of a block suffix and a block prefix, both running accumulations.
+    Max and min do not round: every entry equals a direct reduction of
+    its window."""
+    count = values.size - width + 1
+    if count <= 0:
+        return np.empty(0, dtype=FLOAT_DTYPE), np.empty(0, dtype=FLOAT_DTYPE)
+    blocks = -(-values.size // width)
+    extrema = []
+    for ufunc, pad in ((np.maximum, -np.inf), (np.minimum, np.inf)):
+        padded = np.full(blocks * width, pad)
+        padded[: values.size] = values
+        # Accumulate down the columns of the (width, blocks) transpose:
+        # ``width`` vector steps across all blocks at once.
+        columns = padded.reshape(blocks, width).T
+        prefix = ufunc.accumulate(columns, axis=0).T.ravel()
+        suffix = ufunc.accumulate(columns[::-1], axis=0)[::-1].T.ravel()
+        extrema.append(ufunc(suffix[:count], prefix[width - 1 : width - 1 + count]))
+    return extrema[0], extrema[1]
 
 
 def _leaf_runs(total: int, fill: int, minimum: int) -> list[tuple[int, int]]:
@@ -116,32 +151,41 @@ def _leaf_runs(total: int, fill: int, minimum: int) -> list[tuple[int, int]]:
 
 
 def _leaf_envelopes(
-    source: WindowSource, runs: list[tuple[int, int]], fill: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(leaves, l)`` upper / lower envelopes of the leaf runs and their
-    ``(leaves, s)`` :func:`_summaries`. The runs of exactly ``fill``
-    windows are reduced :data:`_LEAF_BLOCK` at a time over a
-    ``(leaves, fill, l)`` view of their windows; the one or two
-    irregular tail runs one at a time."""
+    source: WindowSource,
+    runs: np.ndarray,
+    fill: int,
+    slides: _Pair | None,
+) -> _Pair:
+    """``(leaves, l)`` upper / lower envelopes of the leaf ``runs``. The
+    runs of exactly ``fill`` windows (all but the last one or two) are
+    rows of the sliding extrema ``slides`` when there are any, else
+    reduced :data:`_LEAF_BLOCK` at a time over a ``(leaves, fill, l)``
+    view of their windows; the irregular runs are reduced one at a
+    time."""
     length = source.length
     uppers = np.empty((len(runs), length))
     lowers = np.empty((len(runs), length))
-    full = sum(1 for start, stop in runs if stop - start == fill)
-    blocks = [
-        (first, min(first + _LEAF_BLOCK, full))
-        for first in range(0, full, _LEAF_BLOCK)
-    ] + [(leaf, leaf + 1) for leaf in range(full, len(runs))]
-    keys = []
+    full = int(np.count_nonzero(runs[:, 1] - runs[:, 0] == fill))
+    if slides is not None:
+        blocks = [(leaf, leaf + 1) for leaf in range(full, len(runs))]
+        if full:
+            for rows, slide in zip((uppers, lowers), slides):
+                view = np.lib.stride_tricks.sliding_window_view(slide, length)
+                rows[:full] = view[runs[:full, 0]]
+    else:
+        blocks = [
+            (first, min(first + _LEAF_BLOCK, full))
+            for first in range(0, full, _LEAF_BLOCK)
+        ] + [(leaf, leaf + 1) for leaf in range(full, len(runs))]
     for first, last in blocks:
-        start, stop = runs[first][0], runs[last - 1][1]
+        start, stop = int(runs[first, 0]), int(runs[last - 1, 1])
         if last - first == 1:
             block = source.window_block(start, stop)[None]
         else:
             block = source.window_block(start, stop).reshape(-1, fill, length)
         np.max(block, axis=1, out=uppers[first:last])
         np.min(block, axis=1, out=lowers[first:last])
-        keys.append(_summaries(uppers[first:last], lowers[first:last]))
-    return uppers, lowers, np.concatenate(keys)
+    return uppers, lowers
 
 
 def _summaries(uppers: np.ndarray, lowers: np.ndarray) -> np.ndarray:
@@ -204,12 +248,18 @@ def _stack_levels(
 
 
 def _bfs_arrays(
-    levels: list[_Pair], groupings: list[_Pair], runs: np.ndarray
+    levels: list[_Pair],
+    groupings: list[_Pair],
+    runs: np.ndarray,
+    slides: _Pair | None,
 ) -> dict:
-    """The :data:`~repro.core.frozen.ARRAY_FIELDS` of the stacked
-    levels in BFS order, root first: walking down, a level's nodes are
-    its parents' child groups, taken in the parents' order. ``runs``
-    holds each leaf's ``[start, stop)`` positions."""
+    """The arrays of the stacked levels in BFS order, root first:
+    walking down, a level's nodes are its parents' child groups, taken
+    in the parents' order. ``runs`` holds each leaf's ``[start, stop)``
+    positions. With ``slides`` they are the input of
+    :class:`~repro.core.frozen.FrozenTSIndex`'s run layout (whole
+    envelopes, the sliding extrema and every leaf's first position),
+    else the :data:`~repro.core.frozen.ARRAY_FIELDS`."""
     orders = [np.zeros(1, dtype=np.int64)]
     fanouts = []
     for order, bounds in reversed(groupings):
@@ -228,11 +278,18 @@ def _bfs_arrays(
     sizes = runs[leaves, 1] - runs[leaves, 0]
     fanout = np.concatenate([*fanouts, np.zeros_like(sizes)])
     leaf_sizes = np.concatenate([np.zeros(internal, dtype=np.int64), sizes])
-    return {
+    arrays = {
         "uppers": envelopes[0],
         "lowers": envelopes[1],
         "kinds": (np.arange(n) >= internal).astype(np.int8),
         "children_offsets": np.concatenate([[0], np.cumsum(fanout)]),
         "leaf_offsets": np.concatenate([[0], np.cumsum(leaf_sizes)]),
-        "positions": _concat_ranges(runs[leaves, 0], sizes),
     }
+    if slides is None:
+        arrays["positions"] = _concat_ranges(runs[leaves, 0], sizes)
+    else:
+        arrays["leaf_starts"] = np.concatenate(
+            [np.zeros(internal, dtype=np.int64), runs[leaves, 0]]
+        )
+        arrays["uppers_slide"], arrays["lowers_slide"] = slides
+    return arrays

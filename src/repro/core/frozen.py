@@ -19,7 +19,8 @@ structure-of-arrays *query plane*:
   layout;
 * ``leaf_offsets`` / ``positions`` — one contiguous array of all leaf
   window positions with per-node half-open spans (empty for internal
-  nodes).
+  nodes); a tree in the run layout (below) lists no positions and
+  keeps each leaf's first one instead.
 
 Queries then run *level by level*: a table of each level's id range is
 built once, a level's frontier is a mask over that range, and the next
@@ -69,6 +70,33 @@ timestamps went where follows from the shapes. A prefix query of length
 parts. The constructor is the only code that cuts matrices, and
 ``_head_tail`` the only code that says how.
 
+**The run layout** (:data:`RUN_ARRAY_FIELDS`). A bulk-loaded leaf
+(:mod:`~repro.core.bulkload`) is a run of ``k = params.bulk_fill``
+consecutive windows ``[s, s + k)``, so its envelope at timestamp ``t``
+is entry ``s + t`` of the series' width-``k`` sliding max / min, and
+rounding outward is monotone, so its float32 row is that of the rounded
+extrema, bit for bit — the consecutive-offset envelope ULISSE (arXiv
+2009.11648) builds. A bulk-built tree therefore keeps, per bound, one
+flat float32 *pool*: the rounded sliding extrema over its source, then
+the whole rows of every node that is not such a *full run* — internal
+nodes and the one or two irregular last runs — in id order. Node
+``i``'s whole row is ``pool[r : r + l]`` for ``r = pool_rows[i]`` (a
+full run's ``r`` is its first window ``s``), one row of a zero-copy
+sliding view, and a leaf's positions are the run from ``leaf_starts``.
+The heads stay for every node. Finishing a survivor is then a fancy row
+gather from that view, compared over all ``m`` timestamps (the head
+ones again, harmlessly): ≈ 15–30 % more per surviving node than a
+stored tail row (a leaf tail pass of 300 / 1,500 leaves of a
+200,000-window, ``l = 100`` tree: 37 → 42 / 172 → 224 µs, 2-core box;
+``np.take`` on the view would copy the whole view, and a gather through
+an index array took 120 / 580 µs), for a tree of 20.8 instead of 46.9
+bytes per window (twinbench ``twin_sparse``). Per-window normalization scales each
+window on its own, so no sliding rule holds; those trees, and
+insertion-built ones (``TSIndex.freeze()``), whose leaves are not runs,
+keep the stored head / tail layout and ``positions``. A tree's layout
+is fixed by its input (``leaf_starts`` given or not) and every method
+branches on it once, never per node.
+
 **One tree format.** :data:`ARRAY_FIELDS` — BFS, root first, CSR
 offsets — is how every TS-Index tree is held as arrays, pointer trees
 included: :func:`flatten` is the one walk from ``_Node`` objects to
@@ -100,7 +128,13 @@ leaves), ranked.
 synthetic root whose envelope covers the trees' roots, over each tree's
 level ``d`` at level ``d + 1``, in tree order. One walk and one
 verification then answer for all the trees; the live plane joins its
-sealed segments this way (:class:`repro.live.LiveTwinIndex`).
+sealed segments this way (:class:`repro.live.LiveTwinIndex`), and the
+sharded plane its shards for a calling-thread query. Trees in the run
+layout join in it, as their own memory: the forest's sliding extrema
+are the trees', copied to their offsets (where two trees' spans
+overlap, their entries are equal), never re-reduced from the source,
+so the forest, like its trees, holds about half the bytes a stored
+layout would.
 
 Lifecycle: either **insert** into the dynamic tree and **freeze** it
 once writes stop, or **bulk load** (:mod:`~repro.core.bulkload`), which
@@ -210,6 +244,25 @@ RAW_ARRAY_FIELDS = (
     "children_offsets",
     "leaf_offsets",
     "positions",
+)
+
+#: The arrays of a tree in the *run layout* (bulk-built trees and their
+#: joins; see the module docstring): the same heads, and per bound a
+#: flat float32 *pool* — the width-``k`` sliding extrema, then the
+#: whole rows of the nodes that are not full runs — with each leaf's
+#: first position (``leaf_starts``) in place of ``positions``. Adopted
+#: zero-copy like :data:`RAW_ARRAY_FIELDS`. Each node's row start in
+#: the pool (``pool_rows``) follows from them, so the constructor
+#: derives it and archives do not store it.
+RUN_ARRAY_FIELDS = (
+    "uppers_head",
+    "uppers_pool",
+    "lowers_head",
+    "lowers_pool",
+    "kinds",
+    "children_offsets",
+    "leaf_offsets",
+    "leaf_starts",
 )
 
 
@@ -369,27 +422,34 @@ def unflatten(arrays: Mapping[str, np.ndarray]) -> _Node | None:
 
 
 def check_structure(arrays: Mapping[str, np.ndarray], count: int) -> None:
-    """Refuse tree arrays (any :data:`ARRAY_FIELDS` layout's ``kinds`` /
-    ``children_offsets`` / ``leaf_offsets`` / ``positions``) that are
-    not one BFS tree over windows ``0 .. count``, with
-    :class:`~repro.exceptions.InvalidParameterError`: a corrupted or
-    hand-built archive must fail loudly here, not return silently wrong
-    answers later."""
+    """Refuse tree arrays (any layout's ``kinds`` / ``children_offsets``
+    / ``leaf_offsets`` and its ``positions`` or, in the run layout,
+    ``leaf_starts``) that are not one BFS tree over windows
+    ``0 .. count``, with :class:`~repro.exceptions.InvalidParameterError`:
+    a corrupted or hand-built archive must fail loudly here, not return
+    silently wrong answers later."""
     kinds = arrays["kinds"]
     children_offsets = arrays["children_offsets"]
     leaf_offsets = arrays["leaf_offsets"]
-    positions = arrays["positions"]
+    positions = arrays.get("positions")
     n = kinds.size
-    # One root: every other node takes one child slot.
+    # One root: every other node takes one child slot. A run-layout
+    # tree's leaves name no stored positions, so only a stored layout's
+    # leaf offsets must count its ``positions``.
     for name, offsets, members, what in (
         ("children_offsets", children_offsets, max(n - 1, 0), "the non-root nodes"),
-        ("leaf_offsets", leaf_offsets, positions.size, "len(positions)"),
+        (
+            "leaf_offsets",
+            leaf_offsets,
+            None if positions is None else positions.size,
+            "len(positions)",
+        ),
     ):
         if offsets.shape != (n + 1,):
             raise InvalidParameterError(
                 f"{name} must have {n + 1} entries, got {offsets.size}"
             )
-        if int(offsets[-1]) != members:
+        if members is not None and int(offsets[-1]) != members:
             raise InvalidParameterError(
                 f"{name}[-1] must count {what}, got "
                 f"{int(offsets[-1])} vs {members}"
@@ -398,7 +458,20 @@ def check_structure(arrays: Mapping[str, np.ndarray], count: int) -> None:
             raise InvalidParameterError(
                 f"{name} must start at 0 and be non-decreasing"
             )
-    if positions.size and (
+    if positions is None:
+        starts = arrays["leaf_starts"]
+        if starts.shape != (n,):
+            raise InvalidParameterError(
+                f"leaf_starts must have {n} entries, got {starts.size}"
+            )
+        leaves = kinds == 1
+        first, stop = starts[leaves], starts[leaves] + np.diff(leaf_offsets)[leaves]
+        if first.size and (int(first.min()) < 0 or int(stop.max()) > count):
+            raise InvalidParameterError(
+                f"leaf runs must lie in [0, {count}), got range "
+                f"[{int(first.min())}, {int(stop.max())})"
+            )
+    elif positions.size and (
         int(positions.min()) < 0 or int(positions.max()) >= count
     ):
         raise InvalidParameterError(
@@ -416,6 +489,14 @@ def check_structure(arrays: Mapping[str, np.ndarray], count: int) -> None:
         )
     if np.any(np.diff(children_offsets)[kinds == 1]):
         raise InvalidParameterError("leaf nodes must have no children")
+
+
+def _row_view(pool: np.ndarray, length: int) -> np.ndarray:
+    """The ``(·, length)`` zero-copy view of every ``length`` consecutive
+    entries of a pool: row ``r`` is ``pool[r : r + length]``."""
+    if pool.size < length:
+        return np.empty((0, length), dtype=pool.dtype)
+    return np.lib.stride_tricks.sliding_window_view(pool, length)
 
 
 class FrozenTSIndex:
@@ -448,13 +529,20 @@ class FrozenTSIndex:
         "_build_stats",
         "_freeze_seconds",
         "_upper_head",
-        "_upper_tail",
         "_lower_head",
+        "_upper_tail",
         "_lower_tail",
+        "_positions",
+        "_upper_pool",
+        "_lower_pool",
+        "_upper_rows",
+        "_lower_rows",
+        "_pool_rows",
+        "_leaf_starts",
+        "_slide_size",
         "_kinds",
         "_children_offsets",
         "_leaf_offsets",
-        "_positions",
         "_levels",
         "_root_rows",
     )
@@ -473,71 +561,135 @@ class FrozenTSIndex:
         self._build_stats = build_stats
         self._freeze_seconds = float(freeze_seconds)
 
-        # Envelopes arrive in the resident head/tail layout (raw
-        # archives, ``raw_arrays``: adopted as they are — for a
-        # contiguous float32 memmap that is zero-copy, which is what
-        # makes mmap cold starts O(1) in the envelope size) or as whole
-        # ``(n, l)`` matrices (``flatten``, the bulk loader, ``.npz``
-        # and pointer-tree archives, ``arrays``), which are cut here,
-        # once. Float64 input is rounded outward on the same occasion.
-        # One bound at a time: the rounded whole matrix of the first is
-        # released before the second's exists.
-        parts = []
-        for name, rounded in (("uppers", round_up_f32), ("lowers", round_down_f32)):
-            if f"{name}_head" in arrays:
-                head = rounded(arrays[f"{name}_head"])
-                tail = rounded(arrays[f"{name}_tail"])
-            else:
-                head, tail = _head_tail(rounded(arrays[name]))
-                head = head.T
-            head, tail = np.ascontiguousarray(head), np.ascontiguousarray(tail)
-            parts += [head, tail]
-        upper_head, upper_tail, lower_head, lower_tail = parts
+        # A tree whose leaves are named by ``leaf_starts`` is held in
+        # the run layout, any other in the stored one (module docstring).
+        run = "leaf_starts" in arrays
         structure = {
             name: np.ascontiguousarray(arrays[name], dtype=dtype)
             for name, dtype in (
                 ("kinds", np.int8),
                 ("children_offsets", np.int64),
                 ("leaf_offsets", np.int64),
-                ("positions", POSITION_DTYPE),
+                ("leaf_starts" if run else "positions", POSITION_DTYPE),
             )
         }
         kinds = structure["kinds"]
-        children_offsets = structure["children_offsets"]
-
         n = kinds.size
         length = source.length
+        check_structure(structure, source.count)
+        if run:
+            # Full-run leaves read the sliding extrema; every other node
+            # keeps a whole row after them, in id order.
+            counts = np.diff(structure["leaf_offsets"])
+            full = (kinds == 1) & (counts == params.bulk_fill)
+            stored = np.flatnonzero(~full)
+
+        # Envelopes arrive in a resident layout (raw archives,
+        # ``raw_arrays``: adopted as they are — for a contiguous float32
+        # memmap that is zero-copy, which is what makes mmap cold starts
+        # O(1) in the envelope size) or as whole ``(n, l)`` matrices
+        # (``flatten``, the bulk loader, ``.npz`` and pointer-tree
+        # archives, ``arrays``), which are cut here, once — in the run
+        # layout, beside the sliding extrema they come with. Float64
+        # input is rounded outward on the same occasion. One bound at a
+        # time: the rounded whole matrix of the first is released before
+        # the second's exists.
+        parts = []
+        for name, rounded in (("uppers", round_up_f32), ("lowers", round_down_f32)):
+            if f"{name}_head" in arrays:
+                head = rounded(arrays[f"{name}_head"])
+                rest = rounded(arrays[f"{name}_pool" if run else f"{name}_tail"])
+            elif run:
+                whole = arrays[name]
+                head = rounded(whole[:, ::_HEAD_STRIDE]).T
+                rest = np.concatenate(
+                    [rounded(arrays[f"{name}_slide"]), rounded(whole[stored]).ravel()]
+                )
+            else:
+                head, rest = _head_tail(rounded(arrays[name]))
+                head = head.T
+            parts += [np.ascontiguousarray(head), np.ascontiguousarray(rest)]
+        upper_head, upper_rest, lower_head, lower_rest = parts
+
         # The sampled timestamps follow from the shapes alone, so an
         # archive needs no record of them.
         head = -(-length // _HEAD_STRIDE)
-        shapes = ((head, n), (n, length - head))
-        if (upper_head.shape, upper_tail.shape) != shapes or (
+        if run:
+            shapes = ((head, n), (upper_rest.size,))
+            want = f"a {shapes[0]} head and one pool"
+        else:
+            shapes = ((head, n), (n, length - head))
+            want = f"a {shapes[0]} head and a {shapes[1]} tail"
+        if (upper_head.shape, upper_rest.shape) != shapes or (
             lower_head.shape,
-            lower_tail.shape,
+            lower_rest.shape,
         ) != shapes:
             raise InvalidParameterError(
-                f"envelope matrices must cover ({n}, {length}) as a "
-                f"{shapes[0]} head and a {shapes[1]} tail, got "
-                f"{upper_head.shape} + {upper_tail.shape} and "
-                f"{lower_head.shape} + {lower_tail.shape}"
+                f"envelope matrices must cover ({n}, {length}) as {want}, "
+                f"got {upper_head.shape} + {upper_rest.shape} and "
+                f"{lower_head.shape} + {lower_rest.shape}"
             )
-        check_structure(structure, source.count)
 
         # The whole point of freezing is immutability; every stored
         # handle is a read-only view, so accidental writes are loud —
         # without ever flipping the write flag on caller-owned arrays.
         self._kinds = _read_only(kinds)
-        self._children_offsets = _read_only(children_offsets)
+        self._children_offsets = _read_only(structure["children_offsets"])
         self._leaf_offsets = _read_only(structure["leaf_offsets"])
-        self._positions = _read_only(structure["positions"])
         # Each bound is held once, in two parts (see the module
         # docstring): the sweep over a frontier reads the head, one
         # contiguous row per sampled timestamp, and a node that
-        # survives it is finished from its own contiguous tail row.
+        # survives it is finished from its own contiguous row.
         self._upper_head = _read_only(upper_head)
-        self._upper_tail = _read_only(upper_tail)
         self._lower_head = _read_only(lower_head)
-        self._lower_tail = _read_only(lower_tail)
+        self._upper_tail = self._lower_tail = self._positions = None
+        self._upper_pool = self._lower_pool = self._upper_rows = self._lower_rows = None
+        self._pool_rows = self._leaf_starts = None
+        self._slide_size = 0
+        if run:
+            slide = upper_rest.size - length * stored.size
+            starts = structure["leaf_starts"]
+            pool_rows = starts.copy()
+            pool_rows[stored] = slide + length * np.arange(stored.size)
+            if slide < 0 or np.any(starts[full] + length > slide):
+                raise InvalidParameterError(
+                    f"envelope pools of {upper_rest.size} entries cannot "
+                    f"hold {stored.size} rows of {length} after sliding "
+                    "extrema covering every full-run leaf"
+                )
+            if "pool_rows" in arrays and not np.array_equal(arrays["pool_rows"], pool_rows):
+                raise InvalidParameterError(
+                    "pool_rows must start the sliding extrema's row of every "
+                    "full-run leaf and the stored rows of the other nodes, "
+                    "in id order, after them (it is derived; pass none)"
+                )
+            self._upper_pool = _read_only(upper_rest)
+            self._lower_pool = _read_only(lower_rest)
+            self._upper_rows = _row_view(self._upper_pool, length)
+            self._lower_rows = _row_view(self._lower_pool, length)
+            self._pool_rows = _read_only(pool_rows)
+            self._leaf_starts = _read_only(starts)
+            self._slide_size = slide
+            # The root's whole ``(1, l)`` rows (none when empty) are a
+            # pool row each: views, no copy.
+            root = int(pool_rows[0]) if n else 0
+            self._root_rows = tuple(
+                rows[root : root + min(n, 1)]
+                for rows in (self._upper_rows, self._lower_rows)
+            )
+        else:
+            self._upper_tail = _read_only(upper_rest)
+            self._lower_tail = _read_only(lower_rest)
+            self._positions = _read_only(structure["positions"])
+            # The root's whole ``(1, l)`` rows (none when empty), copied
+            # once: the float64 root check reads them on every query,
+            # where reading them from the head and tail parts cost
+            # ≈ 10–15 µs more (twinbench live_ingest seed 1's data,
+            # 2-core box).
+            self._root_rows = tuple(
+                _read_only(_whole(head[:, :1], tail[:1]))
+                for head, tail in ((upper_head, upper_rest), (lower_head, lower_rest))
+            )
         # The level table: ``(start, stop, leaves)`` per depth, the
         # root first. A level's children are the next level, and the
         # slots of the nodes before ``stop`` name the nodes up to the
@@ -546,16 +698,8 @@ class FrozenTSIndex:
         start, stop = 0, min(n, 1)
         while start < stop:
             levels.append((start, stop, int(np.count_nonzero(kinds[start:stop]))))
-            start, stop = stop, int(children_offsets[stop]) + 1
+            start, stop = stop, int(self._children_offsets[stop]) + 1
         self._levels = tuple(levels)
-        # The root's whole ``(1, l)`` rows (none when empty), copied
-        # once: the float64 root check reads them on every query, where
-        # reading them from the head and tail parts cost ≈ 10–15 µs more
-        # (twinbench live_ingest seed 1's data, 2-core box).
-        self._root_rows = tuple(
-            _read_only(_whole(head[:, :1], tail[:1]))
-            for head, tail in ((upper_head, upper_tail), (lower_head, lower_tail))
-        )
 
     # ------------------------------------------------------------------
     # Construction
@@ -622,10 +766,22 @@ class FrozenTSIndex:
         )
 
     def arrays(self) -> dict:
-        """The flat arrays, envelopes as whole ``(n, l)`` matrices
-        (read-only; see :data:`ARRAY_FIELDS`). The matrices are
-        assembled from the resident parts per call — the ``thaw`` form
-        and a layout-independent digest, not a query path."""
+        """The flat arrays, envelopes as whole ``(n, l)`` matrices and
+        every leaf's positions listed (read-only; see
+        :data:`ARRAY_FIELDS`). They are assembled from the resident
+        parts per call — the ``thaw`` form and a layout-independent
+        digest, not a query path."""
+        if self._pool_rows is not None:
+            return {
+                "uppers": _read_only(self._upper_rows[self._pool_rows]),
+                "lowers": _read_only(self._lower_rows[self._pool_rows]),
+                "kinds": self._kinds,
+                "children_offsets": self._children_offsets,
+                "leaf_offsets": self._leaf_offsets,
+                "positions": _read_only(
+                    self._leaf_positions(np.flatnonzero(self._kinds))
+                ),
+            }
         raw = self.raw_arrays()
         matrices = {
             name: _read_only(_whole(raw.pop(f"{name}_head"), raw.pop(f"{name}_tail")))
@@ -634,19 +790,35 @@ class FrozenTSIndex:
         return {**matrices, **raw}
 
     def raw_arrays(self) -> dict:
-        """The flat arrays with the envelopes in their resident
-        head/tail layout (see :data:`RAW_ARRAY_FIELDS`) — the zero-copy
-        serialization form: nothing is re-laid-out on save, and
-        :meth:`from_arrays` adopts them (memmaps included) without
-        copying on load."""
+        """Every array the index holds, as it holds them: the envelopes
+        in their resident layout (:data:`RAW_ARRAY_FIELDS`, or
+        :data:`RUN_ARRAY_FIELDS` and the derived ``pool_rows`` for a
+        tree in the run layout) — the footprint the index occupies, and
+        the zero-copy serialization form: nothing is re-laid-out on
+        save, and :meth:`from_arrays` adopts them (memmaps included)
+        without copying on load. (The one other array is the root's
+        whole rows, a ``(1, l)`` copy per bound in the stored layout.)"""
+        structure = {
+            "kinds": self._kinds,
+            "children_offsets": self._children_offsets,
+            "leaf_offsets": self._leaf_offsets,
+        }
+        if self._pool_rows is not None:
+            return {
+                "uppers_head": self._upper_head,
+                "uppers_pool": self._upper_pool,
+                "lowers_head": self._lower_head,
+                "lowers_pool": self._lower_pool,
+                **structure,
+                "leaf_starts": self._leaf_starts,
+                "pool_rows": self._pool_rows,
+            }
         return {
             "uppers_head": self._upper_head,
             "uppers_tail": self._upper_tail,
             "lowers_head": self._lower_head,
             "lowers_tail": self._lower_tail,
-            "kinds": self._kinds,
-            "children_offsets": self._children_offsets,
-            "leaf_offsets": self._leaf_offsets,
+            **structure,
             "positions": self._positions,
         }
 
@@ -708,12 +880,31 @@ class FrozenTSIndex:
     # ------------------------------------------------------------------
     # Vectorized primitives over the flat arrays
     # ------------------------------------------------------------------
+    def _parts(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A query's or a threshold vector's timestamps ``0 .. m`` (the
+        last axis) as the two phases of the bound check read them: the
+        head part (:func:`_head_tail`), and the part a surviving node's
+        row is compared with — the tail part, or in the run layout,
+        whose pool rows are whole, all ``m`` (the head timestamps are
+        checked again, harmlessly)."""
+        if self._pool_rows is not None:
+            return values[..., ::_HEAD_STRIDE], values
+        return _head_tail(values)
+
     def _node_bound(self, query: np.ndarray, ids: slice | np.ndarray) -> np.ndarray:
         """(Clamped) Eq. 2 bound in float64 (the float32 values are
         promoted) of ``query`` against each node of ``ids`` (an id array
         or a contiguous range), over the query's own ``m`` timestamps:
-        leading slices of the node's head column and tail row. The k-NN
-        seed ranks by it."""
+        leading slices of the node's head column and tail row, or of its
+        whole pool row. The k-NN seed ranks by it."""
+        if self._pool_rows is not None:
+            rows = self._pool_rows[ids]
+            width = query.shape[-1]
+            return _part_bound(
+                query,
+                self._upper_rows[rows][:, :width],
+                self._lower_rows[rows][:, :width],
+            )
         head, tail = _head_tail(query)
         rows, width = head.shape[-1], tail.shape[-1]
         return np.maximum(
@@ -733,13 +924,21 @@ class FrozenTSIndex:
         self, ids: np.ndarray, lo_tail: np.ndarray, hi_tail: np.ndarray
     ) -> np.ndarray:
         """Second phase of the bound check: which of ``ids`` (survivors
-        of a head pass) also hold ``U >= lo`` and ``L <= hi`` at their
-        tail timestamps. One contiguous row read per node and bound;
-        ``lo_tail`` / ``hi_tail`` are one threshold vector, or one row
-        per id, over the first ``m - ceil(m / 4)`` tail columns."""
+        of a head pass) also hold ``U >= lo`` and ``L <= hi`` at the
+        timestamps of ``lo_tail`` / ``hi_tail`` — :meth:`_parts`' second
+        part of one threshold vector each. One contiguous row read per
+        node and bound: its stored tail row, or in the run layout a
+        fancy row gather from the pool's sliding view (``np.take`` on
+        that view would copy the whole view)."""
         width = lo_tail.shape[-1]
-        inside = np.take(self._upper_tail, ids, axis=0)[:, :width] >= lo_tail
-        inside &= np.take(self._lower_tail, ids, axis=0)[:, :width] <= hi_tail
+        if self._pool_rows is not None:
+            rows = self._pool_rows[ids]
+            upper, lower = self._upper_rows[rows], self._lower_rows[rows]
+        else:
+            upper = np.take(self._upper_tail, ids, axis=0)
+            lower = np.take(self._lower_tail, ids, axis=0)
+        inside = upper[:, :width] >= lo_tail
+        inside &= lower[:, :width] <= hi_tail
         return inside.all(axis=1)
 
     def _head_keep(
@@ -771,7 +970,7 @@ class FrozenTSIndex:
         ``visit`` (``count`` nodes, at least one) over the level's ids
         from ``base`` on: the offsets (into the level) of the visited
         nodes that hold ``U >= lo`` and ``L <= hi`` at every timestamp,
-        ``lo`` / ``hi`` being the :func:`_head_tail` parts of one
+        ``lo`` / ``hi`` being the :meth:`_parts` of one
         query's :func:`_thresholds` — two float32 compares and an ``&``
         per element, no arithmetic temporaries, in two phases.
 
@@ -809,9 +1008,12 @@ class FrozenTSIndex:
         return _concat_ranges(starts + 1, counts), counts
 
     def _leaf_positions(self, ids: np.ndarray) -> np.ndarray:
-        """Concatenated stored positions of every leaf in ``ids``."""
+        """Concatenated positions of every leaf in ``ids``: stored, or
+        in the run layout the runs from each leaf's first position."""
         starts = self._leaf_offsets[ids]
         counts = self._leaf_offsets[ids + 1] - starts
+        if self._leaf_starts is not None:
+            return _concat_ranges(self._leaf_starts[ids], counts)
         return self._positions[_concat_ranges(starts, counts)]
 
     # ------------------------------------------------------------------
@@ -937,7 +1139,7 @@ class FrozenTSIndex:
             stats[row].nodes_visited += 1
             stats[row].nodes_pruned += 1 - alive.size
             if alive.size:
-                bounds = _head_tail(lo[row]), _head_tail(hi[row])
+                bounds = self._parts(lo[row]), self._parts(hi[row])
                 walking.append((row, bounds, alive))
         leaves: list[list[np.ndarray]] = [[] for _ in stats]
         levels = self._levels
@@ -1139,8 +1341,26 @@ def join(
     ordinary BFS tree. Below the root each tree contributes one
     contiguous span of every array per level, so the result is
     ``trees × levels`` slice copies — its own memory, as much as the
-    trees' arrays together; the trees stay untouched."""
+    trees' arrays together; the trees stay untouched.
+
+    Trees in the run layout (of one ``bulk_fill``) join in it: the
+    forest's sliding extrema are the trees' own, copied to their
+    positions (entry ``e`` of a tree's is a function of the source's
+    values ``e .. e + k``, so trees that overlap there hold equal
+    entries), and its pool rows are the root's and the trees' stored
+    ones. Any other mix joins in the stored layout."""
     started = time.perf_counter()
+    fill = trees[0].params.bulk_fill
+    run = all(
+        tree._pool_rows is not None and tree.params.bulk_fill == fill for tree in trees
+    )
+    if not run:
+        trees = [
+            tree
+            if tree._pool_rows is None
+            else FrozenTSIndex(tree.source, tree.params, tree.build_stats, tree.arrays())
+            for tree in trees
+        ]
     spans = [
         (tree, shift, *tree._levels[level][:2])
         for level in range(max(tree.height for tree in trees))
@@ -1163,23 +1383,66 @@ def join(
         "kinds": kinds,
         "children_offsets": offsets("_children_offsets", roots),
         "leaf_offsets": offsets("_leaf_offsets", 0),
-        "positions": np.concatenate(
+    }
+    if run:
+        leaf_starts = np.concatenate(
+            [
+                np.zeros(1, dtype=np.int64),
+                *(tree._leaf_starts[a:b] + shift for tree, shift, a, b in spans),
+            ]
+        )
+        leaf_starts[kinds == 0] = 0
+        arrays["leaf_starts"] = leaf_starts
+        # A span's stored rows follow one another in its tree's pool
+        # (they are laid out in id order): one slice each.
+        length = source.length
+        stored = []
+        for tree, _, a, b in spans:
+            rows = tree._pool_rows[a:b]
+            rows = rows[rows >= tree._slide_size]
+            if rows.size:
+                stored.append((tree, int(rows[0]), int(rows[-1]) + length))
+    else:
+        arrays["positions"] = np.concatenate(
             [
                 tree._positions[tree._leaf_offsets[a] : tree._leaf_offsets[b]] + shift
                 for tree, shift, a, b in spans
             ]
-        ),
-    }
-    for name, head, tail, cover in (
-        ("uppers", "_upper_head", "_upper_tail", np.max),
-        ("lowers", "_lower_head", "_lower_tail", np.min),
-    ):
-        heads = [getattr(tree, head)[:, a:b] for tree, _, a, b in spans]
-        tails = [getattr(tree, tail)[a:b] for tree, _, a, b in spans]
+        )
+    for name, bound, cover in (("uppers", "upper", np.max), ("lowers", "lower", np.min)):
+        heads = [getattr(tree, f"_{bound}_head")[:, a:b] for tree, _, a, b in spans]
         arrays[f"{name}_head"] = np.concatenate(
             [cover(heads[:roots], axis=0), *heads], axis=1
         )
-        arrays[f"{name}_tail"] = np.concatenate([cover(tails[:roots], axis=0), *tails])
+        if not run:
+            tails = [getattr(tree, f"_{bound}_tail")[a:b] for tree, _, a, b in spans]
+            arrays[f"{name}_tail"] = np.concatenate(
+                [cover(tails[:roots], axis=0), *tails]
+            )
+            continue
+        # The sliding extrema: each tree's entries from where the ones
+        # before it end (zeros over a gap no tree covers).
+        pieces, end = [], 0
+        for tree, shift in zip(trees, starts):
+            if shift > end:
+                pieces.append(np.zeros(shift - end, dtype=ENVELOPE_DTYPE))
+            pieces.append(getattr(tree, f"_{bound}_pool")[max(end - shift, 0) : tree._slide_size])
+            end = max(end, shift + tree._slide_size)
+        root = cover(
+            [
+                getattr(tree, f"_{bound}_rows")[tree._pool_rows[:1]]
+                for tree in trees
+                if tree.node_count
+            ],
+            axis=0,
+        )
+        arrays[f"{name}_pool"] = np.concatenate(
+            [
+                *pieces,
+                root.ravel(),
+                *(getattr(tree, f"_{bound}_pool")[a:b] for tree, a, b in stored),
+            ]
+        )
     stats = [tree.build_stats for tree in trees]
     build_stats = BuildStats(
         seconds=max(stat.seconds for stat in stats),

@@ -47,6 +47,10 @@ from .windows import WindowSource
 #: single-timestamp enlargement.
 SPLIT_METRICS = ("area", "max")
 
+#: A bulk-loaded node's fill as a fraction of ``max_children``
+#: (:attr:`TSIndexParams.bulk_fill`).
+_FILL_FRACTION = 0.75
+
 
 @dataclasses.dataclass(frozen=True)
 class TSIndexParams:
@@ -74,6 +78,19 @@ class TSIndexParams:
                 f"split_metric must be one of {SPLIT_METRICS}, "
                 f"got {self.split_metric!r}"
             )
+
+    @property
+    def bulk_fill(self) -> int:
+        """Windows per leaf, and children per parent, of a bulk-loaded
+        tree (:mod:`repro.core.bulkload`): ``3/4`` of ``max_children``,
+        at least ``min_children``. A bulk-built
+        :class:`~repro.core.frozen.FrozenTSIndex` reads every leaf of
+        exactly this many windows from its width-``bulk_fill`` sliding
+        extrema."""
+        return max(
+            self.min_children,
+            min(self.max_children, int(round(self.max_children * _FILL_FRACTION))),
+        )
 
 
 class _Node:

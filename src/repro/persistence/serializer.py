@@ -29,16 +29,23 @@ shard or a :func:`~repro.core.frozen.join` of trees, is stored in one
 format: the BFS, root-first, CSR arrays of
 :data:`~repro.core.frozen.ARRAY_FIELDS`, whose child ids are implicit:
 no ``children`` member list is written (older archives' one is checked
-and dropped on load). That layout is format version 2: readers of
-version 1, which expect the list, refuse it by its version, as this one
-refuses any version newer than its own. A pointer tree stores them as
+and dropped on load). A pointer tree stores them as
 :func:`~repro.core.frozen.flatten` returns them, float64 envelopes
 included, and loads back through :func:`~repro.core.frozen.unflatten`
-bit for bit. A frozen index stores its arrays natively, envelopes as the
-outward-rounded float32 head and tail parts it holds (each array file
-records its own dtype), so loading one is pure array reads — no node
-objects rebuilt, no windows re-inserted. Every layout older archives
-hold is converted to that format in one place, :func:`_upgrade`, and
+bit for bit. A frozen index stores its arrays natively, as it holds
+them (``raw_arrays()``; each array file records its own dtype): the
+outward-rounded float32 head and tail parts and ``positions``, or for a
+bulk-built tree the run layout — heads, the sliding-extrema pools, leaf
+starts, no leaf tails and no positions. Loading one is pure array reads
+— no node objects rebuilt, no windows re-inserted.
+
+The format version says which layouts an archive may hold: 3 since
+bulk-built trees are stored in the run layout, 2 since no ``children``
+list is stored. This reader refuses any version newer than its own.
+Every layout older archives hold is converted in one place,
+:func:`_upgrade` (and :func:`_as_runs`, which moves a bulk-built frozen
+tree of a format-1 or -2 archive into the run layout, after checking its
+stored leaf rows against the rows its windows give);
 :class:`~repro.core.frozen.FrozenTSIndex` rounds and cuts whole or
 float64 envelopes once, into private memory; either way the result is
 exactly the arrays building the same tree gives today.
@@ -61,13 +68,18 @@ from typing import TYPE_CHECKING, Any, Mapping, NoReturn
 import numpy as np
 
 from .._util import POSITION_DTYPE
+from ..core.bulkload import sliding_extrema
 from ..core.frozen import (
+    _HEAD_STRIDE,
     RAW_ARRAY_FIELDS,
+    RUN_ARRAY_FIELDS,
     FrozenTSIndex,
+    _concat_ranges,
     check_structure,
     flatten,
     unflatten,
 )
+from ..core.mbts import round_down_f32, round_up_f32
 from ..core.normalization import Normalization
 from ..core.stats import BuildStats
 from ..core.tsindex import TSIndex, TSIndexParams
@@ -92,13 +104,15 @@ if TYPE_CHECKING:  # runtime import would be circular; engine imports us
         | SweeplineSearch
     )
 
-#: Format marker written into every archive: 2 since tree archives hold
-#: no ``children`` member. Version-1 archives load through
-#: :func:`_upgrade`; a newer version is refused by name.
-FORMAT_VERSION = 2
+#: Format marker written into every archive: 3 since bulk-built trees
+#: are stored in the run layout (no leaf tails, no ``positions``), 2
+#: since tree archives hold no ``children`` member. Older archives load
+#: through :func:`_upgrade` and :func:`_as_runs`; a newer version is
+#: refused by name.
+FORMAT_VERSION = 3
 
 #: Tree members only version-1 archives hold: :func:`_upgrade` converts
-#: them there and refuses them by name in a version-2 archive.
+#: them there and refuses them by name in a later archive.
 _LEGACY_MEMBERS = (
     "children",
     "uppers_t",
@@ -318,7 +332,7 @@ def load_index(path: str | os.PathLike[str], *, mmap: bool = True) -> Index:
             f"version of this library (this one reads formats 1 to "
             f"{FORMAT_VERSION})"
         )
-    if version not in (1, FORMAT_VERSION):
+    if version not in range(1, FORMAT_VERSION + 1) or isinstance(version, bool):
         raise SerializationError(f"unsupported archive format {version!r}")
     method = meta.get("method")
     loaders = {
@@ -414,12 +428,12 @@ def _dump_tsindex(index: TSIndex) -> dict[str, Any]:
 def _upgrade(data: _Members, version: int, prefix: str = "") -> dict[str, np.ndarray]:
     """The arrays of the tree stored under ``prefix`` in a format-``version``
     archive, in the one format :mod:`repro.core.frozen` reads:
-    :data:`RAW_ARRAY_FIELDS` or :data:`ARRAY_FIELDS`. Members already in
-    that format are handed over untouched (mmaps stay zero-copy). A
-    version-2 archive holds exactly those members; one that also holds
-    a version-1 member is refused by the member's name. Every earlier
-    layout — all held by version-1 archives — is converted here, and
-    nowhere else:
+    :data:`RUN_ARRAY_FIELDS`, :data:`RAW_ARRAY_FIELDS` or
+    :data:`ARRAY_FIELDS`. Members already in a resident layout are
+    handed over untouched (mmaps stay zero-copy). Archives from version
+    2 on hold exactly those members; one that also holds a version-1
+    member is refused by the member's name. Every earlier layout — all
+    held by version-1 archives — is converted here, and nowhere else:
 
     * ``uppers_t`` / ``lowers_t`` — the whole ``(l, n)`` timestamp-major
       envelopes of raw frozen archives written before the head/tail
@@ -434,7 +448,9 @@ def _upgrade(data: _Members, version: int, prefix: str = "") -> dict[str, np.nda
       implicit — is dropped. It is redundant too: one that is not the
       BFS adjacency ``1 .. n-1`` is refused.
 
-    A missing member raises :class:`SerializationError` naming it.
+    (Frozen trees of archives before version 3 then take the run layout
+    where it holds: :func:`_as_runs`.) A missing member raises
+    :class:`SerializationError` naming it.
     """
 
     def member(name: str) -> np.ndarray:
@@ -442,7 +458,7 @@ def _upgrade(data: _Members, version: int, prefix: str = "") -> dict[str, np.nda
             raise SerializationError(f"archive has no {prefix + name!r} member")
         return data[prefix + name]
 
-    if version == FORMAT_VERSION:
+    if version >= 2:
         stray = [prefix + name for name in _LEGACY_MEMBERS if prefix + name in data]
         if stray:
             raise SerializationError(
@@ -455,6 +471,8 @@ def _upgrade(data: _Members, version: int, prefix: str = "") -> dict[str, np.nda
             f"archive member {prefix}children is not the breadth-first "
             "adjacency 1 .. n-1 of one tree"
         )
+    if prefix + "uppers_pool" in data:
+        return {name: member(name) for name in RUN_ARRAY_FIELDS}
     if prefix + "uppers_head" in data:
         return {name: member(name) for name in RAW_ARRAY_FIELDS}
     if prefix + "uppers_t" in data:
@@ -484,6 +502,88 @@ def _upgrade(data: _Members, version: int, prefix: str = "") -> dict[str, np.nda
     return arrays
 
 
+def _as_runs(
+    arrays: dict[str, np.ndarray],
+    source: WindowSource,
+    params: TSIndexParams,
+    data: _Members,
+    prefix: str = "",
+) -> dict[str, np.ndarray]:
+    """The arrays of a frozen tree from an archive before format 3 in
+    the run layout of :mod:`repro.core.frozen`, when it holds: the
+    source is not per-window normalized, every leaf's positions are a
+    run, and every leaf of ``bulk_fill`` windows stores exactly the rows
+    the sliding extrema give (as every bulk-built tree does). The stored
+    leaf rows are checked against their windows' exact envelopes,
+    rounded outward, bit for bit: a stored value inside its envelope
+    (it would lose twins) is refused with :class:`SerializationError`
+    naming the member; a looser row — a tree that was thawed and grown
+    — keeps the stored layout, as does every other tree."""
+    if source.normalization is Normalization.PER_WINDOW:
+        return arrays
+    whole = FrozenTSIndex(source, params, BuildStats(), arrays).arrays()
+    kinds, offsets, positions = whole["kinds"], whole["leaf_offsets"], whole["positions"]
+    leaves = np.flatnonzero(kinds)
+    counts = offsets[leaves + 1] - offsets[leaves]
+    if np.any(counts == 0):
+        return arrays
+    starts = positions[offsets[leaves]]
+    if not np.array_equal(positions, _concat_ranges(starts, counts)):
+        return arrays
+    fill = params.bulk_fill
+    full = counts == fill
+    slides = sliding_extrema(source.values, fill)
+    rounded_slides = {}
+    for name, slide, rounded, reduce in (
+        ("uppers", slides[0], round_up_f32, np.max),
+        ("lowers", slides[1], round_down_f32, np.min),
+    ):
+        slide = rounded(slide)
+        rows = np.empty((leaves.size, source.length), dtype=slide.dtype)
+        if full.any():
+            view = np.lib.stride_tricks.sliding_window_view(slide, source.length)
+            rows[full] = view[starts[full]]
+        for leaf in np.flatnonzero(~full):
+            start = int(starts[leaf])
+            block = source.window_block(start, start + int(counts[leaf]))
+            rows[leaf] = rounded(reduce(block, axis=0))
+        stored = whole[name][leaves]
+        inside = stored < rows if name == "uppers" else stored > rows
+        if inside.any():
+            leaf, timestamp = np.argwhere(inside)[0]
+            raise SerializationError(
+                f"archive member {_member_of(data, prefix, name, int(timestamp))} "
+                f"cuts into the envelope of leaf node {int(leaves[leaf])}'s "
+                f"windows at timestamp {int(timestamp)}"
+            )
+        if not np.array_equal(stored[full], rows[full]):
+            return arrays
+        rounded_slides[f"{name}_slide"] = slide
+    leaf_starts = np.zeros(kinds.size, dtype=np.int64)
+    leaf_starts[leaves] = starts
+    return {
+        "uppers": whole["uppers"],
+        "lowers": whole["lowers"],
+        **rounded_slides,
+        "kinds": kinds,
+        "children_offsets": whole["children_offsets"],
+        "leaf_offsets": offsets,
+        "leaf_starts": leaf_starts,
+    }
+
+
+def _member_of(data: _Members, prefix: str, name: str, timestamp: int) -> str:
+    """The archive member that stores bound ``name`` at ``timestamp``."""
+    for member, held in (
+        (f"{name}_head", timestamp % _HEAD_STRIDE == 0),
+        (f"{name}_tail", timestamp % _HEAD_STRIDE != 0),
+        (f"{name}_t", True),
+    ):
+        if held and prefix + member in data:
+            return prefix + member
+    return prefix + name
+
+
 def _load_tsindex(meta: _Meta, data: _Members) -> TSIndex | FrozenTSIndex:
     source = _source_from(meta, data)
     params = TSIndexParams(**meta["params"])
@@ -492,11 +592,20 @@ def _load_tsindex(meta: _Meta, data: _Members) -> TSIndex | FrozenTSIndex:
     if meta.get("frozen"):
         # Frozen archives hold the flat arrays natively; loading is
         # pure array reads — no node objects, no re-insertion.
+        if meta["format"] < 3:
+            arrays = _as_runs(arrays, source, params, data)
         return FrozenTSIndex.from_arrays(source, params, build_stats, arrays)
     check_structure(arrays, source.count)
     return TSIndex._from_prebuilt_root(
         source, unflatten(arrays), params, build_stats
     )
+
+
+def _tree_members(index: FrozenTSIndex) -> dict[str, np.ndarray]:
+    """The arrays an archive stores of a frozen tree: its
+    ``raw_arrays()`` but the ones the constructor derives."""
+    fields = RUN_ARRAY_FIELDS + RAW_ARRAY_FIELDS
+    return {name: array for name, array in index.raw_arrays().items() if name in fields}
 
 
 def _dump_frozen(index: FrozenTSIndex) -> dict[str, Any]:
@@ -515,7 +624,7 @@ def _dump_frozen(index: FrozenTSIndex) -> dict[str, Any]:
     if source._means is not None:
         payload["win_means"] = source._means
         payload["win_stds"] = source._stds
-    payload.update(index.raw_arrays())
+    payload.update(_tree_members(index))
     return payload
 
 
@@ -673,7 +782,7 @@ def _dump_sharded(engine: ShardedTSIndex) -> dict[str, Any]:
     shard_meta = []
     payload: dict[str, Any] = {"series": engine.source.series.values}
     for i, ((start, stop), tree) in enumerate(zip(engine.spans, engine.shards)):
-        for key, value in tree.raw_arrays().items():
+        for key, value in _tree_members(tree).items():
             payload[f"s{i}_{key}"] = value
         shard_meta.append(
             {
@@ -700,13 +809,12 @@ def _load_sharded(meta: _Meta, data: _Members) -> ShardedTSIndex:
     trees: list[FrozenTSIndex] = []
     for i, shard in enumerate(meta["shards"]):
         start, stop = int(shard["start"]), int(shard["stop"])
+        part = source.shard(start, stop)
+        arrays = _upgrade(data, meta["format"], prefix=f"s{i}_")
+        if meta["format"] < 3:
+            arrays = _as_runs(arrays, part, params, data, prefix=f"s{i}_")
         trees.append(
-            FrozenTSIndex.from_arrays(
-                source.shard(start, stop),
-                params,
-                _build_stats_from(shard),
-                _upgrade(data, meta["format"], prefix=f"s{i}_"),
-            )
+            FrozenTSIndex.from_arrays(part, params, _build_stats_from(shard), arrays)
         )
         starts.append(start)
     return ShardedTSIndex._from_prebuilt(source, starts, trees, params)

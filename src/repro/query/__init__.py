@@ -24,7 +24,6 @@ preparation, dispatch, result merging and stats aggregation:
   :func:`repro.indices.base.create_method` (:mod:`repro.query.registration`).
 """
 
-from .._util import map_with_executor
 from .merge import (
     aggregate_stats,
     batch_result,
@@ -69,7 +68,6 @@ __all__ = [
     "check_varlength_query",
     "execute",
     "map_raw_to_index_domain",
-    "map_with_executor",
     "merge_knn",
     "merge_offset_search",
     "normalize_exclude",

@@ -36,8 +36,8 @@ from .._util import (
     FLOAT_DTYPE,
     POSITION_DTYPE,
     is_process_executor,
+    fan_out,
     iter_chunks,
-    map_with_executor,
 )
 from ..core.normalization import Normalization
 from ..core.stats import QueryStats, SearchResult
@@ -237,7 +237,7 @@ class QueryPlan:
         if self.partitioned and is_process_executor(executor):
             results = [self._on_parts(query, executor) for query in queries]
         elif self.partitioned:
-            results = map_with_executor(executor, self._search, queries)
+            results = fan_out(executor, self._search, queries)
         elif not self.varlength:
             return self.index.search_batch(queries, spec.epsilon, **self.options)
         else:

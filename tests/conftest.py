@@ -203,7 +203,7 @@ def save_legacy_npz():
     ``children`` list ``1 .. n-1`` — so the read-only legacy branch of
     ``load_index`` is exercised by files the library can no longer
     write. ``overrides`` replace members (e.g. float64 envelopes)."""
-    from repro.core.frozen import RAW_ARRAY_FIELDS, FrozenTSIndex
+    from repro.core.frozen import FrozenTSIndex
     from repro.persistence.serializer import _payload_for
 
     def factory(index, path, **overrides) -> None:
@@ -217,8 +217,8 @@ def save_legacy_npz():
             shards = getattr(index, "shards", ())
             trees = {f"s{i}_": shard for i, shard in enumerate(shards)}
         for prefix, tree in trees.items():
-            for field in RAW_ARRAY_FIELDS:
-                del payload[prefix + field]
+            for field in tree.raw_arrays():
+                payload.pop(prefix + field, None)
             for field, array in tree.arrays().items():
                 payload[prefix + field] = array
             payload[prefix + "children"] = np.arange(1, tree.node_count)

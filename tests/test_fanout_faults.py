@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro._util import fan_out, map_with_executor
+from repro._util import fan_out
 from repro.engine import ShardedTSIndex
 from repro.faults import failpoints
 from repro.live import LiveTwinIndex
@@ -72,9 +72,6 @@ class TestFanOut:
             "shard 0" in note
             for note in getattr(info.value, "__notes__", [])
         )
-
-    def test_map_with_executor_unwraps_results(self, pool):
-        assert map_with_executor(pool, lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
 
     def test_fanout_task_failpoint_fires_in_workers(self, pool):
         failpoints.arm("fanout.task", error=RuntimeError("injected"))

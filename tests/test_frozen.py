@@ -486,18 +486,21 @@ class TestForest:
     def _side_by_side(forest: FrozenTSIndex, raw: bool) -> dict:
         """``forest``'s arrays without the synthetic root: the trees'
         roots side by side, a forest of several roots (``raw``: the
-        envelopes as head / tail parts, else as whole matrices)."""
+        envelopes in their resident parts, else as whole matrices)."""
         arrays = dict(forest.raw_arrays() if raw else forest.arrays())
         roots = int(arrays["children_offsets"][1])
         # Node rows lose row 0; head parts are timestamp-major, so they
-        # lose column 0. The root holds no positions and no leaf slots.
+        # lose column 0. The root holds no positions and no leaf slots,
+        # and the flat pools are left whole.
         side = {
             name: array[:, 1:] if name.endswith("_head") else array[1:]
             for name, array in arrays.items()
-            if name != "positions"
+            if name not in ("positions", "uppers_pool", "lowers_pool")
         }
         side["children_offsets"] = side["children_offsets"] - roots
-        side["positions"] = arrays["positions"]
+        for name in ("positions", "uppers_pool", "lowers_pool"):
+            if name in arrays:
+                side[name] = arrays[name]
         return side
 
     def test_archives_refuse_a_forest(self, grove, tmp_path):

@@ -133,7 +133,10 @@ class TestOutwardRounding:
 # ----------------------------------------------------------------------
 def _assert_float32(index: FrozenTSIndex) -> None:
     arrays = index.raw_arrays()
-    for part in ("uppers_head", "uppers_tail", "lowers_head", "lowers_tail"):
+    # Head and tail parts, or in the run layout head parts and pools.
+    parts = [name for name in arrays if name.startswith(("uppers_", "lowers_"))]
+    assert len(parts) == 4, parts
+    for part in parts:
         assert arrays[part].dtype == np.float32
         assert arrays[part].flags.c_contiguous
     assert index.arrays()["uppers"].dtype == np.float32
@@ -224,9 +227,7 @@ def parents_of(index: FrozenTSIndex) -> np.ndarray:
 def assert_twin_paths_survive(index, query, epsilon, twin_positions):
     """Every node on the root-to-leaf path of every twin passes the
     filter kernel (evaluated over all nodes at once)."""
-    lo, hi = map(
-        frozen_module._head_tail, frozen_module._thresholds(query, epsilon)
-    )
+    lo, hi = map(index._parts, frozen_module._thresholds(query, epsilon))
     keep = np.zeros(index.node_count, dtype=bool)
     keep[
         index._level_keep(

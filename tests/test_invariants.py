@@ -464,13 +464,9 @@ CALL_SITES = {
         "every plane prepares queries through repro.query.spec.prepare_values",
     ),
     "fan_out": (
-        ("_util.py", "query/parts.py"),
-        "the part loop is written once, in repro.query.parts.PartSet",
-    ),
-    "map_with_executor": (
         ("_util.py", "query/parts.py", "query/planner.py"),
-        "only query-level batch loops map over an executor; parts fan "
-        "out through PartSet",
+        "the part loop is written once, in repro.query.parts.PartSet "
+        "(the planner's batch loop fans out queries, not parts)",
     ),
 }
 
@@ -509,23 +505,23 @@ class TestSingleCallSite:
         assert found[0].startswith("indices/isax.py:1:") and "prepare_query" in found[0]
 
     def test_part_loop_has_one_home(self):
-        """``fan_out`` belongs to ``query/parts.py``; query-level batch
-        loops (parts, planner) may still ``map_with_executor``."""
+        """``fan_out`` belongs to ``query/parts.py``; the planner's
+        query-level batch loop may fan out too."""
         assert self.check({
             "_util.py": "r = fan_out(e, f, xs)\n",
-            "query/parts.py": "a = fan_out(e, f, xs)\nb = map_with_executor(e, f, xs)\n",
-            "query/planner.py": "b = map_with_executor(e, f, xs)\n",
+            "query/parts.py": "a = fan_out(e, f, xs)\n",
+            "query/planner.py": "b = fan_out(e, f, xs)\n",
         }) == []
 
-    @pytest.mark.parametrize("rel", ["engine/sharding.py", "live/index.py", "query/planner.py"])
+    @pytest.mark.parametrize("rel", ["engine/sharding.py", "live/index.py", "engine/executor.py"])
     def test_second_part_loop_flagged(self, rel):
         found = self.check({rel: "x = 1\nout = fan_out(pool, fn, shards, part='shard')\n"})
         assert len(found) == 1
         assert found[0].startswith(f"{rel}:2:") and "PartSet" in found[0]
 
     def test_plane_level_map_flagged(self):
-        found = self.check({"live/index.py": "r = map_with_executor(pool, one, segments)\n"})
-        assert len(found) == 1 and "map_with_executor" in found[0]
+        found = self.check({"live/index.py": "r = fan_out(pool, one, segments)\n"})
+        assert len(found) == 1 and "fan_out" in found[0]
 
 
 # ----------------------------------------------------------------------

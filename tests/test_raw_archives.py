@@ -61,8 +61,10 @@ def _assert_identical(a, b, query, epsilon=0.5, k=5):
     assert a.count(query, epsilon) == b.count(query, epsilon)
 
 
-#: The resident envelope arrays of a frozen index (its private slots).
+#: The resident envelope arrays of a frozen index (its private slots),
+#: in the stored layout and in the run layout.
 ENVELOPE_PARTS = ("_upper_head", "_upper_tail", "_lower_head", "_lower_tail")
+RUN_ENVELOPE_PARTS = ("_upper_head", "_upper_pool", "_lower_head", "_lower_pool")
 ENVELOPE_FILES = ("uppers_head", "uppers_tail", "lowers_head", "lowers_tail")
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -171,8 +173,10 @@ class TestShardedRawRoundTrip:
         save_index(engine, path)
         loaded = load_index(path)
         for shard in loaded.shards:
-            for part in ENVELOPE_PARTS:
+            # Bulk-built shards hold the run layout: heads and pools.
+            for part in RUN_ENVELOPE_PARTS:
                 assert isinstance(_ultimate_base(getattr(shard, part)), mmap.mmap)
+            assert isinstance(_ultimate_base(shard._leaf_starts), mmap.mmap)
 
 
 class TestAtomicCommit:
@@ -552,17 +556,22 @@ class TestChildrenMember:
 
 
 class TestFormatVersion:
-    """Archives say which layout they hold: format 2 since tree archives
-    hold no ``children`` member. Version 1 — every ``tests/data``
-    fixture — still loads; a newer version is refused by name, not read
+    """Archives say which layout they hold: format 3 since bulk-built
+    trees are stored in the run layout, 2 since tree archives hold no
+    ``children`` member. Versions 1 and 2 — every other ``tests/data``
+    fixture — still load; a newer version is refused by name, not read
     as corruption."""
 
-    def test_saved_archives_are_version_2_and_version_1_loads(
+    def test_saved_archives_are_version_3_and_older_versions_load(
         self, tmp_path, series_values
     ):
         path = tmp_path / "frozen"
         save_index(_frozen(series_values, "global"), path, fsync=False)
-        assert json.loads((path / "meta.json").read_text(encoding="utf-8"))["format"] == 2
+        assert json.loads((path / "meta.json").read_text(encoding="utf-8"))["format"] == 3
+        for fixture in ("bulk_frozen_v2.raw", "sharded_bulk_v2.raw"):
+            meta = json.loads((DATA / fixture / "meta.json").read_text(encoding="utf-8"))
+            assert meta["format"] == 2
+            assert load_index(DATA / fixture).size == 677
         for fixture in ("frozen_timestamp_major.raw", "pointer_tsindex.raw"):
             meta = json.loads((DATA / fixture / "meta.json").read_text(encoding="utf-8"))
             assert meta["format"] == 1
@@ -576,8 +585,8 @@ class TestFormatVersion:
         else:
             index = ShardedTSIndex.build(series_values, LENGTH, shards=2)
         save_index(index, path, fsync=False)
-        _set_format(path, 3)
-        with pytest.raises(SerializationError, match="format 3, written by a newer version"):
+        _set_format(path, 4)
+        with pytest.raises(SerializationError, match="format 4, written by a newer version"):
             load_index(path)
 
     @pytest.mark.parametrize(

@@ -272,8 +272,8 @@ def frontier_keep(index, lo, hi, ids):
     visit = np.zeros(index.node_count, dtype=bool)
     visit[ids] = True
     kept = index._level_keep(
-        frozen_module._head_tail(lo),
-        frozen_module._head_tail(hi),
+        index._parts(lo),
+        index._parts(hi),
         visit,
         ids.size,
         0,
