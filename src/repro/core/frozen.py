@@ -81,8 +81,9 @@ flat float32 *pool*: the rounded sliding extrema over its source, then
 the whole rows of every node that is not such a *full run* — internal
 nodes and the one or two irregular last runs — in id order. Node
 ``i``'s whole row is ``pool[r : r + l]`` for ``r = pool_rows[i]`` (a
-full run's ``r`` is its first window ``s``), one row of a zero-copy
-sliding view, and a leaf's positions are the run from ``leaf_starts``.
+full run's ``r`` is its first window ``s``; the constructor derives
+``pool_rows``), one row of a zero-copy sliding view, and a leaf's
+positions are the run from ``leaf_starts``.
 The heads stay for every node. Finishing a survivor is then a fancy row
 gather from that view, compared over all ``m`` timestamps (the head
 ones again, harmlessly): ≈ 15–30 % more per surviving node than a
@@ -90,8 +91,8 @@ stored tail row (a leaf tail pass of 300 / 1,500 leaves of a
 200,000-window, ``l = 100`` tree: 37 → 42 / 172 → 224 µs, 2-core box;
 ``np.take`` on the view would copy the whole view, and a gather through
 an index array took 120 / 580 µs), for a tree of 20.8 instead of 46.9
-bytes per window (twinbench ``twin_sparse``). Per-window normalization scales each
-window on its own, so no sliding rule holds; those trees, and
+bytes per window (twinbench ``twin_sparse``). Per-window normalization
+scales each window on its own, so no sliding rule holds; those trees, and
 insertion-built ones (``TSIndex.freeze()``), whose leaves are not runs,
 keep the stored head / tail layout and ``positions``. A tree's layout
 is fixed by its input (``leaf_starts`` given or not) and every method
